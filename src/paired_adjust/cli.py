@@ -30,9 +30,10 @@ from typing import Any, Callable, Mapping, Optional
 import numpy as np
 
 from . import __version__
-from .dgp import generate_sample, load_science_table, write_science_table
+from .dgp import SETTINGS, generate_sample, load_science_table, write_science_table
 from .errors import ConfigError, PairedAdjustError
 from .estimators import (
+    _FLAVORS,
     confidence_interval,
     estimate_classical,
     estimate_r1,
@@ -47,9 +48,7 @@ from .randomization_engine import (
     run_study,
 )
 
-_SETTINGS = ("parallel", "nonparallel")
 _MODES = ("sate-study", "pate-study")
-_FLAVORS = ("classical", "HC2", "HC3")
 _TARGETS = ("sate", "pate")
 
 
@@ -154,7 +153,7 @@ _OPTION_TABLES: dict[str, dict[str, tuple[Callable[[Any], Any], Any, bool]]] = {
         "out": (_as_str, None, False),
     },
     "simulate": {
-        "setting": (_as_choice(_SETTINGS), None, True),
+        "setting": (_as_choice(SETTINGS), None, True),
         "n": (_as_int, None, True),
         "S": (_as_int, None, True),
         "B": (_as_int, 1, False),
@@ -180,7 +179,7 @@ _OPTION_TABLES: dict[str, dict[str, tuple[Callable[[Any], Any], Any, bool]]] = {
     },
     "generate": {
         "n": (_as_int, None, True),
-        "setting": (_as_choice(_SETTINGS), None, True),
+        "setting": (_as_choice(SETTINGS), None, True),
         "seed": (_as_int, 0, False),
         "out": (_as_str, None, True),
     },
@@ -374,7 +373,7 @@ def build_parser() -> _Parser:
 
     ps = sub.add_parser("simulate", help="run a multi-sample study")
     common(ps)
-    ps.add_argument("--setting", choices=_SETTINGS)
+    ps.add_argument("--setting", choices=SETTINGS)
     ps.add_argument("--n", type=int, help="pairs per sample")
     ps.add_argument("--S", type=int, help="number of samples")
     ps.add_argument("--B", type=int, help="randomizations per sample (sate mode)")
@@ -396,7 +395,7 @@ def build_parser() -> _Parser:
     pg = sub.add_parser("generate", help="synthesize a science table")
     common(pg, out_help="science-table CSV path (sidecar JSON written next to it)", with_alpha=False)
     pg.add_argument("--n", type=int, help="number of pairs")
-    pg.add_argument("--setting", choices=_SETTINGS)
+    pg.add_argument("--setting", choices=SETTINGS)
 
     return parser
 

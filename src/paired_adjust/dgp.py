@@ -25,11 +25,14 @@ from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedRow, PairViolation
-from .experiment_model import _parse_float, _parse_int, _readonly
+from .errors import DimensionMismatch, MalformedRow
+from .experiment_model import _parse_float, _read_pairs, _readonly
 from .rng import ROLE_SAMPLE, substream
 
 SETTINGS = ("parallel", "nonparallel")
+
+# Latent and observed covariates per unit; the formulas below use all four.
+N_COVARIATES = 4
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,9 @@ class PotentialOutcomeSample:
             if arr is None:
                 continue
             arr = np.asarray(arr, dtype=float)
-            if arr.shape != (n, 2, 4):
+            if arr.shape != (n, 2, N_COVARIATES):
                 raise DimensionMismatch(
-                    f"{name} must be ({n}, 2, 4), got {arr.shape}"
+                    f"{name} must be ({n}, 2, {N_COVARIATES}), got {arr.shape}"
                 )
             if not np.isfinite(arr).all():
                 raise MalformedRow(f"{name} must be finite")
@@ -104,8 +107,8 @@ def draw_pair_covariates(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    w1 = rng.standard_normal((n, 4))
-    w2 = w1 + 0.5 * rng.standard_normal((n, 4))
+    w1 = rng.standard_normal((n, N_COVARIATES))
+    w2 = w1 + 0.5 * rng.standard_normal((n, N_COVARIATES))
     return np.stack([w1, w2], axis=1)
 
 
@@ -172,8 +175,8 @@ def generate_sample(
     )
 
 
-_W_COLS = tuple(f"w{j}" for j in range(1, 5))
-_X_COLS = tuple(f"x{j}" for j in range(1, 5))
+_W_COLS = tuple(f"w{j}" for j in range(1, N_COVARIATES + 1))
+_X_COLS = tuple(f"x{j}" for j in range(1, N_COVARIATES + 1))
 
 
 def write_science_table(
@@ -246,63 +249,39 @@ def load_science_table(
         raise MalformedRow("empty file") from None
     expect = ["pair", "unit"]
     pos = 2
-    has_w = header[pos : pos + 4] == list(_W_COLS)
+    has_w = header[pos : pos + N_COVARIATES] == list(_W_COLS)
     if has_w:
         expect += list(_W_COLS)
-        pos += 4
-    has_x = header[pos : pos + 4] == list(_X_COLS)
+        pos += N_COVARIATES
+    has_x = header[pos : pos + N_COVARIATES] == list(_X_COLS)
     if has_x:
         expect += list(_X_COLS)
-        pos += 4
+        pos += N_COVARIATES
     expect += ["r_t", "r_c"]
     if header != expect:
         raise MalformedRow(
             f"science table header must be pair,unit[,w1..w4][,x1..x4],r_t,r_c; got {header}"
         )
 
-    width = len(expect)
-    rows: dict[int, dict[int, list[float]]] = {}
-    order: list[int] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        where = f"line {lineno}"
-        if len(row) != width:
-            raise MalformedRow(f"{where}: expected {width} fields, got {len(row)}")
-        pair = _parse_int(row[0], where)
-        unit = _parse_int(row[1], where)
-        if unit not in (1, 2):
-            raise MalformedRow(f"{where}: unit must be 1 or 2, got {unit}")
-        vals = [_parse_float(tok, where) for tok in row[2:]]
-        units = rows.setdefault(pair, {})
-        if pair not in order:
-            order.append(pair)
-        if unit in units:
-            raise PairViolation(f"pair {pair}: unit {unit} appears twice")
-        units[unit] = vals
-
-    if not order:
-        raise MalformedRow("no data rows")
-    n = len(order)
-    w = np.empty((n, 2, 4)) if has_w else None
-    x = np.empty((n, 2, 4)) if has_x else None
+    pairs = _read_pairs(
+        reader, len(expect), lambda fields, where: [_parse_float(t, where) for t in fields]
+    )
+    n = len(pairs)
+    w = np.empty((n, 2, N_COVARIATES)) if has_w else None
+    x = np.empty((n, 2, N_COVARIATES)) if has_x else None
     r_t = np.empty((n, 2))
     r_c = np.empty((n, 2))
-    for i, pair in enumerate(order):
-        units = rows[pair]
-        if set(units) != {1, 2}:
-            raise PairViolation(f"pair {pair}: needs exactly units 1 and 2")
-        for j in (1, 2):
-            vals = units[j]
+    for i, units in enumerate(pairs.values()):
+        for j, vals in enumerate(units):
             k = 0
             if has_w:
-                w[i, j - 1] = vals[k : k + 4]  # type: ignore[index]
-                k += 4
+                w[i, j] = vals[k : k + N_COVARIATES]  # type: ignore[index]
+                k += N_COVARIATES
             if has_x:
-                x[i, j - 1] = vals[k : k + 4]  # type: ignore[index]
-                k += 4
-            r_t[i, j - 1] = vals[k]
-            r_c[i, j - 1] = vals[k + 1]
+                x[i, j] = vals[k : k + N_COVARIATES]  # type: ignore[index]
+                k += N_COVARIATES
+            r_t[i, j] = vals[k]
+            r_c[i, j] = vals[k + 1]
 
     setting = "custom"
     seed = None

@@ -24,7 +24,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Callable, Iterable, Sequence, TextIO, TypeVar, Union
 
 import numpy as np
 
@@ -41,6 +41,8 @@ from .errors import (
 RANK_RTOL = 1e-10
 
 _TRANSFORM_KINDS = ("identity", "power", "log", "exp", "select")
+
+_T = TypeVar("_T")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -315,6 +317,18 @@ def _center_columns(a: np.ndarray) -> np.ndarray:
     return out - out.mean(axis=0)
 
 
+def block_widths(f: TransformSpec, g: TransformSpec, p: int) -> tuple[int, int]:
+    """Widths K_D and K_M of the f and g blocks for ``p`` covariates.
+
+    Raises DimensionMismatch when a select transform names a column
+    the data does not have.
+    """
+    try:
+        return f.output_dim(p), g.output_dim(p)
+    except ValueError as exc:
+        raise DimensionMismatch(str(exc)) from None
+
+
 def transformed_blocks(
     x: np.ndarray, f: TransformSpec, g: TransformSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -337,12 +351,12 @@ def build_design(
     """Construct the design matrices for an experiment.
 
     Deterministic: the same experiment and specs give bitwise-identical
-    matrices. Raises TooFewPairs when n <= K_D + K_M + 1 (checked from
-    the transform widths before touching the data) and NonFiniteTransform
-    when f or g blow up on the observed covariates.
+    matrices. Raises DimensionMismatch when a select transform names a
+    missing column, TooFewPairs when n <= K_D + K_M + 1 (both checked
+    from the transform widths before touching the data) and
+    NonFiniteTransform when f or g blow up on the observed covariates.
     """
-    k_d = f.output_dim(exp.p)
-    k_m = g.output_dim(exp.p)
+    k_d, k_m = block_widths(f, g, exp.p)
     if exp.n <= k_d + k_m + 1:
         raise TooFewPairs(
             f"need n > K_D + K_M + 1, got n={exp.n}, K_D={k_d}, K_M={k_m}"
@@ -405,6 +419,45 @@ def _parse_int(token: str, where: str) -> int:
         raise MalformedRow(f"{where}: cannot parse {token!r} as an integer") from None
 
 
+def _read_pairs(
+    reader: Iterable[list[str]],
+    width: int,
+    parse_unit: Callable[[list[str], str], _T],
+) -> dict[int, tuple[_T, _T]]:
+    """Group CSV data rows (after the header) by pair id.
+
+    Every non-blank row has ``width`` fields: pair id, unit (1 or 2),
+    then the fields ``parse_unit(fields, where)`` turns into that unit's
+    record. Returns pair id -> (unit 1 record, unit 2 record) in
+    first-appearance order. Raises PairViolation for a repeated unit or
+    a pair lacking one, MalformedRow for bad rows or no rows at all.
+    """
+    grouped: dict[int, dict[int, _T]] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        where = f"line {lineno}"
+        if len(row) != width:
+            raise MalformedRow(f"{where}: expected {width} fields, got {len(row)}")
+        pair = _parse_int(row[0], where)
+        unit = _parse_int(row[1], where)
+        if unit not in (1, 2):
+            raise MalformedRow(f"{where}: unit must be 1 or 2, got {unit}")
+        record = parse_unit(row[2:], where)
+        units = grouped.setdefault(pair, {})
+        if unit in units:
+            raise PairViolation(f"pair {pair}: unit {unit} appears twice")
+        units[unit] = record
+    if not grouped:
+        raise MalformedRow("no data rows")
+    pairs: dict[int, tuple[_T, _T]] = {}
+    for pair, units in grouped.items():
+        if set(units) != {1, 2}:
+            raise PairViolation(f"pair {pair}: needs exactly units 1 and 2")
+        pairs[pair] = (units[1], units[2])
+    return pairs
+
+
 def load_experiment_csv(source: Union[str, Path, TextIO, Iterable[str]]) -> PairedExperiment:
     """Read a paired experiment from CSV.
 
@@ -432,48 +485,25 @@ def load_experiment_csv(source: Union[str, Path, TextIO, Iterable[str]]) -> Pair
     if x_cols != [f"x{j}" for j in range(1, p + 1)] or p < 1:
         raise MalformedRow(f"covariate columns must be x1..xP, got {x_cols}")
 
-    rows: dict[int, dict[int, tuple[int, float, list[float]]]] = {}
-    order: list[int] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        where = f"line {lineno}"
-        if len(row) != 4 + p:
-            raise MalformedRow(f"{where}: expected {4 + p} fields, got {len(row)}")
-        pair = _parse_int(row[0], where)
-        unit = _parse_int(row[1], where)
-        if unit not in (1, 2):
-            raise MalformedRow(f"{where}: unit must be 1 or 2, got {unit}")
-        z = _parse_int(row[2], where)
+    def parse_unit(fields: list[str], where: str) -> tuple[int, float, list[float]]:
+        z = _parse_int(fields[0], where)
         if z not in (0, 1):
             raise MalformedRow(f"{where}: z must be 0 or 1, got {z}")
-        yv = _parse_float(row[3], where)
-        xs = [_parse_float(tok, where) for tok in row[4:]]
-        units = rows.setdefault(pair, {})
-        if pair not in order:
-            order.append(pair)
-        if unit in units:
-            raise PairViolation(f"pair {pair}: unit {unit} appears twice")
-        units[unit] = (z, yv, xs)
+        return z, _parse_float(fields[1], where), [_parse_float(t, where) for t in fields[2:]]
 
-    if not order:
-        raise MalformedRow("no data rows")
-    n = len(order)
+    pairs = _read_pairs(reader, 4 + p, parse_unit)
+    n = len(pairs)
     x = np.empty((n, 2, p))
     z = np.empty((n, 2), dtype=int)
     y = np.empty((n, 2))
-    for i, pair in enumerate(order):
-        units = rows[pair]
-        if set(units) != {1, 2}:
-            raise PairViolation(f"pair {pair}: needs exactly units 1 and 2")
-        for j in (1, 2):
-            zj, yj, xj = units[j]
-            z[i, j - 1] = zj
-            y[i, j - 1] = yj
-            x[i, j - 1, :] = xj
+    for i, (pair, units) in enumerate(pairs.items()):
+        for j, (zj, yj, xj) in enumerate(units):
+            z[i, j] = zj
+            y[i, j] = yj
+            x[i, j, :] = xj
         if z[i, 0] + z[i, 1] != 1:
             raise PairViolation(f"pair {pair}: z must sum to 1 across units")
-    return PairedExperiment(x=x, z=z, y=y, pair_ids=tuple(order))
+    return PairedExperiment(x=x, z=z, y=y, pair_ids=tuple(pairs))
 
 
 def write_experiment_csv(exp: PairedExperiment, dest: Union[str, Path, TextIO]) -> None:

@@ -1,19 +1,24 @@
 """Least squares with stable intercept-variance extraction.
 
-Everything here works through orthogonal factorizations and auxiliary
-regressions; no n-by-n hat matrix is ever formed. The two variance
-routines return the intercept entry of the usual classical and
+Each fit factors its design exactly once, with a column-pivoted thin QR
+X P = Q R. That one factorization gives the rank test (on the diagonal
+of R), the coefficients, the fitted values, the leverages (row norms of
+Q) and the intercept row u of (X'X)^{-1} X'. Both variance routines
+only combine u with the residuals and leverages; no n-by-n hat matrix
+is ever formed and no second factorization or regression is run. They
+return the intercept entry of the usual classical and
 heteroskedasticity-consistent covariance estimators, which is all the
 pair-level estimators need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtrtri
 
 from .errors import DegenerateDenominator, LeverageOne, RankDeficient
 from .experiment_model import RANK_RTOL
@@ -23,12 +28,14 @@ _HC_VARIANTS = ("HC2", "HC3")
 
 @dataclass
 class FitResult:
-    """Outcome of a least-squares fit.
+    """Outcome of a least-squares fit, read off one pivoted thin QR.
 
     ``coefficients`` puts the intercept first when the fit had one.
     ``design`` is the matrix actually factored (including the intercept
-    column), kept so leverages and variance extraction can run later
-    without refitting.
+    column). ``leverages`` is the diagonal of the hat matrix.
+    ``intercept_row`` is the intercept row of (X'X)^{-1} X', so the
+    intercept is ``intercept_row @ y``; it is None for a fit without an
+    intercept.
     """
 
     coefficients: np.ndarray
@@ -39,24 +46,12 @@ class FitResult:
     labels: tuple[str, ...]
     with_intercept: bool
     design: np.ndarray
-    _q: Optional[np.ndarray] = field(default=None, repr=False)
-    _r: Optional[np.ndarray] = field(default=None, repr=False)
+    leverages: np.ndarray
+    intercept_row: Optional[np.ndarray]
 
     @property
     def n(self) -> int:
         return self.design.shape[0]
-
-    def _qr(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._q is None:
-            q, r = np.linalg.qr(self.design, mode="reduced")
-            self._q, self._r = q, r
-        return self._q, self._r  # type: ignore[return-value]
-
-    @property
-    def leverages(self) -> np.ndarray:
-        """Diagonal of the hat matrix, via row norms of the thin Q."""
-        q, _ = self._qr()
-        return np.einsum("ij,ij->i", q, q)
 
 
 def least_squares(
@@ -65,12 +60,12 @@ def least_squares(
     with_intercept: bool = True,
     labels: tuple[str, ...] | None = None,
 ) -> FitResult:
-    """Fit y on x by pivoted orthogonal factorization.
+    """Fit y on x by one column-pivoted thin QR factorization.
 
     ``x`` may have zero columns, in which case (with an intercept) the
     fit is just the mean of y. Raises RankDeficient when the design,
-    including the intercept column, is numerically rank deficient at
-    the shared RANK_RTOL tolerance.
+    including the intercept column, is numerically rank deficient: some
+    |R_kk| is at most RANK_RTOL times |R_00|.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -88,15 +83,22 @@ def least_squares(
     if n < cols:
         raise RankDeficient(f"{cols} columns but only {n} rows")
 
-    coef, _, rank, _ = scipy.linalg.lstsq(
-        design, y, cond=RANK_RTOL, lapack_driver="gelsy"
-    )
+    q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int((diag > RANK_RTOL * diag[0]).sum())
     if rank < cols:
         raise RankDeficient(
             f"design rank {rank} < {cols} (tolerance {RANK_RTOL:g})"
         )
-    fitted = design @ coef
+    r_inv, _ = dtrtri(r, lower=0)
+    qty = q.T @ y
+    coef = np.empty(cols)
+    coef[piv] = r_inv @ qty
+    fitted = q @ qty
     residuals = y - fitted
+    intercept_row = None
+    if with_intercept:
+        intercept_row = q @ r_inv[int(np.flatnonzero(piv == 0)[0])]
     return FitResult(
         coefficients=coef,
         residuals=residuals,
@@ -106,35 +108,31 @@ def least_squares(
         labels=tuple(labels),
         with_intercept=with_intercept,
         design=design,
+        leverages=np.einsum("ij,ij->i", q, q),
+        intercept_row=intercept_row,
     )
 
 
 def intercept_variance_classical(fit: FitResult) -> float:
     """Classical variance of the fitted intercept.
 
-    Returns SSE/dof * [e'(I - H)e]^{-1} where H projects onto the
-    non-intercept columns. The denominator comes from an auxiliary
-    regression of the all-ones vector on those columns: e'(I - H)e =
-    n - ||He||^2, so the hat matrix itself never appears. With no
-    non-intercept columns this is just SSE/(dof * n).
+    Returns SSE/dof * ||u||^2 with u the intercept row of
+    (X'X)^{-1} X', i.e. SSE/dof * [e'(I - H)e]^{-1} where H projects
+    onto the non-intercept columns, since e'(I - H)e = 1/||u||^2. With
+    no non-intercept columns this is just SSE/(dof * n).
     """
-    if not fit.with_intercept:
+    if fit.intercept_row is None:
         raise ValueError("fit has no intercept")
     if fit.dof < 1:
         raise DegenerateDenominator("no residual degrees of freedom")
-    n = fit.n
-    block = fit.design[:, 1:]
-    if block.shape[1]:
-        aux = least_squares(block, np.ones(n), with_intercept=False)
-        denom = n - float(aux.fitted @ aux.fitted)
-    else:
-        denom = float(n)
-    if denom <= 1e-10 * n:
+    u2 = float(fit.intercept_row @ fit.intercept_row)
+    denom = 1.0 / u2
+    if denom <= 1e-10 * fit.n:
         raise DegenerateDenominator(
             f"ones vector is numerically inside the regressor span "
             f"(e'(I-H)e = {denom:.3e})"
         )
-    return fit.sse / fit.dof / denom
+    return fit.sse / fit.dof * u2
 
 
 def intercept_variance_hc(fit: FitResult, variant: str) -> float:
@@ -142,21 +140,17 @@ def intercept_variance_hc(fit: FitResult, variant: str) -> float:
 
     Implements the HC2 and HC3 sandwiches: the (1,1) entry of
     (X'X)^{-1} X' diag(w) X (X'X)^{-1} with w_i = e_i^2/(1-h_i) for HC2
-    and e_i^2/(1-h_i)^2 for HC3. Using the thin QR of X, that entry is
-    sum_i u_i^2 w_i where u = Q R^{-T} e_1.
+    and e_i^2/(1-h_i)^2 for HC3. With u the intercept row of
+    (X'X)^{-1} X', that entry is sum_i u_i^2 w_i.
     """
     if variant not in _HC_VARIANTS:
         raise ValueError(f"variant must be one of {_HC_VARIANTS}, got {variant!r}")
-    if not fit.with_intercept:
+    if fit.intercept_row is None:
         raise ValueError("fit has no intercept")
     h = fit.leverages
     if np.any(h >= 1.0 - 1e-12):
         worst = int(np.argmax(h))
         raise LeverageOne(f"leverage {h[worst]:.15f} at row {worst}")
-    q, r = fit._qr()
-    e1 = np.zeros(r.shape[0])
-    e1[0] = 1.0
-    u = q @ scipy.linalg.solve_triangular(r, e1, trans="T", lower=False)
     shrink = 1.0 - h if variant == "HC2" else (1.0 - h) ** 2
     w = fit.residuals**2 / shrink
-    return float(u**2 @ w)
+    return float(fit.intercept_row**2 @ w)

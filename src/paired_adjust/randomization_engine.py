@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .dgp import SETTINGS, PotentialOutcomeSample, generate_sample
+from .dgp import N_COVARIATES, SETTINGS, PotentialOutcomeSample, generate_sample
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -49,6 +49,7 @@ from .experiment_model import (
     DesignMatrices,
     PairedExperiment,
     TransformSpec,
+    block_widths,
     build_design,
     transformed_blocks,
 )
@@ -256,8 +257,7 @@ def _regression_blocks(
             "science table has no observed covariates; drop the transforms "
             "or supply x columns"
         )
-    p = sample.x.shape[2]
-    if sample.n <= f.output_dim(p) + g.output_dim(p) + 1:
+    if sample.n <= sum(block_widths(f, g, sample.x.shape[2])) + 1:
         return None
     return transformed_blocks(sample.x, f, g)
 
@@ -512,7 +512,10 @@ def _validate_config(config: StudyConfig) -> StudyConfig:
         raise ConfigError(f"alpha must be in (0, 1), got {config.alpha}")
     if config.workers < 1:
         raise ConfigError(f"need workers >= 1, got {config.workers}")
-    k = config.f.output_dim(4) + config.g.output_dim(4)
+    try:
+        k = config.f.output_dim(N_COVARIATES) + config.g.output_dim(N_COVARIATES)
+    except ValueError as exc:
+        raise ConfigError(f"transform does not fit the generated covariates: {exc}") from None
     if config.n <= k + 1:
         raise ConfigError(
             f"n={config.n} too small for the transforms (need n > {k + 1})"

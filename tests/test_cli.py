@@ -375,3 +375,27 @@ class TestExitCodes:
             main(["--version"])
         assert info.value.code == 0
         assert "paired-adjust" in capsys.readouterr().out
+
+    def test_select_beyond_generated_covariates_is_4(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--setting", "parallel", "--n", "20", "--S", "1",
+            "--f", "select:5",
+        )
+        assert code == 4
+        assert err.startswith("paired-adjust: error:") and "exceed" in err
+
+    def test_select_beyond_csv_covariates_is_2(self, capsys, experiment_csv):
+        code, _, err = run_cli(
+            capsys, "analyze", "--input", str(experiment_csv), "--g", "select:7"
+        )
+        assert code == 2
+        assert err.startswith("paired-adjust: error:") and "exceed" in err
+
+    def test_select_beyond_table_covariates_is_2(self, capsys, tmp_path):
+        path = tmp_path / "t10.csv"
+        write_science_table(generate_sample(10, "nonparallel", seed=5), path)
+        code, _, err = run_cli(
+            capsys, "enumerate", "--input", str(path), "--f", "select:9", "--g", "identity"
+        )
+        assert code == 2
+        assert err.startswith("paired-adjust: error:") and "exceed" in err
