@@ -312,9 +312,10 @@ def _default_labels(prefix: str, k: int) -> tuple[str, ...]:
 
 def _center_columns(a: np.ndarray) -> np.ndarray:
     # Two passes push the residual column sums down to the roundoff of
-    # the centered values rather than of the raw scale.
-    out = a - a.mean(axis=0)
-    return out - out.mean(axis=0)
+    # the centered values rather than of the raw scale. Columns run along
+    # the second-to-last axis, so a stack of tables centers table by table.
+    out = a - a.mean(axis=-2, keepdims=True)
+    return out - out.mean(axis=-2, keepdims=True)
 
 
 def block_widths(f: TransformSpec, g: TransformSpec, p: int) -> tuple[int, int]:
@@ -334,14 +335,16 @@ def transformed_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assignment-independent design blocks from unit covariates.
 
-    ``x`` has shape (n, 2, P). Returns ``d`` (within-pair differences of
-    the f-transformed covariates, unit 1 minus unit 2) and centered
-    ``m`` (pair averages of the g-transformed covariates).
+    ``x`` has shape (n, 2, P), or (..., n, 2, P) for a stack of tables.
+    Returns ``d`` (within-pair differences of the f-transformed
+    covariates, unit 1 minus unit 2) and centered ``m`` (pair averages
+    of the g-transformed covariates), each table's values identical to
+    what it gives on its own.
     """
     fx = f.apply(x)
     gx = g.apply(x)
-    d = fx[:, 0, :] - fx[:, 1, :]
-    m = _center_columns((gx[:, 0, :] + gx[:, 1, :]) / 2.0)
+    d = fx[..., 0, :] - fx[..., 1, :]
+    m = _center_columns((gx[..., 0, :] + gx[..., 1, :]) / 2.0)
     return d, m
 
 

@@ -12,12 +12,18 @@ estimators under that randomness three ways:
   either per-sample summaries (in-sample target) or one draw per table
   (population target, where the spread across tables matters).
 
-All heavy paths share one batched kernel that assembles the normal
-equations blockwise. For an assignment with signs s, the regression
-design is [1 | s*d | m]; its Gram matrix has constant diagonal blocks
-(d'd and m'm do not depend on s), so only the thin cross blocks need a
-matrix product per batch. Estimates from this kernel agree with the
-single-fit estimators to solver precision and are tested against them.
+All heavy paths share one batched kernel: the equilibrated Gram matrix
+of the regression design [1 | s*d | m] for every (table, signs) pair,
+then one solve-and-variance stage for the intercepts of R1 and R2 and
+the superpopulation correction. Two assemblies feed that stage. When
+one table meets many sign vectors (Monte Carlo and enumeration), the
+diagonal blocks d'd and m'm do not depend on s, so only the thin cross
+blocks need a matrix product per batch. When each table meets one sign
+vector (population studies), each table's Gram is formed on its own,
+in fixed blocks of tables. Estimates from this kernel agree with the
+single-fit estimators to solver precision and are tested against them;
+population-study rows the kernel cannot certify as well conditioned
+go through the single-fit path instead.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     LengthMismatch,
+    NonFiniteTransform,
     RankDeficient,
     TooLarge,
     WrongEstimator,
@@ -46,7 +53,7 @@ from .estimators import (
     superpop_correct,
 )
 from .experiment_model import (
-    DesignMatrices,
+    RANK_RTOL,
     PairedExperiment,
     TransformSpec,
     block_widths,
@@ -58,15 +65,28 @@ from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substream
 
 ENUMERATION_CAP = 16
 _CHUNK = 4096
+# Tables per population-study block: large enough to amortize the
+# per-call cost of the stacked kernel, small enough to keep its arrays
+# around a megabyte. Rows do not depend on it.
+_PATE_BLOCK = 256
+# A population-study row comes from the kernel only when its
+# equilibrated Gram has lambda_min / lambda_max above this bound.
+_CERT_RTOL = 1e-8
 
 ESTIMATOR_IDS = ("C", "R1", "R2", "R2P")
 
 
-def randomize(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw independent fair pair signs, shape (n,), values +/-1."""
+def randomize(
+    n: int, rng: np.random.Generator, b: Optional[int] = None
+) -> np.ndarray:
+    """Draw independent fair pair signs, values +/-1.
+
+    Shape (n,), or (b, n) for b assignments drawn row by row from the
+    same stream.
+    """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return 2.0 * rng.integers(0, 2, size=n) - 1.0
+    return 2.0 * rng.integers(0, 2, size=n if b is None else (b, n)) - 1.0
 
 
 def assignment_signs(codes: np.ndarray, n: int) -> np.ndarray:
@@ -101,20 +121,41 @@ def reveal(
         raise DimensionMismatch(
             "science table has no observed covariates; cannot build an experiment"
         )
-    z = np.empty((sample.n, 2), dtype=int)
-    z[:, 0] = (v > 0).astype(int)
-    z[:, 1] = 1 - z[:, 0]
-    observed = np.where(z == 1, sample.r_t, sample.r_c)
-    y = v * (observed[:, 0] - observed[:, 1])
-
-    ell = sample.levels
-    check = sample.effects + v * (ell[:, 0] - ell[:, 1])
-    scale = max(1.0, float(np.abs(observed).max(initial=0.0)))
-    if np.abs(y - check).max(initial=0.0) > 1e-12 * scale:
+    z, observed, y, agree = _observe(sample.r_t, sample.r_c, v)
+    if not agree:
         raise AssertionError("observed-response and level/effect Y constructions disagree")
 
     exp = PairedExperiment(x=sample.x, z=z, y=observed)
     return exp, y
+
+
+def _observe(
+    r_t: np.ndarray, r_c: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Treatment flags, observed responses and Y for signs v.
+
+    Works on one table (r_t, r_c of shape (n, 2), v of shape (n,)) or a
+    stack of them (leading axes in front). The last result says, per
+    table, whether Y agrees with the level/effect identity
+    Y_i = Delta_i + v_i (l_i1 - l_i2) to 1e-12 of the response scale.
+    """
+    z = np.empty(r_t.shape, dtype=int)
+    z[..., 0] = (v > 0).astype(int)
+    z[..., 1] = 1 - z[..., 0]
+    observed = np.where(z == 1, r_t, r_c)
+    y = v * (observed[..., 0] - observed[..., 1])
+
+    ell = (r_t + r_c) / 2.0
+    tau = r_t - r_c
+    check = (tau[..., 0] + tau[..., 1]) / 2.0 + v * (ell[..., 0] - ell[..., 1])
+    scale = np.maximum(1.0, np.abs(observed).max(axis=(-2, -1), initial=0.0))
+    agree = np.abs(y - check).max(axis=-1, initial=0.0) <= 1e-12 * scale
+    return z, observed, y, agree
+
+
+def _column_rms(a: np.ndarray) -> np.ndarray:
+    """Root mean square of each column (the second-to-last axis runs over pairs)."""
+    return np.sqrt((a**2).mean(axis=-2, keepdims=True))
 
 
 def _equilibrate(a: np.ndarray) -> np.ndarray:
@@ -122,11 +163,12 @@ def _equilibrate(a: np.ndarray) -> np.ndarray:
 
     Column scaling leaves the fitted intercept, its variance, and the
     quadratic form beta_m' (m'm) beta_m unchanged, so the kernel can
-    work entirely in the scaled coordinates.
+    work entirely in the scaled coordinates. A stack of tables is
+    scaled table by table.
     """
-    if a.shape[1] == 0:
+    if a.shape[-1] == 0:
         return a
-    s = np.sqrt((a**2).mean(axis=0))
+    s = _column_rms(a)
     return a / np.where(s > 0, s, 1.0)
 
 
@@ -144,6 +186,49 @@ def _solve_rows(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
+def _intercept_stats(
+    gram: np.ndarray,
+    rhs: np.ndarray,
+    yty: np.ndarray,
+    n: int,
+    k1: int,
+    want: tuple[str, ...],
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The solve-and-variance stage shared by both Gram assemblies.
+
+    ``gram`` (B, K, K) is the equilibrated Gram of [1 | vd | m], with
+    the vd block ending at column ``k1``; ``rhs`` (B, K, 2) holds X'y
+    and the first unit vector; ``yty`` is y'y per row. Returns
+    {id: (tau_hat, s2)} for the requested estimators: R1 solves the
+    leading k1-by-k1 system, R2 the full one, and R2P adds
+    beta_m' (m'm) beta_m / ((n-1) n) to the R2 variance. The classical
+    variance is SSE/dof times the intercept entry of the inverse Gram.
+    Rows whose normal equations are singular come back NaN.
+    """
+    k2 = gram.shape[-1]
+    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    if "R1" in want:
+        sol = _solve_rows(
+            np.ascontiguousarray(gram[:, :k1, :k1]),
+            np.ascontiguousarray(rhs[:, :k1, :]),
+        )
+        beta = sol[..., 0]
+        sse = np.maximum(yty - np.einsum("bk,bk->b", beta, rhs[:, :k1, 0]), 0.0)
+        out["R1"] = (beta[:, 0], sse / (n - k1) * sol[:, 0, 1])
+    if "R2" in want or "R2P" in want:
+        sol = _solve_rows(gram, rhs)
+        beta = sol[..., 0]
+        sse = np.maximum(yty - np.einsum("bk,bk->b", beta, rhs[..., 0]), 0.0)
+        s2 = sse / (n - k2) * sol[:, 0, 1]
+        if "R2" in want:
+            out["R2"] = (beta[:, 0], s2)
+        if "R2P" in want:
+            bm = beta[:, k1:]
+            corr = np.einsum("bj,bjk,bk->b", bm, gram[:, k1:, k1:], bm) / ((n - 1) * n)
+            out["R2P"] = (beta[:, 0], s2 + corr)
+    return out
+
+
 def _batch_regression(
     d: np.ndarray,
     m: np.ndarray,
@@ -151,12 +236,13 @@ def _batch_regression(
     y: np.ndarray,
     want: Iterable[str],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-assignment intercept estimates and variances.
+    """Per-assignment intercept estimates and variances for one table.
 
     ``signs`` and ``y`` have shape (B, n); ``d`` and ``m`` are the
-    fixed design blocks. Returns {id: (tau_hat, s2)} for the requested
-    regression estimators. Rows whose normal equations are singular
-    come back NaN.
+    fixed design blocks, so the Gram's diagonal blocks are assembled
+    once and only its cross blocks per batch. Returns {id: (tau_hat,
+    s2)} for the requested regression estimators (see
+    :func:`_intercept_stats`).
     """
     want = tuple(want)
     n = d.shape[0]
@@ -173,7 +259,7 @@ def _batch_regression(
         else None
     )
 
-    out: dict[str, list[np.ndarray]] = {est: [] for est in want}
+    out: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {est: [] for est in want}
     for lo in range(0, signs.shape[0], _CHUNK):
         s_blk = signs[lo : lo + _CHUNK]
         y_blk = y[lo : lo + _CHUNK]
@@ -200,27 +286,8 @@ def _batch_regression(
         rhs[:, 0, 1] = 1.0
         yty = np.einsum("bi,bi->b", y_blk, y_blk)
 
-        if "R1" in want:
-            sol = _solve_rows(
-                np.ascontiguousarray(gram[:, :k1, :k1]),
-                np.ascontiguousarray(rhs[:, :k1, :]),
-            )
-            beta = sol[..., 0]
-            sse = np.maximum(
-                yty - np.einsum("bk,bk->b", beta, rhs[:, :k1, 0]), 0.0
-            )
-            out["R1"].append((beta[:, 0], sse / (n - k1) * sol[:, 0, 1]))
-        if "R2" in want or "R2P" in want:
-            sol = _solve_rows(gram, rhs)
-            beta = sol[..., 0]
-            sse = np.maximum(yty - np.einsum("bk,bk->b", beta, rhs[..., 0]), 0.0)
-            s2 = sse / (n - k2) * sol[:, 0, 1]
-            if "R2" in want:
-                out["R2"].append((beta[:, 0], s2))
-            if "R2P" in want:
-                bm = beta[:, k1:]
-                corr = np.einsum("bj,jk,bk->b", bm, mtm, bm) / ((n - 1) * n)
-                out["R2P"].append((beta[:, 0], s2 + corr))
+        for est, part in _intercept_stats(gram, rhs, yty, n, k1, want).items():
+            out[est].append(part)
 
     return {
         est: (
@@ -446,7 +513,7 @@ def run_monte_carlo(
         target = sample.sate
 
     n = sample.n
-    signs = 2.0 * rng.integers(0, 2, size=(b, n)) - 1.0
+    signs = randomize(n, rng, b)
     ell = sample.levels
     y = sample.effects + signs * (ell[:, 0] - ell[:, 1])
 
@@ -576,13 +643,12 @@ def _sate_row(config: StudyConfig, idx: int) -> dict[str, float]:
     }
 
 
-def _pate_row(config: StudyConfig, idx: int) -> dict[str, float]:
-    sample = generate_sample(
-        config.n, config.setting, rng=substream(config.seed, ROLE_SAMPLE, idx)
-    )
-    v = randomize(config.n, substream(config.seed, ROLE_ASSIGN, idx))
+def _pate_fit(
+    sample: PotentialOutcomeSample, v: np.ndarray, f: TransformSpec, g: TransformSpec
+) -> dict[str, float]:
+    """One population-study row through the single-fit estimators."""
     exp, _ = reveal(sample, v)
-    dm = build_design(exp, config.f, config.g)
+    dm = build_design(exp, f, g)
     rep_c = estimate_classical(dm.y)
     rep_r1 = estimate_r1(dm)
     rep_r2 = estimate_r2(dm)
@@ -598,9 +664,132 @@ def _pate_row(config: StudyConfig, idx: int) -> dict[str, float]:
     }
 
 
+def _pate_row(config: StudyConfig, idx: int) -> dict[str, float]:
+    sample = generate_sample(
+        config.n, config.setting, rng=substream(config.seed, ROLE_SAMPLE, idx)
+    )
+    v = randomize(config.n, substream(config.seed, ROLE_ASSIGN, idx))
+    return _pate_fit(sample, v, config.f, config.g)
+
+
+def _pate_kernel(
+    samples: list[PotentialOutcomeSample],
+    signs: np.ndarray,
+    f: TransformSpec,
+    g: TransformSpec,
+) -> dict[int, dict[str, float]]:
+    """Kernel rows for the tables of a block it can certify, by position.
+
+    Table j meets the signs ``signs[j]``. A table is certified when its
+    Y passes the reveal cross-check, its m columns sum to zero as
+    :class:`DesignMatrices` demands, and the equilibrated Gram G of its
+    design X = [1 | vd | m] has lambda_min / lambda_max > _CERT_RTOL.
+    That bound keeps e'(I-H)e = 1/(G^-1)_00 >= lambda_min well above the
+    DegenerateDenominator cutoff. With the column scales it also bounds
+    every |R_kk| / |R_00| of the pivoted QR the single fit would run,
+    since |R_kk| >= sigma_min(X) >= sqrt(lambda_min) * min scale and
+    |R_00| = sqrt(n) * max scale; that bound must clear RANK_RTOL tenfold,
+    a margin for rounding in the factorization. So the single-fit path
+    returns a row for every certified table. Returns no rows when the
+    block's transforms are not finite or the design has no m column
+    (superpop_correct refuses it).
+    """
+    b, n = signs.shape
+    try:
+        d, m = transformed_blocks(np.stack([s.x for s in samples]), f, g)
+    except NonFiniteTransform:
+        return {}
+    if m.shape[-1] == 0:
+        return {}
+    k1, k2 = 1 + d.shape[-1], 1 + d.shape[-1] + m.shape[-1]
+    _, _, y, ok = _observe(
+        np.stack([s.r_t for s in samples]), np.stack([s.r_c for s in samples]), signs
+    )
+    # Columns near the float range (exp of large covariates) overflow
+    # here; their tables fail the certificate and the single fit reports
+    # them, so the overflow is not worth a warning of its own.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok &= np.abs(m.sum(axis=-2)).max(axis=-1) <= 1e-10 * n
+        design = np.concatenate([np.ones((b, n, 1)), signs[..., None] * d, m], axis=-1)
+        scale = _column_rms(design)[:, 0, :]
+        xs = _equilibrate(design)
+        gram = np.matmul(xs.transpose(0, 2, 1), xs)
+        lam = np.linalg.eigvalsh(gram)
+        rank_bound = (
+            np.sqrt(np.maximum(lam[:, 0], 0.0) / n) * scale.min(axis=-1) / scale.max(axis=-1)
+        )
+        ok &= (lam[:, 0] > _CERT_RTOL * lam[:, -1]) & (rank_bound > 10.0 * RANK_RTOL)
+
+    sel = np.flatnonzero(ok)
+    xs, y, gram = xs[sel], y[sel], gram[sel]
+    rhs = np.zeros((sel.size, k2, 2))
+    rhs[:, :, 0] = np.matmul(xs.transpose(0, 2, 1), y[..., None])[..., 0]
+    rhs[:, 0, 1] = 1.0
+    yty = np.einsum("bi,bi->b", y, y)
+    stats = _intercept_stats(gram, rhs, yty, n, k1, ("R1", "R2", "R2P"))
+    tau_c, s2_c = _classical_stats(y)
+    cols = {
+        "tau_C": tau_c,
+        "se_C": np.sqrt(s2_c),
+        "tau_R1": stats["R1"][0],
+        "se_R1": np.sqrt(stats["R1"][1]),
+        "tau_R2": stats["R2"][0],
+        "se_R2": np.sqrt(stats["R2"][1]),
+        "se_R2P": np.sqrt(stats["R2P"][1]),
+    }
+    return {
+        int(j): {key: float(vals[i]) for key, vals in cols.items()}
+        for i, j in enumerate(sel)
+    }
+
+
+def _pate_block(
+    samples: list[PotentialOutcomeSample],
+    signs: np.ndarray,
+    f: TransformSpec,
+    g: TransformSpec,
+) -> list[dict[str, float]]:
+    """Population-study rows for a block of tables, in order.
+
+    Rows :func:`_pate_kernel` certifies come from the shared kernel;
+    every other row goes through the single-fit path, in table order,
+    so the first error raised is the one the single-fit path raises for
+    the first table it fails on.
+    """
+    kernel = _pate_kernel(samples, signs, f, g)
+    return [
+        kernel[j] if j in kernel else _pate_fit(sample, signs[j], f, g)
+        for j, sample in enumerate(samples)
+    ]
+
+
+def _pate_rows(config: StudyConfig, idxs: Sequence[int]) -> list[dict[str, float]]:
+    """Population-study rows for sample indices ``idxs``.
+
+    Every table and sign vector is drawn from its own index's
+    substreams, exactly as :func:`_pate_row` draws them, so a row does
+    not depend on the block it is computed in.
+    """
+    samples = [
+        generate_sample(config.n, config.setting, rng=substream(config.seed, ROLE_SAMPLE, i))
+        for i in idxs
+    ]
+    signs = np.array(
+        [randomize(config.n, substream(config.seed, ROLE_ASSIGN, i)) for i in idxs]
+    )
+    return _pate_block(samples, signs, config.f, config.g)
+
+
+def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> list[dict[str, float]]:
+    config, idxs = args
+    if config.mode == "sate":
+        return [_sate_row(config, idx) for idx in idxs]
+    return _pate_rows(config, idxs)
+
+
 def _study_row(args: tuple[StudyConfig, int]) -> dict[str, float]:
     config, idx = args
-    return _sate_row(config, idx) if config.mode == "sate" else _pate_row(config, idx)
+    return _study_block((config, [idx]))[0]
 
 
 @dataclass(frozen=True)
@@ -676,13 +865,22 @@ def run_study(config: StudyConfig) -> StudyReport:
             seed=config.seed,
             workers=config.workers,
         )
-    tasks = [(config, idx) for idx in range(config.samples)]
+    # Pate rows share the stacked kernel in fixed blocks; sate rows are
+    # independent, so their blocks only size the process pool's tasks.
+    if config.mode == "pate":
+        size = _PATE_BLOCK
+    else:
+        size = max(1, config.samples // (config.workers * 8))
+    tasks = [
+        (config, range(lo, min(lo + size, config.samples)))
+        for lo in range(0, config.samples, size)
+    ]
     if config.workers == 1:
-        rows = [_study_row(t) for t in tasks]
+        blocks = map(_study_block, tasks)
     else:
         with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
-            chunk = max(1, config.samples // (config.workers * 8))
-            rows = list(pool.map(_study_row, tasks, chunksize=chunk))
+            blocks = list(pool.map(_study_block, tasks))
+    rows = [row for block in blocks for row in block]
 
     if config.mode == "sate":
         metrics: dict[str, object] = {}
