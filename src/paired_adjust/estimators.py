@@ -104,7 +104,7 @@ def _check_flavor(flavor: str) -> None:
 def estimate_r1(dm: DesignMatrices, flavor: str = "classical") -> EstimateReport:
     """Intercept of the regression of y on vd."""
     _check_flavor(flavor)
-    fit = least_squares(dm.vd, dm.y, labels=tuple(f"vd:{l}" for l in dm.d_labels))
+    fit = least_squares(dm.vd, dm.y)
     return EstimateReport(
         estimator="R1",
         tau_hat=float(fit.coefficients[0]),
@@ -122,11 +122,7 @@ def estimate_r2(dm: DesignMatrices, flavor: str = "classical") -> EstimateReport
     With a zero-width m block this coincides with estimate_r1.
     """
     _check_flavor(flavor)
-    x = np.hstack([dm.vd, dm.m])
-    labels = tuple(f"vd:{l}" for l in dm.d_labels) + tuple(
-        f"m:{l}" for l in dm.m_labels
-    )
-    fit = least_squares(x, dm.y, labels=labels)
+    fit = least_squares(np.hstack([dm.vd, dm.m]), dm.y)
     k_d = dm.k_d
     return EstimateReport(
         estimator="R2",

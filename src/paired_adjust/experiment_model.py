@@ -263,8 +263,7 @@ class DesignMatrices:
                 f"need n > K_D + K_M + 1, got n={n}, "
                 f"K_D={d.shape[1]}, K_M={m.shape[1]}"
             )
-        col_sums = m.sum(axis=0) if m.size else np.zeros(0)
-        if col_sums.size and np.abs(col_sums).max() > 1e-10 * n:
+        if not columns_centered(m):
             raise DimensionMismatch("m columns must sum to zero across pairs")
         object.__setattr__(self, "d", _readonly(d))
         object.__setattr__(self, "m", _readonly(m))
@@ -316,6 +315,17 @@ def _center_columns(a: np.ndarray) -> np.ndarray:
     # the second-to-last axis, so a stack of tables centers table by table.
     out = a - a.mean(axis=-2, keepdims=True)
     return out - out.mean(axis=-2, keepdims=True)
+
+
+def columns_centered(m: np.ndarray) -> np.ndarray:
+    """Whether the m columns sum to zero, to 1e-10 * n, table by table.
+
+    ``m`` has shape (n, K_M), or (..., n, K_M) for a stack of tables;
+    the result has the leading shape. A zero-width block is centered.
+    A NaN column sum is not flagged here.
+    """
+    n = m.shape[-2]
+    return ~(np.abs(m.sum(axis=-2)) > 1e-10 * n).any(axis=-1)
 
 
 def block_widths(f: TransformSpec, g: TransformSpec, p: int) -> tuple[int, int]:

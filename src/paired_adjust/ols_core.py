@@ -14,7 +14,6 @@ pair-level estimators need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -28,14 +27,14 @@ _HC_VARIANTS = ("HC2", "HC3")
 
 @dataclass
 class FitResult:
-    """Outcome of a least-squares fit, read off one pivoted thin QR.
+    """Outcome of an intercept fit, read off one pivoted thin QR.
 
-    ``coefficients`` puts the intercept first when the fit had one.
-    ``design`` is the matrix actually factored (including the intercept
-    column). ``leverages`` is the diagonal of the hat matrix.
-    ``intercept_row`` is the intercept row of (X'X)^{-1} X', so the
-    intercept is ``intercept_row @ y``; it is None for a fit without an
-    intercept.
+    ``coefficients`` puts the intercept first, then one slope per
+    column of x. ``design`` is the matrix actually factored, [1 | x].
+    ``leverages`` is the diagonal of the hat matrix. ``intercept_row``
+    is the intercept row u of (X'X)^{-1} X', so the intercept is
+    ``intercept_row @ y`` and e'(I - H)e = 1/||u||^2, with H the
+    projection onto the columns of x.
     """
 
     coefficients: np.ndarray
@@ -43,29 +42,21 @@ class FitResult:
     fitted: np.ndarray
     sse: float
     dof: int
-    labels: tuple[str, ...]
-    with_intercept: bool
     design: np.ndarray
     leverages: np.ndarray
-    intercept_row: Optional[np.ndarray]
+    intercept_row: np.ndarray
 
     @property
     def n(self) -> int:
         return self.design.shape[0]
 
 
-def least_squares(
-    x: np.ndarray,
-    y: np.ndarray,
-    with_intercept: bool = True,
-    labels: tuple[str, ...] | None = None,
-) -> FitResult:
-    """Fit y on x by one column-pivoted thin QR factorization.
+def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
+    """Fit y on an intercept and x by one column-pivoted thin QR.
 
-    ``x`` may have zero columns, in which case (with an intercept) the
-    fit is just the mean of y. Raises RankDeficient when the design,
-    including the intercept column, is numerically rank deficient: some
-    |R_kk| is at most RANK_RTOL times |R_00|.
+    ``x`` may have zero columns, in which case the fit is just the mean
+    of y. Raises RankDeficient when the design [1 | x] is numerically
+    rank deficient: some |R_kk| is at most RANK_RTOL times |R_00|.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -74,12 +65,8 @@ def least_squares(
     n = y.shape[0]
     if x.shape[0] != n:
         raise ValueError(f"design has {x.shape[0]} rows but y has {n}")
-    design = np.column_stack([np.ones(n), x]) if with_intercept else x
+    design = np.column_stack([np.ones(n), x])
     cols = design.shape[1]
-    if labels is None:
-        labels = tuple(f"x{j}" for j in range(1, x.shape[1] + 1))
-    if with_intercept:
-        labels = ("intercept",) + tuple(labels)
     if n < cols:
         raise RankDeficient(f"{cols} columns but only {n} rows")
 
@@ -96,20 +83,15 @@ def least_squares(
     coef[piv] = r_inv @ qty
     fitted = q @ qty
     residuals = y - fitted
-    intercept_row = None
-    if with_intercept:
-        intercept_row = q @ r_inv[int(np.flatnonzero(piv == 0)[0])]
     return FitResult(
         coefficients=coef,
         residuals=residuals,
         fitted=fitted,
         sse=float(residuals @ residuals),
         dof=n - cols,
-        labels=tuple(labels),
-        with_intercept=with_intercept,
         design=design,
         leverages=np.einsum("ij,ij->i", q, q),
-        intercept_row=intercept_row,
+        intercept_row=q @ r_inv[int(np.flatnonzero(piv == 0)[0])],
     )
 
 
@@ -121,8 +103,6 @@ def intercept_variance_classical(fit: FitResult) -> float:
     onto the non-intercept columns, since e'(I - H)e = 1/||u||^2. With
     no non-intercept columns this is just SSE/(dof * n).
     """
-    if fit.intercept_row is None:
-        raise ValueError("fit has no intercept")
     if fit.dof < 1:
         raise DegenerateDenominator("no residual degrees of freedom")
     u2 = float(fit.intercept_row @ fit.intercept_row)
@@ -145,8 +125,6 @@ def intercept_variance_hc(fit: FitResult, variant: str) -> float:
     """
     if variant not in _HC_VARIANTS:
         raise ValueError(f"variant must be one of {_HC_VARIANTS}, got {variant!r}")
-    if fit.intercept_row is None:
-        raise ValueError("fit has no intercept")
     h = fit.leverages
     if np.any(h >= 1.0 - 1e-12):
         worst = int(np.argmax(h))

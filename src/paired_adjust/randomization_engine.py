@@ -29,8 +29,7 @@ go through the single-fit path instead.
 from __future__ import annotations
 
 import concurrent.futures
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -58,6 +57,7 @@ from .experiment_model import (
     TransformSpec,
     block_widths,
     build_design,
+    columns_centered,
     transformed_blocks,
 )
 from .ols_core import least_squares
@@ -329,6 +329,74 @@ def _regression_blocks(
     return transformed_blocks(sample.x, f, g)
 
 
+def _table_stats(
+    sample: PotentialOutcomeSample,
+    signs: np.ndarray,
+    blocks: Optional[tuple[np.ndarray, np.ndarray]],
+    want: Sequence[str],
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per-assignment (tau_hat, s2) of the estimators ``want`` for one table.
+
+    ``signs`` has shape (B, n). Y follows from the level/effect identity
+    Y_i = Delta_i + v_i (l_i1 - l_i2); the regression estimators need the
+    fixed (d, m) ``blocks`` and go through :func:`_batch_regression`.
+    """
+    ell = sample.levels
+    y = sample.effects + signs * (ell[:, 0] - ell[:, 1])
+    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    if "C" in want:
+        out["C"] = _classical_stats(y)
+    reg_ids = [est for est in want if est != "C"]
+    if reg_ids:
+        d, m = blocks
+        out.update(_batch_regression(d, m, signs, y, reg_ids))
+    return {est: out[est] for est in want}
+
+
+@dataclass(frozen=True)
+class EstimatorSummary:
+    """Summary of one estimator over a set of assignments."""
+
+    mean: float
+    variance: float
+    rmse: float
+    coverage: float
+    mean_se: float
+    mean_s2: float
+    errors: int = 0
+
+
+def _summarize(
+    tau: np.ndarray, s2: np.ndarray, target: float, alpha: float
+) -> EstimatorSummary:
+    """Moments, RMSE and interval coverage against ``target``.
+
+    Assignments with a non-finite estimate are counted in ``errors``
+    and left out of every other number.
+    """
+    ok = np.isfinite(tau) & np.isfinite(s2)
+    errors = int((~ok).sum())
+    tau, s2 = tau[ok], s2[ok]
+    if tau.size == 0:
+        nan = float("nan")
+        return EstimatorSummary(nan, nan, nan, nan, nan, nan, errors)
+    mean = float(tau.mean())
+    var = float(((tau - mean) ** 2).mean())
+    rmse = float(np.sqrt(((tau - target) ** 2).mean()))
+    se = np.sqrt(s2)
+    half = normal_quantile(1.0 - alpha / 2.0) * se
+    coverage = float((np.abs(tau - target) <= half).mean())
+    return EstimatorSummary(
+        mean=mean,
+        variance=var,
+        rmse=rmse,
+        coverage=coverage,
+        mean_se=float(se.mean()),
+        mean_s2=float(s2.mean()),
+        errors=errors,
+    )
+
+
 @dataclass(frozen=True)
 class ExactDistribution:
     """Every estimator evaluated at every one of the 2^n assignments."""
@@ -351,29 +419,23 @@ class ExactDistribution:
     def estimators(self) -> tuple[str, ...]:
         return tuple(self.tau_hat)
 
+    def per(self, est: str) -> EstimatorSummary:
+        """Exact summary of one estimator over all assignments."""
+        return _summarize(self.tau_hat[est], self.s2[est], self.target, self.alpha)
+
     def mean(self, est: str) -> float:
-        return float(self.tau_hat[est].mean())
+        return self.per(est).mean
 
     def variance(self, est: str) -> float:
         """Exact randomization variance of the point estimate."""
-        t = self.tau_hat[est]
-        return float(((t - t.mean()) ** 2).mean())
+        return self.per(est).variance
 
     def mean_s2(self, est: str) -> float:
         """Exact expectation of the variance estimator."""
-        return float(self.s2[est].mean())
-
-    def rmse(self, est: str) -> float:
-        return float(np.sqrt(((self.tau_hat[est] - self.target) ** 2).mean()))
-
-    def coverage(self, est: str) -> float:
-        """Exact probability the closed interval covers the target."""
-        half = normal_quantile(1.0 - self.alpha / 2.0) * np.sqrt(self.s2[est])
-        return float(
-            (np.abs(self.tau_hat[est] - self.target) <= half).mean()
-        )
+        return self.per(est).mean_s2
 
     def summary(self) -> dict:
+        per = {est: self.per(est) for est in self.estimators}
         return {
             "n": self.n,
             "assignments": 2**self.n,
@@ -381,13 +443,13 @@ class ExactDistribution:
             "alpha": self.alpha,
             "estimators": {
                 est: {
-                    "mean": self.mean(est),
-                    "variance": self.variance(est),
-                    "mean_s2": self.mean_s2(est),
-                    "rmse": self.rmse(est),
-                    "coverage": self.coverage(est),
+                    "mean": p.mean,
+                    "variance": p.variance,
+                    "mean_s2": p.mean_s2,
+                    "rmse": p.rmse,
+                    "coverage": p.coverage,
                 }
-                for est in self.estimators
+                for est, p in per.items()
             },
         }
 
@@ -410,40 +472,25 @@ def enumerate_exact(
     n = sample.n
     if n > cap:
         raise TooLarge(f"2^{n} assignments exceed the cap of 2^{cap}")
-    signs = assignment_signs(np.arange(2**n), n)
-    ell = sample.levels
-    y = sample.effects + signs * (ell[:, 0] - ell[:, 1])
-
-    tau: dict[str, np.ndarray] = {}
-    s2: dict[str, np.ndarray] = {}
-    tau["C"], s2["C"] = _classical_stats(y)
     blocks = _regression_blocks(sample, f, g)
+    want = ["C"]
     if blocks is not None:
-        d, m = blocks
-        want = ["R1", "R2"] + (["R2P"] if m.shape[1] else [])
-        stats = _batch_regression(d, m, signs, y, want)
-        for est in want:
-            tau[est], s2[est] = stats[est]
+        want += ["R1", "R2"] + (["R2P"] if blocks[1].shape[1] else [])
+    stats = _table_stats(sample, assignment_signs(np.arange(2**n), n), blocks, want)
+    if blocks is not None:
         bad = ~np.isfinite(stats[want[-1]][0])
         if bad.any():
             raise RankDeficient(
                 f"{int(bad.sum())} of {2**n} assignments give a singular design "
                 f"(first code {int(np.flatnonzero(bad)[0])})"
             )
-    return ExactDistribution(n=n, target=sample.sate, alpha=alpha, tau_hat=tau, s2=s2)
-
-
-@dataclass(frozen=True)
-class EstimatorSummary:
-    """Monte Carlo summary of one estimator over B assignments."""
-
-    mean: float
-    variance: float
-    rmse: float
-    coverage: float
-    mean_se: float
-    mean_s2: float
-    errors: int = 0
+    return ExactDistribution(
+        n=n,
+        target=sample.sate,
+        alpha=alpha,
+        tau_hat={est: tau for est, (tau, _) in stats.items()},
+        s2={est: s2 for est, (_, s2) in stats.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -455,32 +502,6 @@ class RandomizationSummary:
     target: float
     target_kind: str
     per: Mapping[str, EstimatorSummary]
-
-
-def _summarize(
-    tau: np.ndarray, s2: np.ndarray, target: float, alpha: float
-) -> EstimatorSummary:
-    ok = np.isfinite(tau) & np.isfinite(s2)
-    errors = int((~ok).sum())
-    tau, s2 = tau[ok], s2[ok]
-    if tau.size == 0:
-        nan = float("nan")
-        return EstimatorSummary(nan, nan, nan, nan, nan, nan, errors)
-    mean = float(tau.mean())
-    var = float(((tau - mean) ** 2).mean())
-    rmse = float(np.sqrt(((tau - target) ** 2).mean()))
-    se = np.sqrt(s2)
-    half = normal_quantile(1.0 - alpha / 2.0) * se
-    coverage = float((np.abs(tau - target) <= half).mean())
-    return EstimatorSummary(
-        mean=mean,
-        variance=var,
-        rmse=rmse,
-        coverage=coverage,
-        mean_se=float(se.mean()),
-        mean_s2=float(s2.mean()),
-        errors=errors,
-    )
 
 
 def run_monte_carlo(
@@ -512,34 +533,23 @@ def run_monte_carlo(
     if target is None:
         target = sample.sate
 
-    n = sample.n
-    signs = randomize(n, rng, b)
-    ell = sample.levels
-    y = sample.effects + signs * (ell[:, 0] - ell[:, 1])
-
-    per: dict[str, EstimatorSummary] = {}
-    if "C" in est_ids:
-        tau_c, s2_c = _classical_stats(y)
-        per["C"] = _summarize(tau_c, s2_c, target, alpha)
-    reg_ids = [e for e in est_ids if e != "C"]
-    if reg_ids:
+    blocks = None
+    if any(est != "C" for est in est_ids):
         blocks = _regression_blocks(sample, f, g)
         if blocks is None:
             raise ConfigError(
                 "regression estimators need transforms and n > K_D + K_M + 1"
             )
-        d, m = blocks
-        if "R2P" in reg_ids and m.shape[1] == 0:
+        if "R2P" in est_ids and blocks[1].shape[1] == 0:
             raise WrongEstimator(
                 "superpopulation-corrected variance needs at least one m column"
             )
-        stats = _batch_regression(d, m, signs, y, reg_ids)
-        for est in reg_ids:
-            tau, s2 = stats[est]
-            per[est] = _summarize(tau, s2, target, alpha)
-    ordered = {est: per[est] for est in est_ids}
+    stats = _table_stats(sample, randomize(sample.n, rng, b), blocks, est_ids)
+    per = {
+        est: _summarize(tau, s2, target, alpha) for est, (tau, s2) in stats.items()
+    }
     return RandomizationSummary(
-        b=b, alpha=alpha, target=target, target_kind=target_kind, per=ordered
+        b=b, alpha=alpha, target=target, target_kind=target_kind, per=per
     )
 
 
@@ -580,8 +590,8 @@ def _validate_config(config: StudyConfig) -> StudyConfig:
     if config.workers < 1:
         raise ConfigError(f"need workers >= 1, got {config.workers}")
     try:
-        k = config.f.output_dim(N_COVARIATES) + config.g.output_dim(N_COVARIATES)
-    except ValueError as exc:
+        k = sum(block_widths(config.f, config.g, N_COVARIATES))
+    except DimensionMismatch as exc:
         raise ConfigError(f"transform does not fit the generated covariates: {exc}") from None
     if config.n <= k + 1:
         raise ConfigError(
@@ -681,9 +691,10 @@ def _pate_kernel(
     """Kernel rows for the tables of a block it can certify, by position.
 
     Table j meets the signs ``signs[j]``. A table is certified when its
-    Y passes the reveal cross-check, its m columns sum to zero as
-    :class:`DesignMatrices` demands, and the equilibrated Gram G of its
-    design X = [1 | vd | m] has lambda_min / lambda_max > _CERT_RTOL.
+    Y passes the reveal cross-check, its m columns pass the
+    :func:`columns_centered` test that :class:`DesignMatrices` applies,
+    and the equilibrated Gram G of its design X = [1 | vd | m] has
+    lambda_min / lambda_max > _CERT_RTOL.
     That bound keeps e'(I-H)e = 1/(G^-1)_00 >= lambda_min well above the
     DegenerateDenominator cutoff. With the column scales it also bounds
     every |R_kk| / |R_00| of the pivoted QR the single fit would run,
@@ -709,7 +720,7 @@ def _pate_kernel(
     # here; their tables fail the certificate and the single fit reports
     # them, so the overflow is not worth a warning of its own.
     with np.errstate(over="ignore", invalid="ignore"):
-        ok &= np.abs(m.sum(axis=-2)).max(axis=-1) <= 1e-10 * n
+        ok &= columns_centered(m)
         design = np.concatenate([np.ones((b, n, 1)), signs[..., None] * d, m], axis=-1)
         scale = _column_rms(design)[:, 0, :]
         xs = _equilibrate(design)
@@ -787,11 +798,6 @@ def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> list[dict[str, floa
     return _pate_rows(config, idxs)
 
 
-def _study_row(args: tuple[StudyConfig, int]) -> dict[str, float]:
-    config, idx = args
-    return _study_block((config, [idx]))[0]
-
-
 @dataclass(frozen=True)
 class StudyReport:
     """Aggregated study results.
@@ -852,19 +858,8 @@ def run_study(config: StudyConfig) -> StudyReport:
     in index order.
     """
     config = _validate_config(config)
-    if config.mode == "pate" and config.randomizations != 1:
-        config = StudyConfig(
-            mode=config.mode,
-            setting=config.setting,
-            n=config.n,
-            samples=config.samples,
-            randomizations=1,
-            alpha=config.alpha,
-            f=config.f,
-            g=config.g,
-            seed=config.seed,
-            workers=config.workers,
-        )
+    if config.mode == "pate":
+        config = replace(config, randomizations=1)
     # Pate rows share the stacked kernel in fixed blocks; sate rows are
     # independent, so their blocks only size the process pool's tasks.
     if config.mode == "pate":
@@ -971,6 +966,8 @@ def lemma_diagnostics(
 
     Draws ``reps`` assignments (or reuses fixed ``signs``) and records
     the off-block magnitude and the ones-projection residual for each.
+    Raises RankDeficient when [1 | signs*d | m] is rank deficient, as
+    when the ones vector lies in the span of [signs*d | m].
     """
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
@@ -993,8 +990,9 @@ def lemma_diagnostics(
         )
         a = np.hstack([vd, m])
         if a.shape[1]:
-            fit = least_squares(a, ones, with_intercept=False)
-            resid[r] = abs((n - float(fit.fitted @ fit.fitted)) / n - 1.0)
+            # e'(I - H)e = 1/||u||^2, u the intercept row of the fit on [1 | a].
+            u = least_squares(a, ones).intercept_row
+            resid[r] = abs(1.0 / float(u @ u) / n - 1.0)
         else:
             resid[r] = 0.0
     return LemmaDiagnostics(n=n, reps=reps, off_block=off, ones_residual=resid)

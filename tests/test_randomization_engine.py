@@ -25,7 +25,7 @@ from paired_adjust import (
     substream,
     superpop_correct,
 )
-from paired_adjust.randomization_engine import _study_row
+from paired_adjust.randomization_engine import _study_block
 
 from conftest import make_sample
 from oracles import enumerate_oracle
@@ -340,8 +340,8 @@ class TestRunStudy:
             mode="sate", setting="parallel", n=12, samples=1,
             randomizations=5, seed=104,
         )
-        assert _study_row((cfg, 0)) == _study_row((cfg, 0))
-        assert _study_row((cfg, 0)) != _study_row((cfg, 1))
+        assert _study_block((cfg, [0]))[0] == _study_block((cfg, [0]))[0]
+        assert _study_block((cfg, [0]))[0] != _study_block((cfg, [1]))[0]
 
     @pytest.mark.parametrize(
         "bad",
