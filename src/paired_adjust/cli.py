@@ -8,7 +8,10 @@ table, and ``generate`` synthesizes a science table.
 Options can come from flags or from a config file (``--config``,
 JSON everywhere, TOML on Python 3.11+); flags win over file values.
 The seed falls back to the PAIRED_ADJUST_SEED environment variable
-when neither source provides one. Reports are JSON on stdout unless
+when neither source provides one. Each option is declared once, in
+``_OPTION_TABLES``, which builds the flags and casts every value by
+the same rules whatever its source: integers integral and not boolean,
+seed >= 0, alpha in (0, 1). Reports are JSON on stdout unless
 ``--out`` is given, and every report embeds the package version and
 the fully resolved configuration, so a report is reproducible from its
 own header.
@@ -25,7 +28,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,13 +37,18 @@ from .dgp import SETTINGS, generate_sample, load_science_table, write_science_ta
 from .errors import ConfigError, PairedAdjustError
 from .estimators import (
     _FLAVORS,
-    confidence_interval,
     estimate_classical,
     estimate_r1,
     estimate_r2,
     superpop_correct,
 )
-from .experiment_model import TransformSpec, build_design, load_experiment_csv, validate_design
+from .experiment_model import (
+    TransformSpec,
+    build_design,
+    load_experiment_csv,
+    strict_int,
+    validate_design,
+)
 from .randomization_engine import (
     ENUMERATION_CAP,
     StudyConfig,
@@ -64,25 +72,24 @@ def parse_transform(value: Any) -> TransformSpec:
     """Parse a transform from shorthand text or a config mapping.
 
     Accepted text: ``identity``, ``log``, ``exp``, ``power:K``,
-    ``select:1,3`` (1-based columns; ``select:`` keeps none).
+    ``select:1,3`` (1-based columns; ``select:`` keeps none). Text is
+    rewritten into the mapping form, so both go through
+    :meth:`TransformSpec.from_dict` and its integer rule.
     """
     if isinstance(value, TransformSpec):
         return value
     try:
         if isinstance(value, Mapping):
             return TransformSpec.from_dict(dict(value))
-        text = str(value).strip()
-        kind, _, arg = text.partition(":")
-        if kind in ("identity", "log", "exp"):
-            if arg:
-                raise ValueError(f"{kind} takes no argument")
-            return TransformSpec(kind)
+        kind, _, arg = str(value).strip().partition(":")
+        spec: dict[str, Any] = {"kind": kind}
         if kind == "power":
-            return TransformSpec.power(int(arg))
-        if kind == "select":
-            cols = [int(c) for c in arg.split(",") if c.strip()] if arg else []
-            return TransformSpec.select(cols)
-        raise ValueError(f"unknown transform {text!r}")
+            spec["degree"] = arg
+        elif kind == "select":
+            spec["columns"] = [c for c in arg.split(",") if c.strip()]
+        elif arg:
+            raise ValueError(f"{kind} takes no argument")
+        return TransformSpec.from_dict(spec)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad transform spec {value!r}: {exc}") from None
 
@@ -111,77 +118,97 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _as_int(v: Any) -> int:
+def _as_seed(v: Any) -> int:
+    seed = strict_int(v)
+    if seed < 0:
+        raise ValueError(f"must be >= 0, got {seed}")
+    return seed
+
+
+def _as_alpha(v: Any) -> float:
     try:
-        out = int(v)
+        alpha = float(v)
     except (TypeError, ValueError):
-        raise ConfigError(f"expected an integer, got {v!r}") from None
-    return out
+        raise ValueError(f"expected a number, got {v!r}") from None
+    if not 0 < alpha < 1:
+        raise ValueError(f"must be in (0, 1), got {alpha}")
+    return alpha
 
 
-def _as_float(v: Any) -> float:
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected a number, got {v!r}") from None
+class _Option(NamedTuple):
+    """One option of a subcommand: its cast, help text, default and need."""
+
+    cast: Callable[[Any], Any]
+    help: str
+    default: Any = None
+    required: bool = False
 
 
-def _as_choice(choices: tuple[str, ...]) -> Callable[[Any], str]:
+def _choice(choices: tuple[str, ...], what: str, default: Optional[str] = None) -> _Option:
     def cast(v: Any) -> str:
-        s = str(v)
-        if s not in choices:
-            raise ConfigError(f"expected one of {choices}, got {s!r}")
-        return s
+        if str(v) not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {v!r}")
+        return str(v)
 
-    return cast
-
-
-def _as_str(v: Any) -> str:
-    return str(v)
+    shown = f" (default {default})" if default is not None else ""
+    listed = f"{what}: one of {', '.join(choices)}{shown}"
+    return _Option(cast, listed, default, required=default is None)
 
 
-# Per-subcommand option tables: name -> (cast, default, required).
-_OPTION_TABLES: dict[str, dict[str, tuple[Callable[[Any], Any], Any, bool]]] = {
+def _transform(what: str, default: Optional[TransformSpec], shown: str) -> _Option:
+    kinds = "identity, log, exp, power:K or select:I,J (1-based columns; 'select:' keeps none)"
+    return _Option(parse_transform, f"transform for {what}: {kinds} (default {shown})", default)
+
+
+_ALPHA = _Option(_as_alpha, "two-sided miscoverage level in (0, 1) (default 0.05)", 0.05)
+_OUT = _Option(str, "write the JSON report here instead of stdout")
+_SEED_HELP = "master seed, an integer >= 0 (env PAIRED_ADJUST_SEED as fallback)"
+_DIFFS, _AVGS = "within-pair differences", "pair averages"
+
+# One table per subcommand; flags, help and every value's cast come from it.
+_OPTION_TABLES: dict[str, dict[str, _Option]] = {
     "analyze": {
-        "input": (_as_str, None, True),
-        "f": (parse_transform, TransformSpec.identity(), False),
-        "g": (parse_transform, TransformSpec.identity(), False),
-        "target": (_as_choice(_TARGETS), "sate", False),
-        "variance": (_as_choice(_FLAVORS), "classical", False),
-        "alpha": (_as_float, 0.05, False),
-        "seed": (_as_int, None, False),
-        "out": (_as_str, None, False),
+        "input": _Option(str, "experiment CSV (pair,unit,z,y,x1..xP)", required=True),
+        "f": _transform(_DIFFS, TransformSpec.identity(), "identity"),
+        "g": _transform(_AVGS, TransformSpec.identity(), "identity"),
+        "target": _choice(_TARGETS, "inferential target", "sate"),
+        "variance": _choice(_FLAVORS, "variance flavor for R1/R2", "classical"),
+        "alpha": _ALPHA,
+        "seed": _Option(_as_seed, _SEED_HELP),
+        "out": _OUT,
     },
     "simulate": {
-        "setting": (_as_choice(SETTINGS), None, True),
-        "n": (_as_int, None, True),
-        "S": (_as_int, None, True),
-        "B": (_as_int, 1, False),
-        "mode": (_as_choice(_MODES), "sate-study", False),
-        "f": (parse_transform, TransformSpec.identity(), False),
-        "g": (parse_transform, TransformSpec.identity(), False),
-        "alpha": (_as_float, 0.05, False),
-        "seed": (_as_int, 0, False),
-        "workers": (_as_int, None, False),
-        "out": (_as_str, None, False),
-        "csv": (_as_str, None, False),
+        "setting": _choice(SETTINGS, "data-generating setting"),
+        "n": _Option(strict_int, "pairs per sample", required=True),
+        "S": _Option(strict_int, "number of samples", required=True),
+        "B": _Option(strict_int, "randomizations per sample (sate mode; default 1)", 1),
+        "mode": _choice(_MODES, "study protocol", "sate-study"),
+        "f": _transform(_DIFFS, TransformSpec.identity(), "identity"),
+        "g": _transform(_AVGS, TransformSpec.identity(), "identity"),
+        "alpha": _ALPHA,
+        "seed": _Option(_as_seed, _SEED_HELP + " (default 0)", 0),
+        "workers": _Option(strict_int, "process count (default: machine parallelism)"),
+        "out": _OUT,
+        "csv": _Option(str, "also write the metric table as CSV here"),
     },
     "enumerate": {
-        "input": (_as_str, None, True),
-        "meta": (_as_str, None, False),
-        "cap": (_as_int, ENUMERATION_CAP, False),
-        "f": (parse_transform, None, False),
-        "g": (parse_transform, None, False),
-        "alpha": (_as_float, 0.05, False),
-        "seed": (_as_int, None, False),
-        "out": (_as_str, None, False),
-        "histogram": (_as_str, None, False),
+        "input": _Option(str, "science-table CSV (pair,unit[,w..][,x..],r_t,r_c)", required=True),
+        "meta": _Option(str, "sidecar JSON to cross-check against the table"),
+        "cap": _Option(
+            strict_int, f"refuse above this many pairs (default {ENUMERATION_CAP})", ENUMERATION_CAP
+        ),
+        "f": _transform(_DIFFS, None, "identity when x present"),
+        "g": _transform(_AVGS, None, "identity when x present"),
+        "alpha": _ALPHA,
+        "seed": _Option(_as_seed, _SEED_HELP),
+        "out": _OUT,
+        "histogram": _Option(str, "write binned point-estimate draws as CSV here"),
     },
     "generate": {
-        "n": (_as_int, None, True),
-        "setting": (_as_choice(SETTINGS), None, True),
-        "seed": (_as_int, 0, False),
-        "out": (_as_str, None, True),
+        "n": _Option(strict_int, "number of pairs", required=True),
+        "setting": _choice(SETTINGS, "data-generating setting"),
+        "seed": _Option(_as_seed, _SEED_HELP + " (default 0)", 0),
+        "out": _Option(str, "science-table CSV (sidecar JSON written next to it)", required=True),
     },
 }
 
@@ -190,7 +217,8 @@ def _resolve_options(args: argparse.Namespace, file_conf: dict) -> dict:
     """Merge flag, config-file, environment and default values.
 
     Precedence: explicit flag > config file > PAIRED_ADJUST_SEED (seed
-    only) > built-in default. Unknown config-file keys are rejected.
+    only) > built-in default. Unknown config-file keys are rejected, and
+    the winning value goes through the option's cast.
     """
     table = _OPTION_TABLES[args.command]
     unknown = set(file_conf) - set(table)
@@ -199,22 +227,20 @@ def _resolve_options(args: argparse.Namespace, file_conf: dict) -> dict:
             f"unknown config keys for {args.command}: {', '.join(sorted(unknown))}"
         )
     resolved: dict[str, Any] = {}
-    for name, (cast, default, required) in table.items():
+    for name, opt in table.items():
         value = getattr(args, name, None)
-        if value is None and name in file_conf:
-            value = file_conf[name]
-        if value is None and name == "seed":
-            env = os.environ.get("PAIRED_ADJUST_SEED")
-            if env is not None:
-                value = env
         if value is None:
-            value = default
-        if value is None and required:
+            value = file_conf.get(name)
+        if value is None and name == "seed":
+            value = os.environ.get("PAIRED_ADJUST_SEED")
+        if value is None:
+            value = opt.default
+        if value is None and opt.required:
             raise ConfigError(f"missing required option --{name}")
-        resolved[name] = cast(value) if value is not None else None
-    alpha = resolved.get("alpha")
-    if alpha is not None and not 0 < alpha < 1:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+        try:
+            resolved[name] = opt.cast(value) if value is not None else None
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise ConfigError(f"--{name}: {exc}") from None
     return resolved
 
 
@@ -236,6 +262,7 @@ def _config_echo(conf: dict, skip: tuple[str, ...] = ()) -> dict:
 
 
 def cmd_analyze(conf: dict) -> int:
+    """estimate effects from an experiment CSV"""
     exp = load_experiment_csv(conf["input"])
     dm = build_design(exp, conf["f"], conf["g"])
     validate_design(dm)
@@ -266,6 +293,7 @@ def cmd_analyze(conf: dict) -> int:
 
 
 def cmd_simulate(conf: dict) -> int:
+    """run a multi-sample study"""
     workers = conf["workers"]
     if workers is None:
         workers = os.cpu_count() or 1
@@ -300,6 +328,7 @@ def _write_histogram(dist, path: str, bins: int = 64) -> None:
 
 
 def cmd_enumerate(conf: dict) -> int:
+    """exact randomization distribution of a science table"""
     sample = load_science_table(conf["input"], conf["meta"])
     f, g = conf["f"], conf["g"]
     if f is None and g is None and sample.x is not None:
@@ -327,6 +356,7 @@ def _sidecar_path(out: Path) -> Path:
 
 
 def cmd_generate(conf: dict) -> int:
+    """synthesize a science table"""
     sample = generate_sample(conf["n"], conf["setting"], seed=conf["seed"])
     out = Path(conf["out"])
     write_science_table(sample, out)
@@ -338,66 +368,9 @@ def cmd_generate(conf: dict) -> int:
         "seed": sample.seed,
         "sate": sample.sate,
     }
-    side = _sidecar_path(out)
-    side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    sys.stdout.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _emit_json(meta, str(_sidecar_path(out)))
+    _emit_json(meta, None)
     return 0
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="paired-adjust",
-        description="Regression-adjusted estimation for paired randomized experiments.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def common(
-        p: argparse.ArgumentParser,
-        out_help: str = "write the JSON report here instead of stdout",
-        with_alpha: bool = True,
-    ) -> None:
-        p.add_argument("--config", help="JSON (or TOML on 3.11+) config file; flags win")
-        p.add_argument("--seed", type=int, help="master seed (env PAIRED_ADJUST_SEED as fallback)")
-        if with_alpha:
-            p.add_argument("--alpha", type=float, help="two-sided miscoverage level (default 0.05)")
-        p.add_argument("--out", help=out_help)
-
-    pa = sub.add_parser("analyze", help="estimate effects from an experiment CSV")
-    common(pa)
-    pa.add_argument("--input", help="experiment CSV (pair,unit,z,y,x1..xP)")
-    pa.add_argument("--f", help="transform for within-pair differences (default identity)")
-    pa.add_argument("--g", help="transform for pair averages (default identity)")
-    pa.add_argument("--target", choices=_TARGETS, help="inferential target (default sate)")
-    pa.add_argument("--variance", choices=_FLAVORS, help="variance flavor for R1/R2 (default classical)")
-
-    ps = sub.add_parser("simulate", help="run a multi-sample study")
-    common(ps)
-    ps.add_argument("--setting", choices=SETTINGS)
-    ps.add_argument("--n", type=int, help="pairs per sample")
-    ps.add_argument("--S", type=int, help="number of samples")
-    ps.add_argument("--B", type=int, help="randomizations per sample (sate mode)")
-    ps.add_argument("--mode", choices=_MODES, help="study protocol (default sate-study)")
-    ps.add_argument("--f", help="transform for within-pair differences")
-    ps.add_argument("--g", help="transform for pair averages")
-    ps.add_argument("--workers", type=int, help="process count (default: machine parallelism)")
-    ps.add_argument("--csv", help="also write the metric table as CSV here")
-
-    pe = sub.add_parser("enumerate", help="exact randomization distribution of a science table")
-    common(pe)
-    pe.add_argument("--input", help="science-table CSV (pair,unit[,w..][,x..],r_t,r_c)")
-    pe.add_argument("--meta", help="sidecar JSON to cross-check against the table")
-    pe.add_argument("--cap", type=int, help=f"refuse above this many pairs (default {ENUMERATION_CAP})")
-    pe.add_argument("--f", help="transform for within-pair differences (default identity when x present)")
-    pe.add_argument("--g", help="transform for pair averages")
-    pe.add_argument("--histogram", help="write binned point-estimate draws as CSV here")
-
-    pg = sub.add_parser("generate", help="synthesize a science table")
-    common(pg, out_help="science-table CSV path (sidecar JSON written next to it)", with_alpha=False)
-    pg.add_argument("--n", type=int, help="number of pairs")
-    pg.add_argument("--setting", choices=SETTINGS)
-
-    return parser
 
 
 _HANDLERS = {
@@ -406,6 +379,22 @@ _HANDLERS = {
     "enumerate": cmd_enumerate,
     "generate": cmd_generate,
 }
+
+
+def build_parser() -> _Parser:
+    """One plain-string flag per table option; casting happens in _resolve_options."""
+    parser = _Parser(
+        prog="paired-adjust",
+        description="Regression-adjusted estimation for paired randomized experiments.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for command, table in _OPTION_TABLES.items():
+        p = sub.add_parser(command, help=_HANDLERS[command].__doc__)
+        p.add_argument("--config", help="JSON (or TOML on 3.11+) config file; flags win")
+        for name, opt in table.items():
+            p.add_argument(f"--{name}", help=opt.help + (" (required)" if opt.required else ""))
+    return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:

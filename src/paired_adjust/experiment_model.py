@@ -45,6 +45,16 @@ _TRANSFORM_KINDS = ("identity", "power", "log", "exp", "select")
 _T = TypeVar("_T")
 
 
+def strict_int(value: object) -> int:
+    """``value`` as an int; booleans, non-integral numbers and other text raise ValueError."""
+    if not isinstance(value, bool) and (not isinstance(value, float) or value.is_integer()):
+        try:
+            return int(value)  # type: ignore[call-overload]
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(a)
     out.setflags(write=False)
@@ -110,11 +120,12 @@ class TransformSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformSpec":
+        """Inverse of :meth:`to_dict`; degree and columns go through strict_int."""
         kind = d.get("kind")
         if kind == "power":
-            return cls.power(int(d["degree"]))
+            return cls.power(strict_int(d["degree"]))
         if kind == "select":
-            return cls.select(d["columns"])
+            return cls.select([strict_int(c) for c in d["columns"]])
         if kind in ("identity", "log", "exp"):
             return cls(kind)
         raise ValueError(f"unknown transform spec {d!r}")
@@ -349,12 +360,16 @@ def transformed_blocks(
     Returns ``d`` (within-pair differences of the f-transformed
     covariates, unit 1 minus unit 2) and centered ``m`` (pair averages
     of the g-transformed covariates), each table's values identical to
-    what it gives on its own.
+    what it gives on its own. Raises NonFiniteTransform when a transform
+    or either block is not finite.
     """
     fx = f.apply(x)
     gx = g.apply(x)
-    d = fx[..., 0, :] - fx[..., 1, :]
-    m = _center_columns((gx[..., 0, :] + gx[..., 1, :]) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = fx[..., 0, :] - fx[..., 1, :]
+        m = _center_columns((gx[..., 0, :] + gx[..., 1, :]) / 2.0)
+    if not (np.isfinite(d).all() and np.isfinite(m).all()):
+        raise NonFiniteTransform("within-pair differences or centered pair averages overflow")
     return d, m
 
 

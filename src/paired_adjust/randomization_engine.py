@@ -500,7 +500,6 @@ class RandomizationSummary:
     b: int
     alpha: float
     target: float
-    target_kind: str
     per: Mapping[str, EstimatorSummary]
 
 
@@ -512,13 +511,11 @@ def run_monte_carlo(
     g: Optional[TransformSpec] = None,
     estimators: Iterable[str] = ("C", "R1", "R2"),
     rng: Optional[np.random.Generator] = None,
-    target: Optional[float] = None,
-    target_kind: str = "sate",
 ) -> RandomizationSummary:
     """Estimate randomization behavior from B sampled assignments.
 
-    Coverage and RMSE are measured against ``target`` (the table's own
-    average effect by default). Assignments whose design turns out
+    Coverage and RMSE are measured against the table's own average
+    effect, recorded as ``target``. Assignments whose design turns out
     singular are counted in ``errors`` and dropped from the summaries
     rather than aborting the run.
     """
@@ -530,8 +527,6 @@ def run_monte_carlo(
             raise WrongEstimator(f"unknown estimator {est!r}")
     if rng is None:
         rng = np.random.default_rng()
-    if target is None:
-        target = sample.sate
 
     blocks = None
     if any(est != "C" for est in est_ids):
@@ -546,11 +541,9 @@ def run_monte_carlo(
             )
     stats = _table_stats(sample, randomize(sample.n, rng, b), blocks, est_ids)
     per = {
-        est: _summarize(tau, s2, target, alpha) for est, (tau, s2) in stats.items()
+        est: _summarize(tau, s2, sample.sate, alpha) for est, (tau, s2) in stats.items()
     }
-    return RandomizationSummary(
-        b=b, alpha=alpha, target=target, target_kind=target_kind, per=per
-    )
+    return RandomizationSummary(b=b, alpha=alpha, target=sample.sate, per=per)
 
 
 @dataclass(frozen=True)
@@ -638,7 +631,6 @@ def _sate_row(config: StudyConfig, idx: int) -> dict[str, float]:
         g=config.g,
         estimators=("C", "R1", "R2"),
         rng=substream(config.seed, ROLE_ASSIGN, idx),
-        target=sample.sate,
     )
     c, r1, r2 = mc.per["C"], mc.per["R1"], mc.per["R2"]
     return {
