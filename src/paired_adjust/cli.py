@@ -11,14 +11,16 @@ The seed falls back to the PAIRED_ADJUST_SEED environment variable
 when neither source provides one. Each option is declared once, in
 ``_OPTION_TABLES``, which builds the flags and casts every value by
 the same rules whatever its source: integers integral and not boolean,
-seed >= 0, alpha in (0, 1). Reports are JSON on stdout unless
-``--out`` is given, and every report embeds the package version and
-the fully resolved configuration, so a report is reproducible from its
-own header.
+seed >= 0, counts (n, S, B, workers, cap) >= 1, alpha in (0, 1).
+Reports are JSON on stdout unless ``--out`` is given, and every report
+embeds the package version and the fully resolved configuration, so a
+report is reproducible from its own header. Output paths are checked
+before any work starts.
 
-Exit codes: 0 success, 2 data parse/validation, 3 numerical
-rank/degeneracy, 4 configuration (including bad flags), 5 enumeration
-too large.
+Exit codes: 0 success, 2 data parse/validation (including an
+unreadable input file), 3 numerical rank/degeneracy, 4 configuration
+(including bad flags and an output path in a missing directory), 5
+enumeration too large.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .dgp import SETTINGS, generate_sample, load_science_table, write_science_table
-from .errors import ConfigError, PairedAdjustError
+from .errors import ConfigError, DataError, PairedAdjustError
 from .estimators import (
     _FLAVORS,
     estimate_classical,
@@ -58,6 +60,7 @@ from .randomization_engine import (
 
 _MODES = ("sate-study", "pate-study")
 _TARGETS = ("sate", "pate")
+_OUTPUTS = ("out", "csv", "histogram")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,11 +121,19 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _as_seed(v: Any) -> int:
-    seed = strict_int(v)
-    if seed < 0:
-        raise ValueError(f"must be >= 0, got {seed}")
-    return seed
+def _int_from(low: int) -> Callable[[Any], int]:
+    """A strict integer cast that refuses values below ``low``."""
+
+    def cast(v: Any) -> int:
+        value = strict_int(v)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return cast
+
+
+_as_seed, _as_count = _int_from(0), _int_from(1)
 
 
 def _as_alpha(v: Any) -> float:
@@ -179,15 +190,15 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
     },
     "simulate": {
         "setting": _choice(SETTINGS, "data-generating setting"),
-        "n": _Option(strict_int, "pairs per sample", required=True),
-        "S": _Option(strict_int, "number of samples", required=True),
-        "B": _Option(strict_int, "randomizations per sample (sate mode; default 1)", 1),
+        "n": _Option(_as_count, "pairs per sample", required=True),
+        "S": _Option(_as_count, "number of samples", required=True),
+        "B": _Option(_as_count, "randomizations per sample (sate mode; default 1)", 1),
         "mode": _choice(_MODES, "study protocol", "sate-study"),
         "f": _transform(_DIFFS, TransformSpec.identity(), "identity"),
         "g": _transform(_AVGS, TransformSpec.identity(), "identity"),
         "alpha": _ALPHA,
         "seed": _Option(_as_seed, _SEED_HELP + " (default 0)", 0),
-        "workers": _Option(strict_int, "process count (default: machine parallelism)"),
+        "workers": _Option(_as_count, "process count (default: machine parallelism)"),
         "out": _OUT,
         "csv": _Option(str, "also write the metric table as CSV here"),
     },
@@ -195,7 +206,7 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
         "input": _Option(str, "science-table CSV (pair,unit[,w..][,x..],r_t,r_c)", required=True),
         "meta": _Option(str, "sidecar JSON to cross-check against the table"),
         "cap": _Option(
-            strict_int, f"refuse above this many pairs (default {ENUMERATION_CAP})", ENUMERATION_CAP
+            _as_count, f"refuse above this many pairs (default {ENUMERATION_CAP})", ENUMERATION_CAP
         ),
         "f": _transform(_DIFFS, None, "identity when x present"),
         "g": _transform(_AVGS, None, "identity when x present"),
@@ -205,7 +216,7 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
         "histogram": _Option(str, "write binned point-estimate draws as CSV here"),
     },
     "generate": {
-        "n": _Option(strict_int, "number of pairs", required=True),
+        "n": _Option(_as_count, "number of pairs", required=True),
         "setting": _choice(SETTINGS, "data-generating setting"),
         "seed": _Option(_as_seed, _SEED_HELP + " (default 0)", 0),
         "out": _Option(str, "science-table CSV (sidecar JSON written next to it)", required=True),
@@ -244,6 +255,24 @@ def _resolve_options(args: argparse.Namespace, file_conf: dict) -> dict:
     return resolved
 
 
+def _check_outputs(conf: dict) -> None:
+    """Refuse an output path whose directory does not exist."""
+    for name in _OUTPUTS:
+        if conf.get(name) is None:
+            continue
+        parent = Path(conf[name]).parent
+        if not parent.is_dir():
+            raise ConfigError(f"--{name}: directory {str(parent)!r} does not exist")
+
+
+def _read_input(loader: Callable[..., Any], *paths: Optional[str]) -> Any:
+    """``loader(*paths)``, with an unreadable file reported as a data error."""
+    try:
+        return loader(*paths)
+    except OSError as exc:
+        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from None
+
+
 def _emit_json(doc: dict, out: Optional[str]) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out is None:
@@ -255,7 +284,7 @@ def _emit_json(doc: dict, out: Optional[str]) -> None:
 def _config_echo(conf: dict, skip: tuple[str, ...] = ()) -> dict:
     echo: dict[str, Any] = {}
     for key, value in conf.items():
-        if key in skip or key in ("out", "csv", "histogram"):
+        if key in skip or key in _OUTPUTS:
             continue
         echo[key] = value.to_dict() if isinstance(value, TransformSpec) else value
     return echo
@@ -263,7 +292,7 @@ def _config_echo(conf: dict, skip: tuple[str, ...] = ()) -> dict:
 
 def cmd_analyze(conf: dict) -> int:
     """estimate effects from an experiment CSV"""
-    exp = load_experiment_csv(conf["input"])
+    exp = _read_input(load_experiment_csv, conf["input"])
     dm = build_design(exp, conf["f"], conf["g"])
     validate_design(dm)
     alpha = conf["alpha"]
@@ -329,7 +358,7 @@ def _write_histogram(dist, path: str, bins: int = 64) -> None:
 
 def cmd_enumerate(conf: dict) -> int:
     """exact randomization distribution of a science table"""
-    sample = load_science_table(conf["input"], conf["meta"])
+    sample = _read_input(load_science_table, conf["input"], conf["meta"])
     f, g = conf["f"], conf["g"]
     if f is None and g is None and sample.x is not None:
         f = g = TransformSpec.identity()
@@ -403,6 +432,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         file_conf = _load_config_file(args.config) if args.config else {}
         conf = _resolve_options(args, file_conf)
+        _check_outputs(conf)
         return _HANDLERS[args.command](conf)
     except PairedAdjustError as exc:
         print(f"paired-adjust: error: {exc}", file=sys.stderr)

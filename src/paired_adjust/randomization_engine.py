@@ -12,18 +12,19 @@ estimators under that randomness three ways:
   either per-sample summaries (in-sample target) or one draw per table
   (population target, where the spread across tables matters).
 
-All heavy paths share one batched kernel: the equilibrated Gram matrix
-of the regression design [1 | s*d | m] for every (table, signs) pair,
-then one solve-and-variance stage for the intercepts of R1 and R2 and
-the superpopulation correction. Two assemblies feed that stage. When
-one table meets many sign vectors (Monte Carlo and enumeration), the
-diagonal blocks d'd and m'm do not depend on s, so only the thin cross
-blocks need a matrix product per batch. When each table meets one sign
-vector (population studies), each table's Gram is formed on its own,
-in fixed blocks of tables. Estimates from this kernel agree with the
-single-fit estimators to solver precision and are tested against them;
-population-study rows the kernel cannot certify as well conditioned
-go through the single-fit path instead.
+All heavy paths share one batched kernel. :func:`_grams` assembles the
+equilibrated normal equations of the regression design [1 | v*d | m]
+for a grid of T tables by B sign vectors; one solve-and-variance stage,
+:func:`_intercept_stats`, then gives the intercepts of R1 and R2 and
+the superpopulation correction. The diagonal blocks d'd and m'm do not
+depend on the signs, so they are formed once per table and only the
+blocks involving v once per assignment. The grid takes three shapes:
+one table by all 2^n codes (enumeration), one table by B draws (Monte
+Carlo, and each table of a sate study), and blocks of up to 256 tables
+by one draw each (pate studies). Estimates from this kernel agree with
+the single-fit estimators to solver precision and are tested against
+them; population-study rows the kernel cannot certify as well
+conditioned go through the single-fit path instead.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def _intercept_stats(
     k1: int,
     want: tuple[str, ...],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The solve-and-variance stage shared by both Gram assemblies.
+    """The solve-and-variance stage after :func:`_grams`.
 
     ``gram`` (B, K, K) is the equilibrated Gram of [1 | vd | m], with
     the vd block ending at column ``k1``; ``rhs`` (B, K, 2) holds X'y
@@ -229,6 +230,48 @@ def _intercept_stats(
     return out
 
 
+def _grams(
+    d: np.ndarray, m: np.ndarray, signs: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equilibrated normal equations of [1 | v*d | m] for a grid of fits.
+
+    ``d`` (T, n, K_D) and ``m`` (T, n, K_M) are the fixed design blocks
+    of T tables; ``signs`` and ``y`` (T, B, n) hold B assignments per
+    table. Returns the Grams (T, B, K, K), the right-hand sides
+    (T, B, K, 2) holding X'y and the first unit vector, and y'y (T, B).
+    The diagonal blocks d'd and m'm and the sums of m do not depend on
+    the signs, so they are formed once per table; only the blocks that
+    involve v are formed per assignment. Since v_i^2 = 1, v*d has the
+    column scales of d, so equilibrating d and m equilibrates the design.
+    """
+    t, b, n = signs.shape
+    kd, km = d.shape[-1], m.shape[-1]
+    k1, k2 = 1 + kd, 1 + kd + km
+    ds, ms = _equilibrate(d), _equilibrate(m)
+    gram = np.empty((t, b, k2, k2))
+    gram[..., 0, 0] = n
+    sd = signs @ ds
+    gram[..., 0, 1:k1] = sd
+    gram[..., 1:k1, 0] = sd
+    msum = ms.sum(axis=-2)[:, None, :]
+    gram[..., 0, k1:] = msum
+    gram[..., k1:, 0] = msum
+    gram[..., 1:k1, 1:k1] = (ds.transpose(0, 2, 1) @ ds)[:, None]
+    cross = (ds[..., :, None] * ms[..., None, :]).reshape(t, n, kd * km)
+    vdm = (signs @ cross).reshape(t, b, kd, km)
+    gram[..., 1:k1, k1:] = vdm
+    gram[..., k1:, 1:k1] = vdm.swapaxes(-1, -2)
+    gram[..., k1:, k1:] = (ms.transpose(0, 2, 1) @ ms)[:, None]
+
+    rhs = np.zeros((t, b, k2, 2))
+    rhs[..., 0, 0] = y.sum(axis=-1)
+    rhs[..., 1:k1, 0] = (signs * y) @ ds
+    rhs[..., k1:, 0] = y @ ms
+    rhs[..., 0, 1] = 1.0
+    yty = np.einsum("tbi,tbi->tb", y, y)
+    return gram, rhs, yty
+
+
 def _batch_regression(
     d: np.ndarray,
     m: np.ndarray,
@@ -239,54 +282,18 @@ def _batch_regression(
     """Per-assignment intercept estimates and variances for one table.
 
     ``signs`` and ``y`` have shape (B, n); ``d`` and ``m`` are the
-    fixed design blocks, so the Gram's diagonal blocks are assembled
-    once and only its cross blocks per batch. Returns {id: (tau_hat,
-    s2)} for the requested regression estimators (see
-    :func:`_intercept_stats`).
+    fixed design blocks. The assignments go through :func:`_grams` in
+    chunks of ``_CHUNK``. Returns {id: (tau_hat, s2)} for the requested
+    regression estimators (see :func:`_intercept_stats`).
     """
     want = tuple(want)
-    n = d.shape[0]
-    kd, km = d.shape[1], m.shape[1]
-    k1, k2 = 1 + kd, 1 + kd + km
-    ds = _equilibrate(d)
-    ms = _equilibrate(m)
-    dtd = ds.T @ ds
-    mtm = ms.T @ ms
-    msum = ms.sum(axis=0)
-    cross = (
-        (ds[:, :, None] * ms[:, None, :]).reshape(n, kd * km)
-        if kd and km
-        else None
-    )
-
+    n, k1 = d.shape[0], 1 + d.shape[1]
     out: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {est: [] for est in want}
     for lo in range(0, signs.shape[0], _CHUNK):
-        s_blk = signs[lo : lo + _CHUNK]
-        y_blk = y[lo : lo + _CHUNK]
-        b = s_blk.shape[0]
-
-        gram = np.empty((b, k2, k2))
-        gram[:, 0, 0] = n
-        sd = s_blk @ ds
-        gram[:, 0, 1:k1] = sd
-        gram[:, 1:k1, 0] = sd
-        gram[:, 0, k1:] = msum
-        gram[:, k1:, 0] = msum
-        gram[:, 1:k1, 1:k1] = dtd
-        if cross is not None:
-            vdm = (s_blk @ cross).reshape(b, kd, km)
-            gram[:, 1:k1, k1:] = vdm
-            gram[:, k1:, 1:k1] = vdm.transpose(0, 2, 1)
-        gram[:, k1:, k1:] = mtm
-
-        rhs = np.zeros((b, k2, 2))
-        rhs[:, 0, 0] = y_blk.sum(axis=1)
-        rhs[:, 1:k1, 0] = (s_blk * y_blk) @ ds
-        rhs[:, k1:, 0] = y_blk @ ms
-        rhs[:, 0, 1] = 1.0
-        yty = np.einsum("bi,bi->b", y_blk, y_blk)
-
-        for est, part in _intercept_stats(gram, rhs, yty, n, k1, want).items():
+        gram, rhs, yty = _grams(
+            d[None], m[None], signs[None, lo : lo + _CHUNK], y[None, lo : lo + _CHUNK]
+        )
+        for est, part in _intercept_stats(gram[0], rhs[0], yty[0], n, k1, want).items():
             out[est].append(part)
 
     return {
@@ -666,14 +673,6 @@ def _pate_fit(
     }
 
 
-def _pate_row(config: StudyConfig, idx: int) -> dict[str, float]:
-    sample = generate_sample(
-        config.n, config.setting, rng=substream(config.seed, ROLE_SAMPLE, idx)
-    )
-    v = randomize(config.n, substream(config.seed, ROLE_ASSIGN, idx))
-    return _pate_fit(sample, v, config.f, config.g)
-
-
 def _pate_kernel(
     samples: list[PotentialOutcomeSample],
     signs: np.ndarray,
@@ -704,7 +703,7 @@ def _pate_kernel(
         return {}
     if m.shape[-1] == 0:
         return {}
-    k1, k2 = 1 + d.shape[-1], 1 + d.shape[-1] + m.shape[-1]
+    k1 = 1 + d.shape[-1]
     _, _, y, ok = _observe(
         np.stack([s.r_t for s in samples]), np.stack([s.r_c for s in samples]), signs
     )
@@ -713,10 +712,8 @@ def _pate_kernel(
     # them, so the overflow is not worth a warning of its own.
     with np.errstate(over="ignore", invalid="ignore"):
         ok &= columns_centered(m)
-        design = np.concatenate([np.ones((b, n, 1)), signs[..., None] * d, m], axis=-1)
-        scale = _column_rms(design)[:, 0, :]
-        xs = _equilibrate(design)
-        gram = np.matmul(xs.transpose(0, 2, 1), xs)
+        gram, rhs, yty = (a[:, 0] for a in _grams(d, m, signs[:, None], y[:, None]))
+        scale = np.concatenate([np.ones((b, 1, 1)), _column_rms(d), _column_rms(m)], axis=-1)[:, 0]
         lam = np.linalg.eigvalsh(gram)
         rank_bound = (
             np.sqrt(np.maximum(lam[:, 0], 0.0) / n) * scale.min(axis=-1) / scale.max(axis=-1)
@@ -724,13 +721,8 @@ def _pate_kernel(
         ok &= (lam[:, 0] > _CERT_RTOL * lam[:, -1]) & (rank_bound > 10.0 * RANK_RTOL)
 
     sel = np.flatnonzero(ok)
-    xs, y, gram = xs[sel], y[sel], gram[sel]
-    rhs = np.zeros((sel.size, k2, 2))
-    rhs[:, :, 0] = np.matmul(xs.transpose(0, 2, 1), y[..., None])[..., 0]
-    rhs[:, 0, 1] = 1.0
-    yty = np.einsum("bi,bi->b", y, y)
-    stats = _intercept_stats(gram, rhs, yty, n, k1, ("R1", "R2", "R2P"))
-    tau_c, s2_c = _classical_stats(y)
+    stats = _intercept_stats(gram[sel], rhs[sel], yty[sel], n, k1, ("R1", "R2", "R2P"))
+    tau_c, s2_c = _classical_stats(y[sel])
     cols = {
         "tau_C": tau_c,
         "se_C": np.sqrt(s2_c),
@@ -769,8 +761,8 @@ def _pate_block(
 def _pate_rows(config: StudyConfig, idxs: Sequence[int]) -> list[dict[str, float]]:
     """Population-study rows for sample indices ``idxs``.
 
-    Every table and sign vector is drawn from its own index's
-    substreams, exactly as :func:`_pate_row` draws them, so a row does
+    Index i draws its table from ``substream(seed, ROLE_SAMPLE, i)`` and
+    its signs from ``substream(seed, ROLE_ASSIGN, i)``, so a row does
     not depend on the block it is computed in.
     """
     samples = [

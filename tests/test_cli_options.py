@@ -158,6 +158,8 @@ def test_env_seed_matches_seed_flag(capsys, dirs, monkeypatch):
         ("simulate", ["--setting", "parallel", "--n", "true", "--S", "1"], None, None),
         ("analyze", [], {"alpha": True}, None),
         ("analyze", [], {"f": {"kind": "select", "columns": [1.5]}}, None),
+        ("generate", ["--setting", "parallel", "--n", "0"], None, None),
+        ("enumerate", ["--input", "unread.csv", "--cap", "-1"], None, None),
     ],
 )
 def test_bad_values_exit_4(capsys, dirs, monkeypatch, command, flags, conf, env):
@@ -177,6 +179,51 @@ def test_bad_values_exit_4(capsys, dirs, monkeypatch, command, flags, conf, env)
     assert code == 4
     assert err.startswith("paired-adjust: error:")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [("simulate", "n"), ("simulate", "S"), ("simulate", "B"), ("simulate", "workers"),
+     ("enumerate", "cap"), ("generate", "n")],
+)
+def test_counts_below_one_exit_4(capsys, dirs, command, option):
+    _, inp, out = dirs
+    options = {**_base(inp, out)[command], option: "0"}
+    assert main([command, *_flags(options)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"paired-adjust: error: --{option}: must be >= 1, got 0\n"
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command,option", [("analyze", "input"), ("enumerate", "input"), ("enumerate", "meta")]
+)
+def test_unreadable_input_exits_2(capsys, dirs, command, option):
+    _, inp, out = dirs
+    missing = str(inp / "missing.csv")
+    options = {**_base(inp, out)[command], option: missing}
+    assert main([command, *_flags(options)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"paired-adjust: error: cannot read {missing}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [(cmd, name) for cmd, table in _OPTION_TABLES.items() for name in table
+     if name in ("out", "csv", "histogram")],
+)
+def test_output_in_missing_directory_exits_4_before_work(capsys, dirs, command, option):
+    tmp, inp, out = dirs
+    options = {**_base(inp, out)[command], option: str(tmp / "missing" / "x.out")}
+    assert main([command, *_flags(options)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"paired-adjust: error: --{option}: directory {str(tmp / 'missing')!r} does not exist\n"
+    )
+    assert captured.out == "" and list(out.iterdir()) == []
+    assert not (tmp / "missing").exists()
 
 
 @pytest.mark.parametrize(

@@ -19,13 +19,13 @@ from paired_adjust.errors import (
     NonFiniteTransform,
     RankDeficient,
 )
-from paired_adjust.experiment_model import TransformSpec
+from paired_adjust.experiment_model import TransformSpec, transformed_blocks
 from paired_adjust.randomization_engine import (
     StudyConfig,
     _pate_block,
     _pate_fit,
+    _grams,
     _pate_kernel,
-    _pate_row,
     _pate_rows,
     randomize,
     run_study,
@@ -50,6 +50,15 @@ def _draws(seed, n, count, setting="nonparallel"):
     return samples, signs
 
 
+def _pate_row(config, idx):
+    """Reference row: index ``idx``'s own draws through the single fit."""
+    sample = generate_sample(
+        config.n, config.setting, rng=substream(config.seed, ROLE_SAMPLE, idx)
+    )
+    v = randomize(config.n, substream(config.seed, ROLE_ASSIGN, idx))
+    return _pate_fit(sample, v, config.f, config.g)
+
+
 def _with_x(sample, x):
     return PotentialOutcomeSample(r_t=sample.r_t, r_c=sample.r_c, w=sample.w, x=x)
 
@@ -67,6 +76,27 @@ def test_kernel_rows_match_single_fit(f, g):
             assert value == pytest.approx(ref[key], rel=1e-9, abs=0.0), (j, key)
     rows = _pate_rows(cfg, range(120))
     assert [rows[j] for j in kernel] == list(kernel.values())
+
+
+@pytest.mark.parametrize(
+    "f,g", [(T.identity(), T.identity()), (T.power(2), T.log())],
+    ids=lambda t: json.dumps(t.to_dict()),
+)
+def test_stacked_grams_match_one_table_at_a_time(f, g):
+    samples, _ = _draws(34, 20, 12)
+    signs = randomize(20, substream(34, ROLE_ASSIGN), 12 * 5).reshape(12, 5, 20)
+    d, m = transformed_blocks(np.stack([s.x for s in samples]), f, g)
+    levels = np.stack([s.levels for s in samples])
+    y = np.stack([s.effects for s in samples])[:, None] + signs * (
+        levels[..., 0] - levels[..., 1]
+    )[:, None]
+    alone = [_grams(d[j : j + 1], m[j : j + 1], signs[j : j + 1], y[j : j + 1])
+             for j in range(12)]
+    for lo, hi in [(3, 4), (2, 9), (0, 12)]:
+        stacked = _grams(d[lo:hi], m[lo:hi], signs[lo:hi], y[lo:hi])
+        for j in range(lo, hi):
+            for part, ref in zip(stacked, alone[j]):
+                assert np.array_equal(part[j - lo], ref[0])
 
 
 def test_rows_independent_of_block_size(monkeypatch):
