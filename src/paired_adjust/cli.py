@@ -18,19 +18,22 @@ report is reproducible from its own header. Output paths are checked
 before any work starts.
 
 Exit codes: 0 success, 2 data parse/validation (including an
-unreadable input file), 3 numerical rank/degeneracy, 4 configuration
-(including bad flags and an output path in a missing directory), 5
-enumeration too large.
+unreadable or non-UTF-8 input file), 3 numerical rank/degeneracy, 4
+configuration (including bad flags, an output path that is a directory
+or lies in a missing one, and a failed output write), 5 enumeration
+too large.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -256,21 +259,49 @@ def _resolve_options(args: argparse.Namespace, file_conf: dict) -> dict:
 
 
 def _check_outputs(conf: dict) -> None:
-    """Refuse an output path whose directory does not exist."""
+    """Refuse an output path that is a directory or lies in a missing one."""
     for name in _OUTPUTS:
         if conf.get(name) is None:
             continue
-        parent = Path(conf[name]).parent
-        if not parent.is_dir():
-            raise ConfigError(f"--{name}: directory {str(parent)!r} does not exist")
+        path = Path(conf[name])
+        try:
+            is_dir, parent_is_dir = path.is_dir(), path.parent.is_dir()
+        except OSError as exc:  # a name too long for the file system, say
+            raise ConfigError(f"--{name}: cannot use {str(path)!r}: {exc.strerror}") from None
+        if is_dir:
+            raise ConfigError(f"--{name}: {str(path)!r} is a directory")
+        if not parent_is_dir:
+            raise ConfigError(f"--{name}: directory {str(path.parent)!r} does not exist")
 
 
 def _read_input(loader: Callable[..., Any], *paths: Optional[str]) -> Any:
-    """``loader(*paths)``, with an unreadable file reported as a data error."""
+    """``loader`` on the text of each path (None passes through).
+
+    A file that cannot be opened or is not UTF-8 is reported as a data
+    error naming it.
+    """
+    texts: list[Optional[io.StringIO]] = []
+    for path in paths:
+        if path is None:
+            texts.append(None)
+            continue
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                texts.append(io.StringIO(fh.read(), newline=""))
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from None
+    return loader(*texts)
+
+
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[Path]:
+    """Yield ``path``; a failed write to it is a configuration error."""
     try:
-        return loader(*paths)
+        yield Path(path)
     except OSError as exc:
-        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from None
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit_json(doc: dict, out: Optional[str]) -> None:
@@ -278,7 +309,8 @@ def _emit_json(doc: dict, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with _writing(out) as path:
+            path.write_text(text, encoding="utf-8")
 
 
 def _config_echo(conf: dict, skip: tuple[str, ...] = ()) -> dict:
@@ -343,7 +375,8 @@ def cmd_simulate(conf: dict) -> int:
     doc.update(report.to_json_dict())
     _emit_json(doc, conf["out"])
     if conf["csv"] is not None:
-        Path(conf["csv"]).write_text(report.to_csv(), encoding="utf-8")
+        with _writing(conf["csv"]) as path:
+            path.write_text(report.to_csv(), encoding="utf-8")
     return 0
 
 
@@ -353,7 +386,8 @@ def _write_histogram(dist, path: str, bins: int = 64) -> None:
         counts, edges = np.histogram(dist.tau_hat[est], bins=bins)
         for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
             lines.append(f"{est},{lo!r},{hi!r},{int(c)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _writing(path) as out:
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_enumerate(conf: dict) -> int:
@@ -387,8 +421,8 @@ def _sidecar_path(out: Path) -> Path:
 def cmd_generate(conf: dict) -> int:
     """synthesize a science table"""
     sample = generate_sample(conf["n"], conf["setting"], seed=conf["seed"])
-    out = Path(conf["out"])
-    write_science_table(sample, out)
+    with _writing(conf["out"]) as out:
+        write_science_table(sample, out)
     meta = {
         "version": __version__,
         "config": _config_echo(conf),

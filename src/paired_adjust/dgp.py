@@ -107,9 +107,39 @@ def draw_pair_covariates(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    w1 = rng.standard_normal((n, N_COVARIATES))
-    w2 = w1 + 0.5 * rng.standard_normal((n, N_COVARIATES))
-    return np.stack([w1, w2], axis=1)
+    return _pair_latents(rng.standard_normal(8 * n), n)
+
+
+def _pair_latents(normals: np.ndarray, n: int) -> np.ndarray:
+    """Latents (..., n, 2, 4) from the first 8n normals of the last axis.
+
+    The first 4n are the first units' values, pair by pair; the next 4n
+    are the second units' N(0, 1) noise, halved and added to them.
+    """
+    lead = normals.shape[:-1]
+    w1 = normals[..., : 4 * n].reshape(lead + (n, N_COVARIATES))
+    w2 = w1 + 0.5 * normals[..., 4 * n : 8 * n].reshape(lead + (n, N_COVARIATES))
+    return np.stack([w1, w2], axis=-2)
+
+
+def _stacked_tables(
+    normals: np.ndarray, setting: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked science tables from a (T, 10n) array of standard normals.
+
+    Row t holds one table's draws in generation order: 8n for the
+    latents (see :func:`_pair_latents`), then 2n of outcome noise, one
+    per unit and shared by both potential outcomes. Returns ``w`` and
+    ``x`` of shape (T, n, 2, 4) and ``r_t``, ``r_c`` of shape (T, n, 2);
+    table t is bit for bit what :func:`generate_sample` makes from the
+    same normals.
+    """
+    t, size = normals.shape
+    n = size // 10
+    w = _pair_latents(normals, n)
+    eps = normals[:, 8 * n :].reshape(t, n, 2)
+    mu_t, mu_c = response_surfaces(w, setting)
+    return w, mu_t + eps, mu_c + eps, observe_covariates(w)
 
 
 def observe_covariates(w: np.ndarray) -> np.ndarray:
@@ -151,27 +181,23 @@ def generate_sample(
     """Draw a complete science table.
 
     Either pass a seed (a dedicated substream is derived from it) or an
-    explicit generator; with neither, entropy comes from the OS. Draw
-    order is fixed: latents first, then one noise value per unit,
-    shared between the treated and control outcomes.
+    explicit generator; with neither, entropy comes from the OS. One
+    draw of 10n standard normals fills the table in a fixed order:
+    latents first, then one noise value per unit, shared between the
+    treated and control outcomes (see :func:`_stacked_tables`).
     """
     if setting not in SETTINGS:
         raise ValueError(f"setting must be one of {SETTINGS}, got {setting!r}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if rng is None:
         if seed is None:
             rng = np.random.default_rng()
         else:
             rng = substream(seed, ROLE_SAMPLE)
-    w = draw_pair_covariates(n, rng)
-    eps = rng.standard_normal((n, 2))
-    mu_t, mu_c = response_surfaces(w, setting)
+    w, r_t, r_c, x = _stacked_tables(rng.standard_normal(10 * n)[None], setting)
     return PotentialOutcomeSample(
-        r_t=mu_t + eps,
-        r_c=mu_c + eps,
-        w=w,
-        x=observe_covariates(w),
-        setting=setting,
-        seed=seed,
+        r_t=r_t[0], r_c=r_c[0], w=w[0], x=x[0], setting=setting, seed=seed
     )
 
 

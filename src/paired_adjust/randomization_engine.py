@@ -21,10 +21,14 @@ depend on the signs, so they are formed once per table and only the
 blocks involving v once per assignment. The grid takes three shapes:
 one table by all 2^n codes (enumeration), one table by B draws (Monte
 Carlo, and each table of a sate study), and blocks of up to 256 tables
-by one draw each (pate studies). Estimates from this kernel agree with
-the single-fit estimators to solver precision and are tested against
-them; population-study rows the kernel cannot certify as well
-conditioned go through the single-fit path instead.
+by one draw each (pate studies). A pate block's tables are drawn as
+stacked arrays: each sample index still reads its normals and signs
+from its own substreams, and one pass over the block turns the normals
+into outcomes and covariates, so no per-table sample object is built.
+Estimates from this kernel agree with the single-fit estimators to
+solver precision and are tested against them; population-study rows
+the kernel cannot certify as well conditioned go through the single-fit
+path instead.
 """
 
 from __future__ import annotations
@@ -35,13 +39,20 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dgp import N_COVARIATES, SETTINGS, PotentialOutcomeSample, generate_sample
+from .dgp import (
+    N_COVARIATES,
+    SETTINGS,
+    PotentialOutcomeSample,
+    _stacked_tables,
+    generate_sample,
+)
 from .errors import (
     ConfigError,
     DimensionMismatch,
     LengthMismatch,
     NonFiniteTransform,
     RankDeficient,
+    TooFewPairs,
     TooLarge,
     WrongEstimator,
 )
@@ -336,6 +347,13 @@ def _regression_blocks(
     return transformed_blocks(sample.x, f, g)
 
 
+def _pair_count(sample: PotentialOutcomeSample) -> int:
+    """The table's n; the mean's S^2 needs n >= 2, as in estimate_classical."""
+    if sample.n < 2:
+        raise TooFewPairs(f"need at least 2 pairs, got {sample.n}")
+    return sample.n
+
+
 def _table_stats(
     sample: PotentialOutcomeSample,
     signs: np.ndarray,
@@ -473,10 +491,10 @@ def enumerate_exact(
     The mean estimator is always included; the regression estimators
     need transforms, observed covariates, and n > K_D + K_M + 1, and
     the superpopulation-corrected variance additionally needs K_M >= 1.
-    Raises TooLarge beyond the cap (default 16 pairs, 65536
-    assignments).
+    Raises TooFewPairs below 2 pairs and TooLarge beyond the cap
+    (default 16 pairs, 65536 assignments).
     """
-    n = sample.n
+    n = _pair_count(sample)
     if n > cap:
         raise TooLarge(f"2^{n} assignments exceed the cap of 2^{cap}")
     blocks = _regression_blocks(sample, f, g)
@@ -524,7 +542,7 @@ def run_monte_carlo(
     Coverage and RMSE are measured against the table's own average
     effect, recorded as ``target``. Assignments whose design turns out
     singular are counted in ``errors`` and dropped from the summaries
-    rather than aborting the run.
+    rather than aborting the run. Raises TooFewPairs below 2 pairs.
     """
     if b < 1:
         raise ConfigError(f"need b >= 1, got {b}")
@@ -534,6 +552,7 @@ def run_monte_carlo(
             raise WrongEstimator(f"unknown estimator {est!r}")
     if rng is None:
         rng = np.random.default_rng()
+    _pair_count(sample)
 
     blocks = None
     if any(est != "C" for est in est_ids):
@@ -674,14 +693,18 @@ def _pate_fit(
 
 
 def _pate_kernel(
-    samples: list[PotentialOutcomeSample],
+    r_t: np.ndarray,
+    r_c: np.ndarray,
+    x: np.ndarray,
     signs: np.ndarray,
     f: TransformSpec,
     g: TransformSpec,
 ) -> dict[int, dict[str, float]]:
     """Kernel rows for the tables of a block it can certify, by position.
 
-    Table j meets the signs ``signs[j]``. A table is certified when its
+    Table j has potential outcomes ``r_t[j]``, ``r_c[j]`` (n, 2) and
+    observed covariates ``x[j]`` (n, 2, 4), and meets the signs
+    ``signs[j]``. A table is certified when its
     Y passes the reveal cross-check, its m columns pass the
     :func:`columns_centered` test that :class:`DesignMatrices` applies,
     and the equilibrated Gram G of its design X = [1 | vd | m] has
@@ -698,15 +721,13 @@ def _pate_kernel(
     """
     b, n = signs.shape
     try:
-        d, m = transformed_blocks(np.stack([s.x for s in samples]), f, g)
+        d, m = transformed_blocks(x, f, g)
     except NonFiniteTransform:
         return {}
     if m.shape[-1] == 0:
         return {}
     k1 = 1 + d.shape[-1]
-    _, _, y, ok = _observe(
-        np.stack([s.r_t for s in samples]), np.stack([s.r_c for s in samples]), signs
-    )
+    _, _, y, ok = _observe(r_t, r_c, signs)
     # Columns near the float range (exp of large covariates) overflow
     # here; their tables fail the certificate and the single fit reports
     # them, so the overflow is not worth a warning of its own.
@@ -739,40 +760,47 @@ def _pate_kernel(
 
 
 def _pate_block(
-    samples: list[PotentialOutcomeSample],
+    r_t: np.ndarray,
+    r_c: np.ndarray,
+    x: np.ndarray,
     signs: np.ndarray,
     f: TransformSpec,
     g: TransformSpec,
 ) -> list[dict[str, float]]:
-    """Population-study rows for a block of tables, in order.
+    """Population-study rows for a block of stacked tables, in order.
 
     Rows :func:`_pate_kernel` certifies come from the shared kernel;
     every other row goes through the single-fit path, in table order,
     so the first error raised is the one the single-fit path raises for
-    the first table it fails on.
+    the first table it fails on. Only those rows get a
+    :class:`PotentialOutcomeSample`.
     """
-    kernel = _pate_kernel(samples, signs, f, g)
+    kernel = _pate_kernel(r_t, r_c, x, signs, f, g)
     return [
-        kernel[j] if j in kernel else _pate_fit(sample, signs[j], f, g)
-        for j, sample in enumerate(samples)
+        kernel[j]
+        if j in kernel
+        else _pate_fit(PotentialOutcomeSample(r_t=r_t[j], r_c=r_c[j], x=x[j]), signs[j], f, g)
+        for j in range(len(signs))
     ]
 
 
 def _pate_rows(config: StudyConfig, idxs: Sequence[int]) -> list[dict[str, float]]:
     """Population-study rows for sample indices ``idxs``.
 
-    Index i draws its table from ``substream(seed, ROLE_SAMPLE, i)`` and
-    its signs from ``substream(seed, ROLE_ASSIGN, i)``, so a row does
-    not depend on the block it is computed in.
+    Index i draws the 10n standard normals of its table from
+    ``substream(seed, ROLE_SAMPLE, i)`` and its signs from
+    ``substream(seed, ROLE_ASSIGN, i)``, so a row does not depend on the
+    block it is computed in. The block's tables are built as stacked
+    arrays in one pass, bit for bit the tables :func:`generate_sample`
+    draws from the same streams.
     """
-    samples = [
-        generate_sample(config.n, config.setting, rng=substream(config.seed, ROLE_SAMPLE, i))
-        for i in idxs
-    ]
-    signs = np.array(
-        [randomize(config.n, substream(config.seed, ROLE_ASSIGN, i)) for i in idxs]
+    n = config.n
+    normals = np.array(
+        [substream(config.seed, ROLE_SAMPLE, i).standard_normal(10 * n) for i in idxs]
     )
-    return _pate_block(samples, signs, config.f, config.g)
+    signs = np.array([randomize(n, substream(config.seed, ROLE_ASSIGN, i)) for i in idxs])
+    _, r_t, r_c, x = _stacked_tables(normals, config.setting)
+    return _pate_block(r_t, r_c, x, signs, config.f, config.g)
 
 
 def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> list[dict[str, float]]:

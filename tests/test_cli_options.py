@@ -301,3 +301,72 @@ def test_stacked_transformed_blocks_refuse_overflow():
         transformed_blocks(stack, ident, ident)
     d, m = transformed_blocks(stack[[0, 2]], ident, ident)
     assert np.isfinite(d).all() and np.isfinite(m).all()
+
+
+_OUTPUT_OPTIONS = [(cmd, name) for cmd, table in _OPTION_TABLES.items() for name in table
+                   if name in ("out", "csv", "histogram")]
+
+
+@pytest.mark.parametrize("command,option", _OUTPUT_OPTIONS)
+def test_output_that_is_a_directory_exits_4_before_work(capsys, dirs, command, option):
+    tmp, inp, out = dirs
+    options = {**_base(inp, out)[command], option: str(out)}
+    assert main([command, *_flags(options)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"paired-adjust: error: --{option}: {str(out)!r} is a directory\n"
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,option", _OUTPUT_OPTIONS)
+def test_overlong_output_name_exits_4_before_work(capsys, dirs, command, option):
+    tmp, inp, out = dirs
+    options = {**_base(inp, out)[command], option: str(out / ("x" * 300))}
+    assert main([command, *_flags(options)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"paired-adjust: error: --{option}: cannot use ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,option", _OUTPUT_OPTIONS)
+def test_failed_output_write_exits_4(capsys, dirs, command, option):
+    # A link into a missing directory passes the up-front checks and
+    # fails only when the file is opened for writing.
+    tmp, inp, out = dirs
+    links = tmp / "links"
+    links.mkdir()
+    link = links / "x.out"
+    link.symlink_to(tmp / "missing" / "x.out")
+    options = {**_base(inp, out)[command], option: str(link)}
+    assert main([command, *_flags(options)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"paired-adjust: error: cannot write {link}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "command,option", [("analyze", "input"), ("enumerate", "input"), ("enumerate", "meta")]
+)
+def test_non_utf8_input_exits_2(capsys, dirs, command, option):
+    _, inp, out = dirs
+    bad = inp / "bad.csv"
+    bad.write_bytes(b"\xff\xfe\x00pair,unit\n")
+    options = {**_base(inp, out)[command], option: str(bad)}
+    assert main([command, *_flags(options)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"paired-adjust: error: cannot read {bad}: 'utf-8' codec")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_pair_table_exits_2(capsys, dirs):
+    _, inp, out = dirs
+    table = out / "one.csv"
+    assert main(["generate", "--n", "1", "--setting", "nonparallel", "--out", str(table)]) == 0
+    capsys.readouterr()
+    assert main(["enumerate", "--input", str(table)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "paired-adjust: error: need at least 2 pairs, got 1\n"
+    assert captured.out == ""

@@ -18,6 +18,7 @@ from paired_adjust import (
     substream,
     write_science_table,
 )
+from paired_adjust.dgp import _stacked_tables
 from paired_adjust.errors import DimensionMismatch
 
 
@@ -121,6 +122,48 @@ class TestGenerateSample:
         npt.assert_allclose(s.levels, [[1.0, 3.0], [1.0, 2.0]])
         npt.assert_allclose(s.effects, [2.0, -1.0])
         assert s.sate == pytest.approx(0.5, abs=1e-12)
+
+
+def _three_call_table(n, setting, rng):
+    """Reference table: the latents, their noise and the outcome noise
+    drawn by three separate calls, as generation was first written."""
+    w1 = rng.standard_normal((n, 4))
+    w2 = w1 + 0.5 * rng.standard_normal((n, 4))
+    w = np.stack([w1, w2], axis=1)
+    eps = rng.standard_normal((n, 2))
+    mu_t, mu_c = response_surfaces(w, setting)
+    return {"r_t": mu_t + eps, "r_c": mu_c + eps, "x": observe_covariates(w), "w": w}
+
+
+class TestStackedTables:
+    """One draw of 10n normals per table, stacked, gives the bits of three draws."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 25, 100])
+    @pytest.mark.parametrize("setting", ["parallel", "nonparallel"])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_stacked_block_matches_three_call_oracle(self, n, setting, block):
+        normals = np.array(
+            [substream(71, ROLE_SAMPLE, i).standard_normal(10 * n) for i in range(block)]
+        )
+        w, r_t, r_c, x = _stacked_tables(normals, setting)
+        stacked = {"r_t": r_t, "r_c": r_c, "x": x, "w": w}
+        for i in range(block):
+            ref = _three_call_table(n, setting, substream(71, ROLE_SAMPLE, i))
+            for name, arr in stacked.items():
+                assert np.array_equal(arr[i], ref[name]), (i, name)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 25, 100])
+    @pytest.mark.parametrize("setting", ["parallel", "nonparallel"])
+    def test_generate_sample_matches_three_call_oracle(self, n, setting):
+        pairs = [
+            (generate_sample(n, setting, seed=72), substream(72, ROLE_SAMPLE)),
+            (generate_sample(n, setting, rng=substream(72, ROLE_SAMPLE, 5)),
+             substream(72, ROLE_SAMPLE, 5)),
+        ]
+        for sample, rng in pairs:
+            ref = _three_call_table(n, setting, rng)
+            for name, arr in ref.items():
+                assert np.array_equal(getattr(sample, name), arr), name
 
 
 class TestScienceTableIO:

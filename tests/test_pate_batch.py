@@ -59,6 +59,11 @@ def _pate_row(config, idx):
     return _pate_fit(sample, v, config.f, config.g)
 
 
+def _stack(samples):
+    """A list of samples as the (r_t, r_c, x) stacks the block routines take."""
+    return tuple(np.stack([getattr(s, name) for s in samples]) for name in ("r_t", "r_c", "x"))
+
+
 def _with_x(sample, x):
     return PotentialOutcomeSample(r_t=sample.r_t, r_c=sample.r_c, w=sample.w, x=x)
 
@@ -67,7 +72,7 @@ def _with_x(sample, x):
 def test_kernel_rows_match_single_fit(f, g):
     cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=120, seed=31, f=f, g=g)
     samples, signs = _draws(31, 25, 120)
-    kernel = _pate_kernel(samples, signs, f, g)
+    kernel = _pate_kernel(*_stack(samples), signs, f, g)
     assert len(kernel) >= 110  # the comparison really exercises the kernel
     for j, row in kernel.items():
         ref = _pate_row(cfg, j)
@@ -153,7 +158,7 @@ def test_block_raises_what_single_path_raises(keep, expected):
     signs = signs[list(keep)]
     assert _single_path_error(samples, signs, F_CRAFT, G_CRAFT) is expected
     with pytest.raises(expected):
-        _pate_block(samples, signs, F_CRAFT, G_CRAFT)
+        _pate_block(*_stack(samples), signs, F_CRAFT, G_CRAFT)
 
 
 def test_failing_transform_sends_whole_block_through_single_path():
@@ -162,12 +167,12 @@ def test_failing_transform_sends_whole_block_through_single_path():
     x[0, 0, 0] = -1.0  # log of a negative covariate
     samples[5] = _with_x(samples[5], x)
     log = T.log()
-    assert _pate_kernel(samples, signs, log, log) == {}
+    assert _pate_kernel(*_stack(samples), signs, log, log) == {}
     assert _single_path_error(samples, signs, log, log) is RankDeficient
     with pytest.raises(RankDeficient):
-        _pate_block(samples, signs, log, log)
+        _pate_block(*_stack(samples), signs, log, log)
     with pytest.raises(NonFiniteTransform):
-        _pate_block(samples[5:], signs[5:], log, log)
+        _pate_block(*_stack(samples[5:]), signs[5:], log, log)
 
 
 @pytest.mark.filterwarnings("error")
@@ -209,3 +214,26 @@ def test_batched_randomize_matches_row_draws():
     assert a.shape == (9, 13)
     assert np.array_equal(a, 2.0 * rng.integers(0, 2, size=(9, 13)) - 1.0)
     assert randomize(0, substream(37, ROLE_ASSIGN), 4).shape == (4, 0)
+
+
+def test_certified_study_builds_no_sample_objects(monkeypatch):
+    built, streams = [], []
+    post_init = PotentialOutcomeSample.__post_init__
+
+    def counting_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    def counting_substream(*args):
+        streams.append(args)
+        return substream(*args)
+
+    monkeypatch.setattr(PotentialOutcomeSample, "__post_init__", counting_post_init)
+    monkeypatch.setattr(engine, "substream", counting_substream)
+    cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=300, seed=38)
+    run_study(cfg)
+    assert built == []
+    assert len(streams) == 2 * cfg.samples
+    assert sorted(streams) == sorted(
+        (38, role, i) for role in (ROLE_SAMPLE, ROLE_ASSIGN) for i in range(300)
+    )

@@ -13,6 +13,7 @@ from paired_adjust import (
     PotentialOutcomeSample,
     ROLE_ASSIGN,
     RankDeficient,
+    TooFewPairs,
     TransformSpec,
     enumerate_exact,
     lemma_diagnostics,
@@ -83,16 +84,15 @@ def test_vd_parallel_to_ones_is_rank_deficient(rng):
         lemma_diagnostics(s, f, g, reps=1, signs=np.ones(n))
 
 
-def test_one_pair_table_reports_nan_in_both_modes():
-    # S^2 is undefined with one pair, so every assignment is an error in
-    # the exact summary exactly as in the Monte Carlo one.
+@pytest.mark.filterwarnings("error")
+def test_one_pair_table_refused_in_both_modes():
+    # S^2 is undefined with one pair, so the exact and Monte Carlo
+    # summaries refuse the table as estimate_classical does.
     s = PotentialOutcomeSample(r_t=np.array([[1.0, 2.0]]), r_c=np.array([[0.0, 0.5]]))
-    with np.errstate(invalid="ignore"):
-        exact = enumerate_exact(s).per("C")
-        mc = run_monte_carlo(s, 8, estimators=("C",), rng=substream(43, ROLE_ASSIGN)).per["C"]
-    assert (exact.errors, mc.errors) == (2, 8)
-    for summary in (exact, mc):
-        assert np.isnan([summary.mean, summary.variance, summary.rmse, summary.coverage]).all()
+    with pytest.raises(TooFewPairs, match="need at least 2 pairs, got 1"):
+        enumerate_exact(s)
+    with pytest.raises(TooFewPairs, match="need at least 2 pairs, got 1"):
+        run_monte_carlo(s, 8, estimators=("C",), rng=substream(43, ROLE_ASSIGN))
 
 
 class TestColumnsCentered:
