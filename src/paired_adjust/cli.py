@@ -258,12 +258,16 @@ def _resolve_options(args: argparse.Namespace, file_conf: dict) -> dict:
     return resolved
 
 
-def _check_outputs(conf: dict) -> None:
-    """Refuse an output path that is a directory or lies in a missing one."""
-    for name in _OUTPUTS:
-        if conf.get(name) is None:
-            continue
-        path = Path(conf[name])
+def _check_outputs(command: str, conf: dict) -> None:
+    """Refuse an output path that is a directory or lies in a missing one.
+
+    ``generate`` also writes a sidecar next to its ``--out`` table, so
+    that path is checked too, before anything is written.
+    """
+    outputs = [(name, Path(conf[name])) for name in _OUTPUTS if conf.get(name) is not None]
+    if command == "generate":
+        outputs.append(("out", _sidecar_path(Path(conf["out"]))))
+    for name, path in outputs:
         try:
             is_dir, parent_is_dir = path.is_dir(), path.parent.is_dir()
         except OSError as exc:  # a name too long for the file system, say
@@ -466,7 +470,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         file_conf = _load_config_file(args.config) if args.config else {}
         conf = _resolve_options(args, file_conf)
-        _check_outputs(conf)
+        _check_outputs(args.command, conf)
         return _HANDLERS[args.command](conf)
     except PairedAdjustError as exc:
         print(f"paired-adjust: error: {exc}", file=sys.stderr)

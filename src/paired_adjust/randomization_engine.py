@@ -12,23 +12,30 @@ estimators under that randomness three ways:
   either per-sample summaries (in-sample target) or one draw per table
   (population target, where the spread across tables matters).
 
-All heavy paths share one batched kernel. :func:`_grams` assembles the
-equilibrated normal equations of the regression design [1 | v*d | m]
-for a grid of T tables by B sign vectors; one solve-and-variance stage,
-:func:`_intercept_stats`, then gives the intercepts of R1 and R2 and
-the superpopulation correction. The diagonal blocks d'd and m'm do not
-depend on the signs, so they are formed once per table and only the
-blocks involving v once per assignment. The grid takes three shapes:
-one table by all 2^n codes (enumeration), one table by B draws (Monte
-Carlo, and each table of a sate study), and blocks of up to 256 tables
-by one draw each (pate studies). A pate block's tables are drawn as
-stacked arrays: each sample index still reads its normals and signs
-from its own substreams, and one pass over the block turns the normals
-into outcomes and covariates, so no per-table sample object is built.
+All heavy paths share one batched kernel, :func:`_partialled_stats`,
+which fits the regression design [1 | v*d | m] for a grid of T tables
+by B sign vectors. The blocks d and m do not depend on the signs, so
+each table's columns are whitened once (a thin QR, whose triangular
+factor is the Cholesky factor of d'd or m'm), and only products of the
+signs with those fixed bases are formed per assignment. By
+Frisch-Waugh-Lovell partialling-out, R1 then needs no solve at all
+(its intercept and e'(I-H)e are closed-form in dw'v and dw'(v*y)), and
+R2 and its superpopulation correction need only the Schur complement
+of the v*d columns after m is projected out, eliminated for every
+assignment at once. A fit whose table or Schur pivots fall to RANK_RTOL
+times their columns' squared norms is singular and comes back NaN, to
+be counted by the callers. The grid takes three shapes: one table by
+all 2^n codes (enumeration), one table by B draws (Monte Carlo, and
+each table of a sate study), and blocks of up to 256 tables by one
+draw each (pate studies). A pate block's tables are drawn as stacked
+arrays: each sample index still reads its normals and signs from its
+own substreams, and one pass over the block turns the normals into
+outcomes and covariates, so no per-table sample object is built.
 Estimates from this kernel agree with the single-fit estimators to
 solver precision and are tested against them; population-study rows
 the kernel cannot certify as well conditioned go through the single-fit
-path instead.
+path instead. The ones-projection residual of
+:func:`lemma_diagnostics` is the same kernel's R2 denominator.
 """
 
 from __future__ import annotations
@@ -72,7 +79,6 @@ from .experiment_model import (
     columns_centered,
     transformed_blocks,
 )
-from .ols_core import least_squares
 from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substream
 
 ENUMERATION_CAP = 16
@@ -165,154 +171,289 @@ def _observe(
     return z, observed, y, agree
 
 
-def _column_rms(a: np.ndarray) -> np.ndarray:
-    """Root mean square of each column (the second-to-last axis runs over pairs)."""
-    return np.sqrt((a**2).mean(axis=-2, keepdims=True))
+def _whiten(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal bases for the columns of each table of a (T, n, K) block.
 
-
-def _equilibrate(a: np.ndarray) -> np.ndarray:
-    """Rescale columns to unit RMS (zero columns left alone).
-
-    Column scaling leaves the fitted intercept, its variance, and the
-    quadratic form beta_m' (m'm) beta_m unchanged, so the kernel can
-    work entirely in the scaled coordinates. A stack of tables is
-    scaled table by table.
+    A thin Householder QR per table gives ``q`` (T, K, n), whose rows
+    are orthonormal, and the upper-triangular ``r`` (T, K, K) with
+    q' r = a, so r'r = a'a is the Cholesky factorization of the block's
+    Gram (up to the signs of the rows of r). A table passes when every
+    pivot r_kk^2, the squared norm of what is left of column k after
+    the earlier columns are projected out, exceeds RANK_RTOL times the
+    squared norm of the column. Rescaling a column rescales the
+    matching column of ``r`` and nothing else, so the blocks need no
+    equilibration. A failing table still gives finite coordinates.
     """
-    if a.shape[-1] == 0:
-        return a
-    s = _column_rms(a)
-    return a / np.where(s > 0, s, 1.0)
+    q, r = np.linalg.qr(a)
+    diag2 = np.diagonal(r, axis1=-2, axis2=-1) ** 2
+    ok = (diag2 > RANK_RTOL * (a * a).sum(axis=-2)).all(axis=-1)
+    return np.ascontiguousarray(q.swapaxes(-1, -2)), r, ok
 
 
-def _solve_rows(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched linear solve; singular members become NaN rows."""
-    try:
-        return np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        for b in range(g.shape[0]):
-            try:
-                out[b] = np.linalg.solve(g[b], rhs[b])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+@dataclass(frozen=True)
+class _Whitened:
+    """The fixed design blocks of T tables, whitened once per table.
 
-
-def _intercept_stats(
-    gram: np.ndarray,
-    rhs: np.ndarray,
-    yty: np.ndarray,
-    n: int,
-    k1: int,
-    want: tuple[str, ...],
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The solve-and-variance stage after :func:`_grams`.
-
-    ``gram`` (B, K, K) is the equilibrated Gram of [1 | vd | m], with
-    the vd block ending at column ``k1``; ``rhs`` (B, K, 2) holds X'y
-    and the first unit vector; ``yty`` is y'y per row. Returns
-    {id: (tau_hat, s2)} for the requested estimators: R1 solves the
-    leading k1-by-k1 system, R2 the full one, and R2P adds
-    beta_m' (m'm) beta_m / ((n-1) n) to the R2 variance. The classical
-    variance is SSE/dof times the intercept entry of the inverse Gram.
-    Rows whose normal equations are singular come back NaN.
+    The rows of ``dw`` (T, K_D, n) and ``w`` (T, K_M, n) are
+    orthonormal bases of the columns of d and m (see :func:`_whiten`),
+    with d = dw' r_d and m = w' r_m; ``ok_d`` and ``ok_m`` (T,) say
+    which tables passed the pivot test. Since v_i^2 = 1, v*dw is
+    orthonormal too, and since an intercept fit does not change when
+    its other columns are replaced by an invertible combination of
+    them, every fit can run in these coordinates.
     """
-    k2 = gram.shape[-1]
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    if "R1" in want:
-        sol = _solve_rows(
-            np.ascontiguousarray(gram[:, :k1, :k1]),
-            np.ascontiguousarray(rhs[:, :k1, :]),
-        )
-        beta = sol[..., 0]
-        sse = np.maximum(yty - np.einsum("bk,bk->b", beta, rhs[:, :k1, 0]), 0.0)
-        out["R1"] = (beta[:, 0], sse / (n - k1) * sol[:, 0, 1])
-    if "R2" in want or "R2P" in want:
-        sol = _solve_rows(gram, rhs)
-        beta = sol[..., 0]
-        sse = np.maximum(yty - np.einsum("bk,bk->b", beta, rhs[..., 0]), 0.0)
-        s2 = sse / (n - k2) * sol[:, 0, 1]
-        if "R2" in want:
-            out["R2"] = (beta[:, 0], s2)
-        if "R2P" in want:
-            bm = beta[:, k1:]
-            corr = np.einsum("bj,bjk,bk->b", bm, gram[:, k1:, k1:], bm) / ((n - 1) * n)
-            out["R2P"] = (beta[:, 0], s2 + corr)
+
+    dw: np.ndarray
+    r_d: np.ndarray
+    ok_d: np.ndarray
+    w: np.ndarray
+    r_m: np.ndarray
+    ok_m: np.ndarray
+
+    @classmethod
+    def of(cls, d: np.ndarray, m: np.ndarray) -> "_Whitened":
+        return cls(*_whiten(d), *_whiten(m))
+
+
+def _eliminate(g: np.ndarray, k: int, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate the first ``k`` columns of symmetric matrices ``g`` in place.
+
+    ``g`` is (K, K, ...): one K-by-K matrix per index of the trailing
+    grid axes, which come last so that every step works on whole
+    grid-length vectors. This is symmetric Gaussian elimination without
+    pivoting (an LDL' factorization); afterwards the trailing block of
+    ``g`` holds the Schur complement of the leading k-by-k block.
+    Returns the multipliers (K, k, ...), the below-diagonal entries of
+    the unit lower factor, and whether every pivot j exceeded
+    ``floor[j]``. A pivot that does not gets no multipliers, so the
+    matrices stay finite.
+    """
+    low = np.zeros(g.shape[:1] + (k,) + g.shape[2:])
+    ok = np.ones(g.shape[2:], dtype=bool)
+    for j in range(k):
+        piv = g[j, j]
+        good = piv > floor[j]
+        ok &= good
+        low[j + 1 :, j] = g[j + 1 :, j] / np.where(good, piv, np.inf)
+        g[j + 1 :, j + 1 :] -= low[j + 1 :, j, None] * g[j, None, j + 1 :]
+    return low, ok
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a[i] * b[i] over the leading axis, term by term in order.
+
+    numpy's own reductions may group the terms differently when the
+    grid has one point, so a fixed order keeps every fit's value
+    independent of the grid it is computed in.
+    """
+    out = np.zeros(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for ai, bi in zip(a, b):
+        out += ai * bi
     return out
 
 
-def _grams(
-    d: np.ndarray, m: np.ndarray, signs: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Equilibrated normal equations of [1 | v*d | m] for a grid of fits.
+def _products(a: np.ndarray, lhs: np.ndarray) -> np.ndarray:
+    """Products of the rows of a (T, c, n) with those of lhs (T, B, n), as (c, T, B)."""
+    return np.moveaxis(a @ lhs.swapaxes(-1, -2), -2, 0)
 
-    ``d`` (T, n, K_D) and ``m`` (T, n, K_M) are the fixed design blocks
-    of T tables; ``signs`` and ``y`` (T, B, n) hold B assignments per
-    table. Returns the Grams (T, B, K, K), the right-hand sides
-    (T, B, K, 2) holding X'y and the first unit vector, and y'y (T, B).
-    The diagonal blocks d'd and m'm and the sums of m do not depend on
-    the signs, so they are formed once per table; only the blocks that
-    involve v are formed per assignment. Since v_i^2 = 1, v*d has the
-    column scales of d, so equilibrating d and m equilibrates the design.
+
+@dataclass(frozen=True)
+class _SignProducts:
+    """The assignment-dependent pieces of the intercept fits on a grid.
+
+    For T tables by B sign vectors v with outcomes y (T, B, n), in the
+    coordinates of ``blocks``: ``s`` = dw'v and ``t`` = dw'(v*y), the
+    sums ``ysum`` and squared norms ``yty`` of y and, when the m block
+    is needed, ``proj`` holding the products of v*dw (K_D rows), the
+    ones vector and y with w. Only these involve the signs; everything
+    else is fixed per table. Component axes come first and the grid
+    axes (T, B) last: ``s`` and ``t`` are (K_D, T, B) and ``proj`` is
+    (K_D + 2, K_M, T, B).
     """
-    t, b, n = signs.shape
-    kd, km = d.shape[-1], m.shape[-1]
-    k1, k2 = 1 + kd, 1 + kd + km
-    ds, ms = _equilibrate(d), _equilibrate(m)
-    gram = np.empty((t, b, k2, k2))
-    gram[..., 0, 0] = n
-    sd = signs @ ds
-    gram[..., 0, 1:k1] = sd
-    gram[..., 1:k1, 0] = sd
-    msum = ms.sum(axis=-2)[:, None, :]
-    gram[..., 0, k1:] = msum
-    gram[..., k1:, 0] = msum
-    gram[..., 1:k1, 1:k1] = (ds.transpose(0, 2, 1) @ ds)[:, None]
-    cross = (ds[..., :, None] * ms[..., None, :]).reshape(t, n, kd * km)
-    vdm = (signs @ cross).reshape(t, b, kd, km)
-    gram[..., 1:k1, k1:] = vdm
-    gram[..., k1:, 1:k1] = vdm.swapaxes(-1, -2)
-    gram[..., k1:, k1:] = (ms.transpose(0, 2, 1) @ ms)[:, None]
 
-    rhs = np.zeros((t, b, k2, 2))
-    rhs[..., 0, 0] = y.sum(axis=-1)
-    rhs[..., 1:k1, 0] = (signs * y) @ ds
-    rhs[..., k1:, 0] = y @ ms
-    rhs[..., 0, 1] = 1.0
-    yty = np.einsum("tbi,tbi->tb", y, y)
-    return gram, rhs, yty
+    blocks: _Whitened
+    n: int
+    s: np.ndarray
+    t: np.ndarray
+    ysum: np.ndarray
+    yty: np.ndarray
+    proj: Optional[np.ndarray]
+
+    @classmethod
+    def of(
+        cls, blocks: _Whitened, signs: np.ndarray, y: np.ndarray, with_m: bool
+    ) -> "_SignProducts":
+        t, b, n = signs.shape
+        kd, km = blocks.dw.shape[1], blocks.w.shape[1]
+        proj = None
+        if with_m:
+            cross = (blocks.dw[:, :, None] * blocks.w[:, None]).reshape(t, kd * km, n)
+            proj = np.empty((kd + 2, km, t, b))
+            proj[:kd] = _products(cross, signs).reshape(kd, km, t, b)
+            proj[kd] = blocks.w.sum(axis=-1).T[..., None]
+            proj[kd + 1] = _products(blocks.w, y)
+        return cls(
+            blocks=blocks,
+            n=n,
+            s=_products(blocks.dw, signs),
+            t=_products(blocks.dw, signs * y),
+            ysum=y.sum(axis=-1),
+            yty=np.einsum("tbi,tbi->tb", y, y),
+            proj=proj,
+        )
+
+    def r1(self) -> tuple[np.ndarray, np.ndarray]:
+        """Intercept and classical variance of y on [1 | v*d], in closed form.
+
+        With v*dw orthonormal, partialling it out leaves
+        e'(I-H)e = n - s's and e'(I-H)y = 1'y - s't, so no solve is
+        needed. Rows whose denominator is at most RANK_RTOL * n, or
+        whose table failed the pivot test on d, come back NaN.
+        """
+        n, k1 = self.n, 1 + self.s.shape[0]
+        denom = n - _dot(self.s, self.s)
+        num = self.ysum - _dot(self.s, self.t)
+        ok = self.blocks.ok_d[:, None] & (denom > RANK_RTOL * n)
+        denom = np.where(ok, denom, 1.0)
+        beta = num / denom
+        sse = np.maximum(self.yty - _dot(self.t, self.t) - beta * num, 0.0)
+        return _masked(ok, beta, sse / (n - k1) / denom)
+
+    def r2(self, corrected: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Intercept fits of y on [1 | v*d | m] through the Schur complement.
+
+        Partialling out the orthonormal w leaves the Gram of
+        [v*dw | 1 | y] minus its products with w. Eliminating the v*dw
+        columns of that bordered matrix leaves, for the ones vector and
+        y, [[e'(I-H)e, e'(I-H)y], [., y'(I-H)y]] with H the projection
+        onto [v*d | m] (FWL): its first pivot is the denominator
+        e'(I-H)e, the intercept is the ratio along its first row, and
+        what is left of y'(I-H)y after that pivot is the SSE. Each pivot
+        must exceed RANK_RTOL times its column's squared norm before
+        partialling out (one for a whitened column, n for the ones
+        vector). Returns the intercept, the SSE, the denominator and, if
+        ``corrected``, beta_m' (m'm) beta_m, which is the squared norm
+        of the w coefficients. Rows that fail a pivot, or whose table
+        failed the pivot test on d or m, come back NaN.
+        """
+        kd = self.s.shape[0]
+        g = np.zeros((kd + 2, kd + 2) + self.ysum.shape)
+        idx = np.arange(kd)
+        g[idx, idx] = 1.0
+        g[kd, kd] = self.n
+        g[kd + 1, kd + 1] = self.yty
+        g[:kd, kd] = g[kd, :kd] = self.s
+        g[:kd, kd + 1] = g[kd + 1, :kd] = self.t
+        g[kd, kd + 1] = g[kd + 1, kd] = self.ysum
+        by_w = self.proj.swapaxes(0, 1)
+        g -= _dot(by_w[:, :, None], by_w[:, None, :])
+        floor = RANK_RTOL * np.append(np.ones(kd), self.n)
+        low, ok = _eliminate(g, kd, floor)
+        denom = g[kd, kd]
+        ok &= (denom > floor[kd]) & (self.blocks.ok_d & self.blocks.ok_m)[:, None]
+        denom = np.where(ok, denom, 1.0)
+        beta0 = g[kd, kd + 1] / denom
+        sse = np.maximum(g[kd + 1, kd + 1] - beta0 * g[kd, kd + 1], 0.0)
+        corr = np.zeros_like(sse)
+        if corrected:
+            # Back-substitute for the v*dw coefficients (the intercept
+            # comes last); the w coefficients are then w'y minus the
+            # part of it the other columns fit.
+            beta = np.empty((kd + 1,) + sse.shape)
+            beta[kd] = beta0
+            for j in reversed(range(kd)):
+                beta[j] = low[kd + 1, j] - _dot(low[j + 1 : kd + 1, j], beta[j + 1 :])
+            gamma = self.proj[kd + 1] - _dot(beta[:, None], self.proj[: kd + 1])
+            corr = _dot(gamma, gamma)
+        return _masked(ok, beta0, sse, denom, corr)
+
+    def stats(self, want: Sequence[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """{id: (tau_hat, s2)} of the regression estimators ``want``, each (T, B).
+
+        The classical variance is SSE/dof times the intercept entry
+        1 / e'(I-H)e of the inverse Gram; R2P adds
+        beta_m' (m'm) beta_m / ((n-1) n) to the R2 variance.
+        """
+        n = self.n
+        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        if "R1" in want:
+            out["R1"] = self.r1()
+        if "R2" in want or "R2P" in want:
+            k2 = 1 + self.s.shape[0] + self.blocks.w.shape[1]
+            beta0, sse, denom, corr = self.r2("R2P" in want)
+            s2 = sse / (n - k2) / denom
+            if "R2" in want:
+                out["R2"] = (beta0, s2)
+            if "R2P" in want:
+                out["R2P"] = (beta0, s2 + corr / ((n - 1) * n))
+        return {est: out[est] for est in want}
+
+    def equilibrated_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gram of [1 | v*d | m] with unit-RMS columns, and the scales.
+
+        Returns the Grams (T, B, K, K) and each table's column RMS
+        (T, K), one for the intercept. The Gram is built from the
+        kernel's own pieces: the Gram in whitened coordinates,
+        [[n, s', 1'w], [s, I, Q], [., Q', I]] with Q = (v*dw)'w, taken
+        back to the design's columns by blockdiag(1, r_d, r_m), whose
+        column norms are those of the design. A zero column stays zero.
+        """
+        blocks = self.blocks
+        scale = np.sqrt(
+            np.concatenate(
+                [np.full((len(blocks.r_d), 1), self.n), (blocks.r_d**2).sum(axis=-2),
+                 (blocks.r_m**2).sum(axis=-2)],
+                axis=-1,
+            ) / self.n
+        )
+        kd, km = self.s.shape[0], self.blocks.w.shape[1]
+        k1, k2 = 1 + kd, 1 + kd + km
+        gw = np.zeros((k2, k2) + self.ysum.shape)
+        idx = np.arange(1, k2)
+        gw[idx, idx] = 1.0
+        gw[0, 0] = self.n
+        gw[0, 1:k1] = gw[1:k1, 0] = self.s
+        gw[:k1, k1:] = self.proj[np.r_[kd, :kd]]
+        gw[k1:, :k1] = gw[:k1, k1:].swapaxes(0, 1)
+        back = np.zeros((len(self.blocks.r_d), 1, k2, k2))
+        back[..., 0, 0] = 1.0
+        back[..., 1:k1, 1:k1] = self.blocks.r_d[:, None]
+        back[..., k1:, k1:] = self.blocks.r_m[:, None]
+        back /= np.where(scale > 0, scale, 1.0)[:, None, None, :]
+        return back.swapaxes(-1, -2) @ np.moveaxis(gw, (0, 1), (-2, -1)) @ back, scale
 
 
-def _batch_regression(
+def _masked(ok: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays with NaN wherever ``ok`` is False."""
+    return tuple(np.where(ok, a, np.nan) for a in arrays)
+
+
+def _partialled_stats(
     d: np.ndarray,
     m: np.ndarray,
     signs: np.ndarray,
     y: np.ndarray,
-    want: Iterable[str],
+    want: Sequence[str],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-assignment intercept estimates and variances for one table.
+    """Per-assignment (tau_hat, s2) of the regression estimators ``want``.
 
-    ``signs`` and ``y`` have shape (B, n); ``d`` and ``m`` are the
-    fixed design blocks. The assignments go through :func:`_grams` in
-    chunks of ``_CHUNK``. Returns {id: (tau_hat, s2)} for the requested
-    regression estimators (see :func:`_intercept_stats`).
+    ``d`` (T, n, K_D) and ``m`` (T, n, K_M) are the fixed design blocks
+    of T tables; ``signs`` and ``y`` (T, B, n) hold B assignments per
+    table. Each table's blocks are whitened once; the assignments then
+    go through :class:`_SignProducts` in chunks of ``_CHUNK``. Returns
+    (T, B) arrays; singular fits are NaN.
     """
-    want = tuple(want)
-    n, k1 = d.shape[0], 1 + d.shape[1]
-    out: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {est: [] for est in want}
-    for lo in range(0, signs.shape[0], _CHUNK):
-        gram, rhs, yty = _grams(
-            d[None], m[None], signs[None, lo : lo + _CHUNK], y[None, lo : lo + _CHUNK]
-        )
-        for est, part in _intercept_stats(gram[0], rhs[0], yty[0], n, k1, want).items():
-            out[est].append(part)
-
+    blocks = _Whitened.of(d, m)
+    with_m = "R2" in want or "R2P" in want
+    parts = [
+        _SignProducts.of(
+            blocks, signs[:, lo : lo + _CHUNK], y[:, lo : lo + _CHUNK], with_m
+        ).stats(want)
+        for lo in range(0, signs.shape[1], _CHUNK)
+    ]
     return {
-        est: (
-            np.concatenate([t for t, _ in parts]),
-            np.concatenate([s for _, s in parts]),
-        )
-        for est, parts in out.items()
+        est: tuple(np.concatenate([p[est][i] for p in parts], axis=1) for i in (0, 1))
+        for est in want
     }
 
 
@@ -364,7 +505,7 @@ def _table_stats(
 
     ``signs`` has shape (B, n). Y follows from the level/effect identity
     Y_i = Delta_i + v_i (l_i1 - l_i2); the regression estimators need the
-    fixed (d, m) ``blocks`` and go through :func:`_batch_regression`.
+    fixed (d, m) ``blocks`` and go through :func:`_partialled_stats`.
     """
     ell = sample.levels
     y = sample.effects + signs * (ell[:, 0] - ell[:, 1])
@@ -374,7 +515,8 @@ def _table_stats(
     reg_ids = [est for est in want if est != "C"]
     if reg_ids:
         d, m = blocks
-        out.update(_batch_regression(d, m, signs, y, reg_ids))
+        stats = _partialled_stats(d[None], m[None], signs[None], y[None], reg_ids)
+        out.update({est: (tau[0], s2[0]) for est, (tau, s2) in stats.items()})
     return {est: out[est] for est in want}
 
 
@@ -715,34 +857,43 @@ def _pate_kernel(
     since |R_kk| >= sigma_min(X) >= sqrt(lambda_min) * min scale and
     |R_00| = sqrt(n) * max scale; that bound must clear RANK_RTOL tenfold,
     a margin for rounding in the factorization. So the single-fit path
-    returns a row for every certified table. Returns no rows when the
+    returns a row for every certified table. The kernel's own pivot
+    tests must pass too, and G is rebuilt from the kernel's pieces (see
+    :meth:`_SignProducts.equilibrated_gram`), so the signs are
+    multiplied out once. Returns no rows when the
     block's transforms are not finite or the design has no m column
     (superpop_correct refuses it).
     """
-    b, n = signs.shape
+    n = signs.shape[1]
     try:
         d, m = transformed_blocks(x, f, g)
     except NonFiniteTransform:
         return {}
     if m.shape[-1] == 0:
         return {}
-    k1 = 1 + d.shape[-1]
     _, _, y, ok = _observe(r_t, r_c, signs)
     # Columns near the float range (exp of large covariates) overflow
     # here; their tables fail the certificate and the single fit reports
     # them, so the overflow is not worth a warning of its own.
     with np.errstate(over="ignore", invalid="ignore"):
         ok &= columns_centered(m)
-        gram, rhs, yty = (a[:, 0] for a in _grams(d, m, signs[:, None], y[:, None]))
-        scale = np.concatenate([np.ones((b, 1, 1)), _column_rms(d), _column_rms(m)], axis=-1)[:, 0]
-        lam = np.linalg.eigvalsh(gram)
+        prods = _SignProducts.of(_Whitened.of(d, m), signs[:, None], y[:, None], True)
+        stats = {
+            est: (tau[:, 0], s2[:, 0])
+            for est, (tau, s2) in prods.stats(("R1", "R2", "R2P")).items()
+        }
+        # Rows that fail the kernel's own pivot tests need no eigenvalues.
+        ok &= np.isfinite(stats["R1"][1]) & np.isfinite(stats["R2P"][1])
+        gram, scale = prods.equilibrated_gram()
+        lam = np.linalg.eigvalsh(gram[ok, 0])
         rank_bound = (
-            np.sqrt(np.maximum(lam[:, 0], 0.0) / n) * scale.min(axis=-1) / scale.max(axis=-1)
+            np.sqrt(np.maximum(lam[:, 0], 0.0) / n)
+            * scale[ok].min(axis=-1) / scale[ok].max(axis=-1)
         )
-        ok &= (lam[:, 0] > _CERT_RTOL * lam[:, -1]) & (rank_bound > 10.0 * RANK_RTOL)
+        ok[ok] = (lam[:, 0] > _CERT_RTOL * lam[:, -1]) & (rank_bound > 10.0 * RANK_RTOL)
 
     sel = np.flatnonzero(ok)
-    stats = _intercept_stats(gram[sel], rhs[sel], yty[sel], n, k1, ("R1", "R2", "R2P"))
+    stats = {est: (tau[sel], s2[sel]) for est, (tau, s2) in stats.items()}
     tau_c, s2_c = _classical_stats(y[sel])
     cols = {
         "tau_C": tau_c,
@@ -989,22 +1140,30 @@ def lemma_diagnostics(
         rng = np.random.default_rng()
     d, m = transformed_blocks(sample.x, f, g)
     n = sample.n
-    ones = np.ones(n)
-    off = np.empty(reps)
-    resid = np.empty(reps)
-    for r in range(reps):
-        v = np.asarray(signs, dtype=float) if signs is not None else randomize(n, rng)
+    cols = 1 + d.shape[1] + m.shape[1]
+    if n < cols:
+        raise RankDeficient(f"{cols} columns but only {n} rows")
+    if signs is None:
+        v = randomize(n, rng, reps)
+    else:
+        v = np.asarray(signs, dtype=float)
         if v.shape != (n,):
             raise LengthMismatch(f"signs have shape {v.shape}, need ({n},)")
-        vd = v[:, None] * d
-        off[r] = (
-            np.abs(vd.T @ m).max() / n if d.shape[1] and m.shape[1] else 0.0
+        v = np.broadcast_to(v, (reps, n))
+    if d.shape[1] and m.shape[1]:
+        # (v*d)'m = sum_i v_i d_i m_i', one row of sign products per repetition.
+        cross = (d[:, :, None] * m[:, None, :]).reshape(n, -1)
+        off = np.abs(v @ cross).max(axis=-1) / n
+    else:
+        off = np.zeros(reps)
+    # e'(I - H)e is the intercept denominator of the fit on [1 | vd | m].
+    prods = _SignProducts.of(_Whitened.of(d[None], m[None]), v[None], np.zeros((1, reps, n)), True)
+    denom = prods.r2(corrected=False)[2][0]
+    bad = ~np.isfinite(denom)
+    if bad.any():
+        raise RankDeficient(
+            f"{int(bad.sum())} of {reps} assignments give a singular design "
+            f"(first repetition {int(np.flatnonzero(bad)[0])})"
         )
-        a = np.hstack([vd, m])
-        if a.shape[1]:
-            # e'(I - H)e = 1/||u||^2, u the intercept row of the fit on [1 | a].
-            u = least_squares(a, ones).intercept_row
-            resid[r] = abs(1.0 / float(u @ u) / n - 1.0)
-        else:
-            resid[r] = 0.0
+    resid = np.abs(denom / n - 1.0)
     return LemmaDiagnostics(n=n, reps=reps, off_block=off, ones_residual=resid)

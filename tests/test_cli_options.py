@@ -317,6 +317,19 @@ def test_output_that_is_a_directory_exits_4_before_work(capsys, dirs, command, o
     assert captured.out == "" and list(out.iterdir()) == []
 
 
+def test_generate_sidecar_that_is_a_directory_exits_4_before_work(capsys, dirs):
+    _, _, out = dirs
+    sidecar = out / "t.json"
+    sidecar.mkdir()
+    table = out / "t.csv"
+    argv = ["generate", "--n", "6", "--setting", "parallel", "--out", str(table)]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"paired-adjust: error: --out: {str(sidecar)!r} is a directory\n"
+    assert captured.out == "" and not table.exists()
+    assert list(out.iterdir()) == [sidecar]
+
+
 @pytest.mark.parametrize("command,option", _OUTPUT_OPTIONS)
 def test_overlong_output_name_exits_4_before_work(capsys, dirs, command, option):
     tmp, inp, out = dirs

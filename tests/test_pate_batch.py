@@ -24,7 +24,7 @@ from paired_adjust.randomization_engine import (
     StudyConfig,
     _pate_block,
     _pate_fit,
-    _grams,
+    _partialled_stats,
     _pate_kernel,
     _pate_rows,
     randomize,
@@ -95,13 +95,15 @@ def test_stacked_grams_match_one_table_at_a_time(f, g):
     y = np.stack([s.effects for s in samples])[:, None] + signs * (
         levels[..., 0] - levels[..., 1]
     )[:, None]
-    alone = [_grams(d[j : j + 1], m[j : j + 1], signs[j : j + 1], y[j : j + 1])
+    want = ("R1", "R2", "R2P")
+    alone = [_partialled_stats(d[j : j + 1], m[j : j + 1], signs[j : j + 1], y[j : j + 1], want)
              for j in range(12)]
     for lo, hi in [(3, 4), (2, 9), (0, 12)]:
-        stacked = _grams(d[lo:hi], m[lo:hi], signs[lo:hi], y[lo:hi])
+        stacked = _partialled_stats(d[lo:hi], m[lo:hi], signs[lo:hi], y[lo:hi], want)
         for j in range(lo, hi):
-            for part, ref in zip(stacked, alone[j]):
-                assert np.array_equal(part[j - lo], ref[0])
+            for est in want:
+                for part, ref in zip(stacked[est], alone[j][est]):
+                    assert np.array_equal(part[j - lo], ref[0])
 
 
 def test_rows_independent_of_block_size(monkeypatch):

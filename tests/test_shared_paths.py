@@ -84,6 +84,15 @@ def test_vd_parallel_to_ones_is_rank_deficient(rng):
         lemma_diagnostics(s, f, g, reps=1, signs=np.ones(n))
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_fewer_pairs_than_design_columns_is_rank_deficient(rng, n):
+    # Four d and four m columns need at least nine pairs.
+    s = make_sample(rng, n)
+    ident = TransformSpec.identity()
+    with pytest.raises(RankDeficient):
+        lemma_diagnostics(s, ident, ident, reps=2, rng=substream(44, ROLE_ASSIGN))
+
+
 @pytest.mark.filterwarnings("error")
 def test_one_pair_table_refused_in_both_modes():
     # S^2 is undefined with one pair, so the exact and Monte Carlo
