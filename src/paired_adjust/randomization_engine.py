@@ -31,11 +31,13 @@ draw each (pate studies). A pate block's tables are drawn as stacked
 arrays: each sample index still reads its normals and signs from its
 own substreams, and one pass over the block turns the normals into
 outcomes and covariates, so no per-table sample object is built.
-Estimates from this kernel agree with the single-fit estimators to
-solver precision and are tested against them; population-study rows
-the kernel cannot certify as well conditioned go through the single-fit
-path instead. The ones-projection residual of
-:func:`lemma_diagnostics` is the same kernel's R2 denominator.
+Every mode makes the same rank decision, the kernel's pivot tests,
+which do not depend on the scale of any covariate column; a pate study
+raises for the first sample, in index order, that fails them. Estimates
+from this kernel agree with the single-fit estimators to solver
+precision and are tested against them, but never call them. The
+ones-projection residual of :func:`lemma_diagnostics` is the same
+kernel's R2 denominator.
 """
 
 from __future__ import annotations
@@ -63,19 +65,12 @@ from .errors import (
     TooLarge,
     WrongEstimator,
 )
-from .estimators import (
-    estimate_classical,
-    estimate_r1,
-    estimate_r2,
-    normal_quantile,
-    superpop_correct,
-)
+from .estimators import normal_quantile
 from .experiment_model import (
     RANK_RTOL,
     PairedExperiment,
     TransformSpec,
     block_widths,
-    build_design,
     columns_centered,
     transformed_blocks,
 )
@@ -87,9 +82,6 @@ _CHUNK = 4096
 # per-call cost of the stacked kernel, small enough to keep its arrays
 # around a megabyte. Rows do not depend on it.
 _PATE_BLOCK = 256
-# A population-study row comes from the kernel only when its
-# equilibrated Gram has lambda_min / lambda_max above this bound.
-_CERT_RTOL = 1e-8
 
 ESTIMATOR_IDS = ("C", "R1", "R2", "R2P")
 
@@ -171,23 +163,26 @@ def _observe(
     return z, observed, y, agree
 
 
-def _whiten(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _whiten(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases for the columns of each table of a (T, n, K) block.
 
     A thin Householder QR per table gives ``q`` (T, K, n), whose rows
-    are orthonormal, and the upper-triangular ``r`` (T, K, K) with
-    q' r = a, so r'r = a'a is the Cholesky factorization of the block's
-    Gram (up to the signs of the rows of r). A table passes when every
-    pivot r_kk^2, the squared norm of what is left of column k after
-    the earlier columns are projected out, exceeds RANK_RTOL times the
-    squared norm of the column. Rescaling a column rescales the
-    matching column of ``r`` and nothing else, so the blocks need no
-    equilibration. A failing table still gives finite coordinates.
+    are orthonormal, with R upper triangular and q' R = a. A table
+    passes when every pivot R_kk^2, the squared norm of what is left of
+    column k after the earlier columns are projected out, exceeds
+    RANK_RTOL times the squared norm of the column, which is that of
+    column k of R. Rescaling a column rescales the matching column of R
+    and nothing else, so ``q`` and the test do not depend on column
+    scale. Each column is first brought to a largest magnitude in
+    [1/2, 1) by a power of two, which changes no bit of ``q`` and keeps
+    the squares from overflowing or underflowing. A failing table still
+    gives finite coordinates.
     """
-    q, r = np.linalg.qr(a)
-    diag2 = np.diagonal(r, axis1=-2, axis2=-1) ** 2
-    ok = (diag2 > RANK_RTOL * (a * a).sum(axis=-2)).all(axis=-1)
-    return np.ascontiguousarray(q.swapaxes(-1, -2)), r, ok
+    _, exp = np.frexp(np.abs(a).max(axis=-2, keepdims=True))
+    q, r = np.linalg.qr(np.ldexp(a, -exp))
+    r2 = r * r
+    ok = (np.diagonal(r2, axis1=-2, axis2=-1) > RANK_RTOL * r2.sum(axis=-2)).all(axis=-1)
+    return np.ascontiguousarray(q.swapaxes(-1, -2)), ok
 
 
 @dataclass(frozen=True)
@@ -195,19 +190,16 @@ class _Whitened:
     """The fixed design blocks of T tables, whitened once per table.
 
     The rows of ``dw`` (T, K_D, n) and ``w`` (T, K_M, n) are
-    orthonormal bases of the columns of d and m (see :func:`_whiten`),
-    with d = dw' r_d and m = w' r_m; ``ok_d`` and ``ok_m`` (T,) say
-    which tables passed the pivot test. Since v_i^2 = 1, v*dw is
-    orthonormal too, and since an intercept fit does not change when
-    its other columns are replaced by an invertible combination of
-    them, every fit can run in these coordinates.
+    orthonormal bases of the columns of d and m (see :func:`_whiten`);
+    ``ok_d`` and ``ok_m`` (T,) say which tables passed the pivot test.
+    Since v_i^2 = 1, v*dw is orthonormal too, and since an intercept fit
+    does not change when its other columns are replaced by an invertible
+    combination of them, every fit can run in these coordinates.
     """
 
     dw: np.ndarray
-    r_d: np.ndarray
     ok_d: np.ndarray
     w: np.ndarray
-    r_m: np.ndarray
     ok_m: np.ndarray
 
     @classmethod
@@ -387,40 +379,6 @@ class _SignProducts:
             if "R2P" in want:
                 out["R2P"] = (beta0, s2 + corr / ((n - 1) * n))
         return {est: out[est] for est in want}
-
-    def equilibrated_gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Gram of [1 | v*d | m] with unit-RMS columns, and the scales.
-
-        Returns the Grams (T, B, K, K) and each table's column RMS
-        (T, K), one for the intercept. The Gram is built from the
-        kernel's own pieces: the Gram in whitened coordinates,
-        [[n, s', 1'w], [s, I, Q], [., Q', I]] with Q = (v*dw)'w, taken
-        back to the design's columns by blockdiag(1, r_d, r_m), whose
-        column norms are those of the design. A zero column stays zero.
-        """
-        blocks = self.blocks
-        scale = np.sqrt(
-            np.concatenate(
-                [np.full((len(blocks.r_d), 1), self.n), (blocks.r_d**2).sum(axis=-2),
-                 (blocks.r_m**2).sum(axis=-2)],
-                axis=-1,
-            ) / self.n
-        )
-        kd, km = self.s.shape[0], self.blocks.w.shape[1]
-        k1, k2 = 1 + kd, 1 + kd + km
-        gw = np.zeros((k2, k2) + self.ysum.shape)
-        idx = np.arange(1, k2)
-        gw[idx, idx] = 1.0
-        gw[0, 0] = self.n
-        gw[0, 1:k1] = gw[1:k1, 0] = self.s
-        gw[:k1, k1:] = self.proj[np.r_[kd, :kd]]
-        gw[k1:, :k1] = gw[:k1, k1:].swapaxes(0, 1)
-        back = np.zeros((len(self.blocks.r_d), 1, k2, k2))
-        back[..., 0, 0] = 1.0
-        back[..., 1:k1, 1:k1] = self.blocks.r_d[:, None]
-        back[..., k1:, k1:] = self.blocks.r_m[:, None]
-        back /= np.where(scale > 0, scale, 1.0)[:, None, None, :]
-        return back.swapaxes(-1, -2) @ np.moveaxis(gw, (0, 1), (-2, -1)) @ back, scale
 
 
 def _masked(ok: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -751,13 +709,15 @@ def _validate_config(config: StudyConfig) -> StudyConfig:
     if config.workers < 1:
         raise ConfigError(f"need workers >= 1, got {config.workers}")
     try:
-        k = sum(block_widths(config.f, config.g, N_COVARIATES))
+        k_d, k_m = block_widths(config.f, config.g, N_COVARIATES)
     except DimensionMismatch as exc:
         raise ConfigError(f"transform does not fit the generated covariates: {exc}") from None
-    if config.n <= k + 1:
+    if config.n <= k_d + k_m + 1:
         raise ConfigError(
-            f"n={config.n} too small for the transforms (need n > {k + 1})"
+            f"n={config.n} too small for the transforms (need n > {k_d + k_m + 1})"
         )
+    if config.mode == "pate" and k_m == 0:
+        raise ConfigError("superpopulation correction needs at least one m column")
     return config
 
 
@@ -813,27 +773,6 @@ def _sate_row(config: StudyConfig, idx: int) -> dict[str, float]:
     }
 
 
-def _pate_fit(
-    sample: PotentialOutcomeSample, v: np.ndarray, f: TransformSpec, g: TransformSpec
-) -> dict[str, float]:
-    """One population-study row through the single-fit estimators."""
-    exp, _ = reveal(sample, v)
-    dm = build_design(exp, f, g)
-    rep_c = estimate_classical(dm.y)
-    rep_r1 = estimate_r1(dm)
-    rep_r2 = estimate_r2(dm)
-    rep_r2p = superpop_correct(rep_r2, dm)
-    return {
-        "tau_C": rep_c.tau_hat,
-        "se_C": rep_c.se,
-        "tau_R1": rep_r1.tau_hat,
-        "se_R1": rep_r1.se,
-        "tau_R2": rep_r2.tau_hat,
-        "se_R2": rep_r2.se,
-        "se_R2P": rep_r2p.se,
-    }
-
-
 def _pate_kernel(
     r_t: np.ndarray,
     r_c: np.ndarray,
@@ -841,60 +780,56 @@ def _pate_kernel(
     signs: np.ndarray,
     f: TransformSpec,
     g: TransformSpec,
-) -> dict[int, dict[str, float]]:
-    """Kernel rows for the tables of a block it can certify, by position.
+    idxs: Optional[Sequence[int]] = None,
+) -> list[dict[str, float]]:
+    """Population-study rows for a block of stacked tables, in order.
 
     Table j has potential outcomes ``r_t[j]``, ``r_c[j]`` (n, 2) and
-    observed covariates ``x[j]`` (n, 2, 4), and meets the signs
-    ``signs[j]``. A table is certified when its
-    Y passes the reveal cross-check, its m columns pass the
-    :func:`columns_centered` test that :class:`DesignMatrices` applies,
-    and the equilibrated Gram G of its design X = [1 | vd | m] has
-    lambda_min / lambda_max > _CERT_RTOL.
-    That bound keeps e'(I-H)e = 1/(G^-1)_00 >= lambda_min well above the
-    DegenerateDenominator cutoff. With the column scales it also bounds
-    every |R_kk| / |R_00| of the pivoted QR the single fit would run,
-    since |R_kk| >= sigma_min(X) >= sqrt(lambda_min) * min scale and
-    |R_00| = sqrt(n) * max scale; that bound must clear RANK_RTOL tenfold,
-    a margin for rounding in the factorization. So the single-fit path
-    returns a row for every certified table. The kernel's own pivot
-    tests must pass too, and G is rebuilt from the kernel's pieces (see
-    :meth:`_SignProducts.equilibrated_gram`), so the signs are
-    multiplied out once. Returns no rows when the
-    block's transforms are not finite or the design has no m column
-    (superpop_correct refuses it).
+    observed covariates ``x[j]`` (n, 2, 4), meets the signs
+    ``signs[j]`` and is sample ``idxs[j]`` of its study (j by default).
+    Every row comes from :func:`_partialled_stats`, whose pivot tests
+    make the same rank decision as in the other study modes. The first
+    table in order that fails raises, and its first failing check picks
+    the error: AssertionError when its Y fails the reveal cross-check,
+    DimensionMismatch when its m columns fail :func:`columns_centered`
+    (the test :class:`DesignMatrices` applies), and RankDeficient, naming
+    the sample, when its R1 or R2P fit is singular. When the block's
+    transforms are not finite, its tables go through this function one
+    at a time, so there too the first failing table decides the error.
     """
-    n = signs.shape[1]
+    if idxs is None:
+        idxs = range(len(signs))
     try:
         d, m = transformed_blocks(x, f, g)
     except NonFiniteTransform:
-        return {}
-    if m.shape[-1] == 0:
-        return {}
-    _, _, y, ok = _observe(r_t, r_c, signs)
-    # Columns near the float range (exp of large covariates) overflow
-    # here; their tables fail the certificate and the single fit reports
-    # them, so the overflow is not worth a warning of its own.
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok &= columns_centered(m)
-        prods = _SignProducts.of(_Whitened.of(d, m), signs[:, None], y[:, None], True)
-        stats = {
-            est: (tau[:, 0], s2[:, 0])
-            for est, (tau, s2) in prods.stats(("R1", "R2", "R2P")).items()
-        }
-        # Rows that fail the kernel's own pivot tests need no eigenvalues.
-        ok &= np.isfinite(stats["R1"][1]) & np.isfinite(stats["R2P"][1])
-        gram, scale = prods.equilibrated_gram()
-        lam = np.linalg.eigvalsh(gram[ok, 0])
-        rank_bound = (
-            np.sqrt(np.maximum(lam[:, 0], 0.0) / n)
-            * scale[ok].min(axis=-1) / scale[ok].max(axis=-1)
-        )
-        ok[ok] = (lam[:, 0] > _CERT_RTOL * lam[:, -1]) & (rank_bound > 10.0 * RANK_RTOL)
-
-    sel = np.flatnonzero(ok)
-    stats = {est: (tau[sel], s2[sel]) for est, (tau, s2) in stats.items()}
-    tau_c, s2_c = _classical_stats(y[sel])
+        if len(signs) == 1:
+            raise
+        return [
+            row
+            for j in range(len(signs))
+            for row in _pate_kernel(
+                r_t[j : j + 1], r_c[j : j + 1], x[j : j + 1], signs[j : j + 1], f, g,
+                idxs[j : j + 1],
+            )
+        ]
+    _, _, y, agree = _observe(r_t, r_c, signs)
+    stats = {
+        est: (tau[:, 0], s2[:, 0])
+        for est, (tau, s2) in _partialled_stats(
+            d, m, signs[:, None], y[:, None], ("R1", "R2", "R2P")
+        ).items()
+    }
+    centered = columns_centered(m)
+    full_rank = np.isfinite(stats["R1"][1]) & np.isfinite(stats["R2P"][1])
+    bad = np.flatnonzero(~(agree & centered & full_rank))
+    if bad.size:
+        j = bad[0]
+        if not agree[j]:
+            raise AssertionError("observed-response and level/effect Y constructions disagree")
+        if not centered[j]:
+            raise DimensionMismatch("m columns must sum to zero across pairs")
+        raise RankDeficient(f"sample {idxs[j]}: the regression design is rank deficient")
+    tau_c, s2_c = _classical_stats(y)
     cols = {
         "tau_C": tau_c,
         "se_C": np.sqrt(s2_c),
@@ -904,35 +839,7 @@ def _pate_kernel(
         "se_R2": np.sqrt(stats["R2"][1]),
         "se_R2P": np.sqrt(stats["R2P"][1]),
     }
-    return {
-        int(j): {key: float(vals[i]) for key, vals in cols.items()}
-        for i, j in enumerate(sel)
-    }
-
-
-def _pate_block(
-    r_t: np.ndarray,
-    r_c: np.ndarray,
-    x: np.ndarray,
-    signs: np.ndarray,
-    f: TransformSpec,
-    g: TransformSpec,
-) -> list[dict[str, float]]:
-    """Population-study rows for a block of stacked tables, in order.
-
-    Rows :func:`_pate_kernel` certifies come from the shared kernel;
-    every other row goes through the single-fit path, in table order,
-    so the first error raised is the one the single-fit path raises for
-    the first table it fails on. Only those rows get a
-    :class:`PotentialOutcomeSample`.
-    """
-    kernel = _pate_kernel(r_t, r_c, x, signs, f, g)
-    return [
-        kernel[j]
-        if j in kernel
-        else _pate_fit(PotentialOutcomeSample(r_t=r_t[j], r_c=r_c[j], x=x[j]), signs[j], f, g)
-        for j in range(len(signs))
-    ]
+    return [{key: float(vals[j]) for key, vals in cols.items()} for j in range(len(signs))]
 
 
 def _pate_rows(config: StudyConfig, idxs: Sequence[int]) -> list[dict[str, float]]:
@@ -943,7 +850,8 @@ def _pate_rows(config: StudyConfig, idxs: Sequence[int]) -> list[dict[str, float
     ``substream(seed, ROLE_ASSIGN, i)``, so a row does not depend on the
     block it is computed in. The block's tables are built as stacked
     arrays in one pass, bit for bit the tables :func:`generate_sample`
-    draws from the same streams.
+    draws from the same streams, and go through :func:`_pate_kernel`
+    together, which raises for the first failing index.
     """
     n = config.n
     normals = np.array(
@@ -951,7 +859,7 @@ def _pate_rows(config: StudyConfig, idxs: Sequence[int]) -> list[dict[str, float
     )
     signs = np.array([randomize(n, substream(config.seed, ROLE_ASSIGN, i)) for i in idxs])
     _, r_t, r_c, x = _stacked_tables(normals, config.setting)
-    return _pate_block(r_t, r_c, x, signs, config.f, config.g)
+    return _pate_kernel(r_t, r_c, x, signs, config.f, config.g, idxs)
 
 
 def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> list[dict[str, float]]:

@@ -209,6 +209,27 @@ class TestEnumerate:
         counts = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
         assert sum(counts) == 4 * 256
 
+    @pytest.mark.filterwarnings("error")
+    def test_covariate_units_near_the_float_range(self, capsys, tmp_path):
+        s = generate_sample(12, "nonparallel", seed=11)
+        summaries = []
+        for scale in (1.0, 1e160):
+            path = tmp_path / f"x{scale:g}.csv"
+            write_science_table(
+                type(s)(r_t=s.r_t, r_c=s.r_c, x=s.x * scale, setting=s.setting, seed=s.seed),
+                path,
+            )
+            code, out, err = run_cli(
+                capsys, "enumerate", "--input", str(path),
+                "--f", "select:1,2", "--g", "select:3",
+            )
+            assert (code, err) == (0, "")
+            summaries.append(json.loads(out)["summary"]["estimators"])
+        assert list(summaries[1]) == ["C", "R1", "R2", "R2P"]
+        for est, cell in summaries[0].items():
+            for key, value in cell.items():
+                assert summaries[1][est][key] == pytest.approx(value, rel=1e-12), (est, key)
+
     def test_sidecar_mismatch_is_a_data_error(self, capsys, science_csv):
         path, sidecar = science_csv
         meta = json.loads(sidecar.read_text())

@@ -2,9 +2,10 @@
 
 For random small tables under several transforms, the kernel's R1, R2
 and R2P estimates and variances must match the closed-form oracles, and
-must not change when the pairs are listed in another order or when the
+must not change when the pairs are listed in another order, when the
 two units of some pairs trade places (which flips the sign of v and of
-d for those pairs and leaves y and m alone).
+d for those pairs and leaves y and m alone), or when the covariate
+columns are given other units, up to the edges of the float range.
 """
 
 import numpy as np
@@ -52,10 +53,10 @@ def kernel(d, m, signs, y):
     return {est: (tau[0], s2[0]) for est, (tau, s2) in stats.items()}
 
 
-def assert_same(got, want, y):
+def assert_same(got, want, y, rtol=RTOL):
     for est in WANT:
-        assert got[est][0] == pytest.approx(want[est][0], rel=RTOL, abs=RTOL * np.abs(y).max())
-        assert got[est][1] == pytest.approx(want[est][1], rel=RTOL)
+        assert got[est][0] == pytest.approx(want[est][0], rel=rtol, abs=rtol * np.abs(y).max())
+        assert got[est][1] == pytest.approx(want[est][1], rel=rtol)
 
 
 @PROPERTY
@@ -86,6 +87,23 @@ def test_invariant_to_swapping_units_within_pairs(table):
     d, m, signs, y, rng = table
     flip = np.where(rng.random(y.shape[1]) < 0.5, -1.0, 1.0)
     assert_same(kernel(d * flip[:, None], m, signs * flip, y), kernel(d, m, signs, y), y)
+
+
+@PROPERTY
+@given(tables())
+def test_invariant_to_rescaling_covariate_columns(table):
+    d, m, signs, y, rng = table
+    base = kernel(d, m, signs, y)
+    kd, km = d.shape[1], m.shape[1]
+    # A power of two per column changes no bit, out to 2^+-600.
+    k = rng.integers(-600, 601, size=kd + km)
+    binary = kernel(np.ldexp(d, k[:kd]), np.ldexp(m, k[kd:]), signs, y)
+    for est in WANT:
+        for got, want in zip(binary[est], base[est]):
+            assert np.array_equal(got, want, equal_nan=True)
+    # Decimal units round each entry, so the fits agree to solver precision.
+    k = rng.integers(-150, 151, size=kd + km)
+    assert_same(kernel(d * 10.0 ** k[:kd], m * 10.0 ** k[kd:], signs, y), base, y, rtol=1e-9)
 
 
 @pytest.mark.parametrize("block", ["d", "m"])

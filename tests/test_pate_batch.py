@@ -1,9 +1,11 @@
 """Population-study rows through the shared kernel, in blocks of tables.
 
-The block routine must give the single-fit path's rows to solver
+Every row of a block comes from the kernel. The rows must match a
+single-fit reference built from the public estimators to solver
 precision, must not depend on the block size or the worker count, and
-must raise exactly what the single-fit path raises for any table it
-cannot certify.
+the first failing table of a block must raise what the reference raises
+for it. The rank decision is the kernel's own, so pate and sate studies
+call the same designs singular.
 """
 
 import json
@@ -19,15 +21,20 @@ from paired_adjust.errors import (
     NonFiniteTransform,
     RankDeficient,
 )
-from paired_adjust.experiment_model import TransformSpec, transformed_blocks
+from paired_adjust.estimators import (
+    estimate_classical,
+    estimate_r1,
+    estimate_r2,
+    superpop_correct,
+)
+from paired_adjust.experiment_model import TransformSpec, build_design, transformed_blocks
 from paired_adjust.randomization_engine import (
     StudyConfig,
-    _pate_block,
-    _pate_fit,
     _partialled_stats,
     _pate_kernel,
     _pate_rows,
     randomize,
+    reveal,
     run_study,
 )
 from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE, substream
@@ -48,6 +55,25 @@ def _draws(seed, n, count, setting="nonparallel"):
     ]
     signs = np.array([randomize(n, substream(seed, ROLE_ASSIGN, i)) for i in range(count)])
     return samples, signs
+
+
+def _pate_fit(sample, v, f, g):
+    """Reference row: one table and its signs through the single-fit estimators."""
+    exp, _ = reveal(sample, v)
+    dm = build_design(exp, f, g)
+    rep_c = estimate_classical(dm.y)
+    rep_r1 = estimate_r1(dm)
+    rep_r2 = estimate_r2(dm)
+    rep_r2p = superpop_correct(rep_r2, dm)
+    return {
+        "tau_C": rep_c.tau_hat,
+        "se_C": rep_c.se,
+        "tau_R1": rep_r1.tau_hat,
+        "se_R1": rep_r1.se,
+        "tau_R2": rep_r2.tau_hat,
+        "se_R2": rep_r2.se,
+        "se_R2P": rep_r2p.se,
+    }
 
 
 def _pate_row(config, idx):
@@ -73,14 +99,13 @@ def test_kernel_rows_match_single_fit(f, g):
     cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=120, seed=31, f=f, g=g)
     samples, signs = _draws(31, 25, 120)
     kernel = _pate_kernel(*_stack(samples), signs, f, g)
-    assert len(kernel) >= 110  # the comparison really exercises the kernel
-    for j, row in kernel.items():
+    assert len(kernel) == 120
+    for j, row in enumerate(kernel):
         ref = _pate_row(cfg, j)
         assert row.keys() == ref.keys()
         for key, value in row.items():
             assert value == pytest.approx(ref[key], rel=1e-9, abs=0.0), (j, key)
-    rows = _pate_rows(cfg, range(120))
-    assert [rows[j] for j in kernel] == list(kernel.values())
+    assert _pate_rows(cfg, range(120)) == kernel
 
 
 @pytest.mark.parametrize(
@@ -160,31 +185,31 @@ def test_block_raises_what_single_path_raises(keep, expected):
     signs = signs[list(keep)]
     assert _single_path_error(samples, signs, F_CRAFT, G_CRAFT) is expected
     with pytest.raises(expected):
-        _pate_block(*_stack(samples), signs, F_CRAFT, G_CRAFT)
+        _pate_kernel(*_stack(samples), signs, F_CRAFT, G_CRAFT)
 
 
-def test_failing_transform_sends_whole_block_through_single_path():
+def test_failing_transform_sends_block_one_table_at_a_time():
     samples, signs = _crafted_block()
     x = np.array(samples[5].x)
     x[0, 0, 0] = -1.0  # log of a negative covariate
     samples[5] = _with_x(samples[5], x)
     log = T.log()
-    assert _pate_kernel(*_stack(samples), signs, log, log) == {}
     assert _single_path_error(samples, signs, log, log) is RankDeficient
     with pytest.raises(RankDeficient):
-        _pate_block(*_stack(samples), signs, log, log)
+        _pate_kernel(*_stack(samples), signs, log, log)
     with pytest.raises(NonFiniteTransform):
-        _pate_block(*_stack(samples[5:]), signs[5:], log, log)
+        _pate_kernel(*_stack(samples[5:]), signs[5:], log, log)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "args,code,message",
     [
-        # zero-width m block: every row falls back, superpop_correct refuses
+        # zero-width m block: refused before any sample is drawn
         (["--n", "25", "--g", "select:"], 4, "superpopulation correction needs"),
-        # exp of the covariates overflows the kernel's column scales
-        (["--n", "25", "--f", "exp", "--g", "exp"], 3, "design rank 1 < 5"),
+        # exp of the covariates: table 0 is full rank under the kernel's
+        # scale-invariant test, table 1 fails the absolute centering tolerance
+        (["--n", "25", "--f", "exp", "--g", "exp"], 2, "m columns must sum to zero"),
         (["--n", "200", "--f", "power:3", "--g", "power:3"], 2, "m columns must sum to zero"),
     ],
 )
@@ -195,6 +220,17 @@ def test_failing_pate_studies_keep_error_and_exit_code(tmp_path, capsys, args, c
     err = capsys.readouterr().err
     assert err.startswith(f"paired-adjust: error: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["pate-study", "sate-study"])
+def test_study_modes_make_the_same_rank_decision(tmp_path, capsys, mode):
+    # A rank test that depends on column scale calls these pate designs singular.
+    argv = ["simulate", "--mode", mode, "--setting", "nonparallel", "--n", "30",
+            "--f", "power:3", "--g", "power:2", "--S", "20", "--seed", "3",
+            "--workers", "1", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_pate_study_identical_across_worker_counts(tmp_path, capsys):

@@ -3,9 +3,9 @@
 Runs each command below with the package imported from ``OLD/src`` and
 from ``NEW/src``, then prints, per output, whether the exit codes agree
 and the worst relative difference over every number in the report
-(|a - b| / max(|a|, |b|), zero when both are equal). Pate studies also
-run at ``--workers 2``, and their reports must match the one-worker
-reports byte for byte.
+(|a - b| / max(|a|, |b|), zero when both are equal; "n/a" unless both
+commands exit 0). Pate studies also run at ``--workers 2``, and their
+exit codes and reports must match the one-worker ones byte for byte.
 
     python tools/report_drift.py OLD NEW [--work DIR]
 """
@@ -30,12 +30,19 @@ RUNS = {
     "pate_n40_pow2_log": ["simulate", "--mode", "pate-study", "--setting", "nonparallel",
                           "--n", "40", "--S", "300", "--f", "power:2", "--g", "log",
                           "--seed", "7"],
+    "pate_n25_pow2": ["simulate", "--mode", "pate-study", "--setting", "nonparallel",
+                      "--n", "25", "--S", "2000", "--f", "power:2", "--g", "power:2",
+                      "--seed", "7"],
+    "pate_n30_pow3_pow2": ["simulate", "--mode", "pate-study", "--setting", "nonparallel",
+                           "--n", "30", "--S", "50", "--f", "power:3", "--g", "power:2",
+                           "--seed", "3"],
     "sate_n100": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
                   "--n", "100", "--S", "200", "--B", "200", "--seed", "5"],
     "enumerate_identity": ["enumerate", "--input", "{table}"],
     "enumerate_pow2_log": ["enumerate", "--input", "{table}", "--f", "power:2", "--g", "log"],
 }
-WORKERS = {"pate_n25": ("1", "2"), "pate_n40_pow2_log": ("1", "2"), "sate_n100": ("2", "1")}
+WORKERS = {"pate_n25": ("1", "2"), "pate_n40_pow2_log": ("1", "2"), "pate_n25_pow2": ("1", "2"),
+           "pate_n30_pow3_pow2": ("1", "2"), "sate_n100": ("2", "1")}
 
 
 def _cli(src: Path, argv: list[str]) -> int:
@@ -60,8 +67,10 @@ def run_tree(root: Path, work: Path) -> dict[str, tuple[int, Path]]:
             extra = ["--workers", workers] if workers else []
             code = _cli(src, argv + extra + ["--out", str(path)])
             reports.append((code, path))
-        if len(reports) == 2 and reports[0][1].read_bytes() != reports[1][1].read_bytes():
-            print(f"{root}: {name} differs across worker counts")
+        if len(reports) == 2:
+            (c1, p1), (c2, p2) = reports
+            if c1 != c2 or (c1 == 0 and p1.read_bytes() != p2.read_bytes()):
+                print(f"{root}: {name} differs across worker counts")
         out[name] = reports[0]
     return out
 
@@ -99,9 +108,9 @@ def main() -> int:
     worst_ok = True
     for name in RUNS:
         (c_old, p_old), (c_new, p_new) = old[name], new[name]
-        d = drift(p_old, p_new) if c_old == c_new == 0 else 0.0
+        d = f"{drift(p_old, p_new):.2g}" if c_old == c_new == 0 else "n/a"
         worst_ok &= c_old == c_new
-        print(f"{name}: exit {c_old} -> {c_new}, worst relative drift {d:.2g}")
+        print(f"{name}: exit {c_old} -> {c_new}, worst relative drift {d}")
     return 0 if worst_ok else 1
 
 
