@@ -25,12 +25,16 @@ of the v*d columns after m is projected out, eliminated for every
 assignment at once. A fit whose table or Schur pivots fall to RANK_RTOL
 times their columns' squared norms is singular and comes back NaN, to
 be counted by the callers. The grid takes three shapes: one table by
-all 2^n codes (enumeration), one table by B draws (Monte Carlo, and
-each table of a sate study), and blocks of up to 256 tables by one
-draw each (pate studies). A pate block's tables are drawn as stacked
-arrays: each sample index still reads its normals and signs from its
-own substreams, and one pass over the block turns the normals into
-outcomes and covariates, so no per-table sample object is built.
+all 2^n codes (enumeration) or by B draws (Monte Carlo), blocks of
+tables by their B draws each (sate studies, up to ``_SATE_DRAWS``
+draws per call), and blocks of up to 256 tables by one draw each (pate
+studies). All but the pate grids take Y from the level/effect
+identity, and the plain mean's statistics with it, in
+:func:`_grid_stats`; a pate study takes Y from the observed responses
+and checks it against the same identity. A study's tables are drawn as
+stacked arrays: each sample index still reads its normals and signs
+from its own substreams, and one pass over the block turns the normals
+into outcomes and covariates, so no per-table sample object is built.
 Every mode makes the same rank decision, the kernel's pivot tests,
 which do not depend on the scale of any covariate column; a pate study
 raises for the first sample, in index order, that fails them. Estimates
@@ -53,7 +57,6 @@ from .dgp import (
     SETTINGS,
     PotentialOutcomeSample,
     _stacked_tables,
-    generate_sample,
 )
 from .errors import (
     ConfigError,
@@ -82,6 +85,12 @@ _CHUNK = 4096
 # per-call cost of the stacked kernel, small enough to keep its arrays
 # around a megabyte. Rows do not depend on it.
 _PATE_BLOCK = 256
+# Assignments per kernel call in an in-sample study: a call takes
+# max(1, _SATE_DRAWS // B) tables and all B draws of each. Larger calls
+# buy almost nothing and cost memory, about 0.6 MB per table at n=100,
+# B=200; four such tables keep a worker's peak within 2% of one table
+# per call. Rows do not depend on it.
+_SATE_DRAWS = 800
 
 ESTIMATOR_IDS = ("C", "R1", "R2", "R2P")
 
@@ -155,12 +164,23 @@ def _observe(
     observed = np.where(z == 1, r_t, r_c)
     y = v * (observed[..., 0] - observed[..., 1])
 
-    ell = (r_t + r_c) / 2.0
-    tau = r_t - r_c
-    check = (tau[..., 0] + tau[..., 1]) / 2.0 + v * (ell[..., 0] - ell[..., 1])
+    effects, gaps = _effects_and_gaps(r_t, r_c)
+    check = effects + v * gaps
     scale = np.maximum(1.0, np.abs(observed).max(axis=(-2, -1), initial=0.0))
     agree = np.abs(y - check).max(axis=-1, initial=0.0) <= 1e-12 * scale
     return z, observed, y, agree
+
+
+def _effects_and_gaps(r_t: np.ndarray, r_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair effects Delta_i and level gaps l_i1 - l_i2 of (..., n, 2) outcomes.
+
+    With these, signs v give Y_i = Delta_i + v_i (l_i1 - l_i2), the
+    level/effect identity; the level l of a unit is the average of its
+    two potential outcomes. Each is (..., n).
+    """
+    ell = (r_t + r_c) / 2.0
+    tau = r_t - r_c
+    return (tau[..., 0] + tau[..., 1]) / 2.0, ell[..., 0] - ell[..., 1]
 
 
 def _whiten(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,11 +436,37 @@ def _partialled_stats(
 
 
 def _classical_stats(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tau_hat and S^2 of the plain mean, rowwise over (B, n)."""
-    n = y.shape[1]
-    tau = y.mean(axis=1)
-    s2 = ((y - tau[:, None]) ** 2).sum(axis=1) / (n * (n - 1))
+    """tau_hat and S^2 of the plain mean, over the last axis of (..., B, n)."""
+    n = y.shape[-1]
+    tau = y.mean(axis=-1)
+    s2 = ((y - tau[..., None]) ** 2).sum(axis=-1) / (n * (n - 1))
     return tau, s2
+
+
+def _grid_stats(
+    effects: np.ndarray,
+    gaps: np.ndarray,
+    signs: np.ndarray,
+    blocks: Optional[tuple[np.ndarray, np.ndarray]],
+    want: Sequence[str],
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per-assignment (tau_hat, s2) of the estimators ``want`` for T tables.
+
+    ``effects`` and ``gaps`` (T, n) come from :func:`_effects_and_gaps`
+    and ``signs`` (T, B, n) holds B assignments per table. Y follows from
+    the level/effect identity; the regression estimators need the fixed
+    (d, m) ``blocks``, each (T, n, K), and go through
+    :func:`_partialled_stats`. Returns (T, B) arrays, each table's
+    values bit for bit those it gets alone.
+    """
+    y = effects[:, None] + signs * gaps[:, None]
+    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    if "C" in want:
+        out["C"] = _classical_stats(y)
+    reg_ids = [est for est in want if est != "C"]
+    if reg_ids:
+        out.update(_partialled_stats(*blocks, signs, y, reg_ids))
+    return {est: out[est] for est in want}
 
 
 def _regression_blocks(
@@ -459,23 +505,12 @@ def _table_stats(
     blocks: Optional[tuple[np.ndarray, np.ndarray]],
     want: Sequence[str],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-assignment (tau_hat, s2) of the estimators ``want`` for one table.
-
-    ``signs`` has shape (B, n). Y follows from the level/effect identity
-    Y_i = Delta_i + v_i (l_i1 - l_i2); the regression estimators need the
-    fixed (d, m) ``blocks`` and go through :func:`_partialled_stats`.
-    """
-    ell = sample.levels
-    y = sample.effects + signs * (ell[:, 0] - ell[:, 1])
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    if "C" in want:
-        out["C"] = _classical_stats(y)
-    reg_ids = [est for est in want if est != "C"]
-    if reg_ids:
-        d, m = blocks
-        stats = _partialled_stats(d[None], m[None], signs[None], y[None], reg_ids)
-        out.update({est: (tau[0], s2[0]) for est, (tau, s2) in stats.items()})
-    return {est: out[est] for est in want}
+    """:func:`_grid_stats` for one table and its (B, n) ``signs``, as (B,) arrays."""
+    effects, gaps = _effects_and_gaps(sample.r_t, sample.r_c)
+    if blocks is not None:
+        blocks = (blocks[0][None], blocks[1][None])
+    stats = _grid_stats(effects[None], gaps[None], signs[None], blocks, want)
+    return {est: (tau[0], s2[0]) for est, (tau, s2) in stats.items()}
 
 
 @dataclass(frozen=True)
@@ -747,30 +782,51 @@ _PATE_METRICS = (
 )
 
 
-def _sate_row(config: StudyConfig, idx: int) -> dict[str, float]:
-    sample = generate_sample(
-        config.n, config.setting, rng=substream(config.seed, ROLE_SAMPLE, idx)
-    )
-    mc = run_monte_carlo(
-        sample,
-        config.randomizations,
-        alpha=config.alpha,
-        f=config.f,
-        g=config.g,
-        estimators=("C", "R1", "R2"),
-        rng=substream(config.seed, ROLE_ASSIGN, idx),
-    )
-    c, r1, r2 = mc.per["C"], mc.per["R1"], mc.per["R2"]
-    return {
-        "coverage_C": c.coverage,
-        "coverage_R1": r1.coverage,
-        "coverage_R2": r2.coverage,
-        "se_ratio_R1_C": r1.mean_se / c.mean_se,
-        "se_ratio_R2_C": r2.mean_se / c.mean_se,
-        "se_ratio_R2_R1": r2.mean_se / r1.mean_se,
-        "rmse_ratio_R1_C": r1.rmse / c.rmse,
-        "rmse_ratio_R2_C": r2.rmse / c.rmse,
-    }
+def _sate_rows(config: StudyConfig, idxs: Sequence[int]) -> list[dict[str, float]]:
+    """In-sample study rows for sample indices ``idxs``, in order.
+
+    Each index's table and B assignments come from its own substreams
+    (see :func:`_read_streams`), so a row does not depend on the block
+    it is computed in. The tables are built as stacked arrays and go
+    through :func:`_grid_stats` ``max(1, _SATE_DRAWS // B)`` at a time;
+    only the summaries against each table's own average effect are taken
+    table by table. Singular draws are left out of the summaries. When
+    the transforms are not finite, the first failing table in order
+    raises its own NonFiniteTransform.
+    """
+    per_call = max(1, _SATE_DRAWS // config.randomizations)
+    rows = []
+    for lo in range(0, len(idxs), per_call):
+        normals, signs = _read_streams(
+            config, idxs[lo : lo + per_call], config.randomizations
+        )
+        _, r_t, r_c, x = _stacked_tables(normals, config.setting)
+        try:
+            blocks = transformed_blocks(x, config.f, config.g)
+        except NonFiniteTransform:
+            # Raise what the first failing table raises alone: which
+            # transform fails first may differ between it and the stack.
+            for table in x:
+                transformed_blocks(table, config.f, config.g)
+            raise
+        effects, gaps = _effects_and_gaps(r_t, r_c)
+        stats = _grid_stats(effects, gaps, signs, blocks, ("C", "R1", "R2"))
+        for j in range(len(signs)):
+            sate = float(effects[j].mean())
+            c, r1, r2 = (
+                _summarize(tau[j], s2[j], sate, config.alpha) for tau, s2 in stats.values()
+            )
+            rows.append({
+                "coverage_C": c.coverage,
+                "coverage_R1": r1.coverage,
+                "coverage_R2": r2.coverage,
+                "se_ratio_R1_C": r1.mean_se / c.mean_se,
+                "se_ratio_R2_C": r2.mean_se / c.mean_se,
+                "se_ratio_R2_R1": r2.mean_se / r1.mean_se,
+                "rmse_ratio_R1_C": r1.rmse / c.rmse,
+                "rmse_ratio_R2_C": r2.rmse / c.rmse,
+            })
+    return rows
 
 
 def _pate_kernel(
@@ -842,22 +898,37 @@ def _pate_kernel(
     return [{key: float(vals[j]) for key, vals in cols.items()} for j in range(len(signs))]
 
 
+def _read_streams(
+    config: StudyConfig, idxs: Sequence[int], b: Optional[int] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, 10n) standard normals and the signs of sample indices ``idxs``.
+
+    Index i draws its table's normals from ``substream(seed, ROLE_SAMPLE,
+    i)`` and its signs from ``substream(seed, ROLE_ASSIGN, i)``: one
+    assignment (T, n) when ``b`` is None, else b of them (T, b, n). Row
+    t of the normals is what :func:`generate_sample` draws from the same
+    stream.
+    """
+    n, t = config.n, len(idxs)
+    normals = np.empty((t, 10 * n))
+    signs = np.empty((t, n) if b is None else (t, b, n))
+    for j, i in enumerate(idxs):
+        normals[j] = substream(config.seed, ROLE_SAMPLE, i).standard_normal(10 * n)
+        signs[j] = randomize(n, substream(config.seed, ROLE_ASSIGN, i), b)
+    return normals, signs
+
+
 def _pate_rows(config: StudyConfig, idxs: Sequence[int]) -> list[dict[str, float]]:
     """Population-study rows for sample indices ``idxs``.
 
-    Index i draws the 10n standard normals of its table from
-    ``substream(seed, ROLE_SAMPLE, i)`` and its signs from
-    ``substream(seed, ROLE_ASSIGN, i)``, so a row does not depend on the
-    block it is computed in. The block's tables are built as stacked
-    arrays in one pass, bit for bit the tables :func:`generate_sample`
-    draws from the same streams, and go through :func:`_pate_kernel`
-    together, which raises for the first failing index.
+    Each index's table and signs come from its own substreams (see
+    :func:`_read_streams`), so a row does not depend on the block it is
+    computed in. The block's tables are built as stacked arrays in one
+    pass, bit for bit the tables :func:`generate_sample` draws from the
+    same streams, and go through :func:`_pate_kernel` together, which
+    raises for the first failing index.
     """
-    n = config.n
-    normals = np.array(
-        [substream(config.seed, ROLE_SAMPLE, i).standard_normal(10 * n) for i in idxs]
-    )
-    signs = np.array([randomize(n, substream(config.seed, ROLE_ASSIGN, i)) for i in idxs])
+    normals, signs = _read_streams(config, idxs)
     _, r_t, r_c, x = _stacked_tables(normals, config.setting)
     return _pate_kernel(r_t, r_c, x, signs, config.f, config.g, idxs)
 
@@ -865,7 +936,7 @@ def _pate_rows(config: StudyConfig, idxs: Sequence[int]) -> list[dict[str, float
 def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> list[dict[str, float]]:
     config, idxs = args
     if config.mode == "sate":
-        return [_sate_row(config, idx) for idx in idxs]
+        return _sate_rows(config, idxs)
     return _pate_rows(config, idxs)
 
 
@@ -931,8 +1002,9 @@ def run_study(config: StudyConfig) -> StudyReport:
     config = _validate_config(config)
     if config.mode == "pate":
         config = replace(config, randomizations=1)
-    # Pate rows share the stacked kernel in fixed blocks; sate rows are
-    # independent, so their blocks only size the process pool's tasks.
+    # Pate rows share the stacked kernel in fixed blocks. A sate task
+    # splits its tables into kernel calls by _SATE_DRAWS, so its size
+    # only balances the process pool.
     if config.mode == "pate":
         size = _PATE_BLOCK
     else:

@@ -3,9 +3,11 @@
 Runs each command below with the package imported from ``OLD/src`` and
 from ``NEW/src``, then prints, per output, whether the exit codes agree
 and the worst relative difference over every number in the report
-(|a - b| / max(|a|, |b|), zero when both are equal; "n/a" unless both
-commands exit 0). Pate studies also run at ``--workers 2``, and their
-exit codes and reports must match the one-worker ones byte for byte.
+(|a - b| / max(|a|, |b|), zero when both are equal or both NaN, inf
+when only one is NaN or an infinity meets a different value; "n/a"
+unless both commands exit 0). Every study runs at ``--workers`` 1 and
+2, and its exit codes and reports must match across the two byte for
+byte.
 
     python tools/report_drift.py OLD NEW [--work DIR]
 """
@@ -38,11 +40,18 @@ RUNS = {
                            "--seed", "3"],
     "sate_n100": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
                   "--n", "100", "--S", "200", "--B", "200", "--seed", "5"],
+    "sate_n40_pow2_log": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
+                          "--n", "40", "--S", "60", "--B", "50", "--f", "power:2", "--g", "log",
+                          "--seed", "9"],
+    "sate_n25_exp_exp": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
+                         "--n", "25", "--S", "50", "--B", "20", "--f", "exp", "--g", "exp",
+                         "--seed", "3"],
     "enumerate_identity": ["enumerate", "--input", "{table}"],
     "enumerate_pow2_log": ["enumerate", "--input", "{table}", "--f", "power:2", "--g", "log"],
 }
 WORKERS = {"pate_n25": ("1", "2"), "pate_n40_pow2_log": ("1", "2"), "pate_n25_pow2": ("1", "2"),
-           "pate_n30_pow3_pow2": ("1", "2"), "sate_n100": ("2", "1")}
+           "pate_n30_pow3_pow2": ("1", "2"), "sate_n100": ("2", "1"),
+           "sate_n40_pow2_log": ("1", "2"), "sate_n25_exp_exp": ("1", "2")}
 
 
 def _cli(src: Path, argv: list[str]) -> int:
@@ -91,8 +100,11 @@ def drift(a: Path, b: Path) -> float:
         return math.inf
     worst = 0.0
     for x, y in zip(xs, ys):
-        if x != y:
-            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        d = abs(x - y) / max(abs(x), abs(y))
+        # NaN against a number, or an infinity against anything else
+        worst = max(worst, math.inf if math.isnan(d) else d)
     return worst
 
 
