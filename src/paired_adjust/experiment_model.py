@@ -36,9 +36,13 @@ from .errors import (
     RankDeficient,
     TooFewPairs,
 )
+from .ols_core import RANK_RTOL, _whiten
 
-# Relative singular-value cutoff for rank decisions, shared with ols_core.
-RANK_RTOL = 1e-10
+# A centered pair-average column whose values are all at most this
+# share of the largest transformed value it averages is rounding noise
+# of a constant column. 1024 machine epsilons, about 2.3e-13, is well
+# above the few roundings of the transform, the pair sum and the mean.
+_ROUNDING_RTOL = 1024 * np.finfo(float).eps
 
 _TRANSFORM_KINDS = ("identity", "power", "log", "exp", "select")
 
@@ -303,13 +307,20 @@ class DesignMatrices:
 
 @dataclass(frozen=True)
 class DesignDiagnostics:
-    """Numerical health report for the full design [1 | vd | m]."""
+    """Numerical health report for the full design [vd | m | 1].
+
+    ``rank`` counts the columns that pass the pivot test of
+    ``ols_core._whiten``. ``pivot_ratios`` holds, per column in the
+    order of ``column_labels``, R_kk^2 over the squared norm of the
+    column: the share of the column left after the columns before it
+    are projected out (zero for a zero column). A column passes when
+    its ratio exceeds RANK_RTOL.
+    """
 
     expected_rank: int
     rank: int
-    singular_values: np.ndarray
-    column_scales: np.ndarray
     column_labels: tuple[str, ...]
+    pivot_ratios: np.ndarray
 
     @property
     def deficient(self) -> bool:
@@ -326,6 +337,24 @@ def _center_columns(a: np.ndarray) -> np.ndarray:
     # the second-to-last axis, so a stack of tables centers table by table.
     out = a - a.mean(axis=-2, keepdims=True)
     return out - out.mean(axis=-2, keepdims=True)
+
+
+def _zero_rounding_columns(m: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    # A centered column of m (..., n, K) whose values all lie within
+    # _ROUNDING_RTOL of the largest magnitude among the transformed
+    # values gx (..., n, 2, K) it averages was constant up to rounding.
+    # It is set to exact zero, so the pivot test, which cannot tell
+    # rounding noise from data, sees no column. Sums of squares screen
+    # the columns first: such a column has ||m||^2 <= n * rtol^2 *
+    # ||gx||^2, and the maxima are taken only if some column passes.
+    with np.errstate(over="ignore", under="ignore"):
+        ss_m = np.einsum("...ik,...ik->...k", m, m)
+        ss_g = np.einsum("...ijk,...ijk->...k", gx, gx)
+        if not (ss_m <= 2 * m.shape[-2] * _ROUNDING_RTOL**2 * ss_g).any():
+            return m
+    spread = np.abs(m).max(axis=-2, keepdims=True, initial=0.0)
+    scale = np.abs(gx).max(axis=(-3, -2), initial=0.0)[..., None, :]
+    return np.where(spread <= _ROUNDING_RTOL * scale, 0.0, m)
 
 
 def columns_centered(m: np.ndarray) -> np.ndarray:
@@ -360,8 +389,9 @@ def transformed_blocks(
     Returns ``d`` (within-pair differences of the f-transformed
     covariates, unit 1 minus unit 2) and centered ``m`` (pair averages
     of the g-transformed covariates), each table's values identical to
-    what it gives on its own. Raises NonFiniteTransform when a transform
-    or either block is not finite.
+    what it gives on its own. An m column that is constant up to the
+    rounding of the values it averages comes back exactly zero. Raises
+    NonFiniteTransform when a transform or either block is not finite.
     """
     fx = f.apply(x)
     gx = g.apply(x)
@@ -370,7 +400,7 @@ def transformed_blocks(
         m = _center_columns((gx[..., 0, :] + gx[..., 1, :]) / 2.0)
     if not (np.isfinite(d).all() and np.isfinite(m).all()):
         raise NonFiniteTransform("within-pair differences or centered pair averages overflow")
-    return d, m
+    return d, _zero_rounding_columns(m, gx)
 
 
 def build_design(
@@ -398,31 +428,32 @@ def build_design(
 
 
 def validate_design(dm: DesignMatrices) -> DesignDiagnostics:
-    """Check the full design [1 | vd | m] for numerical rank.
+    """Check the full design [vd | m | 1] for numerical rank.
 
-    Singular values below RANK_RTOL times the largest count as zero.
-    Raises RankDeficient when the numerical rank falls short of
-    1 + K_D + K_M; otherwise returns the diagnostics.
+    The design is factored by ``ols_core._whiten``, the matrix and the
+    column order the R2 fit of ``estimate_r2`` factors, so the two make
+    the same rank decision, and neither depends on covariate units.
+    Raises RankDeficient, naming the first column that fails the pivot
+    test, when the rank falls short of K_D + K_M + 1; otherwise returns
+    the diagnostics.
     """
-    full = np.column_stack([np.ones(dm.n), dm.vd, dm.m])
-    labels = ("intercept",) + tuple(f"vd:{l}" for l in dm.d_labels) + tuple(
+    full = np.column_stack([dm.vd, dm.m, np.ones(dm.n)])
+    labels = tuple(f"vd:{l}" for l in dm.d_labels) + tuple(
         f"m:{l}" for l in dm.m_labels
-    )
-    sv = np.linalg.svd(full, compute_uv=False)
-    cutoff = RANK_RTOL * (sv[0] if sv.size else 0.0)
-    rank = int((sv > cutoff).sum())
+    ) + ("intercept",)
+    _, passed, ratios, _, _ = _whiten(full)
     diag = DesignDiagnostics(
         expected_rank=full.shape[1],
-        rank=rank,
-        singular_values=sv,
-        column_scales=np.sqrt((full**2).mean(axis=0)),
+        rank=int(passed.sum()),
         column_labels=labels,
+        pivot_ratios=ratios,
     )
     if diag.deficient:
-        bad = [l for l, s in zip(labels, diag.column_scales) if s <= cutoff]
-        hint = f" (zero-scale columns: {', '.join(bad)})" if bad else ""
+        k = int(np.argmin(passed))
         raise RankDeficient(
-            f"design rank {rank} < {full.shape[1]}{hint}"
+            f"design rank {diag.rank} < {diag.expected_rank}: column {labels[k]} "
+            f"is numerically in the span of the columns before it "
+            f"(pivot ratio {ratios[k]:.3g}, tolerance {RANK_RTOL:g})"
         )
     return diag
 

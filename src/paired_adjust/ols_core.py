@@ -1,14 +1,24 @@
-"""Least squares with stable intercept-variance extraction.
+"""The package's one factorization and one rank rule, and single least-squares fits.
 
-Each fit factors its design exactly once, with a column-pivoted thin QR
-X P = Q R. That one factorization gives the rank test (on the diagonal
-of R), the coefficients, the fitted values, the leverages (row norms of
-Q) and the intercept row u of (X'X)^{-1} X'. Both variance routines
-only combine u with the residuals and leverages; no n-by-n hat matrix
-is ever formed and no second factorization or regression is run. They
-return the intercept entry of the usual classical and
-heteroskedasticity-consistent covariance estimators, which is all the
-pair-level estimators need.
+:func:`_whiten` is the only factorization in the package: each column
+is brought to a largest magnitude in [1/2, 1) by a power of two, then a
+thin, unpivoted Householder QR factors the result (column equilibration
+before QR, Golub & Van Loan ch. 5). Its pivot test, R_kk^2 >
+RANK_RTOL * ||column k||^2, is the only rank rule. The randomization
+kernel applies both to its fixed design blocks, :func:`least_squares`
+to [x | 1] and ``experiment_model.validate_design`` to [vd | m | 1].
+With the ones column last, its pivot R_kk^2 is e'(I - H)e with H the
+projection onto the columns of x, so a fit passes only when
+e'(I - H)e > RANK_RTOL * n, the intercept test of the kernel. Neither
+the factorization nor the test depends on the scale of any column.
+
+One factorization gives the coefficients, the fitted values, the
+leverages (column norms of Q') and the intercept row u of
+(X'X)^{-1} X'. Both variance routines only combine u with the residuals
+and leverages; no n-by-n hat matrix is ever formed and no second
+factorization or regression is run. They return the intercept entry of
+the usual classical and heteroskedasticity-consistent covariance
+estimators, which is all the pair-level estimators need.
 """
 
 from __future__ import annotations
@@ -16,25 +26,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dtrtri
 
 from .errors import DegenerateDenominator, LeverageOne, RankDeficient
-from .experiment_model import RANK_RTOL
+
+# A column fails the pivot test when what is left of it, after the
+# columns before it are projected out, has a squared norm of at most
+# RANK_RTOL times its own. Both sides scale with the column, so the
+# test is free of units.
+RANK_RTOL = 1e-10
 
 _HC_VARIANTS = ("HC2", "HC3")
 
 
+def _whiten(
+    a: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal bases for the columns of each table of a (..., n, K) block.
+
+    Each column is first brought to a largest magnitude in [1/2, 1) by
+    a power of two 2^exp, which changes no bit of the basis and keeps
+    the squares from overflowing or underflowing. A thin Householder QR
+    per table then gives ``q`` (..., K, n), whose rows are orthonormal,
+    and R upper triangular with q' R = a 2^-exp. Column k passes the
+    pivot test when R_kk^2, the squared norm of what is left of column k
+    after the earlier columns are projected out, exceeds RANK_RTOL times
+    the squared norm of the column, which is that of column k of R.
+    Rescaling a column rescales the matching column of R and nothing
+    else, so ``q`` and the test do not depend on column scale. Returns
+    ``q``, ``passed`` (..., K), ``ratios`` (..., K), the share R_kk^2
+    over the squared norm of each column (zero for a zero column), R
+    (..., K, K) and ``exp`` (..., 1, K). A failing table still gives
+    finite coordinates.
+    """
+    _, exp = np.frexp(np.abs(a).max(axis=-2, keepdims=True))
+    q, r = np.linalg.qr(np.ldexp(a, -exp))
+    r2 = r * r
+    # A zero column has a zero diagonal entry too, so its ratio reads 0.
+    norms = np.maximum(r2.sum(axis=-2), np.finfo(float).tiny)
+    ratios = np.diagonal(r2, axis1=-2, axis2=-1) / norms
+    return np.ascontiguousarray(q.swapaxes(-1, -2)), ratios > RANK_RTOL, ratios, r, exp
+
+
 @dataclass
 class FitResult:
-    """Outcome of an intercept fit, read off one pivoted thin QR.
+    """Outcome of an intercept fit, read off one equilibrated thin QR.
 
     ``coefficients`` puts the intercept first, then one slope per
-    column of x. ``design`` is the matrix actually factored, [1 | x].
-    ``leverages`` is the diagonal of the hat matrix. ``intercept_row``
-    is the intercept row u of (X'X)^{-1} X', so the intercept is
-    ``intercept_row @ y`` and e'(I - H)e = 1/||u||^2, with H the
-    projection onto the columns of x.
+    column of x, matching ``design`` = [1 | x], so that
+    ``design @ coefficients`` is ``fitted``. ``leverages`` is the
+    diagonal of the hat matrix. ``intercept_row`` is the intercept row
+    u of (X'X)^{-1} X', so the intercept is ``intercept_row @ y`` and
+    e'(I - H)e = 1/||u||^2, with H the projection onto the columns of x.
     """
 
     coefficients: np.ndarray
@@ -52,11 +94,13 @@ class FitResult:
 
 
 def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
-    """Fit y on an intercept and x by one column-pivoted thin QR.
+    """Fit y on an intercept and x through :func:`_whiten`.
 
     ``x`` may have zero columns, in which case the fit is just the mean
-    of y. Raises RankDeficient when the design [1 | x] is numerically
-    rank deficient: some |R_kk| is at most RANK_RTOL times |R_00|.
+    of y. The columns are factored as [x | 1], ones column last, so the
+    pivot test on it is e'(I - H)e > RANK_RTOL * n. Raises
+    RankDeficient, naming the first column that fails the pivot test,
+    when any column does.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -65,33 +109,33 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
     n = y.shape[0]
     if x.shape[0] != n:
         raise ValueError(f"design has {x.shape[0]} rows but y has {n}")
-    design = np.column_stack([np.ones(n), x])
-    cols = design.shape[1]
+    cols = x.shape[1] + 1
     if n < cols:
         raise RankDeficient(f"{cols} columns but only {n} rows")
 
-    q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int((diag > RANK_RTOL * diag[0]).sum())
-    if rank < cols:
+    q, passed, _, r, exp = _whiten(np.column_stack([x, np.ones(n)]))
+    if not passed.all():
+        k = int(np.argmin(passed))
+        which = "the intercept" if k == cols - 1 else f"column {k + 1} of x"
         raise RankDeficient(
-            f"design rank {rank} < {cols} (tolerance {RANK_RTOL:g})"
+            f"design rank {int(passed.sum())} < {cols}: {which} is numerically "
+            f"in the span of the columns before it (tolerance {RANK_RTOL:g})"
         )
-    r_inv, _ = dtrtri(r, lower=0)
-    qty = q.T @ y
-    coef = np.empty(cols)
-    coef[piv] = r_inv @ qty
-    fitted = q @ qty
+    qty = q @ y
+    # R is upper triangular with a nonzero diagonal, so LU takes no row
+    # swaps and this solve is back substitution.
+    slopes_then_intercept = np.ldexp(np.linalg.solve(r, qty), -exp[0])
+    fitted = qty @ q
     residuals = y - fitted
     return FitResult(
-        coefficients=coef,
+        coefficients=np.append(slopes_then_intercept[-1], slopes_then_intercept[:-1]),
         residuals=residuals,
         fitted=fitted,
         sse=float(residuals @ residuals),
         dof=n - cols,
-        design=design,
-        leverages=np.einsum("ij,ij->i", q, q),
-        intercept_row=q @ r_inv[int(np.flatnonzero(piv == 0)[0])],
+        design=np.column_stack([np.ones(n), x]),
+        leverages=np.einsum("ki,ki->i", q, q),
+        intercept_row=np.ldexp(q[-1] / r[-1, -1], -exp[0, -1]),
     )
 
 

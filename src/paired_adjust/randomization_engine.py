@@ -37,9 +37,12 @@ from its own substreams, and one pass over the block turns the normals
 into outcomes and covariates, so no per-table sample object is built.
 Every mode makes the same rank decision, the kernel's pivot tests,
 which do not depend on the scale of any covariate column; a pate study
-raises for the first sample, in index order, that fails them. Estimates
-from this kernel agree with the single-fit estimators to solver
-precision and are tested against them, but never call them. The
+raises for the first sample, in index order, that fails them. The
+whitening is ``ols_core._whiten``, which the single fits of
+``ols_core.least_squares`` and ``validate_design`` share, so those
+decide rank by the same pivot test. Estimates from this kernel agree
+with the single-fit estimators to solver precision and are tested
+against them, but never call them. The
 ones-projection residual of :func:`lemma_diagnostics` is the same
 kernel's R2 denominator.
 """
@@ -70,13 +73,13 @@ from .errors import (
 )
 from .estimators import normal_quantile
 from .experiment_model import (
-    RANK_RTOL,
     PairedExperiment,
     TransformSpec,
     block_widths,
     columns_centered,
     transformed_blocks,
 )
+from .ols_core import RANK_RTOL, _whiten
 from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substream
 
 ENUMERATION_CAP = 16
@@ -183,28 +186,6 @@ def _effects_and_gaps(r_t: np.ndarray, r_c: np.ndarray) -> tuple[np.ndarray, np.
     return (tau[..., 0] + tau[..., 1]) / 2.0, ell[..., 0] - ell[..., 1]
 
 
-def _whiten(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases for the columns of each table of a (T, n, K) block.
-
-    A thin Householder QR per table gives ``q`` (T, K, n), whose rows
-    are orthonormal, with R upper triangular and q' R = a. A table
-    passes when every pivot R_kk^2, the squared norm of what is left of
-    column k after the earlier columns are projected out, exceeds
-    RANK_RTOL times the squared norm of the column, which is that of
-    column k of R. Rescaling a column rescales the matching column of R
-    and nothing else, so ``q`` and the test do not depend on column
-    scale. Each column is first brought to a largest magnitude in
-    [1/2, 1) by a power of two, which changes no bit of ``q`` and keeps
-    the squares from overflowing or underflowing. A failing table still
-    gives finite coordinates.
-    """
-    _, exp = np.frexp(np.abs(a).max(axis=-2, keepdims=True))
-    q, r = np.linalg.qr(np.ldexp(a, -exp))
-    r2 = r * r
-    ok = (np.diagonal(r2, axis1=-2, axis2=-1) > RANK_RTOL * r2.sum(axis=-2)).all(axis=-1)
-    return np.ascontiguousarray(q.swapaxes(-1, -2)), ok
-
-
 @dataclass(frozen=True)
 class _Whitened:
     """The fixed design blocks of T tables, whitened once per table.
@@ -224,7 +205,9 @@ class _Whitened:
 
     @classmethod
     def of(cls, d: np.ndarray, m: np.ndarray) -> "_Whitened":
-        return cls(*_whiten(d), *_whiten(m))
+        dw, passed_d, _, _, _ = _whiten(d)
+        w, passed_m, _, _, _ = _whiten(m)
+        return cls(dw, passed_d.all(axis=-1), w, passed_m.all(axis=-1))
 
 
 def _eliminate(g: np.ndarray, k: int, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

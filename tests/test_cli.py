@@ -110,6 +110,32 @@ class TestAnalyze:
         assert c0 == c1
         assert json.loads(base)["estimates"][1] != json.loads(alt)["estimates"][1]
 
+    @pytest.mark.filterwarnings("error")
+    def test_estimates_do_not_depend_on_covariate_units(self, capsys, tmp_path):
+        s = generate_sample(16, "nonparallel", seed=11)
+        exp, _ = reveal(s, randomize(16, substream(11, ROLE_ASSIGN)))
+        runs = {}
+        for col, scale in [(0, 1.0), (0, 1e9), (0, 1e12), (0, 1e-9), (3, 1e9), (3, 1e12)]:
+            x = exp.x.copy()
+            x[:, :, col] *= scale
+            path = tmp_path / f"x{col + 1}_{scale:g}.csv"
+            write_experiment_csv(type(exp)(x=x, z=exp.z, y=exp.y), path)
+            code, out, err = run_cli(
+                capsys, "analyze", "--input", str(path), "--g", "select:", "--variance", "HC2"
+            )
+            assert (code, err) == (0, ""), (col, scale)
+            runs[col, scale] = json.loads(out)["estimates"]
+        base = runs.pop((0, 1.0))
+        for (col, scale), rows in runs.items():
+            for row, want in zip(rows, base):
+                beta = list(row["beta_D"])
+                if beta:
+                    beta[col] *= scale  # the slope is per unit of x
+                got = [row["tau_hat"], row["s2"], *beta]
+                assert got == pytest.approx(
+                    [want["tau_hat"], want["s2"], *want["beta_D"]], rel=1e-12
+                ), (col, scale, row["estimator"])
+
     def test_out_writes_file(self, capsys, tmp_path, experiment_csv):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -359,6 +385,43 @@ class TestExitCodes:
         path = tmp_path / "dup.csv"
         write_experiment_csv(exp, path)
         assert run_cli(capsys, "analyze", "--input", str(path))[0] == 3
+
+    @pytest.mark.parametrize("gap, code", [(1e-3, 0), (1e-6, 3)])
+    def test_covariate_left_at_most_1e_5_of_itself_is_3(self, capsys, tmp_path, rng, gap, code):
+        # x2 = x1 + gap * noise leaves about gap of the vd:x2 column after
+        # vd:x1 is projected out. The pivot test refuses a squared share of
+        # at most 1e-10, so gap 1e-6 exits 3; a singular-value cutoff of
+        # 1e-10 * sigma_max, with no squaring, would have fitted it.
+        s = make_sample(rng, 12)
+        x = s.x.copy()
+        x[:, :, 1] = x[:, :, 0] + gap * rng.standard_normal((12, 2))
+        exp, _ = reveal(type(s)(r_t=s.r_t, r_c=s.r_c, x=x), randomize(12, substream(42, ROLE_ASSIGN)))
+        path = tmp_path / "near.csv"
+        write_experiment_csv(exp, path)
+        got, _, err = run_cli(
+            capsys, "analyze", "--input", str(path), "--f", "select:1,2", "--g", "select:"
+        )
+        assert got == code
+        assert ("column vd:x2 " in err) == (code == 3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rounding", [False, True], ids=["exact", "up_to_rounding"])
+    def test_constant_pair_average_is_3(self, capsys, tmp_path, rng, rounding):
+        s = make_sample(rng, 12)
+        x = s.x.copy()
+        if rounding:
+            # Pair averages of a and 10 - a: 5 up to one rounding each.
+            a = 3.3 * np.random.default_rng(3).standard_normal(12) + 0.1
+            x[:, 0, 1], x[:, 1, 1] = a, 10.0 - a
+            assert np.ptp((x[:, 0, 1] + x[:, 1, 1]) / 2.0) > 0.0
+        else:
+            x[:, :, 1] = 5.0  # x2 centers to a zero m column
+        exp, _ = reveal(type(s)(r_t=s.r_t, r_c=s.r_c, x=x), randomize(12, substream(42, ROLE_ASSIGN)))
+        path = tmp_path / "flat.csv"
+        write_experiment_csv(exp, path)
+        code, _, err = run_cli(capsys, "analyze", "--input", str(path), "--f", "select:1")
+        assert code == 3
+        assert "column m:x2 " in err
 
     def test_bad_alpha_is_4(self, capsys, experiment_csv):
         code, _, err = run_cli(

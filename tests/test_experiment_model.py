@@ -3,11 +3,14 @@ import io
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paired_adjust import (
     DesignMatrices,
     MalformedRow,
     NonFiniteTransform,
+    NumericalError,
     PairedExperiment,
     PairViolation,
     RankDeficient,
@@ -190,6 +193,28 @@ class TestBuildDesign:
         dm = build_design(exp, TransformSpec.select([]), TransformSpec.identity())
         npt.assert_allclose(dm.m[:, 0], [-1.0, 0.0, 1.0], atol=1e-14)
 
+    @pytest.mark.parametrize("g", [TransformSpec.identity(), TransformSpec.log()], ids=["identity", "log"])
+    def test_pair_average_constant_up_to_rounding_is_zero(self, rng, g):
+        # Column 1 pairs b with 10 - b (identity) or a with 1/a (log): its
+        # pair averages are constant but for rounding. Column 2 has a
+        # spread of about 1e-9 of its size, which is data and must survive.
+        if g.kind == "identity":
+            b = 3.3 * np.random.default_rng(3).standard_normal(12) + 0.1
+            first = np.stack([b, 10.0 - b], axis=1)
+        else:
+            a = np.exp(3.0 * rng.standard_normal(12))
+            first = np.stack([a, 1.0 / a], axis=1)
+        x = np.stack([first, 1e3 + 1e-6 * rng.standard_normal((12, 2))], axis=2)
+        exp = PairedExperiment(x=x, z=np.tile([1, 0], (12, 1)), y=np.zeros((12, 2)))
+        gx = g.apply(x)
+        centered = (gx[:, 0] + gx[:, 1]) / 2.0
+        centered -= centered.mean(axis=0)
+        centered -= centered.mean(axis=0)
+        assert (centered != 0.0).any(axis=0).all()
+        dm = build_design(exp, TransformSpec.select([]), g)
+        npt.assert_array_equal(dm.m[:, 0], 0.0)
+        npt.assert_array_equal(dm.m[:, 1], centered[:, 1])
+
     def test_too_few_pairs(self, rng):
         exp = random_experiment(rng, n=5, p=4)
         with pytest.raises(TooFewPairs):
@@ -275,6 +300,39 @@ class TestDesignMatricesType:
             )
 
 
+@st.composite
+def near_collinear_designs(draw):
+    """Designs with one column 10^-8..10^-2 away from the span of the others.
+
+    A vd column is made near a combination of the ones vector and the
+    other vd columns, an m column near a combination of the other m
+    columns (which keeps it centered). The vd columns then get units
+    from 10^-9 to 10^9, the m columns from 10^-9 to 1, so that the m
+    block stays centered to the tolerance of DesignMatrices.
+    """
+    k_d = draw(st.integers(0, 3))
+    k_m = draw(st.integers(0 if k_d else 1, 3))
+    n = draw(st.integers(k_d + k_m + 3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = 2.0 * rng.integers(0, 2, size=n) - 1.0
+    vd = rng.standard_normal((n, k_d))
+    m = rng.standard_normal((n, k_m))
+    m -= m.mean(axis=0)
+    gap = 10.0 ** draw(st.floats(-8.0, -2.0))
+    target = draw(st.integers(0, k_d + k_m - 1))
+    noise = rng.standard_normal(n)
+    if target < k_d:
+        others = np.delete(vd, target, axis=1)
+        vd[:, target] = rng.standard_normal() + others @ rng.standard_normal(k_d - 1) + gap * noise
+    else:
+        j = target - k_d
+        others = np.delete(m, j, axis=1)
+        m[:, j] = others @ rng.standard_normal(k_m - 1) + gap * (noise - noise.mean())
+    vd *= 10.0 ** np.array(draw(st.lists(st.floats(-9.0, 9.0), min_size=k_d, max_size=k_d)))
+    m *= 10.0 ** np.array(draw(st.lists(st.floats(-9.0, 0.0), min_size=k_m, max_size=k_m)))
+    return DesignMatrices(d=v[:, None] * vd, m=m, v=v, y=rng.standard_normal(n))
+
+
 class TestValidateDesign:
     def test_duplicated_column_rejected(self, rng):
         d = rng.standard_normal((10, 1))
@@ -294,7 +352,7 @@ class TestValidateDesign:
             x=x, z=np.stack([z1, 1 - z1], axis=1), y=rng.standard_normal((10, 2))
         )
         dm = build_design(exp, TransformSpec.select([1]), TransformSpec.identity())
-        with pytest.raises(RankDeficient):
+        with pytest.raises(RankDeficient, match="column m:x2 "):
             validate_design(dm)
 
     def test_well_conditioned_design_matches_svd_oracle(self, rng):
@@ -311,3 +369,16 @@ class TestValidateDesign:
         oracle_rank = int((sv > 1e-10 * sv[0]).sum())
         assert diag.rank == oracle_rank
         assert len(diag.column_labels) == diag.expected_rank
+        assert diag.column_labels[0] == "vd:x1" and diag.column_labels[-1] == "intercept"
+        assert ((diag.pivot_ratios > 1e-10) & (diag.pivot_ratios <= 1.0 + 1e-12)).all()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(near_collinear_designs())
+    def test_rejects_exactly_what_the_r2_fit_rejects(self, dm):
+        try:
+            validate_design(dm)
+        except RankDeficient:
+            with pytest.raises(NumericalError):
+                estimate_r2(dm)
+        else:
+            estimate_r2(dm)

@@ -104,10 +104,16 @@ class TestClassicalInterceptVariance:
         assert intercept_variance_classical(fit) == pytest.approx(want, rel=1e-8)
 
     def test_ones_nearly_in_span_rejected(self, rng):
-        # the column is 1e-6 away from the intercept: full rank at the
-        # 1e-10 tolerance, but e'(I-H)e ~ 1e-12 * n is degenerate
+        # the column is 1e-6 away from the intercept, so e'(I-H)e ~
+        # 1e-12 * n: the fit's own pivot test on the ones column, which
+        # is factored last, has the floor 1e-10 * n
         x = 1.0 + 1e-6 * rng.standard_normal((50, 1))
-        fit = least_squares(x, rng.standard_normal(50))
+        with pytest.raises(RankDeficient, match="the intercept"):
+            least_squares(x, rng.standard_normal(50))
+
+    def test_degenerate_denominator_of_a_hand_built_fit(self, rng):
+        fit = least_squares(rng.standard_normal((10, 1)), rng.standard_normal(10))
+        fit.intercept_row = 1e6 * fit.intercept_row
         with pytest.raises(DegenerateDenominator):
             intercept_variance_classical(fit)
 
