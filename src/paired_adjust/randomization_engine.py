@@ -24,27 +24,28 @@ R2 and its superpopulation correction need only the Schur complement
 of the v*d columns after m is projected out, eliminated for every
 assignment at once. A fit whose table or Schur pivots fall to RANK_RTOL
 times their columns' squared norms is singular and comes back NaN, to
-be counted by the callers. The grid takes three shapes: one table by
-all 2^n codes (enumeration) or by B draws (Monte Carlo), blocks of
-tables by their B draws each (sate studies, up to ``_SATE_DRAWS``
-draws per call), and blocks of up to 256 tables by one draw each (pate
-studies). All but the pate grids take Y from the level/effect
-identity, and the plain mean's statistics with it, in
-:func:`_grid_stats`; a pate study takes Y from the observed responses
-and checks it against the same identity. A study's tables are drawn as
-stacked arrays: each sample index still reads its normals and signs
-from its own substreams, and one pass over the block turns the normals
-into outcomes and covariates, so no per-table sample object is built.
-Every mode makes the same rank decision, the kernel's pivot tests,
-which do not depend on the scale of any covariate column; a pate study
-raises for the first sample, in index order, that fails them. The
-whitening is ``ols_core._whiten``, which the single fits of
+be counted by the callers. The grid takes two shapes: one table by
+all 2^n codes (enumeration) or by B draws (Monte Carlo), and blocks of
+tables by their B draws each (studies, with B = 1 in a pate study).
+Both study modes go through one block path, :func:`_study_block`: it
+reads each sample index's normals and signs from its own substreams,
+turns the normals into stacked outcomes and covariates in one pass, so
+no per-table sample object is built, and hands
+``max(1, _STUDY_DRAWS // B)`` tables at a time to
+:func:`_block_columns`, which returns one column per metric. Only the
+per-mode arithmetic differs: a sate study takes Y from the
+level/effect identity, and the plain mean's statistics with it, in
+:func:`_grid_stats`, as enumeration and Monte Carlo do; a pate study
+takes Y from the observed responses and checks it against the same
+identity. Every mode makes the same rank decision, the kernel's pivot
+tests, which do not depend on the scale of any covariate column; a pate
+study raises for the first sample, in index order, that fails them.
+The whitening is ``ols_core._whiten``, which the single fits of
 ``ols_core.least_squares`` and ``validate_design`` share, so those
 decide rank by the same pivot test. Estimates from this kernel agree
 with the single-fit estimators to solver precision and are tested
-against them, but never call them. The
-ones-projection residual of :func:`lemma_diagnostics` is the same
-kernel's R2 denominator.
+against them, but never call them. The ones-projection residual of
+:func:`lemma_diagnostics` is the same kernel's R2 denominator.
 """
 
 from __future__ import annotations
@@ -84,16 +85,13 @@ from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substream
 
 ENUMERATION_CAP = 16
 _CHUNK = 4096
-# Tables per population-study block: large enough to amortize the
-# per-call cost of the stacked kernel, small enough to keep its arrays
-# around a megabyte. Rows do not depend on it.
-_PATE_BLOCK = 256
-# Assignments per kernel call in an in-sample study: a call takes
-# max(1, _SATE_DRAWS // B) tables and all B draws of each. Larger calls
-# buy almost nothing and cost memory, about 0.6 MB per table at n=100,
-# B=200; four such tables keep a worker's peak within 2% of one table
-# per call. Rows do not depend on it.
-_SATE_DRAWS = 800
+# Assignments per kernel call in a study: a call takes
+# max(1, _STUDY_DRAWS // B) tables and all B draws of each (B = 1 in a
+# population study). Larger calls buy almost nothing and cost memory,
+# about 0.6 MB per table at n=100, B=200; four such tables keep a
+# worker's peak within 2% of one table per call. Results do not depend
+# on it.
+_STUDY_DRAWS = 800
 
 ESTIMATOR_IDS = ("C", "R1", "R2", "R2P")
 
@@ -736,126 +734,155 @@ def _validate_config(config: StudyConfig) -> StudyConfig:
         )
     if config.mode == "pate" and k_m == 0:
         raise ConfigError("superpopulation correction needs at least one m column")
+    if config.mode == "pate" and config.samples < 2:
+        raise ConfigError(
+            f"pate mode needs samples >= 2, got {config.samples}: its metrics divide "
+            "by the standard deviation of the estimates across samples"
+        )
     return config
 
 
-_SATE_METRICS = (
-    "coverage_C",
-    "coverage_R1",
-    "coverage_R2",
-    "se_ratio_R1_C",
-    "se_ratio_R2_C",
-    "se_ratio_R2_R1",
-    "rmse_ratio_R1_C",
-    "rmse_ratio_R2_C",
-)
+def _read_streams(config: StudyConfig, idxs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, 10n) standard normals and (T, B, n) signs of sample indices ``idxs``.
 
-_PATE_METRICS = (
-    "coverage_C",
-    "coverage_R1",
-    "coverage_R2",
-    "coverage_R2P",
-    "se_sd_ratio_C",
-    "se_sd_ratio_R1",
-    "se_sd_ratio_R2",
-    "se_sd_ratio_R2P",
-    "sd_ratio_R2_R1",
-    "sd_ratio_R1_C",
-    "sd_ratio_R2_C",
-)
+    Index i draws its table's normals from ``substream(seed, ROLE_SAMPLE,
+    i)`` and its B = ``config.randomizations`` assignments from
+    ``substream(seed, ROLE_ASSIGN, i)``. Row t of the normals is what
+    :func:`generate_sample` draws from the same stream, and one
+    assignment drawn as a (1, n) block is the (n,) one :func:`randomize`
+    draws without ``b``.
+    """
+    n, t, b = config.n, len(idxs), config.randomizations
+    normals = np.empty((t, 10 * n))
+    signs = np.empty((t, b, n))
+    for j, i in enumerate(idxs):
+        normals[j] = substream(config.seed, ROLE_SAMPLE, i).standard_normal(10 * n)
+        signs[j] = randomize(n, substream(config.seed, ROLE_ASSIGN, i), b)
+    return normals, signs
 
 
-def _sate_rows(config: StudyConfig, idxs: Sequence[int]) -> list[dict[str, float]]:
-    """In-sample study rows for sample indices ``idxs``, in order.
+def _concat(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Metric columns of consecutive blocks, joined in order."""
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> dict[str, np.ndarray]:
+    """Metric columns of sample indices ``idxs``, in order.
 
     Each index's table and B assignments come from its own substreams
-    (see :func:`_read_streams`), so a row does not depend on the block
-    it is computed in. The tables are built as stacked arrays and go
-    through :func:`_grid_stats` ``max(1, _SATE_DRAWS // B)`` at a time;
-    only the summaries against each table's own average effect are taken
-    table by table. Singular draws are left out of the summaries. When
-    the transforms are not finite, the first failing table in order
-    raises its own NonFiniteTransform.
+    (see :func:`_read_streams`), so a value does not depend on the block
+    it is computed in. The tables are built as stacked arrays, bit for
+    bit the tables :func:`generate_sample` draws from the same streams,
+    and go through :func:`_block_columns` ``max(1, _STUDY_DRAWS // B)``
+    at a time.
     """
-    per_call = max(1, _SATE_DRAWS // config.randomizations)
-    rows = []
+    config, idxs = args
+    per_call = max(1, _STUDY_DRAWS // config.randomizations)
+    parts = []
     for lo in range(0, len(idxs), per_call):
-        normals, signs = _read_streams(
-            config, idxs[lo : lo + per_call], config.randomizations
-        )
+        call = idxs[lo : lo + per_call]
+        normals, signs = _read_streams(config, call)
         _, r_t, r_c, x = _stacked_tables(normals, config.setting)
-        try:
-            blocks = transformed_blocks(x, config.f, config.g)
-        except NonFiniteTransform:
-            # Raise what the first failing table raises alone: which
-            # transform fails first may differ between it and the stack.
-            for table in x:
-                transformed_blocks(table, config.f, config.g)
-            raise
-        effects, gaps = _effects_and_gaps(r_t, r_c)
-        stats = _grid_stats(effects, gaps, signs, blocks, ("C", "R1", "R2"))
-        for j in range(len(signs)):
-            sate = float(effects[j].mean())
-            c, r1, r2 = (
-                _summarize(tau[j], s2[j], sate, config.alpha) for tau, s2 in stats.values()
-            )
-            rows.append({
-                "coverage_C": c.coverage,
-                "coverage_R1": r1.coverage,
-                "coverage_R2": r2.coverage,
-                "se_ratio_R1_C": r1.mean_se / c.mean_se,
-                "se_ratio_R2_C": r2.mean_se / c.mean_se,
-                "se_ratio_R2_R1": r2.mean_se / r1.mean_se,
-                "rmse_ratio_R1_C": r1.rmse / c.rmse,
-                "rmse_ratio_R2_C": r2.rmse / c.rmse,
-            })
-    return rows
+        parts.append(_block_columns(config, r_t, r_c, x, signs, call))
+    return _concat(parts)
 
 
-def _pate_kernel(
+def _block_columns(
+    config: StudyConfig,
     r_t: np.ndarray,
     r_c: np.ndarray,
     x: np.ndarray,
     signs: np.ndarray,
-    f: TransformSpec,
-    g: TransformSpec,
-    idxs: Optional[Sequence[int]] = None,
-) -> list[dict[str, float]]:
-    """Population-study rows for a block of stacked tables, in order.
+    idxs: Sequence[int],
+) -> dict[str, np.ndarray]:
+    """Metric columns of a stack of tables, each (T,), in order.
 
     Table j has potential outcomes ``r_t[j]``, ``r_c[j]`` (n, 2) and
-    observed covariates ``x[j]`` (n, 2, 4), meets the signs
-    ``signs[j]`` and is sample ``idxs[j]`` of its study (j by default).
-    Every row comes from :func:`_partialled_stats`, whose pivot tests
-    make the same rank decision as in the other study modes. The first
-    table in order that fails raises, and its first failing check picks
-    the error: AssertionError when its Y fails the reveal cross-check,
-    DimensionMismatch when its m columns fail :func:`columns_centered`
-    (the test :class:`DesignMatrices` applies), and RankDeficient, naming
-    the sample, when its R1 or R2P fit is singular. When the block's
-    transforms are not finite, its tables go through this function one
-    at a time, so there too the first failing table decides the error.
+    observed covariates ``x[j]`` (n, 2, 4), meets the signs ``signs[j]``
+    (B, n) and is sample ``idxs[j]`` of its study. The columns come from
+    :func:`_sate_columns` or :func:`_pate_columns`, by ``config.mode``.
+    When the stack's transforms are not finite, its tables go through
+    this function one at a time, so the first failing table raises what
+    it raises alone: which transform fails first may differ between it
+    and the stack, and in a population study an earlier table may fail
+    another check.
     """
-    if idxs is None:
-        idxs = range(len(signs))
     try:
-        d, m = transformed_blocks(x, f, g)
+        blocks = transformed_blocks(x, config.f, config.g)
     except NonFiniteTransform:
         if len(signs) == 1:
             raise
-        return [
-            row
-            for j in range(len(signs))
-            for row in _pate_kernel(
-                r_t[j : j + 1], r_c[j : j + 1], x[j : j + 1], signs[j : j + 1], f, g,
+        return _concat([
+            _block_columns(
+                config, r_t[j : j + 1], r_c[j : j + 1], x[j : j + 1], signs[j : j + 1],
                 idxs[j : j + 1],
             )
-        ]
-    _, _, y, agree = _observe(r_t, r_c, signs)
+            for j in range(len(signs))
+        ])
+    if config.mode == "sate":
+        return _sate_columns(r_t, r_c, signs, blocks, config.alpha)
+    return _pate_columns(r_t, r_c, signs, blocks, idxs)
+
+
+def _sate_columns(
+    r_t: np.ndarray,
+    r_c: np.ndarray,
+    signs: np.ndarray,
+    blocks: tuple[np.ndarray, np.ndarray],
+    alpha: float,
+) -> dict[str, np.ndarray]:
+    """In-sample metrics of each table over its B draws.
+
+    Every table's draws go through :func:`_grid_stats` together; only
+    the summaries against each table's own average effect are taken
+    table by table. Singular draws are left out of the summaries.
+    """
+    effects, gaps = _effects_and_gaps(r_t, r_c)
+    stats = _grid_stats(effects, gaps, signs, blocks, ("C", "R1", "R2"))
+    sates = [float(row.mean()) for row in effects]
+    per = {
+        est: [_summarize(tau[j], s2[j], sate, alpha) for j, sate in enumerate(sates)]
+        for est, (tau, s2) in stats.items()
+    }
+    cov, se, rmse = (
+        {est: np.array([getattr(summary, name) for summary in per[est]]) for est in per}
+        for name in ("coverage", "mean_se", "rmse")
+    )
+    return {
+        "coverage_C": cov["C"],
+        "coverage_R1": cov["R1"],
+        "coverage_R2": cov["R2"],
+        "se_ratio_R1_C": se["R1"] / se["C"],
+        "se_ratio_R2_C": se["R2"] / se["C"],
+        "se_ratio_R2_R1": se["R2"] / se["R1"],
+        "rmse_ratio_R1_C": rmse["R1"] / rmse["C"],
+        "rmse_ratio_R2_C": rmse["R2"] / rmse["C"],
+    }
+
+
+def _pate_columns(
+    r_t: np.ndarray,
+    r_c: np.ndarray,
+    signs: np.ndarray,
+    blocks: tuple[np.ndarray, np.ndarray],
+    idxs: Sequence[int],
+) -> dict[str, np.ndarray]:
+    """Estimates and standard errors of each table's one draw.
+
+    Y comes from the observed responses. The first table in order that
+    fails raises, and its first failing check picks the error:
+    AssertionError when its Y fails the reveal cross-check,
+    DimensionMismatch when its m columns fail :func:`columns_centered`
+    (the test :class:`DesignMatrices` applies), and RankDeficient,
+    naming the sample, when its R1 or R2P fit is singular under the
+    kernel's pivot tests, the same rank decision as in the other modes.
+    """
+    d, m = blocks
+    _, _, y, agree = _observe(r_t, r_c, signs[:, 0])
     stats = {
         est: (tau[:, 0], s2[:, 0])
         for est, (tau, s2) in _partialled_stats(
-            d, m, signs[:, None], y[:, None], ("R1", "R2", "R2P")
+            d, m, signs, y[:, None], ("R1", "R2", "R2P")
         ).items()
     }
     centered = columns_centered(m)
@@ -869,7 +896,7 @@ def _pate_kernel(
             raise DimensionMismatch("m columns must sum to zero across pairs")
         raise RankDeficient(f"sample {idxs[j]}: the regression design is rank deficient")
     tau_c, s2_c = _classical_stats(y)
-    cols = {
+    return {
         "tau_C": tau_c,
         "se_C": np.sqrt(s2_c),
         "tau_R1": stats["R1"][0],
@@ -878,49 +905,6 @@ def _pate_kernel(
         "se_R2": np.sqrt(stats["R2"][1]),
         "se_R2P": np.sqrt(stats["R2P"][1]),
     }
-    return [{key: float(vals[j]) for key, vals in cols.items()} for j in range(len(signs))]
-
-
-def _read_streams(
-    config: StudyConfig, idxs: Sequence[int], b: Optional[int] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, 10n) standard normals and the signs of sample indices ``idxs``.
-
-    Index i draws its table's normals from ``substream(seed, ROLE_SAMPLE,
-    i)`` and its signs from ``substream(seed, ROLE_ASSIGN, i)``: one
-    assignment (T, n) when ``b`` is None, else b of them (T, b, n). Row
-    t of the normals is what :func:`generate_sample` draws from the same
-    stream.
-    """
-    n, t = config.n, len(idxs)
-    normals = np.empty((t, 10 * n))
-    signs = np.empty((t, n) if b is None else (t, b, n))
-    for j, i in enumerate(idxs):
-        normals[j] = substream(config.seed, ROLE_SAMPLE, i).standard_normal(10 * n)
-        signs[j] = randomize(n, substream(config.seed, ROLE_ASSIGN, i), b)
-    return normals, signs
-
-
-def _pate_rows(config: StudyConfig, idxs: Sequence[int]) -> list[dict[str, float]]:
-    """Population-study rows for sample indices ``idxs``.
-
-    Each index's table and signs come from its own substreams (see
-    :func:`_read_streams`), so a row does not depend on the block it is
-    computed in. The block's tables are built as stacked arrays in one
-    pass, bit for bit the tables :func:`generate_sample` draws from the
-    same streams, and go through :func:`_pate_kernel` together, which
-    raises for the first failing index.
-    """
-    normals, signs = _read_streams(config, idxs)
-    _, r_t, r_c, x = _stacked_tables(normals, config.setting)
-    return _pate_kernel(r_t, r_c, x, signs, config.f, config.g, idxs)
-
-
-def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> list[dict[str, float]]:
-    config, idxs = args
-    if config.mode == "sate":
-        return _sate_rows(config, idxs)
-    return _pate_rows(config, idxs)
 
 
 @dataclass(frozen=True)
@@ -979,38 +963,33 @@ def run_study(config: StudyConfig) -> StudyReport:
     """Run a full multi-sample study.
 
     Deterministic for a fixed seed regardless of the worker count:
-    every sample index gets its own substreams and rows are aggregated
-    in index order.
+    every sample index gets its own substreams and metric columns are
+    aggregated in index order.
     """
     config = _validate_config(config)
     if config.mode == "pate":
         config = replace(config, randomizations=1)
-    # Pate rows share the stacked kernel in fixed blocks. A sate task
-    # splits its tables into kernel calls by _SATE_DRAWS, so its size
-    # only balances the process pool.
-    if config.mode == "pate":
-        size = _PATE_BLOCK
-    else:
-        size = max(1, config.samples // (config.workers * 8))
+    # A task splits its tables into kernel calls by _STUDY_DRAWS, so its
+    # size only balances the process pool.
+    size = max(1, config.samples // (config.workers * 8))
     tasks = [
         (config, range(lo, min(lo + size, config.samples)))
         for lo in range(0, config.samples, size)
     ]
     if config.workers == 1:
-        blocks = map(_study_block, tasks)
+        blocks = list(map(_study_block, tasks))
     else:
         with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
             blocks = list(pool.map(_study_block, tasks))
-    rows = [row for block in blocks for row in block]
+    columns = _concat(blocks)
 
     if config.mode == "sate":
         metrics: dict[str, object] = {}
-        for name in _SATE_METRICS:
-            vals = np.array([row[name] for row in rows])
+        for name, vals in columns.items():
             med, lo, hi = np.quantile(vals, [0.5, 0.025, 0.975])
             metrics[name] = {"median": float(med), "q025": float(lo), "q975": float(hi)}
     else:
-        metrics = _aggregate_pate(rows, config.alpha)
+        metrics = _aggregate_pate(columns, config.alpha)
     return StudyReport(
         mode=config.mode,
         setting=config.setting,
@@ -1025,11 +1004,11 @@ def run_study(config: StudyConfig) -> StudyReport:
     )
 
 
-def _aggregate_pate(rows: list[dict[str, float]], alpha: float) -> dict[str, object]:
+def _aggregate_pate(columns: Mapping[str, np.ndarray], alpha: float) -> dict[str, object]:
     """Cross-sample aggregates against the population target of zero."""
     z = normal_quantile(1.0 - alpha / 2.0)
-    tau = {e: np.array([r[f"tau_{e}"] for r in rows]) for e in ("C", "R1", "R2")}
-    se = {e: np.array([r[f"se_{e}"] for r in rows]) for e in ("C", "R1", "R2", "R2P")}
+    tau = {e: columns[f"tau_{e}"] for e in ("C", "R1", "R2")}
+    se = {e: columns[f"se_{e}"] for e in ("C", "R1", "R2", "R2P")}
     tau["R2P"] = tau["R2"]
     sd = {e: float(tau[e].std(ddof=1)) for e in ("C", "R1", "R2")}
     out: dict[str, object] = {}

@@ -3,16 +3,19 @@
 The benchmark harness under ``bench/`` wraps the (module, function)
 pairs of its ``TRACED`` list and imports names from the package before
 its first operation, so a missing name makes every traced run fail.
-The package itself must import without scipy, which only the test
-oracles use.
+Each workload, at its self-test size, must also run and pass its own
+check under the harness's tracer. The package itself must import
+without scipy, which only the test oracles use.
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import paired_adjust
 
@@ -52,6 +55,39 @@ def test_every_name_the_workloads_import_exists():
     assert imported
     for mod_name, name in imported:
         assert hasattr(importlib.import_module(mod_name), name), f"{mod_name}.{name}"
+
+
+def _bench_module(name: str, monkeypatch):
+    """Load ``bench/<name>.py`` under a private module name, for one test."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_toy_workloads_pass_their_checks_under_the_tracer(tmp_path, monkeypatch, capsys):
+    # The harness pins BLAS threads in the environment and puts src/ on
+    # sys.path; neither may outlive this test.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with mock.patch.dict(os.environ):
+        cli = _bench_module("pkg", monkeypatch).load_cli()
+    tracing = _bench_module("tracing", monkeypatch)
+    workloads = _bench_module("workloads", monkeypatch)
+    assert set(workloads.TOY) == {"pate_study", "sate_study", "enumerate_n16", "analyze_n2000"}
+    for name, wl in workloads.TOY.items():
+        work = tmp_path / name
+        work.mkdir()
+        wl.write_inputs(work, 1)
+        tracer = tracing.Tracer()
+        with tracer:
+            code = tracer.op(cli.main, wl.argv(work, 1, workers=1))
+        assert code == 0, name
+        outputs = {out: (work / out).read_bytes() for out in wl.outputs}
+        assert wl.check(work, outputs) == [], name
+        metrics = tracing.layer_metrics(tracer)
+        assert metrics[f"{tracing.ROOT_SPAN}.calls"] == 1, name
+    capsys.readouterr()
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,7 +1,7 @@
-"""Population-study rows through the shared kernel, in blocks of tables.
+"""Population-study columns through the shared kernel, in blocks of tables.
 
-Every row of a block comes from the kernel. The rows must match a
-single-fit reference built from the public estimators to solver
+Every value of a block comes from the kernel. Each table's values must
+match a single-fit reference built from the public estimators to solver
 precision, must not depend on the block size or the worker count, and
 the first failing table of a block must raise what the reference raises
 for it. The rank decision is the kernel's own, so pate and sate studies
@@ -30,9 +30,9 @@ from paired_adjust.estimators import (
 from paired_adjust.experiment_model import TransformSpec, build_design, transformed_blocks
 from paired_adjust.randomization_engine import (
     StudyConfig,
+    _block_columns,
     _partialled_stats,
-    _pate_kernel,
-    _pate_rows,
+    _study_block,
     randomize,
     reveal,
     run_study,
@@ -90,6 +90,22 @@ def _stack(samples):
     return tuple(np.stack([getattr(s, name) for s in samples]) for name in ("r_t", "r_c", "x"))
 
 
+def _columns(samples, signs, f, g):
+    """The block path's columns for samples that meet one (n,) sign vector each."""
+    cfg = StudyConfig(mode="pate", setting="nonparallel", n=samples[0].n,
+                      samples=len(samples), f=f, g=g)
+    return _block_columns(cfg, *_stack(samples), signs[:, None], range(len(samples)))
+
+
+def _bits(columns):
+    """Columns as bytes, so that NaN values compare equal."""
+    return {name: col.tobytes() for name, col in columns.items()}
+
+
+def _joined(parts):
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+
+
 def _with_x(sample, x):
     return PotentialOutcomeSample(r_t=sample.r_t, r_c=sample.r_c, w=sample.w, x=x)
 
@@ -98,14 +114,14 @@ def _with_x(sample, x):
 def test_kernel_rows_match_single_fit(f, g):
     cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=120, seed=31, f=f, g=g)
     samples, signs = _draws(31, 25, 120)
-    kernel = _pate_kernel(*_stack(samples), signs, f, g)
-    assert len(kernel) == 120
-    for j, row in enumerate(kernel):
+    kernel = _columns(samples, signs, f, g)
+    assert all(col.shape == (120,) for col in kernel.values())
+    for j in range(120):
         ref = _pate_row(cfg, j)
-        assert row.keys() == ref.keys()
-        for key, value in row.items():
-            assert value == pytest.approx(ref[key], rel=1e-9, abs=0.0), (j, key)
-    assert _pate_rows(cfg, range(120)) == kernel
+        assert kernel.keys() == ref.keys()
+        for key, col in kernel.items():
+            assert col[j] == pytest.approx(ref[key], rel=1e-9, abs=0.0), (j, key)
+    assert _bits(_study_block((cfg, range(120)))) == _bits(kernel)
 
 
 @pytest.mark.parametrize(
@@ -134,17 +150,20 @@ def test_stacked_grams_match_one_table_at_a_time(f, g):
 def test_rows_independent_of_block_size(monkeypatch):
     cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=40, seed=32,
                       f=T.power(2), g=T.power(2))
-    whole = _pate_rows(cfg, range(40))
-    ones = [row for i in range(40) for row in _pate_rows(cfg, [i])]
-    sevens = [row for lo in range(0, 40, 7) for row in _pate_rows(cfg, range(lo, min(lo + 7, 40)))]
-    assert repr(ones) == repr(whole) == repr(sevens)
+    whole = _study_block((cfg, range(40)))
+    ones = _joined([_study_block((cfg, [i])) for i in range(40)])
+    sevens = _joined([_study_block((cfg, range(lo, min(lo + 7, 40)))) for lo in range(0, 40, 7)])
+    assert _bits(ones) == _bits(whole) == _bits(sevens)
 
+    # run_study's tasks here hold 40 // 8 = 5 tables: three tables per
+    # kernel call splits each task into calls of 3 and 2.
     reports = []
-    for size in (1, 7, 40):
-        monkeypatch.setattr(engine, "_PATE_BLOCK", size)
+    for draws in (1, 3, 7, 40):
+        monkeypatch.setattr(engine, "_STUDY_DRAWS", draws)
+        assert _bits(_study_block((cfg, range(40)))) == _bits(whole)
         report = run_study(cfg)
         reports.append((json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv()))
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1] == reports[2] == reports[3]
 
 
 # Under these transforms the m block is x4 alone, so scaling x4 leaves
@@ -185,7 +204,7 @@ def test_block_raises_what_single_path_raises(keep, expected):
     signs = signs[list(keep)]
     assert _single_path_error(samples, signs, F_CRAFT, G_CRAFT) is expected
     with pytest.raises(expected):
-        _pate_kernel(*_stack(samples), signs, F_CRAFT, G_CRAFT)
+        _columns(samples, signs, F_CRAFT, G_CRAFT)
 
 
 def test_failing_transform_sends_block_one_table_at_a_time():
@@ -196,9 +215,9 @@ def test_failing_transform_sends_block_one_table_at_a_time():
     log = T.log()
     assert _single_path_error(samples, signs, log, log) is RankDeficient
     with pytest.raises(RankDeficient):
-        _pate_kernel(*_stack(samples), signs, log, log)
+        _columns(samples, signs, log, log)
     with pytest.raises(NonFiniteTransform):
-        _pate_kernel(*_stack(samples[5:]), signs[5:], log, log)
+        _columns(samples[5:], signs[5:], log, log)
 
 
 @pytest.mark.filterwarnings("error")
@@ -211,6 +230,10 @@ def test_failing_transform_sends_block_one_table_at_a_time():
         # scale-invariant test, table 1 fails the absolute centering tolerance
         (["--n", "25", "--f", "exp", "--g", "exp"], 2, "m columns must sum to zero"),
         (["--n", "200", "--f", "power:3", "--g", "power:3"], 2, "m columns must sum to zero"),
+        # one sample (the later --S wins): every se/sd and sd ratio divides
+        # by a standard deviation across samples
+        (["--n", "25", "--S", "1"], 4, "pate mode needs samples >= 2, got 1: its metrics "
+         "divide by the standard deviation"),
     ],
 )
 def test_failing_pate_studies_keep_error_and_exit_code(tmp_path, capsys, args, code, message):

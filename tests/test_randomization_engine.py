@@ -340,8 +340,12 @@ class TestRunStudy:
             mode="sate", setting="parallel", n=12, samples=1,
             randomizations=5, seed=104,
         )
-        assert _study_block((cfg, [0]))[0] == _study_block((cfg, [0]))[0]
-        assert _study_block((cfg, [0]))[0] != _study_block((cfg, [1]))[0]
+        first, again, other = (
+            {name: col.tobytes() for name, col in _study_block((cfg, [i])).items()}
+            for i in (0, 0, 1)
+        )
+        assert first == again
+        assert first != other
 
     @pytest.mark.parametrize(
         "bad",

@@ -1,10 +1,10 @@
-"""In-sample study rows from stacked tables, several tables per kernel call.
+"""In-sample study columns from stacked tables, several tables per kernel call.
 
-Each row must be bit for bit the row of the per-sample reference below,
-which builds the table as a sample object and runs it through
-``run_monte_carlo``. Rows must not depend on the task block they are
-computed in, on the number of tables per kernel call or on the worker
-count, and a sate study must build no per-sample object.
+Each table's values must be bit for bit the row of the per-sample
+reference below, which builds the table as a sample object and runs it
+through ``run_monte_carlo``. Values must not depend on the task block
+they are computed in, on the number of tables per kernel call or on the
+worker count, and a sate study must build no per-sample object.
 """
 
 import json
@@ -17,7 +17,7 @@ from paired_adjust.cli import main
 from paired_adjust.dgp import PotentialOutcomeSample, generate_sample
 from paired_adjust.errors import NonFiniteTransform
 from paired_adjust.experiment_model import TransformSpec
-from paired_adjust.randomization_engine import StudyConfig, _sate_rows, run_monte_carlo, run_study
+from paired_adjust.randomization_engine import StudyConfig, _study_block, run_monte_carlo, run_study
 from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE, substream
 
 T = TransformSpec
@@ -50,6 +50,20 @@ def _sate_row(config, idx):
     }
 
 
+def _bits(columns):
+    """Columns as bytes: every bit is compared and NaN values compare equal."""
+    return {name: np.asarray(col, dtype=float).tobytes() for name, col in columns.items()}
+
+
+def _reference(cfg):
+    rows = [_sate_row(cfg, i) for i in range(cfg.samples)]
+    return _bits({name: [row[name] for row in rows] for name in rows[0]})
+
+
+def _joined(parts):
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+
+
 def _config(f, g, **kw):
     base = dict(mode="sate", setting="nonparallel", n=30, samples=23, randomizations=40,
                 seed=41, f=f, g=g)
@@ -64,31 +78,29 @@ def _config(f, g, **kw):
 )
 def test_stacked_rows_match_per_sample_reference(f, g):
     cfg = _config(f, g)
-    rows = _sate_rows(cfg, range(cfg.samples))
-    # repr compares every bit and treats NaN metrics as equal
-    assert repr(rows) == repr([_sate_row(cfg, i) for i in range(cfg.samples)])
+    assert _bits(_study_block((cfg, range(cfg.samples)))) == _reference(cfg)
 
 
 def test_singular_draws_match_per_sample_reference():
     # exp/exp at n=25: many tables have every R2 draw singular, so their
     # R2 metrics are NaN in both paths.
     cfg = _config(T.exp(), T.exp(), n=25, samples=12, randomizations=20, seed=3)
-    rows = _sate_rows(cfg, range(cfg.samples))
-    assert any(np.isnan(row["coverage_R2"]) for row in rows)
-    assert repr(rows) == repr([_sate_row(cfg, i) for i in range(cfg.samples)])
+    columns = _study_block((cfg, range(cfg.samples)))
+    assert np.isnan(columns["coverage_R2"]).any()
+    assert _bits(columns) == _reference(cfg)
 
 
 def test_rows_independent_of_block_and_call_size(monkeypatch):
     cfg = _config(T.power(2), T.log(), samples=20, randomizations=30)
-    whole = _sate_rows(cfg, range(20))
-    ones = [row for i in range(20) for row in _sate_rows(cfg, [i])]
-    sevens = [row for lo in range(0, 20, 7) for row in _sate_rows(cfg, range(lo, min(lo + 7, 20)))]
-    assert repr(ones) == repr(whole) == repr(sevens)
+    whole = _study_block((cfg, range(20)))
+    ones = _joined([_study_block((cfg, [i])) for i in range(20)])
+    sevens = _joined([_study_block((cfg, range(lo, min(lo + 7, 20)))) for lo in range(0, 20, 7)])
+    assert _bits(ones) == _bits(whole) == _bits(sevens)
 
     reports = []
     for draws in (1, 3 * 30, 10**6):  # one table per call, three, all of a task
-        monkeypatch.setattr(engine, "_SATE_DRAWS", draws)
-        assert repr(_sate_rows(cfg, range(20))) == repr(whole)
+        monkeypatch.setattr(engine, "_STUDY_DRAWS", draws)
+        assert _bits(_study_block((cfg, range(20)))) == _bits(whole)
         report = run_study(cfg)
         reports.append((json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv()))
     assert reports[0] == reports[1] == reports[2]
@@ -143,7 +155,7 @@ def test_failing_transform_raises_what_the_first_table_raises_alone(monkeypatch)
     for idxs in ([1], [2], range(4)):
         block[:] = idxs
         with pytest.raises(NonFiniteTransform) as info:
-            _sate_rows(cfg, idxs)
+            _study_block((cfg, idxs))
         messages.append(str(info.value))
     assert "'log'" in messages[0] and "'exp'" in messages[1]
     assert messages[2] == messages[0]

@@ -6,11 +6,11 @@ and the worst relative difference over every number in the report
 (|a - b| / max(|a|, |b|), zero when both are equal or both NaN, inf
 when only one is NaN or an infinity meets a different value; "n/a"
 unless both commands exit 0). Every study runs at ``--workers`` 1 and
-2, and its exit codes and reports must match across the two byte for
-byte. The ``analyze`` runs read experiment CSVs written here from the
-generated table with a fixed assignment, one of them with x1 in units
-1e9 times smaller. A change of exit code is a failure unless
-``EXPECTED_EXITS`` lists it.
+2, and in the new tree its exit codes and reports must match across the
+two byte for byte. The ``analyze`` runs read experiment CSVs written
+here from the generated table with a fixed assignment, one of them with
+x1 in units 1e9 times smaller. A change of exit code is a failure
+unless ``EXPECTED_EXITS`` lists it.
 
     python tools/report_drift.py OLD NEW [--work DIR]
 """
@@ -39,6 +39,8 @@ RUNS = {
     "pate_n25_pow2": ["simulate", "--mode", "pate-study", "--setting", "nonparallel",
                       "--n", "25", "--S", "2000", "--f", "power:2", "--g", "power:2",
                       "--seed", "7"],
+    "pate_n25_S1": ["simulate", "--mode", "pate-study", "--setting", "nonparallel",
+                    "--n", "25", "--S", "1", "--seed", "7"],
     "pate_n30_pow3_pow2": ["simulate", "--mode", "pate-study", "--setting", "nonparallel",
                            "--n", "30", "--S", "50", "--f", "power:3", "--g", "power:2",
                            "--seed", "3"],
@@ -56,14 +58,14 @@ RUNS = {
                          "--target", "pate"],
     "analyze_select_x1e9": ["analyze", "--input", "{experiment_x1e9}", "--g", "select:"],
 }
-# (old, new) exit codes that differ for a known reason. The design check
-# of analyze used to decide rank by a test that depends on column units,
-# so x1 in units 1e9 times smaller made it exit 3.
-EXPECTED_EXITS = {"analyze_select_x1e9": (3, 0)}
+# (old, new) exit codes that differ for a known reason. A pate study of
+# one sample used to exit 0 with NaN for every metric that divides by the
+# standard deviation across samples; it is now refused as a bad config.
+EXPECTED_EXITS = {"pate_n25_S1": (0, 4)}
 # Pair i's first unit is treated when character i is "1".
 FIRST_TREATED = "1011001110001101"
 WORKERS = {"pate_n25": ("1", "2"), "pate_n40_pow2_log": ("1", "2"), "pate_n25_pow2": ("1", "2"),
-           "pate_n30_pow3_pow2": ("1", "2"), "sate_n100": ("2", "1"),
+           "pate_n25_S1": ("1", "2"), "pate_n30_pow3_pow2": ("1", "2"), "sate_n100": ("2", "1"),
            "sate_n40_pow2_log": ("1", "2"), "sate_n25_exp_exp": ("1", "2")}
 
 
@@ -90,8 +92,12 @@ def write_experiment(table: Path, dest: Path, x1_scale: float = 1.0) -> None:
             out.writerow([pair, unit, z, row["r_t" if z else "r_c"], *map(repr, x)])
 
 
-def run_tree(root: Path, work: Path) -> dict[str, tuple[int, Path]]:
-    """Every command's exit code and report path for the tree at ``root``."""
+def run_tree(root: Path, work: Path) -> tuple[dict[str, tuple[int, Path]], list[str]]:
+    """Every command's exit code and report path for the tree at ``root``.
+
+    Also returns the studies whose exit codes or reports differ across
+    worker counts.
+    """
     src = root / "src"
     work.mkdir(parents=True, exist_ok=True)
     table = work / "table.csv"
@@ -100,7 +106,7 @@ def run_tree(root: Path, work: Path) -> dict[str, tuple[int, Path]]:
               "experiment_x1e9": work / "experiment_x1e9.csv"}
     write_experiment(table, inputs["experiment"])
     write_experiment(table, inputs["experiment_x1e9"], x1_scale=1e9)
-    out = {}
+    out, differ = {}, []
     for name, argv in RUNS.items():
         argv = [a.format(**inputs) for a in argv]
         reports = []
@@ -113,8 +119,9 @@ def run_tree(root: Path, work: Path) -> dict[str, tuple[int, Path]]:
             (c1, p1), (c2, p2) = reports
             if c1 != c2 or (c1 == 0 and p1.read_bytes() != p2.read_bytes()):
                 print(f"{root}: {name} differs across worker counts")
+                differ.append(name)
         out[name] = reports[0]
-    return out
+    return out, differ
 
 
 def _numbers(doc) -> list[float]:
@@ -148,9 +155,9 @@ def main() -> int:
     parser.add_argument("--work", type=Path, default=None)
     args = parser.parse_args()
     work = args.work or Path(tempfile.mkdtemp(prefix="report_drift_"))
-    old = run_tree(args.old, work / "old")
-    new = run_tree(args.new, work / "new")
-    worst_ok = True
+    old, _ = run_tree(args.old, work / "old")
+    new, differ = run_tree(args.new, work / "new")
+    worst_ok = not differ
     for name in RUNS:
         (c_old, p_old), (c_new, p_new) = old[name], new[name]
         d = f"{drift(p_old, p_new):.2g}" if c_old == c_new == 0 else "n/a"
