@@ -52,7 +52,8 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -81,7 +82,7 @@ from .experiment_model import (
     transformed_blocks,
 )
 from .ols_core import RANK_RTOL, _whiten
-from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substream
+from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substreams
 
 ENUMERATION_CAP = 16
 _CHUNK = 4096
@@ -724,6 +725,8 @@ def _validate_config(config: StudyConfig) -> StudyConfig:
         raise ConfigError(f"alpha must be in (0, 1), got {config.alpha}")
     if config.workers < 1:
         raise ConfigError(f"need workers >= 1, got {config.workers}")
+    if config.seed < 0:
+        raise ConfigError(f"need seed >= 0, got {config.seed}")
     try:
         k_d, k_m = block_widths(config.f, config.g, N_COVARIATES)
     except DimensionMismatch as exc:
@@ -742,23 +745,33 @@ def _validate_config(config: StudyConfig) -> StudyConfig:
     return config
 
 
-def _read_streams(config: StudyConfig, idxs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, 10n) standard normals and (T, B, n) signs of sample indices ``idxs``.
+def _read_streams(
+    config: StudyConfig, idxs: Sequence[int], per_call: int
+) -> Iterator[tuple[Sequence[int], np.ndarray, np.ndarray]]:
+    """Yield ``idxs`` ``per_call`` at a time, with their (T, 10n) normals and (T, B, n) signs.
 
     Index i draws its table's normals from ``substream(seed, ROLE_SAMPLE,
     i)`` and its B = ``config.randomizations`` assignments from
     ``substream(seed, ROLE_ASSIGN, i)``. Row t of the normals is what
     :func:`generate_sample` draws from the same stream, and one
     assignment drawn as a (1, n) block is the (n,) one :func:`randomize`
-    draws without ``b``.
+    draws without ``b``. The streams are read through :func:`substreams`,
+    which draws what those ``substream`` calls draw. It is opened once
+    for all of ``idxs``, so the keys of a block are hashed in one pass
+    whatever the number of indices per call.
     """
-    n, t, b = config.n, len(idxs), config.randomizations
-    normals = np.empty((t, 10 * n))
-    signs = np.empty((t, b, n))
-    for j, i in enumerate(idxs):
-        normals[j] = substream(config.seed, ROLE_SAMPLE, i).standard_normal(10 * n)
-        signs[j] = randomize(n, substream(config.seed, ROLE_ASSIGN, i), b)
-    return normals, signs
+    n, b = config.n, config.randomizations
+    sample = substreams(config.seed, ROLE_SAMPLE, idxs)
+    assign = substreams(config.seed, ROLE_ASSIGN, idxs)
+    for lo in range(0, len(idxs), per_call):
+        call = idxs[lo : lo + per_call]
+        normals = np.empty((len(call), 10 * n))
+        signs = np.empty((len(call), b, n))
+        for j, rng in enumerate(islice(sample, len(call))):
+            normals[j] = rng.standard_normal(10 * n)
+        for j, rng in enumerate(islice(assign, len(call))):
+            signs[j] = randomize(n, rng, b)
+        yield call, normals, signs
 
 
 def _concat(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -779,9 +792,7 @@ def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> dict[str, np.ndarra
     config, idxs = args
     per_call = max(1, _STUDY_DRAWS // config.randomizations)
     parts = []
-    for lo in range(0, len(idxs), per_call):
-        call = idxs[lo : lo + per_call]
-        normals, signs = _read_streams(config, call)
+    for call, normals, signs in _read_streams(config, idxs, per_call):
         _, r_t, r_c, x = _stacked_tables(normals, config.setting)
         parts.append(_block_columns(config, r_t, r_c, x, signs, call))
     return _concat(parts)

@@ -37,7 +37,7 @@ from paired_adjust.randomization_engine import (
     reveal,
     run_study,
 )
-from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE, substream
+from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE, substream, substreams
 
 T = TransformSpec
 TRANSFORMS = [
@@ -285,12 +285,13 @@ def test_certified_study_builds_no_sample_objects(monkeypatch):
         built.append(1)
         post_init(self)
 
-    def counting_substream(*args):
-        streams.append(args)
-        return substream(*args)
+    def counting_substreams(seed, role, idxs):
+        for i, rng in zip(idxs, substreams(seed, role, idxs)):
+            streams.append((seed, role, i))
+            yield rng
 
     monkeypatch.setattr(PotentialOutcomeSample, "__post_init__", counting_post_init)
-    monkeypatch.setattr(engine, "substream", counting_substream)
+    monkeypatch.setattr(engine, "substreams", counting_substreams)
     cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=300, seed=38)
     run_study(cfg)
     assert built == []

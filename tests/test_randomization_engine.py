@@ -367,6 +367,13 @@ class TestRunStudy:
         with pytest.raises(ConfigError):
             run_study(StudyConfig(**base))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_negative_seed_refused_before_any_draw(self, workers):
+        cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=4,
+                          seed=-1, workers=workers)
+        with pytest.raises(ConfigError, match="need seed >= 0, got -1"):
+            run_study(cfg)
+
 
 class TestLemmaDiagnostics:
     def test_fixed_unit_signs_reduce_to_raw_cross_block(self, rng):

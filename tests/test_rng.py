@@ -1,0 +1,98 @@
+"""Block stream keys and draws against numpy's own SeedSequence and Philox.
+
+``stream_keys`` re-implements numpy's ``SeedSequence`` hash, so it is
+checked against numpy itself: against ``generate_state`` and against
+the key ``Philox`` takes from the sequence. A numpy change to either one
+fails here. The generators ``substreams`` yields share one re-keyed
+``Philox``, so their draws are checked against fresh ``substream`` calls
+with draw counts that leave a spare 32-bit word behind, which a re-key
+must clear.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from paired_adjust.randomization_engine import randomize
+from paired_adjust.rng import (
+    ROLE_ASSIGN,
+    ROLE_GENERIC,
+    ROLE_SAMPLE,
+    stream_keys,
+    substream,
+    substreams,
+)
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+WIDE_SEEDS = (0, 2**32 - 1, 2**32, 2**64, 2**130)
+SEEDS = st.one_of(st.sampled_from(WIDE_SEEDS), st.integers(0, 2**33), st.integers(0, 2**140))
+ROLES = st.sampled_from([ROLE_SAMPLE, ROLE_ASSIGN, ROLE_GENERIC])
+INDICES = st.lists(
+    st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)), max_size=6
+)
+
+
+def _sequence(seed, role, i):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(role, i))
+
+
+@PROPERTY
+@given(seed=SEEDS, role=ROLES, idxs=INDICES)
+@example(seed=0, role=ROLE_SAMPLE, idxs=[0, 2**32 - 1])
+@example(seed=2**32 - 1, role=ROLE_ASSIGN, idxs=[0, 2**32 - 1])
+@example(seed=2**32, role=ROLE_GENERIC, idxs=[0, 2**32 - 1])
+@example(seed=2**64, role=ROLE_SAMPLE, idxs=[0, 2**32 - 1])
+@example(seed=2**130, role=ROLE_ASSIGN, idxs=[0, 2**32 - 1])
+def test_keys_are_seed_sequence_state_and_philox_key(seed, role, idxs):
+    keys = stream_keys(seed, role, idxs)
+    state = [_sequence(seed, role, i).generate_state(2, np.uint64) for i in idxs]
+    philox = [np.random.Philox(_sequence(seed, role, i)).state["state"]["key"] for i in idxs]
+    assert keys.dtype == np.uint64 and keys.shape == (len(idxs), 2)
+    assert np.array_equal(keys, np.reshape(state, (-1, 2)))
+    assert np.array_equal(keys, np.reshape(philox, (-1, 2)))
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    role=ROLES,
+    idxs=INDICES,
+    n=st.integers(1, 30),
+    b=st.integers(1, 4),
+)
+@example(seed=7, role=ROLE_ASSIGN, idxs=[0, 1, 2], n=25, b=1)
+@example(seed=2**40 + 3, role=ROLE_SAMPLE, idxs=[5, 5, 2**32 - 1], n=13, b=3)
+def test_reused_generator_draws_what_fresh_substreams_draw(seed, role, idxs, n, b):
+    # Odd n, or odd b * n, leaves a spare 32-bit word in the Philox state
+    # after the sign draws; the next index must not start from it.
+    drawn = [
+        (rng.standard_normal(10 * n), randomize(n, rng, b), randomize(n, rng))
+        for rng in substreams(seed, role, idxs)
+    ]
+    assert len(drawn) == len(idxs)
+    for i, (normals, signs, more) in zip(idxs, drawn):
+        fresh = substream(seed, role, i)
+        assert np.array_equal(normals, fresh.standard_normal(10 * n))
+        assert np.array_equal(signs, randomize(n, fresh, b))
+        assert np.array_equal(more, randomize(n, fresh))
+
+
+@pytest.mark.parametrize("bad", [2**32, 2**40, 2**64, 2**70, -1])
+def test_index_outside_one_word_is_refused(bad):
+    with pytest.raises(ValueError, match="stream indices"):
+        stream_keys(3, ROLE_SAMPLE, [0, bad])
+    with pytest.raises(ValueError, match="stream indices"):
+        next(substreams(3, ROLE_SAMPLE, [bad]))
+
+
+def test_negative_seed_is_refused_like_seed_sequence():
+    with pytest.raises(ValueError):
+        _sequence(-1, ROLE_SAMPLE, 0)
+    with pytest.raises(ValueError):
+        stream_keys(-1, ROLE_SAMPLE, [0])
+
+
+def test_empty_block():
+    assert stream_keys(3, ROLE_SAMPLE, range(0)).shape == (0, 2)
+    assert list(substreams(3, ROLE_SAMPLE, [])) == []

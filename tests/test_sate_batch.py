@@ -18,7 +18,7 @@ from paired_adjust.dgp import PotentialOutcomeSample, generate_sample
 from paired_adjust.errors import NonFiniteTransform
 from paired_adjust.experiment_model import TransformSpec
 from paired_adjust.randomization_engine import StudyConfig, _study_block, run_monte_carlo, run_study
-from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE, substream
+from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE, substream, substreams
 
 T = TransformSpec
 
@@ -114,15 +114,16 @@ def test_sate_study_builds_no_sample_objects(monkeypatch):
         built.append(1)
         post_init(self)
 
-    def counting_substream(*args):
-        streams.append(args)
-        return substream(*args)
+    def counting_substreams(seed, role, idxs):
+        for i, rng in zip(idxs, substreams(seed, role, idxs)):
+            streams.append((seed, role, i))
+            yield rng
 
     def no_monte_carlo(*args, **kwargs):
         raise AssertionError("a sate study called run_monte_carlo")
 
     monkeypatch.setattr(PotentialOutcomeSample, "__post_init__", counting_post_init)
-    monkeypatch.setattr(engine, "substream", counting_substream)
+    monkeypatch.setattr(engine, "substreams", counting_substreams)
     monkeypatch.setattr(engine, "run_monte_carlo", no_monte_carlo)
     cfg = _config(T.identity(), T.identity(), samples=30, seed=42)
     run_study(cfg)
