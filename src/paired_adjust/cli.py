@@ -317,10 +317,10 @@ def _emit_json(doc: dict, out: Optional[str]) -> None:
             path.write_text(text, encoding="utf-8")
 
 
-def _config_echo(conf: dict, skip: tuple[str, ...] = ()) -> dict:
+def _config_echo(conf: dict) -> dict:
     echo: dict[str, Any] = {}
     for key, value in conf.items():
-        if key in skip or key in _OUTPUTS:
+        if key in _OUTPUTS:
             continue
         echo[key] = value.to_dict() if isinstance(value, TransformSpec) else value
     return echo
@@ -397,18 +397,14 @@ def _write_histogram(dist, path: str, bins: int = 64) -> None:
 def cmd_enumerate(conf: dict) -> int:
     """exact randomization distribution of a science table"""
     sample = _read_input(load_science_table, conf["input"], conf["meta"])
-    f, g = conf["f"], conf["g"]
-    if f is None and g is None and sample.x is not None:
-        f = g = TransformSpec.identity()
-    dist = enumerate_exact(sample, f, g, alpha=conf["alpha"], cap=conf["cap"])
+    if conf["f"] is None and conf["g"] is None and sample.x is not None:
+        conf = dict(conf, f=TransformSpec.identity(), g=TransformSpec.identity())
+    dist = enumerate_exact(sample, conf["f"], conf["g"], alpha=conf["alpha"], cap=conf["cap"])
 
     summary = dist.summary()
     for est, cell in summary["estimators"].items():
         cell["s2_margin"] = cell["mean_s2"] - cell["variance"]
-    echo = _config_echo(conf, skip=("f", "g"))
-    echo["f"] = f.to_dict() if f is not None else None
-    echo["g"] = g.to_dict() if g is not None else None
-    doc = {"version": __version__, "config": echo, "summary": summary}
+    doc = {"version": __version__, "config": _config_echo(conf), "summary": summary}
     _emit_json(doc, conf["out"])
     if conf["histogram"] is not None:
         _write_histogram(dist, conf["histogram"])

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO, TypeVar, Union
@@ -466,7 +467,7 @@ def _parse_float(token: str, where: str) -> float:
         val = float(token)
     except ValueError:
         raise MalformedRow(f"{where}: cannot parse {token!r} as a number") from None
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise MalformedRow(f"{where}: non-finite value {token!r}")
     return val
 

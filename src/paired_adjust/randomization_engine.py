@@ -37,9 +37,13 @@ per-mode arithmetic differs: a sate study takes Y from the
 level/effect identity, and the plain mean's statistics with it, in
 :func:`_grid_stats`, as enumeration and Monte Carlo do; a pate study
 takes Y from the observed responses and checks it against the same
-identity. Every mode makes the same rank decision, the kernel's pivot
-tests, which do not depend on the scale of any covariate column; a pate
-study raises for the first sample, in index order, that fails them.
+identity. Summaries over draws are taken on the grid too:
+:func:`_summarize` reduces the last axis of a (..., B) stack, so a sate
+study summarizes each estimator's (T, B) grid in one call, and
+enumeration and Monte Carlo call it on their single row. Every mode
+makes the same rank decision, the kernel's pivot tests, which do not
+depend on the scale of any covariate column; a pate study raises for
+the first sample, in index order, that fails them.
 The whitening is ``ols_core._whiten``, which the single fits of
 ``ols_core.least_squares`` and ``validate_design`` share, so those
 decide rank by the same pivot test. Estimates from this kernel agree
@@ -497,7 +501,11 @@ def _table_stats(
 
 @dataclass(frozen=True)
 class EstimatorSummary:
-    """Summary of one estimator over a set of assignments."""
+    """Summary of one estimator over a set of assignments.
+
+    Each field is a Python number for one set, or an array with one
+    entry per set when :func:`_summarize` reduced a stack of them.
+    """
 
     mean: float
     variance: float
@@ -509,34 +517,50 @@ class EstimatorSummary:
 
 
 def _summarize(
-    tau: np.ndarray, s2: np.ndarray, target: float, alpha: float
+    tau: np.ndarray, s2: np.ndarray, target: float | np.ndarray, alpha: float
 ) -> EstimatorSummary:
-    """Moments, RMSE and interval coverage against ``target``.
+    """Moments, RMSE and interval coverage against ``target``, over the last axis.
 
-    Assignments with a non-finite estimate are counted in ``errors``
-    and left out of every other number.
+    ``tau`` and ``s2`` are (..., B): B assignments for each index of the
+    leading shape, which ``target`` broadcasts over and every field of
+    the result has. A 1-D call gives Python numbers. Assignments with a
+    non-finite estimate are counted in ``errors`` and left out of every
+    other number; an index with none left gets NaN. A dropped entry
+    enters the sums as an exact zero, so a row without drops reduces
+    bit for bit as it does alone, and one with drops differs from
+    reducing its kept entries only by the rounding of the sums.
     """
     ok = np.isfinite(tau) & np.isfinite(s2)
-    errors = int((~ok).sum())
-    tau, s2 = tau[ok], s2[ok]
-    if tau.size == 0:
-        nan = float("nan")
-        return EstimatorSummary(nan, nan, nan, nan, nan, nan, errors)
-    mean = float(tau.mean())
-    var = float(((tau - mean) ** 2).mean())
-    rmse = float(np.sqrt(((tau - target) ** 2).mean()))
-    se = np.sqrt(s2)
-    half = normal_quantile(1.0 - alpha / 2.0) * se
-    coverage = float((np.abs(tau - target) <= half).mean())
-    return EstimatorSummary(
-        mean=mean,
-        variance=var,
-        rmse=rmse,
-        coverage=coverage,
-        mean_se=float(se.mean()),
-        mean_s2=float(s2.mean()),
-        errors=errors,
-    )
+    bad = ~ok
+    kept = np.count_nonzero(ok, axis=-1)
+    tau, s2 = tau.copy(), s2.copy()
+    tau[bad] = 0.0
+    s2[bad] = 0.0
+    # Work in place where a value is used once: at 2^16 draws each fresh
+    # temporary costs about as much as the arithmetic on it.
+    with np.errstate(invalid="ignore"):
+        mean = tau.sum(axis=-1) / kept
+        dev = tau - mean[..., None]
+        dev[bad] = 0.0
+        variance = np.square(dev, out=dev).sum(axis=-1) / kept
+        miss = np.subtract(tau, np.asarray(target)[..., None], out=dev)
+        miss[bad] = 0.0
+        se = np.sqrt(s2)
+        mean_se = se.sum(axis=-1) / kept
+        half = np.multiply(se, normal_quantile(1.0 - alpha / 2.0), out=se)
+        hit = (np.abs(miss, out=miss) <= half) & ok
+        fields = (
+            mean,
+            variance,
+            np.sqrt(np.square(miss, out=miss).sum(axis=-1) / kept),
+            np.count_nonzero(hit, axis=-1) / kept,
+            mean_se,
+            s2.sum(axis=-1) / kept,
+        )
+    errors = tau.shape[-1] - kept
+    if tau.ndim == 1:
+        return EstimatorSummary(*map(float, fields), int(errors))
+    return EstimatorSummary(*fields, errors)
 
 
 @dataclass(frozen=True)
@@ -844,30 +868,24 @@ def _sate_columns(
 ) -> dict[str, np.ndarray]:
     """In-sample metrics of each table over its B draws.
 
-    Every table's draws go through :func:`_grid_stats` together; only
-    the summaries against each table's own average effect are taken
-    table by table. Singular draws are left out of the summaries.
+    Every table's draws go through :func:`_grid_stats` together, and
+    each estimator's (T, B) grid is summarized in one call against each
+    table's own average effect. Singular draws are left out of the
+    summaries.
     """
     effects, gaps = _effects_and_gaps(r_t, r_c)
     stats = _grid_stats(effects, gaps, signs, blocks, ("C", "R1", "R2"))
-    sates = [float(row.mean()) for row in effects]
-    per = {
-        est: [_summarize(tau[j], s2[j], sate, alpha) for j, sate in enumerate(sates)]
-        for est, (tau, s2) in stats.items()
-    }
-    cov, se, rmse = (
-        {est: np.array([getattr(summary, name) for summary in per[est]]) for est in per}
-        for name in ("coverage", "mean_se", "rmse")
-    )
+    sates = effects.mean(axis=-1)
+    c, r1, r2 = (_summarize(tau, s2, sates, alpha) for tau, s2 in stats.values())
     return {
-        "coverage_C": cov["C"],
-        "coverage_R1": cov["R1"],
-        "coverage_R2": cov["R2"],
-        "se_ratio_R1_C": se["R1"] / se["C"],
-        "se_ratio_R2_C": se["R2"] / se["C"],
-        "se_ratio_R2_R1": se["R2"] / se["R1"],
-        "rmse_ratio_R1_C": rmse["R1"] / rmse["C"],
-        "rmse_ratio_R2_C": rmse["R2"] / rmse["C"],
+        "coverage_C": c.coverage,
+        "coverage_R1": r1.coverage,
+        "coverage_R2": r2.coverage,
+        "se_ratio_R1_C": r1.mean_se / c.mean_se,
+        "se_ratio_R2_C": r2.mean_se / c.mean_se,
+        "se_ratio_R2_R1": r2.mean_se / r1.mean_se,
+        "rmse_ratio_R1_C": r1.rmse / c.rmse,
+        "rmse_ratio_R2_C": r2.rmse / c.rmse,
     }
 
 
@@ -922,42 +940,36 @@ def _pate_columns(
 class StudyReport:
     """Aggregated study results.
 
-    ``metrics`` maps metric names to {median, q025, q975} dicts in sate
-    mode, or to plain floats in pate mode (those metrics are already
-    cross-sample aggregates). The worker count is deliberately not
-    recorded: results do not depend on it.
+    ``config`` is the study that was run, with the randomizations
+    count forced to 1 in pate mode. ``metrics`` maps metric names to
+    {median, q025, q975} dicts in sate mode, or to plain floats in pate
+    mode (those metrics are already cross-sample aggregates). The worker
+    count is deliberately not written out: results do not depend on it.
     """
 
-    mode: str
-    setting: str
-    n: int
-    samples: int
-    randomizations: int
-    alpha: float
-    seed: int
-    f: TransformSpec
-    g: TransformSpec
+    config: StudyConfig
     metrics: Mapping[str, object]
 
     def to_json_dict(self) -> dict:
+        c = self.config
         return {
             "config": {
-                "mode": self.mode,
-                "setting": self.setting,
-                "n": self.n,
-                "samples": self.samples,
-                "randomizations": self.randomizations,
-                "alpha": self.alpha,
-                "seed": self.seed,
-                "f": self.f.to_dict(),
-                "g": self.g.to_dict(),
+                "mode": c.mode,
+                "setting": c.setting,
+                "n": c.n,
+                "samples": c.samples,
+                "randomizations": c.randomizations,
+                "alpha": c.alpha,
+                "seed": c.seed,
+                "f": c.f.to_dict(),
+                "g": c.g.to_dict(),
             },
             "metrics": {k: v for k, v in self.metrics.items()},
         }
 
     def to_csv(self) -> str:
         lines = []
-        if self.mode == "sate":
+        if self.config.mode == "sate":
             lines.append("metric,median,q2.5,q97.5")
             for name, cell in self.metrics.items():
                 lines.append(
@@ -1001,18 +1013,7 @@ def run_study(config: StudyConfig) -> StudyReport:
             metrics[name] = {"median": float(med), "q025": float(lo), "q975": float(hi)}
     else:
         metrics = _aggregate_pate(columns, config.alpha)
-    return StudyReport(
-        mode=config.mode,
-        setting=config.setting,
-        n=config.n,
-        samples=config.samples,
-        randomizations=config.randomizations,
-        alpha=config.alpha,
-        seed=config.seed,
-        f=config.f,
-        g=config.g,
-        metrics=metrics,
-    )
+    return StudyReport(config, metrics)
 
 
 def _aggregate_pate(columns: Mapping[str, np.ndarray], alpha: float) -> dict[str, object]:

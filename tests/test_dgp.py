@@ -201,6 +201,18 @@ class TestScienceTableIO:
         with pytest.raises(MalformedRow):
             load_science_table(csv_path, meta_path)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf"])
+    def test_non_finite_covariate_rejected(self, token):
+        text = (
+            "pair,unit,x1,x2,x3,x4,r_t,r_c\n"
+            "1,1,0.1,0.2,0.3,0.4,0.5,0.5\n"
+            "1,2,0.1,0.2,0.3,0.4,-0.5,-0.5\n"
+            f"2,1,0.1,{token},0.3,0.4,0.0,0.0\n"
+            "2,2,0.1,0.2,0.3,0.4,0.0,0.0\n"
+        )
+        with pytest.raises(MalformedRow, match=f"line 4: non-finite value '{token}'"):
+            load_science_table(io.StringIO(text))
+
     def test_wrong_header_rejected(self):
         text = "pair,unit,rt,rc\n1,1,0.5,0.5\n1,2,-0.5,-0.5\n"
         with pytest.raises(MalformedRow):

@@ -128,6 +128,8 @@ class TestLoadExperimentCsv:
             lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,2.0"),  # arity
             lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,abc,0.5"),  # parse
             lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,nan,0.5"),  # non-finite
+            lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,2.0,inf"),  # non-finite x
+            lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,2.0,-inf"),  # non-finite x
             lambda t: t.replace("1,1,1,2.0,0.5", "1,3,1,2.0,0.5"),  # unit range
             lambda t: t.replace("1,1,1,2.0,0.5", "1,1,2,2.0,0.5"),  # z range
             lambda t: t.replace("pair,unit,z,y,x1", "pair,unit,y,z,x1"),  # header

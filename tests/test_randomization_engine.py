@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,7 +27,8 @@ from paired_adjust import (
     substream,
     superpop_correct,
 )
-from paired_adjust.randomization_engine import _study_block
+from paired_adjust import randomization_engine as engine
+from paired_adjust.randomization_engine import _study_block, _summarize
 
 from conftest import make_sample
 from oracles import enumerate_oracle
@@ -176,6 +179,94 @@ class TestEnumerateExact:
             assert set(cell) == {"mean", "variance", "mean_s2", "rmse", "coverage"}
 
 
+SUMMARY_FIELDS = ("mean", "variance", "rmse", "coverage", "mean_se", "mean_s2", "errors")
+
+
+def compacted_summary(tau, s2, target, alpha):
+    """The summary of one row from its finite draws only, field by field."""
+    ok = np.isfinite(tau) & np.isfinite(s2)
+    tau, s2 = tau[ok], s2[ok]
+    se = np.sqrt(s2)
+    half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * se
+    return {
+        "mean": tau.mean(),
+        "variance": ((tau - tau.mean()) ** 2).mean(),
+        "rmse": np.sqrt(((tau - target) ** 2).mean()),
+        "coverage": (np.abs(tau - target) <= half).mean(),
+        "mean_se": se.mean(),
+        "mean_s2": s2.mean(),
+        "errors": int((~ok).sum()),
+    }
+
+
+class TestSummarize:
+    def test_grid_rows_reduce_bit_for_bit_as_alone(self, rng):
+        tau = rng.standard_normal((5, 300))
+        s2 = rng.random((5, 300)) * 2.0
+        target = rng.standard_normal(5) * 0.1
+        grid = _summarize(tau, s2, target, 0.05)
+        for t in range(5):
+            row = _summarize(tau[t], s2[t], float(target[t]), 0.05)
+            for name in SUMMARY_FIELDS:
+                got = np.asarray(getattr(grid, name)[t])
+                assert got.tobytes() == np.asarray(getattr(row, name), got.dtype).tobytes(), name
+
+    @pytest.mark.filterwarnings("error")
+    def test_dropped_draws_counted_and_left_out(self, rng):
+        # The offset keeps each mean away from zero: the grid sums a
+        # dropped draw as an exact zero, so its sums group the kept terms
+        # differently from the compacted reference, and only a sum that
+        # does not cancel bounds that rounding relative to its value.
+        tau = 2.0 + rng.standard_normal((4, 200))
+        s2 = rng.random((4, 200)) + 0.1
+        tau[1, rng.random(200) < 0.1] = np.nan
+        tau[1, 7] = np.inf
+        s2[2, rng.random(200) < 0.1] = np.nan
+        tau[3] = s2[3] = np.nan
+        target = 2.0 + rng.standard_normal(4) * 0.1
+        grid = _summarize(tau, s2, target, 0.05)
+        dropped = (~(np.isfinite(tau) & np.isfinite(s2))).sum(axis=1)
+        assert dropped[0] == 0 and 0 < dropped[1] < 200 and 0 < dropped[2] < 200
+        npt.assert_array_equal(grid.errors, dropped)
+        for t in range(3):
+            ref = compacted_summary(tau[t], s2[t], target[t], 0.05)
+            for name in SUMMARY_FIELDS[:-1]:
+                npt.assert_allclose(getattr(grid, name)[t], ref[name], rtol=1e-14, err_msg=name)
+        assert grid.errors[3] == 200
+        for name in SUMMARY_FIELDS[:-1]:
+            assert np.isnan(getattr(grid, name)[3]), name
+
+    def test_one_row_gives_python_numbers(self, rng):
+        tau, s2 = rng.standard_normal(50), rng.random(50)
+        tau[3] = np.nan
+        summ = _summarize(tau, s2, 0.0, 0.05)
+        for name in SUMMARY_FIELDS[:-1]:
+            assert type(getattr(summ, name)) is float, name
+        assert type(summ.errors) is int and summ.errors == 1
+
+    def test_sate_study_summarizes_each_estimator_once_per_kernel_call(self, monkeypatch):
+        calls = {"grid": 0, "summarize": []}
+        grid_stats, summarize = engine._grid_stats, engine._summarize
+
+        def counted_grid(*args, **kwargs):
+            calls["grid"] += 1
+            return grid_stats(*args, **kwargs)
+
+        def counted_summarize(tau, *args):
+            calls["summarize"].append(tau.shape)
+            return summarize(tau, *args)
+
+        monkeypatch.setattr(engine, "_grid_stats", counted_grid)
+        monkeypatch.setattr(engine, "_summarize", counted_summarize)
+        monkeypatch.setattr(engine, "_STUDY_DRAWS", 40)
+        cfg = StudyConfig(mode="sate", setting="nonparallel", n=12, samples=10,
+                          randomizations=10, seed=105)
+        cols = _study_block((cfg, range(10)))
+        assert all(col.shape == (10,) for col in cols.values())
+        assert calls["grid"] == 3  # kernel calls of 4, 4 and 2 tables
+        assert calls["summarize"] == [(4, 10)] * 6 + [(2, 10)] * 3
+
+
 class TestRunMonteCarlo:
     def test_single_draw_coverage_is_binary(self, rng):
         s = make_sample(rng, 8)
@@ -312,7 +403,7 @@ class TestRunStudy:
             randomizations=7, seed=102,
         )
         report = run_study(cfg)
-        assert report.randomizations == 1  # forced in pate mode
+        assert report.config.randomizations == 1  # forced in pate mode
         assert set(report.metrics) == {
             "coverage_C", "coverage_R1", "coverage_R2", "coverage_R2P",
             "se_sd_ratio_C", "se_sd_ratio_R1", "se_sd_ratio_R2", "se_sd_ratio_R2P",
