@@ -290,7 +290,7 @@ def _read_input(loader: Callable[..., Any], *paths: Optional[str]) -> Any:
             texts.append(None)
             continue
         try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
+            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
                 texts.append(io.StringIO(fh.read(), newline=""))
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc.strerror}") from None

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, TextIO, Union
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedRow
-from .experiment_model import _parse_float, _read_pairs, _readonly
+from .experiment_model import _read_pairs, _readonly
 from .rng import ROLE_SAMPLE, substream
 
 SETTINGS = ("parallel", "nonparallel")
@@ -260,12 +260,12 @@ def load_science_table(
     """Read a science table written by :func:`write_science_table`.
 
     pair, unit, r_t, r_c are required; the w and x column groups are
-    optional but must be complete and in order when present. When a
-    sidecar is supplied, its stored average effect is checked against
-    the table.
+    optional but must be complete and in order when present. Rows are
+    read as :func:`load_experiment_csv` reads them. When a sidecar is
+    supplied, its stored average effect is checked against the table.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return load_science_table(fh, sidecar)
 
     reader = csv.reader(source)
@@ -289,25 +289,13 @@ def load_science_table(
             f"science table header must be pair,unit[,w1..w4][,x1..x4],r_t,r_c; got {header}"
         )
 
-    pairs = _read_pairs(
-        reader, len(expect), lambda fields, where: [_parse_float(t, where) for t in fields]
-    )
-    n = len(pairs)
-    w = np.empty((n, 2, N_COVARIATES)) if has_w else None
-    x = np.empty((n, 2, N_COVARIATES)) if has_x else None
-    r_t = np.empty((n, 2))
-    r_c = np.empty((n, 2))
-    for i, units in enumerate(pairs.values()):
-        for j, vals in enumerate(units):
-            k = 0
-            if has_w:
-                w[i, j] = vals[k : k + N_COVARIATES]  # type: ignore[index]
-                k += N_COVARIATES
-            if has_x:
-                x[i, j] = vals[k : k + N_COVARIATES]  # type: ignore[index]
-                k += N_COVARIATES
-            r_t[i, j] = vals[k]
-            r_c[i, j] = vals[k + 1]
+    _, _, values = _read_pairs(reader, len(expect))
+    n = values.shape[0]
+    k = N_COVARIATES if has_w else 0
+    w = values[:, :, :k] if has_w else None
+    x = values[:, :, k : k + N_COVARIATES] if has_x else None
+    r_t = values[:, :, -2]
+    r_c = values[:, :, -1]
 
     setting = "custom"
     seed = None

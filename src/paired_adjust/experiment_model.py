@@ -21,9 +21,8 @@ that do not change across randomizations.
 from __future__ import annotations
 
 import csv
-import io
-import math
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TextIO, TypeVar, Union
 
@@ -236,7 +235,7 @@ class PairedExperiment:
         object.__setattr__(self, "x", _readonly(x))
         object.__setattr__(self, "z", _readonly(z))
         object.__setattr__(self, "y", _readonly(y))
-        object.__setattr__(self, "pair_ids", tuple(int(i) for i in ids))
+        object.__setattr__(self, "pair_ids", tuple(map(int, ids)))
 
     @property
     def n(self) -> int:
@@ -462,72 +461,129 @@ def validate_design(dm: DesignMatrices) -> DesignDiagnostics:
 _BASE_COLUMNS = ("pair", "unit", "z", "y")
 
 
-def _parse_float(token: str, where: str) -> float:
-    try:
-        val = float(token)
-    except ValueError:
-        raise MalformedRow(f"{where}: cannot parse {token!r} as a number") from None
-    if not math.isfinite(val):
-        raise MalformedRow(f"{where}: non-finite value {token!r}")
-    return val
+def _first_bad(bad: np.ndarray) -> tuple[int, int] | None:
+    """(row, field) of the first True in file order of a (fields, rows) mask."""
+    if not bad.any():
+        return None
+    return divmod(int(np.argmax(bad.T)), bad.shape[0])
 
 
-def _parse_int(token: str, where: str) -> int:
+def _parse_fields(
+    parse: Callable[[str], _T],
+    what: str,
+    columns: Sequence[Sequence[str]],
+    fields: slice,
+    rows: Sequence[Sequence[str]],
+    lines: Sequence[int],
+) -> list[_T]:
+    """``parse`` over ``columns[fields]``, returned field-major.
+
+    A token ``parse`` refuses raises MalformedRow naming the first such
+    token in file order, which ``rows`` and their ``lines`` give.
+    """
     try:
-        return int(token)
+        return list(map(parse, chain.from_iterable(columns[fields])))
     except ValueError:
-        raise MalformedRow(f"{where}: cannot parse {token!r} as an integer") from None
+        for line, row in zip(lines, rows):
+            for token in row[fields]:
+                try:
+                    parse(token)
+                except ValueError:
+                    raise MalformedRow(f"line {line}: cannot parse {token!r} as {what}") from None
+        raise
 
 
 def _read_pairs(
     reader: Iterable[list[str]],
     width: int,
-    parse_unit: Callable[[list[str], str], _T],
-) -> dict[int, tuple[_T, _T]]:
-    """Group CSV data rows (after the header) by pair id.
+    flags: Sequence[str] = (),
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Group CSV data rows (after the header) by pair id, a field at a time.
 
-    Every non-blank row has ``width`` fields: pair id, unit (1 or 2),
-    then the fields ``parse_unit(fields, where)`` turns into that unit's
-    record. Returns pair id -> (unit 1 record, unit 2 record) in
-    first-appearance order. Raises PairViolation for a repeated unit or
-    a pair lacking one, MalformedRow for bad rows or no rows at all.
+    Blank rows are skipped; every other row has ``width`` fields: pair
+    id, unit (1 or 2), one integer per name in ``flags`` (each 0 or 1),
+    then numbers. Returns the pair ids in first-appearance order, the
+    flags as an (n, 2, len(flags)) int array and the numbers as an
+    (n, 2, F) float array, both indexed ``[pair, unit - 1]``.
+
+    The checks run over the whole file in this order, and each names the
+    first failing line, or pair, in file order: field count, integer
+    parse, unit and flag range, number parse, finiteness (MalformedRow),
+    then a repeated unit and a pair lacking one (PairViolation). A file
+    with no data rows raises MalformedRow.
     """
-    grouped: dict[int, dict[int, _T]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        where = f"line {lineno}"
-        if len(row) != width:
-            raise MalformedRow(f"{where}: expected {width} fields, got {len(row)}")
-        pair = _parse_int(row[0], where)
-        unit = _parse_int(row[1], where)
-        if unit not in (1, 2):
-            raise MalformedRow(f"{where}: unit must be 1 or 2, got {unit}")
-        record = parse_unit(row[2:], where)
-        units = grouped.setdefault(pair, {})
-        if unit in units:
-            raise PairViolation(f"pair {pair}: unit {unit} appears twice")
-        units[unit] = record
-    if not grouped:
+    rows = list(reader)
+    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    # a blank line reads as no fields, or as one field of whitespace
+    filled = counts > 1
+    lone = np.flatnonzero(counts == 1)
+    filled[lone] = [bool(rows[i][0].strip()) for i in lone]
+    lines = np.flatnonzero(filled) + 2
+    if not filled.all():
+        rows = list(compress(rows, filled))
+        counts = counts[filled]
+    m = len(rows)
+    if not m:
         raise MalformedRow("no data rows")
-    pairs: dict[int, tuple[_T, _T]] = {}
-    for pair, units in grouped.items():
-        if set(units) != {1, 2}:
-            raise PairViolation(f"pair {pair}: needs exactly units 1 and 2")
-        pairs[pair] = (units[1], units[2])
-    return pairs
+    if (counts != width).any():
+        r = int(np.argmax(counts != width))
+        raise MalformedRow(f"line {lines[r]}: expected {width} fields, got {counts[r]}")
+
+    columns = list(zip(*rows))
+    n_int = 2 + len(flags)
+    ints = _parse_fields(int, "an integer", columns, slice(0, n_int), rows, lines)
+    pairs = ints[:m]
+    # unit and flags; object dtype if a value does not fit in int64
+    codes = np.array(ints[m:]).reshape(n_int - 1, m)
+    names = ("unit", *flags)
+    low = np.array([1] + [0] * len(flags))[:, None]
+    bad = _first_bad((codes != low) & (codes != low + 1))
+    if bad is not None:
+        r, c = bad
+        raise MalformedRow(
+            f"line {lines[r]}: {names[c]} must be {low[c, 0]} or {low[c, 0] + 1}, "
+            f"got {codes[c, r]}"
+        )
+    codes = codes.astype(np.intp)
+
+    values = np.array(_parse_fields(float, "a number", columns, slice(n_int, None), rows, lines))
+    values = values.reshape(width - n_int, m)
+    bad = _first_bad(~np.isfinite(values))
+    if bad is not None:
+        r, c = bad
+        raise MalformedRow(f"line {lines[r]}: non-finite value {rows[r][n_int + c]!r}")
+
+    ids = tuple(dict.fromkeys(pairs))
+    slot = dict(zip(ids, range(len(ids))))
+    n = len(ids)
+    cell = 2 * np.fromiter(map(slot.__getitem__, pairs), dtype=np.intp, count=m) + codes[0] - 1
+    seen = np.bincount(cell, minlength=2 * n)
+    if seen.max() > 1:
+        first = np.zeros(m, dtype=bool)
+        first[np.unique(cell, return_index=True)[1]] = True
+        r = int(np.argmin(first))
+        raise PairViolation(f"pair {pairs[r]}: unit {codes[0, r]} appears twice")
+    lacking = seen.reshape(n, 2).min(axis=1) == 0
+    if lacking.any():
+        raise PairViolation(f"pair {ids[int(np.argmax(lacking))]}: needs exactly units 1 and 2")
+    flag_values = np.empty((2 * n, len(flags)), dtype=int)
+    flag_values[cell] = codes[1:].T
+    numbers = np.empty((2 * n, width - n_int))
+    numbers[cell] = values.T
+    return ids, flag_values.reshape(n, 2, len(flags)), numbers.reshape(n, 2, width - n_int)
 
 
 def load_experiment_csv(source: Union[str, Path, TextIO, Iterable[str]]) -> PairedExperiment:
     """Read a paired experiment from CSV.
 
     Expected header: ``pair,unit,z,y,x1..xP`` with two rows per pair id
-    (units 1 and 2). Pairs keep their first-appearance order; inside a
-    pair, rows are ordered by the unit column. Missing values are
-    rejected, not imputed.
+    (units 1 and 2), in any order; blank lines are skipped and a path
+    may start with a UTF-8 byte-order mark. Pairs keep their
+    first-appearance order; inside a pair, rows are ordered by the unit
+    column. Missing values are rejected, not imputed.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return load_experiment_csv(fh)
 
     reader = csv.reader(source)
@@ -545,25 +601,13 @@ def load_experiment_csv(source: Union[str, Path, TextIO, Iterable[str]]) -> Pair
     if x_cols != [f"x{j}" for j in range(1, p + 1)] or p < 1:
         raise MalformedRow(f"covariate columns must be x1..xP, got {x_cols}")
 
-    def parse_unit(fields: list[str], where: str) -> tuple[int, float, list[float]]:
-        z = _parse_int(fields[0], where)
-        if z not in (0, 1):
-            raise MalformedRow(f"{where}: z must be 0 or 1, got {z}")
-        return z, _parse_float(fields[1], where), [_parse_float(t, where) for t in fields[2:]]
-
-    pairs = _read_pairs(reader, 4 + p, parse_unit)
-    n = len(pairs)
-    x = np.empty((n, 2, p))
-    z = np.empty((n, 2), dtype=int)
-    y = np.empty((n, 2))
-    for i, (pair, units) in enumerate(pairs.items()):
-        for j, (zj, yj, xj) in enumerate(units):
-            z[i, j] = zj
-            y[i, j] = yj
-            x[i, j, :] = xj
-        if z[i, 0] + z[i, 1] != 1:
-            raise PairViolation(f"pair {pair}: z must sum to 1 across units")
-    return PairedExperiment(x=x, z=z, y=y, pair_ids=tuple(pairs))
+    pair_ids, flags, values = _read_pairs(reader, 4 + p, ("z",))
+    z = flags[:, :, 0]
+    unbalanced = z.sum(axis=1) != 1
+    if unbalanced.any():
+        pair = pair_ids[int(np.argmax(unbalanced))]
+        raise PairViolation(f"pair {pair}: z must sum to 1 across units")
+    return PairedExperiment(x=values[:, :, 1:], z=z, y=values[:, :, 0], pair_ids=pair_ids)
 
 
 def write_experiment_csv(exp: PairedExperiment, dest: Union[str, Path, TextIO]) -> None:

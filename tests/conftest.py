@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from paired_adjust import DesignMatrices, PotentialOutcomeSample
 
@@ -36,3 +37,38 @@ def make_sample(rng, n, effect="hetero", with_x=True):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# Pair ids as Python ints, some beyond int64, each with a text form int() reads.
+_PAIR_IDS = st.one_of(
+    st.integers(-50, 50), st.integers(2**63, 2**70), st.just(99999999999999999999)
+)
+
+
+@st.composite
+def shuffled_pairs(draw, fields):
+    """Random pairs laid out as the data lines of a CSV, in any order.
+
+    Returns ``(id_texts, numbers, treated, layout)``: the text of each
+    pair's id (distinct as ints; some padded with a space), an
+    (n, 2, fields) array of finite floats, which unit of each pair is
+    treated, and the lines in file order, each ``(pair, unit)`` (0-based)
+    or a blank-line text. Rows come in any order, so some pairs list
+    unit 2 first.
+    """
+    ids = draw(st.lists(_PAIR_IDS, min_size=1, max_size=8, unique=True))
+    n = len(ids)
+    id_texts = [f" {i}" if draw(st.booleans()) else str(i) for i in ids]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    numbers = np.array(draw(st.lists(finite, min_size=2 * n * fields, max_size=2 * n * fields)))
+    treated = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    layout: list = draw(st.permutations([(i, j) for i in range(n) for j in range(2)]))
+    blanks = st.tuples(st.integers(0, 2 * n), st.sampled_from(["", "  "]))
+    for at, blank in draw(st.lists(blanks, max_size=3)):
+        layout.insert(at, blank)
+    return id_texts, numbers.reshape(n, 2, fields), treated, layout
+
+
+def first_appearance(layout) -> list[int]:
+    """Pair indices in the order ``layout`` first lists them."""
+    return list(dict.fromkeys(line[0] for line in layout if isinstance(line, tuple)))

@@ -136,6 +136,15 @@ class TestAnalyze:
                     [want["tau_hat"], want["s2"], *want["beta_D"]], rel=1e-12
                 ), (col, scale, row["estimator"])
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, experiment_csv):
+        target = tmp_path / "report.json"
+        argv = ("analyze", "--input", str(experiment_csv), "--out", str(target))
+        assert run_cli(capsys, *argv)[0] == 0
+        plain = target.read_bytes()
+        experiment_csv.write_bytes(b"\xef\xbb\xbf" + experiment_csv.read_bytes())
+        assert run_cli(capsys, *argv)[0] == 0
+        assert target.read_bytes() == plain
+
     def test_out_writes_file(self, capsys, tmp_path, experiment_csv):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(

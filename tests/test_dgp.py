@@ -1,9 +1,12 @@
 import io
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paired_adjust import (
     MalformedRow,
@@ -20,6 +23,17 @@ from paired_adjust import (
 )
 from paired_adjust.dgp import _stacked_tables
 from paired_adjust.errors import DimensionMismatch
+
+from conftest import first_appearance, shuffled_pairs
+
+
+SCIENCE_HEADER = "pair,unit,x1,x2,x3,x4,r_t,r_c\n"
+SCIENCE_ROWS = (
+    "1,1,0.1,0.2,0.3,0.4,0.5,0.5\n"
+    "1,2,0.1,0.2,0.3,0.4,-0.5,-0.5\n"
+    "2,1,0.1,0.2,0.3,0.4,0.0,0.0\n"
+    "2,2,0.1,0.2,0.3,0.4,0.0,0.0\n"
+)
 
 
 class TestDrawPairCovariates:
@@ -190,6 +204,13 @@ class TestScienceTableIO:
         assert s.w is None and s.x is None
         assert s.sate == 0.0
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "sci.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (SCIENCE_HEADER + SCIENCE_ROWS).encode())
+        s = load_science_table(path)
+        npt.assert_array_equal(s.r_t, [[0.5, -0.5], [0.0, 0.0]])
+        npt.assert_array_equal(s.x[:, :, 1], 0.2)
+
     def test_sidecar_sate_mismatch_rejected(self, tmp_path):
         s = generate_sample(6, "nonparallel", seed=40)
         csv_path = tmp_path / "sci.csv"
@@ -213,12 +234,71 @@ class TestScienceTableIO:
         with pytest.raises(MalformedRow, match=f"line 4: non-finite value '{token}'"):
             load_science_table(io.StringIO(text))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data(), st.booleans(), st.booleans())
+    def test_any_row_order_loads_the_same_pairs(self, data, has_w, has_x):
+        header = ["pair", "unit"]
+        header += [f"w{j}" for j in range(1, 5)] if has_w else []
+        header += [f"x{j}" for j in range(1, 5)] if has_x else []
+        header += ["r_t", "r_c"]
+        id_texts, numbers, _, layout = data.draw(shuffled_pairs(fields=len(header) - 2))
+        lines = [",".join(header)]
+        for line in layout:
+            if isinstance(line, str):
+                lines.append(line)
+            else:
+                i, j = line
+                values = [repr(float(v)) for v in numbers[i, j]]
+                lines.append(",".join([id_texts[i], str(j + 1), *values]))
+        s = load_science_table(io.StringIO("\n".join(lines) + "\n"))
+        expected = numbers[first_appearance(layout)]
+        k = 4 * has_w
+        for got, want in [
+            (s.w, expected[..., :4] if has_w else None),
+            (s.x, expected[..., k : k + 4] if has_x else None),
+            (s.r_t, expected[..., -2]),
+            (s.r_c, expected[..., -1]),
+        ]:
+            if want is None:
+                assert got is None
+            else:
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_wrong_header_rejected(self):
         text = "pair,unit,rt,rc\n1,1,0.5,0.5\n1,2,-0.5,-0.5\n"
-        with pytest.raises(MalformedRow):
+        msg = (
+            "science table header must be pair,unit[,w1..w4][,x1..x4],r_t,r_c; "
+            "got ['pair', 'unit', 'rt', 'rc']"
+        )
+        with pytest.raises(MalformedRow, match=f"^{re.escape(msg)}$"):
             load_science_table(io.StringIO(text))
 
     def test_lone_unit_rejected(self):
         text = "pair,unit,r_t,r_c\n1,1,0.5,0.5\n"
-        with pytest.raises(PairViolation):
+        with pytest.raises(PairViolation, match="^pair 1: needs exactly units 1 and 2$"):
+            load_science_table(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "old, new, error, match",
+        [
+            pytest.param("2,1,0.1,0.2", "2,1,0.1", MalformedRow,
+                         "line 4: expected 8 fields, got 7", id="arity"),
+            pytest.param("2,1,0.1,0.2", "b,1,0.1,0.2", MalformedRow,
+                         "line 4: cannot parse 'b' as an integer", id="pair-parse"),
+            pytest.param("2,1,0.1,0.2", "2,7,0.1,0.2", MalformedRow,
+                         "line 4: unit must be 1 or 2, got 7", id="unit-range"),
+            pytest.param("2,1,0.1,0.2", "2,1,0.1,zz", MalformedRow,
+                         "line 4: cannot parse 'zz' as a number", id="float-parse"),
+            pytest.param("2,1,0.1,0.2", "2,1,0.1,nan", MalformedRow,
+                         "line 4: non-finite value 'nan'", id="nan"),
+            pytest.param("2,2,0.1", "2,1,0.1", PairViolation,
+                         "pair 2: unit 1 appears twice", id="duplicate-unit"),
+            pytest.param("2,2,0.1,0.2,0.3,0.4,0.0,0.0\n", "", PairViolation,
+                         "pair 2: needs exactly units 1 and 2", id="missing-unit"),
+            pytest.param(SCIENCE_ROWS, "", MalformedRow, "no data rows", id="no-rows"),
+        ],
+    )
+    def test_malformed_rows_rejected(self, old, new, error, match):
+        text = SCIENCE_HEADER + SCIENCE_ROWS.replace(old, new)
+        with pytest.raises(error, match=f"^{re.escape(match)}$"):
             load_science_table(io.StringIO(text))

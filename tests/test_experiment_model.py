@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -24,12 +25,67 @@ from paired_adjust import (
 )
 from paired_adjust.errors import DimensionMismatch
 
+from conftest import first_appearance, shuffled_pairs
+
 MINIMAL_CSV = """pair,unit,z,y,x1
 1,1,1,2.0,0.5
 1,2,0,1.0,0.25
 2,1,0,3.0,-1.0
 2,2,1,4.0,0.75
 """
+
+
+# (mangle, error, message) for files with one defect each. The ids are
+# the ones these cases had when they were parametrized by mangle alone.
+MALFORMED_CASES = [
+    (lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,2.0"),  # arity
+     MalformedRow, "line 2: expected 5 fields, got 4"),
+    (lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,abc,0.5"),  # parse
+     MalformedRow, "line 2: cannot parse 'abc' as a number"),
+    (lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,nan,0.5"),  # non-finite
+     MalformedRow, "line 2: non-finite value 'nan'"),
+    (lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,2.0,inf"),  # non-finite x
+     MalformedRow, "line 2: non-finite value 'inf'"),
+    (lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,2.0,-inf"),  # non-finite x
+     MalformedRow, "line 2: non-finite value '-inf'"),
+    (lambda t: t.replace("1,1,1,2.0,0.5", "1,3,1,2.0,0.5"),  # unit range
+     MalformedRow, "line 2: unit must be 1 or 2, got 3"),
+    (lambda t: t.replace("1,1,1,2.0,0.5", "1,1,2,2.0,0.5"),  # z range
+     MalformedRow, "line 2: z must be 0 or 1, got 2"),
+    (lambda t: t.replace("pair,unit,z,y,x1", "pair,unit,y,z,x1"),  # header
+     MalformedRow, "header must start with pair,unit,z,y, got ['pair', 'unit', 'y', 'z']"),
+    (lambda t: "",  # empty
+     MalformedRow, "empty file"),
+    (lambda t: t.replace("2,1,0,3.0,-1.0", "2,x,0,3.0,-1.0"),  # unit parse
+     MalformedRow, "line 4: cannot parse 'x' as an integer"),
+    (lambda t: t.replace("2,1,0,3.0,-1.0", "2.0,1,0,3.0,-1.0"),  # pair parse
+     MalformedRow, "line 4: cannot parse '2.0' as an integer"),
+    (lambda t: t.replace("2,1,0,3.0,-1.0", "2,1,no,3.0,-1.0"),  # z parse
+     MalformedRow, "line 4: cannot parse 'no' as an integer"),
+    (lambda t: t.replace("2,1,0,3.0,-1.0", "2,1,0,3.0,-1.0,9"),  # arity, later line
+     MalformedRow, "line 4: expected 5 fields, got 6"),
+    (lambda t: t.replace("2,1,0,3.0,-1.0", "2,1,0,3.0,1e400"),  # overflow
+     MalformedRow, "line 4: non-finite value '1e400'"),
+    (lambda t: t.replace("2,1,0,3.0,-1.0", "2,0,0,3.0,-1.0"),  # unit range, later line
+     MalformedRow, "line 4: unit must be 1 or 2, got 0"),
+    (lambda t: t.replace("2,1,0,3.0,-1.0", "2,1,-1,3.0,-1.0"),  # z range, later line
+     MalformedRow, "line 4: z must be 0 or 1, got -1"),
+    (lambda t: t.replace("2,1,0,3.0,-1.0", "2,99999999999999999999,0,3.0,-1.0"),  # beyond int64
+     MalformedRow, "line 4: unit must be 1 or 2, got 99999999999999999999"),
+    (lambda t: t.replace("1,2,0,1.0,0.25", "1,2,0,1.0,"),  # missing value
+     MalformedRow, "line 3: cannot parse '' as a number"),
+    (lambda t: "pair,unit,z,y,x1\n\n",  # header and blank lines only
+     MalformedRow, "no data rows"),
+]
+
+PAIR_VIOLATION_CASES = [
+    (lambda t: t.replace("1,2,0,1.0,0.25\n", ""),  # lone unit
+     PairViolation, "pair 1: needs exactly units 1 and 2"),
+    (lambda t: t.replace("1,2,0,1.0,0.25", "1,1,0,1.0,0.25"),  # dup unit
+     PairViolation, "pair 1: unit 1 appears twice"),
+    (lambda t: t.replace("1,2,0,1.0,0.25", "1,2,1,1.0,0.25"),  # z sum
+     PairViolation, "pair 1: z must sum to 1 across units"),
+]
 
 
 def random_experiment(rng, n=6, p=2):
@@ -123,34 +179,41 @@ class TestLoadExperimentCsv:
         npt.assert_allclose(exp.y[0], [3.0, 1.0])
 
     @pytest.mark.parametrize(
-        "mangle",
-        [
-            lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,2.0"),  # arity
-            lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,abc,0.5"),  # parse
-            lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,nan,0.5"),  # non-finite
-            lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,2.0,inf"),  # non-finite x
-            lambda t: t.replace("1,1,1,2.0,0.5", "1,1,1,2.0,-inf"),  # non-finite x
-            lambda t: t.replace("1,1,1,2.0,0.5", "1,3,1,2.0,0.5"),  # unit range
-            lambda t: t.replace("1,1,1,2.0,0.5", "1,1,2,2.0,0.5"),  # z range
-            lambda t: t.replace("pair,unit,z,y,x1", "pair,unit,y,z,x1"),  # header
-            lambda t: "",  # empty
-        ],
+        "mangle, error, match",
+        MALFORMED_CASES,
+        ids=[f"<lambda>{i}" for i in range(len(MALFORMED_CASES))],
     )
-    def test_malformed_inputs_rejected(self, mangle):
-        with pytest.raises(MalformedRow):
+    def test_malformed_inputs_rejected(self, mangle, error, match):
+        with pytest.raises(error, match=f"^{re.escape(match)}$"):
             load_experiment_csv(io.StringIO(mangle(MINIMAL_CSV)))
 
     @pytest.mark.parametrize(
-        "mangle",
-        [
-            lambda t: t.replace("1,2,0,1.0,0.25\n", ""),  # lone unit
-            lambda t: t.replace("1,2,0,1.0,0.25", "1,1,0,1.0,0.25"),  # dup unit
-            lambda t: t.replace("1,2,0,1.0,0.25", "1,2,1,1.0,0.25"),  # z sum
-        ],
+        "mangle, error, match",
+        PAIR_VIOLATION_CASES,
+        ids=[f"<lambda>{i}" for i in range(len(PAIR_VIOLATION_CASES))],
     )
-    def test_pair_violations_rejected(self, mangle):
-        with pytest.raises(PairViolation):
+    def test_pair_violations_rejected(self, mangle, error, match):
+        with pytest.raises(error, match=f"^{re.escape(match)}$"):
             load_experiment_csv(io.StringIO(mangle(MINIMAL_CSV)))
+
+    @pytest.mark.parametrize(
+        "edits, match",
+        [
+            ([("1,1,1,2.0,0.5", "1,1,1,nan,0.5"), ("2,2,1,4.0,0.75", "2,2,1,4.0")],
+             "line 5: expected 5 fields, got 4"),
+            ([("1,1,1,2.0,0.5", "1,1,1,abc,0.5"), ("2,1,0,3.0,-1.0", "2,5,0,3.0,-1.0")],
+             "line 4: unit must be 1 or 2, got 5"),
+            ([("1,2,0,1.0,0.25", "1,1,0,1.0,0.25"), ("2,1,0,3.0,-1.0", "2,1,0,3.0,inf")],
+             "line 4: non-finite value 'inf'"),
+        ],
+        ids=["count-before-finite", "range-before-number", "finite-before-duplicate"],
+    )
+    def test_check_stage_decides_which_defect_is_named(self, edits, match):
+        text = MINIMAL_CSV
+        for old, new in edits:
+            text = text.replace(old, new)
+        with pytest.raises(MalformedRow, match=f"^{re.escape(match)}$"):
+            load_experiment_csv(io.StringIO(text))
 
     def test_write_then_load_round_trips_exactly(self, rng):
         exp = random_experiment(rng, n=25, p=4)
@@ -161,6 +224,34 @@ class TestLoadExperimentCsv:
         npt.assert_array_equal(back.z, exp.z)
         npt.assert_array_equal(back.y, exp.y)
         assert back.pair_ids == exp.pair_ids
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(shuffled_pairs(fields=3))
+    def test_any_row_order_loads_the_same_pairs(self, drawn):
+        id_texts, numbers, treated, layout = drawn
+        lines = ["pair,unit,z,y,x1,x2"]
+        for line in layout:
+            if isinstance(line, str):
+                lines.append(line)
+                continue
+            i, j = line
+            z = int(treated[i] == j)
+            values = [repr(float(v)) for v in numbers[i, j]]
+            lines.append(",".join([id_texts[i], str(j + 1), str(z), *values]))
+        exp = load_experiment_csv(io.StringIO("\n".join(lines) + "\n"))
+        order = first_appearance(layout)
+        assert exp.pair_ids == tuple(int(id_texts[i]) for i in order)
+        z = (np.array(treated)[order, None] == np.arange(2)).astype(int)
+        npt.assert_array_equal(exp.z, z)
+        assert exp.y.tobytes() == np.ascontiguousarray(numbers[order, :, 0]).tobytes()
+        assert exp.x.tobytes() == np.ascontiguousarray(numbers[order, :, 1:]).tobytes()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "exp.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + MINIMAL_CSV.encode())
+        exp = load_experiment_csv(path)
+        assert exp.pair_ids == (1, 2)
+        npt.assert_array_equal(exp.y, [[2.0, 1.0], [3.0, 4.0]])
 
     def test_ragged_covariates_rejected_by_constructor(self, rng):
         with pytest.raises(DimensionMismatch):

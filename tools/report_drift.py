@@ -9,8 +9,9 @@ unless both commands exit 0). Every study runs at ``--workers`` 1 and
 2, and in the new tree its exit codes and reports must match across the
 two byte for byte. The ``analyze`` runs read experiment CSVs written
 here from the generated table with a fixed assignment, one of them with
-x1 in units 1e9 times smaller. A change of exit code is a failure
-unless ``EXPECTED_EXITS`` lists it.
+x1 in units 1e9 times smaller and one with its rows in a fixed shuffled
+order, so that some pairs list unit 2 first. A change of exit code is a
+failure unless ``EXPECTED_EXITS`` lists it.
 
     python tools/report_drift.py OLD NEW [--work DIR]
 """
@@ -22,6 +23,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -61,11 +63,14 @@ RUNS = {
     "analyze_hc2_pate": ["analyze", "--input", "{experiment}", "--variance", "HC2",
                          "--target", "pate"],
     "analyze_select_x1e9": ["analyze", "--input", "{experiment_x1e9}", "--g", "select:"],
+    "analyze_shuffled": ["analyze", "--input", "{experiment_shuffled}"],
 }
 # (old, new) exit codes that differ for a known reason; none at present.
 EXPECTED_EXITS: dict[str, tuple[int, int]] = {}
 # Pair i's first unit is treated when character i is "1".
 FIRST_TREATED = "1011001110001101"
+# Row order of the shuffled experiment; it lists unit 2 first in 8 of 16 pairs.
+SHUFFLE_SEED = 3
 WORKERS = {"pate_n25": ("1", "2"), "pate_n40_pow2_log": ("1", "2"), "pate_n25_pow2": ("1", "2"),
            "pate_n25_S1": ("1", "2"), "pate_n25_seed_wide": ("1", "2"),
            "pate_n30_pow3_pow2": ("1", "2"), "sate_n100": ("2", "1"),
@@ -80,10 +85,16 @@ def _cli(src: Path, argv: list[str]) -> int:
                           capture_output=True).returncode
 
 
-def write_experiment(table: Path, dest: Path, x1_scale: float = 1.0) -> None:
-    """An experiment CSV from a science table under the FIRST_TREATED assignment."""
+def write_experiment(table: Path, dest: Path, x1_scale: float = 1.0,
+                     shuffle: bool = False) -> None:
+    """An experiment CSV from a science table under the FIRST_TREATED assignment.
+
+    With ``shuffle`` the rows come in a fixed permuted order.
+    """
     with open(table, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    if shuffle:
+        random.Random(SHUFFLE_SEED).shuffle(rows)
     xs = [c for c in rows[0] if c.startswith("x")]
     with open(dest, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
@@ -107,9 +118,11 @@ def run_tree(root: Path, work: Path) -> tuple[dict[str, tuple[int, Path]], list[
     table = work / "table.csv"
     _cli(src, ["generate", *TABLES["table"], "--out", str(table)])
     inputs = {"table": table, "experiment": work / "experiment.csv",
-              "experiment_x1e9": work / "experiment_x1e9.csv"}
+              "experiment_x1e9": work / "experiment_x1e9.csv",
+              "experiment_shuffled": work / "experiment_shuffled.csv"}
     write_experiment(table, inputs["experiment"])
     write_experiment(table, inputs["experiment_x1e9"], x1_scale=1e9)
+    write_experiment(table, inputs["experiment_shuffled"], shuffle=True)
     out, differ = {}, []
     for name, argv in RUNS.items():
         argv = [a.format(**inputs) for a in argv]
