@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -201,7 +202,7 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
         "g": _transform(_AVGS, TransformSpec.identity(), "identity"),
         "alpha": _ALPHA,
         "seed": _Option(_as_seed, _SEED_HELP + " (default 0)", 0),
-        "workers": _Option(_as_count, "process count (default: machine parallelism)"),
+        "workers": _Option(_as_count, "process count (default: CPUs this process may run on)"),
         "out": _OUT,
         "csv": _Option(str, "also write the metric table as CSV here"),
     },
@@ -360,8 +361,9 @@ def cmd_analyze(conf: dict) -> int:
 def cmd_simulate(conf: dict) -> int:
     """run a multi-sample study"""
     workers = conf["workers"]
-    if workers is None:
-        workers = os.cpu_count() or 1
+    if workers is None:  # the CPUs this process may run on, where the platform tells
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     study = StudyConfig(
         mode="sate" if conf["mode"] == "sate-study" else "pate",
         setting=conf["setting"],
@@ -444,8 +446,13 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    """One plain-string flag per table option; casting happens in _resolve_options."""
+    """One plain-string flag per table option; casting happens in _resolve_options.
+
+    The tree depends on no input, so it is built on the first call and
+    the same parser is returned to every later one.
+    """
     parser = _Parser(
         prog="paired-adjust",
         description="Regression-adjusted estimation for paired randomized experiments.",

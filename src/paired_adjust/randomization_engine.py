@@ -125,6 +125,23 @@ def assignment_signs(codes: np.ndarray, n: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
+def _signs_of_words(raw: np.ndarray, b: int, n: int) -> np.ndarray:
+    """Decode (T, ceil(b*n/2)) raw Philox words into (T, b, n) pair signs.
+
+    Row t is what :func:`randomize` draws with ``b`` from a fresh stream
+    whose first words are ``raw[t]``. ``Generator.integers(0, 2)`` takes
+    each value from one 32-bit half word, low half then high half of
+    each 64-bit word, by Lemire's method: the half times 2, shifted
+    down 32 bits, which is the half's top bit. Its rejection threshold
+    is (2^32 - 2) mod 2 = 0, so no half is ever redrawn. The decode is
+    valid only for words read with ``random_raw`` from a freshly keyed
+    Philox, with no spare half word buffered, as :func:`_read_streams`
+    reads them; any other generator goes through :func:`randomize`.
+    """
+    halves = raw.astype("<u8", copy=False).view("<u4")[:, : b * n] >> 31
+    return (2.0 * halves - 1.0).reshape(len(raw), b, n)
+
+
 def reveal(
     sample: PotentialOutcomeSample, v: np.ndarray
 ) -> tuple[PairedExperiment, np.ndarray]:
@@ -777,25 +794,28 @@ def _read_streams(
     Index i draws its table's normals from ``substream(seed, ROLE_SAMPLE,
     i)`` and its B = ``config.randomizations`` assignments from
     ``substream(seed, ROLE_ASSIGN, i)``. Row t of the normals is what
-    :func:`generate_sample` draws from the same stream, and one
-    assignment drawn as a (1, n) block is the (n,) one :func:`randomize`
-    draws without ``b``. The streams are read through :func:`substreams`,
-    which draws what those ``substream`` calls draw. It is opened once
-    for all of ``idxs``, so the keys of a block are hashed in one pass
-    whatever the number of indices per call.
+    :func:`generate_sample` draws from the same stream, drawn in place.
+    The signs are read as ceil(B*n/2) raw words per index and decoded
+    for the whole call by :func:`_signs_of_words`, bit for bit what
+    ``randomize(n, substream(seed, ROLE_ASSIGN, i), B)`` draws. The
+    streams are read through :func:`substreams`, which draws what those
+    ``substream`` calls draw. It is opened once for all of ``idxs``, so
+    the keys of a block are hashed in one pass whatever the number of
+    indices per call.
     """
     n, b = config.n, config.randomizations
+    words = (b * n + 1) // 2
     sample = substreams(config.seed, ROLE_SAMPLE, idxs)
     assign = substreams(config.seed, ROLE_ASSIGN, idxs)
     for lo in range(0, len(idxs), per_call):
         call = idxs[lo : lo + per_call]
         normals = np.empty((len(call), 10 * n))
-        signs = np.empty((len(call), b, n))
+        raw = np.empty((len(call), words), dtype=np.uint64)
         for j, rng in enumerate(islice(sample, len(call))):
-            normals[j] = rng.standard_normal(10 * n)
+            rng.standard_normal(out=normals[j])
         for j, rng in enumerate(islice(assign, len(call))):
-            signs[j] = randomize(n, rng, b)
-        yield call, normals, signs
+            raw[j] = rng.bit_generator.random_raw(words)
+        yield call, normals, _signs_of_words(raw, b, n)
 
 
 def _concat(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:

@@ -1,5 +1,7 @@
 import json
+import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from paired_adjust import (
     write_experiment_csv,
     write_science_table,
 )
-from paired_adjust.cli import main, parse_transform
+from paired_adjust import cli
+from paired_adjust.cli import build_parser, main, parse_transform
 from paired_adjust.errors import ConfigError
 from paired_adjust.rng import ROLE_ASSIGN
 
@@ -190,6 +193,29 @@ class TestSimulate:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "metric,median,q2.5,q97.5"
         assert len(lines) == 9
+
+    @pytest.mark.parametrize(
+        "affinity,cpu_count,want",
+        [({0}, 8, 1), ({0, 1, 2}, 8, 3), (None, 3, 3), (None, None, 1)],
+    )
+    def test_default_workers_are_the_usable_cpus(
+        self, capsys, monkeypatch, affinity, cpu_count, want
+    ):
+        seen, run_study = [], cli.run_study
+
+        def capturing(config):
+            seen.append(config.workers)
+            return run_study(replace(config, workers=1))
+
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(cli, "run_study", capturing)
+        argv = self.ARGS[: self.ARGS.index("--workers")]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert seen == [want]
 
     def test_pate_mode(self, capsys):
         code, out, _ = run_cli(
@@ -462,6 +488,24 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 4
+
+    def test_one_parser_serves_every_call(self, capsys, experiment_csv):
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as info:
+            build_parser.__wrapped__().parse_args(["analyze", "--nope"])
+        assert info.value.code == 4
+        fresh = capsys.readouterr().err
+
+        code, out, _ = run_cli(capsys, "analyze", "--input", str(experiment_csv))
+        assert code == 0 and json.loads(out)["n"] == 12
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--nope"])
+        assert info.value.code == 4
+        err = capsys.readouterr().err
+        assert err == fresh
+        assert err.splitlines()[0] == "usage: paired-adjust [-h] [--version] command ..."
+        code, out, _ = run_cli(capsys, *TestSimulate.ARGS)
+        assert code == 0 and json.loads(out)["config"]["samples"] == 3
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -5,7 +5,8 @@ pairs of its ``TRACED`` list and imports names from the package before
 its first operation, so a missing name makes every traced run fail.
 Each workload, at its self-test size, must also run and pass its own
 check under the harness's tracer. The package itself must import
-without scipy, which only the test oracles use.
+without scipy, which only the test oracles use, and importing the CLI
+must not build its argument parser.
 """
 
 import ast
@@ -90,14 +91,22 @@ def test_toy_workloads_pass_their_checks_under_the_tracer(tmp_path, monkeypatch,
     capsys.readouterr()
 
 
-def test_cli_import_loads_no_scipy():
+def _after_cli_import(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imported the CLI."""
     path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = (
-        "import sys, paired_adjust.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", "import sys, paired_adjust.cli; " + code],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _after_cli_import(code) == "[]"
+
+
+def test_cli_import_builds_no_parser():
+    code = "print(paired_adjust.cli.build_parser.cache_info().currsize)"
+    assert _after_cli_import(code) == "0"

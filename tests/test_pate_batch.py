@@ -290,8 +290,12 @@ def test_certified_study_builds_no_sample_objects(monkeypatch):
             streams.append((seed, role, i))
             yield rng
 
+    def no_randomize(*args, **kwargs):
+        raise AssertionError("a pate study called randomize")
+
     monkeypatch.setattr(PotentialOutcomeSample, "__post_init__", counting_post_init)
     monkeypatch.setattr(engine, "substreams", counting_substreams)
+    monkeypatch.setattr(engine, "randomize", no_randomize)
     cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=300, seed=38)
     run_study(cfg)
     assert built == []

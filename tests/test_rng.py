@@ -6,7 +6,9 @@ the key ``Philox`` takes from the sequence. A numpy change to either one
 fails here. The generators ``substreams`` yields share one re-keyed
 ``Philox``, so their draws are checked against fresh ``substream`` calls
 with draw counts that leave a spare 32-bit word behind, which a re-key
-must clear.
+must clear. A study decodes its signs from raw Philox words itself, so
+they are checked against ``randomize`` on fresh streams: a numpy change
+to how ``integers(0, 2)`` consumes words fails here.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paired_adjust.randomization_engine import randomize
+from paired_adjust.randomization_engine import StudyConfig, _read_streams, randomize
 from paired_adjust.rng import (
     ROLE_ASSIGN,
     ROLE_GENERIC,
@@ -76,6 +78,33 @@ def test_reused_generator_draws_what_fresh_substreams_draw(seed, role, idxs, n, 
         assert np.array_equal(normals, fresh.standard_normal(10 * n))
         assert np.array_equal(signs, randomize(n, fresh, b))
         assert np.array_equal(more, randomize(n, fresh))
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    idxs=INDICES,
+    n=st.integers(1, 30),
+    b=st.integers(1, 4),
+    per_call=st.integers(1, 4),
+)
+@example(seed=0, idxs=[0, 1], n=1, b=1, per_call=1)
+@example(seed=2**130, idxs=[0, 2**32 - 1, 7], n=25, b=1, per_call=2)
+@example(seed=2**32, idxs=[3, 3, 0], n=100, b=200, per_call=2)
+def test_block_signs_are_what_randomize_draws_from_fresh_substreams(seed, idxs, n, b, per_call):
+    # Odd b * n ends a row on a low half word, whose high half is dropped.
+    config = StudyConfig(
+        mode="sate", setting="parallel", n=n, samples=1, randomizations=b, seed=seed
+    )
+    read = [
+        (i, row)
+        for call, _, signs in _read_streams(config, idxs, per_call)
+        for i, row in zip(call, signs)
+    ]
+    assert [i for i, _ in read] == list(idxs)
+    for i, signs in read:
+        assert signs.shape == (b, n)
+        assert np.array_equal(signs, randomize(n, substream(seed, ROLE_ASSIGN, i), b))
 
 
 @pytest.mark.parametrize("bad", [2**32, 2**40, 2**64, 2**70, -1])

@@ -122,9 +122,13 @@ def test_sate_study_builds_no_sample_objects(monkeypatch):
     def no_monte_carlo(*args, **kwargs):
         raise AssertionError("a sate study called run_monte_carlo")
 
+    def no_randomize(*args, **kwargs):
+        raise AssertionError("a sate study called randomize")
+
     monkeypatch.setattr(PotentialOutcomeSample, "__post_init__", counting_post_init)
     monkeypatch.setattr(engine, "substreams", counting_substreams)
     monkeypatch.setattr(engine, "run_monte_carlo", no_monte_carlo)
+    monkeypatch.setattr(engine, "randomize", no_randomize)
     cfg = _config(T.identity(), T.identity(), samples=30, seed=42)
     run_study(cfg)
     assert built == []
