@@ -12,14 +12,22 @@ estimators under that randomness three ways:
   either per-sample summaries (in-sample target) or one draw per table
   (population target, where the spread across tables matters).
 
-All heavy paths share one batched kernel, :func:`_partialled_stats`,
-which fits the regression design [1 | v*d | m] for a grid of T tables
-by B sign vectors. The blocks d and m do not depend on the signs, so
-each table's columns are whitened once (a thin QR, whose triangular
-factor is the Cholesky factor of d'd or m'm), and only products of the
-signs with those fixed bases are formed per assignment. By
-Frisch-Waugh-Lovell partialling-out, R1 then needs no solve at all
-(its intercept and e'(I-H)e are closed-form in dw'v and dw'(v*y)), and
+All heavy paths share one batched kernel, :func:`_grid_stats`, which
+fits the plain mean and the regression design [1 | v*d | m] for a grid
+of T tables by B sign vectors. A table enters as its pair effects Delta
+and level gaps g, which signs v turn into Y = Delta + v*g (the
+level/effect identity); Y itself is never formed. The blocks d and m do
+not depend on the signs, so each table's columns are whitened once (a
+thin QR, whose triangular factor is the Cholesky factor of d'd or m'm).
+The effects are centered on their mean, which only shifts every
+intercept and is added back at the end. Since v_i^2 = 1, every sign
+product a fit needs is then affine in v: a fixed part per table plus
+the products of v with fixed columns, the outer product of [dw; g] and
+[1; centered Delta; w] (:class:`_TableColumns`). So one matrix product
+of those columns with a chunk of signs gives everything that depends on
+the assignment (:class:`_SignProducts`). The mean needs only 1'Y and
+Y'Y; by Frisch-Waugh-Lovell partialling-out, R1 needs no solve either
+(its intercept and e'(I-H)e are closed-form in dw'v and dw'(v*Y)), and
 R2 and its superpopulation correction need only the Schur complement
 of the v*d columns after m is projected out, eliminated for every
 assignment at once. A fit whose table or Schur pivots fall to RANK_RTOL
@@ -33,17 +41,15 @@ turns the normals into stacked outcomes and covariates in one pass, so
 no per-table sample object is built, and hands
 ``max(1, _STUDY_DRAWS // B)`` tables at a time to
 :func:`_block_columns`, which returns one column per metric. Only the
-per-mode arithmetic differs: a sate study takes Y from the
-level/effect identity, and the plain mean's statistics with it, in
-:func:`_grid_stats`, as enumeration and Monte Carlo do; a pate study
-takes Y from the observed responses and checks it against the same
-identity. Summaries over draws are taken on the grid too:
-:func:`_summarize` reduces the last axis of a (..., B) stack, so a sate
-study summarizes each estimator's (T, B) grid in one call, and
-enumeration and Monte Carlo call it on their single row. Every mode
-makes the same rank decision, the kernel's pivot tests, which do not
-depend on the scale of any covariate column; a pate study raises for
-the first sample, in index order, that fails them.
+per-mode arithmetic differs: a sate study summarizes each table's B
+draws, and a pate study also builds Y from the observed responses, only
+to check it against the level/effect identity. Summaries over draws are
+taken on the grid too: :func:`_summarize` reduces the last axis of a
+(..., B) stack, so a sate study summarizes each estimator's (T, B) grid
+in one call, and enumeration and Monte Carlo call it on their single
+row. Every mode makes the same rank decision, the kernel's pivot tests,
+which do not depend on the scale of any covariate column; a pate study
+raises for the first sample, in index order, that fails them.
 The whitening is ``ols_core._whiten``, which the single fits of
 ``ols_core.least_squares`` and ``validate_design`` share, so those
 decide rank by the same pivot test. Estimates from this kernel agree
@@ -163,7 +169,7 @@ def reveal(
         raise DimensionMismatch(
             "science table has no observed covariates; cannot build an experiment"
         )
-    z, observed, y, agree = _observe(sample.r_t, sample.r_c, v)
+    z, observed, y, agree, _, _ = _observe(sample.r_t, sample.r_c, v)
     if not agree:
         raise AssertionError("observed-response and level/effect Y constructions disagree")
 
@@ -173,13 +179,16 @@ def reveal(
 
 def _observe(
     r_t: np.ndarray, r_c: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Treatment flags, observed responses and Y for signs v.
 
     Works on one table (r_t, r_c of shape (n, 2), v of shape (n,)) or a
-    stack of them (leading axes in front). The last result says, per
-    table, whether Y agrees with the level/effect identity
-    Y_i = Delta_i + v_i (l_i1 - l_i2) to 1e-12 of the response scale.
+    stack of them (leading axes in front). Returns (z, observed, y,
+    agree, effects, gaps): ``agree`` says, per table, whether Y agrees
+    with the level/effect identity Y_i = Delta_i + v_i (l_i1 - l_i2) to
+    1e-12 of the response scale, and ``effects`` and ``gaps`` are the
+    Delta and l_i1 - l_i2 of :func:`_effects_and_gaps` it was checked
+    against.
     """
     z = np.empty(r_t.shape, dtype=int)
     z[..., 0] = (v > 0).astype(int)
@@ -191,7 +200,7 @@ def _observe(
     check = effects + v * gaps
     scale = np.maximum(1.0, np.abs(observed).max(axis=(-2, -1), initial=0.0))
     agree = np.abs(y - check).max(axis=-1, initial=0.0) <= 1e-12 * scale
-    return z, observed, y, agree
+    return z, observed, y, agree, effects, gaps
 
 
 def _effects_and_gaps(r_t: np.ndarray, r_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,28 +239,27 @@ class _Whitened:
         return cls(dw, passed_d.all(axis=-1), w, passed_m.all(axis=-1))
 
 
-def _eliminate(g: np.ndarray, k: int, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eliminate(g: np.ndarray, k: int, floor: np.ndarray) -> np.ndarray:
     """Eliminate the first ``k`` columns of symmetric matrices ``g`` in place.
 
     ``g`` is (K, K, ...): one K-by-K matrix per index of the trailing
     grid axes, which come last so that every step works on whole
     grid-length vectors. This is symmetric Gaussian elimination without
     pivoting (an LDL' factorization); afterwards the trailing block of
-    ``g`` holds the Schur complement of the leading k-by-k block.
-    Returns the multipliers (K, k, ...), the below-diagonal entries of
-    the unit lower factor, and whether every pivot j exceeded
-    ``floor[j]``. A pivot that does not gets no multipliers, so the
-    matrices stay finite.
+    ``g`` holds the Schur complement of the leading k-by-k block, and
+    the first k columns below the diagonal hold the multipliers, the
+    below-diagonal entries of the unit lower factor. Returns whether
+    every pivot j exceeded ``floor[j]``. A pivot that does not gets zero
+    multipliers, so the matrices stay finite.
     """
-    low = np.zeros(g.shape[:1] + (k,) + g.shape[2:])
     ok = np.ones(g.shape[2:], dtype=bool)
     for j in range(k):
         piv = g[j, j]
         good = piv > floor[j]
         ok &= good
-        low[j + 1 :, j] = g[j + 1 :, j] / np.where(good, piv, np.inf)
-        g[j + 1 :, j + 1 :] -= low[j + 1 :, j, None] * g[j, None, j + 1 :]
-    return low, ok
+        g[j + 1 :, j] /= np.where(good, piv, np.inf)
+        g[j + 1 :, j + 1 :] -= g[j + 1 :, j, None] * g[j, None, j + 1 :]
+    return ok
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -267,27 +275,90 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _products(a: np.ndarray, lhs: np.ndarray) -> np.ndarray:
-    """Products of the rows of a (T, c, n) with those of lhs (T, B, n), as (c, T, B)."""
-    return np.moveaxis(a @ lhs.swapaxes(-1, -2), -2, 0)
+@dataclass(frozen=True)
+class _TableColumns:
+    """The sign-independent half of the sign products of T tables.
+
+    Y = Delta + v*g, with Delta the pair effects and g the level gaps
+    (:func:`_effects_and_gaps`). The kernel fits the centered response
+    Yc = Dc + v*g, where Dc = Delta - ``mean`` and ``mean`` (T, 1) is
+    each table's mean effect; since the ones vector is in every design,
+    only the intercept moves, by ``mean``, and is shifted back at the
+    end. Because v_i^2 = 1, every sign product the fits need is then
+    affine in v: a fixed part, held here, plus products of v with the
+    ``columns`` (T, P, n). These are the outer product of L = [dw; g]
+    (K_D + 1 rows) and R = [1; Dc; w] (2 + K_M rows, or 2 when
+    ``with_m`` is False and the fits need no m block), L-major: dw,
+    dw*Dc, dw*w, then g, g*Dc, g*w. They are built row-major over the
+    whole stack, (P, T, n), so each product row is one long pass, and
+    handed on as a (T, P, n) view. The fixed parts, component axes
+    first: ``dw_gaps`` (K_D, T, 1) = dw'g, ``w_sum`` and ``w_centered``
+    (K_M, T, 1) = w'1 and w'Dc, ``dc_sum`` (T, 1) = 1'Dc and
+    ``squares`` (T, 1) = Dc'Dc + g'g. The rounded mean leaves 1'Dc a
+    few ulps from zero; it is kept, so the products are exactly those
+    of Dc + v*g and the rounding moves only the intercept.
+    """
+
+    blocks: _Whitened
+    with_m: bool
+    mean: np.ndarray
+    columns: np.ndarray
+    dw_gaps: np.ndarray
+    w_sum: np.ndarray
+    w_centered: np.ndarray
+    dc_sum: np.ndarray
+    squares: np.ndarray
+
+    @classmethod
+    def of(
+        cls, blocks: _Whitened, effects: np.ndarray, gaps: np.ndarray, with_m: bool
+    ) -> "_TableColumns":
+        dw, w = blocks.dw, blocks.w
+        t, kd, n = dw.shape
+        km = w.shape[1] if with_m else 0
+        mean = effects.mean(axis=-1, keepdims=True)
+        dc = effects - mean
+        cols = np.empty((kd + 1, 2 + km, t, n))
+        left = cols[:, 0]  # L times the ones row of R is L itself
+        left[:kd] = dw.swapaxes(0, 1)
+        left[kd] = gaps
+        right = np.empty((1 + km, t, n))  # the other rows of R
+        right[0] = dc
+        right[1:] = w[:, :km].swapaxes(0, 1)
+        np.multiply(left[:, None], right, out=cols[:, 1:])
+        by_gaps = np.einsum("ltn,tn->lt", left, gaps)  # dw'g, then g'g
+        by_dc = np.einsum("rtn,tn->rt", right, dc)  # Dc'Dc, then w'Dc
+        return cls(
+            blocks=blocks,
+            with_m=with_m,
+            mean=mean,
+            columns=cols.reshape(-1, t, n).swapaxes(0, 1),
+            dw_gaps=by_gaps[:kd, :, None],
+            w_sum=np.einsum("rtn->rt", right[1:])[..., None],
+            w_centered=by_dc[1:, :, None],
+            dc_sum=dc.sum(axis=-1, keepdims=True),
+            squares=(by_dc[0] + by_gaps[kd])[:, None],
+        )
 
 
 @dataclass(frozen=True)
 class _SignProducts:
     """The assignment-dependent pieces of the intercept fits on a grid.
 
-    For T tables by B sign vectors v with outcomes y (T, B, n), in the
-    coordinates of ``blocks``: ``s`` = dw'v and ``t`` = dw'(v*y), the
-    sums ``ysum`` and squared norms ``yty`` of y and, when the m block
-    is needed, ``proj`` holding the products of v*dw (K_D rows), the
-    ones vector and y with w. Only these involve the signs; everything
-    else is fixed per table. Component axes come first and the grid
-    axes (T, B) last: ``s`` and ``t`` are (K_D, T, B) and ``proj`` is
-    (K_D + 2, K_M, T, B).
+    For T tables by B sign vectors v, with y the centered response of
+    :class:`_TableColumns` and in the coordinates of its ``blocks``:
+    ``s`` = dw'v and ``t`` = dw'(v*y), the sums ``ysum`` and squared
+    norms ``yty`` of y and, when the m block is needed, ``proj`` holding
+    the products of v*dw (K_D rows), the ones vector and y with w. All
+    come from one product of the table's fixed columns with the signs.
+    Component axes come first and the grid axes (T, B) last: ``s`` and
+    ``t`` are (K_D, T, B) and ``proj`` is (K_D + 2, K_M, T, B).
+    ``mean`` (T, 1) is added back to every intercept.
     """
 
     blocks: _Whitened
     n: int
+    mean: np.ndarray
     s: np.ndarray
     t: np.ndarray
     ysum: np.ndarray
@@ -295,27 +366,41 @@ class _SignProducts:
     proj: Optional[np.ndarray]
 
     @classmethod
-    def of(
-        cls, blocks: _Whitened, signs: np.ndarray, y: np.ndarray, with_m: bool
-    ) -> "_SignProducts":
+    def of(cls, table: _TableColumns, signs: np.ndarray) -> "_SignProducts":
         t, b, n = signs.shape
-        kd, km = blocks.dw.shape[1], blocks.w.shape[1]
+        kd = table.blocks.dw.shape[1]
+        # (T, P, B) -> (K_D + 1, R, T, B): row l of L by row r of R.
+        # Nothing keeps a view of x, so it is freed before the fits.
+        x = (table.columns @ signs.swapaxes(-1, -2)).reshape(t, kd + 1, -1, b)
+        x = x.transpose(1, 2, 0, 3)
         proj = None
-        if with_m:
-            cross = (blocks.dw[:, :, None] * blocks.w[:, None]).reshape(t, kd * km, n)
-            proj = np.empty((kd + 2, km, t, b))
-            proj[:kd] = _products(cross, signs).reshape(kd, km, t, b)
-            proj[kd] = blocks.w.sum(axis=-1).T[..., None]
-            proj[kd + 1] = _products(blocks.w, y)
+        if table.with_m:
+            proj = np.empty((kd + 2, x.shape[1] - 2, t, b))
+            proj[:kd] = x[:kd, 2:]
+            proj[kd] = table.w_sum
+            np.add(table.w_centered, x[kd, 2:], out=proj[kd + 1])
         return cls(
-            blocks=blocks,
+            blocks=table.blocks,
             n=n,
-            s=_products(blocks.dw, signs),
-            t=_products(blocks.dw, signs * y),
-            ysum=y.sum(axis=-1),
-            yty=np.einsum("tbi,tbi->tb", y, y),
+            mean=table.mean,
+            s=x[:kd, 0].copy(),
+            t=x[:kd, 1] + table.dw_gaps,
+            ysum=table.dc_sum + x[kd, 0],
+            yty=table.squares + 2.0 * x[kd, 1],
             proj=proj,
         )
+
+    def classical(self) -> tuple[np.ndarray, np.ndarray]:
+        """tau_hat and S^2 of the plain mean, in closed form.
+
+        tau_hat is ``mean`` + 1'y / n, and S^2 n (n-1) is
+        y'y - (1'y)^2 / n, clamped at 0 like the SSE. The centering
+        leaves y'y of the size of the spread of Y, not of its mean, so
+        the difference does not cancel away the digits of S^2.
+        """
+        n = self.n
+        s2 = np.maximum(self.yty - self.ysum * self.ysum / n, 0.0) / (n * (n - 1))
+        return self.mean + self.ysum / n, s2
 
     def r1(self) -> tuple[np.ndarray, np.ndarray]:
         """Intercept and classical variance of y on [1 | v*d], in closed form.
@@ -332,38 +417,45 @@ class _SignProducts:
         denom = np.where(ok, denom, 1.0)
         beta = num / denom
         sse = np.maximum(self.yty - _dot(self.t, self.t) - beta * num, 0.0)
-        return _masked(ok, beta, sse / (n - k1) / denom)
+        return _masked(ok, self.mean + beta, sse / (n - k1) / denom)
 
     def r2(self, corrected: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Intercept fits of y on [1 | v*d | m] through the Schur complement.
 
         Partialling out the orthonormal w leaves the Gram of
-        [v*dw | 1 | y] minus its products with w. Eliminating the v*dw
-        columns of that bordered matrix leaves, for the ones vector and
-        y, [[e'(I-H)e, e'(I-H)y], [., y'(I-H)y]] with H the projection
-        onto [v*d | m] (FWL): its first pivot is the denominator
-        e'(I-H)e, the intercept is the ratio along its first row, and
-        what is left of y'(I-H)y after that pivot is the SSE. Each pivot
-        must exceed RANK_RTOL times its column's squared norm before
-        partialling out (one for a whitened column, n for the ones
-        vector). Returns the intercept, the SSE, the denominator and, if
-        ``corrected``, beta_m' (m'm) beta_m, which is the squared norm
-        of the w coefficients. Rows that fail a pivot, or whose table
-        failed the pivot test on d or m, come back NaN.
+        [v*dw | 1 | y] minus its products with w. Each w column's
+        products are subtracted in turn, in place, from the v*dw rows and
+        from the [1 | y] corner, and the v*dw rows' corner columns are
+        then mirrored below, so the largest temporary is K_D by K_D + 2
+        per grid point, not a whole Gram; every block stays exactly
+        symmetric, since a_i a_j = a_j a_i. Eliminating the v*dw columns
+        of that bordered matrix leaves, for the ones vector and y,
+        [[e'(I-H)e, e'(I-H)y], [., y'(I-H)y]] with H the projection onto
+        [v*d | m] (FWL): its first pivot is the denominator e'(I-H)e,
+        the intercept is the ratio along its first row, and what is left
+        of y'(I-H)y after that pivot is the SSE. Each pivot must exceed
+        RANK_RTOL times its column's squared norm before partialling out
+        (one for a whitened column, n for the ones vector). Returns the
+        intercept, the SSE, the denominator and, if ``corrected``,
+        beta_m' (m'm) beta_m, which is the squared norm of the w
+        coefficients. Rows that fail a pivot, or whose table failed the
+        pivot test on d or m, come back NaN.
         """
         kd = self.s.shape[0]
-        g = np.zeros((kd + 2, kd + 2) + self.ysum.shape)
-        idx = np.arange(kd)
-        g[idx, idx] = 1.0
+        g = np.empty((kd + 2, kd + 2) + self.ysum.shape)
+        g[:kd, :kd] = np.eye(kd)[:, :, None, None]
         g[kd, kd] = self.n
         g[kd + 1, kd + 1] = self.yty
-        g[:kd, kd] = g[kd, :kd] = self.s
-        g[:kd, kd + 1] = g[kd + 1, :kd] = self.t
+        g[:kd, kd] = self.s
+        g[:kd, kd + 1] = self.t
         g[kd, kd + 1] = g[kd + 1, kd] = self.ysum
-        by_w = self.proj.swapaxes(0, 1)
-        g -= _dot(by_w[:, :, None], by_w[:, None, :])
+        for k in range(self.proj.shape[1]):
+            a = self.proj[:, k]
+            g[:kd] -= a[:kd, None] * a[None]
+            g[kd:, kd:] -= a[kd:, None] * a[None, kd:]
+        g[kd:, :kd] = g[:kd, kd:].swapaxes(0, 1)
         floor = RANK_RTOL * np.append(np.ones(kd), self.n)
-        low, ok = _eliminate(g, kd, floor)
+        ok = _eliminate(g, kd, floor)
         denom = g[kd, kd]
         ok &= (denom > floor[kd]) & (self.blocks.ok_d & self.blocks.ok_m)[:, None]
         denom = np.where(ok, denom, 1.0)
@@ -372,25 +464,28 @@ class _SignProducts:
         corr = np.zeros_like(sse)
         if corrected:
             # Back-substitute for the v*dw coefficients (the intercept
-            # comes last); the w coefficients are then w'y minus the
-            # part of it the other columns fit.
+            # comes last) through the multipliers below g's diagonal;
+            # the w coefficients are then w'y minus the part of it the
+            # other columns fit.
             beta = np.empty((kd + 1,) + sse.shape)
             beta[kd] = beta0
             for j in reversed(range(kd)):
-                beta[j] = low[kd + 1, j] - _dot(low[j + 1 : kd + 1, j], beta[j + 1 :])
+                beta[j] = g[kd + 1, j] - _dot(g[j + 1 : kd + 1, j], beta[j + 1 :])
             gamma = self.proj[kd + 1] - _dot(beta[:, None], self.proj[: kd + 1])
             corr = _dot(gamma, gamma)
-        return _masked(ok, beta0, sse, denom, corr)
+        return _masked(ok, self.mean + beta0, sse, denom, corr)
 
     def stats(self, want: Sequence[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """{id: (tau_hat, s2)} of the regression estimators ``want``, each (T, B).
+        """{id: (tau_hat, s2)} of the estimators ``want``, each (T, B).
 
-        The classical variance is SSE/dof times the intercept entry
-        1 / e'(I-H)e of the inverse Gram; R2P adds
+        The classical variance of a regression is SSE/dof times the
+        intercept entry 1 / e'(I-H)e of the inverse Gram; R2P adds
         beta_m' (m'm) beta_m / ((n-1) n) to the R2 variance.
         """
         n = self.n
         out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        if "C" in want:
+            out["C"] = self.classical()
         if "R1" in want:
             out["R1"] = self.r1()
         if "R2" in want or "R2P" in want:
@@ -409,43 +504,6 @@ def _masked(ok: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.where(ok, a, np.nan) for a in arrays)
 
 
-def _partialled_stats(
-    d: np.ndarray,
-    m: np.ndarray,
-    signs: np.ndarray,
-    y: np.ndarray,
-    want: Sequence[str],
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-assignment (tau_hat, s2) of the regression estimators ``want``.
-
-    ``d`` (T, n, K_D) and ``m`` (T, n, K_M) are the fixed design blocks
-    of T tables; ``signs`` and ``y`` (T, B, n) hold B assignments per
-    table. Each table's blocks are whitened once; the assignments then
-    go through :class:`_SignProducts` in chunks of ``_CHUNK``. Returns
-    (T, B) arrays; singular fits are NaN.
-    """
-    blocks = _Whitened.of(d, m)
-    with_m = "R2" in want or "R2P" in want
-    parts = [
-        _SignProducts.of(
-            blocks, signs[:, lo : lo + _CHUNK], y[:, lo : lo + _CHUNK], with_m
-        ).stats(want)
-        for lo in range(0, signs.shape[1], _CHUNK)
-    ]
-    return {
-        est: tuple(np.concatenate([p[est][i] for p in parts], axis=1) for i in (0, 1))
-        for est in want
-    }
-
-
-def _classical_stats(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tau_hat and S^2 of the plain mean, over the last axis of (..., B, n)."""
-    n = y.shape[-1]
-    tau = y.mean(axis=-1)
-    s2 = ((y - tau[..., None]) ** 2).sum(axis=-1) / (n * (n - 1))
-    return tau, s2
-
-
 def _grid_stats(
     effects: np.ndarray,
     gaps: np.ndarray,
@@ -456,20 +514,33 @@ def _grid_stats(
     """Per-assignment (tau_hat, s2) of the estimators ``want`` for T tables.
 
     ``effects`` and ``gaps`` (T, n) come from :func:`_effects_and_gaps`
-    and ``signs`` (T, B, n) holds B assignments per table. Y follows from
-    the level/effect identity; the regression estimators need the fixed
-    (d, m) ``blocks``, each (T, n, K), and go through
-    :func:`_partialled_stats`. Returns (T, B) arrays, each table's
-    values bit for bit those it gets alone.
+    and ``signs`` (T, B, n) holds B assignments per table, which meet
+    Y = effects + signs * gaps. The regression estimators need the fixed
+    (d, m) ``blocks``, each (T, n, K); with None, only "C" may be asked
+    for. Each table's blocks are whitened and its fixed columns built
+    once (:class:`_TableColumns`); the assignments then go through
+    :class:`_SignProducts` in chunks of ``_CHUNK``, one matrix product
+    each, and Y itself is never formed. Returns (T, B) arrays, filled
+    chunk by chunk, each table's values bit for bit those it gets alone;
+    singular fits are NaN.
     """
-    y = effects[:, None] + signs * gaps[:, None]
+    if blocks is None:
+        blocks = (np.empty(effects.shape + (0,)),) * 2
+    table = _TableColumns.of(
+        _Whitened.of(*blocks), effects, gaps, "R2" in want or "R2P" in want
+    )
+    shape = signs.shape[:2]
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    if "C" in want:
-        out["C"] = _classical_stats(y)
-    reg_ids = [est for est in want if est != "C"]
-    if reg_ids:
-        out.update(_partialled_stats(*blocks, signs, y, reg_ids))
-    return {est: out[est] for est in want}
+    for est in want:
+        # R2P is R2 with another variance, so one array holds both estimates.
+        shared = est == "R2P" and "R2" in out
+        out[est] = (out["R2"][0] if shared else np.empty(shape), np.empty(shape))
+    for lo in range(0, signs.shape[1], _CHUNK):
+        part = _SignProducts.of(table, signs[:, lo : lo + _CHUNK]).stats(want)
+        for est in want:
+            for whole, chunk in zip(out[est], part[est]):
+                whole[:, lo : lo + _CHUNK] = chunk
+    return out
 
 
 def _regression_blocks(
@@ -918,7 +989,10 @@ def _pate_columns(
 ) -> dict[str, np.ndarray]:
     """Estimates and standard errors of each table's one draw.
 
-    Y comes from the observed responses. The first table in order that
+    Y is built from the observed responses only to be checked against
+    the level/effect identity; the estimates, the mean's too, come from
+    :func:`_grid_stats` on the effects and gaps that check used. The
+    first table in order that
     fails raises, and its first failing check picks the error:
     AssertionError when its Y fails the reveal cross-check,
     DimensionMismatch when its m columns fail :func:`columns_centered`
@@ -926,15 +1000,14 @@ def _pate_columns(
     naming the sample, when its R1 or R2P fit is singular under the
     kernel's pivot tests, the same rank decision as in the other modes.
     """
-    d, m = blocks
-    _, _, y, agree = _observe(r_t, r_c, signs[:, 0])
+    _, _, _, agree, effects, gaps = _observe(r_t, r_c, signs[:, 0])
     stats = {
         est: (tau[:, 0], s2[:, 0])
-        for est, (tau, s2) in _partialled_stats(
-            d, m, signs, y[:, None], ("R1", "R2", "R2P")
+        for est, (tau, s2) in _grid_stats(
+            effects, gaps, signs, blocks, ("C", "R1", "R2", "R2P")
         ).items()
     }
-    centered = columns_centered(m)
+    centered = columns_centered(blocks[1])
     full_rank = np.isfinite(stats["R1"][1]) & np.isfinite(stats["R2P"][1])
     bad = np.flatnonzero(~(agree & centered & full_rank))
     if bad.size:
@@ -944,10 +1017,9 @@ def _pate_columns(
         if not centered[j]:
             raise DimensionMismatch("m columns must sum to zero across pairs")
         raise RankDeficient(f"sample {idxs[j]}: the regression design is rank deficient")
-    tau_c, s2_c = _classical_stats(y)
     return {
-        "tau_C": tau_c,
-        "se_C": np.sqrt(s2_c),
+        "tau_C": stats["C"][0],
+        "se_C": np.sqrt(stats["C"][1]),
         "tau_R1": stats["R1"][0],
         "se_R1": np.sqrt(stats["R1"][1]),
         "tau_R2": stats["R2"][0],
@@ -1131,7 +1203,10 @@ def lemma_diagnostics(
     else:
         off = np.zeros(reps)
     # e'(I - H)e is the intercept denominator of the fit on [1 | vd | m].
-    prods = _SignProducts.of(_Whitened.of(d[None], m[None]), v[None], np.zeros((1, reps, n)), True)
+    zeros = np.zeros((1, n))
+    prods = _SignProducts.of(
+        _TableColumns.of(_Whitened.of(d[None], m[None]), zeros, zeros, True), v[None]
+    )
     denom = prods.r2(corrected=False)[2][0]
     bad = ~np.isfinite(denom)
     if bad.any():

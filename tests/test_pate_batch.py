@@ -31,7 +31,7 @@ from paired_adjust.experiment_model import TransformSpec, build_design, transfor
 from paired_adjust.randomization_engine import (
     StudyConfig,
     _block_columns,
-    _partialled_stats,
+    _grid_stats,
     _study_block,
     randomize,
     reveal,
@@ -133,14 +133,15 @@ def test_stacked_grams_match_one_table_at_a_time(f, g):
     signs = randomize(20, substream(34, ROLE_ASSIGN), 12 * 5).reshape(12, 5, 20)
     d, m = transformed_blocks(np.stack([s.x for s in samples]), f, g)
     levels = np.stack([s.levels for s in samples])
-    y = np.stack([s.effects for s in samples])[:, None] + signs * (
-        levels[..., 0] - levels[..., 1]
-    )[:, None]
-    want = ("R1", "R2", "R2P")
-    alone = [_partialled_stats(d[j : j + 1], m[j : j + 1], signs[j : j + 1], y[j : j + 1], want)
-             for j in range(12)]
+    effects, gaps = np.stack([s.effects for s in samples]), levels[..., 0] - levels[..., 1]
+    want = ("C", "R1", "R2", "R2P")
+
+    def grid(lo, hi):
+        return _grid_stats(effects[lo:hi], gaps[lo:hi], signs[lo:hi], (d[lo:hi], m[lo:hi]), want)
+
+    alone = [grid(j, j + 1) for j in range(12)]
     for lo, hi in [(3, 4), (2, 9), (0, 12)]:
-        stacked = _partialled_stats(d[lo:hi], m[lo:hi], signs[lo:hi], y[lo:hi], want)
+        stacked = grid(lo, hi)
         for j in range(lo, hi):
             for est in want:
                 for part, ref in zip(stacked[est], alone[j][est]):
