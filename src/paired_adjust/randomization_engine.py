@@ -38,10 +38,14 @@ tables by their B draws each (studies, with B = 1 in a pate study).
 Both study modes go through one block path, :func:`_study_block`: it
 reads each sample index's normals and signs from its own substreams,
 turns the normals into stacked outcomes and covariates in one pass, so
-no per-table sample object is built, and hands
-``max(1, _STUDY_DRAWS // B)`` tables at a time to
-:func:`_block_columns`, which returns one column per metric. Only the
-per-mode arithmetic differs: a sate study summarizes each table's B
+no per-table sample object is built, and hands them to
+:func:`_block_columns`, which returns one column per metric, in kernel
+calls of at most ``_STUDY_DRAWS`` draws and ``_STUDY_TABLES`` tables
+(:func:`_call_size`). Those caps bound memory and do not depend on the
+worker count: :func:`run_study` gives each worker one contiguous,
+near-equal share of the sample indices, the calling process computing
+the first share and a process pool the rest. Only the per-mode
+arithmetic differs: a sate study summarizes each table's B
 draws, and a pate study also builds Y from the observed responses, only
 to check it against the level/effect identity. Summaries over draws are
 taken on the grid too: :func:`_summarize` reduces the last axis of a
@@ -96,13 +100,17 @@ from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substreams
 
 ENUMERATION_CAP = 16
 _CHUNK = 4096
-# Assignments per kernel call in a study: a call takes
-# max(1, _STUDY_DRAWS // B) tables and all B draws of each (B = 1 in a
-# population study). Larger calls buy almost nothing and cost memory,
-# about 0.6 MB per table at n=100, B=200; four such tables keep a
-# worker's peak within 2% of one table per call. Results do not depend
-# on it.
+# Kernel calls in a study: a call takes all B draws of each of its
+# tables (B = 1 in a population study), at most _STUDY_DRAWS draws and
+# _STUDY_TABLES tables in all, and a block is cut into the fewest such
+# calls, all but the last of one size (see _call_size). Larger calls buy
+# almost nothing and cost memory: about 0.6 MB per table at n=100,
+# B=200, where four tables keep a worker's peak within 2% of one table
+# per call; in a population study at n=25, S=2000, the draw cap alone
+# (calls of 667 tables) peaks about 12 MB above calls of 250 tables.
+# Results do not depend on either.
 _STUDY_DRAWS = 800
+_STUDY_TABLES = 256
 
 ESTIMATOR_IDS = ("C", "R1", "R2", "R2P")
 
@@ -889,6 +897,24 @@ def _read_streams(
         yield call, normals, _signs_of_words(raw, b, n)
 
 
+def _split(count: int, parts: int) -> list[range]:
+    """``range(count)`` cut into ``parts`` contiguous ranges whose lengths differ by at most one."""
+    return [range(count * k // parts, count * (k + 1) // parts) for k in range(parts)]
+
+
+def _call_size(config: StudyConfig, tables: int) -> int:
+    """Tables per kernel call for a block of ``tables`` tables.
+
+    The fewest calls of at most ``_STUDY_DRAWS`` draws and
+    ``_STUDY_TABLES`` tables (at least one table each), all but the last
+    of this size: 4 tables at B = 200, and 250 at B = 1 in a block of
+    2000 tables.
+    """
+    most = max(1, min(_STUDY_TABLES, _STUDY_DRAWS // config.randomizations))
+    calls = -(-tables // most)
+    return -(-tables // calls)
+
+
 def _concat(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
     """Metric columns of consecutive blocks, joined in order."""
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
@@ -901,13 +927,12 @@ def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> dict[str, np.ndarra
     (see :func:`_read_streams`), so a value does not depend on the block
     it is computed in. The tables are built as stacked arrays, bit for
     bit the tables :func:`generate_sample` draws from the same streams,
-    and go through :func:`_block_columns` ``max(1, _STUDY_DRAWS // B)``
-    at a time.
+    and go through :func:`_block_columns` in calls of :func:`_call_size`
+    tables.
     """
     config, idxs = args
-    per_call = max(1, _STUDY_DRAWS // config.randomizations)
     parts = []
-    for call, normals, signs in _read_streams(config, idxs, per_call):
+    for call, normals, signs in _read_streams(config, idxs, _call_size(config, len(idxs))):
         _, r_t, r_c, x = _stacked_tables(normals, config.setting)
         parts.append(_block_columns(config, r_t, r_c, x, signs, call))
     return _concat(parts)
@@ -1079,24 +1104,26 @@ def run_study(config: StudyConfig) -> StudyReport:
 
     Deterministic for a fixed seed regardless of the worker count:
     every sample index gets its own substreams and metric columns are
-    aggregated in index order.
+    aggregated in index order. The indices are cut into one contiguous,
+    near-equal share per worker (fewer when S is smaller). The calling
+    process is one of the workers: it starts a pool for shares 2..k
+    first, then computes share 1 itself, so ``workers=k`` starts k - 1
+    processes. Shares are read back in order, so a failing study raises
+    what one worker would raise, for the first failing sample; the pool
+    has ended when this returns or raises.
     """
     config = _validate_config(config)
     if config.mode == "pate":
         config = replace(config, randomizations=1)
-    # A task splits its tables into kernel calls by _STUDY_DRAWS, so its
-    # size only balances the process pool.
-    size = max(1, config.samples // (config.workers * 8))
-    tasks = [
-        (config, range(lo, min(lo + size, config.samples)))
-        for lo in range(0, config.samples, size)
-    ]
-    if config.workers == 1:
-        blocks = list(map(_study_block, tasks))
+    first, *rest = (
+        (config, share) for share in _split(config.samples, min(config.workers, config.samples))
+    )
+    if not rest:
+        columns = _study_block(first)
     else:
-        with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
-            blocks = list(pool.map(_study_block, tasks))
-    columns = _concat(blocks)
+        with concurrent.futures.ProcessPoolExecutor(len(rest)) as pool:
+            futures = [pool.submit(_study_block, task) for task in rest]
+            columns = _concat([_study_block(first), *(f.result() for f in futures)])
 
     if config.mode == "sate":
         metrics: dict[str, object] = {}

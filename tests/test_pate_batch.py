@@ -156,8 +156,8 @@ def test_rows_independent_of_block_size(monkeypatch):
     sevens = _joined([_study_block((cfg, range(lo, min(lo + 7, 40)))) for lo in range(0, 40, 7)])
     assert _bits(ones) == _bits(whole) == _bits(sevens)
 
-    # run_study's tasks here hold 40 // 8 = 5 tables: three tables per
-    # kernel call splits each task into calls of 3 and 2.
+    # run_study's one share here holds all 40 tables: three draws per
+    # kernel call cut it into 13 calls of 3 and one of 1.
     reports = []
     for draws in (1, 3, 7, 40):
         monkeypatch.setattr(engine, "_STUDY_DRAWS", draws)

@@ -1,0 +1,117 @@
+"""Study fan-out: one contiguous share per worker, the caller computing the first.
+
+Reports must not depend on the worker count, whatever the share sizes;
+a failing study must raise what one worker raises, for the first
+failing sample in index order, whichever share holds it; and
+``--workers k`` must start k - 1 processes, all ended when
+:func:`run_study` returns or raises.
+"""
+
+import concurrent.futures
+import multiprocessing
+
+import pytest
+
+from paired_adjust.cli import main
+from paired_adjust.errors import DimensionMismatch, RankDeficient
+from paired_adjust.experiment_model import TransformSpec as T
+from paired_adjust.randomization_engine import StudyConfig, _call_size, _split, run_study
+
+# (mode, S): S a multiple of 2 and 3, not a multiple of either, and
+# below the largest worker count (one share at 2 and 3 workers for
+# sate, two shares at 3 workers for pate).
+SIZES = [("sate", 12), ("pate", 12), ("sate", 7), ("pate", 11), ("sate", 1), ("pate", 2)]
+
+
+def _argv(mode, samples, workers, out, csv):
+    extra = ["--B", "10"] if mode == "sate" else []
+    return ["simulate", "--mode", f"{mode}-study", "--setting", "nonparallel", "--n", "25",
+            "--S", str(samples), "--seed", "12", "--f", "power:2", "--g", "log",
+            "--workers", str(workers), "--out", str(out), "--csv", str(csv), *extra]
+
+
+@pytest.mark.parametrize("mode,samples", SIZES, ids=lambda v: str(v))
+def test_reports_identical_across_one_two_and_three_workers(tmp_path, capsys, mode, samples):
+    outputs = []
+    for workers in (1, 2, 3):
+        out, csv = tmp_path / f"w{workers}.json", tmp_path / f"w{workers}.csv"
+        assert main(_argv(mode, samples, workers, out, csv)) == 0
+        outputs.append((out.read_bytes(), csv.read_bytes()))
+        assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err == ""
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_shares_are_contiguous_and_near_equal():
+    for count in range(1, 30):
+        for parts in range(1, count + 1):
+            shares = _split(count, parts)
+            assert [i for share in shares for i in share] == list(range(count))
+            assert max(map(len, shares)) - min(map(len, shares)) <= 1
+
+
+@pytest.mark.parametrize(
+    "b,tables,size",
+    [(200, 100, 4), (200, 10, 4), (200, 1, 1), (1000, 3, 1), (1, 2000, 250), (1, 1000, 250),
+     (1, 256, 256), (1, 257, 129), (40, 10, 10), (80, 10, 10), (100, 10, 5)],
+)
+def test_kernel_calls_stay_within_draw_and_table_caps(b, tables, size):
+    cfg = StudyConfig(mode="sate", setting="nonparallel", n=25, samples=tables, randomizations=b)
+    assert _call_size(cfg, tables) == size
+
+
+# At --n 25 under exp/exp, seed 23 gives RankDeficient for sample 0 and
+# DimensionMismatch for samples 1-3; seed 86 passes sample 0, gives
+# RankDeficient for sample 1 and DimensionMismatch for samples 2 and 3.
+# The first failing sample lies in the caller's share at S=4 with two
+# workers (and for seed 23 with three), and in the first child's share
+# at S=3 with two or three workers (and for seed 86 at S=4 with three);
+# a later sample fails with another error each time.
+@pytest.mark.parametrize(
+    "seed,samples,sample",
+    [(23, 4, 0), (86, 4, 1), (86, 3, 1)],
+)
+def test_failing_study_raises_what_one_worker_raises(seed, samples, sample):
+    raised = []
+    for workers in (1, 2, 3):
+        cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=samples,
+                          seed=seed, f=T.exp(), g=T.exp(), workers=workers)
+        with pytest.raises(RankDeficient) as info:
+            run_study(cfg)
+        assert multiprocessing.active_children() == []
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0][1].startswith(f"sample {sample}: ")
+    assert raised[0] == raised[1] == raised[2]
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_failing_study_keeps_exit_code_across_workers(tmp_path, capsys, workers):
+    argv = ["simulate", "--mode", "pate-study", "--setting", "nonparallel", "--n", "25",
+            "--f", "exp", "--g", "exp", "--S", "50", "--seed", "3", "--workers", workers,
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == DimensionMismatch.exit_code
+    err = capsys.readouterr().err
+    assert err == "paired-adjust: error: m columns must sum to zero across pairs\n"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers,samples,started", [(1, 6, None), (2, 6, 1), (3, 6, 2),
+                                                     (3, 2, 1), (2, 1, None)])
+def test_workers_k_start_k_minus_one_processes(monkeypatch, workers, samples, started):
+    pools = []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.asked = max_workers
+
+        def __exit__(self, *exc):
+            pools.append((self.asked, len(multiprocessing.active_children())))
+            return super().__exit__(*exc)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    cfg = StudyConfig(mode="sate", setting="nonparallel", n=16, samples=samples,
+                      randomizations=5, seed=4, workers=workers)
+    run_study(cfg)
+    assert pools == ([] if started is None else [(started, started)])
+    assert multiprocessing.active_children() == []

@@ -5,12 +5,12 @@ from ``NEW/src``, then prints, per output, whether the exit codes agree
 and the worst relative difference over every number in the report
 (|a - b| / max(|a|, |b|), zero when both are equal or both NaN, inf
 when only one is NaN or an infinity meets a different value; "n/a"
-unless both commands exit 0). Every study runs at ``--workers`` 1 and
-2, and in the new tree its exit codes and reports must match across the
-two byte for byte. The ``analyze`` runs read experiment CSVs written
-here from the generated table with a fixed assignment, one of them with
-x1 in units 1e9 times smaller and one with its rows in a fixed shuffled
-order, so that some pairs list unit 2 first. A change of exit code is a
+unless both commands exit 0). Every study runs at ``--workers`` 1, 2
+and 3, and in the new tree each run's exit code and report must equal
+the first run's, byte for byte. The ``analyze`` runs read experiment
+CSVs written here from the generated table with a fixed assignment,
+one of them with x1 in units 1e9 times smaller and one with its rows in
+a fixed shuffled order, so that some pairs list unit 2 first. A change of exit code is a
 failure unless ``EXPECTED_EXITS`` lists it, and so is a worst relative
 drift above ``DRIFT_TOL`` (1e-12) unless ``EXPECTED_DRIFT`` lists the
 run with a larger bound. The exit status is 1 on any failure.
@@ -78,11 +78,10 @@ EXPECTED_DRIFT: dict[str, float] = {}
 FIRST_TREATED = "1011001110001101"
 # Row order of the shuffled experiment; it lists unit 2 first in 8 of 16 pairs.
 SHUFFLE_SEED = 3
-WORKERS = {"pate_n25": ("1", "2"), "pate_n40_pow2_log": ("1", "2"), "pate_n25_pow2": ("1", "2"),
-           "pate_n25_S1": ("1", "2"), "pate_n25_seed_wide": ("1", "2"),
-           "pate_n30_pow3_pow2": ("1", "2"), "sate_n100": ("2", "1"),
-           "sate_n40_pow2_log": ("1", "2"), "sate_n25_exp_exp": ("1", "2"),
-           "sate_n40_seed_wide": ("1", "2")}
+# Worker counts of each study, in run order; the first run's report is
+# the one compared across trees.
+WORKERS = {name: ("2", "1", "3") if name == "sate_n100" else ("1", "2", "3")
+           for name, argv in RUNS.items() if argv[0] == "simulate"}
 
 
 def _cli(src: Path, argv: list[str]) -> int:
@@ -139,11 +138,11 @@ def run_tree(root: Path, work: Path) -> tuple[dict[str, tuple[int, Path]], list[
             extra = ["--workers", workers] if workers else []
             code = _cli(src, argv + extra + ["--out", str(path)])
             reports.append((code, path))
-        if len(reports) == 2:
-            (c1, p1), (c2, p2) = reports
-            if c1 != c2 or (c1 == 0 and p1.read_bytes() != p2.read_bytes()):
-                print(f"{root}: {name} differs across worker counts")
-                differ.append(name)
+        c1, p1 = reports[0]
+        if any(c != c1 or (c1 == 0 and p.read_bytes() != p1.read_bytes())
+               for c, p in reports[1:]):
+            print(f"{root}: {name} differs across worker counts")
+            differ.append(name)
         out[name] = reports[0]
     return out, differ
 
