@@ -40,17 +40,18 @@ import numpy as np
 
 from . import __version__
 from .dgp import SETTINGS, generate_sample, load_science_table, write_science_table
-from .errors import ConfigError, DataError, PairedAdjustError
+from .errors import ConfigError, DataError, DimensionMismatch, PairedAdjustError, TooFewPairs
 from .estimators import (
     _FLAVORS,
     estimate_classical,
     estimate_r1,
-    estimate_r2,
+    estimate_r2_flavors,
     superpop_correct,
 )
 from .experiment_model import (
     TransformSpec,
     build_design,
+    design_estimators,
     load_experiment_csv,
     strict_int,
     validate_design,
@@ -179,6 +180,7 @@ _ALPHA = _Option(_as_alpha, "two-sided miscoverage level in (0, 1) (default 0.05
 _OUT = _Option(str, "write the JSON report here instead of stdout")
 _SEED_HELP = "master seed, an integer >= 0 (env PAIRED_ADJUST_SEED as fallback)"
 _DIFFS, _AVGS = "within-pair differences", "pair averages"
+_ENUMERATE_DEFAULT = "identity; none if neither is given and identity does not fit the table"
 
 # One table per subcommand; flags, help and every value's cast come from it.
 _OPTION_TABLES: dict[str, dict[str, _Option]] = {
@@ -212,8 +214,8 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
         "cap": _Option(
             _as_count, f"refuse above this many pairs (default {ENUMERATION_CAP})", ENUMERATION_CAP
         ),
-        "f": _transform(_DIFFS, None, "identity when x present"),
-        "g": _transform(_AVGS, None, "identity when x present"),
+        "f": _transform(_DIFFS, None, _ENUMERATE_DEFAULT),
+        "g": _transform(_AVGS, None, _ENUMERATE_DEFAULT),
         "alpha": _ALPHA,
         "seed": _Option(_as_seed, _SEED_HELP),
         "out": _OUT,
@@ -338,9 +340,9 @@ def cmd_analyze(conf: dict) -> int:
     rows = []
     rows.append(estimate_classical(dm.y).to_report_dict("sate", alpha))
     rows.append(estimate_r1(dm, flavor).to_report_dict("sate", alpha))
-    r2_flavored = estimate_r2(dm, flavor)
+    # The superpopulation correction widens the classical R2 variance.
+    r2_flavored, r2_classical = estimate_r2_flavors(dm, (flavor, "classical"))
     rows.append(r2_flavored.to_report_dict("sate", alpha))
-    r2_classical = r2_flavored if flavor == "classical" else estimate_r2(dm)
     if dm.k_m > 0:
         rows.append(superpop_correct(r2_classical, dm).to_report_dict("pate", alpha))
         r2_uses = "superpop-corrected" if conf["target"] == "pate" else flavor
@@ -399,8 +401,13 @@ def _write_histogram(dist, path: str, bins: int = 64) -> None:
 def cmd_enumerate(conf: dict) -> int:
     """exact randomization distribution of a science table"""
     sample = _read_input(load_science_table, conf["input"], conf["meta"])
-    if conf["f"] is None and conf["g"] is None and sample.x is not None:
-        conf = dict(conf, f=TransformSpec.identity(), g=TransformSpec.identity())
+    ident = TransformSpec.identity()
+    if conf["f"] is not None or conf["g"] is not None:
+        conf = dict(conf, f=conf["f"] or ident, g=conf["g"] or ident)
+    else:  # no transform given: identity where the feasibility rule allows it
+        with contextlib.suppress(DimensionMismatch, TooFewPairs):
+            design_estimators(sample.n, sample.p, ident, ident)
+            conf = dict(conf, f=ident, g=ident)
     dist = enumerate_exact(sample, conf["f"], conf["g"], alpha=conf["alpha"], cap=conf["cap"])
 
     summary = dist.summary()

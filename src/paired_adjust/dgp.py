@@ -81,6 +81,11 @@ class PotentialOutcomeSample:
         return self.r_t.shape[0]
 
     @property
+    def p(self) -> Optional[int]:
+        """Observed covariates per unit, None for a table without them."""
+        return None if self.x is None else self.x.shape[2]
+
+    @property
     def levels(self) -> np.ndarray:
         """Per-unit average of the two potential outcomes, (n, 2)."""
         return (self.r_t + self.r_c) / 2.0

@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BadAlpha, TooFewPairs, WrongEstimator
-from .experiment_model import DesignMatrices
+from .errors import BadAlpha, WrongEstimator
+from .experiment_model import DesignMatrices, design_estimators
 from .ols_core import (
     FitResult,
     intercept_variance_classical,
@@ -81,8 +82,7 @@ def estimate_classical(y: np.ndarray) -> EstimateReport:
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
-    if n < 2:
-        raise TooFewPairs(f"need at least 2 pairs, got {n}")
+    design_estimators(n, None, None, None)
     tau = float(y.mean())
     s2 = float(((y - tau) ** 2).sum()) / (n * (n - 1))
     return EstimateReport(
@@ -101,19 +101,26 @@ def _check_flavor(flavor: str) -> None:
         raise ValueError(f"variance flavor must be one of {_FLAVORS}, got {flavor!r}")
 
 
+def _intercept_reports(
+    estimator: str, dm: DesignMatrices, x: np.ndarray, flavors: Sequence[str]
+) -> tuple[EstimateReport, ...]:
+    """One fit of y on [1 | x], reported under each variance flavor in turn."""
+    for flavor in flavors:
+        _check_flavor(flavor)
+    fit = least_squares(x, dm.y)
+    slopes = tuple(float(b) for b in fit.coefficients[1:])
+    return tuple(
+        EstimateReport(
+            estimator=estimator, tau_hat=float(fit.coefficients[0]), s2=_variance(fit, flavor),
+            flavor=flavor, dof=fit.dof, n=dm.n, beta_d=slopes[: dm.k_d], beta_m=slopes[dm.k_d :],
+        )
+        for flavor in flavors
+    )
+
+
 def estimate_r1(dm: DesignMatrices, flavor: str = "classical") -> EstimateReport:
     """Intercept of the regression of y on vd."""
-    _check_flavor(flavor)
-    fit = least_squares(dm.vd, dm.y)
-    return EstimateReport(
-        estimator="R1",
-        tau_hat=float(fit.coefficients[0]),
-        s2=_variance(fit, flavor),
-        flavor=flavor,
-        dof=fit.dof,
-        n=dm.n,
-        beta_d=tuple(float(b) for b in fit.coefficients[1:]),
-    )
+    return _intercept_reports("R1", dm, dm.vd, (flavor,))[0]
 
 
 def estimate_r2(dm: DesignMatrices, flavor: str = "classical") -> EstimateReport:
@@ -121,19 +128,12 @@ def estimate_r2(dm: DesignMatrices, flavor: str = "classical") -> EstimateReport
 
     With a zero-width m block this coincides with estimate_r1.
     """
-    _check_flavor(flavor)
-    fit = least_squares(np.hstack([dm.vd, dm.m]), dm.y)
-    k_d = dm.k_d
-    return EstimateReport(
-        estimator="R2",
-        tau_hat=float(fit.coefficients[0]),
-        s2=_variance(fit, flavor),
-        flavor=flavor,
-        dof=fit.dof,
-        n=dm.n,
-        beta_d=tuple(float(b) for b in fit.coefficients[1 : 1 + k_d]),
-        beta_m=tuple(float(b) for b in fit.coefficients[1 + k_d :]),
-    )
+    return estimate_r2_flavors(dm, (flavor,))[0]
+
+
+def estimate_r2_flavors(dm: DesignMatrices, flavors: Sequence[str]) -> tuple[EstimateReport, ...]:
+    """:func:`estimate_r2` under each variance flavor, all read off one fit."""
+    return _intercept_reports("R2", dm, np.hstack([dm.vd, dm.m]), flavors)
 
 
 def superpop_correct(r2: EstimateReport, dm: DesignMatrices) -> EstimateReport:

@@ -24,7 +24,7 @@ import csv
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TextIO, TypeVar, Union
+from typing import Callable, Iterable, Optional, Sequence, TextIO, TypeVar, Union
 
 import numpy as np
 
@@ -251,9 +251,9 @@ class DesignMatrices:
     """Regression inputs derived from a paired experiment.
 
     ``m`` columns each sum to zero (to 1e-10 * n); ``v`` entries are
-    +/-1; ``vd`` holds rows ``v[i] * d[i]``. Requires n > K_D + K_M + 1
-    so the intercept regressions have at least one residual degree of
-    freedom.
+    +/-1; ``vd`` holds rows ``v[i] * d[i]``. Requires n > K_D + K_M + 1,
+    the size test of :func:`design_estimators`, so the intercept
+    regressions have at least one residual degree of freedom.
     """
 
     d: np.ndarray   # (n, K_D)
@@ -273,11 +273,7 @@ class DesignMatrices:
             raise DimensionMismatch("d, m, v, y must agree on the number of pairs")
         if not np.isin(v, (-1.0, 1.0)).all():
             raise PairViolation("signs must be +1 or -1")
-        if n <= d.shape[1] + m.shape[1] + 1:
-            raise TooFewPairs(
-                f"need n > K_D + K_M + 1, got n={n}, "
-                f"K_D={d.shape[1]}, K_M={m.shape[1]}"
-            )
+        _require_pairs(n, d.shape[1], m.shape[1])
         if not columns_centered(m):
             raise DimensionMismatch("m columns must sum to zero across pairs")
         object.__setattr__(self, "d", _readonly(d))
@@ -380,6 +376,36 @@ def block_widths(f: TransformSpec, g: TransformSpec, p: int) -> tuple[int, int]:
         raise DimensionMismatch(str(exc)) from None
 
 
+def _require_pairs(n: int, k_d: int, k_m: int) -> None:
+    """The size test of the feasibility rule: n > K_D + K_M + 1."""
+    if n <= k_d + k_m + 1:
+        raise TooFewPairs(f"need n > K_D + K_M + 1, got n={n}, K_D={k_d}, K_M={k_m}")
+
+
+def design_estimators(
+    n: int, p: Optional[int], f: Optional[TransformSpec], g: Optional[TransformSpec]
+) -> tuple[str, ...]:
+    """The estimators a design of ``n`` pairs allows: the package's one feasibility rule.
+
+    ``p`` is the covariate count, None for a table without covariates.
+    With neither transform given, only the mean "C" is asked for; a lone
+    missing transform is identity. R1 and R2 divide by n - K_D - 1 and
+    n - K_D - K_M - 1, so they need n > K_D + K_M + 1, and "R2P" needs
+    K_M >= 1. Raises TooFewPairs below 2 pairs and, when transforms are
+    given, for n <= K_D + K_M + 1; DimensionMismatch when transforms meet
+    a table without covariates or a select transform a missing column.
+    """
+    if n < 2:
+        raise TooFewPairs(f"need at least 2 pairs, got {n}")
+    if f is None and g is None:
+        return ("C",)
+    if p is None:
+        raise DimensionMismatch("no observed covariates; drop the transforms or supply x columns")
+    k_d, k_m = block_widths(f or TransformSpec.identity(), g or TransformSpec.identity(), p)
+    _require_pairs(n, k_d, k_m)
+    return ("C", "R1", "R2", "R2P") if k_m else ("C", "R1", "R2")
+
+
 def transformed_blocks(
     x: np.ndarray, f: TransformSpec, g: TransformSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -409,16 +435,12 @@ def build_design(
     """Construct the design matrices for an experiment.
 
     Deterministic: the same experiment and specs give bitwise-identical
-    matrices. Raises DimensionMismatch when a select transform names a
-    missing column, TooFewPairs when n <= K_D + K_M + 1 (both checked
-    from the transform widths before touching the data) and
-    NonFiniteTransform when f or g blow up on the observed covariates.
+    matrices. Raises what :func:`design_estimators` raises for the
+    design, checked from the transform widths before touching the data,
+    and NonFiniteTransform when f or g blow up on the observed
+    covariates.
     """
-    k_d, k_m = block_widths(f, g, exp.p)
-    if exp.n <= k_d + k_m + 1:
-        raise TooFewPairs(
-            f"need n > K_D + K_M + 1, got n={exp.n}, K_D={k_d}, K_M={k_m}"
-        )
+    design_estimators(exp.n, exp.p, f, g)
     d, m = transformed_blocks(exp.x, f, g)
     v = 2.0 * exp.z[:, 0] - 1.0
     y = v * (exp.y[:, 0] - exp.y[:, 1])

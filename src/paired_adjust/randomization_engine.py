@@ -51,9 +51,11 @@ to check it against the level/effect identity. Summaries over draws are
 taken on the grid too: :func:`_summarize` reduces the last axis of a
 (..., B) stack, so a sate study summarizes each estimator's (T, B) grid
 in one call, and enumeration and Monte Carlo call it on their single
-row. Every mode makes the same rank decision, the kernel's pivot tests,
-which do not depend on the scale of any covariate column; a pate study
-raises for the first sample, in index order, that fails them.
+row. Every entry point first asks ``experiment_model.design_estimators``
+which estimators the design allows, the one size rule, and every mode
+makes the same rank decision, the kernel's pivot tests, which do not
+depend on the scale of any covariate column; a pate study raises for
+the first sample, in index order, that fails them.
 The whitening is ``ols_core._whiten``, which the single fits of
 ``ols_core.least_squares`` and ``validate_design`` share, so those
 decide rank by the same pivot test. Estimates from this kernel agree
@@ -83,7 +85,6 @@ from .errors import (
     LengthMismatch,
     NonFiniteTransform,
     RankDeficient,
-    TooFewPairs,
     TooLarge,
     WrongEstimator,
 )
@@ -91,8 +92,8 @@ from .estimators import normal_quantile
 from .experiment_model import (
     PairedExperiment,
     TransformSpec,
-    block_widths,
     columns_centered,
+    design_estimators,
     transformed_blocks,
 )
 from .ols_core import RANK_RTOL, _whiten
@@ -551,47 +552,24 @@ def _grid_stats(
     return out
 
 
-def _regression_blocks(
-    sample: PotentialOutcomeSample,
-    f: Optional[TransformSpec],
-    g: Optional[TransformSpec],
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Fixed (d, m) blocks, or None when regression is not feasible.
-
-    Regression estimators are skipped (not errored) when the table has
-    too few pairs for the requested transforms, which keeps exact
-    enumeration usable on outcome-only toy tables.
-    """
-    if f is None or g is None:
-        return None
-    if sample.x is None:
-        raise DimensionMismatch(
-            "science table has no observed covariates; drop the transforms "
-            "or supply x columns"
-        )
-    if sample.n <= sum(block_widths(f, g, sample.x.shape[2])) + 1:
-        return None
-    return transformed_blocks(sample.x, f, g)
-
-
-def _pair_count(sample: PotentialOutcomeSample) -> int:
-    """The table's n; the mean's S^2 needs n >= 2, as in estimate_classical."""
-    if sample.n < 2:
-        raise TooFewPairs(f"need at least 2 pairs, got {sample.n}")
-    return sample.n
-
-
 def _table_stats(
     sample: PotentialOutcomeSample,
     signs: np.ndarray,
-    blocks: Optional[tuple[np.ndarray, np.ndarray]],
+    f: Optional[TransformSpec],
+    g: Optional[TransformSpec],
     want: Sequence[str],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """:func:`_grid_stats` for one table and its (B, n) ``signs``, as (B,) arrays."""
-    effects, gaps = _effects_and_gaps(sample.r_t, sample.r_c)
-    if blocks is not None:
-        blocks = (blocks[0][None], blocks[1][None])
-    stats = _grid_stats(effects[None], gaps[None], signs[None], blocks, want)
+    """:func:`_grid_stats` for one table and its (B, n) ``signs``, as (B,) arrays.
+
+    The table is a stack of one, whose blocks, when a regression estimator
+    is wanted, come from ``x[None]`` as :func:`_block_columns` builds them.
+    """
+    effects, gaps = _effects_and_gaps(sample.r_t[None], sample.r_c[None])
+    blocks = None
+    if any(est != "C" for est in want):
+        ident = TransformSpec.identity()
+        blocks = transformed_blocks(sample.x[None], f or ident, g or ident)
+    stats = _grid_stats(effects, gaps, signs[None], blocks, want)
     return {est: (tau[0], s2[0]) for est, (tau, s2) in stats.items()}
 
 
@@ -725,27 +703,22 @@ def enumerate_exact(
 ) -> ExactDistribution:
     """Evaluate the estimators under all 2^n assignments.
 
-    The mean estimator is always included; the regression estimators
-    need transforms, observed covariates, and n > K_D + K_M + 1, and
-    the superpopulation-corrected variance additionally needs K_M >= 1.
-    Raises TooFewPairs below 2 pairs and TooLarge beyond the cap
-    (default 16 pairs, 65536 assignments).
+    The estimators are those :func:`design_estimators` allows, the mean
+    alone when no transform is given. Raises TooLarge beyond the cap
+    (default 16 pairs, 65536 assignments), then what the rule raises,
+    and RankDeficient when any assignment gives a singular design.
     """
-    n = _pair_count(sample)
+    n = sample.n
     if n > cap:
         raise TooLarge(f"2^{n} assignments exceed the cap of 2^{cap}")
-    blocks = _regression_blocks(sample, f, g)
-    want = ["C"]
-    if blocks is not None:
-        want += ["R1", "R2"] + (["R2P"] if blocks[1].shape[1] else [])
-    stats = _table_stats(sample, assignment_signs(np.arange(2**n), n), blocks, want)
-    if blocks is not None:
-        bad = ~np.isfinite(stats[want[-1]][0])
-        if bad.any():
-            raise RankDeficient(
-                f"{int(bad.sum())} of {2**n} assignments give a singular design "
-                f"(first code {int(np.flatnonzero(bad)[0])})"
-            )
+    want = design_estimators(n, sample.p, f, g)
+    stats = _table_stats(sample, assignment_signs(np.arange(2**n), n), f, g, want)
+    bad = ~np.isfinite(stats[want[-1]][0])
+    if want != ("C",) and bad.any():
+        raise RankDeficient(
+            f"{int(bad.sum())} of {2**n} assignments give a singular design "
+            f"(first code {int(np.flatnonzero(bad)[0])})"
+        )
     return ExactDistribution(
         n=n,
         target=sample.sate,
@@ -779,7 +752,9 @@ def run_monte_carlo(
     Coverage and RMSE are measured against the table's own average
     effect, recorded as ``target``. Assignments whose design turns out
     singular are counted in ``errors`` and dropped from the summaries
-    rather than aborting the run. Raises TooFewPairs below 2 pairs.
+    rather than aborting the run. Raises what :func:`design_estimators`
+    raises, ConfigError for a regression estimator without transforms
+    and WrongEstimator for one the rule does not allow.
     """
     if b < 1:
         raise ConfigError(f"need b >= 1, got {b}")
@@ -789,20 +764,12 @@ def run_monte_carlo(
             raise WrongEstimator(f"unknown estimator {est!r}")
     if rng is None:
         rng = np.random.default_rng()
-    _pair_count(sample)
-
-    blocks = None
-    if any(est != "C" for est in est_ids):
-        blocks = _regression_blocks(sample, f, g)
-        if blocks is None:
-            raise ConfigError(
-                "regression estimators need transforms and n > K_D + K_M + 1"
-            )
-        if "R2P" in est_ids and blocks[1].shape[1] == 0:
-            raise WrongEstimator(
-                "superpopulation-corrected variance needs at least one m column"
-            )
-    stats = _table_stats(sample, randomize(sample.n, rng, b), blocks, est_ids)
+    allowed = design_estimators(sample.n, sample.p, f, g)
+    if any(est not in allowed for est in est_ids):
+        if allowed == ("C",):
+            raise ConfigError("regression estimators need transforms")
+        raise WrongEstimator("superpopulation-corrected variance needs at least one m column")
+    stats = _table_stats(sample, randomize(sample.n, rng, b), f, g, est_ids)
     per = {
         est: _summarize(tau, s2, sample.sate, alpha) for est, (tau, s2) in stats.items()
     }
@@ -848,14 +815,10 @@ def _validate_config(config: StudyConfig) -> StudyConfig:
     if config.seed < 0:
         raise ConfigError(f"need seed >= 0, got {config.seed}")
     try:
-        k_d, k_m = block_widths(config.f, config.g, N_COVARIATES)
+        want = design_estimators(config.n, N_COVARIATES, config.f, config.g)
     except DimensionMismatch as exc:
         raise ConfigError(f"transform does not fit the generated covariates: {exc}") from None
-    if config.n <= k_d + k_m + 1:
-        raise ConfigError(
-            f"n={config.n} too small for the transforms (need n > {k_d + k_m + 1})"
-        )
-    if config.mode == "pate" and k_m == 0:
+    if config.mode == "pate" and "R2P" not in want:
         raise ConfigError("superpopulation correction needs at least one m column")
     if config.mode == "pate" and config.samples < 2:
         raise ConfigError(
@@ -1202,20 +1165,17 @@ def lemma_diagnostics(
 
     Draws ``reps`` assignments (or reuses fixed ``signs``) and records
     the off-block magnitude and the ones-projection residual for each.
-    Raises RankDeficient when [1 | signs*d | m] is rank deficient, as
+    Raises what :func:`design_estimators` raises for the design, and
+    RankDeficient when [1 | signs*d | m] is rank deficient, as
     when the ones vector lies in the span of [signs*d | m].
     """
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
-    if sample.x is None:
-        raise DimensionMismatch("science table has no observed covariates")
+    design_estimators(sample.n, sample.p, f, g)
     if signs is None and rng is None:
         rng = np.random.default_rng()
     d, m = transformed_blocks(sample.x, f, g)
     n = sample.n
-    cols = 1 + d.shape[1] + m.shape[1]
-    if n < cols:
-        raise RankDeficient(f"{cols} columns but only {n} rows")
     if signs is None:
         v = randomize(n, rng, reps)
     else:

@@ -8,19 +8,26 @@ import pytest
 
 from paired_adjust import (
     TransformSpec,
+    build_design,
+    estimate_r2,
     generate_sample,
+    least_squares,
+    load_experiment_csv,
     randomize,
     reveal,
     substream,
+    superpop_correct,
     write_experiment_csv,
     write_science_table,
 )
-from paired_adjust import cli
+from paired_adjust import cli, estimators
 from paired_adjust.cli import build_parser, main, parse_transform
 from paired_adjust.errors import ConfigError
 from paired_adjust.rng import ROLE_ASSIGN
 
 from conftest import make_sample
+
+IDENT = TransformSpec.identity()
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +108,25 @@ class TestAnalyze:
         assert doc["estimates"][2]["flavor"] == "HC2"
         # superpop row always builds on the classical R2 fit
         assert doc["estimates"][3]["flavor"] == "superpop-corrected"
+
+    @pytest.mark.parametrize("variance", ["HC2", "HC3"])
+    def test_one_r2_fit_serves_both_variances(self, capsys, experiment_csv, monkeypatch, variance):
+        fits = []
+
+        def counted(x, y):
+            fits.append(x.shape[1])
+            return least_squares(x, y)
+
+        monkeypatch.setattr(estimators, "least_squares", counted)
+        code, out, _ = run_cli(
+            capsys, "analyze", "--input", str(experiment_csv), "--variance", variance,
+            "--target", "pate",
+        )
+        assert code == 0
+        assert fits == [4, 8]  # R1, then R2 for its flavored and its classical variance
+        dm = build_design(load_experiment_csv(experiment_csv), IDENT, IDENT)
+        pate = superpop_correct(estimate_r2(dm), dm).to_report_dict("pate", 0.05)
+        assert json.loads(out)["estimates"][3] == pate
 
     def test_transforms_change_adjusted_rows_only(self, capsys, experiment_csv):
         _, base, _ = run_cli(capsys, "analyze", "--input", str(experiment_csv))
@@ -254,6 +280,35 @@ class TestEnumerate:
         doc = json.loads(out)
         assert list(doc["summary"]["estimators"]) == ["C"]
         assert doc["config"]["f"] is None
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_default_echoes_null_when_identity_does_not_fit(self, capsys, tmp_path, n):
+        # identity on four covariates needs n > 9, so the default run
+        # computes the mean alone and says it applied no transform
+        path = tmp_path / "table.csv"
+        write_science_table(generate_sample(n, "nonparallel", seed=11), path)
+        code, out, _ = run_cli(capsys, "enumerate", "--input", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["summary"]["estimators"]) == ["C"]
+        assert doc["config"]["f"] is None and doc["config"]["g"] is None
+
+    @pytest.mark.parametrize(
+        "lone, paired",
+        [
+            (["--f", "select:1"], ["--f", "select:1", "--g", "identity"]),
+            (["--g", "power:2"], ["--f", "identity", "--g", "power:2"]),
+        ],
+    )
+    def test_lone_transform_pairs_with_identity(self, capsys, tmp_path, lone, paired):
+        path = tmp_path / "table.csv"
+        write_science_table(generate_sample(16, "nonparallel", seed=11), path)
+        code, out, _ = run_cli(capsys, "enumerate", "--input", str(path), *lone)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["summary"]["estimators"]) == ["C", "R1", "R2", "R2P"]
+        want = json.loads(run_cli(capsys, "enumerate", "--input", str(path), *paired)[1])
+        assert doc == want  # the report echoes identity for the missing transform
 
     def test_histogram_file(self, capsys, tmp_path, science_csv):
         path, _ = science_csv
@@ -410,6 +465,23 @@ class TestExitCodes:
         write_experiment_csv(exp, path)
         # identity/identity on four covariates needs n > 9
         assert run_cli(capsys, "analyze", "--input", str(path))[0] == 2
+
+    def test_too_few_pairs_for_the_transforms_is_2_in_every_command(self, capsys, tmp_path):
+        # one feasibility rule: identity on four covariates needs n > 9
+        s = generate_sample(6, "nonparallel", seed=11)
+        table, experiment = tmp_path / "table.csv", tmp_path / "experiment.csv"
+        write_science_table(s, table)
+        write_experiment_csv(reveal(s, randomize(6, substream(41, ROLE_ASSIGN)))[0], experiment)
+        ident = ["--f", "identity", "--g", "identity"]
+        for argv in (
+            ["simulate", "--setting", "nonparallel", "--n", "6", "--S", "2", "--B", "2"],
+            ["analyze", "--input", str(experiment)],
+            ["enumerate", "--input", str(table), *ident],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (
+                2, "paired-adjust: error: need n > K_D + K_M + 1, got n=6, K_D=4, K_M=4\n"
+            ), argv[0]
 
     def test_rank_deficient_is_3(self, capsys, tmp_path, rng):
         s = make_sample(rng, 12)

@@ -10,6 +10,7 @@ from paired_adjust import (
     PotentialOutcomeSample,
     ROLE_ASSIGN,
     StudyConfig,
+    TooFewPairs,
     TooLarge,
     TransformSpec,
     assignment_signs,
@@ -166,9 +167,12 @@ class TestEnumerateExact:
 
     def test_regression_skipped_when_infeasible(self, rng):
         s = make_sample(rng, 6)
-        # identity/identity needs n > 9; falls back to the mean estimator
-        dist = enumerate_exact(s, IDENT, IDENT)
-        assert dist.estimators == ("C",)
+        # identity/identity needs n > 9: asked for, it is refused, as in
+        # every other command; regression is skipped only when no
+        # transform is asked for
+        with pytest.raises(TooFewPairs, match="got n=6, K_D=4, K_M=4"):
+            enumerate_exact(s, IDENT, IDENT)
+        assert enumerate_exact(s).estimators == ("C",)
 
     def test_summary_shape(self, rng):
         s = make_sample(rng, 6)
@@ -455,7 +459,8 @@ class TestRunStudy:
             mode="sate", setting="parallel", n=16, samples=2, randomizations=2
         )
         base.update(bad)
-        with pytest.raises(ConfigError):
+        # too few pairs is the feasibility rule's data error in every command
+        with pytest.raises(TooFewPairs if "n" in bad else ConfigError):
             run_study(StudyConfig(**base))
 
     @pytest.mark.parametrize("workers", [1, 2])

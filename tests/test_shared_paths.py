@@ -84,12 +84,13 @@ def test_vd_parallel_to_ones_is_rank_deficient(rng):
         lemma_diagnostics(s, f, g, reps=1, signs=np.ones(n))
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 9])
 def test_fewer_pairs_than_design_columns_is_rank_deficient(rng, n):
-    # Four d and four m columns need at least nine pairs.
+    # Four d and four m columns need n > 9, the feasibility rule every
+    # command applies; nine pairs would leave no residual degree of freedom.
     s = make_sample(rng, n)
     ident = TransformSpec.identity()
-    with pytest.raises(RankDeficient):
+    with pytest.raises(TooFewPairs, match=f"got n={n}, K_D=4, K_M=4"):
         lemma_diagnostics(s, ident, ident, reps=2, rng=substream(44, ROLE_ASSIGN))
 
 

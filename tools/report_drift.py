@@ -8,9 +8,11 @@ when only one is NaN or an infinity meets a different value; "n/a"
 unless both commands exit 0). Every study runs at ``--workers`` 1, 2
 and 3, and in the new tree each run's exit code and report must equal
 the first run's, byte for byte. The ``analyze`` runs read experiment
-CSVs written here from the generated table with a fixed assignment,
+CSVs written here from the generated tables with a fixed assignment,
 one of them with x1 in units 1e9 times smaller and one with its rows in
-a fixed shuffled order, so that some pairs list unit 2 first. A change of exit code is a
+a fixed shuffled order, so that some pairs list unit 2 first. The
+6-pair table is too small for identity transforms on its four
+covariates (they need n > 9). A change of exit code is a
 failure unless ``EXPECTED_EXITS`` lists it, and so is a worst relative
 drift above ``DRIFT_TOL`` (1e-12) unless ``EXPECTED_DRIFT`` lists the
 run with a larger bound. The exit status is 1 on any failure.
@@ -33,6 +35,7 @@ from pathlib import Path
 
 TABLES = {
     "table": ["--n", "16", "--setting", "nonparallel", "--seed", "11"],
+    "small_table": ["--n", "6", "--setting", "nonparallel", "--seed", "11"],
 }
 RUNS = {
     "pate_n25": ["simulate", "--mode", "pate-study", "--setting", "nonparallel",
@@ -66,9 +69,23 @@ RUNS = {
                          "--target", "pate"],
     "analyze_select_x1e9": ["analyze", "--input", "{experiment_x1e9}", "--g", "select:"],
     "analyze_shuffled": ["analyze", "--input", "{experiment_shuffled}"],
+    "simulate_n6": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
+                    "--n", "6", "--S", "20", "--B", "20", "--seed", "7"],
+    "analyze_n6": ["analyze", "--input", "{small_experiment}"],
+    "enumerate_small_default": ["enumerate", "--input", "{small_table}"],
+    "enumerate_small_identity": ["enumerate", "--input", "{small_table}",
+                                 "--f", "identity", "--g", "identity"],
 }
-# (old, new) exit codes that differ for a known reason; none at present.
-EXPECTED_EXITS: dict[str, tuple[int, int]] = {}
+# (old, new) exit codes that differ for a known reason.
+EXPECTED_EXITS: dict[str, tuple[int, int]] = {
+    # Too few pairs for the transforms is a data error (TooFewPairs, 2) in
+    # every command under the one feasibility rule; simulate used to call
+    # it a configuration error.
+    "simulate_n6": (4, 2),
+    # Transforms given explicitly are refused when they do not fit, not
+    # dropped in silence; the default run still computes C alone.
+    "enumerate_small_identity": (0, 2),
+}
 # Worst relative drift a run's report may show when both trees exit 0.
 DRIFT_TOL = 1e-12
 # Runs allowed a larger drift for a known reason, with their bound; none
@@ -121,14 +138,15 @@ def run_tree(root: Path, work: Path) -> tuple[dict[str, tuple[int, Path]], list[
     """
     src = root / "src"
     work.mkdir(parents=True, exist_ok=True)
-    table = work / "table.csv"
-    _cli(src, ["generate", *TABLES["table"], "--out", str(table)])
-    inputs = {"table": table, "experiment": work / "experiment.csv",
-              "experiment_x1e9": work / "experiment_x1e9.csv",
-              "experiment_shuffled": work / "experiment_shuffled.csv"}
+    inputs = {name: work / f"{name}.csv" for name in (
+        *TABLES, "experiment", "experiment_x1e9", "experiment_shuffled", "small_experiment")}
+    for name, argv in TABLES.items():
+        _cli(src, ["generate", *argv, "--out", str(inputs[name])])
+    table = inputs["table"]
     write_experiment(table, inputs["experiment"])
     write_experiment(table, inputs["experiment_x1e9"], x1_scale=1e9)
     write_experiment(table, inputs["experiment_shuffled"], shuffle=True)
+    write_experiment(inputs["small_table"], inputs["small_experiment"])
     out, differ = {}, []
     for name, argv in RUNS.items():
         argv = [a.format(**inputs) for a in argv]
