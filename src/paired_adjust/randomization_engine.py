@@ -35,27 +35,32 @@ times their columns' squared norms is singular and comes back NaN, to
 be counted by the callers. The grid takes two shapes: one table by
 all 2^n codes (enumeration) or by B draws (Monte Carlo), and blocks of
 tables by their B draws each (studies, with B = 1 in a pate study).
-Both study modes go through one block path, :func:`_study_block`: it
-reads each sample index's normals and signs from its own substreams,
-turns the normals into stacked outcomes and covariates in one pass, so
-no per-table sample object is built, and hands them to
-:func:`_block_columns`, which returns one column per metric, in kernel
-calls of at most ``_STUDY_DRAWS`` draws and ``_STUDY_TABLES`` tables
-(:func:`_call_size`). Those caps bound memory and do not depend on the
-worker count: :func:`run_study` gives each worker one contiguous,
-near-equal share of the sample indices, the calling process computing
-the first share and a process pool the rest. Only the per-mode
-arithmetic differs: a sate study summarizes each table's B
-draws, and a pate study also builds Y from the observed responses, only
-to check it against the level/effect identity. Summaries over draws are
-taken on the grid too: :func:`_summarize` reduces the last axis of a
-(..., B) stack, so a sate study summarizes each estimator's (T, B) grid
-in one call, and enumeration and Monte Carlo call it on their single
-row. Every entry point first asks ``experiment_model.design_estimators``
-which estimators the design allows, the one size rule, and every mode
-makes the same rank decision, the kernel's pivot tests, which do not
-depend on the scale of any covariate column; a pate study raises for
-the first sample, in index order, that fails them.
+Both study modes go through one block path, :func:`_study_block`. It
+reads each sample index's normals and signs from its own substreams
+(:class:`_StudyStreams`) and cuts its indices into slabs of at most
+``_STUDY_PAIRS`` pairs (:func:`_slab_size`). A slab builds what does
+not depend on the signs once (:func:`_slabs`, :class:`_Slab`): the
+stacked outcomes and covariates in one pass, so no per-table sample
+object is built, then the blocks, their whitened bases and the effects
+and gaps. Its tables then meet their signs in kernel calls of at most
+``_STUDY_DRAWS`` draws (:func:`_call_size`); each call builds its
+tables' fixed columns, runs the sign products and returns one column
+per metric (:func:`_sate_columns`, :func:`_pate_columns`). Those caps
+bound memory and do not depend on the worker count: :func:`run_study`
+gives each worker one contiguous, near-equal share of the sample
+indices, the calling process computing the first share and a process
+pool the rest. Only the per-mode arithmetic differs: a sate study
+summarizes each table's B draws, and a pate study also builds Y from
+the observed responses, only to check it against the level/effect
+identity. Summaries over draws are taken on the grid too:
+:func:`_summarize` reduces the last axis of a (..., B) stack, so a
+sate study summarizes each estimator's (T, B) grid in one call, and
+enumeration and Monte Carlo call it on their single row. Every entry
+point first asks ``experiment_model.design_estimators`` which
+estimators the design allows, the one size rule, and every mode makes
+the same rank decision, the kernel's pivot tests, which do not depend
+on the scale of any covariate column; a pate study raises for the
+first sample, in index order, that fails them.
 The whitening is ``ols_core._whiten``, which the single fits of
 ``ols_core.least_squares`` and ``validate_design`` share, so those
 decide rank by the same pivot test. Estimates from this kernel agree
@@ -101,17 +106,23 @@ from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substreams
 
 ENUMERATION_CAP = 16
 _CHUNK = 4096
-# Kernel calls in a study: a call takes all B draws of each of its
-# tables (B = 1 in a population study), at most _STUDY_DRAWS draws and
-# _STUDY_TABLES tables in all, and a block is cut into the fewest such
-# calls, all but the last of one size (see _call_size). Larger calls buy
-# almost nothing and cost memory: about 0.6 MB per table at n=100,
-# B=200, where four tables keep a worker's peak within 2% of one table
-# per call; in a population study at n=25, S=2000, the draw cap alone
-# (calls of 667 tables) peaks about 12 MB above calls of 250 tables.
-# Results do not depend on either.
+# Sizes in a study, which cuts each worker's share into the fewest
+# slabs and each slab into the fewest kernel calls, all but the last of
+# one size (see _slab_size and _call_size). A slab builds the
+# sign-independent part of its tables once: their normals, covariates
+# and blocks, the whitened bases and the effects and gaps. _STUDY_PAIRS
+# bounds the pairs it holds (at least one table), so it bounds the
+# memory of that build, about 45 KB per table at n = 100 (64 tables),
+# and the per-slab cost is paid once for that many pairs. A kernel call
+# takes all B draws of each of its tables (B = 1 in a population
+# study); _STUDY_DRAWS bounds the draws in all (at least one table),
+# so it bounds the signs, sign products and summaries held at once,
+# about 0.6 MB per table at n = 100, B = 200, where four tables keep a
+# worker's peak within 2% of one table per call. Larger calls buy
+# almost nothing: in a population study at n = 25, S = 2000, a slab of
+# 250 tables is one call. Results depend on neither cap.
 _STUDY_DRAWS = 800
-_STUDY_TABLES = 256
+_STUDY_PAIRS = 6400
 
 ESTIMATOR_IDS = ("C", "R1", "R2", "R2P")
 
@@ -150,8 +161,9 @@ def _signs_of_words(raw: np.ndarray, b: int, n: int) -> np.ndarray:
     down 32 bits, which is the half's top bit. Its rejection threshold
     is (2^32 - 2) mod 2 = 0, so no half is ever redrawn. The decode is
     valid only for words read with ``random_raw`` from a freshly keyed
-    Philox, with no spare half word buffered, as :func:`_read_streams`
-    reads them; any other generator goes through :func:`randomize`.
+    Philox, with no spare half word buffered, as
+    :meth:`_StudyStreams.signs` reads them; any other generator goes
+    through :func:`randomize`.
     """
     halves = raw.astype("<u8", copy=False).view("<u4")[:, : b * n] >> 31
     return (2.0 * halves - 1.0).reshape(len(raw), b, n)
@@ -178,7 +190,9 @@ def reveal(
         raise DimensionMismatch(
             "science table has no observed covariates; cannot build an experiment"
         )
-    z, observed, y, agree, _, _ = _observe(sample.r_t, sample.r_c, v)
+    z, observed, y, agree = _observe(
+        sample.r_t, sample.r_c, v, *_effects_and_gaps(sample.r_t, sample.r_c)
+    )
     if not agree:
         raise AssertionError("observed-response and level/effect Y constructions disagree")
 
@@ -187,17 +201,16 @@ def reveal(
 
 
 def _observe(
-    r_t: np.ndarray, r_c: np.ndarray, v: np.ndarray
+    r_t: np.ndarray, r_c: np.ndarray, v: np.ndarray, effects: np.ndarray, gaps: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Treatment flags, observed responses and Y for signs v.
 
     Works on one table (r_t, r_c of shape (n, 2), v of shape (n,)) or a
-    stack of them (leading axes in front). Returns (z, observed, y,
-    agree, effects, gaps): ``agree`` says, per table, whether Y agrees
+    stack of them (leading axes in front), whose Delta ``effects`` and
+    l_i1 - l_i2 ``gaps`` come from :func:`_effects_and_gaps`. Returns
+    (z, observed, y, agree): ``agree`` says, per table, whether Y agrees
     with the level/effect identity Y_i = Delta_i + v_i (l_i1 - l_i2) to
-    1e-12 of the response scale, and ``effects`` and ``gaps`` are the
-    Delta and l_i1 - l_i2 of :func:`_effects_and_gaps` it was checked
-    against.
+    1e-12 of the response scale.
     """
     z = np.empty(r_t.shape, dtype=int)
     z[..., 0] = (v > 0).astype(int)
@@ -205,11 +218,10 @@ def _observe(
     observed = np.where(z == 1, r_t, r_c)
     y = v * (observed[..., 0] - observed[..., 1])
 
-    effects, gaps = _effects_and_gaps(r_t, r_c)
     check = effects + v * gaps
     scale = np.maximum(1.0, np.abs(observed).max(axis=(-2, -1), initial=0.0))
     agree = np.abs(y - check).max(axis=-1, initial=0.0) <= 1e-12 * scale
-    return z, observed, y, agree, effects, gaps
+    return z, observed, y, agree
 
 
 def _effects_and_gaps(r_t: np.ndarray, r_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,6 +258,10 @@ class _Whitened:
         dw, passed_d, _, _, _ = _whiten(d)
         w, passed_m, _, _, _ = _whiten(m)
         return cls(dw, passed_d.all(axis=-1), w, passed_m.all(axis=-1))
+
+    def __getitem__(self, rows: slice) -> "_Whitened":
+        """The tables ``rows`` of the stack, as views."""
+        return _Whitened(self.dw[rows], self.ok_d[rows], self.w[rows], self.ok_m[rows])
 
 
 def _eliminate(g: np.ndarray, k: int, floor: np.ndarray) -> np.ndarray:
@@ -526,18 +542,30 @@ def _grid_stats(
     and ``signs`` (T, B, n) holds B assignments per table, which meet
     Y = effects + signs * gaps. The regression estimators need the fixed
     (d, m) ``blocks``, each (T, n, K); with None, only "C" may be asked
-    for. Each table's blocks are whitened and its fixed columns built
-    once (:class:`_TableColumns`); the assignments then go through
-    :class:`_SignProducts` in chunks of ``_CHUNK``, one matrix product
-    each, and Y itself is never formed. Returns (T, B) arrays, filled
-    chunk by chunk, each table's values bit for bit those it gets alone;
-    singular fits are NaN.
+    for. The blocks are whitened here, and the rest is
+    :func:`_sign_stats`. Returns (T, B) arrays, each table's values bit
+    for bit those it gets alone; singular fits are NaN.
     """
     if blocks is None:
         blocks = (np.empty(effects.shape + (0,)),) * 2
-    table = _TableColumns.of(
-        _Whitened.of(*blocks), effects, gaps, "R2" in want or "R2P" in want
-    )
+    return _sign_stats(_Whitened.of(*blocks), effects, gaps, signs, want)
+
+
+def _sign_stats(
+    blocks: _Whitened,
+    effects: np.ndarray,
+    gaps: np.ndarray,
+    signs: np.ndarray,
+    want: Sequence[str],
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """:func:`_grid_stats` for T tables whose blocks are already whitened.
+
+    Each table's fixed columns are built once (:class:`_TableColumns`);
+    the assignments then go through :class:`_SignProducts` in chunks of
+    ``_CHUNK``, one matrix product each, and Y itself is never formed.
+    The (T, B) arrays are filled chunk by chunk.
+    """
+    table = _TableColumns.of(blocks, effects, gaps, "R2" in want or "R2P" in want)
     shape = signs.shape[:2]
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for est in want:
@@ -562,7 +590,7 @@ def _table_stats(
     """:func:`_grid_stats` for one table and its (B, n) ``signs``, as (B,) arrays.
 
     The table is a stack of one, whose blocks, when a regression estimator
-    is wanted, come from ``x[None]`` as :func:`_block_columns` builds them.
+    is wanted, come from ``x[None]`` as a study slab builds them.
     """
     effects, gaps = _effects_and_gaps(sample.r_t[None], sample.r_c[None])
     blocks = None
@@ -828,36 +856,43 @@ def _validate_config(config: StudyConfig) -> StudyConfig:
     return config
 
 
-def _read_streams(
-    config: StudyConfig, idxs: Sequence[int], per_call: int
-) -> Iterator[tuple[Sequence[int], np.ndarray, np.ndarray]]:
-    """Yield ``idxs`` ``per_call`` at a time, with their (T, 10n) normals and (T, B, n) signs.
+class _StudyStreams:
+    """The sample and assignment streams of a block of sample indices, read in order.
 
     Index i draws its table's normals from ``substream(seed, ROLE_SAMPLE,
     i)`` and its B = ``config.randomizations`` assignments from
-    ``substream(seed, ROLE_ASSIGN, i)``. Row t of the normals is what
-    :func:`generate_sample` draws from the same stream, drawn in place.
-    The signs are read as ceil(B*n/2) raw words per index and decoded
-    for the whole call by :func:`_signs_of_words`, bit for bit what
-    ``randomize(n, substream(seed, ROLE_ASSIGN, i), B)`` draws. The
-    streams are read through :func:`substreams`, which draws what those
-    ``substream`` calls draw. It is opened once for all of ``idxs``, so
-    the keys of a block are hashed in one pass whatever the number of
-    indices per call.
+    ``substream(seed, ROLE_ASSIGN, i)``. Each role is read on from the
+    first index it has not read yet, so a study reads the normals of a
+    slab's tables at once and then their signs one kernel call at a
+    time. Row t of the normals is what :func:`generate_sample` draws
+    from the same stream, drawn in place. The signs are read as
+    ceil(B*n/2) raw words per index and decoded for the whole call by
+    :func:`_signs_of_words`, bit for bit what ``randomize(n,
+    substream(seed, ROLE_ASSIGN, i), B)`` draws. The streams are read
+    through :func:`substreams`, which draws what those ``substream``
+    calls draw. Each role is opened once for the whole block, so its
+    keys are hashed in one pass whatever the slab and call sizes.
     """
-    n, b = config.n, config.randomizations
-    words = (b * n + 1) // 2
-    sample = substreams(config.seed, ROLE_SAMPLE, idxs)
-    assign = substreams(config.seed, ROLE_ASSIGN, idxs)
-    for lo in range(0, len(idxs), per_call):
-        call = idxs[lo : lo + per_call]
-        normals = np.empty((len(call), 10 * n))
-        raw = np.empty((len(call), words), dtype=np.uint64)
-        for j, rng in enumerate(islice(sample, len(call))):
-            rng.standard_normal(out=normals[j])
-        for j, rng in enumerate(islice(assign, len(call))):
+
+    def __init__(self, config: StudyConfig, idxs: Sequence[int]) -> None:
+        self._n, self._b = config.n, config.randomizations
+        self._sample = substreams(config.seed, ROLE_SAMPLE, idxs)
+        self._assign = substreams(config.seed, ROLE_ASSIGN, idxs)
+
+    def normals(self, count: int) -> np.ndarray:
+        """The (count, 10n) normals of the next ``count`` indices."""
+        out = np.empty((count, 10 * self._n))
+        for j, rng in enumerate(islice(self._sample, count)):
+            rng.standard_normal(out=out[j])
+        return out
+
+    def signs(self, count: int) -> np.ndarray:
+        """The (count, B, n) signs of the next ``count`` indices."""
+        words = (self._b * self._n + 1) // 2
+        raw = np.empty((count, words), dtype=np.uint64)
+        for j, rng in enumerate(islice(self._assign, count)):
             raw[j] = rng.bit_generator.random_raw(words)
-        yield call, normals, _signs_of_words(raw, b, n)
+        return _signs_of_words(raw, self._b, self._n)
 
 
 def _split(count: int, parts: int) -> list[range]:
@@ -865,17 +900,36 @@ def _split(count: int, parts: int) -> list[range]:
     return [range(count * k // parts, count * (k + 1) // parts) for k in range(parts)]
 
 
+def _part_size(count: int, most: int) -> int:
+    """The part size when ``count`` is cut into the fewest parts of at most ``most``.
+
+    All parts but the last have this size.
+    """
+    parts = -(-count // most)
+    return -(-count // parts)
+
+
+def _slab_size(config: StudyConfig, tables: int) -> int:
+    """Tables per slab for a block of ``tables`` tables.
+
+    The fewest slabs of at most ``_STUDY_PAIRS`` pairs (at least one
+    table each), all but the last of this size: 50 tables at n = 100 in
+    a block of 100, and 250 at n = 25 in a block of 2000.
+    """
+    return _part_size(tables, max(1, _STUDY_PAIRS // config.n))
+
+
 def _call_size(config: StudyConfig, tables: int) -> int:
     """Tables per kernel call for a block of ``tables`` tables.
 
-    The fewest calls of at most ``_STUDY_DRAWS`` draws and
-    ``_STUDY_TABLES`` tables (at least one table each), all but the last
-    of this size: 4 tables at B = 200, and 250 at B = 1 in a block of
-    2000 tables.
+    Each slab of :func:`_slab_size` tables is cut into the fewest calls
+    of at most ``_STUDY_DRAWS`` draws (at least one table each), all but
+    the last of this size: 4 tables at B = 200, and 250 at B = 1 and
+    n = 25 in a block of 2000, where each slab is one call. Given a
+    slab's own size, this is the call size within it.
     """
-    most = max(1, min(_STUDY_TABLES, _STUDY_DRAWS // config.randomizations))
-    calls = -(-tables // most)
-    return -(-tables // calls)
+    most = max(1, _STUDY_DRAWS // config.randomizations)
+    return _part_size(_slab_size(config, tables), most)
 
 
 def _concat(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -883,79 +937,122 @@ def _concat(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
+@dataclass(frozen=True)
+class _Slab:
+    """What the kernel calls of a slab of study tables share, built once.
+
+    Table j is sample ``idxs[j]`` of the study ``config``. ``blocks``
+    are the tables' whitened d and m blocks and ``effects`` and
+    ``gaps`` (T, n) their Delta and l_i1 - l_i2
+    (:func:`_effects_and_gaps`). A pate study also keeps the potential
+    outcomes ``r_t`` and ``r_c`` (T, n, 2), to build Y from the
+    observed responses, and ``centered`` (T,), whether each table's m
+    columns pass :func:`columns_centered`; a sate study keeps neither.
+    The covariates and the blocks themselves are not kept, so they are
+    freed before the first kernel call.
+    """
+
+    config: StudyConfig
+    idxs: Sequence[int]
+    blocks: _Whitened
+    effects: np.ndarray
+    gaps: np.ndarray
+    r_t: Optional[np.ndarray] = None
+    r_c: Optional[np.ndarray] = None
+    centered: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(
+        cls,
+        config: StudyConfig,
+        idxs: Sequence[int],
+        r_t: np.ndarray,
+        r_c: np.ndarray,
+        x: np.ndarray,
+    ) -> "_Slab":
+        """The slab of tables with outcomes ``r_t``, ``r_c`` and covariates ``x`` (T, n, 2, 4).
+
+        Raises NonFiniteTransform when a transform is not finite on the
+        stack.
+        """
+        d, m = transformed_blocks(x, config.f, config.g)
+        effects, gaps = _effects_and_gaps(r_t, r_c)
+        blocks = _Whitened.of(d, m)
+        if config.mode == "sate":
+            return cls(config, idxs, blocks, effects, gaps)
+        return cls(config, idxs, blocks, effects, gaps, r_t, r_c, columns_centered(m))
+
+
+def _slabs(
+    config: StudyConfig, idxs: Sequence[int], r_t: np.ndarray, r_c: np.ndarray, x: np.ndarray
+) -> Iterator[_Slab]:
+    """The slab of sample indices ``idxs``, whose tables are given as in :meth:`_Slab.of`.
+
+    Yields one slab, and drops the covariates once it is built. When
+    the stack's transforms are not finite, it yields one slab per table
+    instead, each built only when the caller asks for it, so the first
+    failing table raises what it raises alone: which transform fails
+    first may differ between it and the stack, and in a population
+    study an earlier table may fail another check in its kernel call.
+    """
+    try:
+        slab = _Slab.of(config, idxs, r_t, r_c, x)
+    except NonFiniteTransform:
+        if len(idxs) == 1:
+            raise
+    else:
+        del r_t, r_c, x
+        yield slab
+        return
+    for j in range(len(idxs)):
+        one = slice(j, j + 1)
+        yield _Slab.of(config, idxs[one], r_t[one], r_c[one], x[one])
+
+
 def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> dict[str, np.ndarray]:
     """Metric columns of sample indices ``idxs``, in order.
 
     Each index's table and B assignments come from its own substreams
-    (see :func:`_read_streams`), so a value does not depend on the block
-    it is computed in. The tables are built as stacked arrays, bit for
-    bit the tables :func:`generate_sample` draws from the same streams,
-    and go through :func:`_block_columns` in calls of :func:`_call_size`
-    tables.
+    (see :class:`_StudyStreams`), so a value does not depend on the
+    block it is computed in. The indices are cut into slabs of
+    :func:`_slab_size` tables. A slab's tables are built as stacked
+    arrays, bit for bit the tables :func:`generate_sample` draws from
+    the same streams; the normals are dropped then, and the slab is
+    built once (:func:`_slabs`). Its tables meet their signs in kernel
+    calls of :func:`_call_size` tables, through :func:`_sate_columns` or
+    :func:`_pate_columns` by ``config.mode``.
     """
     config, idxs = args
+    streams = _StudyStreams(config, idxs)
+    step = _sate_columns if config.mode == "sate" else _pate_columns
+    per_slab = _slab_size(config, len(idxs))
     parts = []
-    for call, normals, signs in _read_streams(config, idxs, _call_size(config, len(idxs))):
-        _, r_t, r_c, x = _stacked_tables(normals, config.setting)
-        parts.append(_block_columns(config, r_t, r_c, x, signs, call))
+    for lo in range(0, len(idxs), per_slab):
+        part = idxs[lo : lo + per_slab]
+        # Only the generator holds the tables, so that it can drop them.
+        slabs = _slabs(
+            config, part, *_stacked_tables(streams.normals(len(part)), config.setting)[1:]
+        )
+        for slab in slabs:
+            per_call = _call_size(config, len(slab.idxs))
+            for c in range(0, len(slab.idxs), per_call):
+                rows = slice(c, c + per_call)
+                parts.append(step(slab, rows, streams.signs(len(slab.idxs[rows]))))
     return _concat(parts)
 
 
-def _block_columns(
-    config: StudyConfig,
-    r_t: np.ndarray,
-    r_c: np.ndarray,
-    x: np.ndarray,
-    signs: np.ndarray,
-    idxs: Sequence[int],
-) -> dict[str, np.ndarray]:
-    """Metric columns of a stack of tables, each (T,), in order.
+def _sate_columns(slab: _Slab, rows: slice, signs: np.ndarray) -> dict[str, np.ndarray]:
+    """In-sample metrics of the slab's tables ``rows`` over their B draws: one kernel call.
 
-    Table j has potential outcomes ``r_t[j]``, ``r_c[j]`` (n, 2) and
-    observed covariates ``x[j]`` (n, 2, 4), meets the signs ``signs[j]``
-    (B, n) and is sample ``idxs[j]`` of its study. The columns come from
-    :func:`_sate_columns` or :func:`_pate_columns`, by ``config.mode``.
-    When the stack's transforms are not finite, its tables go through
-    this function one at a time, so the first failing table raises what
-    it raises alone: which transform fails first may differ between it
-    and the stack, and in a population study an earlier table may fail
-    another check.
+    The tables meet their (T, B, n) ``signs`` together in
+    :func:`_sign_stats`, and each estimator's (T, B) grid is summarized
+    in one call against each table's own average effect. Singular draws
+    are left out of the summaries.
     """
-    try:
-        blocks = transformed_blocks(x, config.f, config.g)
-    except NonFiniteTransform:
-        if len(signs) == 1:
-            raise
-        return _concat([
-            _block_columns(
-                config, r_t[j : j + 1], r_c[j : j + 1], x[j : j + 1], signs[j : j + 1],
-                idxs[j : j + 1],
-            )
-            for j in range(len(signs))
-        ])
-    if config.mode == "sate":
-        return _sate_columns(r_t, r_c, signs, blocks, config.alpha)
-    return _pate_columns(r_t, r_c, signs, blocks, idxs)
-
-
-def _sate_columns(
-    r_t: np.ndarray,
-    r_c: np.ndarray,
-    signs: np.ndarray,
-    blocks: tuple[np.ndarray, np.ndarray],
-    alpha: float,
-) -> dict[str, np.ndarray]:
-    """In-sample metrics of each table over its B draws.
-
-    Every table's draws go through :func:`_grid_stats` together, and
-    each estimator's (T, B) grid is summarized in one call against each
-    table's own average effect. Singular draws are left out of the
-    summaries.
-    """
-    effects, gaps = _effects_and_gaps(r_t, r_c)
-    stats = _grid_stats(effects, gaps, signs, blocks, ("C", "R1", "R2"))
+    effects = slab.effects[rows]
+    stats = _sign_stats(slab.blocks[rows], effects, slab.gaps[rows], signs, ("C", "R1", "R2"))
     sates = effects.mean(axis=-1)
-    c, r1, r2 = (_summarize(tau, s2, sates, alpha) for tau, s2 in stats.values())
+    c, r1, r2 = (_summarize(tau, s2, sates, slab.config.alpha) for tau, s2 in stats.values())
     return {
         "coverage_C": c.coverage,
         "coverage_R1": r1.coverage,
@@ -968,19 +1065,13 @@ def _sate_columns(
     }
 
 
-def _pate_columns(
-    r_t: np.ndarray,
-    r_c: np.ndarray,
-    signs: np.ndarray,
-    blocks: tuple[np.ndarray, np.ndarray],
-    idxs: Sequence[int],
-) -> dict[str, np.ndarray]:
-    """Estimates and standard errors of each table's one draw.
+def _pate_columns(slab: _Slab, rows: slice, signs: np.ndarray) -> dict[str, np.ndarray]:
+    """Estimates and standard errors of the slab's tables ``rows``, one draw each: one kernel call.
 
-    Y is built from the observed responses only to be checked against
-    the level/effect identity; the estimates, the mean's too, come from
-    :func:`_grid_stats` on the effects and gaps that check used. The
-    first table in order that
+    Y is built from the observed responses under the (T, 1, n)
+    ``signs`` only to be checked against the level/effect identity; the
+    estimates, the mean's too, come from :func:`_sign_stats` on the
+    effects and gaps that check used. The first table in order that
     fails raises, and its first failing check picks the error:
     AssertionError when its Y fails the reveal cross-check,
     DimensionMismatch when its m columns fail :func:`columns_centered`
@@ -988,14 +1079,15 @@ def _pate_columns(
     naming the sample, when its R1 or R2P fit is singular under the
     kernel's pivot tests, the same rank decision as in the other modes.
     """
-    _, _, _, agree, effects, gaps = _observe(r_t, r_c, signs[:, 0])
+    effects, gaps = slab.effects[rows], slab.gaps[rows]
+    agree = _observe(slab.r_t[rows], slab.r_c[rows], signs[:, 0], effects, gaps)[3]
     stats = {
         est: (tau[:, 0], s2[:, 0])
-        for est, (tau, s2) in _grid_stats(
-            effects, gaps, signs, blocks, ("C", "R1", "R2", "R2P")
+        for est, (tau, s2) in _sign_stats(
+            slab.blocks[rows], effects, gaps, signs, ("C", "R1", "R2", "R2P")
         ).items()
     }
-    centered = columns_centered(blocks[1])
+    centered = slab.centered[rows]
     full_rank = np.isfinite(stats["R1"][1]) & np.isfinite(stats["R2P"][1])
     bad = np.flatnonzero(~(agree & centered & full_rank))
     if bad.size:
@@ -1004,7 +1096,7 @@ def _pate_columns(
             raise AssertionError("observed-response and level/effect Y constructions disagree")
         if not centered[j]:
             raise DimensionMismatch("m columns must sum to zero across pairs")
-        raise RankDeficient(f"sample {idxs[j]}: the regression design is rank deficient")
+        raise RankDeficient(f"sample {slab.idxs[rows][j]}: the regression design is rank deficient")
     return {
         "tau_C": stats["C"][0],
         "se_C": np.sqrt(stats["C"][1]),

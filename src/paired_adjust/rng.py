@@ -139,19 +139,25 @@ def substreams(
     The keys come from :func:`stream_keys`, and every yielded generator
     is the same object over one ``Philox``, re-keyed before each yield
     (counter 0, empty buffer, no spare 32-bit word). Draw from it before
-    asking for the next index.
+    asking for the next index. The ``Philox`` state setter reads its
+    counter, key and buffer entry by entry, and an entry of a uint64
+    array costs a numpy scalar each time, so the keys are handed over as
+    Python ints, through one state dict whose key alone changes.
     """
-    keys = stream_keys(master_seed, role, idxs)
+    keys = stream_keys(master_seed, role, idxs).tolist()
     bits = np.random.Philox(0)  # re-keyed before every yield
     rng = np.random.Generator(bits)
-    zeros = np.zeros(4, dtype=np.uint64)  # the setter copies it
+    zeros = [0] * 4  # the setter copies it
+    inner: dict[str, list[int]] = {"counter": zeros}  # the key is set per index
+    state = {
+        "bit_generator": "Philox",
+        "state": inner,
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for key in keys:
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": key},
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        inner["key"] = key
+        bits.state = state
         yield rng

@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 from paired_adjust import StudyConfig, TransformSpec, enumerate_exact, run_monte_carlo, substream
 from paired_adjust.dgp import PotentialOutcomeSample, _stacked_tables
 from paired_adjust.experiment_model import block_widths, transformed_blocks
-from paired_adjust.randomization_engine import _block_columns, _grid_stats, _read_streams
+from paired_adjust.randomization_engine import (
+    _grid_stats,
+    _pate_columns,
+    _sate_columns,
+    _Slab,
+    _StudyStreams,
+)
 from paired_adjust.rng import ROLE_ASSIGN
 
 from oracles import enumerate_oracle, r1_oracle, r2_oracle, superpop_oracle
@@ -206,9 +212,16 @@ def test_study_columns_invariant_to_pair_order_and_unit_swap(mode, transforms, n
     f, g = transforms
     cfg = StudyConfig(mode=mode, setting="nonparallel", n=n, samples=3, f=f, g=g, seed=seed,
                       randomizations=20 if mode == "sate" else 1)
-    idxs, normals, signs = next(_read_streams(cfg, range(3), 3))
-    _, r_t, r_c, x = _stacked_tables(normals, cfg.setting)
-    base = _block_columns(cfg, r_t, r_c, x, signs, idxs)
+    streams = _StudyStreams(cfg, range(3))
+    _, r_t, r_c, x = _stacked_tables(streams.normals(3), cfg.setting)
+    signs = streams.signs(3)
+    step = _sate_columns if mode == "sate" else _pate_columns
+
+    def columns(r_t, r_c, x, signs):
+        """The study columns of the three tables, as one slab and one kernel call."""
+        return step(_Slab.of(cfg, range(3), r_t, r_c, x), slice(None), signs)
+
+    base = columns(r_t, r_c, x, signs)
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -220,8 +233,8 @@ def test_study_columns_invariant_to_pair_order_and_unit_swap(mode, transforms, n
         out[:, swap] = a[:, swap][:, :, ::-1]
         return out
 
-    permuted = _block_columns(cfg, r_t[:, perm], r_c[:, perm], x[:, perm], signs[..., perm], idxs)
-    unit_swapped = _block_columns(cfg, swapped(r_t), swapped(r_c), swapped(x), signs * flip, idxs)
+    permuted = columns(r_t[:, perm], r_c[:, perm], x[:, perm], signs[..., perm])
+    unit_swapped = columns(swapped(r_t), swapped(r_c), swapped(x), signs * flip)
     for other in (permuted, unit_swapped):
         assert other.keys() == base.keys()
         for name, col in base.items():

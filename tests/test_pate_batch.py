@@ -2,10 +2,10 @@
 
 Every value of a block comes from the kernel. Each table's values must
 match a single-fit reference built from the public estimators to solver
-precision, must not depend on the block size or the worker count, and
-the first failing table of a block must raise what the reference raises
-for it. The rank decision is the kernel's own, so pate and sate studies
-call the same designs singular.
+precision, must not depend on the block, slab or call size or the
+worker count, and the first failing table of a block must raise what
+the reference raises for it. The rank decision is the kernel's own, so
+pate and sate studies call the same designs singular.
 """
 
 import json
@@ -30,8 +30,9 @@ from paired_adjust.estimators import (
 from paired_adjust.experiment_model import TransformSpec, build_design, transformed_blocks
 from paired_adjust.randomization_engine import (
     StudyConfig,
-    _block_columns,
     _grid_stats,
+    _pate_columns,
+    _slabs,
     _study_block,
     randomize,
     reveal,
@@ -91,10 +92,17 @@ def _stack(samples):
 
 
 def _columns(samples, signs, f, g):
-    """The block path's columns for samples that meet one (n,) sign vector each."""
+    """The block path's columns for samples that meet one (n,) sign vector each.
+
+    The samples form one slab, or one per table when a transform is not
+    finite on them, and each slab is one kernel call.
+    """
     cfg = StudyConfig(mode="pate", setting="nonparallel", n=samples[0].n,
                       samples=len(samples), f=f, g=g)
-    return _block_columns(cfg, *_stack(samples), signs[:, None], range(len(samples)))
+    parts = []
+    for slab in _slabs(cfg, range(len(samples)), *_stack(samples)):
+        parts.append(_pate_columns(slab, slice(None), signs[slab.idxs, None]))
+    return _joined(parts)
 
 
 def _bits(columns):
@@ -157,14 +165,17 @@ def test_rows_independent_of_block_size(monkeypatch):
     assert _bits(ones) == _bits(whole) == _bits(sevens)
 
     # run_study's one share here holds all 40 tables: three draws per
-    # kernel call cut it into 13 calls of 3 and one of 1.
+    # kernel call cut it into 13 calls of 3 and one of 1. A slab holds
+    # one table, three tables or all of them.
     reports = []
-    for draws in (1, 3, 7, 40):
-        monkeypatch.setattr(engine, "_STUDY_DRAWS", draws)
-        assert _bits(_study_block((cfg, range(40)))) == _bits(whole)
-        report = run_study(cfg)
-        reports.append((json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv()))
-    assert reports[0] == reports[1] == reports[2] == reports[3]
+    for pairs in (25, 3 * 25, 10**6):
+        monkeypatch.setattr(engine, "_STUDY_PAIRS", pairs)
+        for draws in (1, 3, 7, 40):
+            monkeypatch.setattr(engine, "_STUDY_DRAWS", draws)
+            assert _bits(_study_block((cfg, range(40)))) == _bits(whole)
+            report = run_study(cfg)
+            reports.append((json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv()))
+    assert all(report == reports[0] for report in reports)
 
 
 # Under these transforms the m block is x4 alone, so scaling x4 leaves

@@ -249,26 +249,41 @@ class TestSummarize:
         assert type(summ.errors) is int and summ.errors == 1
 
     def test_sate_study_summarizes_each_estimator_once_per_kernel_call(self, monkeypatch):
-        calls = {"grid": 0, "summarize": []}
-        grid_stats, summarize = engine._grid_stats, engine._summarize
+        calls = {"call": 0, "summarize": []}
+        sate_columns, summarize = engine._sate_columns, engine._summarize
 
-        def counted_grid(*args, **kwargs):
-            calls["grid"] += 1
-            return grid_stats(*args, **kwargs)
+        def counted_call(*args, **kwargs):
+            calls["call"] += 1
+            return sate_columns(*args, **kwargs)
 
         def counted_summarize(tau, *args):
             calls["summarize"].append(tau.shape)
             return summarize(tau, *args)
 
-        monkeypatch.setattr(engine, "_grid_stats", counted_grid)
+        monkeypatch.setattr(engine, "_sate_columns", counted_call)
         monkeypatch.setattr(engine, "_summarize", counted_summarize)
         monkeypatch.setattr(engine, "_STUDY_DRAWS", 40)
         cfg = StudyConfig(mode="sate", setting="nonparallel", n=12, samples=10,
                           randomizations=10, seed=105)
         cols = _study_block((cfg, range(10)))
         assert all(col.shape == (10,) for col in cols.values())
-        assert calls["grid"] == 3  # kernel calls of 4, 4 and 2 tables
+        assert calls["call"] == 3  # kernel calls of 4, 4 and 2 tables
         assert calls["summarize"] == [(4, 10)] * 6 + [(2, 10)] * 3
+
+    def test_sate_study_whitens_each_slab_once(self, monkeypatch):
+        shapes = []
+        whitened_of = engine._Whitened.of.__func__
+
+        def counted_of(cls, d, m):
+            shapes.append(d.shape[0])
+            return whitened_of(cls, d, m)
+
+        monkeypatch.setattr(engine._Whitened, "of", classmethod(counted_of))
+        monkeypatch.setattr(engine, "_STUDY_DRAWS", 40)
+        cfg = StudyConfig(mode="sate", setting="nonparallel", n=12, samples=10,
+                          randomizations=10, seed=105)
+        _study_block((cfg, range(10)))
+        assert shapes == [10]  # one slab of all ten tables, for three kernel calls
 
 
 class TestRunMonteCarlo:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paired_adjust.randomization_engine import StudyConfig, _read_streams, randomize
+from paired_adjust.randomization_engine import StudyConfig, _StudyStreams, randomize
 from paired_adjust.rng import (
     ROLE_ASSIGN,
     ROLE_GENERIC,
@@ -80,30 +80,52 @@ def test_reused_generator_draws_what_fresh_substreams_draw(seed, role, idxs, n, 
         assert np.array_equal(more, randomize(n, fresh))
 
 
+def test_rekeyed_generator_matches_substream_over_many_indices():
+    # About a quarter of all key words are at least 2^63, so a thousand
+    # indices exercise the top bit of both words many times over.
+    idxs = range(1000)
+    keys = stream_keys(5, ROLE_SAMPLE, idxs)
+    assert (keys >= 2**63).any(axis=0).all()
+    for role in (ROLE_SAMPLE, ROLE_ASSIGN):
+        for i, rng in zip(idxs, substreams(5, role, idxs)):
+            fresh = substream(5, role, i)
+            assert np.array_equal(rng.standard_normal(3), fresh.standard_normal(3)), i
+            raw, fresh_raw = rng.bit_generator.random_raw(3), fresh.bit_generator.random_raw(3)
+            assert np.array_equal(raw, fresh_raw), i
+
+
 @PROPERTY
 @given(
     seed=SEEDS,
     idxs=INDICES,
     n=st.integers(1, 30),
     b=st.integers(1, 4),
+    per_slab=st.integers(1, 4),
     per_call=st.integers(1, 4),
 )
-@example(seed=0, idxs=[0, 1], n=1, b=1, per_call=1)
-@example(seed=2**130, idxs=[0, 2**32 - 1, 7], n=25, b=1, per_call=2)
-@example(seed=2**32, idxs=[3, 3, 0], n=100, b=200, per_call=2)
-def test_block_signs_are_what_randomize_draws_from_fresh_substreams(seed, idxs, n, b, per_call):
+@example(seed=0, idxs=[0, 1], n=1, b=1, per_slab=1, per_call=1)
+@example(seed=2**130, idxs=[0, 2**32 - 1, 7], n=25, b=1, per_slab=3, per_call=2)
+@example(seed=2**32, idxs=[3, 3, 0], n=100, b=200, per_slab=2, per_call=1)
+def test_block_signs_are_what_randomize_draws_from_fresh_substreams(
+    seed, idxs, n, b, per_slab, per_call
+):
     # Odd b * n ends a row on a low half word, whose high half is dropped.
+    # A slab's normals are read before its signs, a call at a time.
     config = StudyConfig(
         mode="sate", setting="parallel", n=n, samples=1, randomizations=b, seed=seed
     )
-    read = [
-        (i, row)
-        for call, _, signs in _read_streams(config, idxs, per_call)
-        for i, row in zip(call, signs)
-    ]
-    assert [i for i, _ in read] == list(idxs)
-    for i, signs in read:
-        assert signs.shape == (b, n)
+    streams = _StudyStreams(config, idxs)
+    read = []
+    for lo in range(0, len(idxs), per_slab):
+        slab = idxs[lo : lo + per_slab]
+        normals = streams.normals(len(slab))
+        for c in range(0, len(slab), per_call):
+            call = slab[c : c + per_call]
+            read += zip(call, normals[c : c + per_call], streams.signs(len(call)))
+    assert [i for i, _, _ in read] == list(idxs)
+    for i, normals, signs in read:
+        assert normals.shape == (10 * n,) and signs.shape == (b, n)
+        assert np.array_equal(normals, substream(seed, ROLE_SAMPLE, i).standard_normal(10 * n))
         assert np.array_equal(signs, randomize(n, substream(seed, ROLE_ASSIGN, i), b))
 
 

@@ -3,8 +3,9 @@
 Each table's values must be bit for bit the row of the per-sample
 reference below, which builds the table as a sample object and runs it
 through ``run_monte_carlo``. Values must not depend on the task block
-they are computed in, on the number of tables per kernel call or on the
-worker count, and a sate study must build no per-sample object.
+they are computed in, on the number of tables per slab or per kernel
+call or on the worker count, and a sate study must build no per-sample
+object.
 """
 
 import json
@@ -98,12 +99,15 @@ def test_rows_independent_of_block_and_call_size(monkeypatch):
     assert _bits(ones) == _bits(whole) == _bits(sevens)
 
     reports = []
-    for draws in (1, 3 * 30, 10**6):  # one table per call, three, all of a task
-        monkeypatch.setattr(engine, "_STUDY_DRAWS", draws)
-        assert _bits(_study_block((cfg, range(20)))) == _bits(whole)
-        report = run_study(cfg)
-        reports.append((json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv()))
-    assert reports[0] == reports[1] == reports[2]
+    # One table per slab, three, all of a task; and the same per call.
+    for pairs in (30, 3 * 30, 10**6):
+        monkeypatch.setattr(engine, "_STUDY_PAIRS", pairs)
+        for draws in (1, 3 * 30, 10**6):
+            monkeypatch.setattr(engine, "_STUDY_DRAWS", draws)
+            assert _bits(_study_block((cfg, range(20)))) == _bits(whole)
+            report = run_study(cfg)
+            reports.append((json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv()))
+    assert all(report == reports[0] for report in reports)
 
 
 def test_sate_study_builds_no_sample_objects(monkeypatch):

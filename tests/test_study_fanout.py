@@ -15,7 +15,13 @@ import pytest
 from paired_adjust.cli import main
 from paired_adjust.errors import DimensionMismatch, RankDeficient
 from paired_adjust.experiment_model import TransformSpec as T
-from paired_adjust.randomization_engine import StudyConfig, _call_size, _split, run_study
+from paired_adjust.randomization_engine import (
+    StudyConfig,
+    _call_size,
+    _slab_size,
+    _split,
+    run_study,
+)
 
 # (mode, S): S a multiple of 2 and 3, not a multiple of either, and
 # below the largest worker count (one share at 2 and 3 workers for
@@ -57,6 +63,19 @@ def test_shares_are_contiguous_and_near_equal():
 )
 def test_kernel_calls_stay_within_draw_and_table_caps(b, tables, size):
     cfg = StudyConfig(mode="sate", setting="nonparallel", n=25, samples=tables, randomizations=b)
+    assert _call_size(cfg, tables) == size
+
+
+# At n = 100 a slab holds at most 64 tables, so a block is cut into
+# slabs first and each slab into kernel calls.
+@pytest.mark.parametrize(
+    "b,tables,slab,size",
+    [(200, 100, 50, 4), (200, 64, 64, 4), (200, 65, 33, 4), (200, 1, 1, 1),
+     (1, 2000, 63, 63), (1, 64, 64, 64), (1, 65, 33, 33), (100, 200, 50, 8)],
+)
+def test_slabs_stay_within_pair_cap(b, tables, slab, size):
+    cfg = StudyConfig(mode="sate", setting="nonparallel", n=100, samples=tables, randomizations=b)
+    assert _slab_size(cfg, tables) == slab
     assert _call_size(cfg, tables) == size
 
 

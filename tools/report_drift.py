@@ -63,6 +63,10 @@ RUNS = {
                          "--seed", "3"],
     "sate_n40_seed_wide": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
                            "--n", "40", "--S", "60", "--B", "50", "--seed", "1099511627779"],
+    # Three slabs of 200 tables at one worker; two slabs of 150 per share at
+    # two workers, and one per share at three.
+    "sate_n30_S600": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
+                      "--n", "30", "--S", "600", "--B", "20", "--seed", "13"],
     "enumerate_identity": ["enumerate", "--input", "{table}"],
     "enumerate_pow2_log": ["enumerate", "--input", "{table}", "--f", "power:2", "--g", "log"],
     "analyze_hc2_pate": ["analyze", "--input", "{experiment}", "--variance", "HC2",
