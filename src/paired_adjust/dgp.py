@@ -265,17 +265,18 @@ def load_science_table(
     """Read a science table written by :func:`write_science_table`.
 
     pair, unit, r_t, r_c are required; the w and x column groups are
-    optional but must be complete and in order when present. Rows are
-    read as :func:`load_experiment_csv` reads them. When a sidecar is
+    optional but must be complete and in order when present. The data
+    rows are read as :func:`load_experiment_csv` reads them, by one
+    ``np.loadtxt`` call in ``_read_pairs``. When a sidecar is
     supplied, its stored average effect is checked against the table.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return load_science_table(fh, sidecar)
 
-    reader = csv.reader(source)
+    lines = iter(source)
     try:
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(csv.reader(lines))]
     except StopIteration:
         raise MalformedRow("empty file") from None
     expect = ["pair", "unit"]
@@ -294,7 +295,7 @@ def load_science_table(
             f"science table header must be pair,unit[,w1..w4][,x1..x4],r_t,r_c; got {header}"
         )
 
-    _, _, values = _read_pairs(reader, len(expect))
+    _, _, values = _read_pairs(lines, len(expect))
     n = values.shape[0]
     k = N_COVARIATES if has_w else 0
     w = values[:, :, :k] if has_w else None

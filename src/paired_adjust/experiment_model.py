@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import chain, compress
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TextIO, TypeVar, Union
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -45,8 +44,6 @@ from .ols_core import RANK_RTOL, _whiten
 _ROUNDING_RTOL = 1024 * np.finfo(float).eps
 
 _TRANSFORM_KINDS = ("identity", "power", "log", "exp", "select")
-
-_T = TypeVar("_T")
 
 
 def strict_int(value: object) -> int:
@@ -483,115 +480,175 @@ def validate_design(dm: DesignMatrices) -> DesignDiagnostics:
 _BASE_COLUMNS = ("pair", "unit", "z", "y")
 
 
+# np.loadtxt settings of every data-row parse: numpy's C reader is the one
+# grammar of a field, and its float converter is the routine behind float().
+_LOADTXT = dict(delimiter=",", comments=None, ndmin=1)
+
+
+def _line(text: Sequence[str], r: int) -> int:
+    """File line of data row ``r`` of the lines after the header; blank lines count."""
+    return [i for i, line in enumerate(text, 2) if line.strip()][r]
+
+
 def _first_bad(bad: np.ndarray) -> tuple[int, int] | None:
-    """(row, field) of the first True in file order of a (fields, rows) mask."""
+    """(row, field) of the first True in file order of a (rows, fields) mask."""
     if not bad.any():
         return None
-    return divmod(int(np.argmax(bad.T)), bad.shape[0])
+    return divmod(int(np.argmax(bad)), bad.shape[1])
 
 
-def _parse_fields(
-    parse: Callable[[str], _T],
-    what: str,
-    columns: Sequence[Sequence[str]],
-    fields: slice,
-    rows: Sequence[Sequence[str]],
-    lines: Sequence[int],
-) -> list[_T]:
-    """``parse`` over ``columns[fields]``, returned field-major.
+def _fields(row: str) -> list[str]:
+    """The fields of one data row as numpy's reader splits them."""
+    return np.loadtxt([row], dtype=str, quotechar='"', **_LOADTXT).tolist()
 
-    A token ``parse`` refuses raises MalformedRow naming the first such
-    token in file order, which ``rows`` and their ``lines`` give.
+
+def _parse(tokens: list[str], dtype: type) -> Optional[np.ndarray]:
+    """``tokens``, one to a line, read by numpy's reader as ``dtype``; None if it refuses one.
+
+    The tokens are fields already split from their rows, so a quote in
+    one is text, as is a comma, which makes a second field and a refusal.
     """
+    if not tokens:
+        return np.empty(0, dtype)
     try:
-        return list(map(parse, chain.from_iterable(columns[fields])))
+        return np.loadtxt(tokens, dtype=[("v", dtype)], **_LOADTXT)["v"]
     except ValueError:
-        for line, row in zip(lines, rows):
-            for token in row[fields]:
-                try:
-                    parse(token)
-                except ValueError:
-                    raise MalformedRow(f"line {line}: cannot parse {token!r} as {what}") from None
-        raise
+        return None
 
 
-def _read_pairs(
-    reader: Iterable[list[str]],
-    width: int,
-    flags: Sequence[str] = (),
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Group CSV data rows (after the header) by pair id, a field at a time.
+def _parse_located(
+    tokens: list[str], dtype: type, what: str, per_row: int, text: Sequence[str]
+) -> np.ndarray:
+    """``tokens`` of consecutive data rows, ``per_row`` each, parsed as ``dtype``.
 
-    Blank rows are skipped; every other row has ``width`` fields: pair
-    id, unit (1 or 2), one integer per name in ``flags`` (each 0 or 1),
-    then numbers. Returns the pair ids in first-appearance order, the
-    flags as an (n, 2, len(flags)) int array and the numbers as an
-    (n, 2, F) float array, both indexed ``[pair, unit - 1]``.
-
-    The checks run over the whole file in this order, and each names the
-    first failing line, or pair, in file order: field count, integer
-    parse, unit and flag range, number parse, finiteness (MalformedRow),
-    then a repeated unit and a pair lacking one (PairViolation). A file
-    with no data rows raises MalformedRow.
+    Returns a (rows, per_row) array. MalformedRow names the first token
+    numpy's reader refuses, found by bisection over prefixes. The reader
+    skips an empty line, so a blank token is refused without asking it.
     """
-    rows = list(reader)
-    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    # a blank line reads as no fields, or as one field of whitespace
-    filled = counts > 1
-    lone = np.flatnonzero(counts == 1)
-    filled[lone] = [bool(rows[i][0].strip()) for i in lone]
-    lines = np.flatnonzero(filled) + 2
-    if not filled.all():
-        rows = list(compress(rows, filled))
-        counts = counts[filled]
-    m = len(rows)
-    if not m:
-        raise MalformedRow("no data rows")
-    if (counts != width).any():
-        r = int(np.argmax(counts != width))
-        raise MalformedRow(f"line {lines[r]}: expected {width} fields, got {counts[r]}")
+    blank = next((k for k, token in enumerate(tokens) if not token.strip()), len(tokens))
+    parsed = _parse(tokens[:blank], dtype)
+    if parsed is None:
+        lo, hi = 0, blank  # tokens[:lo] parse, tokens[:hi] do not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _parse(tokens[:mid], dtype) is None:
+                hi = mid
+            else:
+                lo = mid
+        bad = lo
+    elif blank == len(tokens):
+        return parsed.reshape(-1, per_row)
+    else:
+        bad = blank
+    raise MalformedRow(f"line {_line(text, bad // per_row)}: cannot parse {tokens[bad]!r} as {what}")
 
-    columns = list(zip(*rows))
-    n_int = 2 + len(flags)
-    ints = _parse_fields(int, "an integer", columns, slice(0, n_int), rows, lines)
-    pairs = ints[:m]
-    # unit and flags; object dtype if a value does not fit in int64
-    codes = np.array(ints[m:]).reshape(n_int - 1, m)
-    names = ("unit", *flags)
-    low = np.array([1] + [0] * len(flags))[:, None]
+
+def _check_codes(ints: np.ndarray, flags: Sequence[str], text: Sequence[str]) -> None:
+    """MalformedRow for the first unit (1 or 2) or flag (0 or 1) out of range.
+
+    ``ints`` holds the integer fields of each data row: pair, unit, then
+    one column per name in ``flags``.
+    """
+    codes = ints[:, 1:]
+    low = np.array([1] + [0] * len(flags))
     bad = _first_bad((codes != low) & (codes != low + 1))
     if bad is not None:
         r, c = bad
         raise MalformedRow(
-            f"line {lines[r]}: {names[c]} must be {low[c, 0]} or {low[c, 0] + 1}, "
-            f"got {codes[c, r]}"
+            f"line {_line(text, r)}: {('unit', *flags)[c]} must be {low[c]} or {low[c] + 1}, "
+            f"got {codes[r, c]}"
         )
-    codes = codes.astype(np.intp)
 
-    values = np.array(_parse_fields(float, "a number", columns, slice(n_int, None), rows, lines))
-    values = values.reshape(width - n_int, m)
+
+def _name_refusal(rows: list[str], text: Sequence[str], width: int, flags: Sequence[str]) -> None:
+    """Raise the MalformedRow that the check order names in ``rows``, which numpy's reader refused.
+
+    The rows are split and their tokens re-read by numpy's reader; the
+    checks of :func:`_read_pairs` up to the number parse run in order.
+    Returns if none fails, or if a row cannot be split alone.
+    """
+    try:
+        fields = [_fields(row) for row in rows]
+    except ValueError:
+        return
+    counts = np.array([len(f) for f in fields])
+    if (counts != width).any():
+        r = int(np.argmax(counts != width))
+        raise MalformedRow(f"line {_line(text, r)}: expected {width} fields, got {counts[r]}")
+    n_int = 2 + len(flags)
+    ints = [token for f in fields for token in f[:n_int]]
+    _check_codes(_parse_located(ints, np.int64, "an integer", n_int, text), flags, text)
+    numbers = [token for f in fields for token in f[n_int:]]
+    _parse_located(numbers, np.float64, "a number", width - n_int, text)
+
+
+def _read_pairs(
+    lines: Iterable[str],
+    width: int,
+    flags: Sequence[str] = (),
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Group the CSV data lines after the header by pair id.
+
+    Blank and whitespace-only lines are skipped; every other line is a
+    row of ``width`` fields: pair id, unit (1 or 2), one integer per
+    name in ``flags`` (each 0 or 1), then numbers. All rows are parsed
+    by one ``np.loadtxt`` call, integers as int64 and numbers as
+    float64, so the field grammar is numpy's (see README). Returns the
+    pair ids, Python ints in first-appearance order, the flags as an
+    (n, 2, len(flags)) int array and the numbers as an (n, 2, F) float
+    array, both indexed ``[pair, unit - 1]``.
+
+    The checks run over the whole file in this order, and each names the
+    first failing line, or pair, in file order: field count, integer
+    parse, unit and flag range, number parse, finiteness (MalformedRow),
+    then a repeated unit and a pair lacking one (PairViolation). When
+    numpy refuses the file, the first three and the number parse are
+    re-run on the tokens to name the line; a refusal none of them
+    explains raises MalformedRow with numpy's message. A file with no
+    data rows raises MalformedRow.
+    """
+    text = list(lines)
+    rows = list(filter(str.strip, text))
+    m = len(rows)
+    if not m:
+        raise MalformedRow("no data rows")
+    n_int = 2 + len(flags)
+    record = [(f"f{j}", np.int64 if j < n_int else np.float64) for j in range(width)]
+    try:
+        table = np.loadtxt(rows, dtype=record, quotechar='"', **_LOADTXT)
+    except ValueError as exc:
+        _name_refusal(rows, text, width, flags)
+        raise MalformedRow(str(exc)) from None
+    # Every field is 8 bytes wide, so the records view as (m, width) of either type.
+    ints = table.view(np.int64).reshape(m, width)[:, :n_int]
+    values = table.view(np.float64).reshape(m, width)[:, n_int:]
+    _check_codes(ints, flags, text)
     bad = _first_bad(~np.isfinite(values))
     if bad is not None:
         r, c = bad
-        raise MalformedRow(f"line {lines[r]}: non-finite value {rows[r][n_int + c]!r}")
+        raise MalformedRow(f"line {_line(text, r)}: non-finite value {_fields(rows[r])[n_int + c]!r}")
 
-    ids = tuple(dict.fromkeys(pairs))
-    slot = dict(zip(ids, range(len(ids))))
-    n = len(ids)
-    cell = 2 * np.fromiter(map(slot.__getitem__, pairs), dtype=np.intp, count=m) + codes[0] - 1
+    pairs = ints[:, 0]
+    uniq, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    n = len(uniq)
+    slot = np.empty(n, dtype=np.intp)
+    slot[order] = np.arange(n)
+    cell = 2 * slot[inverse] + ints[:, 1] - 1
     seen = np.bincount(cell, minlength=2 * n)
     if seen.max() > 1:
-        first = np.zeros(m, dtype=bool)
-        first[np.unique(cell, return_index=True)[1]] = True
-        r = int(np.argmin(first))
-        raise PairViolation(f"pair {pairs[r]}: unit {codes[0, r]} appears twice")
+        first_cell = np.zeros(m, dtype=bool)
+        first_cell[np.unique(cell, return_index=True)[1]] = True
+        r = int(np.argmin(first_cell))
+        raise PairViolation(f"pair {pairs[r]}: unit {ints[r, 1]} appears twice")
+    ids = tuple(uniq[order].tolist())
     lacking = seen.reshape(n, 2).min(axis=1) == 0
     if lacking.any():
         raise PairViolation(f"pair {ids[int(np.argmax(lacking))]}: needs exactly units 1 and 2")
     flag_values = np.empty((2 * n, len(flags)), dtype=int)
-    flag_values[cell] = codes[1:].T
+    flag_values[cell] = ints[:, 2:]
     numbers = np.empty((2 * n, width - n_int))
-    numbers[cell] = values.T
+    numbers[cell] = values
     return ids, flag_values.reshape(n, 2, len(flags)), numbers.reshape(n, 2, width - n_int)
 
 
@@ -599,18 +656,22 @@ def load_experiment_csv(source: Union[str, Path, TextIO, Iterable[str]]) -> Pair
     """Read a paired experiment from CSV.
 
     Expected header: ``pair,unit,z,y,x1..xP`` with two rows per pair id
-    (units 1 and 2), in any order; blank lines are skipped and a path
-    may start with a UTF-8 byte-order mark. Pairs keep their
-    first-appearance order; inside a pair, rows are ordered by the unit
-    column. Missing values are rejected, not imputed.
+    (units 1 and 2), in any order; blank and whitespace-only lines are
+    skipped and a path may start with a UTF-8 byte-order mark. The
+    header is read with :mod:`csv` and the data rows by
+    :func:`_read_pairs`, whose one ``np.loadtxt`` call takes pair, unit
+    and z as int64 and every other field as an ASCII decimal float64.
+    Pairs keep their first-appearance order; inside a pair, rows are
+    ordered by the unit column. Missing values are rejected, not
+    imputed.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return load_experiment_csv(fh)
 
-    reader = csv.reader(source)
+    lines = iter(source)
     try:
-        header = next(reader)
+        header = next(csv.reader(lines))
     except StopIteration:
         raise MalformedRow("empty file") from None
     header = [h.strip() for h in header]
@@ -623,7 +684,7 @@ def load_experiment_csv(source: Union[str, Path, TextIO, Iterable[str]]) -> Pair
     if x_cols != [f"x{j}" for j in range(1, p + 1)] or p < 1:
         raise MalformedRow(f"covariate columns must be x1..xP, got {x_cols}")
 
-    pair_ids, flags, values = _read_pairs(reader, 4 + p, ("z",))
+    pair_ids, flags, values = _read_pairs(lines, 4 + p, ("z",))
     z = flags[:, :, 0]
     unbalanced = z.sum(axis=1) != 1
     if unbalanced.any():

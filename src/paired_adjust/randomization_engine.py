@@ -944,12 +944,11 @@ class _Slab:
     Table j is sample ``idxs[j]`` of the study ``config``. ``blocks``
     are the tables' whitened d and m blocks and ``effects`` and
     ``gaps`` (T, n) their Delta and l_i1 - l_i2
-    (:func:`_effects_and_gaps`). A pate study also keeps the potential
-    outcomes ``r_t`` and ``r_c`` (T, n, 2), to build Y from the
-    observed responses, and ``centered`` (T,), whether each table's m
-    columns pass :func:`columns_centered`; a sate study keeps neither.
-    The covariates and the blocks themselves are not kept, so they are
-    freed before the first kernel call.
+    (:func:`_effects_and_gaps`). A pate study also keeps ``centered``
+    (T,), whether each table's m columns pass :func:`columns_centered`;
+    a sate study does not. The covariates, the potential outcomes and
+    the blocks themselves are not kept, so they are freed before the
+    first kernel call.
     """
 
     config: StudyConfig
@@ -957,8 +956,6 @@ class _Slab:
     blocks: _Whitened
     effects: np.ndarray
     gaps: np.ndarray
-    r_t: Optional[np.ndarray] = None
-    r_c: Optional[np.ndarray] = None
     centered: Optional[np.ndarray] = None
 
     @classmethod
@@ -980,7 +977,7 @@ class _Slab:
         blocks = _Whitened.of(d, m)
         if config.mode == "sate":
             return cls(config, idxs, blocks, effects, gaps)
-        return cls(config, idxs, blocks, effects, gaps, r_t, r_c, columns_centered(m))
+        return cls(config, idxs, blocks, effects, gaps, columns_centered(m))
 
 
 def _slabs(
@@ -1068,19 +1065,16 @@ def _sate_columns(slab: _Slab, rows: slice, signs: np.ndarray) -> dict[str, np.n
 def _pate_columns(slab: _Slab, rows: slice, signs: np.ndarray) -> dict[str, np.ndarray]:
     """Estimates and standard errors of the slab's tables ``rows``, one draw each: one kernel call.
 
-    Y is built from the observed responses under the (T, 1, n)
-    ``signs`` only to be checked against the level/effect identity; the
-    estimates, the mean's too, come from :func:`_sign_stats` on the
-    effects and gaps that check used. The first table in order that
-    fails raises, and its first failing check picks the error:
-    AssertionError when its Y fails the reveal cross-check,
-    DimensionMismatch when its m columns fail :func:`columns_centered`
-    (the test :class:`DesignMatrices` applies), and RankDeficient,
-    naming the sample, when its R1 or R2P fit is singular under the
-    kernel's pivot tests, the same rank decision as in the other modes.
+    Every estimate, the mean's too, comes from :func:`_sign_stats` on
+    the effects and gaps under the (T, 1, n) ``signs``; Y is never
+    formed. The first table in order that fails raises, and its first
+    failing check picks the error: DimensionMismatch when its m columns
+    fail :func:`columns_centered` (the test :class:`DesignMatrices`
+    applies), and RankDeficient, naming the sample, when its R1 or R2P
+    fit is singular under the kernel's pivot tests, the same rank
+    decision as in the other modes.
     """
     effects, gaps = slab.effects[rows], slab.gaps[rows]
-    agree = _observe(slab.r_t[rows], slab.r_c[rows], signs[:, 0], effects, gaps)[3]
     stats = {
         est: (tau[:, 0], s2[:, 0])
         for est, (tau, s2) in _sign_stats(
@@ -1089,11 +1083,9 @@ def _pate_columns(slab: _Slab, rows: slice, signs: np.ndarray) -> dict[str, np.n
     }
     centered = slab.centered[rows]
     full_rank = np.isfinite(stats["R1"][1]) & np.isfinite(stats["R2P"][1])
-    bad = np.flatnonzero(~(agree & centered & full_rank))
+    bad = np.flatnonzero(~(centered & full_rank))
     if bad.size:
         j = bad[0]
-        if not agree[j]:
-            raise AssertionError("observed-response and level/effect Y constructions disagree")
         if not centered[j]:
             raise DimensionMismatch("m columns must sum to zero across pairs")
         raise RankDeficient(f"sample {slab.idxs[rows][j]}: the regression design is rank deficient")

@@ -8,8 +8,13 @@ None of it shares code with the library paths it checks.
 
 from __future__ import annotations
 
+import csv
+from itertools import chain, compress
+
 import numpy as np
 import scipy.stats
+
+from paired_adjust.errors import MalformedRow, PairViolation
 
 
 def fit_oracle(design: np.ndarray, y: np.ndarray):
@@ -146,3 +151,95 @@ def enumerate_oracle(r_t, r_c, d=None, m=None, alpha=0.05):
 def coverage_oracle(tau, s2, target, alpha):
     half = scipy.stats.norm.ppf(1 - alpha / 2) * np.sqrt(s2)
     return float((np.abs(tau - target) <= half).mean())
+
+
+def _first_bad(bad: np.ndarray):
+    """(row, field) of the first True in file order of a (fields, rows) mask."""
+    if not bad.any():
+        return None
+    return divmod(int(np.argmax(bad.T)), bad.shape[0])
+
+
+def _parse_fields(parse, what, columns, fields, rows, lines):
+    """``parse`` over ``columns[fields]``, returned field-major.
+
+    A token ``parse`` refuses raises MalformedRow naming the first such
+    token in file order, which ``rows`` and their ``lines`` give.
+    """
+    try:
+        return list(map(parse, chain.from_iterable(columns[fields])))
+    except ValueError:
+        for line, row in zip(lines, rows):
+            for token in row[fields]:
+                try:
+                    parse(token)
+                except ValueError:
+                    raise MalformedRow(f"line {line}: cannot parse {token!r} as {what}") from None
+        raise
+
+
+def read_pairs_oracle(lines, width, flags=()):
+    """The CSV data-row reader the package had before numpy's reader: csv.reader, int() and float().
+
+    Same interface, checks and messages as ``experiment_model._read_pairs``;
+    the grammar is Python's, which README lists the differences from.
+    """
+    rows = list(csv.reader(lines))
+    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    # a blank line reads as no fields, or as one field of whitespace
+    filled = counts > 1
+    lone = np.flatnonzero(counts == 1)
+    filled[lone] = [bool(rows[i][0].strip()) for i in lone]
+    lines = np.flatnonzero(filled) + 2
+    if not filled.all():
+        rows = list(compress(rows, filled))
+        counts = counts[filled]
+    m = len(rows)
+    if not m:
+        raise MalformedRow("no data rows")
+    if (counts != width).any():
+        r = int(np.argmax(counts != width))
+        raise MalformedRow(f"line {lines[r]}: expected {width} fields, got {counts[r]}")
+
+    columns = list(zip(*rows))
+    n_int = 2 + len(flags)
+    ints = _parse_fields(int, "an integer", columns, slice(0, n_int), rows, lines)
+    pairs = ints[:m]
+    # unit and flags; object dtype if a value does not fit in int64
+    codes = np.array(ints[m:]).reshape(n_int - 1, m)
+    names = ("unit", *flags)
+    low = np.array([1] + [0] * len(flags))[:, None]
+    bad = _first_bad((codes != low) & (codes != low + 1))
+    if bad is not None:
+        r, c = bad
+        raise MalformedRow(
+            f"line {lines[r]}: {names[c]} must be {low[c, 0]} or {low[c, 0] + 1}, "
+            f"got {codes[c, r]}"
+        )
+    codes = codes.astype(np.intp)
+
+    values = np.array(_parse_fields(float, "a number", columns, slice(n_int, None), rows, lines))
+    values = values.reshape(width - n_int, m)
+    bad = _first_bad(~np.isfinite(values))
+    if bad is not None:
+        r, c = bad
+        raise MalformedRow(f"line {lines[r]}: non-finite value {rows[r][n_int + c]!r}")
+
+    ids = tuple(dict.fromkeys(pairs))
+    slot = dict(zip(ids, range(len(ids))))
+    n = len(ids)
+    cell = 2 * np.fromiter(map(slot.__getitem__, pairs), dtype=np.intp, count=m) + codes[0] - 1
+    seen = np.bincount(cell, minlength=2 * n)
+    if seen.max() > 1:
+        first = np.zeros(m, dtype=bool)
+        first[np.unique(cell, return_index=True)[1]] = True
+        r = int(np.argmin(first))
+        raise PairViolation(f"pair {pairs[r]}: unit {codes[0, r]} appears twice")
+    lacking = seen.reshape(n, 2).min(axis=1) == 0
+    if lacking.any():
+        raise PairViolation(f"pair {ids[int(np.argmax(lacking))]}: needs exactly units 1 and 2")
+    flag_values = np.empty((2 * n, len(flags)), dtype=int)
+    flag_values[cell] = codes[1:].T
+    numbers = np.empty((2 * n, width - n_int))
+    numbers[cell] = values.T
+    return ids, flag_values.reshape(n, 2, len(flags)), numbers.reshape(n, 2, width - n_int)

@@ -71,7 +71,7 @@ MALFORMED_CASES = [
     (lambda t: t.replace("2,1,0,3.0,-1.0", "2,1,-1,3.0,-1.0"),  # z range, later line
      MalformedRow, "line 4: z must be 0 or 1, got -1"),
     (lambda t: t.replace("2,1,0,3.0,-1.0", "2,99999999999999999999,0,3.0,-1.0"),  # beyond int64
-     MalformedRow, "line 4: unit must be 1 or 2, got 99999999999999999999"),
+     MalformedRow, "line 4: cannot parse '99999999999999999999' as an integer"),
     (lambda t: t.replace("1,2,0,1.0,0.25", "1,2,0,1.0,"),  # missing value
      MalformedRow, "line 3: cannot parse '' as a number"),
     (lambda t: "pair,unit,z,y,x1\n\n",  # header and blank lines only
@@ -205,8 +205,11 @@ class TestLoadExperimentCsv:
              "line 4: unit must be 1 or 2, got 5"),
             ([("1,2,0,1.0,0.25", "1,1,0,1.0,0.25"), ("2,1,0,3.0,-1.0", "2,1,0,3.0,inf")],
              "line 4: non-finite value 'inf'"),
+            ([("1,1,1,2.0,0.5", "1,1,1,inf,0.5"), ("2,1,0,3.0,-1.0", "2,5,0,3.0,-1.0")],
+             "line 4: unit must be 1 or 2, got 5"),
         ],
-        ids=["count-before-finite", "range-before-number", "finite-before-duplicate"],
+        ids=["count-before-finite", "range-before-number", "finite-before-duplicate",
+             "range-before-finite"],
     )
     def test_check_stage_decides_which_defect_is_named(self, edits, match):
         text = MINIMAL_CSV

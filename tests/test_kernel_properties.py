@@ -10,7 +10,9 @@ when the covariate columns are given other units, up to the edges of
 the float range. A constant added to every effect moves every estimate
 by that constant and no variance. Exact enumeration matches the
 one-assignment-at-a-time oracle on every code, and the study columns of
-both modes do not change under pair order or unit swap.
+both modes do not change under pair order or unit swap. The observed
+responses that ``reveal`` builds give the Y of the level/effect identity
+that the kernel takes in their place.
 """
 
 import numpy as np
@@ -18,11 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paired_adjust import StudyConfig, TransformSpec, enumerate_exact, run_monte_carlo, substream
+from paired_adjust import (
+    StudyConfig, TransformSpec, enumerate_exact, reveal, run_monte_carlo, substream
+)
 from paired_adjust.dgp import PotentialOutcomeSample, _stacked_tables
 from paired_adjust.experiment_model import block_widths, transformed_blocks
 from paired_adjust.randomization_engine import (
+    _effects_and_gaps,
     _grid_stats,
+    _observe,
     _pate_columns,
     _sate_columns,
     _Slab,
@@ -265,3 +271,36 @@ def test_duplicated_column_makes_every_row_singular(block):
                          rng=substream(51, ROLE_ASSIGN))
     for est in singular:
         assert mc.per[est].errors == 200
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stack=st.sampled_from([(), (1,), (4,)]),
+    n=st.integers(1, 12),
+    scale=st.floats(1e-6, 1e6),
+    shift=st.floats(-1e3, 1e3),
+)
+def test_observed_responses_give_the_level_effect_identity(seed, stack, n, scale, shift):
+    rng = np.random.default_rng(seed)
+    r_t = scale * rng.standard_normal((*stack, n, 2)) + shift
+    r_c = scale * rng.standard_normal((*stack, n, 2))
+    v = 2.0 * rng.integers(0, 2, size=(*stack, n)) - 1.0
+    effects, gaps = _effects_and_gaps(r_t, r_c)
+    z, observed, y, agree = _observe(r_t, r_c, v, effects, gaps)
+    assert agree.shape == stack and agree.all()
+    np.testing.assert_array_equal(z[..., 0], v > 0)
+    np.testing.assert_array_equal(z.sum(axis=-1), 1)
+    np.testing.assert_array_equal(observed, np.where(z == 1, r_t, r_c))
+    first = v > 0
+    treated = np.where(first, r_t[..., 0], r_t[..., 1])
+    control = np.where(first, r_c[..., 1], r_c[..., 0])
+    np.testing.assert_array_equal(y, treated - control)
+    bound = 1e-12 * max(1.0, np.abs(observed).max())
+    np.testing.assert_allclose(y, effects + v * gaps, rtol=0, atol=bound)
+    if not stack:
+        x = rng.standard_normal((n, 2, 4))
+        exp, y_revealed = reveal(PotentialOutcomeSample(r_t=r_t, r_c=r_c, x=x), v)
+        np.testing.assert_array_equal(exp.z, z)
+        np.testing.assert_array_equal(exp.y, observed)
+        np.testing.assert_array_equal(y_revealed, y)

@@ -11,8 +11,13 @@ the first run's, byte for byte. The ``analyze`` runs read experiment
 CSVs written here from the generated tables with a fixed assignment,
 one of them with x1 in units 1e9 times smaller and one with its rows in
 a fixed shuffled order, so that some pairs list unit 2 first. The
-6-pair table is too small for identity transforms on its four
-covariates (they need n > 9). A change of exit code is a
+``*_edge_format`` runs read the 16-pair table and experiment rewritten
+with a byte-order mark, CRLF endings, blank and whitespace-only lines
+and quoted fields, which the input contract accepts; the
+``analyze_digit_separator`` run reads the experiment with a ``_``
+between two digits of one response, which it refuses. The 6-pair table
+is too small for identity transforms on its four covariates (they need
+n > 9). A change of exit code is a
 failure unless ``EXPECTED_EXITS`` lists it, and so is a worst relative
 drift above ``DRIFT_TOL`` (1e-12) unless ``EXPECTED_DRIFT`` lists the
 run with a larger bound. The exit status is 1 on any failure.
@@ -79,6 +84,11 @@ RUNS = {
     "enumerate_small_default": ["enumerate", "--input", "{small_table}"],
     "enumerate_small_identity": ["enumerate", "--input", "{small_table}",
                                  "--f", "identity", "--g", "identity"],
+    "analyze_edge_format": ["analyze", "--input", "{experiment_edge}", "--variance", "HC2",
+                            "--target", "pate"],
+    "enumerate_edge_format": ["enumerate", "--input", "{table_edge}", "--f", "power:2",
+                              "--g", "log"],
+    "analyze_digit_separator": ["analyze", "--input", "{experiment_separator}"],
 }
 # (old, new) exit codes that differ for a known reason.
 EXPECTED_EXITS: dict[str, tuple[int, int]] = {
@@ -89,6 +99,9 @@ EXPECTED_EXITS: dict[str, tuple[int, int]] = {
     # Transforms given explicitly are refused when they do not fit, not
     # dropped in silence; the default run still computes C alone.
     "enumerate_small_identity": (0, 2),
+    # Numbers follow numpy's reader, which refuses the digit separators
+    # float() read.
+    "analyze_digit_separator": (0, 2),
 }
 # Worst relative drift a run's report may show when both trees exit 0.
 DRIFT_TOL = 1e-12
@@ -134,6 +147,29 @@ def write_experiment(table: Path, dest: Path, x1_scale: float = 1.0,
             out.writerow([pair, unit, z, row["r_t" if z else "r_c"], *map(repr, x)])
 
 
+def write_edge_format(src: Path, dest: Path) -> None:
+    """``src`` with a byte-order mark, CRLF endings, blank lines and quoted fields."""
+    header, *rows = src.read_text().splitlines()
+    lines = ["\ufeff" + header, ""]
+    for k, row in enumerate(rows):
+        if k % 3 == 1:
+            row = ",".join(f'"{field}"' for field in row.split(","))
+        lines.append(row)
+        if k == len(rows) // 2:
+            lines.append(" \t ")
+    dest.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+
+
+def write_digit_separator(src: Path, dest: Path) -> None:
+    """``src`` with a ``_`` between the first two digits of its first response."""
+    header, first, *rows = src.read_text().splitlines()
+    fields = first.split(",")
+    y = fields[3]
+    at = next(k for k in range(1, len(y)) if y[k - 1].isdigit() and y[k].isdigit())
+    fields[3] = y[:at] + "_" + y[at:]
+    dest.write_text("\n".join([header, ",".join(fields), *rows]) + "\n")
+
+
 def run_tree(root: Path, work: Path) -> tuple[dict[str, tuple[int, Path]], list[str]]:
     """Every command's exit code and report path for the tree at ``root``.
 
@@ -143,7 +179,8 @@ def run_tree(root: Path, work: Path) -> tuple[dict[str, tuple[int, Path]], list[
     src = root / "src"
     work.mkdir(parents=True, exist_ok=True)
     inputs = {name: work / f"{name}.csv" for name in (
-        *TABLES, "experiment", "experiment_x1e9", "experiment_shuffled", "small_experiment")}
+        *TABLES, "experiment", "experiment_x1e9", "experiment_shuffled", "small_experiment",
+        "experiment_edge", "table_edge", "experiment_separator")}
     for name, argv in TABLES.items():
         _cli(src, ["generate", *argv, "--out", str(inputs[name])])
     table = inputs["table"]
@@ -151,6 +188,9 @@ def run_tree(root: Path, work: Path) -> tuple[dict[str, tuple[int, Path]], list[
     write_experiment(table, inputs["experiment_x1e9"], x1_scale=1e9)
     write_experiment(table, inputs["experiment_shuffled"], shuffle=True)
     write_experiment(inputs["small_table"], inputs["small_experiment"])
+    write_edge_format(inputs["experiment"], inputs["experiment_edge"])
+    write_edge_format(table, inputs["table_edge"])
+    write_digit_separator(inputs["experiment"], inputs["experiment_separator"])
     out, differ = {}, []
     for name, argv in RUNS.items():
         argv = [a.format(**inputs) for a in argv]
