@@ -43,16 +43,17 @@ not depend on the signs once (:func:`_slabs`, :class:`_Slab`): the
 stacked outcomes and covariates in one pass, so no per-table sample
 object is built, then the blocks, their whitened bases and the effects
 and gaps. Its tables then meet their signs in kernel calls of at most
-``_STUDY_DRAWS`` draws (:func:`_call_size`); each call builds its
-tables' fixed columns, runs the sign products and returns one column
-per metric (:func:`_sate_columns`, :func:`_pate_columns`). Those caps
-bound memory and do not depend on the worker count: :func:`run_study`
-gives each worker one contiguous, near-equal share of the sample
-indices, the calling process computing the first share and a process
-pool the rest. Only the per-mode arithmetic differs: a sate study
-summarizes each table's B draws, and a pate study also builds Y from
-the observed responses, only to check it against the level/effect
-identity. Summaries over draws are taken on the grid too:
+``_CHUNK`` draws, the grid budget of every mode, or of one table when
+its B is more (:func:`_call_size`); each call builds its tables' fixed
+columns, runs the sign products and returns one column per metric
+(:func:`_sate_columns`, :func:`_pate_columns`). Those caps bound memory
+and do not depend on the worker count: :func:`run_study` gives each
+worker one contiguous, near-equal share of the sample indices, the
+calling process computing the first share and a process pool the rest.
+Only the per-mode arithmetic differs: a sate study summarizes each
+table's B draws against its own average effect, and a pate study keeps
+its one draw per table and checks that each table's m columns are
+centered. Summaries over draws are taken on the grid too:
 :func:`_summarize` reduces the last axis of a (..., B) stack, so a
 sate study summarizes each estimator's (T, B) grid in one call, and
 enumeration and Monte Carlo call it on their single row. Every entry
@@ -74,7 +75,7 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -86,6 +87,7 @@ from .dgp import (
 )
 from .errors import (
     ConfigError,
+    DataError,
     DimensionMismatch,
     LengthMismatch,
     NonFiniteTransform,
@@ -105,23 +107,38 @@ from .ols_core import RANK_RTOL, _whiten
 from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substreams
 
 ENUMERATION_CAP = 16
+# The largest potential outcome, in magnitude, that the kernel takes:
+# 2^400, about 2.6e120. The sums of squares of its effects and gaps then
+# stay below 2^806 times n, and the fits and summaries multiply them by
+# at most B / RANK_RTOL, so no step comes near the float range (2^1024)
+# for any grid that fits in memory. A larger outcome is refused before
+# any arithmetic on it (see _effects_and_gaps).
+_RESPONSE_LIMIT = 2.0**400
+# The kernel's grid budget: the assignments one matrix product of sign
+# products takes (see _sign_stats), and in a study the draws one kernel
+# call takes in all, at least one table's B (see _call_size). A table
+# whose draws are cut into chunks may get other last bits than uncut, as
+# BLAS may round a product differently by its width, so every mode cuts
+# a table's draws at the same multiples of it.
 _CHUNK = 4096
-# Sizes in a study, which cuts each worker's share into the fewest
-# slabs and each slab into the fewest kernel calls, all but the last of
-# one size (see _slab_size and _call_size). A slab builds the
-# sign-independent part of its tables once: their normals, covariates
-# and blocks, the whitened bases and the effects and gaps. _STUDY_PAIRS
-# bounds the pairs it holds (at least one table), so it bounds the
-# memory of that build, about 45 KB per table at n = 100 (64 tables),
-# and the per-slab cost is paid once for that many pairs. A kernel call
-# takes all B draws of each of its tables (B = 1 in a population
-# study); _STUDY_DRAWS bounds the draws in all (at least one table),
-# so it bounds the signs, sign products and summaries held at once,
-# about 0.6 MB per table at n = 100, B = 200, where four tables keep a
-# worker's peak within 2% of one table per call. Larger calls buy
-# almost nothing: in a population study at n = 25, S = 2000, a slab of
-# 250 tables is one call. Results depend on neither cap.
-_STUDY_DRAWS = 800
+# A study cuts each worker's share into the fewest slabs and each slab
+# into the fewest kernel calls, all but the last of one size (see
+# _slab_size and _call_size). A slab builds the sign-independent part of
+# its tables once: their normals, covariates and blocks, the whitened
+# bases and the effects and gaps. _STUDY_PAIRS bounds the pairs it holds
+# (at least one table), so it bounds the memory of that build, about
+# 45 KB per table at n = 100 (64 tables), and the per-slab cost is paid
+# once for that many pairs. A kernel call takes all B draws of each of
+# its tables (B = 1 in a population study), at most _CHUNK draws unless
+# one table's B is more, so the signs, sign products and summaries held
+# at once are about 0.6 MB per table at n = 100, B = 200. There, calls of
+# 17 tables rather than 4 (a budget of 800 draws) cut a warm operation
+# pinned to one CPU from about 90 to 82 ms: _summarize from 9 to 4 ms,
+# R1 and the fixed columns from 4.5 to 2 each. R2's elimination stays
+# near 18 ms: its arrays, about 1 MB a call, are faulted in afresh on
+# every call once nothing larger is freed, as glibc then trims its heap
+# after each call. A table's values depend on neither the slab nor the
+# call it is in.
 _STUDY_PAIRS = 6400
 
 ESTIMATOR_IDS = ("C", "R1", "R2", "R2P")
@@ -151,22 +168,27 @@ def assignment_signs(codes: np.ndarray, n: int) -> np.ndarray:
     return 2.0 * bits - 1.0
 
 
-def _signs_of_words(raw: np.ndarray, b: int, n: int) -> np.ndarray:
-    """Decode (T, ceil(b*n/2)) raw Philox words into (T, b, n) pair signs.
+def _signs_of_words(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Decode (T, ceil(b*n/2)) raw Philox words into (T, b, n) pair signs, in ``out``.
 
-    Row t is what :func:`randomize` draws with ``b`` from a fresh stream
-    whose first words are ``raw[t]``. ``Generator.integers(0, 2)`` takes
-    each value from one 32-bit half word, low half then high half of
-    each 64-bit word, by Lemire's method: the half times 2, shifted
-    down 32 bits, which is the half's top bit. Its rejection threshold
-    is (2^32 - 2) mod 2 = 0, so no half is ever redrawn. The decode is
-    valid only for words read with ``random_raw`` from a freshly keyed
-    Philox, with no spare half word buffered, as
-    :meth:`_StudyStreams.signs` reads them; any other generator goes
-    through :func:`randomize`.
+    Row t of ``out`` becomes what :func:`randomize` draws with ``b``
+    from a fresh stream whose first words are ``raw[t]``.
+    ``Generator.integers(0, 2)`` takes each value from one 32-bit half
+    word, low half then high half of each 64-bit word, by Lemire's
+    method: the half times 2, shifted down 32 bits, which is the half's
+    top bit. Its rejection threshold is (2^32 - 2) mod 2 = 0, so no half
+    is ever redrawn. Read as an int32, a half is negative exactly when
+    its top bit is set, so copysign gives -1 there and +1 elsewhere, and
+    its negation is the sign; neither step makes an integer or float
+    temporary. The decode is valid only for words read with
+    ``random_raw`` from a freshly keyed Philox, with no spare half word
+    buffered, as :meth:`_StudyStreams.signs` reads them; any other
+    generator goes through :func:`randomize`.
     """
-    halves = raw.astype("<u8", copy=False).view("<u4")[:, : b * n] >> 31
-    return (2.0 * halves - 1.0).reshape(len(raw), b, n)
+    _, b, n = out.shape
+    halves = raw.astype("<u8", copy=False).view("<i4")[:, : b * n]
+    np.copysign(1.0, halves.reshape(out.shape), out=out)
+    return np.negative(out, out=out)
 
 
 def reveal(
@@ -229,8 +251,17 @@ def _effects_and_gaps(r_t: np.ndarray, r_c: np.ndarray) -> tuple[np.ndarray, np.
 
     With these, signs v give Y_i = Delta_i + v_i (l_i1 - l_i2), the
     level/effect identity; the level l of a unit is the average of its
-    two potential outcomes. Each is (..., n).
+    two potential outcomes. Each is (..., n). Every mode's kernel starts
+    here, so this is where a table whose outcomes the kernel cannot take
+    is refused: DataError when one exceeds ``_RESPONSE_LIMIT`` in
+    magnitude, raised before anything can overflow or warn.
     """
+    top = max(np.abs(r_t).max(initial=0.0), np.abs(r_c).max(initial=0.0))
+    if top > _RESPONSE_LIMIT:
+        raise DataError(
+            f"a potential outcome of magnitude {top:.6g} exceeds the largest the "
+            f"randomization kernel takes, 2^400 (about {_RESPONSE_LIMIT:.2g})"
+        )
     ell = (r_t + r_c) / 2.0
     tau = r_t - r_c
     return (tau[..., 0] + tau[..., 1]) / 2.0, ell[..., 0] - ell[..., 1]
@@ -375,8 +406,9 @@ class _SignProducts:
     ``s`` = dw'v and ``t`` = dw'(v*y), the sums ``ysum`` and squared
     norms ``yty`` of y and, when the m block is needed, ``proj`` holding
     the products of v*dw (K_D rows), the ones vector and y with w. All
-    come from one product of the table's fixed columns with the signs.
-    Component axes come first and the grid axes (T, B) last: ``s`` and
+    come from one product of the table's fixed columns with the signs
+    (see :data:`_Times`). Component axes come first and the grid axes
+    (T, B) last: ``s`` and
     ``t`` are (K_D, T, B) and ``proj`` is (K_D + 2, K_M, T, B).
     ``mean`` (T, 1) is added back to every intercept.
     """
@@ -391,13 +423,14 @@ class _SignProducts:
     proj: Optional[np.ndarray]
 
     @classmethod
-    def of(cls, table: _TableColumns, signs: np.ndarray) -> "_SignProducts":
-        t, b, n = signs.shape
+    def of(cls, table: _TableColumns, products: np.ndarray) -> "_SignProducts":
+        """The fits' pieces from the (T, P, B) ``products`` of the table's columns with its signs."""
+        t, _, b = products.shape
+        n = table.columns.shape[-1]
         kd = table.blocks.dw.shape[1]
         # (T, P, B) -> (K_D + 1, R, T, B): row l of L by row r of R.
-        # Nothing keeps a view of x, so it is freed before the fits.
-        x = (table.columns @ signs.swapaxes(-1, -2)).reshape(t, kd + 1, -1, b)
-        x = x.transpose(1, 2, 0, 3)
+        # Nothing keeps a view of the products once this returns.
+        x = products.reshape(t, kd + 1, -1, b).transpose(1, 2, 0, 3)
         proj = None
         if table.with_m:
             proj = np.empty((kd + 2, x.shape[1] - 2, t, b))
@@ -548,32 +581,47 @@ def _grid_stats(
     """
     if blocks is None:
         blocks = (np.empty(effects.shape + (0,)),) * 2
-    return _sign_stats(_Whitened.of(*blocks), effects, gaps, signs, want)
+    times = _times_of(signs)
+    return _sign_stats(_Whitened.of(*blocks), effects, gaps, times, signs.shape[1], want)
+
+
+# The sign products of T tables: given their fixed columns (T, P, n)
+# (:class:`_TableColumns`) and a slice ``part`` of their B draws, the
+# (T, P, len(part)) products of the columns with those draws' signs.
+_Times = Callable[[np.ndarray, slice], np.ndarray]
+
+
+def _times_of(signs: np.ndarray) -> _Times:
+    """The sign products of T tables whose B signs are the (T, B, n) array ``signs``."""
+    return lambda columns, part: columns @ signs[:, part].swapaxes(-1, -2)
 
 
 def _sign_stats(
     blocks: _Whitened,
     effects: np.ndarray,
     gaps: np.ndarray,
-    signs: np.ndarray,
+    times: _Times,
+    b: int,
     want: Sequence[str],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """:func:`_grid_stats` for T tables whose blocks are already whitened.
 
-    Each table's fixed columns are built once (:class:`_TableColumns`);
-    the assignments then go through :class:`_SignProducts` in chunks of
-    ``_CHUNK``, one matrix product each, and Y itself is never formed.
-    The (T, B) arrays are filled chunk by chunk.
+    ``times`` gives the products of the tables' columns with their ``b``
+    signs each. Each table's fixed columns are built once
+    (:class:`_TableColumns`); the assignments then go through
+    :class:`_SignProducts` in chunks of ``_CHUNK``, one product each,
+    and Y itself is never formed. The (T, B) arrays are filled chunk by
+    chunk.
     """
     table = _TableColumns.of(blocks, effects, gaps, "R2" in want or "R2P" in want)
-    shape = signs.shape[:2]
+    shape = (len(effects), b)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for est in want:
         # R2P is R2 with another variance, so one array holds both estimates.
         shared = est == "R2P" and "R2" in out
         out[est] = (out["R2"][0] if shared else np.empty(shape), np.empty(shape))
-    for lo in range(0, signs.shape[1], _CHUNK):
-        part = _SignProducts.of(table, signs[:, lo : lo + _CHUNK]).stats(want)
+    for lo in range(0, b, _CHUNK):
+        part = _SignProducts.of(table, times(table.columns, slice(lo, lo + _CHUNK))).stats(want)
         for est in want:
             for whole, chunk in zip(out[est], part[est]):
                 whole[:, lo : lo + _CHUNK] = chunk
@@ -866,18 +914,22 @@ class _StudyStreams:
     slab's tables at once and then their signs one kernel call at a
     time. Row t of the normals is what :func:`generate_sample` draws
     from the same stream, drawn in place. The signs are read as
-    ceil(B*n/2) raw words per index and decoded for the whole call by
-    :func:`_signs_of_words`, bit for bit what ``randomize(n,
-    substream(seed, ROLE_ASSIGN, i), B)`` draws. The streams are read
-    through :func:`substreams`, which draws what those ``substream``
-    calls draw. Each role is opened once for the whole block, so its
-    keys are hashed in one pass whatever the slab and call sizes.
+    ceil(B*n/2) raw words per index and decoded by
+    :func:`_signs_of_words`, a group of tables at a time (:meth:`times`),
+    bit for bit what ``randomize(n, substream(seed, ROLE_ASSIGN, i), B)``
+    draws. The streams are read through :func:`substreams`, which draws
+    what those ``substream`` calls draw. Each role is opened once for
+    the whole block, so its keys are hashed in one pass whatever the
+    slab and call sizes.
     """
 
     def __init__(self, config: StudyConfig, idxs: Sequence[int]) -> None:
         self._n, self._b = config.n, config.randomizations
         self._sample = substreams(config.seed, ROLE_SAMPLE, idxs)
         self._assign = substreams(config.seed, ROLE_ASSIGN, idxs)
+        self._words = (self._b * self._n + 1) // 2
+        self._raw = np.empty((0, self._words), dtype=np.uint64)
+        self._signs = np.empty((0, self._b, self._n))
 
     def normals(self, count: int) -> np.ndarray:
         """The (count, 10n) normals of the next ``count`` indices."""
@@ -887,12 +939,48 @@ class _StudyStreams:
         return out
 
     def signs(self, count: int) -> np.ndarray:
-        """The (count, B, n) signs of the next ``count`` indices."""
-        words = (self._b * self._n + 1) // 2
-        raw = np.empty((count, words), dtype=np.uint64)
-        for j, rng in enumerate(islice(self._assign, count)):
-            raw[j] = rng.bit_generator.random_raw(words)
-        return _signs_of_words(raw, self._b, self._n)
+        """The (count, B, n) signs of the next ``count`` indices.
+
+        The array is a view of a buffer the streams keep, as are the raw
+        words it is decoded from. Both are allocated when a call asks for
+        more indices than any before it, so a study allocates them once,
+        for its first and largest group (see :meth:`times`), and does not
+        fault in fresh pages for every kernel call. The array stays valid
+        until the next call, which overwrites it.
+        """
+        if len(self._raw) < count:
+            self._raw = np.empty((count, self._words), dtype=np.uint64)
+            self._signs = np.empty((count, self._b, self._n))
+        raw = self._raw[:count]
+        for row, rng in zip(raw, islice(self._assign, count)):
+            row[:] = rng.bit_generator.random_raw(self._words)
+        return _signs_of_words(raw, self._signs[:count])
+
+    def times(self, count: int) -> _Times:
+        """The sign products of the next ``count`` indices' tables, for :func:`_sign_stats`.
+
+        Their signs are read by :meth:`signs` a group of tables at a time,
+        each group's product taken while its signs are still in cache: a
+        group holds at most ``_CHUNK`` sign values, at least one table, so
+        one table at n = 100, B = 200 and 163 at n = 25, B = 1. The
+        tables are read when the first part of their draws is asked for;
+        only a lone table whose B exceeds ``_CHUNK`` is asked for more
+        parts, which reuse its signs.
+        """
+        group = max(1, _CHUNK // (self._b * self._n))
+        signs = self._signs
+
+        def times(columns: np.ndarray, part: slice) -> np.ndarray:
+            nonlocal signs
+            out = np.empty(columns.shape[:2] + (len(range(self._b)[part]),))
+            for lo in range(0, count, group):
+                rows = slice(lo, min(lo + group, count))
+                if part.start == 0:
+                    signs = self.signs(rows.stop - lo)
+                np.matmul(columns[rows], signs[:, part].swapaxes(-1, -2), out=out[rows])
+            return out
+
+        return times
 
 
 def _split(count: int, parts: int) -> list[range]:
@@ -923,12 +1011,12 @@ def _call_size(config: StudyConfig, tables: int) -> int:
     """Tables per kernel call for a block of ``tables`` tables.
 
     Each slab of :func:`_slab_size` tables is cut into the fewest calls
-    of at most ``_STUDY_DRAWS`` draws (at least one table each), all but
-    the last of this size: 4 tables at B = 200, and 250 at B = 1 and
-    n = 25 in a block of 2000, where each slab is one call. Given a
-    slab's own size, this is the call size within it.
+    of at most ``_CHUNK`` draws (at least one table each), all but the
+    last of this size: 17 tables at B = 200 in a slab of 50, and 250 at
+    B = 1 and n = 25 in a block of 2000, where each slab is one call.
+    Given a slab's own size, this is the call size within it.
     """
-    most = max(1, _STUDY_DRAWS // config.randomizations)
+    most = max(1, _CHUNK // config.randomizations)
     return _part_size(_slab_size(config, tables), most)
 
 
@@ -1034,20 +1122,21 @@ def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> dict[str, np.ndarra
             per_call = _call_size(config, len(slab.idxs))
             for c in range(0, len(slab.idxs), per_call):
                 rows = slice(c, c + per_call)
-                parts.append(step(slab, rows, streams.signs(len(slab.idxs[rows]))))
+                parts.append(step(slab, rows, streams.times(len(slab.idxs[rows]))))
     return _concat(parts)
 
 
-def _sate_columns(slab: _Slab, rows: slice, signs: np.ndarray) -> dict[str, np.ndarray]:
+def _sate_columns(slab: _Slab, rows: slice, times: _Times) -> dict[str, np.ndarray]:
     """In-sample metrics of the slab's tables ``rows`` over their B draws: one kernel call.
 
-    The tables meet their (T, B, n) ``signs`` together in
-    :func:`_sign_stats`, and each estimator's (T, B) grid is summarized
-    in one call against each table's own average effect. Singular draws
-    are left out of the summaries.
+    The tables meet their B signs each, whose products ``times`` gives,
+    together in :func:`_sign_stats`, and each estimator's (T, B) grid is
+    summarized in one call against each table's own average effect.
+    Singular draws are left out of the summaries.
     """
     effects = slab.effects[rows]
-    stats = _sign_stats(slab.blocks[rows], effects, slab.gaps[rows], signs, ("C", "R1", "R2"))
+    b = slab.config.randomizations
+    stats = _sign_stats(slab.blocks[rows], effects, slab.gaps[rows], times, b, ("C", "R1", "R2"))
     sates = effects.mean(axis=-1)
     c, r1, r2 = (_summarize(tau, s2, sates, slab.config.alpha) for tau, s2 in stats.values())
     return {
@@ -1062,23 +1151,23 @@ def _sate_columns(slab: _Slab, rows: slice, signs: np.ndarray) -> dict[str, np.n
     }
 
 
-def _pate_columns(slab: _Slab, rows: slice, signs: np.ndarray) -> dict[str, np.ndarray]:
+def _pate_columns(slab: _Slab, rows: slice, times: _Times) -> dict[str, np.ndarray]:
     """Estimates and standard errors of the slab's tables ``rows``, one draw each: one kernel call.
 
     Every estimate, the mean's too, comes from :func:`_sign_stats` on
-    the effects and gaps under the (T, 1, n) ``signs``; Y is never
-    formed. The first table in order that fails raises, and its first
-    failing check picks the error: DimensionMismatch when its m columns
-    fail :func:`columns_centered` (the test :class:`DesignMatrices`
-    applies), and RankDeficient, naming the sample, when its R1 or R2P
-    fit is singular under the kernel's pivot tests, the same rank
-    decision as in the other modes.
+    the effects and gaps under one draw per table, whose products
+    ``times`` gives; Y is never formed. The first table in order that
+    fails raises, and its first failing check picks the error:
+    DimensionMismatch when its m columns fail :func:`columns_centered`
+    (the test :class:`DesignMatrices` applies), and RankDeficient,
+    naming the sample, when its R1 or R2P fit is singular under the
+    kernel's pivot tests, the same rank decision as in the other modes.
     """
     effects, gaps = slab.effects[rows], slab.gaps[rows]
     stats = {
         est: (tau[:, 0], s2[:, 0])
         for est, (tau, s2) in _sign_stats(
-            slab.blocks[rows], effects, gaps, signs, ("C", "R1", "R2", "R2P")
+            slab.blocks[rows], effects, gaps, times, 1, ("C", "R1", "R2", "R2P")
         ).items()
     }
     centered = slab.centered[rows]
@@ -1275,9 +1364,8 @@ def lemma_diagnostics(
         off = np.zeros(reps)
     # e'(I - H)e is the intercept denominator of the fit on [1 | vd | m].
     zeros = np.zeros((1, n))
-    prods = _SignProducts.of(
-        _TableColumns.of(_Whitened.of(d[None], m[None]), zeros, zeros, True), v[None]
-    )
+    table = _TableColumns.of(_Whitened.of(d[None], m[None]), zeros, zeros, True)
+    prods = _SignProducts.of(table, _times_of(v[None])(table.columns, slice(None)))
     denom = prods.r2(corrected=False)[2][0]
     bad = ~np.isfinite(denom)
     if bad.any():

@@ -33,6 +33,7 @@ from paired_adjust.randomization_engine import (
     _sate_columns,
     _Slab,
     _StudyStreams,
+    _times_of,
 )
 from paired_adjust.rng import ROLE_ASSIGN
 
@@ -225,7 +226,7 @@ def test_study_columns_invariant_to_pair_order_and_unit_swap(mode, transforms, n
 
     def columns(r_t, r_c, x, signs):
         """The study columns of the three tables, as one slab and one kernel call."""
-        return step(_Slab.of(cfg, range(3), r_t, r_c, x), slice(None), signs)
+        return step(_Slab.of(cfg, range(3), r_t, r_c, x), slice(None), _times_of(signs))
 
     base = columns(r_t, r_c, x, signs)
 

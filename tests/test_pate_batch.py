@@ -34,6 +34,7 @@ from paired_adjust.randomization_engine import (
     _pate_columns,
     _slabs,
     _study_block,
+    _times_of,
     randomize,
     reveal,
     run_study,
@@ -101,7 +102,7 @@ def _columns(samples, signs, f, g):
                       samples=len(samples), f=f, g=g)
     parts = []
     for slab in _slabs(cfg, range(len(samples)), *_stack(samples)):
-        parts.append(_pate_columns(slab, slice(None), signs[slab.idxs, None]))
+        parts.append(_pate_columns(slab, slice(None), _times_of(signs[slab.idxs, None])))
     return _joined(parts)
 
 
@@ -164,14 +165,14 @@ def test_rows_independent_of_block_size(monkeypatch):
     sevens = _joined([_study_block((cfg, range(lo, min(lo + 7, 40)))) for lo in range(0, 40, 7)])
     assert _bits(ones) == _bits(whole) == _bits(sevens)
 
-    # run_study's one share here holds all 40 tables: three draws per
-    # kernel call cut it into 13 calls of 3 and one of 1. A slab holds
-    # one table, three tables or all of them.
+    # run_study's one share here holds all 40 tables: a grid budget of
+    # three draws cuts it into 13 kernel calls of 3 and one of 1. A slab
+    # holds one table, three tables or all of them.
     reports = []
     for pairs in (25, 3 * 25, 10**6):
         monkeypatch.setattr(engine, "_STUDY_PAIRS", pairs)
-        for draws in (1, 3, 7, 40):
-            monkeypatch.setattr(engine, "_STUDY_DRAWS", draws)
+        for draws in (1, 2, 3, 7, 40):
+            monkeypatch.setattr(engine, "_CHUNK", draws)
             assert _bits(_study_block((cfg, range(40)))) == _bits(whole)
             report = run_study(cfg)
             reports.append((json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv()))

@@ -262,7 +262,7 @@ class TestSummarize:
 
         monkeypatch.setattr(engine, "_sate_columns", counted_call)
         monkeypatch.setattr(engine, "_summarize", counted_summarize)
-        monkeypatch.setattr(engine, "_STUDY_DRAWS", 40)
+        monkeypatch.setattr(engine, "_CHUNK", 40)
         cfg = StudyConfig(mode="sate", setting="nonparallel", n=12, samples=10,
                           randomizations=10, seed=105)
         cols = _study_block((cfg, range(10)))
@@ -279,7 +279,7 @@ class TestSummarize:
             return whitened_of(cls, d, m)
 
         monkeypatch.setattr(engine._Whitened, "of", classmethod(counted_of))
-        monkeypatch.setattr(engine, "_STUDY_DRAWS", 40)
+        monkeypatch.setattr(engine, "_CHUNK", 40)
         cfg = StudyConfig(mode="sate", setting="nonparallel", n=12, samples=10,
                           randomizations=10, seed=105)
         _study_block((cfg, range(10)))

@@ -110,7 +110,9 @@ def test_block_signs_are_what_randomize_draws_from_fresh_substreams(
     seed, idxs, n, b, per_slab, per_call
 ):
     # Odd b * n ends a row on a low half word, whose high half is dropped.
-    # A slab's normals are read before its signs, a call at a time.
+    # A slab's normals are read before its signs, a call at a time. The
+    # signs are the streams' buffer, valid until the next read, so each
+    # read is checked before the next is made.
     config = StudyConfig(
         mode="sate", setting="parallel", n=n, samples=1, randomizations=b, seed=seed
     )
@@ -121,12 +123,12 @@ def test_block_signs_are_what_randomize_draws_from_fresh_substreams(
         normals = streams.normals(len(slab))
         for c in range(0, len(slab), per_call):
             call = slab[c : c + per_call]
-            read += zip(call, normals[c : c + per_call], streams.signs(len(call)))
-    assert [i for i, _, _ in read] == list(idxs)
-    for i, normals, signs in read:
-        assert normals.shape == (10 * n,) and signs.shape == (b, n)
-        assert np.array_equal(normals, substream(seed, ROLE_SAMPLE, i).standard_normal(10 * n))
-        assert np.array_equal(signs, randomize(n, substream(seed, ROLE_ASSIGN, i), b))
+            for i, row, signs in zip(call, normals[c : c + per_call], streams.signs(len(call))):
+                assert row.shape == (10 * n,) and signs.shape == (b, n)
+                assert np.array_equal(row, substream(seed, ROLE_SAMPLE, i).standard_normal(10 * n))
+                assert np.array_equal(signs, randomize(n, substream(seed, ROLE_ASSIGN, i), b))
+                read.append(i)
+    assert read == list(idxs)
 
 
 @pytest.mark.parametrize("bad", [2**32, 2**40, 2**64, 2**70, -1])

@@ -9,9 +9,15 @@ failing sample in index order, whichever share holds it; and
 
 import concurrent.futures
 import multiprocessing
+from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from paired_adjust import randomization_engine as engine
 from paired_adjust.cli import main
 from paired_adjust.errors import DimensionMismatch, RankDeficient
 from paired_adjust.experiment_model import TransformSpec as T
@@ -20,6 +26,7 @@ from paired_adjust.randomization_engine import (
     _call_size,
     _slab_size,
     _split,
+    _study_block,
     run_study,
 )
 
@@ -56,12 +63,27 @@ def test_shares_are_contiguous_and_near_equal():
             assert max(map(len, shares)) - min(map(len, shares)) <= 1
 
 
+# Call sizes at a grid budget of 800 draws and at the kernel's own,
+# _CHUNK = 4096, where a slab of 50 tables at B = 200 is cut into calls
+# of 17, 17 and 16 tables.
 @pytest.mark.parametrize(
     "b,tables,size",
     [(200, 100, 4), (200, 10, 4), (200, 1, 1), (1000, 3, 1), (1, 2000, 250), (1, 1000, 250),
      (1, 256, 256), (1, 257, 129), (40, 10, 10), (80, 10, 10), (100, 10, 5)],
 )
-def test_kernel_calls_stay_within_draw_and_table_caps(b, tables, size):
+def test_kernel_calls_stay_within_draw_and_table_caps(monkeypatch, b, tables, size):
+    monkeypatch.setattr(engine, "_CHUNK", 800)
+    cfg = StudyConfig(mode="sate", setting="nonparallel", n=25, samples=tables, randomizations=b)
+    assert _call_size(cfg, tables) == size
+
+
+@pytest.mark.parametrize(
+    "b,tables,size",
+    [(200, 100, 20), (200, 10, 10), (200, 1, 1), (1000, 3, 3), (1000, 10, 4), (4096, 3, 1),
+     (4097, 3, 1), (5000, 2, 1), (4095, 2, 1), (2048, 5, 2), (1, 2000, 250), (1, 257, 129),
+     (100, 100, 34)],
+)
+def test_kernel_calls_take_the_grid_budget(b, tables, size):
     cfg = StudyConfig(mode="sate", setting="nonparallel", n=25, samples=tables, randomizations=b)
     assert _call_size(cfg, tables) == size
 
@@ -73,10 +95,81 @@ def test_kernel_calls_stay_within_draw_and_table_caps(b, tables, size):
     [(200, 100, 50, 4), (200, 64, 64, 4), (200, 65, 33, 4), (200, 1, 1, 1),
      (1, 2000, 63, 63), (1, 64, 64, 64), (1, 65, 33, 33), (100, 200, 50, 8)],
 )
-def test_slabs_stay_within_pair_cap(b, tables, slab, size):
+def test_slabs_stay_within_pair_cap(monkeypatch, b, tables, slab, size):
+    monkeypatch.setattr(engine, "_CHUNK", 800)
     cfg = StudyConfig(mode="sate", setting="nonparallel", n=100, samples=tables, randomizations=b)
     assert _slab_size(cfg, tables) == slab
     assert _call_size(cfg, tables) == size
+
+
+@pytest.mark.parametrize(
+    "b,tables,slab,size",
+    [(200, 100, 50, 17), (200, 200, 50, 17), (200, 64, 64, 16), (200, 65, 33, 17),
+     (200, 1, 1, 1), (1, 2000, 63, 63), (100, 200, 50, 25), (5000, 100, 50, 1)],
+)
+def test_slab_calls_take_the_grid_budget(b, tables, slab, size):
+    cfg = StudyConfig(mode="sate", setting="nonparallel", n=100, samples=tables, randomizations=b)
+    assert _slab_size(cfg, tables) == slab
+    assert _call_size(cfg, tables) == size
+
+
+def _passes(config, samples):
+    """The kernel calls of ``_study_block`` over ``range(samples)``, as (slab, pass, tables read).
+
+    Streams, tables and slabs are stand-ins that only carry the indices,
+    so any size runs at once.
+    """
+    class Streams:
+        def __init__(self, config, idxs):
+            pass
+
+        def normals(self, count):
+            return None
+
+        def times(self, count):
+            return count
+
+    passes = []
+
+    def step(slab, rows, times):
+        passes.append((slab.idxs, slab.idxs[rows], times))
+        return {"rows": np.zeros(len(slab.idxs[rows]))}
+
+    def slabs(config, idxs, *tables):
+        yield SimpleNamespace(idxs=idxs)
+
+    with mock.patch.multiple(engine, _StudyStreams=Streams, _sate_columns=step, _slabs=slabs,
+                             _stacked_tables=lambda normals, setting: (None,) * 4):
+        _study_block((config, range(samples)))
+    return passes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 400),
+    b=st.one_of(st.integers(1, 300), st.integers(1, 3 * engine._CHUNK)),
+    samples=st.integers(1, 500),
+    pairs=st.integers(1, 20000),
+)
+def test_every_pass_holds_tables_of_its_slab_within_the_grid_budget(n, b, samples, pairs):
+    cfg = StudyConfig(mode="sate", setting="nonparallel", n=n, samples=samples, randomizations=b)
+    with mock.patch.object(engine, "_STUDY_PAIRS", pairs):
+        passes = _passes(cfg, samples)
+    assert [i for _, part, _ in passes for i in part] == list(range(samples))
+    slabs = {}
+    for slab, part, read in passes:
+        assert len(part) >= 1 and read == len(part)
+        assert set(part) <= set(slab)
+        assert len(part) * b <= max(engine._CHUNK, b)
+        slabs.setdefault(slab, []).append(len(part))
+    for slab, sizes in slabs.items():
+        assert len(slab) <= max(1, pairs // n)
+        # The fewest passes the budget allows, all but the last of one size,
+        # the smallest size that count of passes can have.
+        most = max(1, engine._CHUNK // b)
+        assert len(sizes) == -(-len(slab) // most)
+        assert set(sizes[:-1]) <= {sizes[0]} and sizes[-1] <= sizes[0]
+        assert sizes[0] == -(-len(slab) // len(sizes))
 
 
 # At --n 25 under exp/exp, seed 23 gives RankDeficient for sample 0 and

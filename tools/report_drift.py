@@ -72,6 +72,15 @@ RUNS = {
     # two workers, and one per share at three.
     "sate_n30_S600": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
                       "--n", "30", "--S", "600", "--B", "20", "--seed", "13"],
+    # B does not divide the grid budget of 4096 draws, which holds 12
+    # tables: kernel calls of 11 tables, 12 of them at one worker and 4
+    # per share at three.
+    "sate_n60_B333": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
+                      "--n", "60", "--S", "130", "--B", "333", "--seed", "17"],
+    # B above the grid budget: one table per call, its draws cut into
+    # chunks of 4096 and 904.
+    "sate_n12_B5000": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
+                       "--n", "12", "--S", "4", "--B", "5000", "--seed", "19"],
     "enumerate_identity": ["enumerate", "--input", "{table}"],
     "enumerate_pow2_log": ["enumerate", "--input", "{table}", "--f", "power:2", "--g", "log"],
     "analyze_hc2_pate": ["analyze", "--input", "{experiment}", "--variance", "HC2",
