@@ -42,7 +42,7 @@ from . import __version__
 from .dgp import SETTINGS, generate_sample, load_science_table, write_science_table
 from .errors import ConfigError, DataError, DimensionMismatch, PairedAdjustError, TooFewPairs
 from .estimators import (
-    _FLAVORS,
+    FLAVORS,
     estimate_classical,
     estimate_r1,
     estimate_r2_flavors,
@@ -189,7 +189,7 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
         "f": _transform(_DIFFS, TransformSpec.identity(), "identity"),
         "g": _transform(_AVGS, TransformSpec.identity(), "identity"),
         "target": _choice(_TARGETS, "inferential target", "sate"),
-        "variance": _choice(_FLAVORS, "variance flavor for R1/R2", "classical"),
+        "variance": _choice(FLAVORS, "variance flavor for R1/R2", "classical"),
         "alpha": _ALPHA,
         "seed": _Option(_as_seed, _SEED_HELP),
         "out": _OUT,

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, TextIO, Union
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedRow
-from .experiment_model import _read_pairs, _readonly
+from .experiment_model import read_pairs, readonly
 from .rng import ROLE_SAMPLE, substream
 
 SETTINGS = ("parallel", "nonparallel")
@@ -60,8 +60,8 @@ class PotentialOutcomeSample:
             )
         if not (np.isfinite(r_t).all() and np.isfinite(r_c).all()):
             raise MalformedRow("potential outcomes must be finite")
-        object.__setattr__(self, "r_t", _readonly(r_t))
-        object.__setattr__(self, "r_c", _readonly(r_c))
+        object.__setattr__(self, "r_t", readonly(r_t))
+        object.__setattr__(self, "r_c", readonly(r_c))
         n = r_t.shape[0]
         for name in ("w", "x"):
             arr = getattr(self, name)
@@ -74,7 +74,7 @@ class PotentialOutcomeSample:
                 )
             if not np.isfinite(arr).all():
                 raise MalformedRow(f"{name} must be finite")
-            object.__setattr__(self, name, _readonly(arr))
+            object.__setattr__(self, name, readonly(arr))
 
     @property
     def n(self) -> int:
@@ -127,7 +127,7 @@ def _pair_latents(normals: np.ndarray, n: int) -> np.ndarray:
     return np.stack([w1, w2], axis=-2)
 
 
-def _stacked_tables(
+def stacked_tables(
     normals: np.ndarray, setting: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stacked science tables from a (T, 10n) array of standard normals.
@@ -189,7 +189,7 @@ def generate_sample(
     explicit generator; with neither, entropy comes from the OS. One
     draw of 10n standard normals fills the table in a fixed order:
     latents first, then one noise value per unit, shared between the
-    treated and control outcomes (see :func:`_stacked_tables`).
+    treated and control outcomes (see :func:`stacked_tables`).
     """
     if setting not in SETTINGS:
         raise ValueError(f"setting must be one of {SETTINGS}, got {setting!r}")
@@ -200,7 +200,7 @@ def generate_sample(
             rng = np.random.default_rng()
         else:
             rng = substream(seed, ROLE_SAMPLE)
-    w, r_t, r_c, x = _stacked_tables(rng.standard_normal(10 * n)[None], setting)
+    w, r_t, r_c, x = stacked_tables(rng.standard_normal(10 * n)[None], setting)
     return PotentialOutcomeSample(
         r_t=r_t[0], r_c=r_c[0], w=w[0], x=x[0], setting=setting, seed=seed
     )
@@ -267,7 +267,7 @@ def load_science_table(
     pair, unit, r_t, r_c are required; the w and x column groups are
     optional but must be complete and in order when present. The data
     rows are read as :func:`load_experiment_csv` reads them, by one
-    ``np.loadtxt`` call in ``_read_pairs``. When a sidecar is
+    ``np.loadtxt`` call in ``read_pairs``. When a sidecar is
     supplied, its stored average effect is checked against the table.
     """
     if isinstance(source, (str, Path)):
@@ -295,7 +295,7 @@ def load_science_table(
             f"science table header must be pair,unit[,w1..w4][,x1..x4],r_t,r_c; got {header}"
         )
 
-    _, _, values = _read_pairs(lines, len(expect))
+    _, _, values = read_pairs(lines, len(expect))
     n = values.shape[0]
     k = N_COVARIATES if has_w else 0
     w = values[:, :, :k] if has_w else None

@@ -33,7 +33,7 @@ from .ols_core import (
     least_squares,
 )
 
-_FLAVORS = ("classical", "HC2", "HC3")
+FLAVORS = ("classical", "HC2", "HC3")
 # The standard library's quantile (Wichura's AS 241) rather than
 # scipy.special.ndtri: importing scipy.special costs about 70 ms and 4 MB
 # in every process, including each worker of a study's process pool.
@@ -97,8 +97,8 @@ def _variance(fit: FitResult, flavor: str) -> float:
 
 
 def _check_flavor(flavor: str) -> None:
-    if flavor not in _FLAVORS:
-        raise ValueError(f"variance flavor must be one of {_FLAVORS}, got {flavor!r}")
+    if flavor not in FLAVORS:
+        raise ValueError(f"variance flavor must be one of {FLAVORS}, got {flavor!r}")
 
 
 def _intercept_reports(

@@ -35,7 +35,7 @@ from .errors import (
     RankDeficient,
     TooFewPairs,
 )
-from .ols_core import RANK_RTOL, _whiten
+from .ols_core import RANK_RTOL, whiten
 
 # A centered pair-average column whose values are all at most this
 # share of the largest transformed value it averages is rounding noise
@@ -56,7 +56,8 @@ def strict_int(value: object) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` as a C-contiguous array that cannot be written; a contiguous ``a`` is frozen itself."""
     out = np.ascontiguousarray(a)
     out.setflags(write=False)
     return out
@@ -229,9 +230,9 @@ class PairedExperiment:
         ids = self.pair_ids or tuple(range(1, n + 1))
         if len(ids) != n:
             raise DimensionMismatch(f"{len(ids)} pair ids for {n} pairs")
-        object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "z", _readonly(z))
-        object.__setattr__(self, "y", _readonly(y))
+        object.__setattr__(self, "x", readonly(x))
+        object.__setattr__(self, "z", readonly(z))
+        object.__setattr__(self, "y", readonly(y))
         object.__setattr__(self, "pair_ids", tuple(map(int, ids)))
 
     @property
@@ -273,10 +274,10 @@ class DesignMatrices:
         _require_pairs(n, d.shape[1], m.shape[1])
         if not columns_centered(m):
             raise DimensionMismatch("m columns must sum to zero across pairs")
-        object.__setattr__(self, "d", _readonly(d))
-        object.__setattr__(self, "m", _readonly(m))
-        object.__setattr__(self, "v", _readonly(v))
-        object.__setattr__(self, "y", _readonly(y))
+        object.__setattr__(self, "d", readonly(d))
+        object.__setattr__(self, "m", readonly(m))
+        object.__setattr__(self, "v", readonly(v))
+        object.__setattr__(self, "y", readonly(y))
         object.__setattr__(self, "d_labels", tuple(self.d_labels) or _default_labels("d", d.shape[1]))
         object.__setattr__(self, "m_labels", tuple(self.m_labels) or _default_labels("m", m.shape[1]))
 
@@ -303,7 +304,7 @@ class DesignDiagnostics:
     """Numerical health report for the full design [vd | m | 1].
 
     ``rank`` counts the columns that pass the pivot test of
-    ``ols_core._whiten``. ``pivot_ratios`` holds, per column in the
+    ``ols_core.whiten``. ``pivot_ratios`` holds, per column in the
     order of ``column_labels``, R_kk^2 over the squared norm of the
     column: the share of the column left after the columns before it
     are projected out (zero for a zero column). A column passes when
@@ -449,7 +450,7 @@ def build_design(
 def validate_design(dm: DesignMatrices) -> DesignDiagnostics:
     """Check the full design [vd | m | 1] for numerical rank.
 
-    The design is factored by ``ols_core._whiten``, the matrix and the
+    The design is factored by ``ols_core.whiten``, the matrix and the
     column order the R2 fit of ``estimate_r2`` factors, so the two make
     the same rank decision, and neither depends on covariate units.
     Raises RankDeficient, naming the first column that fails the pivot
@@ -460,7 +461,7 @@ def validate_design(dm: DesignMatrices) -> DesignDiagnostics:
     labels = tuple(f"vd:{l}" for l in dm.d_labels) + tuple(
         f"m:{l}" for l in dm.m_labels
     ) + ("intercept",)
-    _, passed, ratios, _, _ = _whiten(full)
+    _, passed, ratios, _, _ = whiten(full)
     diag = DesignDiagnostics(
         expected_rank=full.shape[1],
         rank=int(passed.sum()),
@@ -564,7 +565,7 @@ def _name_refusal(rows: list[str], text: Sequence[str], width: int, flags: Seque
     """Raise the MalformedRow that the check order names in ``rows``, which numpy's reader refused.
 
     The rows are split and their tokens re-read by numpy's reader; the
-    checks of :func:`_read_pairs` up to the number parse run in order.
+    checks of :func:`read_pairs` up to the number parse run in order.
     Returns if none fails, or if a row cannot be split alone.
     """
     try:
@@ -582,7 +583,7 @@ def _name_refusal(rows: list[str], text: Sequence[str], width: int, flags: Seque
     _parse_located(numbers, np.float64, "a number", width - n_int, text)
 
 
-def _read_pairs(
+def read_pairs(
     lines: Iterable[str],
     width: int,
     flags: Sequence[str] = (),
@@ -659,7 +660,7 @@ def load_experiment_csv(source: Union[str, Path, TextIO, Iterable[str]]) -> Pair
     (units 1 and 2), in any order; blank and whitespace-only lines are
     skipped and a path may start with a UTF-8 byte-order mark. The
     header is read with :mod:`csv` and the data rows by
-    :func:`_read_pairs`, whose one ``np.loadtxt`` call takes pair, unit
+    :func:`read_pairs`, whose one ``np.loadtxt`` call takes pair, unit
     and z as int64 and every other field as an ASCII decimal float64.
     Pairs keep their first-appearance order; inside a pair, rows are
     ordered by the unit column. Missing values are rejected, not
@@ -684,7 +685,7 @@ def load_experiment_csv(source: Union[str, Path, TextIO, Iterable[str]]) -> Pair
     if x_cols != [f"x{j}" for j in range(1, p + 1)] or p < 1:
         raise MalformedRow(f"covariate columns must be x1..xP, got {x_cols}")
 
-    pair_ids, flags, values = _read_pairs(lines, 4 + p, ("z",))
+    pair_ids, flags, values = read_pairs(lines, 4 + p, ("z",))
     z = flags[:, :, 0]
     unbalanced = z.sum(axis=1) != 1
     if unbalanced.any():

@@ -1,6 +1,6 @@
 """The package's one factorization and one rank rule, and single least-squares fits.
 
-:func:`_whiten` is the only factorization in the package: each column
+:func:`whiten` is the only factorization in the package: each column
 is brought to a largest magnitude in [1/2, 1) by a power of two, then a
 thin, unpivoted Householder QR factors the result (column equilibration
 before QR, Golub & Van Loan ch. 5). Its pivot test, R_kk^2 >
@@ -38,7 +38,7 @@ RANK_RTOL = 1e-10
 _HC_VARIANTS = ("HC2", "HC3")
 
 
-def _whiten(
+def whiten(
     a: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal bases for the columns of each table of a (..., n, K) block.
@@ -94,7 +94,7 @@ class FitResult:
 
 
 def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
-    """Fit y on an intercept and x through :func:`_whiten`.
+    """Fit y on an intercept and x through :func:`whiten`.
 
     ``x`` may have zero columns, in which case the fit is just the mean
     of y. The columns are factored as [x | 1], ones column last, so the
@@ -113,7 +113,7 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
     if n < cols:
         raise RankDeficient(f"{cols} columns but only {n} rows")
 
-    q, passed, _, r, exp = _whiten(np.column_stack([x, np.ones(n)]))
+    q, passed, _, r, exp = whiten(np.column_stack([x, np.ones(n)]))
     if not passed.all():
         k = int(np.argmin(passed))
         which = "the intercept" if k == cols - 1 else f"column {k + 1} of x"

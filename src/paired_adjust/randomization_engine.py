@@ -1,4 +1,4 @@
-"""Randomization distributions: exact enumeration and Monte Carlo.
+"""Randomization distributions: exact enumeration, Monte Carlo and studies.
 
 A science table fixes both potential outcomes for every unit, so the
 only randomness left is the vector of pair signs. This module studies
@@ -12,62 +12,32 @@ estimators under that randomness three ways:
   either per-sample summaries (in-sample target) or one draw per table
   (population target, where the spread across tables matters).
 
-All heavy paths share one batched kernel, :func:`_grid_stats`, which
-fits the plain mean and the regression design [1 | v*d | m] for a grid
-of T tables by B sign vectors. A table enters as its pair effects Delta
-and level gaps g, which signs v turn into Y = Delta + v*g (the
-level/effect identity); Y itself is never formed. The blocks d and m do
-not depend on the signs, so each table's columns are whitened once (a
-thin QR, whose triangular factor is the Cholesky factor of d'd or m'm).
-The effects are centered on their mean, which only shifts every
-intercept and is added back at the end. Since v_i^2 = 1, every sign
-product a fit needs is then affine in v: a fixed part per table plus
-the products of v with fixed columns, the outer product of [dw; g] and
-[1; centered Delta; w] (:class:`_TableColumns`). So one matrix product
-of those columns with a chunk of signs gives everything that depends on
-the assignment (:class:`_SignProducts`). The mean needs only 1'Y and
-Y'Y; by Frisch-Waugh-Lovell partialling-out, R1 needs no solve either
-(its intercept and e'(I-H)e are closed-form in dw'v and dw'(v*Y)), and
-R2 and its superpopulation correction need only the Schur complement
-of the v*d columns after m is projected out, eliminated for every
-assignment at once. A fit whose table or Schur pivots fall to RANK_RTOL
-times their columns' squared norms is singular and comes back NaN, to
-be counted by the callers. The grid takes two shapes: one table by
-all 2^n codes (enumeration) or by B draws (Monte Carlo), and blocks of
-tables by their B draws each (studies, with B = 1 in a pate study).
-Both study modes go through one block path, :func:`_study_block`. It
-reads each sample index's normals and signs from its own substreams
+Every fit comes from the batched kernel's one entry point,
+``kernel.sign_stats``, on a grid of tables by signs: one table by all
+2^n codes or by B draws (:func:`_table_stats`), or blocks of tables by
+their B draws each (studies, with B = 1 in a pate study). Both study
+modes go through one block path, :func:`_study_block`. It reads each
+sample index's normals and signs from its own substreams
 (:class:`_StudyStreams`) and cuts its indices into slabs of at most
 ``_STUDY_PAIRS`` pairs (:func:`_slab_size`). A slab builds what does
 not depend on the signs once (:func:`_slabs`, :class:`_Slab`): the
 stacked outcomes and covariates in one pass, so no per-table sample
 object is built, then the blocks, their whitened bases and the effects
 and gaps. Its tables then meet their signs in kernel calls of at most
-``_CHUNK`` draws, the grid budget of every mode, or of one table when
-its B is more (:func:`_call_size`); each call builds its tables' fixed
-columns, runs the sign products and returns one column per metric
-(:func:`_sate_columns`, :func:`_pate_columns`). Those caps bound memory
-and do not depend on the worker count: :func:`run_study` gives each
-worker one contiguous, near-equal share of the sample indices, the
-calling process computing the first share and a process pool the rest.
-Only the per-mode arithmetic differs: a sate study summarizes each
-table's B draws against its own average effect, and a pate study keeps
-its one draw per table and checks that each table's m columns are
-centered. Summaries over draws are taken on the grid too:
-:func:`_summarize` reduces the last axis of a (..., B) stack, so a
-sate study summarizes each estimator's (T, B) grid in one call, and
-enumeration and Monte Carlo call it on their single row. Every entry
-point first asks ``experiment_model.design_estimators`` which
-estimators the design allows, the one size rule, and every mode makes
-the same rank decision, the kernel's pivot tests, which do not depend
-on the scale of any covariate column; a pate study raises for the
-first sample, in index order, that fails them.
-The whitening is ``ols_core._whiten``, which the single fits of
-``ols_core.least_squares`` and ``validate_design`` share, so those
-decide rank by the same pivot test. Estimates from this kernel agree
-with the single-fit estimators to solver precision and are tested
-against them, but never call them. The ones-projection residual of
-:func:`lemma_diagnostics` is the same kernel's R2 denominator.
+``kernel.CHUNK`` draws, the grid budget of every mode, or of one table
+when its B is more (:func:`_call_size`); each call returns one column
+per metric (:func:`_sate_columns`, :func:`_pate_columns`). Those caps
+bound memory and do not depend on the worker count: :func:`run_study`
+gives each worker one contiguous, near-equal share of the sample
+indices, the calling process computing the first share and a process
+pool the rest. A sate study summarizes each table's B draws against its
+own average effect, each estimator's (T, B) grid in one
+:func:`_summarize` call; a pate study keeps its one draw per table and
+checks that each table's m columns are centered. Every entry point
+first asks ``experiment_model.design_estimators`` which estimators the
+design allows, and every mode makes the same rank decision, the
+kernel's pivot tests; a pate study raises for the first sample, in
+index order, that fails them.
 """
 
 from __future__ import annotations
@@ -75,19 +45,14 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dgp import (
-    N_COVARIATES,
-    SETTINGS,
-    PotentialOutcomeSample,
-    _stacked_tables,
-)
+from . import kernel
+from .dgp import N_COVARIATES, SETTINGS, PotentialOutcomeSample, stacked_tables
 from .errors import (
     ConfigError,
-    DataError,
     DimensionMismatch,
     LengthMismatch,
     NonFiniteTransform,
@@ -103,24 +68,10 @@ from .experiment_model import (
     design_estimators,
     transformed_blocks,
 )
-from .ols_core import RANK_RTOL, _whiten
+from .kernel import Times, Whitened, effects_and_gaps, intercept_denominators, sign_stats, times_of
 from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substreams
 
 ENUMERATION_CAP = 16
-# The largest potential outcome, in magnitude, that the kernel takes:
-# 2^400, about 2.6e120. The sums of squares of its effects and gaps then
-# stay below 2^806 times n, and the fits and summaries multiply them by
-# at most B / RANK_RTOL, so no step comes near the float range (2^1024)
-# for any grid that fits in memory. A larger outcome is refused before
-# any arithmetic on it (see _effects_and_gaps).
-_RESPONSE_LIMIT = 2.0**400
-# The kernel's grid budget: the assignments one matrix product of sign
-# products takes (see _sign_stats), and in a study the draws one kernel
-# call takes in all, at least one table's B (see _call_size). A table
-# whose draws are cut into chunks may get other last bits than uncut, as
-# BLAS may round a product differently by its width, so every mode cuts
-# a table's draws at the same multiples of it.
-_CHUNK = 4096
 # A study cuts each worker's share into the fewest slabs and each slab
 # into the fewest kernel calls, all but the last of one size (see
 # _slab_size and _call_size). A slab builds the sign-independent part of
@@ -129,9 +80,9 @@ _CHUNK = 4096
 # (at least one table), so it bounds the memory of that build, about
 # 45 KB per table at n = 100 (64 tables), and the per-slab cost is paid
 # once for that many pairs. A kernel call takes all B draws of each of
-# its tables (B = 1 in a population study), at most _CHUNK draws unless
-# one table's B is more, so the signs, sign products and summaries held
-# at once are about 0.6 MB per table at n = 100, B = 200. There, calls of
+# its tables (B = 1 in a population study), at most kernel.CHUNK draws
+# unless one table's B is more, so the signs, sign products and summaries
+# held at once are about 0.6 MB per table at n = 100, B = 200. There, calls of
 # 17 tables rather than 4 (a budget of 800 draws) cut a warm operation
 # pinned to one CPU from about 90 to 82 ms: _summarize from 9 to 4 ms,
 # R1 and the fixed columns from 4.5 to 2 each. R2's elimination stays
@@ -213,7 +164,7 @@ def reveal(
             "science table has no observed covariates; cannot build an experiment"
         )
     z, observed, y, agree = _observe(
-        sample.r_t, sample.r_c, v, *_effects_and_gaps(sample.r_t, sample.r_c)
+        sample.r_t, sample.r_c, v, *effects_and_gaps(sample.r_t, sample.r_c)
     )
     if not agree:
         raise AssertionError("observed-response and level/effect Y constructions disagree")
@@ -229,7 +180,7 @@ def _observe(
 
     Works on one table (r_t, r_c of shape (n, 2), v of shape (n,)) or a
     stack of them (leading axes in front), whose Delta ``effects`` and
-    l_i1 - l_i2 ``gaps`` come from :func:`_effects_and_gaps`. Returns
+    l_i1 - l_i2 ``gaps`` come from :func:`effects_and_gaps`. Returns
     (z, observed, y, agree): ``agree`` says, per table, whether Y agrees
     with the level/effect identity Y_i = Delta_i + v_i (l_i1 - l_i2) to
     1e-12 of the response scale.
@@ -246,388 +197,6 @@ def _observe(
     return z, observed, y, agree
 
 
-def _effects_and_gaps(r_t: np.ndarray, r_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair effects Delta_i and level gaps l_i1 - l_i2 of (..., n, 2) outcomes.
-
-    With these, signs v give Y_i = Delta_i + v_i (l_i1 - l_i2), the
-    level/effect identity; the level l of a unit is the average of its
-    two potential outcomes. Each is (..., n). Every mode's kernel starts
-    here, so this is where a table whose outcomes the kernel cannot take
-    is refused: DataError when one exceeds ``_RESPONSE_LIMIT`` in
-    magnitude, raised before anything can overflow or warn.
-    """
-    top = max(np.abs(r_t).max(initial=0.0), np.abs(r_c).max(initial=0.0))
-    if top > _RESPONSE_LIMIT:
-        raise DataError(
-            f"a potential outcome of magnitude {top:.6g} exceeds the largest the "
-            f"randomization kernel takes, 2^400 (about {_RESPONSE_LIMIT:.2g})"
-        )
-    ell = (r_t + r_c) / 2.0
-    tau = r_t - r_c
-    return (tau[..., 0] + tau[..., 1]) / 2.0, ell[..., 0] - ell[..., 1]
-
-
-@dataclass(frozen=True)
-class _Whitened:
-    """The fixed design blocks of T tables, whitened once per table.
-
-    The rows of ``dw`` (T, K_D, n) and ``w`` (T, K_M, n) are
-    orthonormal bases of the columns of d and m (see :func:`_whiten`);
-    ``ok_d`` and ``ok_m`` (T,) say which tables passed the pivot test.
-    Since v_i^2 = 1, v*dw is orthonormal too, and since an intercept fit
-    does not change when its other columns are replaced by an invertible
-    combination of them, every fit can run in these coordinates.
-    """
-
-    dw: np.ndarray
-    ok_d: np.ndarray
-    w: np.ndarray
-    ok_m: np.ndarray
-
-    @classmethod
-    def of(cls, d: np.ndarray, m: np.ndarray) -> "_Whitened":
-        dw, passed_d, _, _, _ = _whiten(d)
-        w, passed_m, _, _, _ = _whiten(m)
-        return cls(dw, passed_d.all(axis=-1), w, passed_m.all(axis=-1))
-
-    def __getitem__(self, rows: slice) -> "_Whitened":
-        """The tables ``rows`` of the stack, as views."""
-        return _Whitened(self.dw[rows], self.ok_d[rows], self.w[rows], self.ok_m[rows])
-
-
-def _eliminate(g: np.ndarray, k: int, floor: np.ndarray) -> np.ndarray:
-    """Eliminate the first ``k`` columns of symmetric matrices ``g`` in place.
-
-    ``g`` is (K, K, ...): one K-by-K matrix per index of the trailing
-    grid axes, which come last so that every step works on whole
-    grid-length vectors. This is symmetric Gaussian elimination without
-    pivoting (an LDL' factorization); afterwards the trailing block of
-    ``g`` holds the Schur complement of the leading k-by-k block, and
-    the first k columns below the diagonal hold the multipliers, the
-    below-diagonal entries of the unit lower factor. Returns whether
-    every pivot j exceeded ``floor[j]``. A pivot that does not gets zero
-    multipliers, so the matrices stay finite.
-    """
-    ok = np.ones(g.shape[2:], dtype=bool)
-    for j in range(k):
-        piv = g[j, j]
-        good = piv > floor[j]
-        ok &= good
-        g[j + 1 :, j] /= np.where(good, piv, np.inf)
-        g[j + 1 :, j + 1 :] -= g[j + 1 :, j, None] * g[j, None, j + 1 :]
-    return ok
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of a[i] * b[i] over the leading axis, term by term in order.
-
-    numpy's own reductions may group the terms differently when the
-    grid has one point, so a fixed order keeps every fit's value
-    independent of the grid it is computed in.
-    """
-    out = np.zeros(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
-    for ai, bi in zip(a, b):
-        out += ai * bi
-    return out
-
-
-@dataclass(frozen=True)
-class _TableColumns:
-    """The sign-independent half of the sign products of T tables.
-
-    Y = Delta + v*g, with Delta the pair effects and g the level gaps
-    (:func:`_effects_and_gaps`). The kernel fits the centered response
-    Yc = Dc + v*g, where Dc = Delta - ``mean`` and ``mean`` (T, 1) is
-    each table's mean effect; since the ones vector is in every design,
-    only the intercept moves, by ``mean``, and is shifted back at the
-    end. Because v_i^2 = 1, every sign product the fits need is then
-    affine in v: a fixed part, held here, plus products of v with the
-    ``columns`` (T, P, n). These are the outer product of L = [dw; g]
-    (K_D + 1 rows) and R = [1; Dc; w] (2 + K_M rows, or 2 when
-    ``with_m`` is False and the fits need no m block), L-major: dw,
-    dw*Dc, dw*w, then g, g*Dc, g*w. They are built row-major over the
-    whole stack, (P, T, n), so each product row is one long pass, and
-    handed on as a (T, P, n) view. The fixed parts, component axes
-    first: ``dw_gaps`` (K_D, T, 1) = dw'g, ``w_sum`` and ``w_centered``
-    (K_M, T, 1) = w'1 and w'Dc, ``dc_sum`` (T, 1) = 1'Dc and
-    ``squares`` (T, 1) = Dc'Dc + g'g. The rounded mean leaves 1'Dc a
-    few ulps from zero; it is kept, so the products are exactly those
-    of Dc + v*g and the rounding moves only the intercept.
-    """
-
-    blocks: _Whitened
-    with_m: bool
-    mean: np.ndarray
-    columns: np.ndarray
-    dw_gaps: np.ndarray
-    w_sum: np.ndarray
-    w_centered: np.ndarray
-    dc_sum: np.ndarray
-    squares: np.ndarray
-
-    @classmethod
-    def of(
-        cls, blocks: _Whitened, effects: np.ndarray, gaps: np.ndarray, with_m: bool
-    ) -> "_TableColumns":
-        dw, w = blocks.dw, blocks.w
-        t, kd, n = dw.shape
-        km = w.shape[1] if with_m else 0
-        mean = effects.mean(axis=-1, keepdims=True)
-        dc = effects - mean
-        cols = np.empty((kd + 1, 2 + km, t, n))
-        left = cols[:, 0]  # L times the ones row of R is L itself
-        left[:kd] = dw.swapaxes(0, 1)
-        left[kd] = gaps
-        right = np.empty((1 + km, t, n))  # the other rows of R
-        right[0] = dc
-        right[1:] = w[:, :km].swapaxes(0, 1)
-        np.multiply(left[:, None], right, out=cols[:, 1:])
-        by_gaps = np.einsum("ltn,tn->lt", left, gaps)  # dw'g, then g'g
-        by_dc = np.einsum("rtn,tn->rt", right, dc)  # Dc'Dc, then w'Dc
-        return cls(
-            blocks=blocks,
-            with_m=with_m,
-            mean=mean,
-            columns=cols.reshape(-1, t, n).swapaxes(0, 1),
-            dw_gaps=by_gaps[:kd, :, None],
-            w_sum=np.einsum("rtn->rt", right[1:])[..., None],
-            w_centered=by_dc[1:, :, None],
-            dc_sum=dc.sum(axis=-1, keepdims=True),
-            squares=(by_dc[0] + by_gaps[kd])[:, None],
-        )
-
-
-@dataclass(frozen=True)
-class _SignProducts:
-    """The assignment-dependent pieces of the intercept fits on a grid.
-
-    For T tables by B sign vectors v, with y the centered response of
-    :class:`_TableColumns` and in the coordinates of its ``blocks``:
-    ``s`` = dw'v and ``t`` = dw'(v*y), the sums ``ysum`` and squared
-    norms ``yty`` of y and, when the m block is needed, ``proj`` holding
-    the products of v*dw (K_D rows), the ones vector and y with w. All
-    come from one product of the table's fixed columns with the signs
-    (see :data:`_Times`). Component axes come first and the grid axes
-    (T, B) last: ``s`` and
-    ``t`` are (K_D, T, B) and ``proj`` is (K_D + 2, K_M, T, B).
-    ``mean`` (T, 1) is added back to every intercept.
-    """
-
-    blocks: _Whitened
-    n: int
-    mean: np.ndarray
-    s: np.ndarray
-    t: np.ndarray
-    ysum: np.ndarray
-    yty: np.ndarray
-    proj: Optional[np.ndarray]
-
-    @classmethod
-    def of(cls, table: _TableColumns, products: np.ndarray) -> "_SignProducts":
-        """The fits' pieces from the (T, P, B) ``products`` of the table's columns with its signs."""
-        t, _, b = products.shape
-        n = table.columns.shape[-1]
-        kd = table.blocks.dw.shape[1]
-        # (T, P, B) -> (K_D + 1, R, T, B): row l of L by row r of R.
-        # Nothing keeps a view of the products once this returns.
-        x = products.reshape(t, kd + 1, -1, b).transpose(1, 2, 0, 3)
-        proj = None
-        if table.with_m:
-            proj = np.empty((kd + 2, x.shape[1] - 2, t, b))
-            proj[:kd] = x[:kd, 2:]
-            proj[kd] = table.w_sum
-            np.add(table.w_centered, x[kd, 2:], out=proj[kd + 1])
-        return cls(
-            blocks=table.blocks,
-            n=n,
-            mean=table.mean,
-            s=x[:kd, 0].copy(),
-            t=x[:kd, 1] + table.dw_gaps,
-            ysum=table.dc_sum + x[kd, 0],
-            yty=table.squares + 2.0 * x[kd, 1],
-            proj=proj,
-        )
-
-    def classical(self) -> tuple[np.ndarray, np.ndarray]:
-        """tau_hat and S^2 of the plain mean, in closed form.
-
-        tau_hat is ``mean`` + 1'y / n, and S^2 n (n-1) is
-        y'y - (1'y)^2 / n, clamped at 0 like the SSE. The centering
-        leaves y'y of the size of the spread of Y, not of its mean, so
-        the difference does not cancel away the digits of S^2.
-        """
-        n = self.n
-        s2 = np.maximum(self.yty - self.ysum * self.ysum / n, 0.0) / (n * (n - 1))
-        return self.mean + self.ysum / n, s2
-
-    def r1(self) -> tuple[np.ndarray, np.ndarray]:
-        """Intercept and classical variance of y on [1 | v*d], in closed form.
-
-        With v*dw orthonormal, partialling it out leaves
-        e'(I-H)e = n - s's and e'(I-H)y = 1'y - s't, so no solve is
-        needed. Rows whose denominator is at most RANK_RTOL * n, or
-        whose table failed the pivot test on d, come back NaN.
-        """
-        n, k1 = self.n, 1 + self.s.shape[0]
-        denom = n - _dot(self.s, self.s)
-        num = self.ysum - _dot(self.s, self.t)
-        ok = self.blocks.ok_d[:, None] & (denom > RANK_RTOL * n)
-        denom = np.where(ok, denom, 1.0)
-        beta = num / denom
-        sse = np.maximum(self.yty - _dot(self.t, self.t) - beta * num, 0.0)
-        return _masked(ok, self.mean + beta, sse / (n - k1) / denom)
-
-    def r2(self, corrected: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Intercept fits of y on [1 | v*d | m] through the Schur complement.
-
-        Partialling out the orthonormal w leaves the Gram of
-        [v*dw | 1 | y] minus its products with w. Each w column's
-        products are subtracted in turn, in place, from the v*dw rows and
-        from the [1 | y] corner, and the v*dw rows' corner columns are
-        then mirrored below, so the largest temporary is K_D by K_D + 2
-        per grid point, not a whole Gram; every block stays exactly
-        symmetric, since a_i a_j = a_j a_i. Eliminating the v*dw columns
-        of that bordered matrix leaves, for the ones vector and y,
-        [[e'(I-H)e, e'(I-H)y], [., y'(I-H)y]] with H the projection onto
-        [v*d | m] (FWL): its first pivot is the denominator e'(I-H)e,
-        the intercept is the ratio along its first row, and what is left
-        of y'(I-H)y after that pivot is the SSE. Each pivot must exceed
-        RANK_RTOL times its column's squared norm before partialling out
-        (one for a whitened column, n for the ones vector). Returns the
-        intercept, the SSE, the denominator and, if ``corrected``,
-        beta_m' (m'm) beta_m, which is the squared norm of the w
-        coefficients. Rows that fail a pivot, or whose table failed the
-        pivot test on d or m, come back NaN.
-        """
-        kd = self.s.shape[0]
-        g = np.empty((kd + 2, kd + 2) + self.ysum.shape)
-        g[:kd, :kd] = np.eye(kd)[:, :, None, None]
-        g[kd, kd] = self.n
-        g[kd + 1, kd + 1] = self.yty
-        g[:kd, kd] = self.s
-        g[:kd, kd + 1] = self.t
-        g[kd, kd + 1] = g[kd + 1, kd] = self.ysum
-        for k in range(self.proj.shape[1]):
-            a = self.proj[:, k]
-            g[:kd] -= a[:kd, None] * a[None]
-            g[kd:, kd:] -= a[kd:, None] * a[None, kd:]
-        g[kd:, :kd] = g[:kd, kd:].swapaxes(0, 1)
-        floor = RANK_RTOL * np.append(np.ones(kd), self.n)
-        ok = _eliminate(g, kd, floor)
-        denom = g[kd, kd]
-        ok &= (denom > floor[kd]) & (self.blocks.ok_d & self.blocks.ok_m)[:, None]
-        denom = np.where(ok, denom, 1.0)
-        beta0 = g[kd, kd + 1] / denom
-        sse = np.maximum(g[kd + 1, kd + 1] - beta0 * g[kd, kd + 1], 0.0)
-        corr = np.zeros_like(sse)
-        if corrected:
-            # Back-substitute for the v*dw coefficients (the intercept
-            # comes last) through the multipliers below g's diagonal;
-            # the w coefficients are then w'y minus the part of it the
-            # other columns fit.
-            beta = np.empty((kd + 1,) + sse.shape)
-            beta[kd] = beta0
-            for j in reversed(range(kd)):
-                beta[j] = g[kd + 1, j] - _dot(g[j + 1 : kd + 1, j], beta[j + 1 :])
-            gamma = self.proj[kd + 1] - _dot(beta[:, None], self.proj[: kd + 1])
-            corr = _dot(gamma, gamma)
-        return _masked(ok, self.mean + beta0, sse, denom, corr)
-
-    def stats(self, want: Sequence[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """{id: (tau_hat, s2)} of the estimators ``want``, each (T, B).
-
-        The classical variance of a regression is SSE/dof times the
-        intercept entry 1 / e'(I-H)e of the inverse Gram; R2P adds
-        beta_m' (m'm) beta_m / ((n-1) n) to the R2 variance.
-        """
-        n = self.n
-        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if "C" in want:
-            out["C"] = self.classical()
-        if "R1" in want:
-            out["R1"] = self.r1()
-        if "R2" in want or "R2P" in want:
-            k2 = 1 + self.s.shape[0] + self.blocks.w.shape[1]
-            beta0, sse, denom, corr = self.r2("R2P" in want)
-            s2 = sse / (n - k2) / denom
-            if "R2" in want:
-                out["R2"] = (beta0, s2)
-            if "R2P" in want:
-                out["R2P"] = (beta0, s2 + corr / ((n - 1) * n))
-        return {est: out[est] for est in want}
-
-
-def _masked(ok: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays with NaN wherever ``ok`` is False."""
-    return tuple(np.where(ok, a, np.nan) for a in arrays)
-
-
-def _grid_stats(
-    effects: np.ndarray,
-    gaps: np.ndarray,
-    signs: np.ndarray,
-    blocks: Optional[tuple[np.ndarray, np.ndarray]],
-    want: Sequence[str],
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-assignment (tau_hat, s2) of the estimators ``want`` for T tables.
-
-    ``effects`` and ``gaps`` (T, n) come from :func:`_effects_and_gaps`
-    and ``signs`` (T, B, n) holds B assignments per table, which meet
-    Y = effects + signs * gaps. The regression estimators need the fixed
-    (d, m) ``blocks``, each (T, n, K); with None, only "C" may be asked
-    for. The blocks are whitened here, and the rest is
-    :func:`_sign_stats`. Returns (T, B) arrays, each table's values bit
-    for bit those it gets alone; singular fits are NaN.
-    """
-    if blocks is None:
-        blocks = (np.empty(effects.shape + (0,)),) * 2
-    times = _times_of(signs)
-    return _sign_stats(_Whitened.of(*blocks), effects, gaps, times, signs.shape[1], want)
-
-
-# The sign products of T tables: given their fixed columns (T, P, n)
-# (:class:`_TableColumns`) and a slice ``part`` of their B draws, the
-# (T, P, len(part)) products of the columns with those draws' signs.
-_Times = Callable[[np.ndarray, slice], np.ndarray]
-
-
-def _times_of(signs: np.ndarray) -> _Times:
-    """The sign products of T tables whose B signs are the (T, B, n) array ``signs``."""
-    return lambda columns, part: columns @ signs[:, part].swapaxes(-1, -2)
-
-
-def _sign_stats(
-    blocks: _Whitened,
-    effects: np.ndarray,
-    gaps: np.ndarray,
-    times: _Times,
-    b: int,
-    want: Sequence[str],
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """:func:`_grid_stats` for T tables whose blocks are already whitened.
-
-    ``times`` gives the products of the tables' columns with their ``b``
-    signs each. Each table's fixed columns are built once
-    (:class:`_TableColumns`); the assignments then go through
-    :class:`_SignProducts` in chunks of ``_CHUNK``, one product each,
-    and Y itself is never formed. The (T, B) arrays are filled chunk by
-    chunk.
-    """
-    table = _TableColumns.of(blocks, effects, gaps, "R2" in want or "R2P" in want)
-    shape = (len(effects), b)
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for est in want:
-        # R2P is R2 with another variance, so one array holds both estimates.
-        shared = est == "R2P" and "R2" in out
-        out[est] = (out["R2"][0] if shared else np.empty(shape), np.empty(shape))
-    for lo in range(0, b, _CHUNK):
-        part = _SignProducts.of(table, times(table.columns, slice(lo, lo + _CHUNK))).stats(want)
-        for est in want:
-            for whole, chunk in zip(out[est], part[est]):
-                whole[:, lo : lo + _CHUNK] = chunk
-    return out
-
-
 def _table_stats(
     sample: PotentialOutcomeSample,
     signs: np.ndarray,
@@ -635,17 +204,18 @@ def _table_stats(
     g: Optional[TransformSpec],
     want: Sequence[str],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """:func:`_grid_stats` for one table and its (B, n) ``signs``, as (B,) arrays.
+    """:func:`sign_stats` for one table and its (B, n) ``signs``, as (B,) arrays.
 
     The table is a stack of one, whose blocks, when a regression estimator
-    is wanted, come from ``x[None]`` as a study slab builds them.
+    is wanted, come from ``x[None]`` as a study slab builds them, and are
+    whitened here; the mean alone takes blocks of zero columns.
     """
-    effects, gaps = _effects_and_gaps(sample.r_t[None], sample.r_c[None])
-    blocks = None
+    effects, gaps = effects_and_gaps(sample.r_t[None], sample.r_c[None])
+    blocks = (np.empty(effects.shape + (0,)),) * 2
     if any(est != "C" for est in want):
         ident = TransformSpec.identity()
         blocks = transformed_blocks(sample.x[None], f or ident, g or ident)
-    stats = _grid_stats(effects, gaps, signs[None], blocks, want)
+    stats = sign_stats(Whitened.of(*blocks), effects, gaps, times_of(signs[None]), len(signs), want)
     return {est: (tau[0], s2[0]) for est, (tau, s2) in stats.items()}
 
 
@@ -956,18 +526,18 @@ class _StudyStreams:
             row[:] = rng.bit_generator.random_raw(self._words)
         return _signs_of_words(raw, self._signs[:count])
 
-    def times(self, count: int) -> _Times:
-        """The sign products of the next ``count`` indices' tables, for :func:`_sign_stats`.
+    def times(self, count: int) -> Times:
+        """The sign products of the next ``count`` indices' tables, for :func:`sign_stats`.
 
         Their signs are read by :meth:`signs` a group of tables at a time,
         each group's product taken while its signs are still in cache: a
-        group holds at most ``_CHUNK`` sign values, at least one table, so
-        one table at n = 100, B = 200 and 163 at n = 25, B = 1. The
-        tables are read when the first part of their draws is asked for;
-        only a lone table whose B exceeds ``_CHUNK`` is asked for more
-        parts, which reuse its signs.
+        group holds at most ``kernel.CHUNK`` sign values, at least one
+        table, so one table at n = 100, B = 200 and 163 at n = 25, B = 1.
+        The tables are read when the first part of their draws is asked
+        for; only a lone table whose B exceeds ``kernel.CHUNK`` is asked
+        for more parts, which reuse its signs.
         """
-        group = max(1, _CHUNK // (self._b * self._n))
+        group = max(1, kernel.CHUNK // (self._b * self._n))
         signs = self._signs
 
         def times(columns: np.ndarray, part: slice) -> np.ndarray:
@@ -1011,12 +581,12 @@ def _call_size(config: StudyConfig, tables: int) -> int:
     """Tables per kernel call for a block of ``tables`` tables.
 
     Each slab of :func:`_slab_size` tables is cut into the fewest calls
-    of at most ``_CHUNK`` draws (at least one table each), all but the
-    last of this size: 17 tables at B = 200 in a slab of 50, and 250 at
+    of at most ``kernel.CHUNK`` draws (at least one table each), all but
+    the last of this size: 17 tables at B = 200 in a slab of 50, and 250 at
     B = 1 and n = 25 in a block of 2000, where each slab is one call.
     Given a slab's own size, this is the call size within it.
     """
-    most = max(1, _CHUNK // config.randomizations)
+    most = max(1, kernel.CHUNK // config.randomizations)
     return _part_size(_slab_size(config, tables), most)
 
 
@@ -1032,7 +602,7 @@ class _Slab:
     Table j is sample ``idxs[j]`` of the study ``config``. ``blocks``
     are the tables' whitened d and m blocks and ``effects`` and
     ``gaps`` (T, n) their Delta and l_i1 - l_i2
-    (:func:`_effects_and_gaps`). A pate study also keeps ``centered``
+    (:func:`effects_and_gaps`). A pate study also keeps ``centered``
     (T,), whether each table's m columns pass :func:`columns_centered`;
     a sate study does not. The covariates, the potential outcomes and
     the blocks themselves are not kept, so they are freed before the
@@ -1041,7 +611,7 @@ class _Slab:
 
     config: StudyConfig
     idxs: Sequence[int]
-    blocks: _Whitened
+    blocks: Whitened
     effects: np.ndarray
     gaps: np.ndarray
     centered: Optional[np.ndarray] = None
@@ -1061,8 +631,8 @@ class _Slab:
         stack.
         """
         d, m = transformed_blocks(x, config.f, config.g)
-        effects, gaps = _effects_and_gaps(r_t, r_c)
-        blocks = _Whitened.of(d, m)
+        effects, gaps = effects_and_gaps(r_t, r_c)
+        blocks = Whitened.of(d, m)
         if config.mode == "sate":
             return cls(config, idxs, blocks, effects, gaps)
         return cls(config, idxs, blocks, effects, gaps, columns_centered(m))
@@ -1116,7 +686,7 @@ def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> dict[str, np.ndarra
         part = idxs[lo : lo + per_slab]
         # Only the generator holds the tables, so that it can drop them.
         slabs = _slabs(
-            config, part, *_stacked_tables(streams.normals(len(part)), config.setting)[1:]
+            config, part, *stacked_tables(streams.normals(len(part)), config.setting)[1:]
         )
         for slab in slabs:
             per_call = _call_size(config, len(slab.idxs))
@@ -1126,17 +696,17 @@ def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> dict[str, np.ndarra
     return _concat(parts)
 
 
-def _sate_columns(slab: _Slab, rows: slice, times: _Times) -> dict[str, np.ndarray]:
+def _sate_columns(slab: _Slab, rows: slice, times: Times) -> dict[str, np.ndarray]:
     """In-sample metrics of the slab's tables ``rows`` over their B draws: one kernel call.
 
     The tables meet their B signs each, whose products ``times`` gives,
-    together in :func:`_sign_stats`, and each estimator's (T, B) grid is
+    together in :func:`sign_stats`, and each estimator's (T, B) grid is
     summarized in one call against each table's own average effect.
     Singular draws are left out of the summaries.
     """
     effects = slab.effects[rows]
     b = slab.config.randomizations
-    stats = _sign_stats(slab.blocks[rows], effects, slab.gaps[rows], times, b, ("C", "R1", "R2"))
+    stats = sign_stats(slab.blocks[rows], effects, slab.gaps[rows], times, b, ("C", "R1", "R2"))
     sates = effects.mean(axis=-1)
     c, r1, r2 = (_summarize(tau, s2, sates, slab.config.alpha) for tau, s2 in stats.values())
     return {
@@ -1151,10 +721,10 @@ def _sate_columns(slab: _Slab, rows: slice, times: _Times) -> dict[str, np.ndarr
     }
 
 
-def _pate_columns(slab: _Slab, rows: slice, times: _Times) -> dict[str, np.ndarray]:
+def _pate_columns(slab: _Slab, rows: slice, times: Times) -> dict[str, np.ndarray]:
     """Estimates and standard errors of the slab's tables ``rows``, one draw each: one kernel call.
 
-    Every estimate, the mean's too, comes from :func:`_sign_stats` on
+    Every estimate, the mean's too, comes from :func:`sign_stats` on
     the effects and gaps under one draw per table, whose products
     ``times`` gives; Y is never formed. The first table in order that
     fails raises, and its first failing check picks the error:
@@ -1166,7 +736,7 @@ def _pate_columns(slab: _Slab, rows: slice, times: _Times) -> dict[str, np.ndarr
     effects, gaps = slab.effects[rows], slab.gaps[rows]
     stats = {
         est: (tau[:, 0], s2[:, 0])
-        for est, (tau, s2) in _sign_stats(
+        for est, (tau, s2) in sign_stats(
             slab.blocks[rows], effects, gaps, times, 1, ("C", "R1", "R2", "R2P")
         ).items()
     }
@@ -1362,11 +932,7 @@ def lemma_diagnostics(
         off = np.abs(v @ cross).max(axis=-1) / n
     else:
         off = np.zeros(reps)
-    # e'(I - H)e is the intercept denominator of the fit on [1 | vd | m].
-    zeros = np.zeros((1, n))
-    table = _TableColumns.of(_Whitened.of(d[None], m[None]), zeros, zeros, True)
-    prods = _SignProducts.of(table, _times_of(v[None])(table.columns, slice(None)))
-    denom = prods.r2(corrected=False)[2][0]
+    denom = intercept_denominators(d, m, v)
     bad = ~np.isfinite(denom)
     if bad.any():
         raise RankDeficient(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from paired_adjust import DesignMatrices, PotentialOutcomeSample
+from paired_adjust.randomization_engine import _StudyStreams
 
 
 def make_design(rng, n, kd=2, km=2, y_scale=1.0):
@@ -72,3 +73,27 @@ def shuffled_pairs(draw, fields):
 def first_appearance(layout) -> list[int]:
     """Pair indices in the order ``layout`` first lists them."""
     return list(dict.fromkeys(line[0] for line in layout if isinstance(line, tuple)))
+
+
+def record_sign_products(monkeypatch) -> list[tuple[int, int]]:
+    """(tables, draws) of every sign product a study's kernel calls ask for, in order.
+
+    The products are those of ``_StudyStreams.times``, so each entry is
+    one chunk that ``kernel.sign_stats`` cut: a patched grid budget that
+    does not reach the kernel shows here as chunks of the wrong width.
+    """
+    seen: list[tuple[int, int]] = []
+    times = _StudyStreams.times
+
+    def recording_times(self, count):
+        inner = times(self, count)
+
+        def recorded(columns, part):
+            out = inner(columns, part)
+            seen.append((out.shape[0], out.shape[-1]))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(_StudyStreams, "times", recording_times)
+    return seen

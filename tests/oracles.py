@@ -9,6 +9,8 @@ None of it shares code with the library paths it checks.
 from __future__ import annotations
 
 import csv
+import math
+import statistics
 from itertools import chain, compress
 
 import numpy as np
@@ -153,6 +155,52 @@ def coverage_oracle(tau, s2, target, alpha):
     return float((np.abs(tau - target) <= half).mean())
 
 
+def sate_report_oracle(columns):
+    """{metric: {median, q025, q975}} of a sate study's per-sample columns.
+
+    Each column is sorted as Python floats and cut by ``statistics``'
+    inclusive quantiles (linear interpolation between order statistics);
+    a column holding a NaN gives NaN throughout. Needs two samples or
+    more.
+    """
+    out = {}
+    for name, column in columns.items():
+        values = sorted(float(v) for v in column)
+        if any(math.isnan(v) for v in values):
+            out[name] = dict.fromkeys(("median", "q025", "q975"), math.nan)
+            continue
+        cuts = statistics.quantiles(values, n=40, method="inclusive")
+        out[name] = {"median": statistics.median(values), "q025": cuts[0], "q975": cuts[38]}
+    return out
+
+
+def pate_report_oracle(columns, alpha):
+    """The cross-sample aggregates of a pate study's per-sample columns, one sample at a time.
+
+    Coverage counts the samples whose interval tau_hat +/- z se covers
+    the population target of zero. Each estimator's standard deviation
+    is the sample one (n - 1 divisor) of its estimates, R2P sharing
+    R2's; se_sd_ratio divides the mean SE by it, and sd_ratio divides
+    two of them.
+    """
+    z = float(scipy.stats.norm.ppf(1 - alpha / 2))
+    tau = {e: [float(v) for v in columns[f"tau_{e}"]] for e in ("C", "R1", "R2")}
+    tau["R2P"] = tau["R2"]
+    se = {e: [float(v) for v in columns[f"se_{e}"]] for e in ("C", "R1", "R2", "R2P")}
+    sd = {e: statistics.stdev(tau[e]) for e in ("C", "R1", "R2")}
+    sd["R2P"] = sd["R2"]
+    out = {}
+    for e in ("C", "R1", "R2", "R2P"):
+        covered = [abs(t) <= z * s for t, s in zip(tau[e], se[e])]
+        out[f"coverage_{e}"] = sum(covered) / len(covered)
+    for e in ("C", "R1", "R2", "R2P"):
+        out[f"se_sd_ratio_{e}"] = statistics.fmean(se[e]) / sd[e]
+    out["sd_ratio_R2_R1"] = sd["R2"] / sd["R1"]
+    out["sd_ratio_R1_C"] = sd["R1"] / sd["C"]
+    out["sd_ratio_R2_C"] = sd["R2"] / sd["C"]
+    return out
+
+
 def _first_bad(bad: np.ndarray):
     """(row, field) of the first True in file order of a (fields, rows) mask."""
     if not bad.any():
@@ -181,7 +229,7 @@ def _parse_fields(parse, what, columns, fields, rows, lines):
 def read_pairs_oracle(lines, width, flags=()):
     """The CSV data-row reader the package had before numpy's reader: csv.reader, int() and float().
 
-    Same interface, checks and messages as ``experiment_model._read_pairs``;
+    Same interface, checks and messages as ``experiment_model.read_pairs``;
     the grammar is Python's, which README lists the differences from.
     """
     rows = list(csv.reader(lines))

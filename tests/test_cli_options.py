@@ -27,7 +27,7 @@ from paired_adjust import (
 from paired_adjust.cli import _MODES, _OPTION_TABLES, _TARGETS, main, parse_transform
 from paired_adjust.dgp import SETTINGS
 from paired_adjust.errors import ConfigError, NonFiniteTransform
-from paired_adjust.estimators import _FLAVORS
+from paired_adjust.estimators import FLAVORS
 from paired_adjust.experiment_model import strict_int, transformed_blocks
 from paired_adjust.rng import ROLE_ASSIGN
 
@@ -229,7 +229,7 @@ def test_output_in_missing_directory_exits_4_before_work(capsys, dirs, command, 
 @pytest.mark.parametrize(
     "command,choices",
     [
-        ("analyze", _TARGETS + _FLAVORS + KINDS),
+        ("analyze", _TARGETS + FLAVORS + KINDS),
         ("simulate", SETTINGS + _MODES + KINDS),
         ("enumerate", KINDS),
         ("generate", SETTINGS),

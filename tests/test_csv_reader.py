@@ -165,8 +165,8 @@ def _outcome(loader, text):
 
 
 def _reference(loader, text):
-    with mock.patch.object(experiment_model, "_read_pairs", read_pairs_oracle), \
-            mock.patch.object(dgp, "_read_pairs", read_pairs_oracle):
+    with mock.patch.object(experiment_model, "read_pairs", read_pairs_oracle), \
+            mock.patch.object(dgp, "read_pairs", read_pairs_oracle):
         return _outcome(loader, text)
 
 

@@ -21,7 +21,7 @@ from paired_adjust import (
     substream,
     write_science_table,
 )
-from paired_adjust.dgp import _stacked_tables
+from paired_adjust.dgp import stacked_tables
 from paired_adjust.errors import DimensionMismatch
 
 from conftest import first_appearance, shuffled_pairs
@@ -159,7 +159,7 @@ class TestStackedTables:
         normals = np.array(
             [substream(71, ROLE_SAMPLE, i).standard_normal(10 * n) for i in range(block)]
         )
-        w, r_t, r_c, x = _stacked_tables(normals, setting)
+        w, r_t, r_c, x = stacked_tables(normals, setting)
         stacked = {"r_t": r_t, "r_c": r_c, "x": x, "w": w}
         for i in range(block):
             ref = _three_call_table(n, setting, substream(71, ROLE_SAMPLE, i))

@@ -23,17 +23,15 @@ from hypothesis import strategies as st
 from paired_adjust import (
     StudyConfig, TransformSpec, enumerate_exact, reveal, run_monte_carlo, substream
 )
-from paired_adjust.dgp import PotentialOutcomeSample, _stacked_tables
+from paired_adjust.dgp import PotentialOutcomeSample, stacked_tables
 from paired_adjust.experiment_model import block_widths, transformed_blocks
+from paired_adjust.kernel import Whitened, effects_and_gaps, sign_stats, times_of
 from paired_adjust.randomization_engine import (
-    _effects_and_gaps,
-    _grid_stats,
     _observe,
     _pate_columns,
     _sate_columns,
     _Slab,
     _StudyStreams,
-    _times_of,
 )
 from paired_adjust.rng import ROLE_ASSIGN
 
@@ -69,7 +67,8 @@ def tables(draw):
 
 def kernel(d, m, signs, effects, gaps):
     """{id: (tau, s2)} per assignment, from one kernel call."""
-    stats = _grid_stats(effects[None], gaps[None], signs[None], (d[None], m[None]), WANT)
+    blocks = Whitened.of(d[None], m[None])
+    stats = sign_stats(blocks, effects[None], gaps[None], times_of(signs[None]), len(signs), WANT)
     return {est: (tau[0], s2[0]) for est, (tau, s2) in stats.items()}
 
 
@@ -220,13 +219,13 @@ def test_study_columns_invariant_to_pair_order_and_unit_swap(mode, transforms, n
     cfg = StudyConfig(mode=mode, setting="nonparallel", n=n, samples=3, f=f, g=g, seed=seed,
                       randomizations=20 if mode == "sate" else 1)
     streams = _StudyStreams(cfg, range(3))
-    _, r_t, r_c, x = _stacked_tables(streams.normals(3), cfg.setting)
+    _, r_t, r_c, x = stacked_tables(streams.normals(3), cfg.setting)
     signs = streams.signs(3)
     step = _sate_columns if mode == "sate" else _pate_columns
 
     def columns(r_t, r_c, x, signs):
         """The study columns of the three tables, as one slab and one kernel call."""
-        return step(_Slab.of(cfg, range(3), r_t, r_c, x), slice(None), _times_of(signs))
+        return step(_Slab.of(cfg, range(3), r_t, r_c, x), slice(None), times_of(signs))
 
     base = columns(r_t, r_c, x, signs)
 
@@ -287,7 +286,7 @@ def test_observed_responses_give_the_level_effect_identity(seed, stack, n, scale
     r_t = scale * rng.standard_normal((*stack, n, 2)) + shift
     r_c = scale * rng.standard_normal((*stack, n, 2))
     v = 2.0 * rng.integers(0, 2, size=(*stack, n)) - 1.0
-    effects, gaps = _effects_and_gaps(r_t, r_c)
+    effects, gaps = effects_and_gaps(r_t, r_c)
     z, observed, y, agree = _observe(r_t, r_c, v, effects, gaps)
     assert agree.shape == stack and agree.all()
     np.testing.assert_array_equal(z[..., 0], v > 0)

@@ -6,7 +6,9 @@ its first operation, so a missing name makes every traced run fail.
 Each workload, at its self-test size, must also run and pass its own
 check under the harness's tracer. The package itself must import
 without scipy, which only the test oracles use, and importing the CLI
-must not build its argument parser.
+must not build its argument parser. No module reaches for another
+module's private name, and the kernel module stands on ``errors`` and
+``ols_core`` alone, so every other module may import it.
 """
 
 import ast
@@ -21,7 +23,8 @@ from unittest import mock
 import paired_adjust
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = Path(paired_adjust.__file__).resolve().parent.parent
+PACKAGE = Path(paired_adjust.__file__).resolve().parent
+SRC = PACKAGE.parent
 
 
 def _module(path: Path) -> ast.Module:
@@ -110,3 +113,56 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_builds_no_parser():
     code = "print(paired_adjust.cli.build_parser.cache_info().currsize)"
     assert _after_cli_import(code) == "0"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_uses_a_private_name_of_another():
+    crossings = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _module(path)
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                source = "." * node.level + (node.module or "")
+                crossings += [f"{path.name}: from {source} import {alias.name}"
+                              for alias in node.names if _private(alias.name)]
+                if node.module is None:
+                    modules.update(alias.asname or alias.name for alias in node.names)
+        crossings += [
+            f"{path.name}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _private(node.attr)
+        ]
+    assert crossings == []
+
+
+def test_kernel_imports_only_errors_and_ols_core_from_the_package():
+    imported = set()
+    for node in ast.walk(_module(PACKAGE / "kernel.py")):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("paired_adjust"):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("paired_adjust")}
+    assert imported == {"errors", "ols_core"}
+
+
+def test_importing_the_kernel_loads_neither_engine_nor_estimators():
+    # The package's __init__ imports every module, so a bare package
+    # object stands in for it: what loads is then what the kernel needs.
+    code = (
+        "import sys, types; pkg = types.ModuleType('paired_adjust'); "
+        f"pkg.__path__ = [{str(PACKAGE)!r}]; sys.modules['paired_adjust'] = pkg; "
+        "import paired_adjust.kernel; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('paired_adjust.'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = out.stdout.split()
+    assert "paired_adjust.randomization_engine" not in loaded
+    assert "paired_adjust.estimators" not in loaded
+    assert loaded == ["paired_adjust.errors", "paired_adjust.kernel", "paired_adjust.ols_core"]

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from paired_adjust import kernel
 from paired_adjust import randomization_engine as engine
 from paired_adjust.cli import main
 from paired_adjust.dgp import PotentialOutcomeSample, generate_sample
@@ -28,18 +29,19 @@ from paired_adjust.estimators import (
     superpop_correct,
 )
 from paired_adjust.experiment_model import TransformSpec, build_design, transformed_blocks
+from paired_adjust.kernel import Whitened, sign_stats, times_of
 from paired_adjust.randomization_engine import (
     StudyConfig,
-    _grid_stats,
     _pate_columns,
     _slabs,
     _study_block,
-    _times_of,
     randomize,
     reveal,
     run_study,
 )
 from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE, substream, substreams
+
+from conftest import record_sign_products
 
 T = TransformSpec
 TRANSFORMS = [
@@ -102,7 +104,7 @@ def _columns(samples, signs, f, g):
                       samples=len(samples), f=f, g=g)
     parts = []
     for slab in _slabs(cfg, range(len(samples)), *_stack(samples)):
-        parts.append(_pate_columns(slab, slice(None), _times_of(signs[slab.idxs, None])))
+        parts.append(_pate_columns(slab, slice(None), times_of(signs[slab.idxs, None])))
     return _joined(parts)
 
 
@@ -146,7 +148,8 @@ def test_stacked_grams_match_one_table_at_a_time(f, g):
     want = ("C", "R1", "R2", "R2P")
 
     def grid(lo, hi):
-        return _grid_stats(effects[lo:hi], gaps[lo:hi], signs[lo:hi], (d[lo:hi], m[lo:hi]), want)
+        blocks = Whitened.of(d[lo:hi], m[lo:hi])
+        return sign_stats(blocks, effects[lo:hi], gaps[lo:hi], times_of(signs[lo:hi]), 5, want)
 
     alone = [grid(j, j + 1) for j in range(12)]
     for lo, hi in [(3, 4), (2, 9), (0, 12)]:
@@ -167,13 +170,20 @@ def test_rows_independent_of_block_size(monkeypatch):
 
     # run_study's one share here holds all 40 tables: a grid budget of
     # three draws cuts it into 13 kernel calls of 3 and one of 1. A slab
-    # holds one table, three tables or all of them.
+    # holds one table, three tables or all of them. Each table has one
+    # draw, so every chunk the kernel gets is one draw wide, and the
+    # widest call holds as many tables as the budget and the slab allow.
+    seen = record_sign_products(monkeypatch)
     reports = []
     for pairs in (25, 3 * 25, 10**6):
         monkeypatch.setattr(engine, "_STUDY_PAIRS", pairs)
         for draws in (1, 2, 3, 7, 40):
-            monkeypatch.setattr(engine, "_CHUNK", draws)
+            monkeypatch.setattr(kernel, "CHUNK", draws)
+            seen.clear()
             assert _bits(_study_block((cfg, range(40)))) == _bits(whole)
+            assert {width for _, width in seen} == {1}
+            assert sum(tables for tables, _ in seen) == 40
+            assert max(tables for tables, _ in seen) == min(draws, pairs // 25, 40)
             report = run_study(cfg)
             reports.append((json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv()))
     assert all(report == reports[0] for report in reports)

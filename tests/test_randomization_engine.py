@@ -28,10 +28,11 @@ from paired_adjust import (
     substream,
     superpop_correct,
 )
+from paired_adjust import kernel
 from paired_adjust import randomization_engine as engine
 from paired_adjust.randomization_engine import _study_block, _summarize
 
-from conftest import make_sample
+from conftest import make_sample, record_sign_products
 from oracles import enumerate_oracle
 
 
@@ -262,28 +263,32 @@ class TestSummarize:
 
         monkeypatch.setattr(engine, "_sate_columns", counted_call)
         monkeypatch.setattr(engine, "_summarize", counted_summarize)
-        monkeypatch.setattr(engine, "_CHUNK", 40)
+        monkeypatch.setattr(kernel, "CHUNK", 40)
+        seen = record_sign_products(monkeypatch)
         cfg = StudyConfig(mode="sate", setting="nonparallel", n=12, samples=10,
                           randomizations=10, seed=105)
         cols = _study_block((cfg, range(10)))
         assert all(col.shape == (10,) for col in cols.values())
         assert calls["call"] == 3  # kernel calls of 4, 4 and 2 tables
+        assert seen == [(4, 10), (4, 10), (2, 10)]
         assert calls["summarize"] == [(4, 10)] * 6 + [(2, 10)] * 3
 
     def test_sate_study_whitens_each_slab_once(self, monkeypatch):
         shapes = []
-        whitened_of = engine._Whitened.of.__func__
+        whitened_of = kernel.Whitened.of.__func__
 
         def counted_of(cls, d, m):
             shapes.append(d.shape[0])
             return whitened_of(cls, d, m)
 
-        monkeypatch.setattr(engine._Whitened, "of", classmethod(counted_of))
-        monkeypatch.setattr(engine, "_CHUNK", 40)
+        monkeypatch.setattr(kernel.Whitened, "of", classmethod(counted_of))
+        monkeypatch.setattr(kernel, "CHUNK", 40)
+        seen = record_sign_products(monkeypatch)
         cfg = StudyConfig(mode="sate", setting="nonparallel", n=12, samples=10,
                           randomizations=10, seed=105)
         _study_block((cfg, range(10)))
         assert shapes == [10]  # one slab of all ten tables, for three kernel calls
+        assert seen == [(4, 10), (4, 10), (2, 10)]
 
 
 class TestRunMonteCarlo:

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from paired_adjust import kernel
 from paired_adjust import randomization_engine as engine
 from paired_adjust.cli import main
 from paired_adjust.dgp import PotentialOutcomeSample, generate_sample
@@ -20,6 +21,8 @@ from paired_adjust.errors import NonFiniteTransform
 from paired_adjust.experiment_model import TransformSpec
 from paired_adjust.randomization_engine import StudyConfig, _study_block, run_monte_carlo, run_study
 from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE, substream, substreams
+
+from conftest import record_sign_products
 
 T = TransformSpec
 
@@ -101,17 +104,24 @@ def test_rows_independent_of_block_and_call_size(monkeypatch):
     # One table per slab, three, all of a task. A grid budget of B + 1
     # draws gives one table per kernel call, 3B three and 10^6 all of
     # them. A budget of 7 or B - 1 gives one table per call too, whose
-    # draws _sign_stats cuts into chunks of 7 and 2, or of 29 and 1. BLAS
+    # draws sign_stats cuts into chunks of 7 and 2, or of 29 and 1. BLAS
     # may round a sign product differently in a narrower chunk, so there
-    # the rows are those of the reference under the same budget.
+    # the rows are those of the reference under the same budget. Every
+    # call's draws reach the kernel in chunks of the budget's widths.
+    seen = record_sign_products(monkeypatch)
     reports, rows = {}, {}
     for pairs in (30, 3 * 30, 10**6):
         monkeypatch.setattr(engine, "_STUDY_PAIRS", pairs)
         for draws in (7, 30 - 1, 30 + 1, 3 * 30, 10**6):
-            monkeypatch.setattr(engine, "_CHUNK", draws)
+            monkeypatch.setattr(kernel, "CHUNK", draws)
             if draws not in rows:
                 rows[draws] = _bits(whole) if draws > 30 else _reference(cfg)
+            seen.clear()
             assert _bits(_study_block((cfg, range(20)))) == rows[draws]
+            widths = [min(draws, 30 - lo) for lo in range(0, 30, draws)]
+            assert [width for _, width in seen] == widths * (len(seen) // len(widths))
+            assert sum(tables for tables, _ in seen) == 20 * len(widths)
+            assert max(tables for tables, _ in seen) == min(max(1, draws // 30), pairs // 30, 20)
             report = run_study(cfg)
             text = (json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv())
             reports.setdefault(min(draws, 31), set()).add(text)
@@ -154,7 +164,7 @@ def test_failing_transform_raises_what_the_first_table_raises_alone(monkeypatch)
     # Table 1 has a non-positive covariate, so log fails on it alone;
     # table 2 has one too large for exp. Over the stack, f = exp fails
     # first, on table 2; alone, table 1 gets through f and fails in g.
-    stacked_tables = engine._stacked_tables
+    stacked_tables = engine.stacked_tables
     block = []
 
     def crafted(normals, setting):
@@ -166,7 +176,7 @@ def test_failing_transform_raises_what_the_first_table_raises_alone(monkeypatch)
                 x[j, 0, 0, 1] = 1e3
         return w, r_t, r_c, x
 
-    monkeypatch.setattr(engine, "_stacked_tables", crafted)
+    monkeypatch.setattr(engine, "stacked_tables", crafted)
     cfg = _config(T.exp(), T.log(), samples=4)
     messages = []
     for idxs in ([1], [2], range(4)):

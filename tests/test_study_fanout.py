@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paired_adjust import kernel
 from paired_adjust import randomization_engine as engine
 from paired_adjust.cli import main
 from paired_adjust.errors import DimensionMismatch, RankDeficient
@@ -64,15 +65,15 @@ def test_shares_are_contiguous_and_near_equal():
 
 
 # Call sizes at a grid budget of 800 draws and at the kernel's own,
-# _CHUNK = 4096, where a slab of 50 tables at B = 200 is cut into calls
-# of 17, 17 and 16 tables.
+# kernel.CHUNK = 4096, where a slab of 50 tables at B = 200 is cut into
+# calls of 17, 17 and 16 tables.
 @pytest.mark.parametrize(
     "b,tables,size",
     [(200, 100, 4), (200, 10, 4), (200, 1, 1), (1000, 3, 1), (1, 2000, 250), (1, 1000, 250),
      (1, 256, 256), (1, 257, 129), (40, 10, 10), (80, 10, 10), (100, 10, 5)],
 )
 def test_kernel_calls_stay_within_draw_and_table_caps(monkeypatch, b, tables, size):
-    monkeypatch.setattr(engine, "_CHUNK", 800)
+    monkeypatch.setattr(kernel, "CHUNK", 800)
     cfg = StudyConfig(mode="sate", setting="nonparallel", n=25, samples=tables, randomizations=b)
     assert _call_size(cfg, tables) == size
 
@@ -96,7 +97,7 @@ def test_kernel_calls_take_the_grid_budget(b, tables, size):
      (1, 2000, 63, 63), (1, 64, 64, 64), (1, 65, 33, 33), (100, 200, 50, 8)],
 )
 def test_slabs_stay_within_pair_cap(monkeypatch, b, tables, slab, size):
-    monkeypatch.setattr(engine, "_CHUNK", 800)
+    monkeypatch.setattr(kernel, "CHUNK", 800)
     cfg = StudyConfig(mode="sate", setting="nonparallel", n=100, samples=tables, randomizations=b)
     assert _slab_size(cfg, tables) == slab
     assert _call_size(cfg, tables) == size
@@ -139,7 +140,7 @@ def _passes(config, samples):
         yield SimpleNamespace(idxs=idxs)
 
     with mock.patch.multiple(engine, _StudyStreams=Streams, _sate_columns=step, _slabs=slabs,
-                             _stacked_tables=lambda normals, setting: (None,) * 4):
+                             stacked_tables=lambda normals, setting: (None,) * 4):
         _study_block((config, range(samples)))
     return passes
 
@@ -147,7 +148,7 @@ def _passes(config, samples):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 400),
-    b=st.one_of(st.integers(1, 300), st.integers(1, 3 * engine._CHUNK)),
+    b=st.one_of(st.integers(1, 300), st.integers(1, 3 * kernel.CHUNK)),
     samples=st.integers(1, 500),
     pairs=st.integers(1, 20000),
 )
@@ -160,13 +161,13 @@ def test_every_pass_holds_tables_of_its_slab_within_the_grid_budget(n, b, sample
     for slab, part, read in passes:
         assert len(part) >= 1 and read == len(part)
         assert set(part) <= set(slab)
-        assert len(part) * b <= max(engine._CHUNK, b)
+        assert len(part) * b <= max(kernel.CHUNK, b)
         slabs.setdefault(slab, []).append(len(part))
     for slab, sizes in slabs.items():
         assert len(slab) <= max(1, pairs // n)
         # The fewest passes the budget allows, all but the last of one size,
         # the smallest size that count of passes can have.
-        most = max(1, engine._CHUNK // b)
+        most = max(1, kernel.CHUNK // b)
         assert len(sizes) == -(-len(slab) // most)
         assert set(sizes[:-1]) <= {sizes[0]} and sizes[-1] <= sizes[0]
         assert sizes[0] == -(-len(slab) // len(sizes))
