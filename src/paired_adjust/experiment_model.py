@@ -57,8 +57,8 @@ def strict_int(value: object) -> int:
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
-    """``a`` as a C-contiguous array that cannot be written; a contiguous ``a`` is frozen itself."""
-    out = np.ascontiguousarray(a)
+    """A C-contiguous copy of ``a`` that cannot be written; ``a`` itself stays as it was."""
+    out = np.array(a, order="C")
     out.setflags(write=False)
     return out
 

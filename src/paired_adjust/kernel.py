@@ -44,14 +44,13 @@ from .ols_core import RANK_RTOL, whiten
 # for any grid that fits in memory. A larger outcome is refused before
 # any arithmetic on it (see effects_and_gaps).
 _RESPONSE_LIMIT = 2.0**400
-# The kernel's grid budget: the assignments one matrix product of sign
-# products takes (see sign_stats), and in a study the draws one kernel
-# call takes in all, at least one table's B (see
-# ``randomization_engine._call_size``). A table whose draws are cut into
-# chunks may get other last bits than uncut, as BLAS may round a product
+# The kernel's grid budget: the draws one pass of sign_stats takes in
+# all, over at least one table, and the widest product of one table's
+# columns with its signs. A table whose draws are cut into chunks may
+# get other last bits than uncut, as BLAS may round a product
 # differently by its width, so every mode cuts a table's draws at the
-# same multiples of it. The engine reads it here, as ``kernel.CHUNK``,
-# so this is its one binding.
+# same multiples of it. Readers outside this module read it as
+# ``kernel.CHUNK``, so this is its one binding.
 CHUNK = 4096
 
 
@@ -203,6 +202,14 @@ class _TableColumns:
             w_centered=by_dc[1:, :, None],
             dc_sum=dc.sum(axis=-1, keepdims=True),
             squares=(by_dc[0] + by_gaps[kd])[:, None],
+        )
+
+    def __getitem__(self, rows: slice) -> "_TableColumns":
+        """The tables ``rows`` of the stack, as views."""
+        return _TableColumns(
+            self.blocks[rows], self.with_m, self.mean[rows], self.columns[rows],
+            self.dw_gaps[:, rows], self.w_sum[:, rows], self.w_centered[:, rows],
+            self.dc_sum[rows], self.squares[rows],
         )
 
 
@@ -371,15 +378,17 @@ def _masked(ok: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.where(ok, a, np.nan) for a in arrays)
 
 
-# The sign products of T tables: given their fixed columns (T, P, n)
-# (:class:`_TableColumns`) and a slice ``part`` of their B draws, the
-# (T, P, len(part)) products of the columns with those draws' signs.
-Times = Callable[[np.ndarray, slice], np.ndarray]
+# The sign products of T tables: given the fixed columns (T', P, n)
+# (:class:`_TableColumns`) of their tables ``rows`` and a slice ``part``
+# of those tables' B draws, the (T', P, len(part)) products of the
+# columns with those draws' signs. :func:`sign_stats` asks for its
+# tables in order, each pass's first part before its others.
+Times = Callable[[np.ndarray, slice, slice], np.ndarray]
 
 
 def times_of(signs: np.ndarray) -> Times:
     """The sign products of T tables whose B signs are the (T, B, n) array ``signs``."""
-    return lambda columns, part: columns @ signs[:, part].swapaxes(-1, -2)
+    return lambda columns, rows, part: columns @ signs[rows, part].swapaxes(-1, -2)
 
 
 def sign_stats(
@@ -396,24 +405,36 @@ def sign_stats(
     when only "C" is wanted; ``effects`` and ``gaps`` (T, n) come from
     :func:`effects_and_gaps`, and ``times`` gives the products of the
     tables' columns with their ``b`` signs each. Each table's fixed
-    columns are built once (:class:`_TableColumns`); the assignments
-    then go through :class:`_SignProducts` in chunks of ``CHUNK``, one
-    product each, and Y itself is never formed. Returns (T, b) arrays,
-    filled chunk by chunk, each table's values bit for bit those it gets
-    alone; singular fits are NaN.
+    columns are built once (:class:`_TableColumns`). The grid is then
+    cut into passes of whole tables in order: the fewest passes of at
+    most ``CHUNK`` draws in all (at least one table), all but the last
+    of ceil(T / ceil(T / max(1, CHUNK // b))) tables, the smallest size
+    that count of passes can have. A pass takes one product per part of
+    its draws, cut at multiples of ``CHUNK``, so only a lone table whose
+    b exceeds ``CHUNK`` has more than one; each part goes through
+    :class:`_SignProducts`, and Y itself is never formed. Returns (T, b)
+    arrays, filled pass by pass, each table's values bit for bit those
+    it gets alone; singular fits are NaN.
     """
     table = _TableColumns.of(blocks, effects, gaps, "R2" in want or "R2P" in want)
-    shape = (len(effects), b)
+    t = len(effects)
+    shape = (t, b)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for est in want:
         # R2P is R2 with another variance, so one array holds both estimates.
         shared = est == "R2P" and "R2" in out
         out[est] = (out["R2"][0] if shared else np.empty(shape), np.empty(shape))
-    for lo in range(0, b, CHUNK):
-        part = _SignProducts.of(table, times(table.columns, slice(lo, lo + CHUNK))).stats(want)
-        for est in want:
-            for whole, chunk in zip(out[est], part[est]):
-                whole[:, lo : lo + CHUNK] = chunk
+    passes = -(-t // max(1, CHUNK // b))
+    per_pass = -(-t // passes)
+    for lo in range(0, t, per_pass):
+        rows = slice(lo, min(lo + per_pass, t))
+        tables = table[rows]
+        for start in range(0, b, CHUNK):
+            part = slice(start, min(start + CHUNK, b))
+            stats = _SignProducts.of(tables, times(tables.columns, rows, part)).stats(want)
+            for est in want:
+                for whole, chunk in zip(out[est], stats[est]):
+                    whole[rows, part] = chunk
     return out
 
 
@@ -427,5 +448,5 @@ def intercept_denominators(d: np.ndarray, m: np.ndarray, signs: np.ndarray) -> n
     """
     zeros = np.zeros((1, d.shape[0]))
     table = _TableColumns.of(Whitened.of(d[None], m[None]), zeros, zeros, True)
-    products = _SignProducts.of(table, times_of(signs[None])(table.columns, slice(None)))
+    products = _SignProducts.of(table, times_of(signs[None])(table.columns, slice(None), slice(None)))
     return products.r2(corrected=False)[2][0]

@@ -23,11 +23,10 @@ sample index's normals and signs from its own substreams
 not depend on the signs once (:func:`_slabs`, :class:`_Slab`): the
 stacked outcomes and covariates in one pass, so no per-table sample
 object is built, then the blocks, their whitened bases and the effects
-and gaps. Its tables then meet their signs in kernel calls of at most
-``kernel.CHUNK`` draws, the grid budget of every mode, or of one table
-when its B is more (:func:`_call_size`); each call returns one column
-per metric (:func:`_sate_columns`, :func:`_pate_columns`). Those caps
-bound memory and do not depend on the worker count: :func:`run_study`
+and gaps. Its tables then meet their signs in one kernel call, which
+cuts them into passes by the kernel's grid budget and returns one
+column per metric (:func:`_sate_columns`, :func:`_pate_columns`). Those
+caps bound memory and do not depend on the worker count: :func:`run_study`
 gives each worker one contiguous, near-equal share of the sample
 indices, the calling process computing the first share and a process
 pool the rest. A sate study summarizes each table's B draws against its
@@ -72,24 +71,15 @@ from .kernel import Times, Whitened, effects_and_gaps, intercept_denominators, s
 from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substreams
 
 ENUMERATION_CAP = 16
-# A study cuts each worker's share into the fewest slabs and each slab
-# into the fewest kernel calls, all but the last of one size (see
-# _slab_size and _call_size). A slab builds the sign-independent part of
-# its tables once: their normals, covariates and blocks, the whitened
-# bases and the effects and gaps. _STUDY_PAIRS bounds the pairs it holds
-# (at least one table), so it bounds the memory of that build, about
-# 45 KB per table at n = 100 (64 tables), and the per-slab cost is paid
-# once for that many pairs. A kernel call takes all B draws of each of
-# its tables (B = 1 in a population study), at most kernel.CHUNK draws
-# unless one table's B is more, so the signs, sign products and summaries
-# held at once are about 0.6 MB per table at n = 100, B = 200. There, calls of
-# 17 tables rather than 4 (a budget of 800 draws) cut a warm operation
-# pinned to one CPU from about 90 to 82 ms: _summarize from 9 to 4 ms,
-# R1 and the fixed columns from 4.5 to 2 each. R2's elimination stays
-# near 18 ms: its arrays, about 1 MB a call, are faulted in afresh on
-# every call once nothing larger is freed, as glibc then trims its heap
-# after each call. A table's values depend on neither the slab nor the
-# call it is in.
+# A study cuts each worker's share into the fewest slabs, all but the
+# last of one size (see _slab_size), and makes one kernel call per slab.
+# A slab builds the sign-independent part of its tables once: their
+# normals, covariates and blocks, the whitened bases and the effects and
+# gaps. _STUDY_PAIRS bounds the pairs it holds (at least one table), so
+# it bounds the memory of that build, about 45 KB per table at n = 100
+# (64 tables), and the per-slab cost is paid once for that many pairs.
+# The kernel cuts the slab's signs into passes by its own grid budget.
+# A table's values depend neither on the slab nor on the pass it is in.
 _STUDY_PAIRS = 6400
 
 ESTIMATOR_IDS = ("C", "R1", "R2", "R2P")
@@ -481,7 +471,7 @@ class _StudyStreams:
     i)`` and its B = ``config.randomizations`` assignments from
     ``substream(seed, ROLE_ASSIGN, i)``. Each role is read on from the
     first index it has not read yet, so a study reads the normals of a
-    slab's tables at once and then their signs one kernel call at a
+    slab's tables at once and then their signs one kernel pass at a
     time. Row t of the normals is what :func:`generate_sample` draws
     from the same stream, drawn in place. The signs are read as
     ceil(B*n/2) raw words per index and decoded by
@@ -490,7 +480,7 @@ class _StudyStreams:
     draws. The streams are read through :func:`substreams`, which draws
     what those ``substream`` calls draw. Each role is opened once for
     the whole block, so its keys are hashed in one pass whatever the
-    slab and call sizes.
+    slab and pass sizes.
     """
 
     def __init__(self, config: StudyConfig, idxs: Sequence[int]) -> None:
@@ -515,7 +505,7 @@ class _StudyStreams:
         words it is decoded from. Both are allocated when a call asks for
         more indices than any before it, so a study allocates them once,
         for its first and largest group (see :meth:`times`), and does not
-        fault in fresh pages for every kernel call. The array stays valid
+        fault in fresh pages for every kernel pass. The array stays valid
         until the next call, which overwrites it.
         """
         if len(self._raw) < count:
@@ -526,45 +516,31 @@ class _StudyStreams:
             row[:] = rng.bit_generator.random_raw(self._words)
         return _signs_of_words(raw, self._signs[:count])
 
-    def times(self, count: int) -> Times:
-        """The sign products of the next ``count`` indices' tables, for :func:`sign_stats`.
+    def times(self, columns: np.ndarray, rows: slice, part: slice) -> np.ndarray:
+        """The sign products of the next ``len(columns)`` tables, as :data:`kernel.Times`.
 
-        Their signs are read by :meth:`signs` a group of tables at a time,
-        each group's product taken while its signs are still in cache: a
-        group holds at most ``kernel.CHUNK`` sign values, at least one
-        table, so one table at n = 100, B = 200 and 163 at n = 25, B = 1.
-        The tables are read when the first part of their draws is asked
-        for; only a lone table whose B exceeds ``kernel.CHUNK`` is asked
-        for more parts, which reuse its signs.
+        :func:`sign_stats` asks for its tables in order, so the streams
+        read on and ``rows`` only names the tables. Their signs are read
+        by :meth:`signs` a group of tables at a time, each group's
+        product taken while its signs are still in cache: a group holds
+        at most ``kernel.CHUNK`` sign values, at least one table, so one
+        table at n = 100, B = 200 and 163 at n = 25, B = 1. The tables
+        are read when the first part of their draws is asked for; only a
+        lone table whose B exceeds ``kernel.CHUNK`` is asked for more
+        parts, which reuse its signs.
         """
         group = max(1, kernel.CHUNK // (self._b * self._n))
-        signs = self._signs
-
-        def times(columns: np.ndarray, part: slice) -> np.ndarray:
-            nonlocal signs
-            out = np.empty(columns.shape[:2] + (len(range(self._b)[part]),))
-            for lo in range(0, count, group):
-                rows = slice(lo, min(lo + group, count))
-                if part.start == 0:
-                    signs = self.signs(rows.stop - lo)
-                np.matmul(columns[rows], signs[:, part].swapaxes(-1, -2), out=out[rows])
-            return out
-
-        return times
+        out = np.empty(columns.shape[:2] + (part.stop - part.start,))
+        for lo in range(0, len(columns), group):
+            tables = columns[lo : lo + group]
+            signs = self.signs(len(tables)) if part.start == 0 else self._signs[: len(tables)]
+            np.matmul(tables, signs[:, part].swapaxes(-1, -2), out=out[lo : lo + group])
+        return out
 
 
 def _split(count: int, parts: int) -> list[range]:
     """``range(count)`` cut into ``parts`` contiguous ranges whose lengths differ by at most one."""
     return [range(count * k // parts, count * (k + 1) // parts) for k in range(parts)]
-
-
-def _part_size(count: int, most: int) -> int:
-    """The part size when ``count`` is cut into the fewest parts of at most ``most``.
-
-    All parts but the last have this size.
-    """
-    parts = -(-count // most)
-    return -(-count // parts)
 
 
 def _slab_size(config: StudyConfig, tables: int) -> int:
@@ -574,20 +550,8 @@ def _slab_size(config: StudyConfig, tables: int) -> int:
     table each), all but the last of this size: 50 tables at n = 100 in
     a block of 100, and 250 at n = 25 in a block of 2000.
     """
-    return _part_size(tables, max(1, _STUDY_PAIRS // config.n))
-
-
-def _call_size(config: StudyConfig, tables: int) -> int:
-    """Tables per kernel call for a block of ``tables`` tables.
-
-    Each slab of :func:`_slab_size` tables is cut into the fewest calls
-    of at most ``kernel.CHUNK`` draws (at least one table each), all but
-    the last of this size: 17 tables at B = 200 in a slab of 50, and 250 at
-    B = 1 and n = 25 in a block of 2000, where each slab is one call.
-    Given a slab's own size, this is the call size within it.
-    """
-    most = max(1, kernel.CHUNK // config.randomizations)
-    return _part_size(_slab_size(config, tables), most)
+    slabs = -(-tables // max(1, _STUDY_PAIRS // config.n))
+    return -(-tables // slabs)
 
 
 def _concat(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -597,7 +561,7 @@ def _concat(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Slab:
-    """What the kernel calls of a slab of study tables share, built once.
+    """A slab of study tables: what does not depend on their signs, built once.
 
     Table j is sample ``idxs[j]`` of the study ``config``. ``blocks``
     are the tables' whitened d and m blocks and ``effects`` and
@@ -606,7 +570,7 @@ class _Slab:
     (T,), whether each table's m columns pass :func:`columns_centered`;
     a sate study does not. The covariates, the potential outcomes and
     the blocks themselves are not kept, so they are freed before the
-    first kernel call.
+    slab's kernel call.
     """
 
     config: StudyConfig
@@ -673,9 +637,9 @@ def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> dict[str, np.ndarra
     :func:`_slab_size` tables. A slab's tables are built as stacked
     arrays, bit for bit the tables :func:`generate_sample` draws from
     the same streams; the normals are dropped then, and the slab is
-    built once (:func:`_slabs`). Its tables meet their signs in kernel
-    calls of :func:`_call_size` tables, through :func:`_sate_columns` or
-    :func:`_pate_columns` by ``config.mode``.
+    built once (:func:`_slabs`). Its tables meet their signs in one
+    kernel call, through :func:`_sate_columns` or :func:`_pate_columns`
+    by ``config.mode``.
     """
     config, idxs = args
     streams = _StudyStreams(config, idxs)
@@ -688,26 +652,21 @@ def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> dict[str, np.ndarra
         slabs = _slabs(
             config, part, *stacked_tables(streams.normals(len(part)), config.setting)[1:]
         )
-        for slab in slabs:
-            per_call = _call_size(config, len(slab.idxs))
-            for c in range(0, len(slab.idxs), per_call):
-                rows = slice(c, c + per_call)
-                parts.append(step(slab, rows, streams.times(len(slab.idxs[rows]))))
+        parts += [step(slab, streams.times) for slab in slabs]
     return _concat(parts)
 
 
-def _sate_columns(slab: _Slab, rows: slice, times: Times) -> dict[str, np.ndarray]:
-    """In-sample metrics of the slab's tables ``rows`` over their B draws: one kernel call.
+def _sate_columns(slab: _Slab, times: Times) -> dict[str, np.ndarray]:
+    """In-sample metrics of the slab's tables over their B draws: one kernel call.
 
     The tables meet their B signs each, whose products ``times`` gives,
     together in :func:`sign_stats`, and each estimator's (T, B) grid is
     summarized in one call against each table's own average effect.
     Singular draws are left out of the summaries.
     """
-    effects = slab.effects[rows]
     b = slab.config.randomizations
-    stats = sign_stats(slab.blocks[rows], effects, slab.gaps[rows], times, b, ("C", "R1", "R2"))
-    sates = effects.mean(axis=-1)
+    stats = sign_stats(slab.blocks, slab.effects, slab.gaps, times, b, ("C", "R1", "R2"))
+    sates = slab.effects.mean(axis=-1)
     c, r1, r2 = (_summarize(tau, s2, sates, slab.config.alpha) for tau, s2 in stats.values())
     return {
         "coverage_C": c.coverage,
@@ -721,8 +680,8 @@ def _sate_columns(slab: _Slab, rows: slice, times: Times) -> dict[str, np.ndarra
     }
 
 
-def _pate_columns(slab: _Slab, rows: slice, times: Times) -> dict[str, np.ndarray]:
-    """Estimates and standard errors of the slab's tables ``rows``, one draw each: one kernel call.
+def _pate_columns(slab: _Slab, times: Times) -> dict[str, np.ndarray]:
+    """Estimates and standard errors of the slab's tables, one draw each: one kernel call.
 
     Every estimate, the mean's too, comes from :func:`sign_stats` on
     the effects and gaps under one draw per table, whose products
@@ -733,21 +692,16 @@ def _pate_columns(slab: _Slab, rows: slice, times: Times) -> dict[str, np.ndarra
     naming the sample, when its R1 or R2P fit is singular under the
     kernel's pivot tests, the same rank decision as in the other modes.
     """
-    effects, gaps = slab.effects[rows], slab.gaps[rows]
-    stats = {
-        est: (tau[:, 0], s2[:, 0])
-        for est, (tau, s2) in sign_stats(
-            slab.blocks[rows], effects, gaps, times, 1, ("C", "R1", "R2", "R2P")
-        ).items()
-    }
-    centered = slab.centered[rows]
+    grids = sign_stats(slab.blocks, slab.effects, slab.gaps, times, 1, ("C", "R1", "R2", "R2P"))
+    stats = {est: (tau[:, 0], s2[:, 0]) for est, (tau, s2) in grids.items()}
+    centered = slab.centered
     full_rank = np.isfinite(stats["R1"][1]) & np.isfinite(stats["R2P"][1])
     bad = np.flatnonzero(~(centered & full_rank))
     if bad.size:
         j = bad[0]
         if not centered[j]:
             raise DimensionMismatch("m columns must sum to zero across pairs")
-        raise RankDeficient(f"sample {slab.idxs[rows][j]}: the regression design is rank deficient")
+        raise RankDeficient(f"sample {slab.idxs[j]}: the regression design is rank deficient")
     return {
         "tau_C": stats["C"][0],
         "se_C": np.sqrt(stats["C"][1]),

@@ -75,25 +75,23 @@ def first_appearance(layout) -> list[int]:
     return list(dict.fromkeys(line[0] for line in layout if isinstance(line, tuple)))
 
 
-def record_sign_products(monkeypatch) -> list[tuple[int, int]]:
+def record_sign_products(monkeypatch) -> list[tuple[range, int]]:
     """(tables, draws) of every sign product a study's kernel calls ask for, in order.
 
     The products are those of ``_StudyStreams.times``, so each entry is
-    one chunk that ``kernel.sign_stats`` cut: a patched grid budget that
-    does not reach the kernel shows here as chunks of the wrong width.
+    one part of one pass that ``kernel.sign_stats`` cut: the range of
+    the call's tables and the width of the part. A patched grid budget
+    that does not reach the kernel shows here as parts of the wrong
+    width.
     """
-    seen: list[tuple[int, int]] = []
+    seen: list[tuple[range, int]] = []
     times = _StudyStreams.times
 
-    def recording_times(self, count):
-        inner = times(self, count)
-
-        def recorded(columns, part):
-            out = inner(columns, part)
-            seen.append((out.shape[0], out.shape[-1]))
-            return out
-
-        return recorded
+    def recording_times(self, columns, rows, part):
+        out = times(self, columns, rows, part)
+        assert out.shape[0] == len(range(rows.start, rows.stop))
+        seen.append((range(rows.start, rows.stop), out.shape[-1]))
+        return out
 
     monkeypatch.setattr(_StudyStreams, "times", recording_times)
     return seen

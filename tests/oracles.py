@@ -98,6 +98,37 @@ def r2_oracle(d: np.ndarray, m: np.ndarray, v: np.ndarray, y: np.ndarray):
     return float(tau), float(s2), beta_m
 
 
+def _residual_share(a: np.ndarray, col: np.ndarray) -> float:
+    """||(I - H_a) col||^2 / ||col||^2, by least squares on a's columns scaled to a largest entry of 1."""
+    if a.shape[1] == 0:
+        return 1.0
+    a = a / np.abs(a).max(axis=0)
+    resid = col - a @ np.linalg.lstsq(a, col, rcond=None)[0]
+    return float(resid @ resid) / max(float(col @ col), np.finfo(float).tiny)
+
+
+def singular_oracle(d: np.ndarray, m: np.ndarray, v: np.ndarray, rtol: float = 1e-10) -> bool:
+    """Whether the pivot rule calls the intercept design [1 | v*d | m] singular, column by column.
+
+    Each column of d, then of m, must keep more than ``rtol`` of its
+    squared norm once the earlier columns of its block are projected
+    out; each v*d_j must keep more than ``rtol`` times what d_j kept,
+    once m and v*d_1..v*d_{j-1} are projected out; and e'(I - H)e must
+    exceed ``rtol`` * n, with H the projection onto [v*d | m]. R1's
+    design is the one with m of zero columns.
+    """
+    shares = [
+        _residual_share(block[:, :j], block[:, j]) for block in (d, m) for j in range(block.shape[1])
+    ]
+    vd = v[:, None] * d
+    shares += [
+        _residual_share(np.hstack([m, vd[:, :j]]), vd[:, j]) / _residual_share(d[:, :j], d[:, j])
+        for j in range(d.shape[1])
+    ]
+    shares.append(_residual_share(np.hstack([vd, m]), np.ones(len(v))))
+    return min(shares) <= rtol
+
+
 def superpop_oracle(m: np.ndarray, beta_m: np.ndarray, s2: float) -> float:
     n = m.shape[0]
     sigma = m.T @ m / (n - 1)

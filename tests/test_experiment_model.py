@@ -14,6 +14,7 @@ from paired_adjust import (
     NumericalError,
     PairedExperiment,
     PairViolation,
+    PotentialOutcomeSample,
     RankDeficient,
     TooFewPairs,
     TransformSpec,
@@ -394,6 +395,35 @@ class TestDesignMatricesType:
                 v=np.ones(4),
                 y=rng.standard_normal(4),
             )
+
+
+def _instances(rng):
+    """(constructor, its array arguments) for each frozen-array type, from fresh C-contiguous arrays."""
+    n = 8
+    m = rng.standard_normal((n, 1))
+    z = np.zeros((n, 2), dtype=int)
+    z[:, 0] = 1
+    return [
+        (PotentialOutcomeSample, dict(r_t=rng.standard_normal((n, 2)), r_c=rng.standard_normal((n, 2)),
+                                      w=rng.standard_normal((n, 2, 4)), x=rng.standard_normal((n, 2, 4)))),
+        (PairedExperiment, dict(x=rng.standard_normal((n, 2, 3)), z=z, y=rng.standard_normal((n, 2)))),
+        (DesignMatrices, dict(d=rng.standard_normal((n, 2)), m=m - m.mean(axis=0),
+                              v=np.where(rng.random(n) < 0.5, -1.0, 1.0), y=rng.standard_normal(n))),
+    ]
+
+
+@pytest.mark.parametrize("kind", range(3), ids=["PotentialOutcomeSample", "PairedExperiment",
+                                                 "DesignMatrices"])
+def test_instances_freeze_copies_not_the_callers_arrays(rng, kind):
+    cls, arrays = _instances(rng)[kind]
+    inst = cls(**arrays)
+    for name, given in arrays.items():
+        held = getattr(inst, name)
+        assert given.flags.writeable, name
+        assert not held.flags.writeable, name
+        before = held.copy()
+        given[...] = 0 if given.dtype == int else 7.0
+        assert np.array_equal(held, before), name
 
 
 @st.composite

@@ -225,7 +225,7 @@ def test_study_columns_invariant_to_pair_order_and_unit_swap(mode, transforms, n
 
     def columns(r_t, r_c, x, signs):
         """The study columns of the three tables, as one slab and one kernel call."""
-        return step(_Slab.of(cfg, range(3), r_t, r_c, x), slice(None), times_of(signs))
+        return step(_Slab.of(cfg, range(3), r_t, r_c, x), times_of(signs))
 
     base = columns(r_t, r_c, x, signs)
 

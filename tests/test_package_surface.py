@@ -8,7 +8,11 @@ check under the harness's tracer. The package itself must import
 without scipy, which only the test oracles use, and importing the CLI
 must not build its argument parser. No module reaches for another
 module's private name, and the kernel module stands on ``errors`` and
-``ols_core`` alone, so every other module may import it.
+``ols_core`` alone, so every other module may import it. The kernel
+alone cuts a grid of tables by draws into passes: outside it, its grid
+budget ``CHUNK`` sizes only the groups in which a study reads its
+signs, and the engine calls ``sign_stats`` outside any loop, on whole
+slabs rather than on row slices of them.
 """
 
 import ast
@@ -166,3 +170,58 @@ def test_importing_the_kernel_loads_neither_engine_nor_estimators():
     assert "paired_adjust.randomization_engine" not in loaded
     assert "paired_adjust.estimators" not in loaded
     assert loaded == ["paired_adjust.errors", "paired_adjust.kernel", "paired_adjust.ols_core"]
+
+
+def _functions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Every function of a module by qualified name (``Class.method`` for a method)."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef):
+                    found[name] = child
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_sign_read_group_reads_the_grid_budget_outside_the_kernel():
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "kernel.py":
+            continue
+        for name, fn in _functions(_module(path)).items():
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Attribute) and node.attr == "CHUNK") or (
+                    isinstance(node, ast.Name) and node.id == "CHUNK"
+                ):
+                    readers.add(f"{path.stem}.{name}")
+    assert readers == {"randomization_engine._StudyStreams.times"}
+
+
+def test_engine_calls_the_kernel_once_per_slab_without_row_slices():
+    functions = _functions(_module(PACKAGE / "randomization_engine.py"))
+    taking_rows = {name for name, fn in functions.items()
+                   if "rows" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]}
+    # The sign products the kernel asks for, whose signature is kernel.Times.
+    assert taking_rows == {"_StudyStreams.times"}
+    assert [a.arg for a in functions["_StudyStreams.times"].args.args] == [
+        "self", "columns", "rows", "part"
+    ]
+    callers = []
+    loops = (ast.For, ast.While, ast.comprehension)
+    for name, fn in functions.items():
+        parents = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sign_stats":
+                callers.append(name)
+                up = parents.get(node)
+                while up is not None:
+                    assert not isinstance(up, loops), f"{name} calls sign_stats in a loop"
+                    up = parents.get(up)
+    assert sorted(callers) == ["_pate_columns", "_sate_columns", "_table_stats"]

@@ -104,7 +104,7 @@ def _columns(samples, signs, f, g):
                       samples=len(samples), f=f, g=g)
     parts = []
     for slab in _slabs(cfg, range(len(samples)), *_stack(samples)):
-        parts.append(_pate_columns(slab, slice(None), times_of(signs[slab.idxs, None])))
+        parts.append(_pate_columns(slab, times_of(signs[slab.idxs, None])))
     return _joined(parts)
 
 
@@ -169,7 +169,7 @@ def test_rows_independent_of_block_size(monkeypatch):
     assert _bits(ones) == _bits(whole) == _bits(sevens)
 
     # run_study's one share here holds all 40 tables: a grid budget of
-    # three draws cuts it into 13 kernel calls of 3 and one of 1. A slab
+    # three draws cuts it into 13 kernel passes of 3 and one of 1. A slab
     # holds one table, three tables or all of them. Each table has one
     # draw, so every chunk the kernel gets is one draw wide, and the
     # widest call holds as many tables as the budget and the slab allow.
@@ -182,8 +182,8 @@ def test_rows_independent_of_block_size(monkeypatch):
             seen.clear()
             assert _bits(_study_block((cfg, range(40)))) == _bits(whole)
             assert {width for _, width in seen} == {1}
-            assert sum(tables for tables, _ in seen) == 40
-            assert max(tables for tables, _ in seen) == min(draws, pairs // 25, 40)
+            assert sum(len(tables) for tables, _ in seen) == 40
+            assert max(len(tables) for tables, _ in seen) == min(draws, pairs // 25, 40)
             report = run_study(cfg)
             reports.append((json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv()))
     assert all(report == reports[0] for report in reports)

@@ -249,19 +249,19 @@ class TestSummarize:
             assert type(getattr(summ, name)) is float, name
         assert type(summ.errors) is int and summ.errors == 1
 
-    def test_sate_study_summarizes_each_estimator_once_per_kernel_call(self, monkeypatch):
-        calls = {"call": 0, "summarize": []}
+    def test_sate_study_summarizes_estimators_once_per_slab(self, monkeypatch):
+        calls = {"slab": 0, "summarize": []}
         sate_columns, summarize = engine._sate_columns, engine._summarize
 
-        def counted_call(*args, **kwargs):
-            calls["call"] += 1
+        def counted_slab(*args, **kwargs):
+            calls["slab"] += 1
             return sate_columns(*args, **kwargs)
 
         def counted_summarize(tau, *args):
             calls["summarize"].append(tau.shape)
             return summarize(tau, *args)
 
-        monkeypatch.setattr(engine, "_sate_columns", counted_call)
+        monkeypatch.setattr(engine, "_sate_columns", counted_slab)
         monkeypatch.setattr(engine, "_summarize", counted_summarize)
         monkeypatch.setattr(kernel, "CHUNK", 40)
         seen = record_sign_products(monkeypatch)
@@ -269,9 +269,9 @@ class TestSummarize:
                           randomizations=10, seed=105)
         cols = _study_block((cfg, range(10)))
         assert all(col.shape == (10,) for col in cols.values())
-        assert calls["call"] == 3  # kernel calls of 4, 4 and 2 tables
-        assert seen == [(4, 10), (4, 10), (2, 10)]
-        assert calls["summarize"] == [(4, 10)] * 6 + [(2, 10)] * 3
+        assert calls["slab"] == 1
+        assert seen == [(range(0, 4), 10), (range(4, 8), 10), (range(8, 10), 10)]
+        assert calls["summarize"] == [(10, 10)] * 3
 
     def test_sate_study_whitens_each_slab_once(self, monkeypatch):
         shapes = []
@@ -287,8 +287,8 @@ class TestSummarize:
         cfg = StudyConfig(mode="sate", setting="nonparallel", n=12, samples=10,
                           randomizations=10, seed=105)
         _study_block((cfg, range(10)))
-        assert shapes == [10]  # one slab of all ten tables, for three kernel calls
-        assert seen == [(4, 10), (4, 10), (2, 10)]
+        assert shapes == [10]  # one slab of all ten tables, for three kernel passes
+        assert seen == [(range(0, 4), 10), (range(4, 8), 10), (range(8, 10), 10)]
 
 
 class TestRunMonteCarlo:

@@ -4,7 +4,10 @@ Reports must not depend on the worker count, whatever the share sizes;
 a failing study must raise what one worker raises, for the first
 failing sample in index order, whichever share holds it; and
 ``--workers k`` must start k - 1 processes, all ended when
-:func:`run_study` returns or raises.
+:func:`run_study` returns or raises. Within a share, the tables are cut
+into slabs by the engine and each slab's one kernel call into passes
+by ``kernel.sign_stats``, which the tests here read through the
+``times`` products it asks for.
 """
 
 import concurrent.futures
@@ -22,9 +25,9 @@ from paired_adjust import randomization_engine as engine
 from paired_adjust.cli import main
 from paired_adjust.errors import DimensionMismatch, RankDeficient
 from paired_adjust.experiment_model import TransformSpec as T
+from paired_adjust.kernel import Whitened, sign_stats, times_of
 from paired_adjust.randomization_engine import (
     StudyConfig,
-    _call_size,
     _slab_size,
     _split,
     _study_block,
@@ -64,9 +67,36 @@ def test_shares_are_contiguous_and_near_equal():
             assert max(map(len, shares)) - min(map(len, shares)) <= 1
 
 
-# Call sizes at a grid budget of 800 draws and at the kernel's own,
-# kernel.CHUNK = 4096, where a slab of 50 tables at B = 200 is cut into
-# calls of 17, 17 and 16 tables.
+def _pass_sizes(tables, b):
+    """Tables per pass when :func:`sign_stats` takes ``tables`` tables of ``b`` draws each.
+
+    The tables have no covariates and only the mean is fitted, and the
+    recording ``times`` gives zero products, so any size runs at once.
+    """
+    sizes = []
+
+    def times(columns, rows, part):
+        if part.start == 0:
+            sizes.append(len(columns))
+        return np.zeros(columns.shape[:2] + (part.stop - part.start,))
+
+    zeros = np.zeros((tables, 3))
+    blocks = Whitened.of(np.empty((tables, 3, 0)), np.empty((tables, 3, 0)))
+    sign_stats(blocks, zeros, zeros, times, b, ("C",))
+    return sizes
+
+
+def _study_pass_size(b, tables, n):
+    """Slab and first pass sizes of a sate study block of ``tables`` tables at ``b`` draws, pairs ``n``."""
+    cfg = StudyConfig(mode="sate", setting="nonparallel", n=n, samples=tables, randomizations=b)
+    slab = _slab_size(cfg, tables)
+    return slab, _pass_sizes(slab, b)[0]
+
+
+# A block is cut into slabs by _slab_size, and each slab's one kernel
+# call into passes by sign_stats. First pass sizes at a grid budget of
+# 800 draws and at the kernel's own, kernel.CHUNK = 4096, where a slab
+# of 50 tables at B = 200 is cut into passes of 17, 17 and 16 tables.
 @pytest.mark.parametrize(
     "b,tables,size",
     [(200, 100, 4), (200, 10, 4), (200, 1, 1), (1000, 3, 1), (1, 2000, 250), (1, 1000, 250),
@@ -74,8 +104,7 @@ def test_shares_are_contiguous_and_near_equal():
 )
 def test_kernel_calls_stay_within_draw_and_table_caps(monkeypatch, b, tables, size):
     monkeypatch.setattr(kernel, "CHUNK", 800)
-    cfg = StudyConfig(mode="sate", setting="nonparallel", n=25, samples=tables, randomizations=b)
-    assert _call_size(cfg, tables) == size
+    assert _study_pass_size(b, tables, 25)[1] == size
 
 
 @pytest.mark.parametrize(
@@ -85,12 +114,11 @@ def test_kernel_calls_stay_within_draw_and_table_caps(monkeypatch, b, tables, si
      (100, 100, 34)],
 )
 def test_kernel_calls_take_the_grid_budget(b, tables, size):
-    cfg = StudyConfig(mode="sate", setting="nonparallel", n=25, samples=tables, randomizations=b)
-    assert _call_size(cfg, tables) == size
+    assert _study_pass_size(b, tables, 25)[1] == size
 
 
 # At n = 100 a slab holds at most 64 tables, so a block is cut into
-# slabs first and each slab into kernel calls.
+# slabs first and each slab into kernel passes.
 @pytest.mark.parametrize(
     "b,tables,slab,size",
     [(200, 100, 50, 4), (200, 64, 64, 4), (200, 65, 33, 4), (200, 1, 1, 1),
@@ -98,9 +126,7 @@ def test_kernel_calls_take_the_grid_budget(b, tables, size):
 )
 def test_slabs_stay_within_pair_cap(monkeypatch, b, tables, slab, size):
     monkeypatch.setattr(kernel, "CHUNK", 800)
-    cfg = StudyConfig(mode="sate", setting="nonparallel", n=100, samples=tables, randomizations=b)
-    assert _slab_size(cfg, tables) == slab
-    assert _call_size(cfg, tables) == size
+    assert _study_pass_size(b, tables, 100) == (slab, size)
 
 
 @pytest.mark.parametrize(
@@ -109,32 +135,27 @@ def test_slabs_stay_within_pair_cap(monkeypatch, b, tables, slab, size):
      (200, 1, 1, 1), (1, 2000, 63, 63), (100, 200, 50, 25), (5000, 100, 50, 1)],
 )
 def test_slab_calls_take_the_grid_budget(b, tables, slab, size):
-    cfg = StudyConfig(mode="sate", setting="nonparallel", n=100, samples=tables, randomizations=b)
-    assert _slab_size(cfg, tables) == slab
-    assert _call_size(cfg, tables) == size
+    assert _study_pass_size(b, tables, 100) == (slab, size)
 
 
-def _passes(config, samples):
-    """The kernel calls of ``_study_block`` over ``range(samples)``, as (slab, pass, tables read).
+def _slabs_of(config, samples):
+    """The slabs of ``_study_block`` over ``range(samples)``, one index sequence per kernel call.
 
     Streams, tables and slabs are stand-ins that only carry the indices,
     so any size runs at once.
     """
     class Streams:
         def __init__(self, config, idxs):
-            pass
+            self.times = object()
 
         def normals(self, count):
             return None
 
-        def times(self, count):
-            return count
+    calls = []
 
-    passes = []
-
-    def step(slab, rows, times):
-        passes.append((slab.idxs, slab.idxs[rows], times))
-        return {"rows": np.zeros(len(slab.idxs[rows]))}
+    def step(slab, times):
+        calls.append(slab.idxs)
+        return {"rows": np.zeros(len(slab.idxs))}
 
     def slabs(config, idxs, *tables):
         yield SimpleNamespace(idxs=idxs)
@@ -142,35 +163,73 @@ def _passes(config, samples):
     with mock.patch.multiple(engine, _StudyStreams=Streams, _sate_columns=step, _slabs=slabs,
                              stacked_tables=lambda normals, setting: (None,) * 4):
         _study_block((config, range(samples)))
-    return passes
+    return calls
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    n=st.integers(1, 400),
-    b=st.one_of(st.integers(1, 300), st.integers(1, 3 * kernel.CHUNK)),
-    samples=st.integers(1, 500),
-    pairs=st.integers(1, 20000),
-)
-def test_every_pass_holds_tables_of_its_slab_within_the_grid_budget(n, b, samples, pairs):
-    cfg = StudyConfig(mode="sate", setting="nonparallel", n=n, samples=samples, randomizations=b)
+@given(n=st.integers(1, 400), samples=st.integers(1, 500), pairs=st.integers(1, 20000))
+def test_slabs_cover_the_share_in_order_within_the_pair_cap(n, samples, pairs):
+    cfg = StudyConfig(mode="sate", setting="nonparallel", n=n, samples=samples)
     with mock.patch.object(engine, "_STUDY_PAIRS", pairs):
-        passes = _passes(cfg, samples)
-    assert [i for _, part, _ in passes for i in part] == list(range(samples))
-    slabs = {}
-    for slab, part, read in passes:
-        assert len(part) >= 1 and read == len(part)
-        assert set(part) <= set(slab)
-        assert len(part) * b <= max(kernel.CHUNK, b)
-        slabs.setdefault(slab, []).append(len(part))
-    for slab, sizes in slabs.items():
-        assert len(slab) <= max(1, pairs // n)
-        # The fewest passes the budget allows, all but the last of one size,
-        # the smallest size that count of passes can have.
-        most = max(1, kernel.CHUNK // b)
-        assert len(sizes) == -(-len(slab) // most)
-        assert set(sizes[:-1]) <= {sizes[0]} and sizes[-1] <= sizes[0]
-        assert sizes[0] == -(-len(slab) // len(sizes))
+        slabs = _slabs_of(cfg, samples)
+    assert [i for slab in slabs for i in slab] == list(range(samples))
+    sizes = [len(slab) for slab in slabs]
+    most = max(1, pairs // n)
+    assert max(sizes) <= most and len(sizes) == -(-samples // most)
+    assert set(sizes[:-1]) <= {sizes[0]} and 1 <= sizes[-1] <= sizes[0]
+    assert sizes[0] == -(-samples // len(sizes))
+
+
+@st.composite
+def _grids(draw):
+    """(blocks, effects, gaps, signs) of a random grid of T small tables by B draws."""
+    t, n, b = draw(st.integers(1, 12)), draw(st.integers(4, 7)), draw(st.integers(1, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, m = rng.standard_normal((2, t, n, 1))
+    signs = 2.0 * rng.integers(0, 2, size=(t, b, n)) - 1.0
+    effects, gaps = rng.standard_normal((2, t, n))
+    return Whitened.of(d, m), effects, gaps, signs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(grid=_grids(), chunk=st.integers(1, 40))
+def test_every_pass_holds_tables_of_its_slab_within_the_grid_budget(grid, chunk):
+    # sign_stats cuts a slab's T tables by B draws into passes of whole
+    # tables, read here through a recording Times: the fewest passes of
+    # at most CHUNK draws (one table at least), all but the last of the
+    # smallest size that count of passes can have, each table's draws
+    # cut at multiples of CHUNK, and every value bit for bit what the
+    # table gets alone.
+    blocks, effects, gaps, signs = grid
+    t, b, _ = signs.shape
+    want = ("C", "R1", "R2", "R2P")
+    passes = []
+
+    def recording(columns, rows, part):
+        if part.start == 0:
+            passes.append((range(rows.start, rows.stop), []))
+        passes[-1][1].append(range(part.start, part.stop))
+        assert len(columns) == len(passes[-1][0])
+        return times_of(signs)(columns, rows, part)
+
+    with mock.patch.object(kernel, "CHUNK", chunk):
+        stacked = sign_stats(blocks, effects, gaps, recording, b, want)
+        alone = [
+            sign_stats(blocks[j : j + 1], effects[j : j + 1], gaps[j : j + 1],
+                       times_of(signs[j : j + 1]), b, want)
+            for j in range(t)
+        ]
+    assert [j for rows, _ in passes for j in rows] == list(range(t))
+    sizes = [len(rows) for rows, _ in passes]
+    assert all(size * b <= max(chunk, b) for size in sizes)
+    assert len(sizes) == -(-t // max(1, chunk // b))
+    assert set(sizes[:-1]) <= {sizes[0]} and 1 <= sizes[-1] <= sizes[0]
+    assert sizes[0] == -(-t // len(sizes))
+    cuts = [range(lo, min(lo + chunk, b)) for lo in range(0, b, chunk)]
+    assert all(parts == cuts for _, parts in passes)
+    for est in want:
+        for whole, ones in zip(stacked[est], zip(*(one[est] for one in alone))):
+            assert whole.tobytes() == np.concatenate(ones).tobytes(), est
 
 
 # At --n 25 under exp/exp, seed 23 gives RankDeficient for sample 0 and
