@@ -204,7 +204,7 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
         "g": _transform(_AVGS, TransformSpec.identity(), "identity"),
         "alpha": _ALPHA,
         "seed": _Option(_as_seed, _SEED_HELP + " (default 0)", 0),
-        "workers": _Option(_as_count, "process count (default: CPUs this process may run on)"),
+        "workers": _Option(_as_count, "worker thread count (default: CPUs this process may run on)"),
         "out": _OUT,
         "csv": _Option(str, "also write the metric table as CSV here"),
     },

@@ -36,7 +36,7 @@ from .ols_core import (
 FLAVORS = ("classical", "HC2", "HC3")
 # The standard library's quantile (Wichura's AS 241) rather than
 # scipy.special.ndtri: importing scipy.special costs about 70 ms and 4 MB
-# in every process, including each worker of a study's process pool.
+# in every process that imports the package.
 _STANDARD_NORMAL = NormalDist()
 
 

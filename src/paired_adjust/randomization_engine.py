@@ -14,35 +14,34 @@ estimators under that randomness three ways:
 
 Every fit comes from the batched kernel's one entry point,
 ``kernel.sign_stats``, on a grid of tables by signs: one table by all
-2^n codes or by B draws (:func:`_table_stats`), or blocks of tables by
-their B draws each (studies, with B = 1 in a pate study). Both study
-modes go through one block path, :func:`_study_block`. It reads each
-sample index's normals and signs from its own substreams
-(:class:`_StudyStreams`) and cuts its indices into slabs of at most
-``_STUDY_PAIRS`` pairs (:func:`_slab_size`). A slab builds what does
-not depend on the signs once (:func:`_slabs`, :class:`_Slab`): the
-stacked outcomes and covariates in one pass, so no per-table sample
-object is built, then the blocks, their whitened bases and the effects
-and gaps. Its tables then meet their signs in one kernel call, which
-cuts them into passes by the kernel's grid budget and returns one
-column per metric (:func:`_sate_columns`, :func:`_pate_columns`). Those
-caps bound memory and do not depend on the worker count: :func:`run_study`
-gives each worker one contiguous, near-equal share of the sample
-indices, the calling process computing the first share and a process
-pool the rest. A sate study summarizes each table's B draws against its
-own average effect, each estimator's (T, B) grid in one
-:func:`_summarize` call; a pate study keeps its one draw per table and
-checks that each table's m columns are centered. Every entry point
-first asks ``experiment_model.design_estimators`` which estimators the
-design allows, and every mode makes the same rank decision, the
-kernel's pivot tests; a pate study raises for the first sample, in
-index order, that fails them.
+2^n codes or by B draws (:func:`_table_stats`), or slabs of tables by
+their B draws each (studies, with B = 1 in a pate study). :func:`run_study`
+cuts the sample indices once into contiguous slabs of at most
+``_STUDY_PAIRS`` pairs and computes them on a pool of threads. Both
+study modes go through one slab path, :func:`_study_block`. It reads
+each sample index's normals and signs from its own substreams
+(:class:`_StudyStreams`) and builds what does not depend on the signs
+once (:func:`_slabs`, :class:`_Slab`): the stacked outcomes and
+covariates in one pass, so no per-table sample object is built, then
+the blocks, their whitened bases and the effects and gaps. The slab's
+tables then meet their signs in one kernel call, which cuts them into
+passes by the kernel's grid budget and returns one column per metric
+(:func:`_sate_columns`, :func:`_pate_columns`). A sate study
+summarizes each table's B draws against its own average effect, each
+estimator's (T, B) grid in one :func:`_summarize` call; a pate study
+keeps its one draw per table and checks that each table's m columns
+are centered. Every entry point first asks
+``experiment_model.design_estimators`` which estimators the design
+allows, and every mode makes the same rank decision, the kernel's pivot
+tests; a pate study raises for the first sample, in index order, that
+fails them.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -71,15 +70,15 @@ from .kernel import Times, Whitened, effects_and_gaps, intercept_denominators, s
 from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substreams
 
 ENUMERATION_CAP = 16
-# A study cuts each worker's share into the fewest slabs, all but the
-# last of one size (see _slab_size), and makes one kernel call per slab.
-# A slab builds the sign-independent part of its tables once: their
-# normals, covariates and blocks, the whitened bases and the effects and
-# gaps. _STUDY_PAIRS bounds the pairs it holds (at least one table), so
-# it bounds the memory of that build, about 45 KB per table at n = 100
-# (64 tables), and the per-slab cost is paid once for that many pairs.
-# The kernel cuts the slab's signs into passes by its own grid budget.
-# A table's values depend neither on the slab nor on the pass it is in.
+# A study cuts its sample indices into slabs (see run_study) and makes
+# one kernel call per slab. A slab builds the sign-independent part of
+# its tables once: their normals, covariates and blocks, the whitened
+# bases and the effects and gaps. _STUDY_PAIRS bounds the pairs it holds
+# (at least one table), so it bounds the memory of that build, about
+# 45 KB per table at n = 100 (64 tables), and the per-slab cost is paid
+# once for that many pairs. The kernel cuts the slab's signs into passes
+# by its own grid budget. A table's values depend neither on the slab
+# nor on the pass it is in.
 _STUDY_PAIRS = 6400
 
 ESTIMATOR_IDS = ("C", "R1", "R2", "R2P")
@@ -465,22 +464,22 @@ def _validate_config(config: StudyConfig) -> StudyConfig:
 
 
 class _StudyStreams:
-    """The sample and assignment streams of a block of sample indices, read in order.
+    """The sample and assignment streams of a slab's sample indices, read in order.
 
     Index i draws its table's normals from ``substream(seed, ROLE_SAMPLE,
     i)`` and its B = ``config.randomizations`` assignments from
     ``substream(seed, ROLE_ASSIGN, i)``. Each role is read on from the
-    first index it has not read yet, so a study reads the normals of a
-    slab's tables at once and then their signs one kernel pass at a
-    time. Row t of the normals is what :func:`generate_sample` draws
-    from the same stream, drawn in place. The signs are read as
+    first index it has not read yet, so a slab reads the normals of its
+    tables at once and then their signs one kernel pass at a time. Row
+    t of the normals is what :func:`generate_sample` draws from the
+    same stream, drawn in place. The signs are read as
     ceil(B*n/2) raw words per index and decoded by
     :func:`_signs_of_words`, a group of tables at a time (:meth:`times`),
     bit for bit what ``randomize(n, substream(seed, ROLE_ASSIGN, i), B)``
     draws. The streams are read through :func:`substreams`, which draws
     what those ``substream`` calls draw. Each role is opened once for
-    the whole block, so its keys are hashed in one pass whatever the
-    slab and pass sizes.
+    the slab, so its keys are hashed in one pass whatever the pass
+    sizes.
     """
 
     def __init__(self, config: StudyConfig, idxs: Sequence[int]) -> None:
@@ -503,7 +502,7 @@ class _StudyStreams:
 
         The array is a view of a buffer the streams keep, as are the raw
         words it is decoded from. Both are allocated when a call asks for
-        more indices than any before it, so a study allocates them once,
+        more indices than any before it, so a slab allocates them once,
         for its first and largest group (see :meth:`times`), and does not
         fault in fresh pages for every kernel pass. The array stays valid
         until the next call, which overwrites it.
@@ -543,19 +542,8 @@ def _split(count: int, parts: int) -> list[range]:
     return [range(count * k // parts, count * (k + 1) // parts) for k in range(parts)]
 
 
-def _slab_size(config: StudyConfig, tables: int) -> int:
-    """Tables per slab for a block of ``tables`` tables.
-
-    The fewest slabs of at most ``_STUDY_PAIRS`` pairs (at least one
-    table each), all but the last of this size: 50 tables at n = 100 in
-    a block of 100, and 250 at n = 25 in a block of 2000.
-    """
-    slabs = -(-tables // max(1, _STUDY_PAIRS // config.n))
-    return -(-tables // slabs)
-
-
 def _concat(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Metric columns of consecutive blocks, joined in order."""
+    """Metric columns of consecutive slabs, joined in order."""
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
@@ -628,32 +616,23 @@ def _slabs(
         yield _Slab.of(config, idxs[one], r_t[one], r_c[one], x[one])
 
 
-def _study_block(args: tuple[StudyConfig, Sequence[int]]) -> dict[str, np.ndarray]:
-    """Metric columns of sample indices ``idxs``, in order.
+def _study_block(config: StudyConfig, idxs: Sequence[int]) -> dict[str, np.ndarray]:
+    """Metric columns of the slab of sample indices ``idxs``, in order.
 
     Each index's table and B assignments come from its own substreams
     (see :class:`_StudyStreams`), so a value does not depend on the
-    block it is computed in. The indices are cut into slabs of
-    :func:`_slab_size` tables. A slab's tables are built as stacked
+    slab it is computed in. The slab's tables are built as stacked
     arrays, bit for bit the tables :func:`generate_sample` draws from
     the same streams; the normals are dropped then, and the slab is
     built once (:func:`_slabs`). Its tables meet their signs in one
     kernel call, through :func:`_sate_columns` or :func:`_pate_columns`
     by ``config.mode``.
     """
-    config, idxs = args
     streams = _StudyStreams(config, idxs)
     step = _sate_columns if config.mode == "sate" else _pate_columns
-    per_slab = _slab_size(config, len(idxs))
-    parts = []
-    for lo in range(0, len(idxs), per_slab):
-        part = idxs[lo : lo + per_slab]
-        # Only the generator holds the tables, so that it can drop them.
-        slabs = _slabs(
-            config, part, *stacked_tables(streams.normals(len(part)), config.setting)[1:]
-        )
-        parts += [step(slab, streams.times) for slab in slabs]
-    return _concat(parts)
+    # Only the generator holds the tables, so that it can drop them.
+    slabs = _slabs(config, idxs, *stacked_tables(streams.normals(len(idxs)), config.setting)[1:])
+    return _concat([step(slab, streams.times) for slab in slabs])
 
 
 def _sate_columns(slab: _Slab, times: Times) -> dict[str, np.ndarray]:
@@ -764,26 +743,24 @@ def run_study(config: StudyConfig) -> StudyReport:
 
     Deterministic for a fixed seed regardless of the worker count:
     every sample index gets its own substreams and metric columns are
-    aggregated in index order. The indices are cut into one contiguous,
-    near-equal share per worker (fewer when S is smaller). The calling
-    process is one of the workers: it starts a pool for shares 2..k
-    first, then computes share 1 itself, so ``workers=k`` starts k - 1
-    processes. Shares are read back in order, so a failing study raises
-    what one worker would raise, for the first failing sample; the pool
-    has ended when this returns or raises.
+    aggregated in index order. The S indices are cut once into
+    contiguous slabs whose sizes differ by at most one: the fewest of at
+    most ``_STUDY_PAIRS`` pairs each (at least one table), their count
+    rounded up to a multiple of k = min(workers, S) and capped at S, so
+    that k threads share them evenly. The slabs are computed on a pool
+    of k threads and read back in index order, so a failing study
+    raises what the first failing slab raises, for its first failing
+    sample. Slabs not started by then are cancelled, and the pool has
+    ended when this returns or raises.
     """
     config = _validate_config(config)
     if config.mode == "pate":
         config = replace(config, randomizations=1)
-    first, *rest = (
-        (config, share) for share in _split(config.samples, min(config.workers, config.samples))
-    )
-    if not rest:
-        columns = _study_block(first)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(len(rest)) as pool:
-            futures = [pool.submit(_study_block, task) for task in rest]
-            columns = _concat([_study_block(first), *(f.result() for f in futures)])
+    workers = min(config.workers, config.samples)
+    fewest = -(-config.samples // max(1, _STUDY_PAIRS // config.n))
+    slabs = _split(config.samples, min(config.samples, -(-fewest // workers) * workers))
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        columns = _concat(list(pool.map(partial(_study_block, config), slabs)))
 
     if config.mode == "sate":
         metrics: dict[str, object] = {}

@@ -4,7 +4,7 @@ All randomness in the package flows through Philox counter-based
 generators keyed by ``(master_seed, role, index)``. A consumer that
 needs the stream for, say, the assignments of sample 17 asks for
 ``substream(seed, ROLE_ASSIGN, 17)`` and gets the same stream no matter
-which worker process ends up running that sample, or how many workers
+which worker thread ends up running that sample, or how many workers
 exist. Normal variates use numpy's ziggurat sampler; streams are
 bit-reproducible across runs and platforms for a fixed numpy version.
 

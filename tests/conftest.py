@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from paired_adjust import DesignMatrices, PotentialOutcomeSample
+from paired_adjust import randomization_engine as engine
 from paired_adjust.randomization_engine import _StudyStreams
 
 
@@ -94,4 +95,21 @@ def record_sign_products(monkeypatch) -> list[tuple[range, int]]:
         return out
 
     monkeypatch.setattr(_StudyStreams, "times", recording_times)
+    return seen
+
+
+def record_study_slabs(monkeypatch) -> list[tuple[range, dict]]:
+    """(indices, columns) of every slab ``run_study`` computes, in the order they end.
+
+    At one worker that is index order; at more, sort by first index.
+    """
+    seen: list[tuple[range, dict]] = []
+    block = engine._study_block
+
+    def recording_block(config, idxs):
+        columns = block(config, idxs)
+        seen.append((idxs, columns))
+        return columns
+
+    monkeypatch.setattr(engine, "_study_block", recording_block)
     return seen

@@ -1,10 +1,10 @@
 """Population-study columns through the shared kernel, in blocks of tables.
 
 Every value of a block comes from the kernel. Each table's values must
-match a single-fit reference built from the public estimators to solver
-precision, must not depend on the block, slab or call size or the
+match a reference row from the dense oracles of ``tests/oracles.py`` to
+solver precision, must not depend on the block, slab or call size or the
 worker count, and the first failing table of a block must raise what
-the reference raises for it. The rank decision is the kernel's own, so
+the single-fit estimators raise for it. The rank decision is the kernel's own, so
 pate and sate studies call the same designs singular.
 """
 
@@ -41,7 +41,8 @@ from paired_adjust.randomization_engine import (
 )
 from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE, substream, substreams
 
-from conftest import record_sign_products
+from conftest import record_sign_products, record_study_slabs
+from oracles import r1_oracle, r2_oracle, superpop_oracle
 
 T = TransformSpec
 TRANSFORMS = [
@@ -62,26 +63,34 @@ def _draws(seed, n, count, setting="nonparallel"):
 
 
 def _pate_fit(sample, v, f, g):
-    """Reference row: one table and its signs through the single-fit estimators."""
-    exp, _ = reveal(sample, v)
+    """Reference row: one table and its signs through the dense oracles.
+
+    The design is the single-fit path's (``build_design``); the fits are
+    the plain mean with its classical variance, ``r1_oracle``,
+    ``r2_oracle`` and ``superpop_oracle``. The covariate blocks are
+    scaled to a largest entry of 1 per column, which changes no intercept
+    and no variance but keeps the oracles' explicit inverses accurate.
+    """
+    exp, y = reveal(sample, v)
     dm = build_design(exp, f, g)
-    rep_c = estimate_classical(dm.y)
-    rep_r1 = estimate_r1(dm)
-    rep_r2 = estimate_r2(dm)
-    rep_r2p = superpop_correct(rep_r2, dm)
+    d, m = dm.d / np.abs(dm.d).max(axis=0), dm.m / np.abs(dm.m).max(axis=0)
+    n = len(y)
+    tau_c = y.mean()
+    tau_r1, s2_r1 = r1_oracle(d, v, y)
+    tau_r2, s2_r2, beta_m = r2_oracle(d, m, v, y)
     return {
-        "tau_C": rep_c.tau_hat,
-        "se_C": rep_c.se,
-        "tau_R1": rep_r1.tau_hat,
-        "se_R1": rep_r1.se,
-        "tau_R2": rep_r2.tau_hat,
-        "se_R2": rep_r2.se,
-        "se_R2P": rep_r2p.se,
+        "tau_C": tau_c,
+        "se_C": np.sqrt(((y - tau_c) ** 2).sum() / (n * (n - 1))),
+        "tau_R1": tau_r1,
+        "se_R1": np.sqrt(s2_r1),
+        "tau_R2": tau_r2,
+        "se_R2": np.sqrt(s2_r2),
+        "se_R2P": np.sqrt(superpop_oracle(m, beta_m, s2_r2)),
     }
 
 
 def _pate_row(config, idx):
-    """Reference row: index ``idx``'s own draws through the single fit."""
+    """Reference row: index ``idx``'s own draws through the oracles."""
     sample = generate_sample(
         config.n, config.setting, rng=substream(config.seed, ROLE_SAMPLE, idx)
     )
@@ -132,7 +141,7 @@ def test_kernel_rows_match_single_fit(f, g):
         assert kernel.keys() == ref.keys()
         for key, col in kernel.items():
             assert col[j] == pytest.approx(ref[key], rel=1e-9, abs=0.0), (j, key)
-    assert _bits(_study_block((cfg, range(120)))) == _bits(kernel)
+    assert _bits(_study_block(cfg, range(120))) == _bits(kernel)
 
 
 @pytest.mark.parametrize(
@@ -163,28 +172,35 @@ def test_stacked_grams_match_one_table_at_a_time(f, g):
 def test_rows_independent_of_block_size(monkeypatch):
     cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=40, seed=32,
                       f=T.power(2), g=T.power(2))
-    whole = _study_block((cfg, range(40)))
-    ones = _joined([_study_block((cfg, [i])) for i in range(40)])
-    sevens = _joined([_study_block((cfg, range(lo, min(lo + 7, 40)))) for lo in range(0, 40, 7)])
+    whole = _study_block(cfg, range(40))
+    ones = _joined([_study_block(cfg, [i]) for i in range(40)])
+    sevens = _joined([_study_block(cfg, range(lo, min(lo + 7, 40))) for lo in range(0, 40, 7)])
     assert _bits(ones) == _bits(whole) == _bits(sevens)
 
-    # run_study's one share here holds all 40 tables: a grid budget of
-    # three draws cuts it into 13 kernel passes of 3 and one of 1. A slab
-    # holds one table, three tables or all of them. Each table has one
-    # draw, so every chunk the kernel gets is one draw wide, and the
-    # widest call holds as many tables as the budget and the slab allow.
+    # A pair cap of one table, of three or of all 40 cuts run_study's
+    # indices into 40 slabs of one, 14 slabs of two or three, or one
+    # slab. A grid budget of three draws cuts the slab of 40 into 13
+    # kernel passes of 3 and one of 1. Each table has one draw, so every
+    # chunk the kernel gets is one draw wide, and the widest pass holds
+    # as many tables as the budget and the slab allow.
     seen = record_sign_products(monkeypatch)
+    slabs = record_study_slabs(monkeypatch)
     reports = []
-    for pairs in (25, 3 * 25, 10**6):
+    for pairs, count in ((25, 40), (3 * 25, 14), (10**6, 1)):
         monkeypatch.setattr(engine, "_STUDY_PAIRS", pairs)
         for draws in (1, 2, 3, 7, 40):
             monkeypatch.setattr(kernel, "CHUNK", draws)
+            assert _bits(_study_block(cfg, range(40))) == _bits(whole)
             seen.clear()
-            assert _bits(_study_block((cfg, range(40)))) == _bits(whole)
+            slabs.clear()
+            report = run_study(cfg)
+            assert [i for idxs, _ in slabs for i in idxs] == list(range(40))
+            assert len(slabs) == count
+            assert max(len(idxs) for idxs, _ in slabs) == min(pairs // 25, 40)
+            assert _bits(_joined([columns for _, columns in slabs])) == _bits(whole)
             assert {width for _, width in seen} == {1}
             assert sum(len(tables) for tables, _ in seen) == 40
             assert max(len(tables) for tables, _ in seen) == min(draws, pairs // 25, 40)
-            report = run_study(cfg)
             reports.append((json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv()))
     assert all(report == reports[0] for report in reports)
 
@@ -208,9 +224,13 @@ def _crafted_block():
 
 
 def _single_path_error(samples, signs, f, g):
+    """The class of the first error the single-fit estimators raise over the tables, or None."""
     for sample, v in zip(samples, signs):
         try:
-            _pate_fit(sample, v, f, g)
+            dm = build_design(reveal(sample, v)[0], f, g)
+            estimate_classical(dm.y)
+            estimate_r1(dm)
+            superpop_correct(estimate_r2(dm), dm)
         except Exception as exc:  # noqa: BLE001 - the class is what is compared
             return type(exc)
     return None

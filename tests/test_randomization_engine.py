@@ -267,7 +267,7 @@ class TestSummarize:
         seen = record_sign_products(monkeypatch)
         cfg = StudyConfig(mode="sate", setting="nonparallel", n=12, samples=10,
                           randomizations=10, seed=105)
-        cols = _study_block((cfg, range(10)))
+        cols = _study_block(cfg, range(10))
         assert all(col.shape == (10,) for col in cols.values())
         assert calls["slab"] == 1
         assert seen == [(range(0, 4), 10), (range(4, 8), 10), (range(8, 10), 10)]
@@ -286,7 +286,7 @@ class TestSummarize:
         seen = record_sign_products(monkeypatch)
         cfg = StudyConfig(mode="sate", setting="nonparallel", n=12, samples=10,
                           randomizations=10, seed=105)
-        _study_block((cfg, range(10)))
+        _study_block(cfg, range(10))
         assert shapes == [10]  # one slab of all ten tables, for three kernel passes
         assert seen == [(range(0, 4), 10), (range(4, 8), 10), (range(8, 10), 10)]
 
@@ -456,7 +456,7 @@ class TestRunStudy:
             randomizations=5, seed=104,
         )
         first, again, other = (
-            {name: col.tobytes() for name, col in _study_block((cfg, [i])).items()}
+            {name: col.tobytes() for name, col in _study_block(cfg, [i]).items()}
             for i in (0, 0, 1)
         )
         assert first == again

@@ -3,9 +3,9 @@
 Each table's values must match the row of the per-sample reference
 below, which fits every draw of the table with the dense oracles of
 ``tests/oracles.py`` and summarizes them one at a time. Values must not
-depend, bit for bit, on the task block they are computed in, on the
-number of tables per slab or per kernel pass or on the worker count, and
-a sate study must build no per-sample object.
+depend, bit for bit, on the slab they are computed in, on the number of
+tables per slab or per kernel pass or on the worker count, and a sate
+study must build no per-sample object.
 """
 
 import json
@@ -22,7 +22,7 @@ from paired_adjust.experiment_model import TransformSpec, transformed_blocks
 from paired_adjust.randomization_engine import StudyConfig, _study_block, randomize, run_study
 from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE, substream, substreams
 
-from conftest import record_sign_products
+from conftest import record_sign_products, record_study_slabs
 from oracles import coverage_oracle, r1_oracle, r2_oracle, singular_oracle
 
 T = TransformSpec
@@ -116,14 +116,14 @@ def _config(f, g, **kw):
 )
 def test_stacked_rows_match_per_sample_reference(f, g):
     cfg = _config(f, g)
-    _assert_matches_reference(_study_block((cfg, range(cfg.samples))), cfg, RTOL)
+    _assert_matches_reference(_study_block(cfg, range(cfg.samples)), cfg, RTOL)
 
 
 def test_singular_draws_match_per_sample_reference():
     # exp/exp at n=25: many tables have every R2 draw singular, so their
     # R2 metrics are NaN in both paths, and others some of them.
     cfg = _config(T.exp(), T.exp(), n=25, samples=12, randomizations=20, seed=3)
-    columns = _study_block((cfg, range(cfg.samples)))
+    columns = _study_block(cfg, range(cfg.samples))
     assert np.isnan(columns["coverage_R2"]).any()
     assert not np.isnan(columns["coverage_R2"]).all()
     _assert_matches_reference(columns, cfg, RTOL_NEAR_SINGULAR)
@@ -131,33 +131,41 @@ def test_singular_draws_match_per_sample_reference():
 
 def test_rows_independent_of_block_slab_and_pass_size(monkeypatch):
     cfg = _config(T.power(2), T.log(), samples=20, randomizations=30)
-    whole = _study_block((cfg, range(20)))
-    ones = _joined([_study_block((cfg, [i])) for i in range(20)])
-    sevens = _joined([_study_block((cfg, range(lo, min(lo + 7, 20)))) for lo in range(0, 20, 7)])
+    whole = _study_block(cfg, range(20))
+    ones = _joined([_study_block(cfg, [i]) for i in range(20)])
+    sevens = _joined([_study_block(cfg, range(lo, min(lo + 7, 20))) for lo in range(0, 20, 7)])
     assert _bits(ones) == _bits(whole) == _bits(sevens)
 
-    # One table per slab, three, all of a task. A grid budget of B + 1
-    # draws gives one table per kernel pass, 3B three and 10^6 all of
-    # them. A budget of 7 or B - 1 gives one table per pass too, whose
-    # draws sign_stats cuts into parts of 7 and 2, or of 29 and 1. BLAS
-    # may round a sign product differently in a narrower part, so there
-    # the rows are those of one table per block under the same budget.
-    # Every pass's draws reach the kernel in parts of the budget's widths.
+    # A pair cap of one table, of three or of all 20 cuts run_study's
+    # indices into 20 slabs of one, 7 slabs of two or three, or one slab.
+    # A grid budget of B + 1 draws gives one table per kernel pass, 3B
+    # three and 10^6 all of them. A budget of 7 or B - 1 gives one table
+    # per pass too, whose draws sign_stats cuts into parts of 7 and 2,
+    # or of 29 and 1. BLAS may round a sign product differently in a
+    # narrower part, so there the rows are those of one table per slab
+    # under the same budget. Every pass's draws reach the kernel in parts
+    # of the budget's widths.
     seen = record_sign_products(monkeypatch)
+    slabs = record_study_slabs(monkeypatch)
     reports, rows = {}, {}
-    for pairs in (30, 3 * 30, 10**6):
+    for pairs, count in ((30, 20), (3 * 30, 7), (10**6, 1)):
         monkeypatch.setattr(engine, "_STUDY_PAIRS", pairs)
         for draws in (7, 30 - 1, 30 + 1, 3 * 30, 10**6):
             monkeypatch.setattr(kernel, "CHUNK", draws)
             if draws not in rows:
-                rows[draws] = _bits(_joined([_study_block((cfg, [i])) for i in range(20)]))
+                rows[draws] = _bits(_joined([_study_block(cfg, [i]) for i in range(20)]))
+                assert _bits(_study_block(cfg, range(20))) == rows[draws]
             seen.clear()
-            assert _bits(_study_block((cfg, range(20)))) == rows[draws]
+            slabs.clear()
+            report = run_study(cfg)
+            assert [i for idxs, _ in slabs for i in idxs] == list(range(20))
+            assert len(slabs) == count
+            assert max(len(idxs) for idxs, _ in slabs) == min(pairs // 30, 20)
+            assert _bits(_joined([columns for _, columns in slabs])) == rows[draws]
             widths = [min(draws, 30 - lo) for lo in range(0, 30, draws)]
             assert [width for _, width in seen] == widths * (len(seen) // len(widths))
             assert sum(len(tables) for tables, _ in seen) == 20 * len(widths)
             assert max(len(tables) for tables, _ in seen) == min(max(1, draws // 30), pairs // 30, 20)
-            report = run_study(cfg)
             text = (json.dumps(report.to_json_dict(), sort_keys=True), report.to_csv())
             reports.setdefault(min(draws, 31), set()).add(text)
     assert all(len(seen) == 1 for seen in reports.values())
@@ -217,7 +225,7 @@ def test_failing_transform_raises_what_the_first_table_raises_alone(monkeypatch)
     for idxs in ([1], [2], range(4)):
         block[:] = idxs
         with pytest.raises(NonFiniteTransform) as info:
-            _study_block((cfg, idxs))
+            _study_block(cfg, idxs)
         messages.append(str(info.value))
     assert "'log'" in messages[0] and "'exp'" in messages[1]
     assert messages[2] == messages[0]

@@ -1,18 +1,19 @@
-"""Study fan-out: one contiguous share per worker, the caller computing the first.
+"""Study fan-out: one cut of the sample indices into slabs, on a pool of threads.
 
-Reports must not depend on the worker count, whatever the share sizes;
+Reports must not depend on the worker count, whatever the slab sizes;
 a failing study must raise what one worker raises, for the first
-failing sample in index order, whichever share holds it; and
-``--workers k`` must start k - 1 processes, all ended when
-:func:`run_study` returns or raises. Within a share, the tables are cut
-into slabs by the engine and each slab's one kernel call into passes
-by ``kernel.sign_stats``, which the tests here read through the
-``times`` products it asks for.
+failing sample in index order, whichever slab holds it; the slabs not
+started when one fails are cancelled; and ``--workers k`` must run the
+study on min(k, slabs) threads and no process, all ended when
+:func:`run_study` returns or raises. Each slab's one kernel call is cut
+into passes by ``kernel.sign_stats``, which the tests here read through
+the ``times`` products it asks for.
 """
 
 import concurrent.futures
 import multiprocessing
-from types import SimpleNamespace
+import threading
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -26,17 +27,11 @@ from paired_adjust.cli import main
 from paired_adjust.errors import DimensionMismatch, RankDeficient
 from paired_adjust.experiment_model import TransformSpec as T
 from paired_adjust.kernel import Whitened, sign_stats, times_of
-from paired_adjust.randomization_engine import (
-    StudyConfig,
-    _slab_size,
-    _split,
-    _study_block,
-    run_study,
-)
+from paired_adjust.randomization_engine import StudyConfig, _split, run_study
 
-# (mode, S): S a multiple of 2 and 3, not a multiple of either, and
-# below the largest worker count (one share at 2 and 3 workers for
-# sate, two shares at 3 workers for pate).
+# (mode, S): S a multiple of 2 and 3, a multiple of neither, and below
+# the largest worker count (one slab and one thread at any worker count
+# for sate, two of each at 2 and 3 workers for pate).
 SIZES = [("sate", 12), ("pate", 12), ("sate", 7), ("pate", 11), ("sate", 1), ("pate", 2)]
 
 
@@ -52,9 +47,10 @@ def test_reports_identical_across_one_two_and_three_workers(tmp_path, capsys, mo
     outputs = []
     for workers in (1, 2, 3):
         out, csv = tmp_path / f"w{workers}.json", tmp_path / f"w{workers}.csv"
+        before = set(threading.enumerate())
         assert main(_argv(mode, samples, workers, out, csv)) == 0
         outputs.append((out.read_bytes(), csv.read_bytes()))
-        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) <= before
     assert capsys.readouterr().err == ""
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -86,17 +82,42 @@ def _pass_sizes(tables, b):
     return sizes
 
 
+def _cut(config):
+    """The slabs :func:`run_study` cuts ``config``'s indices into, in the order it joins them.
+
+    The slabs are stand-ins that only carry their indices, so any size
+    runs at once.
+    """
+    joined = []
+    concat = engine._concat
+
+    def block(config, idxs):
+        return {"rows": np.asarray(idxs)}
+
+    def recording(parts):
+        joined[:] = [list(part["rows"]) for part in parts]
+        return concat(parts)
+
+    with mock.patch.multiple(engine, _study_block=block, _concat=recording,
+                             _validate_config=lambda config: config):
+        run_study(config)
+    return joined
+
+
 def _study_pass_size(b, tables, n):
-    """Slab and first pass sizes of a sate study block of ``tables`` tables at ``b`` draws, pairs ``n``."""
+    """Largest slab, and its first pass size, of a one-worker sate study.
+
+    The study has ``tables`` tables of ``n`` pairs and ``b`` draws each.
+    """
     cfg = StudyConfig(mode="sate", setting="nonparallel", n=n, samples=tables, randomizations=b)
-    slab = _slab_size(cfg, tables)
+    slab = max(map(len, _cut(cfg)))
     return slab, _pass_sizes(slab, b)[0]
 
 
-# A block is cut into slabs by _slab_size, and each slab's one kernel
-# call into passes by sign_stats. First pass sizes at a grid budget of
-# 800 draws and at the kernel's own, kernel.CHUNK = 4096, where a slab
-# of 50 tables at B = 200 is cut into passes of 17, 17 and 16 tables.
+# run_study cuts a study into slabs, and sign_stats each slab's one
+# kernel call into passes. First pass sizes at a grid budget of 800
+# draws and at the kernel's own, kernel.CHUNK = 4096, where a slab of
+# 50 tables at B = 200 is cut into passes of 17, 17 and 16 tables.
 @pytest.mark.parametrize(
     "b,tables,size",
     [(200, 100, 4), (200, 10, 4), (200, 1, 1), (1000, 3, 1), (1, 2000, 250), (1, 1000, 250),
@@ -117,7 +138,7 @@ def test_kernel_calls_take_the_grid_budget(b, tables, size):
     assert _study_pass_size(b, tables, 25)[1] == size
 
 
-# At n = 100 a slab holds at most 64 tables, so a block is cut into
+# At n = 100 a slab holds at most 64 tables, so a study is cut into
 # slabs first and each slab into kernel passes.
 @pytest.mark.parametrize(
     "b,tables,slab,size",
@@ -138,46 +159,24 @@ def test_slab_calls_take_the_grid_budget(b, tables, slab, size):
     assert _study_pass_size(b, tables, 100) == (slab, size)
 
 
-def _slabs_of(config, samples):
-    """The slabs of ``_study_block`` over ``range(samples)``, one index sequence per kernel call.
-
-    Streams, tables and slabs are stand-ins that only carry the indices,
-    so any size runs at once.
-    """
-    class Streams:
-        def __init__(self, config, idxs):
-            self.times = object()
-
-        def normals(self, count):
-            return None
-
-    calls = []
-
-    def step(slab, times):
-        calls.append(slab.idxs)
-        return {"rows": np.zeros(len(slab.idxs))}
-
-    def slabs(config, idxs, *tables):
-        yield SimpleNamespace(idxs=idxs)
-
-    with mock.patch.multiple(engine, _StudyStreams=Streams, _sate_columns=step, _slabs=slabs,
-                             stacked_tables=lambda normals, setting: (None,) * 4):
-        _study_block((config, range(samples)))
-    return calls
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(n=st.integers(1, 400), samples=st.integers(1, 500), pairs=st.integers(1, 20000))
-def test_slabs_cover_the_share_in_order_within_the_pair_cap(n, samples, pairs):
-    cfg = StudyConfig(mode="sate", setting="nonparallel", n=n, samples=samples)
+@given(n=st.integers(1, 400), samples=st.integers(1, 500), pairs=st.integers(1, 20000),
+       workers=st.integers(1, 4))
+def test_slabs_cover_the_share_in_order_within_the_pair_cap(n, samples, pairs, workers):
+    # One cut of the whole study: contiguous slabs joined in index
+    # order, each within the pair cap, sizes within one of each other,
+    # and the fewest whose count is a multiple of min(workers, S), or S
+    # slabs of one table when that multiple would exceed S.
+    cfg = StudyConfig(mode="sate", setting="nonparallel", n=n, samples=samples, workers=workers)
     with mock.patch.object(engine, "_STUDY_PAIRS", pairs):
-        slabs = _slabs_of(cfg, samples)
+        slabs = _cut(cfg)
     assert [i for slab in slabs for i in slab] == list(range(samples))
     sizes = [len(slab) for slab in slabs]
-    most = max(1, pairs // n)
-    assert max(sizes) <= most and len(sizes) == -(-samples // most)
-    assert set(sizes[:-1]) <= {sizes[0]} and 1 <= sizes[-1] <= sizes[0]
-    assert sizes[0] == -(-samples // len(sizes))
+    most, k = max(1, pairs // n), min(workers, samples)
+    assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+    assert len(sizes) % k == 0 or len(sizes) == samples
+    fewer = (len(sizes) - 1) // k * k  # the next smaller multiple of k
+    assert fewer == 0 or -(-samples // fewer) > most
 
 
 @st.composite
@@ -235,10 +234,10 @@ def test_every_pass_holds_tables_of_its_slab_within_the_grid_budget(grid, chunk)
 # At --n 25 under exp/exp, seed 23 gives RankDeficient for sample 0 and
 # DimensionMismatch for samples 1-3; seed 86 passes sample 0, gives
 # RankDeficient for sample 1 and DimensionMismatch for samples 2 and 3.
-# The first failing sample lies in the caller's share at S=4 with two
-# workers (and for seed 23 with three), and in the first child's share
-# at S=3 with two or three workers (and for seed 86 at S=4 with three);
-# a later sample fails with another error each time.
+# The first failing sample lies in the first slab at S=4 with two
+# workers (and for seed 23 with three), and in the second slab at S=3
+# with two or three workers (and for seed 86 at S=4 with three); a later
+# sample fails with another error each time.
 @pytest.mark.parametrize(
     "seed,samples,sample",
     [(23, 4, 0), (86, 4, 1), (86, 3, 1)],
@@ -248,9 +247,10 @@ def test_failing_study_raises_what_one_worker_raises(seed, samples, sample):
     for workers in (1, 2, 3):
         cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=samples,
                           seed=seed, f=T.exp(), g=T.exp(), workers=workers)
+        before = set(threading.enumerate())
         with pytest.raises(RankDeficient) as info:
             run_study(cfg)
-        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) <= before
         raised.append((type(info.value), str(info.value)))
     assert raised[0][1].startswith(f"sample {sample}: ")
     assert raised[0] == raised[1] == raised[2]
@@ -261,29 +261,77 @@ def test_failing_study_keeps_exit_code_across_workers(tmp_path, capsys, workers)
     argv = ["simulate", "--mode", "pate-study", "--setting", "nonparallel", "--n", "25",
             "--f", "exp", "--g", "exp", "--S", "50", "--seed", "3", "--workers", workers,
             "--out", str(tmp_path / "r.json")]
+    before = set(threading.enumerate())
     assert main(argv) == DimensionMismatch.exit_code
     err = capsys.readouterr().err
     assert err == "paired-adjust: error: m columns must sum to zero across pairs\n"
-    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) <= before
 
 
-@pytest.mark.parametrize("workers,samples,started", [(1, 6, None), (2, 6, 1), (3, 6, 2),
-                                                     (3, 2, 1), (2, 1, None)])
-def test_workers_k_start_k_minus_one_processes(monkeypatch, workers, samples, started):
-    pools = []
+# (workers, S, threads): one slab per thread at S = 6 (two slabs of
+# three tables at two workers, three of two at three), and no more
+# threads than samples.
+@pytest.mark.parametrize("workers,samples,threads", [(1, 6, 1), (2, 6, 2), (3, 6, 3),
+                                                     (3, 2, 2), (2, 1, 1)])
+def test_workers_k_start_min_k_and_slabs_threads(monkeypatch, workers, samples, threads):
+    pools, ran = [], set()
+    meet = threading.Barrier(threads)
+    block = engine._study_block
 
-    class Counting(concurrent.futures.ProcessPoolExecutor):
+    class Counting(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             super().__init__(max_workers)
-            self.asked = max_workers
+            pools.append(max_workers)
 
-        def __exit__(self, *exc):
-            pools.append((self.asked, len(multiprocessing.active_children())))
-            return super().__exit__(*exc)
+    def meeting(config, idxs):
+        # Every thread's first slab waits for the others, so the study
+        # fails with BrokenBarrierError unless `threads` threads run.
+        if threading.current_thread() not in ran:
+            ran.add(threading.current_thread())
+            meet.wait(timeout=10)
+        return block(config, idxs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+    monkeypatch.setattr(engine, "_study_block", meeting)
     cfg = StudyConfig(mode="sate", setting="nonparallel", n=16, samples=samples,
                       randomizations=5, seed=4, workers=workers)
+    before = set(threading.enumerate())
     run_study(cfg)
-    assert pools == ([] if started is None else [(started, started)])
-    assert multiprocessing.active_children() == []
+    assert pools == [threads]
+    assert len(ran) == threads and not ran & before
+    assert not any(thread.is_alive() for thread in ran)
+
+
+def test_study_starts_no_process():
+    cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=60, seed=5, workers=3)
+    with mock.patch.object(multiprocessing.Process, "start",
+                           side_effect=AssertionError("a study started a process")):
+        report = run_study(cfg)
+    assert report.to_json_dict() == run_study(replace(cfg, workers=1)).to_json_dict()
+
+
+SLABS = 200
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_slab_cancels_slabs_not_started(monkeypatch, workers):
+    # One table per slab. Slab 0 fails at once; the others compute.
+    started = []
+    sate_columns = engine._sate_columns
+
+    def failing(slab, times):
+        started.append(slab.idxs[0])
+        if slab.idxs[0] == 0:
+            raise RankDeficient("slab 0 failed")
+        return sate_columns(slab, times)
+
+    monkeypatch.setattr(engine, "_sate_columns", failing)
+    monkeypatch.setattr(engine, "_STUDY_PAIRS", 20)
+    cfg = StudyConfig(mode="sate", setting="nonparallel", n=20, samples=SLABS,
+                      randomizations=20, seed=6, workers=workers)
+    before = set(threading.enumerate())
+    with pytest.raises(RankDeficient, match="^slab 0 failed$"):
+        run_study(cfg)
+    assert set(threading.enumerate()) <= before
+    assert started[0] == 0 or workers > 1
+    assert 0 in started and len(started) < SLABS

@@ -39,7 +39,7 @@ def _close(got, want):
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}-{c.samples}")
 def test_report_matches_its_oracle(config):
     report = run_study(config)
-    columns = _study_block((report.config, range(config.samples)))
+    columns = _study_block(report.config, range(config.samples))
     if config.mode == "sate":
         want = sate_report_oracle(columns)
     else:

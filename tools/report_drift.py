@@ -68,13 +68,14 @@ RUNS = {
                          "--seed", "3"],
     "sate_n40_seed_wide": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
                            "--n", "40", "--S", "60", "--B", "50", "--seed", "1099511627779"],
-    # Three slabs of 200 tables at one worker; two slabs of 150 per share at
-    # two workers, and one per share at three.
+    # Three slabs of 200 tables at one or three workers; four slabs of 150
+    # at two.
     "sate_n30_S600": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
                       "--n", "30", "--S", "600", "--B", "20", "--seed", "13"],
     # B does not divide the grid budget of 4096 draws, which holds 12
-    # tables: kernel calls of 11 tables, 12 of them at one worker and 4
-    # per share at three.
+    # tables: two slabs of 65 tables at one or two workers, each cut into
+    # six kernel passes of 11 tables (the last of 10), and three slabs of
+    # 43 or 44 at three workers, each cut into four passes of at most 11.
     "sate_n60_B333": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
                       "--n", "60", "--S", "130", "--B", "333", "--seed", "17"],
     # B above the grid budget: one table per call, its draws cut into
