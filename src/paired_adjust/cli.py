@@ -7,11 +7,12 @@ table, and ``generate`` synthesizes a science table.
 
 Options can come from flags or from a config file (``--config``,
 JSON everywhere, TOML on Python 3.11+); flags win over file values.
-The seed falls back to the PAIRED_ADJUST_SEED environment variable
-when neither source provides one. Each option is declared once, in
-``_OPTION_TABLES``, which builds the flags and casts every value by
-the same rules whatever its source: integers integral and not boolean,
-seed >= 0, counts (n, S, B, workers, cap) >= 1, alpha in (0, 1).
+Only ``simulate`` and ``generate`` draw random numbers, so only they
+take a seed, which falls back to the PAIRED_ADJUST_SEED environment
+variable when neither source provides one. Each option is declared
+once, in ``_OPTION_TABLES``, which builds the flags and casts every
+value by the same rules whatever its source: integers integral and not
+boolean, seed >= 0, counts (n, S, B, workers, cap) >= 1, alpha in (0, 1).
 Reports are JSON on stdout unless ``--out`` is given, and every report
 embeds the package version and the fully resolved configuration, so a
 report is reproducible from its own header. Output paths are checked
@@ -178,7 +179,9 @@ def _transform(what: str, default: Optional[TransformSpec], shown: str) -> _Opti
 
 _ALPHA = _Option(_as_alpha, "two-sided miscoverage level in (0, 1) (default 0.05)", 0.05)
 _OUT = _Option(str, "write the JSON report here instead of stdout")
-_SEED_HELP = "master seed, an integer >= 0 (env PAIRED_ADJUST_SEED as fallback)"
+_SEED = _Option(
+    _as_seed, "master seed, an integer >= 0 (env PAIRED_ADJUST_SEED as fallback) (default 0)", 0
+)
 _DIFFS, _AVGS = "within-pair differences", "pair averages"
 _ENUMERATE_DEFAULT = "identity; none if neither is given and identity does not fit the table"
 
@@ -191,7 +194,6 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
         "target": _choice(_TARGETS, "inferential target", "sate"),
         "variance": _choice(FLAVORS, "variance flavor for R1/R2", "classical"),
         "alpha": _ALPHA,
-        "seed": _Option(_as_seed, _SEED_HELP),
         "out": _OUT,
     },
     "simulate": {
@@ -203,7 +205,7 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
         "f": _transform(_DIFFS, TransformSpec.identity(), "identity"),
         "g": _transform(_AVGS, TransformSpec.identity(), "identity"),
         "alpha": _ALPHA,
-        "seed": _Option(_as_seed, _SEED_HELP + " (default 0)", 0),
+        "seed": _SEED,
         "workers": _Option(_as_count, "worker thread count (default: CPUs this process may run on)"),
         "out": _OUT,
         "csv": _Option(str, "also write the metric table as CSV here"),
@@ -217,14 +219,13 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
         "f": _transform(_DIFFS, None, _ENUMERATE_DEFAULT),
         "g": _transform(_AVGS, None, _ENUMERATE_DEFAULT),
         "alpha": _ALPHA,
-        "seed": _Option(_as_seed, _SEED_HELP),
         "out": _OUT,
         "histogram": _Option(str, "write binned point-estimate draws as CSV here"),
     },
     "generate": {
         "n": _Option(_as_count, "number of pairs", required=True),
         "setting": _choice(SETTINGS, "data-generating setting"),
-        "seed": _Option(_as_seed, _SEED_HELP + " (default 0)", 0),
+        "seed": _SEED,
         "out": _Option(str, "science-table CSV (sidecar JSON written next to it)", required=True),
     },
 }

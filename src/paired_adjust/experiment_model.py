@@ -28,6 +28,7 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from .errors import (
+    DataError,
     DimensionMismatch,
     MalformedRow,
     NonFiniteTransform,
@@ -35,6 +36,7 @@ from .errors import (
     RankDeficient,
     TooFewPairs,
 )
+from .kernel import RESPONSE_LIMIT
 from .ols_core import RANK_RTOL, whiten
 
 # A centered pair-average column whose values are all at most this
@@ -203,8 +205,11 @@ class PairedExperiment:
     """Observed data of a paired experiment.
 
     Arrays are indexed ``[pair, unit]`` with unit order taken from the
-    input; exactly one unit per pair is treated. All arrays are made
-    read-only, so instances can be shared freely across workers.
+    input; exactly one unit per pair is treated. Covariates and
+    responses must be finite, and no response may exceed the kernel's
+    ``RESPONSE_LIMIT`` (2^400) in magnitude (DataError), so no fit
+    overflows. All arrays are made read-only, so instances can be
+    shared freely across workers.
     """
 
     x: np.ndarray  # (n, 2, P) covariates
@@ -225,6 +230,9 @@ class PairedExperiment:
             )
         if not np.isfinite(x).all() or not np.isfinite(y).all():
             raise MalformedRow("covariates and responses must be finite")
+        if (top := np.abs(y).max(initial=0.0)) > RESPONSE_LIMIT:
+            raise DataError(f"a response of magnitude {top:.6g} exceeds the largest the "
+                            f"estimators take, 2^400 (about {RESPONSE_LIMIT:.2g})")
         if not np.isin(z, (0, 1)).all() or not (z.sum(axis=1) == 1).all():
             raise PairViolation("each pair needs exactly one treated unit")
         ids = self.pair_ids or tuple(range(1, n + 1))

@@ -42,8 +42,10 @@ from .ols_core import RANK_RTOL, whiten
 # stay below 2^806 times n, and the fits and summaries multiply them by
 # at most B / RANK_RTOL, so no step comes near the float range (2^1024)
 # for any grid that fits in memory. A larger outcome is refused before
-# any arithmetic on it (see effects_and_gaps).
-_RESPONSE_LIMIT = 2.0**400
+# any arithmetic on it (see effects_and_gaps), and so is a larger
+# observed response of an experiment (``PairedExperiment``), whose single
+# fits square it as the kernel does.
+RESPONSE_LIMIT = 2.0**400
 # The kernel's grid budget: the draws one pass of sign_stats takes in
 # all, over at least one table, and the widest product of one table's
 # columns with its signs. A table whose draws are cut into chunks may
@@ -61,14 +63,14 @@ def effects_and_gaps(r_t: np.ndarray, r_c: np.ndarray) -> tuple[np.ndarray, np.n
     level/effect identity; the level l of a unit is the average of its
     two potential outcomes. Each is (..., n). Every mode's kernel starts
     here, so this is where a table whose outcomes the kernel cannot take
-    is refused: DataError when one exceeds ``_RESPONSE_LIMIT`` in
+    is refused: DataError when one exceeds ``RESPONSE_LIMIT`` in
     magnitude, raised before anything can overflow or warn.
     """
     top = max(np.abs(r_t).max(initial=0.0), np.abs(r_c).max(initial=0.0))
-    if top > _RESPONSE_LIMIT:
+    if top > RESPONSE_LIMIT:
         raise DataError(
             f"a potential outcome of magnitude {top:.6g} exceeds the largest the "
-            f"randomization kernel takes, 2^400 (about {_RESPONSE_LIMIT:.2g})"
+            f"randomization kernel takes, 2^400 (about {RESPONSE_LIMIT:.2g})"
         )
     ell = (r_t + r_c) / 2.0
     tau = r_t - r_c

@@ -90,11 +90,18 @@ def randomize(
     """Draw independent fair pair signs, values +/-1.
 
     Shape (n,), or (b, n) for b assignments drawn row by row from the
-    same stream.
+    same stream: ceil(b*n/2) raw words of ``rng``'s bit generator (b = 1
+    when not given), decoded by :func:`_signs_of_words` as a study's
+    are. MT19937, whose raw words are 32 bits, raises ValueError.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return 2.0 * rng.integers(0, 2, size=n if b is None else (b, n)) - 1.0
+    bits = rng.bit_generator
+    if isinstance(bits, np.random.MT19937):
+        raise ValueError("randomize needs a 64-bit bit generator; MT19937 gives 32-bit words")
+    out = np.empty((1, 1 if b is None else b, n))
+    _signs_of_words(bits.random_raw((out.shape[1] * n + 1) // 2)[None], out)
+    return out[0, 0] if b is None else out[0]
 
 
 def assignment_signs(codes: np.ndarray, n: int) -> np.ndarray:
@@ -109,21 +116,17 @@ def assignment_signs(codes: np.ndarray, n: int) -> np.ndarray:
 
 
 def _signs_of_words(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Decode (T, ceil(b*n/2)) raw Philox words into (T, b, n) pair signs, in ``out``.
+    """Decode (T, ceil(b*n/2)) raw 64-bit words into (T, b, n) pair signs, in ``out``.
 
-    Row t of ``out`` becomes what :func:`randomize` draws with ``b``
-    from a fresh stream whose first words are ``raw[t]``.
-    ``Generator.integers(0, 2)`` takes each value from one 32-bit half
-    word, low half then high half of each 64-bit word, by Lemire's
-    method: the half times 2, shifted down 32 bits, which is the half's
-    top bit. Its rejection threshold is (2^32 - 2) mod 2 = 0, so no half
-    is ever redrawn. Read as an int32, a half is negative exactly when
-    its top bit is set, so copysign gives -1 there and +1 elsewhere, and
-    its negation is the sign; neither step makes an integer or float
-    temporary. The decode is valid only for words read with
-    ``random_raw`` from a freshly keyed Philox, with no spare half word
-    buffered, as :meth:`_StudyStreams.signs` reads them; any other
-    generator goes through :func:`randomize`.
+    This is the package's one sign draw, for :func:`randomize` and every
+    study. Sign k of ``out[t]`` (row by row) is +1 when the top bit of
+    32-bit half word k of ``raw[t]`` is set, low half first, and -1
+    otherwise. An odd b*n leaves the last word's high half unread; no
+    half is carried to the next draw. Read as an int32, a half is
+    negative exactly when its top bit is set, so copysign gives -1 there
+    and +1 elsewhere, and its negation is the sign; neither step makes
+    an integer or float temporary. On a fresh generator, these are the
+    signs numpy's ``Generator.integers`` draws over [0, 2) today.
     """
     _, b, n = out.shape
     halves = raw.astype("<u8", copy=False).view("<i4")[:, : b * n]
@@ -139,7 +142,8 @@ def reveal(
     Returns the observed experiment and the treated-minus-control
     differences Y. Internally cross-checks the observed-response
     construction against the level/effect identity
-    Y_i = Delta_i + v_i (l_i1 - l_i2).
+    Y_i = Delta_i + v_i (l_i1 - l_i2), whose Delta and l_i1 - l_i2 come
+    from :func:`effects_and_gaps`, to 1e-12 of the response scale.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (sample.n,):
@@ -152,38 +156,18 @@ def reveal(
         raise DimensionMismatch(
             "science table has no observed covariates; cannot build an experiment"
         )
-    z, observed, y, agree = _observe(
-        sample.r_t, sample.r_c, v, *effects_and_gaps(sample.r_t, sample.r_c)
-    )
-    if not agree:
+    effects, gaps = effects_and_gaps(sample.r_t, sample.r_c)
+    z = np.empty((sample.n, 2), dtype=int)
+    z[:, 0] = v > 0
+    z[:, 1] = 1 - z[:, 0]
+    observed = np.where(z == 1, sample.r_t, sample.r_c)
+    y = v * (observed[:, 0] - observed[:, 1])
+    scale = max(1.0, np.abs(observed).max(initial=0.0))
+    if np.abs(y - (effects + v * gaps)).max(initial=0.0) > 1e-12 * scale:
         raise AssertionError("observed-response and level/effect Y constructions disagree")
 
     exp = PairedExperiment(x=sample.x, z=z, y=observed)
     return exp, y
-
-
-def _observe(
-    r_t: np.ndarray, r_c: np.ndarray, v: np.ndarray, effects: np.ndarray, gaps: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Treatment flags, observed responses and Y for signs v.
-
-    Works on one table (r_t, r_c of shape (n, 2), v of shape (n,)) or a
-    stack of them (leading axes in front), whose Delta ``effects`` and
-    l_i1 - l_i2 ``gaps`` come from :func:`effects_and_gaps`. Returns
-    (z, observed, y, agree): ``agree`` says, per table, whether Y agrees
-    with the level/effect identity Y_i = Delta_i + v_i (l_i1 - l_i2) to
-    1e-12 of the response scale.
-    """
-    z = np.empty(r_t.shape, dtype=int)
-    z[..., 0] = (v > 0).astype(int)
-    z[..., 1] = 1 - z[..., 0]
-    observed = np.where(z == 1, r_t, r_c)
-    y = v * (observed[..., 0] - observed[..., 1])
-
-    check = effects + v * gaps
-    scale = np.maximum(1.0, np.abs(observed).max(axis=(-2, -1), initial=0.0))
-    agree = np.abs(y - check).max(axis=-1, initial=0.0) <= 1e-12 * scale
-    return z, observed, y, agree
 
 
 def _table_stats(
@@ -474,9 +458,10 @@ class _StudyStreams:
     t of the normals is what :func:`generate_sample` draws from the
     same stream, drawn in place. The signs are read as
     ceil(B*n/2) raw words per index and decoded by
-    :func:`_signs_of_words`, a group of tables at a time (:meth:`times`),
-    bit for bit what ``randomize(n, substream(seed, ROLE_ASSIGN, i), B)``
-    draws. The streams are read through :func:`substreams`, which draws
+    :func:`_signs_of_words`, the decoder :func:`randomize` uses too, a
+    group of tables at a time (:meth:`times`), so they are what
+    ``randomize(n, substream(seed, ROLE_ASSIGN, i), B)`` draws. The
+    streams are read through :func:`substreams`, which draws
     what those ``substream`` calls draw. Each role is opened once for
     the slab, so its keys are hashed in one pass whatever the pass
     sizes.

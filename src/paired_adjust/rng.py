@@ -14,11 +14,12 @@ which yields, for each index i, a generator that draws bit for bit what
 and a ``Philox`` per index: :func:`stream_keys` computes every index's
 Philox key with numpy's ``SeedSequence`` hash (NEP 19, after O'Neill's
 ``seed_seq``) in one vectorized pass, and one ``Philox`` is re-keyed
-from index to index with a zero counter and empty buffers. A study reads
-its assignment streams as raw 64-bit words (``random_raw``) and decodes
-the signs itself, which is exact only because every yielded stream
-starts fresh, with no spare 32-bit word (see
-``randomization_engine._signs_of_words``).
+from index to index with a zero counter and empty buffers. Assignment
+signs are read from any stream as raw 64-bit words (``random_raw``) and
+decoded by the package's one sign decoder,
+``randomization_engine._signs_of_words``, in ``randomize`` and in a
+study alike, so they depend on the raw words alone, which NEP 19 keeps
+fixed, and on no ``Generator`` method.
 """
 
 from __future__ import annotations

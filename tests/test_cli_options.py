@@ -1,6 +1,9 @@
 """One option table per subcommand: flags, config files and the seed
 environment variable follow the same rules.
 
+Only ``simulate`` and ``generate`` draw, so only they take a seed; the
+seed variable reaches no other command.
+
 Every option's flag spelling and config-file spelling of one valid
 value must give the same bytes; integers are strict (no booleans, no
 non-integral numbers), seeds are non-negative, and ``--help`` names
@@ -71,7 +74,6 @@ def _values(inp, out):
         ("analyze", "target"): ("pate", "pate"),
         ("analyze", "variance"): ("HC3", "HC3"),
         ("analyze", "alpha"): ("0.1", 0.1),
-        ("analyze", "seed"): ("9", 9),
         ("analyze", "out"): (str(out / "a.json"),) * 2,
         ("simulate", "setting"): ("nonparallel", "nonparallel"),
         ("simulate", "n"): ("14", 14),
@@ -91,7 +93,6 @@ def _values(inp, out):
         ("enumerate", "f"): ("select:1,2", sel(1, 2)),
         ("enumerate", "g"): ("select:3", sel(3)),
         ("enumerate", "alpha"): ("0.1", 0.1),
-        ("enumerate", "seed"): ("4", 4),
         ("enumerate", "out"): (str(out / "e.json"),) * 2,
         ("enumerate", "histogram"): (str(out / "h.csv"),) * 2,
         ("generate", "n"): ("7", 7),
@@ -142,6 +143,26 @@ def test_env_seed_matches_seed_flag(capsys, dirs, monkeypatch):
     by_flag = _run(capsys, out, argv + ["--seed", "8"])
     monkeypatch.setenv("PAIRED_ADJUST_SEED", "8")
     assert _run(capsys, out, argv) == by_flag
+
+
+@pytest.mark.parametrize("command", ["analyze", "enumerate"])
+def test_commands_that_draw_nothing_take_no_seed(capsys, dirs, monkeypatch, command):
+    # Their reports and exit codes depend on data and flags alone: the
+    # seed variable, valid or not, changes nothing, and a seed flag is refused.
+    _, inp, out = dirs
+    argv = [command, *_flags(_base(inp, out)[command]), "--out", str(out / "r.json")]
+    monkeypatch.delenv("PAIRED_ADJUST_SEED", raising=False)
+    without = _run(capsys, out, argv)
+    assert without[0] == 0
+    for env in ("-1", "abc", "12345"):
+        monkeypatch.setenv("PAIRED_ADJUST_SEED", env)
+        assert _run(capsys, out, argv) == without, env
+    monkeypatch.delenv("PAIRED_ADJUST_SEED")
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", "3"])
+    assert info.value.code == 4
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

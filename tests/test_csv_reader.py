@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paired_adjust import MalformedRow, PairViolation, dgp, experiment_model
+from paired_adjust import DataError, MalformedRow, dgp, experiment_model
 from paired_adjust.cli import main
 from paired_adjust.dgp import PotentialOutcomeSample, load_science_table, write_science_table
 from paired_adjust.experiment_model import load_experiment_csv
@@ -152,7 +152,7 @@ def _outcome(loader, text):
     source = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8-sig", newline="")
     try:
         got = loader(source)
-    except (MalformedRow, PairViolation) as exc:
+    except DataError as exc:
         return type(exc), str(exc)
     if loader is load_experiment_csv:
         arrays = (got.x, got.z, got.y)
@@ -257,6 +257,12 @@ def test_enumerate_keeps_the_exit_contract_near_the_float_range(data):
     _check_exit_contract("science", data.draw(csv_files("science", _NEAR_RANGE))[0])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_analyze_keeps_the_exit_contract_near_the_float_range(data):
+    _check_exit_contract("experiment", data.draw(csv_files("experiment", _NEAR_RANGE))[0])
+
+
 def test_enumerate_refuses_outcomes_beyond_the_kernel_limit(tmp_path):
     # Three pairs of zeros but one outcome near -2.7e284: enumerate used
     # to warn of overflow and report NaN with exit 0.
@@ -282,3 +288,51 @@ def test_enumerate_takes_outcomes_at_the_kernel_limit(tmp_path):
     estimators = json.loads(out.read_text())["summary"]["estimators"]
     assert sorted(estimators) == ["C", "R1", "R2", "R2P"]
     assert all(np.isfinite(v) for cell in estimators.values() for v in cell.values())
+
+
+def _limit_experiment(path, top):
+    """A 16-pair experiment CSV whose responses reach ``top`` in magnitude, both signs."""
+    rng = np.random.default_rng(8)
+    y = top * rng.uniform(-1.0, 1.0, (16, 2))
+    y[0, 0], y[5, 1] = top, -top
+    treated = rng.integers(1, 3, 16)
+    x = rng.standard_normal((16, 2, 2))
+    lines = ["pair,unit,z,y,x1,x2"] + [
+        ",".join([str(i + 1), str(u + 1), str(int(treated[i] == u + 1)),
+                  *map(repr, map(float, (y[i, u], *x[i, u])))])
+        for i in range(16) for u in range(2)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        return [x for value in doc.values() for x in _numbers(value)]
+    if isinstance(doc, list):
+        return [x for item in doc for x in _numbers(item)]
+    return [doc] if isinstance(doc, float) else []
+
+
+def test_analyze_refuses_responses_beyond_the_kernel_limit(tmp_path):
+    # One response of 1e200 used to give Infinity in the report, with an
+    # overflow warning and exit 0.
+    _limit_experiment(tmp_path / "e.csv", 1e200)
+    code, err, caught = _run(["analyze", "--input", str(tmp_path / "e.csv")])
+    assert (code, caught) == (2, [])
+    assert err == ("paired-adjust: error: a response of magnitude 1e+200 exceeds the largest "
+                   "the estimators take, 2^400 (about 2.6e+120)\n")
+
+
+@pytest.mark.parametrize("flags", [["--variance", "classical"], ["--variance", "HC2"],
+                                   ["--variance", "HC3"], ["--target", "pate"]])
+def test_analyze_takes_responses_at_the_kernel_limit(tmp_path, flags):
+    _limit_experiment(tmp_path / "e.csv", 2.0**400)
+    report = tmp_path / "r.json"
+    code, err, caught = _run(["analyze", "--input", str(tmp_path / "e.csv"), *flags,
+                              "--out", str(report)])
+    assert (code, err, caught) == (0, "", [])
+    doc = json.loads(report.read_text())
+    assert len(doc["estimates"]) == 4
+    numbers = _numbers(doc["estimates"])
+    assert max(map(abs, numbers)) > 2.0**380
+    assert all(np.isfinite(numbers))

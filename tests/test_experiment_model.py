@@ -24,7 +24,8 @@ from paired_adjust import (
     validate_design,
     write_experiment_csv,
 )
-from paired_adjust.errors import DimensionMismatch
+from paired_adjust.errors import DataError, DimensionMismatch
+from paired_adjust.kernel import RESPONSE_LIMIT
 
 from conftest import first_appearance, shuffled_pairs
 
@@ -242,7 +243,12 @@ class TestLoadExperimentCsv:
             z = int(treated[i] == j)
             values = [repr(float(v)) for v in numbers[i, j]]
             lines.append(",".join([id_texts[i], str(j + 1), str(z), *values]))
-        exp = load_experiment_csv(io.StringIO("\n".join(lines) + "\n"))
+        text = "\n".join(lines) + "\n"
+        if np.abs(numbers[..., 0]).max() > RESPONSE_LIMIT:
+            with pytest.raises(DataError, match="exceeds the largest the estimators take"):
+                load_experiment_csv(io.StringIO(text))
+            return
+        exp = load_experiment_csv(io.StringIO(text))
         order = first_appearance(layout)
         assert exp.pair_ids == tuple(int(id_texts[i]) for i in order)
         z = (np.array(treated)[order, None] == np.arange(2)).astype(int)

@@ -6,9 +6,11 @@ the key ``Philox`` takes from the sequence. A numpy change to either one
 fails here. The generators ``substreams`` yields share one re-keyed
 ``Philox``, so their draws are checked against fresh ``substream`` calls
 with draw counts that leave a spare 32-bit word behind, which a re-key
-must clear. A study decodes its signs from raw Philox words itself, so
-they are checked against ``randomize`` on fresh streams: a numpy change
-to how ``integers(0, 2)`` consumes words fails here.
+must clear. ``randomize`` and a study both decode signs from raw words
+with ``_signs_of_words``, so a study's signs are checked against
+``randomize`` on fresh streams, and ``randomize`` on a fresh generator
+of each 64-bit bit generator against ``Generator.integers(0, 2)``, which
+draws the same signs today and stays here as the reference.
 """
 
 import numpy as np
@@ -66,10 +68,10 @@ def test_keys_are_seed_sequence_state_and_philox_key(seed, role, idxs):
 @example(seed=7, role=ROLE_ASSIGN, idxs=[0, 1, 2], n=25, b=1)
 @example(seed=2**40 + 3, role=ROLE_SAMPLE, idxs=[5, 5, 2**32 - 1], n=13, b=3)
 def test_reused_generator_draws_what_fresh_substreams_draw(seed, role, idxs, n, b):
-    # Odd n, or odd b * n, leaves a spare 32-bit word in the Philox state
-    # after the sign draws; the next index must not start from it.
+    # Odd n leaves a spare 32-bit word in the Philox state after
+    # ``integers``; the next index must not start from it.
     drawn = [
-        (rng.standard_normal(10 * n), randomize(n, rng, b), randomize(n, rng))
+        (rng.standard_normal(10 * n), randomize(n, rng, b), rng.integers(0, 2, n))
         for rng in substreams(seed, role, idxs)
     ]
     assert len(drawn) == len(idxs)
@@ -77,7 +79,36 @@ def test_reused_generator_draws_what_fresh_substreams_draw(seed, role, idxs, n, 
         fresh = substream(seed, role, i)
         assert np.array_equal(normals, fresh.standard_normal(10 * n))
         assert np.array_equal(signs, randomize(n, fresh, b))
-        assert np.array_equal(more, randomize(n, fresh))
+        assert np.array_equal(more, fresh.integers(0, 2, n))
+
+
+_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]
+
+
+@pytest.mark.parametrize("bits", _BIT_GENERATORS, ids=lambda bits: bits.__name__)
+@pytest.mark.parametrize("n,b", [(25, None), (24, None), (7, 3), (8, 3), (0, None), (1, 1)])
+def test_randomize_on_a_fresh_generator_draws_what_integers_draws(bits, n, b):
+    shape = n if b is None else (b, n)
+    signs = randomize(n, np.random.Generator(bits(17)), b)
+    reference = 2 * np.random.Generator(bits(17)).integers(0, 2, shape) - 1
+    assert signs.shape == reference.shape
+    assert np.array_equal(signs, reference)
+
+
+def test_randomize_refuses_a_32_bit_bit_generator():
+    with pytest.raises(ValueError, match="MT19937"):
+        randomize(4, np.random.Generator(np.random.MT19937(17)))
+
+
+def test_reused_generator_starts_each_draw_on_a_fresh_word():
+    # 25 signs take 13 words and leave the last one's high half unread.
+    rng = np.random.Generator(np.random.PCG64(17))
+    first, second = randomize(25, rng), randomize(25, rng)
+    words = np.random.Generator(np.random.PCG64(17)).bit_generator.random_raw(26)
+    halves = words.astype("<u8").view("<u4")
+    top = np.where(halves >> 31 == 1, 1.0, -1.0)
+    assert np.array_equal(first, top[:25])
+    assert np.array_equal(second, top[26:51])
 
 
 def test_rekeyed_generator_matches_substream_over_many_indices():

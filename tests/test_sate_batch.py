@@ -4,8 +4,9 @@ Each table's values must match the row of the per-sample reference
 below, which fits every draw of the table with the dense oracles of
 ``tests/oracles.py`` and summarizes them one at a time. Values must not
 depend, bit for bit, on the slab they are computed in, on the number of
-tables per slab or per kernel pass or on the worker count, and a sate
-study must build no per-sample object.
+tables per slab or per kernel pass or on the worker count, and must
+equal, bit for bit, what ``run_monte_carlo`` makes of the same table and
+assignment streams. A sate study must build no per-sample object.
 """
 
 import json
@@ -117,6 +118,38 @@ def _config(f, g, **kw):
 def test_stacked_rows_match_per_sample_reference(f, g):
     cfg = _config(f, g)
     _assert_matches_reference(_study_block(cfg, range(cfg.samples)), cfg, RTOL)
+
+
+@pytest.mark.parametrize(
+    "n,b,f,g",
+    [(25, 21, T.identity(), T.identity()),  # odd B * n
+     (40, 50, T.power(2), T.log()),
+     (12, 5000, T.identity(), T.identity())],  # B above the kernel's grid budget
+    ids=["n25-B21", "n40-B50-pow2-log", "n12-B5000"],
+)
+def test_rows_equal_run_monte_carlo_on_the_same_streams(n, b, f, g):
+    # Both modes draw a sample's signs with the one decoder, through the
+    # one kernel, so a study row is bit for bit its Monte Carlo summary.
+    cfg = _config(f, g, n=n, samples=6, randomizations=b, seed=29)
+    columns = _study_block(cfg, range(cfg.samples))
+    for i in range(cfg.samples):
+        sample = generate_sample(n, cfg.setting, rng=substream(cfg.seed, ROLE_SAMPLE, i))
+        mc = engine.run_monte_carlo(sample, b, alpha=cfg.alpha, f=f, g=g,
+                                    rng=substream(cfg.seed, ROLE_ASSIGN, i))
+        c, r1, r2 = mc.per["C"], mc.per["R1"], mc.per["R2"]
+        want = {
+            "coverage_C": c.coverage,
+            "coverage_R1": r1.coverage,
+            "coverage_R2": r2.coverage,
+            "se_ratio_R1_C": r1.mean_se / c.mean_se,
+            "se_ratio_R2_C": r2.mean_se / c.mean_se,
+            "se_ratio_R2_R1": r2.mean_se / r1.mean_se,
+            "rmse_ratio_R1_C": r1.rmse / c.rmse,
+            "rmse_ratio_R2_C": r2.rmse / c.rmse,
+        }
+        assert set(columns) == set(want)
+        for name, value in want.items():
+            assert np.float64(columns[name][i]).tobytes() == np.float64(value).tobytes(), (i, name)
 
 
 def test_singular_draws_match_per_sample_reference():

@@ -15,12 +15,17 @@ a fixed shuffled order, so that some pairs list unit 2 first. The
 with a byte-order mark, CRLF endings, blank and whitespace-only lines
 and quoted fields, which the input contract accepts; the
 ``analyze_digit_separator`` run reads the experiment with a ``_``
-between two digits of one response, which it refuses. The 6-pair table
-is too small for identity transforms on its four covariates (they need
-n > 9). A change of exit code is a
-failure unless ``EXPECTED_EXITS`` lists it, and so is a worst relative
-drift above ``DRIFT_TOL`` (1e-12) unless ``EXPECTED_DRIFT`` lists the
-run with a larger bound. The exit status is 1 on any failure.
+between two digits of one response, which it refuses, and the
+``analyze_huge_response`` run reads it with one response 1e200 times
+larger. The 6-pair table is too small for identity transforms on its
+four covariates (they need n > 9). In the new tree every ``analyze`` and
+``enumerate`` run is run again with ``PAIRED_ADJUST_SEED=12345`` set,
+and its exit code and report must equal the first run's, byte for byte:
+those commands draw nothing, so no seed may reach them. A change of
+exit code is a failure unless ``EXPECTED_EXITS`` lists it, and so is a
+worst relative drift above ``DRIFT_TOL`` (1e-12) unless
+``EXPECTED_DRIFT`` lists the run with a larger bound. The exit status
+is 1 on any failure.
 
     python tools/report_drift.py OLD NEW [--work DIR]
 """
@@ -37,6 +42,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 TABLES = {
     "table": ["--n", "16", "--setting", "nonparallel", "--seed", "11"],
@@ -99,6 +105,7 @@ RUNS = {
     "enumerate_edge_format": ["enumerate", "--input", "{table_edge}", "--f", "power:2",
                               "--g", "log"],
     "analyze_digit_separator": ["analyze", "--input", "{experiment_separator}"],
+    "analyze_huge_response": ["analyze", "--input", "{experiment_huge}"],
 }
 # (old, new) exit codes that differ for a known reason.
 EXPECTED_EXITS: dict[str, tuple[int, int]] = {
@@ -112,6 +119,9 @@ EXPECTED_EXITS: dict[str, tuple[int, int]] = {
     # Numbers follow numpy's reader, which refuses the digit separators
     # float() read.
     "analyze_digit_separator": (0, 2),
+    # An observed response beyond 2^400, the kernel's limit, is a data
+    # error; it used to overflow into Infinity in the report, with exit 0.
+    "analyze_huge_response": (0, 2),
 }
 # Worst relative drift a run's report may show when both trees exit 0.
 DRIFT_TOL = 1e-12
@@ -126,10 +136,14 @@ SHUFFLE_SEED = 3
 # the one compared across trees.
 WORKERS = {name: ("2", "1", "3") if name == "sate_n100" else ("1", "2", "3")
            for name, argv in RUNS.items() if argv[0] == "simulate"}
+# The seed variable set for the second run of each command that draws nothing.
+SEED_ENV = {"PAIRED_ADJUST_SEED": "12345"}
 
 
-def _cli(src: Path, argv: list[str]) -> int:
+def _cli(src: Path, argv: list[str], extra_env: Optional[dict[str, str]] = None) -> int:
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env.pop("PAIRED_ADJUST_SEED", None)
+    env.update(extra_env or {})
     code = "import sys; from paired_adjust.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True).returncode
@@ -170,6 +184,14 @@ def write_edge_format(src: Path, dest: Path) -> None:
     dest.write_bytes("\r\n".join(lines).encode() + b"\r\n")
 
 
+def write_huge_response(src: Path, dest: Path) -> None:
+    """``src`` with its first response multiplied by 1e200."""
+    header, first, *rows = src.read_text().splitlines()
+    fields = first.split(",")
+    fields[3] = repr(float(fields[3]) * 1e200)
+    dest.write_text("\n".join([header, ",".join(fields), *rows]) + "\n")
+
+
 def write_digit_separator(src: Path, dest: Path) -> None:
     """``src`` with a ``_`` between the first two digits of its first response."""
     header, first, *rows = src.read_text().splitlines()
@@ -180,17 +202,20 @@ def write_digit_separator(src: Path, dest: Path) -> None:
     dest.write_text("\n".join([header, ",".join(fields), *rows]) + "\n")
 
 
-def run_tree(root: Path, work: Path) -> tuple[dict[str, tuple[int, Path]], list[str]]:
+def run_tree(root: Path, work: Path, seed_env: bool = False
+             ) -> tuple[dict[str, tuple[int, Path]], list[str]]:
     """Every command's exit code and report path for the tree at ``root``.
 
     Also returns the studies whose exit codes or reports differ across
-    worker counts.
+    worker counts and, with ``seed_env``, the ``analyze`` and
+    ``enumerate`` runs whose exit codes or reports differ with
+    ``SEED_ENV`` set.
     """
     src = root / "src"
     work.mkdir(parents=True, exist_ok=True)
     inputs = {name: work / f"{name}.csv" for name in (
         *TABLES, "experiment", "experiment_x1e9", "experiment_shuffled", "small_experiment",
-        "experiment_edge", "table_edge", "experiment_separator")}
+        "experiment_edge", "table_edge", "experiment_separator", "experiment_huge")}
     for name, argv in TABLES.items():
         _cli(src, ["generate", *argv, "--out", str(inputs[name])])
     table = inputs["table"]
@@ -201,6 +226,7 @@ def run_tree(root: Path, work: Path) -> tuple[dict[str, tuple[int, Path]], list[
     write_edge_format(inputs["experiment"], inputs["experiment_edge"])
     write_edge_format(table, inputs["table_edge"])
     write_digit_separator(inputs["experiment"], inputs["experiment_separator"])
+    write_huge_response(inputs["experiment"], inputs["experiment_huge"])
     out, differ = {}, []
     for name, argv in RUNS.items():
         argv = [a.format(**inputs) for a in argv]
@@ -215,6 +241,12 @@ def run_tree(root: Path, work: Path) -> tuple[dict[str, tuple[int, Path]], list[
                for c, p in reports[1:]):
             print(f"{root}: {name} differs across worker counts")
             differ.append(name)
+        if seed_env and argv[0] in ("analyze", "enumerate"):
+            path = work / f"{name}_seed_env.json"
+            code = _cli(src, argv + ["--out", str(path)], SEED_ENV)
+            if code != c1 or (c1 == 0 and path.read_bytes() != p1.read_bytes()):
+                print(f"{root}: {name} differs with PAIRED_ADJUST_SEED set")
+                differ.append(name)
         out[name] = reports[0]
     return out, differ
 
@@ -251,7 +283,7 @@ def main() -> int:
     args = parser.parse_args()
     work = args.work or Path(tempfile.mkdtemp(prefix="report_drift_"))
     old, _ = run_tree(args.old, work / "old")
-    new, differ = run_tree(args.new, work / "new")
+    new, differ = run_tree(args.new, work / "new", seed_env=True)
     worst_ok = not differ
     for name in RUNS:
         (c_old, p_old), (c_new, p_new) = old[name], new[name]
@@ -269,6 +301,9 @@ def main() -> int:
             elif worst > DRIFT_TOL:
                 drift_note = " (expected)"
         print(f"{name}: exit {c_old} -> {c_new}{note}, worst relative drift {d}{drift_note}")
+    if not differ:
+        print("new tree: every study is byte-identical across worker counts, and every analyze "
+              "and enumerate run with PAIRED_ADJUST_SEED set")
     return 0 if worst_ok else 1
 
 
