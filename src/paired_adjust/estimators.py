@@ -139,9 +139,11 @@ def estimate_r2_flavors(dm: DesignMatrices, flavors: Sequence[str]) -> tuple[Est
 def superpop_correct(r2: EstimateReport, dm: DesignMatrices) -> EstimateReport:
     """Widen an R2 variance so it covers the population-level effect.
 
-    Adds beta_m' Sigma_m beta_m / n with Sigma_m = m'm/(n-1). The
-    correction is a positive-semidefinite quadratic form, so the
-    variance never shrinks. The point estimate is unchanged.
+    Adds beta_m' Sigma_m beta_m / n with Sigma_m = m'm/(n-1), computed
+    as ||m beta_m||^2 / ((n-1) n), the squared norm of the fitted m part,
+    so no entry of m is squared and covariates near the float range do
+    not overflow. The correction is a sum of squares, so the variance
+    never shrinks. The point estimate is unchanged.
     """
     if r2.estimator != "R2":
         raise WrongEstimator(
@@ -151,9 +153,8 @@ def superpop_correct(r2: EstimateReport, dm: DesignMatrices) -> EstimateReport:
         raise WrongEstimator("superpopulation correction needs at least one m column")
     if len(r2.beta_m) != dm.k_m or r2.n != dm.n:
         raise WrongEstimator("report and design matrices do not match")
-    beta_m = np.asarray(r2.beta_m)
-    sigma_m = dm.m.T @ dm.m / (dm.n - 1)
-    correction = float(beta_m @ sigma_m @ beta_m) / dm.n
+    fitted_m = dm.m @ np.asarray(r2.beta_m)
+    correction = float(fitted_m @ fitted_m) / ((dm.n - 1) * dm.n)
     return EstimateReport(
         estimator="R2",
         tau_hat=r2.tau_hat,

@@ -256,7 +256,9 @@ class PairedExperiment:
 class DesignMatrices:
     """Regression inputs derived from a paired experiment.
 
-    ``m`` columns each sum to zero (to 1e-10 * n); ``v`` entries are
+    ``m`` columns each sum to zero (to 1e-10 * n times the larger of 1
+    and the column's largest magnitude, :func:`columns_centered`), which
+    is checked here since ``m`` may come from a caller; ``v`` entries are
     +/-1; ``vd`` holds rows ``v[i] * d[i]``. Requires n > K_D + K_M + 1,
     the size test of :func:`design_estimators`, so the intercept
     regressions have at least one residual degree of freedom.
@@ -360,14 +362,19 @@ def _zero_rounding_columns(m: np.ndarray, gx: np.ndarray) -> np.ndarray:
 
 
 def columns_centered(m: np.ndarray) -> np.ndarray:
-    """Whether the m columns sum to zero, to 1e-10 * n, table by table.
+    """Whether the m columns sum to zero, table by table: the package's one centering rule.
 
-    ``m`` has shape (n, K_M), or (..., n, K_M) for a stack of tables;
-    the result has the leading shape. A zero-width block is centered.
-    A NaN column sum is not flagged here.
+    Column k passes when |sum_i m_ik| <= 1e-10 * n * max(1, max_i |m_ik|),
+    so rescaling a column of scale above 1 rescales both sides and the
+    test does not depend on covariate units. ``m`` has shape (n, K_M),
+    or (..., n, K_M) for a stack of tables; the result has the leading
+    shape. A zero-width block is centered. An infinite column sum fails,
+    whatever the scale; a NaN one is not flagged here.
     """
     n = m.shape[-2]
-    return ~(np.abs(m.sum(axis=-2)) > 1e-10 * n).any(axis=-1)
+    total = np.abs(m.sum(axis=-2))
+    scale = np.maximum(np.abs(m).max(axis=-2, initial=0.0), 1.0)
+    return ~((total > 1e-10 * n * scale) | np.isinf(total)).any(axis=-1)
 
 
 def block_widths(f: TransformSpec, g: TransformSpec, p: int) -> tuple[int, int]:

@@ -151,7 +151,7 @@ def intercept_variance_classical(fit: FitResult) -> float:
         raise DegenerateDenominator("no residual degrees of freedom")
     u2 = float(fit.intercept_row @ fit.intercept_row)
     denom = 1.0 / u2
-    if denom <= 1e-10 * fit.n:
+    if denom <= RANK_RTOL * fit.n:
         raise DegenerateDenominator(
             f"ones vector is numerically inside the regressor span "
             f"(e'(I-H)e = {denom:.3e})"

@@ -15,26 +15,27 @@ estimators under that randomness three ways:
 Every fit comes from the batched kernel's one entry point,
 ``kernel.sign_stats``, on a grid of tables by signs: one table by all
 2^n codes or by B draws (:func:`_table_stats`), or slabs of tables by
-their B draws each (studies, with B = 1 in a pate study). :func:`run_study`
-cuts the sample indices once into contiguous slabs of at most
-``_STUDY_PAIRS`` pairs and computes them on a pool of threads. Both
-study modes go through one slab path, :func:`_study_block`. It reads
-each sample index's normals and signs from its own substreams
-(:class:`_StudyStreams`) and builds what does not depend on the signs
-once (:func:`_slabs`, :class:`_Slab`): the stacked outcomes and
-covariates in one pass, so no per-table sample object is built, then
-the blocks, their whitened bases and the effects and gaps. The slab's
+their B draws each (studies, with B = 1 in a pate study). Every mode
+builds the kernel's inputs of its tables one way,
+:func:`_kernel_inputs`: the effects and gaps, then the blocks and their
+whitened bases. :func:`run_study` cuts the sample indices once into
+contiguous slabs of at most ``_STUDY_PAIRS`` pairs and computes them on
+a pool of threads. Both study modes go through one slab path,
+:func:`_study_block`. It reads each sample index's normals and signs
+from its own substreams (:class:`_StudyStreams`), stacks the slab's
+outcomes and covariates in one pass, so no per-table sample object is
+built, and builds what does not depend on the signs once. The slab's
 tables then meet their signs in one kernel call, which cuts them into
 passes by the kernel's grid budget and returns one column per metric
 (:func:`_sate_columns`, :func:`_pate_columns`). A sate study
 summarizes each table's B draws against its own average effect, each
 estimator's (T, B) grid in one :func:`_summarize` call; a pate study
-keeps its one draw per table and checks that each table's m columns
-are centered. Every entry point first asks
-``experiment_model.design_estimators`` which estimators the design
-allows, and every mode makes the same rank decision, the kernel's pivot
-tests; a pate study raises for the first sample, in index order, that
-fails them.
+keeps its one draw per table. The m block is centered by construction
+(``experiment_model.transformed_blocks``), so no mode checks it again.
+Every entry point first asks ``experiment_model.design_estimators``
+which estimators the design allows, and every mode makes the same rank
+decision, the kernel's pivot tests; a pate study raises for the first
+sample, in index order, that fails them.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import concurrent.futures
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +63,6 @@ from .estimators import normal_quantile
 from .experiment_model import (
     PairedExperiment,
     TransformSpec,
-    columns_centered,
     design_estimators,
     transformed_blocks,
 )
@@ -170,6 +170,29 @@ def reveal(
     return exp, y
 
 
+def _kernel_inputs(
+    r_t: np.ndarray,
+    r_c: np.ndarray,
+    x: Optional[np.ndarray],
+    f: TransformSpec,
+    g: TransformSpec,
+) -> tuple[Whitened, np.ndarray, np.ndarray]:
+    """What :func:`sign_stats` takes of a stack of tables: whitened blocks, effects and gaps.
+
+    ``r_t`` and ``r_c`` are (T, n, 2) potential outcomes and ``x`` the
+    (T, n, 2, P) covariates, or None for blocks of zero columns, which
+    the mean alone takes. This is every mode's one build of its tables.
+    The effects come first, so an outcome the kernel cannot take raises
+    DataError before a transform can raise NonFiniteTransform.
+    """
+    effects, gaps = effects_and_gaps(r_t, r_c)
+    if x is None:
+        blocks = (np.empty(effects.shape + (0,)),) * 2
+    else:
+        blocks = transformed_blocks(x, f, g)
+    return Whitened.of(*blocks), effects, gaps
+
+
 def _table_stats(
     sample: PotentialOutcomeSample,
     signs: np.ndarray,
@@ -179,16 +202,14 @@ def _table_stats(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """:func:`sign_stats` for one table and its (B, n) ``signs``, as (B,) arrays.
 
-    The table is a stack of one, whose blocks, when a regression estimator
-    is wanted, come from ``x[None]`` as a study slab builds them, and are
-    whitened here; the mean alone takes blocks of zero columns.
+    The table is a stack of one, built by :func:`_kernel_inputs` as a
+    study slab is; its covariates are left out when only the mean is
+    wanted.
     """
-    effects, gaps = effects_and_gaps(sample.r_t[None], sample.r_c[None])
-    blocks = (np.empty(effects.shape + (0,)),) * 2
-    if any(est != "C" for est in want):
-        ident = TransformSpec.identity()
-        blocks = transformed_blocks(sample.x[None], f or ident, g or ident)
-    stats = sign_stats(Whitened.of(*blocks), effects, gaps, times_of(signs[None]), len(signs), want)
+    ident = TransformSpec.identity()
+    x = sample.x[None] if any(est != "C" for est in want) else None
+    tables = _kernel_inputs(sample.r_t[None], sample.r_c[None], x, f or ident, g or ident)
+    stats = sign_stats(*tables, times_of(signs[None]), len(signs), want)
     return {est: (tau[0], s2[0]) for est, (tau, s2) in stats.items()}
 
 
@@ -532,75 +553,6 @@ def _concat(parts: Sequence[Mapping[str, np.ndarray]]) -> dict[str, np.ndarray]:
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
-@dataclass(frozen=True)
-class _Slab:
-    """A slab of study tables: what does not depend on their signs, built once.
-
-    Table j is sample ``idxs[j]`` of the study ``config``. ``blocks``
-    are the tables' whitened d and m blocks and ``effects`` and
-    ``gaps`` (T, n) their Delta and l_i1 - l_i2
-    (:func:`effects_and_gaps`). A pate study also keeps ``centered``
-    (T,), whether each table's m columns pass :func:`columns_centered`;
-    a sate study does not. The covariates, the potential outcomes and
-    the blocks themselves are not kept, so they are freed before the
-    slab's kernel call.
-    """
-
-    config: StudyConfig
-    idxs: Sequence[int]
-    blocks: Whitened
-    effects: np.ndarray
-    gaps: np.ndarray
-    centered: Optional[np.ndarray] = None
-
-    @classmethod
-    def of(
-        cls,
-        config: StudyConfig,
-        idxs: Sequence[int],
-        r_t: np.ndarray,
-        r_c: np.ndarray,
-        x: np.ndarray,
-    ) -> "_Slab":
-        """The slab of tables with outcomes ``r_t``, ``r_c`` and covariates ``x`` (T, n, 2, 4).
-
-        Raises NonFiniteTransform when a transform is not finite on the
-        stack.
-        """
-        d, m = transformed_blocks(x, config.f, config.g)
-        effects, gaps = effects_and_gaps(r_t, r_c)
-        blocks = Whitened.of(d, m)
-        if config.mode == "sate":
-            return cls(config, idxs, blocks, effects, gaps)
-        return cls(config, idxs, blocks, effects, gaps, columns_centered(m))
-
-
-def _slabs(
-    config: StudyConfig, idxs: Sequence[int], r_t: np.ndarray, r_c: np.ndarray, x: np.ndarray
-) -> Iterator[_Slab]:
-    """The slab of sample indices ``idxs``, whose tables are given as in :meth:`_Slab.of`.
-
-    Yields one slab, and drops the covariates once it is built. When
-    the stack's transforms are not finite, it yields one slab per table
-    instead, each built only when the caller asks for it, so the first
-    failing table raises what it raises alone: which transform fails
-    first may differ between it and the stack, and in a population
-    study an earlier table may fail another check in its kernel call.
-    """
-    try:
-        slab = _Slab.of(config, idxs, r_t, r_c, x)
-    except NonFiniteTransform:
-        if len(idxs) == 1:
-            raise
-    else:
-        del r_t, r_c, x
-        yield slab
-        return
-    for j in range(len(idxs)):
-        one = slice(j, j + 1)
-        yield _Slab.of(config, idxs[one], r_t[one], r_c[one], x[one])
-
-
 def _study_block(config: StudyConfig, idxs: Sequence[int]) -> dict[str, np.ndarray]:
     """Metric columns of the slab of sample indices ``idxs``, in order.
 
@@ -608,30 +560,49 @@ def _study_block(config: StudyConfig, idxs: Sequence[int]) -> dict[str, np.ndarr
     (see :class:`_StudyStreams`), so a value does not depend on the
     slab it is computed in. The slab's tables are built as stacked
     arrays, bit for bit the tables :func:`generate_sample` draws from
-    the same streams; the normals are dropped then, and the slab is
-    built once (:func:`_slabs`). Its tables meet their signs in one
-    kernel call, through :func:`_sate_columns` or :func:`_pate_columns`
-    by ``config.mode``.
+    the same streams, and then by :func:`_kernel_inputs` once, after
+    which the outcomes and covariates are dropped. The tables meet
+    their signs in one kernel call, through :func:`_sate_columns` or
+    :func:`_pate_columns` by ``config.mode``. When a transform is not
+    finite on the stack, the tables are built and computed one at a
+    time, in order, so the first failing table raises what it raises
+    alone: which transform fails first may differ between it and the
+    stack, and in a pate study an earlier table may fail the rank test.
     """
     streams = _StudyStreams(config, idxs)
     step = _sate_columns if config.mode == "sate" else _pate_columns
-    # Only the generator holds the tables, so that it can drop them.
-    slabs = _slabs(config, idxs, *stacked_tables(streams.normals(len(idxs)), config.setting)[1:])
-    return _concat([step(slab, streams.times) for slab in slabs])
+    r_t, r_c, x = stacked_tables(streams.normals(len(idxs)), config.setting)[1:]
+    try:
+        tables = _kernel_inputs(r_t, r_c, x, config.f, config.g)
+    except NonFiniteTransform:
+        if len(idxs) == 1:
+            raise
+        parts = []
+        for j in range(len(idxs)):
+            one = slice(j, j + 1)
+            tables = _kernel_inputs(r_t[one], r_c[one], x[one], config.f, config.g)
+            parts.append(step(config, idxs[one], *tables, streams.times))
+        return _concat(parts)
+    del r_t, r_c, x
+    return step(config, idxs, *tables, streams.times)
 
 
-def _sate_columns(slab: _Slab, times: Times) -> dict[str, np.ndarray]:
-    """In-sample metrics of the slab's tables over their B draws: one kernel call.
+def _sate_columns(
+    config: StudyConfig, idxs: Sequence[int], blocks: Whitened, effects: np.ndarray,
+    gaps: np.ndarray, times: Times,
+) -> dict[str, np.ndarray]:
+    """In-sample metrics of the tables ``idxs`` over their B draws: one kernel call.
 
-    The tables meet their B signs each, whose products ``times`` gives,
-    together in :func:`sign_stats`, and each estimator's (T, B) grid is
-    summarized in one call against each table's own average effect.
-    Singular draws are left out of the summaries.
+    The tables, given as :func:`_kernel_inputs` builds them, meet their
+    B signs each, whose products ``times`` gives, together in
+    :func:`sign_stats`, and each estimator's (T, B) grid is summarized
+    in one call against each table's own average effect. Singular draws
+    are left out of the summaries.
     """
-    b = slab.config.randomizations
-    stats = sign_stats(slab.blocks, slab.effects, slab.gaps, times, b, ("C", "R1", "R2"))
-    sates = slab.effects.mean(axis=-1)
-    c, r1, r2 = (_summarize(tau, s2, sates, slab.config.alpha) for tau, s2 in stats.values())
+    b = config.randomizations
+    stats = sign_stats(blocks, effects, gaps, times, b, ("C", "R1", "R2"))
+    sates = effects.mean(axis=-1)
+    c, r1, r2 = (_summarize(tau, s2, sates, config.alpha) for tau, s2 in stats.values())
     return {
         "coverage_C": c.coverage,
         "coverage_R1": r1.coverage,
@@ -644,28 +615,24 @@ def _sate_columns(slab: _Slab, times: Times) -> dict[str, np.ndarray]:
     }
 
 
-def _pate_columns(slab: _Slab, times: Times) -> dict[str, np.ndarray]:
-    """Estimates and standard errors of the slab's tables, one draw each: one kernel call.
+def _pate_columns(
+    config: StudyConfig, idxs: Sequence[int], blocks: Whitened, effects: np.ndarray,
+    gaps: np.ndarray, times: Times,
+) -> dict[str, np.ndarray]:
+    """Estimates and standard errors of the tables ``idxs``, one draw each: one kernel call.
 
     Every estimate, the mean's too, comes from :func:`sign_stats` on
-    the effects and gaps under one draw per table, whose products
-    ``times`` gives; Y is never formed. The first table in order that
-    fails raises, and its first failing check picks the error:
-    DimensionMismatch when its m columns fail :func:`columns_centered`
-    (the test :class:`DesignMatrices` applies), and RankDeficient,
-    naming the sample, when its R1 or R2P fit is singular under the
-    kernel's pivot tests, the same rank decision as in the other modes.
+    the tables as :func:`_kernel_inputs` builds them, under one draw
+    per table, whose products ``times`` gives; Y is never formed. The
+    first table in order whose R1 or R2P fit is singular under the
+    kernel's pivot tests, the same rank decision as in the other modes,
+    raises RankDeficient naming its sample.
     """
-    grids = sign_stats(slab.blocks, slab.effects, slab.gaps, times, 1, ("C", "R1", "R2", "R2P"))
+    grids = sign_stats(blocks, effects, gaps, times, 1, ("C", "R1", "R2", "R2P"))
     stats = {est: (tau[:, 0], s2[:, 0]) for est, (tau, s2) in grids.items()}
-    centered = slab.centered
-    full_rank = np.isfinite(stats["R1"][1]) & np.isfinite(stats["R2P"][1])
-    bad = np.flatnonzero(~(centered & full_rank))
+    bad = np.flatnonzero(~(np.isfinite(stats["R1"][1]) & np.isfinite(stats["R2P"][1])))
     if bad.size:
-        j = bad[0]
-        if not centered[j]:
-            raise DimensionMismatch("m columns must sum to zero across pairs")
-        raise RankDeficient(f"sample {slab.idxs[j]}: the regression design is rank deficient")
+        raise RankDeficient(f"sample {idxs[bad[0]]}: the regression design is rank deficient")
     return {
         "tau_C": stats["C"][0],
         "se_C": np.sqrt(stats["C"][1]),

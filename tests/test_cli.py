@@ -143,27 +143,34 @@ class TestAnalyze:
     def test_estimates_do_not_depend_on_covariate_units(self, capsys, tmp_path):
         s = generate_sample(16, "nonparallel", seed=11)
         exp, _ = reveal(s, randomize(16, substream(11, ROLE_ASSIGN)))
-        runs = {}
-        for col, scale in [(0, 1.0), (0, 1e9), (0, 1e12), (0, 1e-9), (3, 1e9), (3, 1e12)]:
-            x = exp.x.copy()
-            x[:, :, col] *= scale
-            path = tmp_path / f"x{col + 1}_{scale:g}.csv"
-            write_experiment_csv(type(exp)(x=x, z=exp.z, y=exp.y), path)
-            code, out, err = run_cli(
-                capsys, "analyze", "--input", str(path), "--g", "select:", "--variance", "HC2"
-            )
-            assert (code, err) == (0, ""), (col, scale)
-            runs[col, scale] = json.loads(out)["estimates"]
-        base = runs.pop((0, 1.0))
-        for (col, scale), rows in runs.items():
-            for row, want in zip(rows, base):
-                beta = list(row["beta_D"])
-                if beta:
-                    beta[col] *= scale  # the slope is per unit of x
-                got = [row["tau_hat"], row["s2"], *beta]
-                assert got == pytest.approx(
-                    [want["tau_hat"], want["s2"], *want["beta_D"]], rel=1e-12
-                ), (col, scale, row["estimator"])
+        scales = [((0,), 1e9), ((0,), 1e12), ((0,), 1e-9), ((3,), 1e9), ((3,), 1e12),
+                  ((0, 1, 2, 3), 1e6), ((0, 1, 2, 3), 1e300)]
+        # Without an m block, then with the default one and the
+        # superpopulation-corrected R2 row, whose m columns are x's.
+        for flags in (("--g", "select:"), ("--target", "pate")):
+            runs = {}
+            for cols, scale in [((0,), 1.0), *scales]:
+                x = exp.x.copy()
+                x[:, :, cols] *= scale
+                path = tmp_path / f"x{cols}_{scale:g}.csv"
+                write_experiment_csv(type(exp)(x=x, z=exp.z, y=exp.y), path)
+                code, out, err = run_cli(
+                    capsys, "analyze", "--input", str(path), *flags, "--variance", "HC2"
+                )
+                assert (code, err) == (0, ""), (flags, cols, scale)
+                runs[cols, scale] = json.loads(out)["estimates"]
+            base = runs.pop(((0,), 1.0))
+            assert any(row["beta_M"] for row in base) == (flags[0] == "--target")
+            for (cols, scale), rows in runs.items():
+                assert len(rows) == len(base)
+                for row, want in zip(rows, base):
+                    # A slope is per unit of its column of x.
+                    beta = [b * scale if k in cols else b for k, b in enumerate(row["beta_D"])]
+                    beta += [b * scale if k in cols else b for k, b in enumerate(row["beta_M"])]
+                    got = [row["tau_hat"], row["s2"], *beta]
+                    assert got == pytest.approx(
+                        [want["tau_hat"], want["s2"], *want["beta_D"], *want["beta_M"]], rel=1e-12
+                    ), (flags, cols, scale, row["estimator"], row["flavor"])
 
     def test_byte_order_mark_is_skipped(self, capsys, tmp_path, experiment_csv):
         target = tmp_path / "report.json"

@@ -8,7 +8,8 @@ grammar agrees with Python's, the loaders must give bitwise-equal arrays
 or the same exception and message as the reference; where README lists
 a change, the new reader must name the changed token. The same files go
 through ``analyze --input`` and ``enumerate --input``, which must exit
-with a code of the contract and print no traceback or warning.
+with a code of the contract and print no traceback or warning, and a
+stated share of the experiment files must reach analyze's fits.
 """
 
 from __future__ import annotations
@@ -65,21 +66,27 @@ _CHANGED = {
 
 
 @st.composite
-def csv_files(draw, kind, finite=_FINITE):
+def csv_files(draw, kind, finite=_FINITE, responses=None):
     """(text, mutation, line, field, n_int) for a drawn ``kind`` ("experiment" or "science") file.
 
-    Its numbers are ``finite`` values in drawn text forms. ``line`` is
-    the file line of the mutated row (None if no row was changed in
-    place), ``field`` its changed field and ``n_int`` the count of
-    integer fields; ``text`` carries a byte-order mark and CRLF endings
-    as drawn.
+    Its numbers are ``finite`` values in drawn text forms, but an
+    experiment's responses are ``responses`` values when given. An
+    experiment with one covariate has 4 to 8 pairs, so that analyze's
+    default identity transforms (n > 3) can fit it; other files have 1
+    to 5, too few for two covariates. ``line`` is the file line of the mutated row (None if no row
+    was changed in place), ``field`` its changed field and ``n_int`` the
+    count of integer fields; ``text`` carries a byte-order mark and CRLF
+    endings as drawn.
     """
-    n = draw(st.integers(1, 5))
+    first = finite
     if kind == "experiment":
         p = draw(st.integers(1, 2))
+        n = draw(st.integers(4, 8) if p == 1 else st.integers(1, 5))
         header = ["pair", "unit", "z", "y", *(f"x{j}" for j in range(1, p + 1))]
         n_int = 3
+        first = finite if responses is None else responses
     else:
+        n = draw(st.integers(1, 5))
         groups = [g for g in ("w", "x") if draw(st.booleans())]
         header = ["pair", "unit", *(f"{g}{j}" for g in groups for j in range(1, 5)), "r_t", "r_c"]
         n_int = 2
@@ -89,12 +96,14 @@ def csv_files(draw, kind, finite=_FINITE):
     for pair in ids:
         treated = draw(st.integers(1, 2))
         for unit in (1, 2):
-            numbers = [draw(st.sampled_from(_FORMS))(draw(finite)) for _ in range(width - n_int)]
+            numbers = [draw(st.sampled_from(_FORMS))(draw(first if k == 0 else finite))
+                       for k in range(width - n_int)]
             flags = [str(int(unit == treated))] if n_int == 3 else []
             rows.append([str(pair), str(unit), *flags, *numbers])
     rows = draw(st.permutations(rows))
 
-    mutation = draw(st.sampled_from((None, *_SAME, *_CHANGED)))
+    # Half the files are well formed, so that some reach the commands' fits.
+    mutation = draw(st.one_of(st.none(), st.sampled_from((*_SAME, *_CHANGED))))
     r = draw(st.integers(0, len(rows) - 1))
     field = None
     if mutation == "arity_drop":
@@ -231,6 +240,7 @@ def _run(argv):
 
 
 def _check_exit_contract(kind, text):
+    """The exit code of ``text`` through its command, checked against the contract."""
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "input.csv"
         path.write_text(text, encoding="utf-8", newline="")
@@ -242,25 +252,53 @@ def _check_exit_contract(kind, text):
     assert code in {0, 2, 3, 4, 5}, err
     assert "Traceback" not in err
     assert caught == []
+    return code
+
+
+def _exit_codes(kind, *values):
+    """The exit codes of 60 drawn ``kind`` files, ``csv_files(kind, *values)``, each checked."""
+    codes = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        codes.append(_check_exit_contract(kind, data.draw(csv_files(kind, *values))[0]))
+
+    check()
+    return codes
+
+
+def _fitted_share(codes):
+    """The share of files whose fits ran: exit 0, or 3 for a singular design."""
+    return sum(code in (0, 3) for code in codes) / len(codes)
 
 
 @pytest.mark.parametrize("kind", ["experiment", "science"])
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_commands_keep_the_exit_contract_on_any_csv(kind, data):
-    _check_exit_contract(kind, data.draw(csv_files(kind))[0])
+def test_commands_keep_the_exit_contract_on_any_csv(kind):
+    codes = _exit_codes(kind)
+    if kind == "experiment":
+        # Most responses drawn from the whole float range exceed 2^400;
+        # 3 of the 60 files reach the fits.
+        assert _fitted_share(codes) >= 1 / 30
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_enumerate_keeps_the_exit_contract_near_the_float_range(data):
-    _check_exit_contract("science", data.draw(csv_files("science", _NEAR_RANGE))[0])
+def test_enumerate_keeps_the_exit_contract_near_the_float_range():
+    _exit_codes("science", _NEAR_RANGE)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_analyze_keeps_the_exit_contract_near_the_float_range(data):
-    _check_exit_contract("experiment", data.draw(csv_files("experiment", _NEAR_RANGE))[0])
+# Zeros and ones among covariates whose squares overflow but whose pair
+# sums and differences do not, with responses within the kernel's limit
+# of 2^400, so that the files reach analyze's fits.
+_NEAR_RANGE_COVARIATES = st.one_of(
+    st.sampled_from((0.0, 1.0)), st.floats(1e150, 1e307), st.floats(-1e307, -1e150)
+)
+_WITHIN_LIMIT = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(-(2.0**400), 2.0**400))
+
+
+def test_analyze_keeps_the_exit_contract_near_the_float_range():
+    codes = _exit_codes("experiment", _NEAR_RANGE_COVARIATES, _WITHIN_LIMIT)
+    # 24 of the 60 files reach the fits, whose m'm would overflow.
+    assert _fitted_share(codes) >= 1 / 4
 
 
 def test_enumerate_refuses_outcomes_beyond_the_kernel_limit(tmp_path):

@@ -10,10 +10,13 @@ when the covariate columns are given other units, up to the edges of
 the float range. A constant added to every effect moves every estimate
 by that constant and no variance. Exact enumeration matches the
 one-assignment-at-a-time oracle on every code, and the study columns of
-both modes do not change under pair order or unit swap. The observed
+both modes do not change under pair order, unit swap or covariate
+units. The observed
 responses that ``reveal`` builds give the Y of the level/effect identity
 that the kernel takes in their place.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,13 +26,14 @@ from hypothesis import strategies as st
 from paired_adjust import (
     StudyConfig, TransformSpec, enumerate_exact, reveal, run_monte_carlo, substream
 )
+from paired_adjust import randomization_engine as engine
 from paired_adjust.dgp import PotentialOutcomeSample, stacked_tables
 from paired_adjust.experiment_model import block_widths, transformed_blocks
 from paired_adjust.kernel import Whitened, effects_and_gaps, sign_stats, times_of
 from paired_adjust.randomization_engine import (
+    _kernel_inputs,
     _pate_columns,
     _sate_columns,
-    _Slab,
     _StudyStreams,
 )
 from paired_adjust.rng import ROLE_ASSIGN
@@ -224,7 +228,7 @@ def test_study_columns_invariant_to_pair_order_and_unit_swap(mode, transforms, n
 
     def columns(r_t, r_c, x, signs):
         """The study columns of the three tables, as one slab and one kernel call."""
-        return step(_Slab.of(cfg, range(3), r_t, r_c, x), times_of(signs))
+        return step(cfg, range(3), *_kernel_inputs(r_t, r_c, x, f, g), times_of(signs))
 
     base = columns(r_t, r_c, x, signs)
 
@@ -244,6 +248,36 @@ def test_study_columns_invariant_to_pair_order_and_unit_swap(mode, transforms, n
         assert other.keys() == base.keys()
         for name, col in base.items():
             assert other[name] == pytest.approx(col, rel=1e-9, nan_ok=True), name
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["sate", "pate"]),
+    st.sampled_from(TRANSFORMS[:3]),
+    st.integers(20, 40),
+    st.integers(0, 2**40),
+    st.lists(st.integers(-9, 12), min_size=4, max_size=4),
+)
+def test_study_columns_invariant_to_covariate_units(mode, transforms, n, seed, powers):
+    # Each covariate column in units 10^k times smaller, for k from -9 to
+    # 12. Under these transforms that rescales the d and m columns (log
+    # shifts m by a constant, which centering removes), so no intercept
+    # or variance moves beyond the rounding of the rescaled entries.
+    f, g = transforms
+    cfg = StudyConfig(mode=mode, setting="nonparallel", n=n, samples=3, f=f, g=g, seed=seed,
+                      randomizations=20 if mode == "sate" else 1)
+    tables = engine.stacked_tables
+
+    def rescaled(normals, setting):
+        w, r_t, r_c, x = tables(normals, setting)
+        return w, r_t, r_c, x * 10.0 ** np.array(powers)
+
+    base = engine._study_block(cfg, range(3))
+    with mock.patch.object(engine, "stacked_tables", rescaled):
+        scaled = engine._study_block(cfg, range(3))
+    assert scaled.keys() == base.keys()
+    for name, col in base.items():
+        assert scaled[name] == pytest.approx(col, rel=1e-9, nan_ok=True), name
 
 
 @pytest.mark.parametrize("block", ["d", "m"])

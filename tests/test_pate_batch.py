@@ -8,7 +8,9 @@ the single-fit estimators raise for it. The rank decision is the kernel's own, s
 pate and sate studies call the same designs singular.
 """
 
+import contextlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,11 +19,7 @@ from paired_adjust import kernel
 from paired_adjust import randomization_engine as engine
 from paired_adjust.cli import main
 from paired_adjust.dgp import PotentialOutcomeSample, generate_sample
-from paired_adjust.errors import (
-    DimensionMismatch,
-    NonFiniteTransform,
-    RankDeficient,
-)
+from paired_adjust.errors import NonFiniteTransform, RankDeficient
 from paired_adjust.estimators import (
     estimate_classical,
     estimate_r1,
@@ -32,8 +30,6 @@ from paired_adjust.experiment_model import TransformSpec, build_design, transfor
 from paired_adjust.kernel import Whitened, sign_stats, times_of
 from paired_adjust.randomization_engine import (
     StudyConfig,
-    _pate_columns,
-    _slabs,
     _study_block,
     randomize,
     reveal,
@@ -104,17 +100,23 @@ def _stack(samples):
 
 
 def _columns(samples, signs, f, g):
-    """The block path's columns for samples that meet one (n,) sign vector each.
+    """The study slab path's columns for samples that meet one (n,) sign vector each.
 
-    The samples form one slab, or one per table when a transform is not
-    finite on them, and each slab is one kernel call.
+    :func:`_study_block` takes the samples' stacked tables and their
+    signs, read on in order, in place of its streams' draws. The samples
+    form one slab, built once, or are built one table at a time when a
+    transform is not finite on them; each build is one kernel call.
     """
     cfg = StudyConfig(mode="pate", setting="nonparallel", n=samples[0].n,
                       samples=len(samples), f=f, g=g)
-    parts = []
-    for slab in _slabs(cfg, range(len(samples)), *_stack(samples)):
-        parts.append(_pate_columns(slab, times_of(signs[slab.idxs, None])))
-    return _joined(parts)
+    given = iter(signs)
+
+    def given_signs(self, count):
+        return np.stack([next(given) for _ in range(count)])[:, None]
+
+    with mock.patch.object(engine, "stacked_tables", lambda normals, setting: (None, *_stack(samples))), \
+            mock.patch.object(engine._StudyStreams, "signs", given_signs):
+        return _study_block(cfg, range(len(samples)))
 
 
 def _bits(columns):
@@ -212,13 +214,14 @@ F_CRAFT, G_CRAFT = T.select([1, 2]), T.select([4])
 
 def _crafted_block():
     """Six tables: table 2 has a zero vd column, table 4 an m column
-    too large to center to the absolute tolerance DesignMatrices checks."""
+    5e5 times the others, which a centering tolerance blind to scale
+    would refuse and both paths fit."""
     samples, signs = _draws(33, 25, 6)
     x = np.array(samples[2].x)
     x[:, 1, 0] = x[:, 0, 0]  # equal units: d column 1 is all zero
     samples[2] = _with_x(samples[2], x)
     x = np.array(samples[4].x)
-    x[..., 3] *= 5e5  # well conditioned still; only the centering check fails
+    x[..., 3] *= 5e5  # well conditioned still
     samples[4] = _with_x(samples[4], x)
     return samples, signs
 
@@ -238,16 +241,17 @@ def _single_path_error(samples, signs, f, g):
 
 @pytest.mark.parametrize(
     "keep,expected",
-    [((0, 1, 2, 3), RankDeficient), ((0, 1, 3, 4, 5), DimensionMismatch),
-     ((4, 2), DimensionMismatch), ((2, 4), RankDeficient)],
+    [((0, 1, 2, 3), RankDeficient), ((0, 1, 3, 4, 5), None),
+     ((4, 2), RankDeficient), ((2, 4), RankDeficient)],
 )
 def test_block_raises_what_single_path_raises(keep, expected):
     samples, signs = _crafted_block()
     samples = [samples[j] for j in keep]
     signs = signs[list(keep)]
     assert _single_path_error(samples, signs, F_CRAFT, G_CRAFT) is expected
-    with pytest.raises(expected):
-        _columns(samples, signs, F_CRAFT, G_CRAFT)
+    with pytest.raises(expected) if expected else contextlib.nullcontext():
+        columns = _columns(samples, signs, F_CRAFT, G_CRAFT)
+        assert all(np.isfinite(col).all() for col in columns.values())
 
 
 def test_failing_transform_sends_block_one_table_at_a_time():
@@ -270,9 +274,11 @@ def test_failing_transform_sends_block_one_table_at_a_time():
         # zero-width m block: refused before any sample is drawn
         (["--n", "25", "--g", "select:"], 4, "superpopulation correction needs"),
         # exp of the covariates: table 0 is full rank under the kernel's
-        # scale-invariant test, table 1 fails the absolute centering tolerance
-        (["--n", "25", "--f", "exp", "--g", "exp"], 2, "m columns must sum to zero"),
-        (["--n", "200", "--f", "power:3", "--g", "power:3"], 2, "m columns must sum to zero"),
+        # scale-invariant test, table 1 is not; at n = 100 table 0 is not
+        (["--n", "25", "--f", "exp", "--g", "exp"], 3,
+         "sample 1: the regression design is rank deficient"),
+        (["--n", "100", "--f", "exp", "--g", "exp"], 3,
+         "sample 0: the regression design is rank deficient"),
         # one sample (the later --S wins): every se/sd and sd ratio divides
         # by a standard deviation across samples
         (["--n", "25", "--S", "1"], 4, "pate mode needs samples >= 2, got 1: its metrics "
@@ -291,12 +297,15 @@ def test_failing_pate_studies_keep_error_and_exit_code(tmp_path, capsys, args, c
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", ["pate-study", "sate-study"])
 def test_study_modes_make_the_same_rank_decision(tmp_path, capsys, mode):
-    # A rank test that depends on column scale calls these pate designs singular.
-    argv = ["simulate", "--mode", mode, "--setting", "nonparallel", "--n", "30",
-            "--f", "power:3", "--g", "power:2", "--S", "20", "--seed", "3",
-            "--workers", "1", "--out", str(tmp_path / "r.json")]
-    assert main(argv) == 0
-    assert capsys.readouterr().err == ""
+    # A rank test that depends on column scale calls the first config's
+    # pate designs singular, and a centering test that does (|sum m| at
+    # most 1e-10 n) refuses most of the second's m blocks.
+    for design in (["--n", "30", "--f", "power:3", "--g", "power:2", "--S", "20"],
+                   ["--n", "200", "--f", "power:3", "--g", "power:3", "--S", "50"]):
+        argv = ["simulate", "--mode", mode, "--setting", "nonparallel", *design, "--seed", "3",
+                "--workers", "1", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0, design
+        assert capsys.readouterr().err == ""
 
 
 def test_pate_study_identical_across_worker_counts(tmp_path, capsys):

@@ -8,6 +8,8 @@ against the brute-force oracles.
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from paired_adjust import (
     PotentialOutcomeSample,
@@ -21,9 +23,13 @@ from paired_adjust import (
     run_monte_carlo,
     substream,
 )
-from paired_adjust.experiment_model import columns_centered
+from paired_adjust.dgp import stacked_tables
+from paired_adjust.errors import NonFiniteTransform
+from paired_adjust.experiment_model import columns_centered, transformed_blocks
 
 from conftest import make_sample
+
+T = TransformSpec
 from oracles import center_oracle, coverage_oracle, enumerate_oracle, hat_oracle
 
 
@@ -122,3 +128,31 @@ class TestColumnsCentered:
     def test_zero_width_block_is_centered(self):
         assert columns_centered(np.zeros((5, 0)))
         assert columns_centered(np.zeros((3, 5, 0))).tolist() == [True] * 3
+
+    def test_tolerance_scales_with_the_column(self):
+        # Above scale 1 the allowance grows with the column's largest
+        # magnitude, so a column in other units passes or fails as before.
+        m = np.zeros((100, 2))
+        m[1], m[2] = 1e6, -1e6
+        m[0] = 0.9e-2, 1.1e-2  # 1e-10 * n * 1e6 is 1e-2
+        assert columns_centered(m[:, :1]) and not columns_centered(m[:, 1:])
+        m[0] = np.inf  # an infinite sum is not within an infinite allowance
+        assert not columns_centered(m).any()
+
+    # Every g transform the CLI takes, on the generated covariates in
+    # units 10^-9 to 10^12 times their own; exp overflows on large units.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([T.identity(), T.power(2), T.power(3), T.log(), T.exp(), T.select([2, 4])]),
+        st.integers(6, 400),
+        st.integers(-9, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_built_m_block_is_centered(self, g, n, power, seed):
+        normals = np.random.default_rng(seed).standard_normal((3, 10 * n))
+        x = stacked_tables(normals, "nonparallel")[3] * 10.0**power
+        try:
+            _, m = transformed_blocks(x, T.identity(), g)
+        except NonFiniteTransform:
+            reject()
+        assert columns_centered(m).all()

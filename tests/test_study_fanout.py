@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from paired_adjust import kernel
 from paired_adjust import randomization_engine as engine
 from paired_adjust.cli import main
-from paired_adjust.errors import DimensionMismatch, RankDeficient
+from paired_adjust.errors import RankDeficient
 from paired_adjust.experiment_model import TransformSpec as T
 from paired_adjust.kernel import Whitened, sign_stats, times_of
 from paired_adjust.randomization_engine import StudyConfig, _split, run_study
@@ -231,13 +231,12 @@ def test_every_pass_holds_tables_of_its_slab_within_the_grid_budget(grid, chunk)
             assert whole.tobytes() == np.concatenate(ones).tobytes(), est
 
 
-# At --n 25 under exp/exp, seed 23 gives RankDeficient for sample 0 and
-# DimensionMismatch for samples 1-3; seed 86 passes sample 0, gives
-# RankDeficient for sample 1 and DimensionMismatch for samples 2 and 3.
-# The first failing sample lies in the first slab at S=4 with two
+# At --n 25 under exp/exp, seed 23 gives RankDeficient for samples 0-3;
+# seed 86 passes samples 0 and 3 and gives RankDeficient for samples 1
+# and 2. The first failing sample lies in the first slab at S=4 with two
 # workers (and for seed 23 with three), and in the second slab at S=3
 # with two or three workers (and for seed 86 at S=4 with three); a later
-# sample fails with another error each time.
+# sample fails too each time, with another sample in its message.
 @pytest.mark.parametrize(
     "seed,samples,sample",
     [(23, 4, 0), (86, 4, 1), (86, 3, 1)],
@@ -262,9 +261,9 @@ def test_failing_study_keeps_exit_code_across_workers(tmp_path, capsys, workers)
             "--f", "exp", "--g", "exp", "--S", "50", "--seed", "3", "--workers", workers,
             "--out", str(tmp_path / "r.json")]
     before = set(threading.enumerate())
-    assert main(argv) == DimensionMismatch.exit_code
+    assert main(argv) == RankDeficient.exit_code
     err = capsys.readouterr().err
-    assert err == "paired-adjust: error: m columns must sum to zero across pairs\n"
+    assert err == "paired-adjust: error: sample 1: the regression design is rank deficient\n"
     assert set(threading.enumerate()) <= before
 
 
@@ -319,11 +318,11 @@ def test_failing_slab_cancels_slabs_not_started(monkeypatch, workers):
     started = []
     sate_columns = engine._sate_columns
 
-    def failing(slab, times):
-        started.append(slab.idxs[0])
-        if slab.idxs[0] == 0:
+    def failing(config, idxs, *tables):
+        started.append(idxs[0])
+        if idxs[0] == 0:
             raise RankDeficient("slab 0 failed")
-        return sate_columns(slab, times)
+        return sate_columns(config, idxs, *tables)
 
     monkeypatch.setattr(engine, "_sate_columns", failing)
     monkeypatch.setattr(engine, "_STUDY_PAIRS", 20)

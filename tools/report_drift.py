@@ -9,8 +9,9 @@ unless both commands exit 0). Every study runs at ``--workers`` 1, 2
 and 3, and in the new tree each run's exit code and report must equal
 the first run's, byte for byte. The ``analyze`` runs read experiment
 CSVs written here from the generated tables with a fixed assignment,
-one of them with x1 in units 1e9 times smaller and one with its rows in
-a fixed shuffled order, so that some pairs list unit 2 first. The
+one of them with x1 in units 1e9 times smaller, two with every
+covariate in units 1e6 and 1e200 times smaller, and one with its rows
+in a fixed shuffled order, so that some pairs list unit 2 first. The
 ``*_edge_format`` runs read the 16-pair table and experiment rewritten
 with a byte-order mark, CRLF endings, blank and whitespace-only lines
 and quoted fields, which the input contract accepts; the
@@ -106,6 +107,13 @@ RUNS = {
                               "--g", "log"],
     "analyze_digit_separator": ["analyze", "--input", "{experiment_separator}"],
     "analyze_huge_response": ["analyze", "--input", "{experiment_huge}"],
+    "pate_n25_exp_exp": ["simulate", "--mode", "pate-study", "--setting", "nonparallel",
+                         "--n", "25", "--S", "50", "--f", "exp", "--g", "exp", "--seed", "3"],
+    "pate_n200_pow3": ["simulate", "--mode", "pate-study", "--setting", "nonparallel",
+                       "--n", "200", "--S", "50", "--f", "power:3", "--g", "power:3",
+                       "--seed", "3"],
+    "analyze_x1e6": ["analyze", "--input", "{experiment_x1e6}"],
+    "analyze_x1e200": ["analyze", "--input", "{experiment_x1e200}"],
 }
 # (old, new) exit codes that differ for a known reason.
 EXPECTED_EXITS: dict[str, tuple[int, int]] = {
@@ -122,6 +130,17 @@ EXPECTED_EXITS: dict[str, tuple[int, int]] = {
     # An observed response beyond 2^400, the kernel's limit, is a data
     # error; it used to overflow into Infinity in the report, with exit 0.
     "analyze_huge_response": (0, 2),
+    # The m block is centered by construction, and its one check is
+    # scale-free (|sum m| <= 1e-10 n max(1, max|m|) per column), so a pate
+    # study no longer stops on an m block it has just centered. It stops
+    # on its first singular design, sample 1, as sate drops such draws.
+    "pate_n25_exp_exp": (2, 3),
+    # The same, with no singular design: pate computes what sate does.
+    "pate_n200_pow3": (2, 0),
+    # analyze is unit-free with an m block too: every covariate x1e6 or
+    # x1e200 fits, where an absolute centering tolerance refused it.
+    "analyze_x1e6": (2, 0),
+    "analyze_x1e200": (2, 0),
 }
 # Worst relative drift a run's report may show when both trees exit 0.
 DRIFT_TOL = 1e-12
@@ -150,9 +169,10 @@ def _cli(src: Path, argv: list[str], extra_env: Optional[dict[str, str]] = None)
 
 
 def write_experiment(table: Path, dest: Path, x1_scale: float = 1.0,
-                     shuffle: bool = False) -> None:
+                     shuffle: bool = False, x_scale: float = 1.0) -> None:
     """An experiment CSV from a science table under the FIRST_TREATED assignment.
 
+    x1 is multiplied by ``x1_scale`` and every covariate by ``x_scale``.
     With ``shuffle`` the rows come in a fixed permuted order.
     """
     with open(table, newline="") as fh:
@@ -166,7 +186,7 @@ def write_experiment(table: Path, dest: Path, x1_scale: float = 1.0,
         for row in rows:
             pair, unit = int(row["pair"]), int(row["unit"])
             z = int((FIRST_TREATED[pair - 1] == "1") == (unit == 1))
-            x = [float(row[c]) for c in xs]
+            x = [float(row[c]) * x_scale for c in xs]
             x[0] *= x1_scale
             out.writerow([pair, unit, z, row["r_t" if z else "r_c"], *map(repr, x)])
 
@@ -215,13 +235,16 @@ def run_tree(root: Path, work: Path, seed_env: bool = False
     work.mkdir(parents=True, exist_ok=True)
     inputs = {name: work / f"{name}.csv" for name in (
         *TABLES, "experiment", "experiment_x1e9", "experiment_shuffled", "small_experiment",
-        "experiment_edge", "table_edge", "experiment_separator", "experiment_huge")}
+        "experiment_edge", "table_edge", "experiment_separator", "experiment_huge",
+        "experiment_x1e6", "experiment_x1e200")}
     for name, argv in TABLES.items():
         _cli(src, ["generate", *argv, "--out", str(inputs[name])])
     table = inputs["table"]
     write_experiment(table, inputs["experiment"])
     write_experiment(table, inputs["experiment_x1e9"], x1_scale=1e9)
     write_experiment(table, inputs["experiment_shuffled"], shuffle=True)
+    write_experiment(table, inputs["experiment_x1e6"], x_scale=1e6)
+    write_experiment(table, inputs["experiment_x1e200"], x_scale=1e200)
     write_experiment(inputs["small_table"], inputs["small_experiment"])
     write_edge_format(inputs["experiment"], inputs["experiment_edge"])
     write_edge_format(table, inputs["table_edge"])
