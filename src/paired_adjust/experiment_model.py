@@ -256,10 +256,12 @@ class PairedExperiment:
 class DesignMatrices:
     """Regression inputs derived from a paired experiment.
 
-    ``m`` columns each sum to zero (to 1e-10 * n times the larger of 1
-    and the column's largest magnitude, :func:`columns_centered`), which
-    is checked here since ``m`` may come from a caller; ``v`` entries are
-    +/-1; ``vd`` holds rows ``v[i] * d[i]``. Requires n > K_D + K_M + 1,
+    ``d``, ``m`` and ``y`` are finite, and ``m`` columns each sum to
+    zero (to 1e-10 * n times the larger of 1 and the column's largest
+    magnitude, :func:`columns_centered`); both are checked here, in that
+    order, since the arrays may come from a caller, and a non-finite
+    value raises DataError naming its array. ``v`` entries are +/-1;
+    ``vd`` holds rows ``v[i] * d[i]``. Requires n > K_D + K_M + 1,
     the size test of :func:`design_estimators`, so the intercept
     regressions have at least one residual degree of freedom.
     """
@@ -279,6 +281,9 @@ class DesignMatrices:
         n = d.shape[0]
         if v.shape != (n,) or y.shape != (n,) or m.shape[0] != n:
             raise DimensionMismatch("d, m, v, y must agree on the number of pairs")
+        for name, block in (("d", d), ("m", m), ("y", y)):
+            if not np.isfinite(block).all():
+                raise DataError(f"{name} holds a non-finite value")
         if not np.isin(v, (-1.0, 1.0)).all():
             raise PairViolation("signs must be +1 or -1")
         _require_pairs(n, d.shape[1], m.shape[1])

@@ -13,9 +13,12 @@ The effects are centered on their mean, which only shifts every
 intercept. Since v_i^2 = 1, every sign product a fit needs is then
 affine in v: a fixed part per table plus the products of v with fixed
 columns, the outer product of [dw; g] and [1; centered Delta; w]
-(:class:`_TableColumns`). One matrix product of those columns with a
-chunk of signs, which the caller supplies as a callable (:data:`Times`),
-gives everything that depends on the assignment (:class:`_SignProducts`).
+(:class:`_TableColumns`). The products of those columns with a chunk
+of signs, which the caller supplies as a callable (:data:`Times`)
+writing into an array the kernel gives it, are everything that depends
+on the assignment (:class:`_SignProducts`). A call allocates one
+workspace (:class:`_Workspace`) for its outputs and its largest pass,
+and every grid-sized array of every pass is a view of it.
 The mean needs only 1'Y and Y'Y; by Frisch-Waugh-Lovell partialling-out,
 R1 needs no solve either, and R2 and its superpopulation correction need
 only the Schur complement of the v*d columns after m is projected out,
@@ -29,8 +32,9 @@ imports only numpy, ``errors`` and ``ols_core``, so any module may use it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -105,7 +109,45 @@ class Whitened:
         return Whitened(self.dw[rows], self.ok_d[rows], self.w[rows], self.ok_m[rows])
 
 
-def _eliminate(g: np.ndarray, k: int, floor: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """The one buffer of a kernel call: its outputs, then every array of its passes.
+
+    :func:`sign_stats` sizes it once, for its outputs and its largest
+    pass (:meth:`_SignProducts.planes`), and takes the outputs first.
+    Every pass then takes its arrays from the mark after them again,
+    each a C-contiguous view, in the order the arithmetic needs them,
+    and what lives only inside a step is given back when the step ends
+    (:meth:`release`). So a call allocates once, not once per array per
+    pass. glibc maps the first such block with mmap; freeing it raises
+    its mmap threshold to the block's size and its trim threshold to
+    twice that (``mallopt(3)``), so later calls take the block from the
+    heap, which keeps its pages between calls while what else an
+    operation allocates stays smaller than the block. The many
+    pass-sized arrays this replaces were given back to the system after
+    a pass and faulted in again on the next.
+    """
+
+    def __init__(self, size: int) -> None:
+        self._buf = np.empty(size)
+        self.mark = 0
+
+    def release(self, mark: int) -> None:
+        """Give back everything taken since ``mark`` was read."""
+        self.mark = mark
+
+    def take(self, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
+        """The next free ``shape`` array; a bool array uses whole float slots."""
+        count = math.prod(shape)
+        at, end = self.mark, self.mark + (count if dtype is float else -(-count // 8))
+        if end > len(self._buf):
+            raise RuntimeError(f"kernel workspace of {len(self._buf)} floats is too small")
+        self.mark = end
+        if dtype is float:
+            return self._buf[at:end].reshape(shape)
+        return self._buf[at:end].view(dtype)[:count].reshape(shape)
+
+
+def _eliminate(g: np.ndarray, k: int, floor: np.ndarray, ok: np.ndarray, ws: _Workspace) -> None:
     """Eliminate the first ``k`` columns of symmetric matrices ``g`` in place.
 
     ``g`` is (K, K, ...): one K-by-K matrix per index of the trailing
@@ -114,30 +156,45 @@ def _eliminate(g: np.ndarray, k: int, floor: np.ndarray) -> np.ndarray:
     pivoting (an LDL' factorization); afterwards the trailing block of
     ``g`` holds the Schur complement of the leading k-by-k block, and
     the first k columns below the diagonal hold the multipliers, the
-    below-diagonal entries of the unit lower factor. Returns whether
-    every pivot j exceeded ``floor[j]``. A pivot that does not gets zero
-    multipliers, so the matrices stay finite.
+    below-diagonal entries of the unit lower factor. Writes into ``ok``
+    whether every pivot j exceeded ``floor[j]``. A pivot that does not
+    gets zero multipliers, so the matrices stay finite. Its temporaries
+    come from ``ws`` and go back to it.
     """
-    ok = np.ones(g.shape[2:], dtype=bool)
+    mark = ws.mark
+    grid = g.shape[2:]
+    good = ws.take(grid, bool)
+    pivots = ws.take(grid)
+    update = ws.take(((len(g) - 1) ** 2,) + grid)
+    ok.fill(True)
     for j in range(k):
         piv = g[j, j]
-        good = piv > floor[j]
+        np.greater(piv, floor[j], out=good)
         ok &= good
-        g[j + 1 :, j] /= np.where(good, piv, np.inf)
-        g[j + 1 :, j + 1 :] -= g[j + 1 :, j, None] * g[j, None, j + 1 :]
-    return ok
+        pivots.fill(np.inf)
+        np.copyto(pivots, piv, where=good)
+        g[j + 1 :, j] /= pivots
+        rest = len(g) - j - 1
+        prod = update[: rest * rest].reshape((rest, rest) + grid)
+        g[j + 1 :, j + 1 :] -= np.multiply(g[j + 1 :, j, None], g[j, None, j + 1 :], out=prod)
+    ws.release(mark)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of a[i] * b[i] over the leading axis, term by term in order.
+def _dot(a: np.ndarray, b: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Sum of a[i] * b[i] over the leading axis, term by term in order, in ``ws``.
 
     numpy's own reductions may group the terms differently when the
     grid has one point, so a fixed order keeps every fit's value
-    independent of the grid it is computed in.
+    independent of the grid it is computed in. The sum stays taken from
+    ``ws``; its term array is given back.
     """
-    out = np.zeros(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    out = ws.take(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    mark = ws.mark
+    term = ws.take(out.shape)
+    out.fill(0.0)
     for ai, bi in zip(a, b):
-        out += ai * bi
+        out += np.multiply(ai, bi, out=term)
+    ws.release(mark)
     return out
 
 
@@ -225,10 +282,11 @@ class _SignProducts:
     norms ``yty`` of y and, when the m block is needed, ``proj`` holding
     the products of v*dw (K_D rows), the ones vector and y with w. All
     come from one product of the table's fixed columns with the signs
-    (see :data:`Times`). Component axes come first and the grid axes
-    (T, B) last: ``s`` and
-    ``t`` are (K_D, T, B) and ``proj`` is (K_D + 2, K_M, T, B).
-    ``mean`` (T, 1) is added back to every intercept.
+    (see :data:`Times`), and all are views of the pass's workspace
+    ``ws``, as is every array the fits compute from them. Component
+    axes come first and the grid axes (T, B) last: ``s`` and ``t`` are
+    (K_D, T, B) and ``proj`` is (K_D + 2, K_M, T, B). ``mean`` (T, 1)
+    is added back to every intercept.
     """
 
     blocks: Whitened
@@ -239,63 +297,111 @@ class _SignProducts:
     ysum: np.ndarray
     yty: np.ndarray
     proj: Optional[np.ndarray]
+    ws: _Workspace
+
+    @staticmethod
+    def planes(kd: int, km: int, want: Sequence[str]) -> int:
+        """The most (T, B) grids of values a pass holds at once: its workspace, in grids.
+
+        For K_D = ``kd`` and K_M = ``km`` columns and the estimators
+        ``want``: the fields of :meth:`of`, then the largest of the
+        products and the fits' own arrays, which each gives back before
+        the next. A bool grid is counted as a whole grid, though it
+        takes an eighth of one.
+        """
+        with_m = "R2" in want or "R2P" in want
+        km = km if with_m else 0
+        held = 2 * kd + 2 + (kd + 2) * km
+        fits = [(kd + 1) * (2 + km), 1 if "C" in want else 0, 7 if "R1" in want else 0]
+        if with_m:
+            # The bordered Gram, ok and bad, then the largest of: the
+            # products subtracted for each w column, the elimination
+            # (good, the pivots and the Schur update) and what follows
+            # it (with R2P, the coefficients, the SSE and the sums).
+            after = kd + 2 + max(2, 2 * km, km + 2) if "R2P" in want else 2
+            fits.append((kd + 2) ** 2 + 2 + max(kd * (kd + 2), 4, 2 + (kd + 1) ** 2, after))
+        return held + max(fits)
 
     @classmethod
-    def of(cls, table: _TableColumns, products: np.ndarray) -> "_SignProducts":
-        """The fits' pieces from the (T, P, B) ``products`` of the table's columns with its signs."""
-        t, _, b = products.shape
-        n = table.columns.shape[-1]
+    def of(cls, table: _TableColumns, times: Times, rows: slice, part: slice,
+           ws: _Workspace) -> "_SignProducts":
+        """The fits' pieces from the products of the table's columns with the signs ``part``.
+
+        The pieces are taken from ``ws`` first, then the (T, P, B)
+        products, which ``times`` writes for the tables ``rows``; the
+        products are given back once the pieces are read off them.
+        """
+        t, p, n = table.columns.shape
+        b = part.stop - part.start
         kd = table.blocks.dw.shape[1]
+        s, tt = ws.take((kd, t, b)), ws.take((kd, t, b))
+        ysum, yty = ws.take((t, b)), ws.take((t, b))
+        proj = ws.take((kd + 2, p // (kd + 1) - 2, t, b)) if table.with_m else None
+        mark = ws.mark
+        products = ws.take((t, p, b))
+        times(table.columns, rows, part, products)
         # (T, P, B) -> (K_D + 1, R, T, B): row l of L by row r of R.
-        # Nothing keeps a view of the products once this returns.
         x = products.reshape(t, kd + 1, -1, b).transpose(1, 2, 0, 3)
-        proj = None
-        if table.with_m:
-            proj = np.empty((kd + 2, x.shape[1] - 2, t, b))
+        if proj is not None:
             proj[:kd] = x[:kd, 2:]
             proj[kd] = table.w_sum
             np.add(table.w_centered, x[kd, 2:], out=proj[kd + 1])
-        return cls(
-            blocks=table.blocks,
-            n=n,
-            mean=table.mean,
-            s=x[:kd, 0].copy(),
-            t=x[:kd, 1] + table.dw_gaps,
-            ysum=table.dc_sum + x[kd, 0],
-            yty=table.squares + 2.0 * x[kd, 1],
-            proj=proj,
-        )
+        np.copyto(s, x[:kd, 0])
+        np.add(x[:kd, 1], table.dw_gaps, out=tt)
+        np.add(table.dc_sum, x[kd, 0], out=ysum)
+        np.multiply(2.0, x[kd, 1], out=yty)
+        np.add(table.squares, yty, out=yty)
+        ws.release(mark)
+        return cls(table.blocks, n, table.mean, s, tt, ysum, yty, proj, ws)
 
-    def classical(self) -> tuple[np.ndarray, np.ndarray]:
-        """tau_hat and S^2 of the plain mean, in closed form.
+    def classical(self, tau: np.ndarray, s2: np.ndarray) -> None:
+        """tau_hat and S^2 of the plain mean, in closed form, written into ``tau`` and ``s2``.
 
         tau_hat is ``mean`` + 1'y / n, and S^2 n (n-1) is
         y'y - (1'y)^2 / n, clamped at 0 like the SSE. The centering
         leaves y'y of the size of the spread of Y, not of its mean, so
         the difference does not cancel away the digits of S^2.
         """
-        n = self.n
-        s2 = np.maximum(self.yty - self.ysum * self.ysum / n, 0.0) / (n * (n - 1))
-        return self.mean + self.ysum / n, s2
+        n, mark = self.n, self.ws.mark
+        spread = np.multiply(self.ysum, self.ysum, out=self.ws.take(self.ysum.shape))
+        spread /= n
+        np.subtract(self.yty, spread, out=spread)
+        np.maximum(spread, 0.0, out=spread)
+        np.divide(spread, n * (n - 1), out=s2)
+        np.divide(self.ysum, n, out=tau)
+        np.add(self.mean, tau, out=tau)
+        self.ws.release(mark)
 
-    def r1(self) -> tuple[np.ndarray, np.ndarray]:
-        """Intercept and classical variance of y on [1 | v*d], in closed form.
+    def r1(self, tau: np.ndarray, s2: np.ndarray) -> None:
+        """Intercept and classical variance of y on [1 | v*d], written into ``tau`` and ``s2``.
 
         With v*dw orthonormal, partialling it out leaves
         e'(I-H)e = n - s's and e'(I-H)y = 1'y - s't, so no solve is
         needed. Rows whose denominator is at most RANK_RTOL * n, or
-        whose table failed the pivot test on d, come back NaN.
+        whose table failed the pivot test on d, are left as they are.
         """
-        n, k1 = self.n, 1 + self.s.shape[0]
-        denom = n - _dot(self.s, self.s)
-        num = self.ysum - _dot(self.s, self.t)
-        ok = self.blocks.ok_d[:, None] & (denom > RANK_RTOL * n)
-        denom = np.where(ok, denom, 1.0)
-        beta = num / denom
-        sse = np.maximum(self.yty - _dot(self.t, self.t) - beta * num, 0.0)
-        return _masked(ok, self.mean + beta, sse / (n - k1) / denom)
+        ws, n, k1 = self.ws, self.n, 1 + self.s.shape[0]
+        mark = ws.mark
+        denom = _dot(self.s, self.s, ws)
+        np.subtract(n, denom, out=denom)
+        num = _dot(self.s, self.t, ws)
+        np.subtract(self.ysum, num, out=num)
+        ok = np.greater(denom, RANK_RTOL * n, out=ws.take(denom.shape, bool))
+        np.logical_and(self.blocks.ok_d[:, None], ok, out=ok)
+        np.copyto(denom, 1.0, where=np.logical_not(ok, out=ws.take(ok.shape, bool)))
+        beta = np.divide(num, denom, out=ws.take(denom.shape))
+        sse = _dot(self.t, self.t, ws)
+        np.subtract(self.yty, sse, out=sse)
+        sse -= np.multiply(beta, num, out=num)
+        np.maximum(sse, 0.0, out=sse)
+        np.add(self.mean, beta, out=tau, where=ok)
+        sse /= n - k1
+        np.divide(sse, denom, out=s2, where=ok)
+        ws.release(mark)
 
-    def r2(self, corrected: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def r2(
+        self, corrected: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Intercept fits of y on [1 | v*d | m] through the Schur complement.
 
         Partialling out the orthonormal w leaves the Gram of
@@ -311,86 +417,105 @@ class _SignProducts:
         the intercept is the ratio along its first row, and what is left
         of y'(I-H)y after that pivot is the SSE. Each pivot must exceed
         RANK_RTOL times its column's squared norm before partialling out
-        (one for a whitened column, n for the ones vector). Returns the
-        intercept, the SSE, the denominator and, if ``corrected``,
+        (one for a whitened column, n for the ones vector). Returns
+        ``ok``, whether a row passed every pivot test and its table the
+        pivot tests on d and m, then the intercept less ``mean``, the
+        SSE, the denominator (1 where not ``ok``) and, if ``corrected``,
         beta_m' (m'm) beta_m, which is the squared norm of the w
-        coefficients. Rows that fail a pivot, or whose table failed the
-        pivot test on d or m, come back NaN.
+        coefficients (else None). All are views of ``ws``, which the
+        caller gives back; rows not ``ok`` hold values that mean nothing.
         """
-        kd = self.s.shape[0]
-        g = np.empty((kd + 2, kd + 2) + self.ysum.shape)
+        ws, kd, grid = self.ws, self.s.shape[0], self.ysum.shape
+        g = ws.take((kd + 2, kd + 2) + grid)
         g[:kd, :kd] = np.eye(kd)[:, :, None, None]
         g[kd, kd] = self.n
         g[kd + 1, kd + 1] = self.yty
         g[:kd, kd] = self.s
         g[:kd, kd + 1] = self.t
         g[kd, kd + 1] = g[kd + 1, kd] = self.ysum
+        ok, bad = ws.take(grid, bool), ws.take(grid, bool)
+        mark = ws.mark
+        scratch = ws.take((max(kd * (kd + 2), 4),) + grid)
+        rows = scratch[: kd * (kd + 2)].reshape((kd, kd + 2) + grid)
+        corner = scratch[:4].reshape((2, 2) + grid)
         for k in range(self.proj.shape[1]):
             a = self.proj[:, k]
-            g[:kd] -= a[:kd, None] * a[None]
-            g[kd:, kd:] -= a[kd:, None] * a[None, kd:]
+            g[:kd] -= np.multiply(a[:kd, None], a[None], out=rows)
+            g[kd:, kd:] -= np.multiply(a[kd:, None], a[None, kd:], out=corner)
+        ws.release(mark)
         g[kd:, :kd] = g[:kd, kd:].swapaxes(0, 1)
         floor = RANK_RTOL * np.append(np.ones(kd), self.n)
-        ok = _eliminate(g, kd, floor)
+        _eliminate(g, kd, floor, ok, ws)
         denom = g[kd, kd]
-        ok &= (denom > floor[kd]) & (self.blocks.ok_d & self.blocks.ok_m)[:, None]
-        denom = np.where(ok, denom, 1.0)
-        beta0 = g[kd, kd + 1] / denom
-        sse = np.maximum(g[kd + 1, kd + 1] - beta0 * g[kd, kd + 1], 0.0)
-        corr = np.zeros_like(sse)
+        ok &= np.greater(denom, floor[kd], out=bad)
+        ok &= (self.blocks.ok_d & self.blocks.ok_m)[:, None]
+        np.copyto(denom, 1.0, where=np.logical_not(ok, out=bad))
+        beta = ws.take((kd + 1,) + grid) if corrected else None
+        beta0 = np.divide(g[kd, kd + 1], denom, out=beta[kd] if corrected else ws.take(grid))
+        sse = np.multiply(beta0, g[kd, kd + 1], out=ws.take(grid))
+        np.subtract(g[kd + 1, kd + 1], sse, out=sse)
+        np.maximum(sse, 0.0, out=sse)
+        corr = None
         if corrected:
             # Back-substitute for the v*dw coefficients (the intercept
             # comes last) through the multipliers below g's diagonal;
             # the w coefficients are then w'y minus the part of it the
             # other columns fit.
-            beta = np.empty((kd + 1,) + sse.shape)
-            beta[kd] = beta0
             for j in reversed(range(kd)):
-                beta[j] = g[kd + 1, j] - _dot(g[j + 1 : kd + 1, j], beta[j + 1 :])
-            gamma = self.proj[kd + 1] - _dot(beta[:, None], self.proj[: kd + 1])
-            corr = _dot(gamma, gamma)
-        return _masked(ok, self.mean + beta0, sse, denom, corr)
+                mark = ws.mark
+                np.subtract(g[kd + 1, j], _dot(g[j + 1 : kd + 1, j], beta[j + 1 :], ws), out=beta[j])
+                ws.release(mark)
+            gamma = _dot(beta[:, None], self.proj[: kd + 1], ws)
+            np.subtract(self.proj[kd + 1], gamma, out=gamma)
+            corr = _dot(gamma, gamma, ws)
+        return ok, beta0, sse, denom, corr
 
-    def stats(self, want: Sequence[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """{id: (tau_hat, s2)} of the estimators ``want``, each (T, B).
+    def stats(self, want: Sequence[str], out: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> None:
+        """Write (tau_hat, s2) of the estimators ``want`` into ``out``'s (T, B) arrays.
 
         The classical variance of a regression is SSE/dof times the
         intercept entry 1 / e'(I-H)e of the inverse Gram; R2P adds
-        beta_m' (m'm) beta_m / ((n-1) n) to the R2 variance.
+        beta_m' (m'm) beta_m / ((n-1) n) to the R2 variance, and its
+        estimate is R2's. A singular fit leaves its entries of ``out``
+        untouched, so the caller fills them with NaN beforehand.
         """
         n = self.n
-        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         if "C" in want:
-            out["C"] = self.classical()
+            self.classical(*out["C"])
         if "R1" in want:
-            out["R1"] = self.r1()
+            self.r1(*out["R1"])
         if "R2" in want or "R2P" in want:
+            mark = self.ws.mark
             k2 = 1 + self.s.shape[0] + self.blocks.w.shape[1]
-            beta0, sse, denom, corr = self.r2("R2P" in want)
-            s2 = sse / (n - k2) / denom
-            if "R2" in want:
-                out["R2"] = (beta0, s2)
+            ok, beta0, sse, denom, corr = self.r2("R2P" in want)
+            tau, s2 = out["R2"] if "R2" in want else (out["R2P"][0], self.ws.take(sse.shape))
+            np.add(self.mean, beta0, out=tau, where=ok)
+            sse /= n - k2
+            np.divide(sse, denom, out=s2, where=ok)
             if "R2P" in want:
-                out["R2P"] = (beta0, s2 + corr / ((n - 1) * n))
-        return {est: out[est] for est in want}
-
-
-def _masked(ok: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays with NaN wherever ``ok`` is False."""
-    return tuple(np.where(ok, a, np.nan) for a in arrays)
+                corr /= (n - 1) * n
+                np.add(s2, corr, out=out["R2P"][1], where=ok)
+            self.ws.release(mark)
 
 
 # The sign products of T tables: given the fixed columns (T', P, n)
-# (:class:`_TableColumns`) of their tables ``rows`` and a slice ``part``
-# of those tables' B draws, the (T', P, len(part)) products of the
-# columns with those draws' signs. :func:`sign_stats` asks for its
-# tables in order, each pass's first part before its others.
-Times = Callable[[np.ndarray, slice, slice], np.ndarray]
+# (:class:`_TableColumns`) of their tables ``rows``, a slice ``part``
+# of those tables' B draws and a (T', P, len(part)) array ``out``,
+# write into ``out`` the products of the columns with those draws'
+# signs. :func:`sign_stats` asks for its tables in order, each pass's
+# first part before its others, and ``out`` is always a C-contiguous
+# view of the call's one workspace (:class:`_Workspace`), so a Times
+# allocates nothing per pass for its result.
+Times = Callable[[np.ndarray, slice, slice, np.ndarray], None]
 
 
 def times_of(signs: np.ndarray) -> Times:
     """The sign products of T tables whose B signs are the (T, B, n) array ``signs``."""
-    return lambda columns, rows, part: columns @ signs[rows, part].swapaxes(-1, -2)
+
+    def times(columns: np.ndarray, rows: slice, part: slice, out: np.ndarray) -> None:
+        np.matmul(columns, signs[rows, part].swapaxes(-1, -2), out=out)
+
+    return times
 
 
 def sign_stats(
@@ -414,29 +539,37 @@ def sign_stats(
     that count of passes can have. A pass takes one product per part of
     its draws, cut at multiples of ``CHUNK``, so only a lone table whose
     b exceeds ``CHUNK`` has more than one; each part goes through
-    :class:`_SignProducts`, and Y itself is never formed. Returns (T, b)
-    arrays, filled pass by pass, each table's values bit for bit those
-    it gets alone; singular fits are NaN.
+    :class:`_SignProducts`, and Y itself is never formed. The call
+    allocates one workspace (:class:`_Workspace`), sized for its
+    outputs and its first and largest part; the outputs are its first
+    arrays, and every part writes its products, its pieces and every
+    temporary of its fits into views of it, and its results straight
+    into the outputs. Returns (T, b) arrays, each table's values bit for
+    bit those it gets alone; singular fits are NaN. R2 and R2P share
+    their estimate array, and every array keeps the workspace alive.
     """
     table = _TableColumns.of(blocks, effects, gaps, "R2" in want or "R2P" in want)
-    t = len(effects)
-    shape = (t, b)
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for est in want:
-        # R2P is R2 with another variance, so one array holds both estimates.
-        shared = est == "R2P" and "R2" in out
-        out[est] = (out["R2"][0] if shared else np.empty(shape), np.empty(shape))
+    t, kd, km = len(effects), blocks.dw.shape[1], blocks.w.shape[1]
+    regression = [est for est in want if est in ("R2", "R2P")]
+    arrays = 2 * len(want) - max(0, len(regression) - 1)
     passes = -(-t // max(1, CHUNK // b))
     per_pass = -(-t // passes)
+    grid = per_pass * min(b, CHUNK)
+    ws = _Workspace(arrays * t * b + _SignProducts.planes(kd, km, want) * grid)
+    shared = ws.take((t, b)) if regression else None
+    out = {est: (shared if est in regression else ws.take((t, b)), ws.take((t, b))) for est in want}
+    for arrays in out.values():
+        for array in arrays:
+            array.fill(np.nan)
+    outputs = ws.mark
     for lo in range(0, t, per_pass):
         rows = slice(lo, min(lo + per_pass, t))
         tables = table[rows]
         for start in range(0, b, CHUNK):
             part = slice(start, min(start + CHUNK, b))
-            stats = _SignProducts.of(tables, times(tables.columns, rows, part)).stats(want)
-            for est in want:
-                for whole, chunk in zip(out[est], stats[est]):
-                    whole[rows, part] = chunk
+            ws.release(outputs)
+            chunk = {est: (tau[rows, part], s2[rows, part]) for est, (tau, s2) in out.items()}
+            _SignProducts.of(tables, times, rows, part, ws).stats(want, chunk)
     return out
 
 
@@ -446,9 +579,12 @@ def intercept_denominators(d: np.ndarray, m: np.ndarray, signs: np.ndarray) -> n
     H projects onto [v*d | m] for signs v, and ``d`` and ``m`` are the
     table's (n, K) blocks. The denominator does not depend on the
     outcomes, so the table takes zero effects and gaps. A design that
-    fails a pivot test gives NaN, as its R2 fit does.
+    fails a pivot test gives NaN, as its R2 fit does. The signs are
+    taken in one part, through a workspace as in :func:`sign_stats`.
     """
     zeros = np.zeros((1, d.shape[0]))
     table = _TableColumns.of(Whitened.of(d[None], m[None]), zeros, zeros, True)
-    products = _SignProducts.of(table, times_of(signs[None])(table.columns, slice(None), slice(None)))
-    return products.r2(corrected=False)[2][0]
+    ws = _Workspace(_SignProducts.planes(d.shape[1], m.shape[1], ("R2",)) * len(signs))
+    products = _SignProducts.of(table, times_of(signs[None]), slice(0, 1), slice(0, len(signs)), ws)
+    ok, _, _, denom, _ = products.r2(corrected=False)
+    return np.where(ok, denom, np.nan)[0]

@@ -58,7 +58,9 @@ def whiten(
     (..., K, K) and ``exp`` (..., 1, K). A failing table still gives
     finite coordinates.
     """
-    _, exp = np.frexp(np.abs(a).max(axis=-2, keepdims=True))
+    # Column maxima of a C-ordered transposed copy, a contiguous reduction
+    # rather than one strided by K; a maximum does not round.
+    _, exp = np.frexp(np.abs(a.swapaxes(-1, -2), order="C").max(axis=-1)[..., None, :])
     q, r = np.linalg.qr(np.ldexp(a, -exp))
     r2 = r * r
     # A zero column has a zero diagonal entry too, so its ratio reads 0.

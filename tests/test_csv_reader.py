@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -36,9 +37,21 @@ from paired_adjust.experiment_model import load_experiment_csv
 
 from oracles import read_pairs_oracle
 
+
+def _three_digits(value: float) -> str:
+    """``value`` to 3 significant digits, or its repr where those round past the float range.
+
+    1.7976931348623157e308 is "1.8e+308" to 3 digits, which both readers
+    take as inf, so that form would turn a finite draw into a
+    non-finite one.
+    """
+    text = f"{value:.3g}"
+    return text if math.isfinite(float(text)) else repr(value)
+
+
 # Text forms of finite doubles; float() and numpy's reader must read each
-# to the same bits.
-_FORMS = (repr, "{:.25e}".format, "{:.3g}".format, "{:+.17E}".format)
+# to the same bits, and each reads a finite value back as finite.
+_FORMS = (repr, "{:.25e}".format, _three_digits, "{:+.17E}".format)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # Zeros and ones among values whose squares overflow, as in a table whose
 # one huge outcome once made enumerate warn and report NaN.
@@ -98,6 +111,9 @@ def csv_files(draw, kind, finite=_FINITE, responses=None):
         for unit in (1, 2):
             numbers = [draw(st.sampled_from(_FORMS))(draw(first if k == 0 else finite))
                        for k in range(width - n_int)]
+            # A finite draw reaches the parser as a finite number; only a
+            # "nonfinite" defect below writes a non-finite token.
+            assert all(math.isfinite(float(text)) for text in numbers)
             flags = [str(int(unit == treated))] if n_int == 3 else []
             rows.append([str(pair), str(unit), *flags, *numbers])
     rows = draw(st.permutations(rows))

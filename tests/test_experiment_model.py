@@ -392,6 +392,17 @@ class TestDesignMatricesType:
                 y=rng.standard_normal(8),
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("block", ["d", "m", "y"])
+    def test_non_finite_block_refused_by_name(self, rng, block, value):
+        # Before the centering check, so a non-finite m is not called uncentered.
+        m = rng.standard_normal((8, 1))
+        arrays = dict(d=rng.standard_normal((8, 1)), m=m - m.mean(axis=0),
+                      v=np.ones(8), y=rng.standard_normal(8))
+        arrays[block].flat[3] = value
+        with pytest.raises(DataError, match=f"^{block} holds a non-finite value$"):
+            DesignMatrices(**arrays)
+
     def test_size_constraint_enforced(self, rng):
         m = rng.standard_normal((4, 1))
         with pytest.raises(TooFewPairs):

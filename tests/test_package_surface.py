@@ -208,11 +208,13 @@ def test_engine_calls_the_kernel_once_per_slab_without_row_slices():
     functions = _functions(_module(PACKAGE / "randomization_engine.py"))
     taking_rows = {name for name, fn in functions.items()
                    if "rows" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]}
-    # The sign products the kernel asks for, whose signature is kernel.Times.
-    assert taking_rows == {"_StudyStreams.times"}
-    assert [a.arg for a in functions["_StudyStreams.times"].args.args] == [
-        "self", "columns", "rows", "part"
-    ]
+    # The sign products the kernel asks for, whose signature is kernel.Times:
+    # a study's, and an enumeration's from its half tables.
+    assert taking_rows == {"_StudyStreams.times", "_HalfTables.__call__"}
+    for name in taking_rows:
+        assert [a.arg for a in functions[name].args.args] == [
+            "self", "columns", "rows", "part", "out"
+        ]
     callers = []
     loops = (ast.For, ast.While, ast.comprehension)
     for name, fn in functions.items():

@@ -109,3 +109,24 @@ def test_r2_schur_pivot_floor(scale, finite):
     _check(_fit(d, m, v0, "R2"), finite)
     # The same v*d column, alone with the ones vector, leaves R1 well posed.
     _check(_fit(d, m[:, :0], v0, "R1"), True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exactly_zero_pivots_give_nan_without_a_warning():
+    # A constant d and m = (1, -1, 1, -1) whiten to +-1/2 exactly, so
+    # under v = +-(1, -1, 1, -1) the v*d column is the m basis and its
+    # Schur pivot is exactly 0, and under v = +-1 the R1 denominator is.
+    # A failed pivot gets zero multipliers, not a division by zero.
+    n = 4
+    codes = np.arange(2**n)
+    signs = 1.0 - 2.0 * ((codes[:, None] >> np.arange(n)) & 1)
+    d, m = np.ones((1, n, 1)), np.array([1.0, -1.0, 1.0, -1.0])[None, :, None]
+    rng = np.random.default_rng(14)
+    effects, gaps = rng.standard_normal((2, 1, n))
+    stats = sign_stats(Whitened.of(d, m), effects, gaps, times_of(signs[None]), 2**n,
+                       ("R1", "R2", "R2P"))
+    alternating = (signs == signs[:, :1] * np.array([1.0, -1.0, 1.0, -1.0])).all(axis=1)
+    constant = (signs == signs[:, :1]).all(axis=1)
+    assert np.isnan(stats["R1"][1][0]).tolist() == constant.tolist()
+    for est in ("R2", "R2P"):
+        assert np.isnan(stats[est][1][0][alternating | constant]).all()

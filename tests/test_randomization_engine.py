@@ -54,6 +54,17 @@ class TestRandomize:
         npt.assert_array_equal(a, b)
 
 
+class TestAssignmentSigns:
+    def test_matches_the_shift_formula_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for n in range(1, 63):
+            codes = np.concatenate([[0, 2**n - 1], rng.integers(0, 2**n, 30)])
+            shifted = 2.0 * ((codes[:, None] >> np.arange(n)) & 1) - 1.0
+            signs = assignment_signs(codes, n)
+            assert signs.shape == (32, n) and signs.dtype == np.float64
+            assert signs.tobytes() == shifted.tobytes(), n
+
+
 class TestReveal:
     def test_constant_effect_identity(self, rng):
         s = make_sample(rng, 10, effect="constant")
@@ -174,6 +185,33 @@ class TestEnumerateExact:
         with pytest.raises(TooFewPairs, match="got n=6, K_D=4, K_M=4"):
             enumerate_exact(s, IDENT, IDENT)
         assert enumerate_exact(s).estimators == ("C",)
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_half_tables_match_full_sign_products_at_any_chunk(self, n, monkeypatch):
+        # enumerate_exact sums each code's products from a low and a high
+        # half table; the kernel over the full (2^n, n) signs, at the
+        # default grid budget, is the reference. Every value is within
+        # 1e-15 of its scale: max|Y| for estimates, max|Y|^2 for
+        # variances. Each product is one sum whatever the part it falls
+        # in, so the arrays are bit for bit the same at any chunk width.
+        s = generate_sample(n, "nonparallel", seed=100 + n)
+        f, g = (TransformSpec.select([1]), TransformSpec.select([2])) if n > 3 else (None, None)
+        want = ("C", "R1", "R2", "R2P") if n > 3 else ("C",)
+        signs = assignment_signs(np.arange(2**n), n)
+        ref = engine._table_stats(s, kernel.times_of(signs[None]), 2**n, f, g, want)
+        effects, gaps = kernel.effects_and_gaps(s.r_t, s.r_c)
+        scale = (np.abs(effects) + np.abs(gaps)).max()
+        runs = []
+        for chunk in (1, 3, 29):
+            monkeypatch.setattr(kernel, "CHUNK", chunk)
+            runs.append(enumerate_exact(s, f, g))
+        for dist in runs:
+            assert dist.estimators == want
+            for est in want:
+                npt.assert_allclose(dist.tau_hat[est], ref[est][0], rtol=0, atol=1e-15 * scale)
+                npt.assert_allclose(dist.s2[est], ref[est][1], rtol=0, atol=1e-15 * scale**2)
+                assert dist.tau_hat[est].tobytes() == runs[0].tau_hat[est].tobytes()
+                assert dist.s2[est].tobytes() == runs[0].s2[est].tobytes()
 
     def test_summary_shape(self, rng):
         s = make_sample(rng, 6)

@@ -71,10 +71,10 @@ def _pass_sizes(tables, b):
     """
     sizes = []
 
-    def times(columns, rows, part):
+    def times(columns, rows, part, out):
         if part.start == 0:
             sizes.append(len(columns))
-        return np.zeros(columns.shape[:2] + (part.stop - part.start,))
+        out.fill(0.0)
 
     zeros = np.zeros((tables, 3))
     blocks = Whitened.of(np.empty((tables, 3, 0)), np.empty((tables, 3, 0)))
@@ -198,18 +198,23 @@ def test_every_pass_holds_tables_of_its_slab_within_the_grid_budget(grid, chunk)
     # at most CHUNK draws (one table at least), all but the last of the
     # smallest size that count of passes can have, each table's draws
     # cut at multiples of CHUNK, and every value bit for bit what the
-    # table gets alone.
+    # table gets alone. Every part's products go into one buffer of the
+    # call, which holds the outputs too.
     blocks, effects, gaps, signs = grid
     t, b, _ = signs.shape
     want = ("C", "R1", "R2", "R2P")
     passes = []
+    buffers = []
 
-    def recording(columns, rows, part):
+    def recording(columns, rows, part, out):
         if part.start == 0:
             passes.append((range(rows.start, rows.stop), []))
         passes[-1][1].append(range(part.start, part.stop))
         assert len(columns) == len(passes[-1][0])
-        return times_of(signs)(columns, rows, part)
+        assert out.shape == columns.shape[:2] + (len(passes[-1][1][-1]),)
+        assert out.flags.c_contiguous and out.base is not None
+        buffers.append(out.base)
+        times_of(signs)(columns, rows, part, out)
 
     with mock.patch.object(kernel, "CHUNK", chunk):
         stacked = sign_stats(blocks, effects, gaps, recording, b, want)
@@ -226,9 +231,47 @@ def test_every_pass_holds_tables_of_its_slab_within_the_grid_budget(grid, chunk)
     assert sizes[0] == -(-t // len(sizes))
     cuts = [range(lo, min(lo + chunk, b)) for lo in range(0, b, chunk)]
     assert all(parts == cuts for _, parts in passes)
+    assert all(base is buffers[0] for base in buffers)
     for est in want:
+        assert all(array.base is buffers[0] for array in stacked[est])
         for whole, ones in zip(stacked[est], zip(*(one[est] for one in alone))):
             assert whole.tobytes() == np.concatenate(ones).tobytes(), est
+
+
+_WANTS = [("C",), ("R1",), ("R2",), ("R2P",), ("C", "R1"), ("R2P", "R2"), ("C", "R1", "R2", "R2P")]
+
+
+@pytest.mark.parametrize("want", _WANTS, ids="+".join)
+def test_workspace_is_sized_for_the_largest_pass(want):
+    # The one buffer of a kernel call holds its outputs and its largest
+    # pass, and no more than that but for a bool array's unused
+    # seven-eighths (at most three bool grids live at once).
+    peaks = []
+
+    class Recording(kernel._Workspace):
+        def __init__(self, size):
+            super().__init__(size)
+            self.peak = 0
+            peaks.append(self)
+
+        def take(self, shape, dtype=float):
+            array = super().take(shape, dtype)
+            self.peak = max(self.peak, self.mark)
+            return array
+
+    rng = np.random.default_rng(8)
+    t, b, n = 5, 30, 12
+    for kd in range(1, 4):
+        for km in range(1 if "R2P" in want else 0, 4):
+            d, m = rng.standard_normal((t, n, kd)), rng.standard_normal((t, n, km))
+            signs = 2.0 * rng.integers(0, 2, size=(t, b, n)) - 1.0
+            effects, gaps = rng.standard_normal((2, t, n))
+            with mock.patch.object(kernel, "_Workspace", Recording), \
+                    mock.patch.object(kernel, "CHUNK", 70):
+                sign_stats(Whitened.of(d, m), effects, gaps, times_of(signs), b, want)
+            ws = peaks.pop()
+            grid = 2 * b  # the first pass holds two tables
+            assert 0 <= len(ws._buf) - ws.peak <= 3 * grid * 7 // 8, (kd, km)
 
 
 # At --n 25 under exp/exp, seed 23 gives RankDeficient for samples 0-3;
