@@ -74,25 +74,23 @@ class FitResult:
     """Outcome of an intercept fit, read off one equilibrated thin QR.
 
     ``coefficients`` puts the intercept first, then one slope per
-    column of x, matching ``design`` = [1 | x], so that
-    ``design @ coefficients`` is ``fitted``. ``leverages`` is the
-    diagonal of the hat matrix. ``intercept_row`` is the intercept row
-    u of (X'X)^{-1} X', so the intercept is ``intercept_row @ y`` and
-    e'(I - H)e = 1/||u||^2, with H the projection onto the columns of x.
+    column of x, so that y - [1 | x] @ coefficients is ``residuals``.
+    ``leverages`` is the diagonal of the hat matrix. ``intercept_row``
+    is the intercept row u of (X'X)^{-1} X', so the intercept is
+    ``intercept_row @ y`` and e'(I - H)e = 1/||u||^2, with H the
+    projection onto the columns of x.
     """
 
     coefficients: np.ndarray
     residuals: np.ndarray
-    fitted: np.ndarray
     sse: float
     dof: int
-    design: np.ndarray
     leverages: np.ndarray
     intercept_row: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.design.shape[0]
+        return self.residuals.shape[0]
 
 
 def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
@@ -127,15 +125,12 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
     # R is upper triangular with a nonzero diagonal, so LU takes no row
     # swaps and this solve is back substitution.
     slopes_then_intercept = np.ldexp(np.linalg.solve(r, qty), -exp[0])
-    fitted = qty @ q
-    residuals = y - fitted
+    residuals = y - qty @ q
     return FitResult(
         coefficients=np.append(slopes_then_intercept[-1], slopes_then_intercept[:-1]),
         residuals=residuals,
-        fitted=fitted,
         sse=float(residuals @ residuals),
         dof=n - cols,
-        design=np.column_stack([np.ones(n), x]),
         leverages=np.einsum("ki,ki->i", q, q),
         intercept_row=np.ldexp(q[-1] / r[-1, -1], -exp[0, -1]),
     )

@@ -35,15 +35,15 @@ keeps its one draw per table. The m block is centered by construction
 (``experiment_model.transformed_blocks``), so no mode checks it again.
 Every entry point first asks ``experiment_model.design_estimators``
 which estimators the design allows, and every mode makes the same rank
-decision, the kernel's pivot tests; a pate study raises for the first
-sample, in index order, that fails them.
+decision, the kernel's pivot tests: the first draw, in index order,
+that fails them raises RankDeficient (:func:`_refuse_singular`).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -205,19 +205,46 @@ def _table_stats(
     f: Optional[TransformSpec],
     g: Optional[TransformSpec],
     want: Sequence[str],
+    draws: str = "draw",
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """:func:`sign_stats` for one table and its ``b`` sign vectors, as (b,) arrays.
 
     ``times`` gives the products of the table's columns with its signs
     (``kernel.Times``). The table is a stack of one, built by
     :func:`_kernel_inputs` as a study slab is; its covariates are left
-    out when only the mean is wanted.
+    out when only the mean is wanted. A singular draw, named as
+    ``draws``, raises (:func:`_refuse_singular`).
     """
     ident = TransformSpec.identity()
     x = sample.x[None] if any(est != "C" for est in want) else None
     tables = _kernel_inputs(sample.r_t[None], sample.r_c[None], x, f or ident, g or ident)
     stats = sign_stats(*tables, times, b, want)
+    _refuse_singular(stats, draws)
     return {est: (tau[0], s2[0]) for est, (tau, s2) in stats.items()}
+
+
+def _refuse_singular(
+    stats: Mapping[str, Sequence[np.ndarray]], draws: str, samples: Optional[Sequence[int]] = None
+) -> None:
+    """Every mode's one answer to a singular draw: raise RankDeficient.
+
+    The estimators are defined only where [1 | v*d | m] is full rank,
+    and the kernel gives NaN where a draw fails its pivot tests, so the
+    first non-finite entry, in index order, of the (T, B) grids in
+    ``stats`` refuses the run. Row t is sample ``samples[t]`` (the one
+    table when None) and column j its ``draws`` j; the message counts
+    that row's failing draws, so no other row can change it.
+    """
+    ok = reduce(np.logical_and, (np.isfinite(grid) for pair in stats.values() for grid in pair))
+    if ok.all():
+        return
+    b = ok.shape[1]
+    t, j = divmod(int(np.argmin(ok)), b)
+    where = [] if samples is None else [f"sample {samples[t]}"]
+    if samples is None or b > 1:
+        where.append(f"{draws} {j}")
+    count = "" if b == 1 else f" (singular under {b - np.count_nonzero(ok[t])} of {b} {draws}s)"
+    raise RankDeficient(f"{', '.join(where)}: the regression design is rank deficient{count}")
 
 
 class _HalfTables:
@@ -268,7 +295,7 @@ class _HalfTables:
 
 @dataclass(frozen=True)
 class EstimatorSummary:
-    """Summary of one estimator over a set of assignments.
+    """Summary of one estimator over a set of assignments, none of them singular.
 
     Each field is a Python number for one set, or an array with one
     entry per set when :func:`_summarize` reduced a stack of them.
@@ -280,7 +307,6 @@ class EstimatorSummary:
     coverage: float
     mean_se: float
     mean_s2: float
-    errors: int = 0
 
 
 def _summarize(
@@ -290,44 +316,32 @@ def _summarize(
 
     ``tau`` and ``s2`` are (..., B): B assignments for each index of the
     leading shape, which ``target`` broadcasts over and every field of
-    the result has. A 1-D call gives Python numbers. Assignments with a
-    non-finite estimate are counted in ``errors`` and left out of every
-    other number; an index with none left gets NaN. A dropped entry
-    enters the sums as an exact zero, so a row without drops reduces
-    bit for bit as it does alone, and one with drops differs from
-    reducing its kept entries only by the rounding of the sums.
+    the result has. A 1-D call gives Python numbers. Every mode refuses
+    a singular draw before it gets here (:func:`_refuse_singular`), so
+    every entry counts; each row reduces bit for bit as it does alone.
     """
-    ok = np.isfinite(tau) & np.isfinite(s2)
-    bad = ~ok
-    kept = np.count_nonzero(ok, axis=-1)
-    tau, s2 = tau.copy(), s2.copy()
-    tau[bad] = 0.0
-    s2[bad] = 0.0
+    b = tau.shape[-1]
     # Work in place where a value is used once: at 2^16 draws each fresh
     # temporary costs about as much as the arithmetic on it.
-    with np.errstate(invalid="ignore"):
-        mean = tau.sum(axis=-1) / kept
-        dev = tau - mean[..., None]
-        dev[bad] = 0.0
-        variance = np.square(dev, out=dev).sum(axis=-1) / kept
-        miss = np.subtract(tau, np.asarray(target)[..., None], out=dev)
-        miss[bad] = 0.0
-        se = np.sqrt(s2)
-        mean_se = se.sum(axis=-1) / kept
-        half = np.multiply(se, normal_quantile(1.0 - alpha / 2.0), out=se)
-        hit = (np.abs(miss, out=miss) <= half) & ok
-        fields = (
-            mean,
-            variance,
-            np.sqrt(np.square(miss, out=miss).sum(axis=-1) / kept),
-            np.count_nonzero(hit, axis=-1) / kept,
-            mean_se,
-            s2.sum(axis=-1) / kept,
-        )
-    errors = tau.shape[-1] - kept
+    mean = tau.sum(axis=-1) / b
+    dev = tau - mean[..., None]
+    variance = np.square(dev, out=dev).sum(axis=-1) / b
+    miss = np.subtract(tau, np.asarray(target)[..., None], out=dev)
+    se = np.sqrt(s2)
+    mean_se = se.sum(axis=-1) / b
+    half = np.multiply(se, normal_quantile(1.0 - alpha / 2.0), out=se)
+    hit = np.abs(miss, out=miss) <= half
+    fields = (
+        mean,
+        variance,
+        np.sqrt(np.square(miss, out=miss).sum(axis=-1) / b),
+        np.count_nonzero(hit, axis=-1) / b,
+        mean_se,
+        s2.sum(axis=-1) / b,
+    )
     if tau.ndim == 1:
-        return EstimatorSummary(*map(float, fields), int(errors))
-    return EstimatorSummary(*fields, errors)
+        return EstimatorSummary(*map(float, fields))
+    return EstimatorSummary(*fields)
 
 
 @dataclass(frozen=True)
@@ -411,13 +425,7 @@ def enumerate_exact(
     if n > cap:
         raise TooLarge(f"2^{n} assignments exceed the cap of 2^{cap}")
     want = design_estimators(n, sample.p, f, g)
-    stats = _table_stats(sample, _HalfTables(n), 2**n, f, g, want)
-    bad = ~np.isfinite(stats[want[-1]][0])
-    if want != ("C",) and bad.any():
-        raise RankDeficient(
-            f"{int(bad.sum())} of {2**n} assignments give a singular design "
-            f"(first code {int(np.flatnonzero(bad)[0])})"
-        )
+    stats = _table_stats(sample, _HalfTables(n), 2**n, f, g, want, "assignment code")
     return ExactDistribution(
         n=n,
         target=sample.sate,
@@ -449,11 +457,10 @@ def run_monte_carlo(
     """Estimate randomization behavior from B sampled assignments.
 
     Coverage and RMSE are measured against the table's own average
-    effect, recorded as ``target``. Assignments whose design turns out
-    singular are counted in ``errors`` and dropped from the summaries
-    rather than aborting the run. Raises what :func:`design_estimators`
-    raises, ConfigError for a regression estimator without transforms
-    and WrongEstimator for one the rule does not allow.
+    effect, recorded as ``target``. Raises what :func:`design_estimators`
+    raises, ConfigError for a regression estimator without transforms,
+    WrongEstimator for one the rule does not allow, and RankDeficient
+    when any drawn assignment gives a singular design.
     """
     if b < 1:
         raise ConfigError(f"need b >= 1, got {b}")
@@ -624,7 +631,8 @@ def _study_block(config: StudyConfig, idxs: Sequence[int]) -> dict[str, np.ndarr
     finite on the stack, the tables are built and computed one at a
     time, in order, so the first failing table raises what it raises
     alone: which transform fails first may differ between it and the
-    stack, and in a pate study an earlier table may fail the rank test.
+    stack, and an earlier table, in either mode, may fail the rank test.
+    Transforms act entry by entry, so some table fails alone.
     """
     streams = _StudyStreams(config, idxs)
     step = _sate_columns if config.mode == "sate" else _pate_columns
@@ -632,14 +640,11 @@ def _study_block(config: StudyConfig, idxs: Sequence[int]) -> dict[str, np.ndarr
     try:
         tables = _kernel_inputs(r_t, r_c, x, config.f, config.g)
     except NonFiniteTransform:
-        if len(idxs) == 1:
-            raise
-        parts = []
         for j in range(len(idxs)):
             one = slice(j, j + 1)
             tables = _kernel_inputs(r_t[one], r_c[one], x[one], config.f, config.g)
-            parts.append(step(config, idxs[one], *tables, streams.times))
-        return _concat(parts)
+            step(config, idxs[one], *tables, streams.times)
+        raise
     del r_t, r_c, x
     return step(config, idxs, *tables, streams.times)
 
@@ -653,11 +658,12 @@ def _sate_columns(
     The tables, given as :func:`_kernel_inputs` builds them, meet their
     B signs each, whose products ``times`` gives, together in
     :func:`sign_stats`, and each estimator's (T, B) grid is summarized
-    in one call against each table's own average effect. Singular draws
-    are left out of the summaries.
+    in one call against each table's own average effect, once no draw
+    is singular (:func:`_refuse_singular`).
     """
     b = config.randomizations
     stats = sign_stats(blocks, effects, gaps, times, b, ("C", "R1", "R2"))
+    _refuse_singular(stats, "draw", idxs)
     sates = effects.mean(axis=-1)
     c, r1, r2 = (_summarize(tau, s2, sates, config.alpha) for tau, s2 in stats.values())
     return {
@@ -681,15 +687,12 @@ def _pate_columns(
     Every estimate, the mean's too, comes from :func:`sign_stats` on
     the tables as :func:`_kernel_inputs` builds them, under one draw
     per table, whose products ``times`` gives; Y is never formed. The
-    first table in order whose R1 or R2P fit is singular under the
-    kernel's pivot tests, the same rank decision as in the other modes,
-    raises RankDeficient naming its sample.
+    first table in order whose draw is singular raises RankDeficient
+    naming its sample (:func:`_refuse_singular`).
     """
     grids = sign_stats(blocks, effects, gaps, times, 1, ("C", "R1", "R2", "R2P"))
+    _refuse_singular(grids, "draw", idxs)
     stats = {est: (tau[:, 0], s2[:, 0]) for est, (tau, s2) in grids.items()}
-    bad = np.flatnonzero(~(np.isfinite(stats["R1"][1]) & np.isfinite(stats["R2P"][1])))
-    if bad.size:
-        raise RankDeficient(f"sample {idxs[bad[0]]}: the regression design is rank deficient")
     return {
         "tau_C": stats["C"][0],
         "se_C": np.sqrt(stats["C"][1]),
@@ -873,11 +876,6 @@ def lemma_diagnostics(
     else:
         off = np.zeros(reps)
     denom = intercept_denominators(d, m, v)
-    bad = ~np.isfinite(denom)
-    if bad.any():
-        raise RankDeficient(
-            f"{int(bad.sum())} of {reps} assignments give a singular design "
-            f"(first repetition {int(np.flatnonzero(bad)[0])})"
-        )
+    _refuse_singular({"R2": (denom[None],)}, "repetition")
     resid = np.abs(denom / n - 1.0)
     return LemmaDiagnostics(n=n, reps=reps, off_block=off, ones_residual=resid)

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paired_adjust import (
-    StudyConfig, TransformSpec, enumerate_exact, reveal, run_monte_carlo, substream
+    RankDeficient, StudyConfig, TransformSpec, enumerate_exact, reveal, run_monte_carlo, substream
 )
 from paired_adjust import randomization_engine as engine
 from paired_adjust.dgp import PotentialOutcomeSample, stacked_tables
@@ -300,10 +300,12 @@ def test_duplicated_column_makes_every_row_singular(block):
     sample = PotentialOutcomeSample(
         r_t=rng.standard_normal((16, 2)), r_c=rng.standard_normal((16, 2)), x=x
     )
-    mc = run_monte_carlo(sample, 200, f=f, g=g, estimators=WANT[1:],
-                         rng=substream(51, ROLE_ASSIGN))
-    for est in singular:
-        assert mc.per[est].errors == 200
+    # A singular estimator refuses the run, even where another is finite.
+    with pytest.raises(RankDeficient) as info:
+        run_monte_carlo(sample, 200, f=f, g=g, estimators=WANT[1:], rng=substream(51, ROLE_ASSIGN))
+    assert str(info.value) == (
+        "draw 0: the regression design is rank deficient (singular under 200 of 200 draws)"
+    )
 
 
 @PROPERTY

@@ -227,3 +227,21 @@ def test_engine_calls_the_kernel_once_per_slab_without_row_slices():
                     assert not isinstance(up, loops), f"{name} calls sign_stats in a loop"
                     up = parents.get(up)
     assert sorted(callers) == ["_pate_columns", "_sate_columns", "_table_stats"]
+
+
+def test_engine_answers_a_singular_draw_in_one_place():
+    # The estimators are not defined at a singular draw, so every mode
+    # refuses it through one helper: the engine raises RankDeficient and
+    # tests finiteness nowhere else, and every kernel result is checked.
+    functions = _functions(_module(PACKAGE / "randomization_engine.py"))
+    raisers, finite, refusers = set(), set(), set()
+    for name, fn in functions.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Raise) and "RankDeficient" in ast.unparse(node):
+                raisers.add(name)
+            if isinstance(node, ast.Attribute) and node.attr == "isfinite":
+                finite.add(name)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_refuse_singular":
+                refusers.add(name)
+    assert raisers == finite == {"_refuse_singular"}
+    assert refusers == {"_pate_columns", "_sate_columns", "_table_stats", "lemma_diagnostics"}

@@ -1,4 +1,4 @@
-from statistics import NormalDist
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +9,7 @@ from paired_adjust import (
     LengthMismatch,
     PotentialOutcomeSample,
     ROLE_ASSIGN,
+    RankDeficient,
     StudyConfig,
     TooFewPairs,
     TooLarge,
@@ -222,24 +223,7 @@ class TestEnumerateExact:
             assert set(cell) == {"mean", "variance", "mean_s2", "rmse", "coverage"}
 
 
-SUMMARY_FIELDS = ("mean", "variance", "rmse", "coverage", "mean_se", "mean_s2", "errors")
-
-
-def compacted_summary(tau, s2, target, alpha):
-    """The summary of one row from its finite draws only, field by field."""
-    ok = np.isfinite(tau) & np.isfinite(s2)
-    tau, s2 = tau[ok], s2[ok]
-    se = np.sqrt(s2)
-    half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * se
-    return {
-        "mean": tau.mean(),
-        "variance": ((tau - tau.mean()) ** 2).mean(),
-        "rmse": np.sqrt(((tau - target) ** 2).mean()),
-        "coverage": (np.abs(tau - target) <= half).mean(),
-        "mean_se": se.mean(),
-        "mean_s2": s2.mean(),
-        "errors": int((~ok).sum()),
-    }
+SUMMARY_FIELDS = ("mean", "variance", "rmse", "coverage", "mean_se", "mean_s2")
 
 
 class TestSummarize:
@@ -254,38 +238,11 @@ class TestSummarize:
                 got = np.asarray(getattr(grid, name)[t])
                 assert got.tobytes() == np.asarray(getattr(row, name), got.dtype).tobytes(), name
 
-    @pytest.mark.filterwarnings("error")
-    def test_dropped_draws_counted_and_left_out(self, rng):
-        # The offset keeps each mean away from zero: the grid sums a
-        # dropped draw as an exact zero, so its sums group the kept terms
-        # differently from the compacted reference, and only a sum that
-        # does not cancel bounds that rounding relative to its value.
-        tau = 2.0 + rng.standard_normal((4, 200))
-        s2 = rng.random((4, 200)) + 0.1
-        tau[1, rng.random(200) < 0.1] = np.nan
-        tau[1, 7] = np.inf
-        s2[2, rng.random(200) < 0.1] = np.nan
-        tau[3] = s2[3] = np.nan
-        target = 2.0 + rng.standard_normal(4) * 0.1
-        grid = _summarize(tau, s2, target, 0.05)
-        dropped = (~(np.isfinite(tau) & np.isfinite(s2))).sum(axis=1)
-        assert dropped[0] == 0 and 0 < dropped[1] < 200 and 0 < dropped[2] < 200
-        npt.assert_array_equal(grid.errors, dropped)
-        for t in range(3):
-            ref = compacted_summary(tau[t], s2[t], target[t], 0.05)
-            for name in SUMMARY_FIELDS[:-1]:
-                npt.assert_allclose(getattr(grid, name)[t], ref[name], rtol=1e-14, err_msg=name)
-        assert grid.errors[3] == 200
-        for name in SUMMARY_FIELDS[:-1]:
-            assert np.isnan(getattr(grid, name)[3]), name
-
     def test_one_row_gives_python_numbers(self, rng):
         tau, s2 = rng.standard_normal(50), rng.random(50)
-        tau[3] = np.nan
         summ = _summarize(tau, s2, 0.0, 0.05)
-        for name in SUMMARY_FIELDS[:-1]:
+        for name in SUMMARY_FIELDS:
             assert type(getattr(summ, name)) is float, name
-        assert type(summ.errors) is int and summ.errors == 1
 
     def test_sate_study_summarizes_estimators_once_per_slab(self, monkeypatch):
         calls = {"slab": 0, "summarize": []}
@@ -373,23 +330,34 @@ class TestRunMonteCarlo:
         for est in ("C", "R1", "R2"):
             assert mc.per[est].coverage == pytest.approx(0.95, abs=0.02)
 
-    def test_singular_assignments_counted_not_fatal(self, rng):
+    def test_singular_assignments_refused(self, rng):
         # constant within-pair difference: any all-equal sign vector makes
-        # [1 | v*d] collinear, so a few draws must fail
+        # [1 | v*d] collinear, so a run that draws one is refused at the
+        # first, and a run that draws none is summarized
         x = rng.standard_normal((6, 2, 4))
         x[:, 0, 0] = x[:, 1, 0] + 1.0
         s = PotentialOutcomeSample(
             r_t=rng.standard_normal((6, 2)), r_c=rng.standard_normal((6, 2)), x=x
         )
-        hits = 0
+        refused = 0
         for k in range(40):
-            mc = run_monte_carlo(
-                s, 64, f=TransformSpec.select([1]), g=TransformSpec.select([2]),
+            signs = randomize(6, substream(12, ROLE_ASSIGN, k), 64)
+            equal = np.flatnonzero(np.abs(signs.sum(axis=1)) == 6)
+            run = partial(
+                run_monte_carlo, s, 64, f=TransformSpec.select([1]), g=TransformSpec.select([2]),
                 estimators=("R1",), rng=substream(12, ROLE_ASSIGN, k),
             )
-            hits += mc.per["R1"].errors
-            assert np.isfinite(mc.per["R1"].mean)
-        assert hits > 0
+            if equal.size == 0:
+                assert np.isfinite(run().per["R1"].mean)
+                continue
+            refused += 1
+            with pytest.raises(RankDeficient) as info:
+                run()
+            assert str(info.value) == (
+                f"draw {equal[0]}: the regression design is rank deficient "
+                f"(singular under {equal.size} of 64 draws)"
+            )
+        assert 0 < refused < 40
 
     def test_bad_inputs_rejected(self, rng):
         s = make_sample(rng, 8)

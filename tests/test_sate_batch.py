@@ -18,7 +18,7 @@ from paired_adjust import kernel
 from paired_adjust import randomization_engine as engine
 from paired_adjust.cli import main
 from paired_adjust.dgp import PotentialOutcomeSample, generate_sample
-from paired_adjust.errors import NonFiniteTransform
+from paired_adjust.errors import NonFiniteTransform, RankDeficient
 from paired_adjust.experiment_model import TransformSpec, transformed_blocks
 from paired_adjust.randomization_engine import StudyConfig, _study_block, randomize, run_study
 from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE, substream, substreams
@@ -31,47 +31,44 @@ T = TransformSpec
 # oracles solve the normal equations by explicit inverses, so they lose
 # digits as the square of the design's condition number: 1e-9 holds
 # with room to spare for well-conditioned designs (the worst measured
-# is 3e-11), while the nearly singular exp/exp draws kept below lose
-# more (worst measured 4e-5).
+# is 3e-11), while the nearly singular exp/exp draws computed below
+# lose more (worst measured 4e-5).
 RTOL = 1e-9
 RTOL_NEAR_SINGULAR = 1e-3
 
 
-def _oracle_fits(d, m, v, y):
-    """{id: (tau, s2)} of one draw by the oracles, NaN where the pivot rule calls the design singular."""
-    n = len(y)
-    tau = y.mean()
-    fits = {"C": (tau, ((y - tau) ** 2).sum() / (n * (n - 1)))}
-    fits["R1"] = (np.nan, np.nan) if singular_oracle(d, m[:, :0], v) else r1_oracle(d, v, y)
-    fits["R2"] = (np.nan, np.nan) if singular_oracle(d, m, v) else r2_oracle(d, m, v, y)[:2]
-    return fits
+def _table(config, idx):
+    """Index ``idx``'s table, its covariate blocks and the signs of its draws.
 
-
-def _sate_row(config, idx):
-    """Reference row: index ``idx``'s table and draws, each draw fitted by the oracles.
-
-    The covariate blocks are scaled to a largest entry of 1 per column,
-    which changes no intercept and no variance but keeps the oracles'
-    Grams from overflowing under exp. Singular draws are left out of
-    every summary; a table with none left gets NaN.
+    The blocks are scaled to a largest entry of 1 per column, which
+    changes no intercept, no variance and no pivot test but keeps the
+    oracles' Grams from overflowing under exp.
     """
     sample = generate_sample(config.n, config.setting, rng=substream(config.seed, ROLE_SAMPLE, idx))
     signs = randomize(config.n, substream(config.seed, ROLE_ASSIGN, idx), config.randomizations)
     d, m = transformed_blocks(sample.x, config.f, config.g)
-    d, m = d / np.abs(d).max(axis=0), m / np.abs(m).max(axis=0)
+    return sample, d / np.abs(d).max(axis=0), m / np.abs(m).max(axis=0), signs
+
+
+def _sate_row(config, idx):
+    """Reference row: index ``idx``'s table and draws, each draw fitted by the oracles."""
+    sample, d, m, signs = _table(config, idx)
     r_t, r_c = sample.r_t, sample.r_c
     draws = []
     for v in signs:
         y = np.where(v > 0, r_t[:, 0] - r_c[:, 1], r_t[:, 1] - r_c[:, 0])
-        draws.append(_oracle_fits(d, m, v, y))
+        tau = y.mean()
+        draws.append({
+            "C": (tau, ((y - tau) ** 2).sum() / (config.n * (config.n - 1))),
+            "R1": r1_oracle(d, v, y),
+            "R2": r2_oracle(d, m, v, y)[:2],
+        })
     se, rmse, coverage = {}, {}, {}
     for est in ("C", "R1", "R2"):
         tau, s2 = np.array([draw[est] for draw in draws]).T
-        kept = np.isfinite(tau)
-        tau, s2 = tau[kept], s2[kept]
-        se[est] = np.sqrt(s2).mean() if kept.any() else np.nan
-        rmse[est] = np.sqrt(((tau - sample.sate) ** 2).mean()) if kept.any() else np.nan
-        coverage[est] = coverage_oracle(tau, s2, sample.sate, config.alpha) if kept.any() else np.nan
+        se[est] = np.sqrt(s2).mean()
+        rmse[est] = np.sqrt(((tau - sample.sate) ** 2).mean())
+        coverage[est] = coverage_oracle(tau, s2, sample.sate, config.alpha)
     return {
         "coverage_C": coverage["C"],
         "coverage_R1": coverage["R1"],
@@ -84,14 +81,11 @@ def _sate_row(config, idx):
     }
 
 
-def _assert_matches_reference(columns, cfg, rtol):
-    """Every study column within ``rtol`` of the oracle rows, NaN where they are NaN."""
-    for idx in range(cfg.samples):
+def _assert_matches_reference(columns, cfg, idxs, rtol):
+    """Row k of every study column within ``rtol`` of the oracle row of ``idxs[k]``."""
+    for row, idx in enumerate(idxs):
         for name, want in _sate_row(cfg, idx).items():
-            got = columns[name][idx]
-            assert np.isnan(got) == np.isnan(want), (idx, name, got, want)
-            if not np.isnan(want):
-                assert got == pytest.approx(want, rel=rtol, abs=0.0), (idx, name)
+            assert columns[name][row] == pytest.approx(want, rel=rtol, abs=0.0), (idx, name)
 
 
 def _bits(columns):
@@ -117,7 +111,7 @@ def _config(f, g, **kw):
 )
 def test_stacked_rows_match_per_sample_reference(f, g):
     cfg = _config(f, g)
-    _assert_matches_reference(_study_block(cfg, range(cfg.samples)), cfg, RTOL)
+    _assert_matches_reference(_study_block(cfg, range(cfg.samples)), cfg, range(cfg.samples), RTOL)
 
 
 @pytest.mark.parametrize(
@@ -153,13 +147,32 @@ def test_rows_equal_run_monte_carlo_on_the_same_streams(n, b, f, g):
 
 
 def test_singular_draws_match_per_sample_reference():
-    # exp/exp at n=25: many tables have every R2 draw singular, so their
-    # R2 metrics are NaN in both paths, and others some of them.
+    # exp/exp at n=25: many tables have singular draws, some all of them.
+    # A slab is refused at its first (sample, draw), in index order, that
+    # the dense pivot rule calls singular for R2 (R1's design is part of
+    # R2's), with the count of that sample's singular draws; a slab of
+    # the tables with none is computed.
     cfg = _config(T.exp(), T.exp(), n=25, samples=12, randomizations=20, seed=3)
-    columns = _study_block(cfg, range(cfg.samples))
-    assert np.isnan(columns["coverage_R2"]).any()
-    assert not np.isnan(columns["coverage_R2"]).all()
-    _assert_matches_reference(columns, cfg, RTOL_NEAR_SINGULAR)
+    singular = []
+    for idx in range(cfg.samples):
+        _, d, m, signs = _table(cfg, idx)
+        singular.append([j for j, v in enumerate(signs) if singular_oracle(d, m, v)])
+    counts = [len(draws) for draws in singular]
+    assert 0 in counts and 20 in counts and any(0 < count < 20 for count in counts)
+    for lo in range(cfg.samples):
+        failing = [idx for idx in range(lo, cfg.samples) if singular[idx]]
+        if not failing:
+            _study_block(cfg, range(lo, cfg.samples))
+            continue
+        idx = failing[0]
+        with pytest.raises(RankDeficient) as info:
+            _study_block(cfg, range(lo, cfg.samples))
+        assert str(info.value) == (
+            f"sample {idx}, draw {singular[idx][0]}: the regression design is rank deficient "
+            f"(singular under {counts[idx]} of 20 draws)"
+        )
+    full = [idx for idx in range(cfg.samples) if not singular[idx]]
+    _assert_matches_reference(_study_block(cfg, full), cfg, full, RTOL_NEAR_SINGULAR)
 
 
 def test_rows_independent_of_block_slab_and_pass_size(monkeypatch):

@@ -15,14 +15,18 @@ from paired_adjust import (
     PotentialOutcomeSample,
     ROLE_ASSIGN,
     RankDeficient,
+    StudyConfig,
     TooFewPairs,
     TransformSpec,
     enumerate_exact,
     lemma_diagnostics,
     randomize,
     run_monte_carlo,
+    run_study,
     substream,
 )
+from paired_adjust import randomization_engine as engine
+from paired_adjust.cli import main
 from paired_adjust.dgp import stacked_tables
 from paired_adjust.errors import NonFiniteTransform
 from paired_adjust.experiment_model import columns_centered, transformed_blocks
@@ -88,6 +92,80 @@ def test_vd_parallel_to_ones_is_rank_deficient(rng):
     f, g = TransformSpec.select([1]), TransformSpec.select([2])
     with pytest.raises(RankDeficient):
         lemma_diagnostics(s, f, g, reps=1, signs=np.ones(n))
+
+
+def _first_singular(seed, samples, b):
+    """(sample, draw, count) of the first draw with all four signs equal, in index order."""
+    for i in range(samples):
+        signs = randomize(4, substream(seed, ROLE_ASSIGN, i), b)
+        equal = np.flatnonzero(np.abs(signs.sum(axis=1)) == 4)
+        if equal.size:
+            return i, int(equal[0]), equal.size
+    raise AssertionError("no draw has all signs equal")
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_table_refused_by_the_one_rule_in_every_mode(monkeypatch, capsys, tmp_path):
+    # Unit 1 sits exactly 2 above unit 2 on x1 in each of 4 pairs, so
+    # d = 2 and vd is parallel to the ones vector exactly when all four
+    # signs are equal: codes 0 and 15. Every mode refuses the table at
+    # its first such draw, in index order, and counts that row's.
+    rng = np.random.default_rng(61)
+    x = rng.standard_normal((4, 2, 4))
+    x[:, 0, 0] = x[:, 1, 0] + 2.0
+    table = PotentialOutcomeSample(
+        r_t=rng.standard_normal((4, 2)), r_c=rng.standard_normal((4, 2)), x=x
+    )
+    f, g = TransformSpec.select([1]), TransformSpec.select([2])
+    deficient = "the regression design is rank deficient"
+
+    with pytest.raises(RankDeficient) as info:
+        enumerate_exact(table, f, g)
+    assert str(info.value) == f"assignment code 0: {deficient} (singular under 2 of 16 assignment codes)"
+
+    _, draw, count = _first_singular(7, 1, 40)
+    with pytest.raises(RankDeficient) as info:
+        run_monte_carlo(table, 40, f=f, g=g, rng=substream(7, ROLE_ASSIGN, 0))
+    assert str(info.value) == f"draw {draw}: {deficient} (singular under {count} of 40 draws)"
+
+    with pytest.raises(RankDeficient) as info:
+        lemma_diagnostics(table, f, g, reps=3, signs=np.ones(4))
+    assert str(info.value) == f"repetition 0: {deficient} (singular under 3 of 3 repetitions)"
+
+    # Every study sample gets this table, with its own draws. At seed 0
+    # the first sample with a singular draw lies past the first slab at
+    # two and three workers (slabs of six and four samples).
+    def one_table(normals, setting):
+        w = stacked_tables(normals, setting)[0]
+        copies = (len(normals),) + table.r_t.shape
+        return (w, np.broadcast_to(table.r_t, copies).copy(),
+                np.broadcast_to(table.r_c, copies).copy(),
+                np.broadcast_to(table.x, copies + (4,)).copy())
+
+    monkeypatch.setattr(engine, "stacked_tables", one_table)
+    for mode, b in (("sate", 2), ("pate", 1)):
+        sample, draw, count = _first_singular(0, 12, b)
+        assert sample >= 6
+        where = f"sample {sample}, draw {draw}" if b > 1 else f"sample {sample}"
+        want = f"{where}: {deficient}" + (f" (singular under {count} of {b} draws)" if b > 1 else "")
+        for workers in (1, 2, 3):
+            cfg = StudyConfig(mode=mode, setting="nonparallel", n=4, samples=12, randomizations=b,
+                              f=f, g=g, seed=0, workers=workers)
+            with pytest.raises(RankDeficient) as info:
+                run_study(cfg)
+            assert str(info.value) == want, (mode, workers)
+
+    errs = []
+    for workers in ("1", "2", "3"):
+        argv = ["simulate", "--mode", "sate-study", "--setting", "nonparallel", "--n", "4",
+                "--S", "12", "--B", "2", "--f", "select:1", "--g", "select:2", "--seed", "0",
+                "--workers", workers, "--out", str(tmp_path / "r.json")]
+        assert main(argv) == RankDeficient.exit_code
+        errs.append(capsys.readouterr().err)
+    assert not (tmp_path / "r.json").exists()
+    sample, draw, _ = _first_singular(0, 12, 2)
+    assert errs[0].startswith(f"paired-adjust: error: sample {sample}, draw {draw}: ")
+    assert errs[0] == errs[1] == errs[2]
 
 
 @pytest.mark.parametrize("n", [3, 5, 9])
