@@ -16,9 +16,16 @@ columns, the outer product of [dw; g] and [1; centered Delta; w]
 (:class:`_TableColumns`). The products of those columns with a chunk
 of signs, which the caller supplies as a callable (:data:`Times`)
 writing into an array the kernel gives it, are everything that depends
-on the assignment (:class:`_SignProducts`). A call allocates one
-workspace (:class:`_Workspace`) for its outputs and its largest pass,
-and every grid-sized array of every pass is a view of it.
+on the assignment (:class:`_SignProducts`). Signs -v give the same
+design as v and the response Delta - v*g, so every product at -v is the
+one at v negated: asked for twins, the kernel fits -v beside each v as
+a second response on the same design, from the same products and one
+factorization, and writes it to the mirrored column of its outputs
+(column 2B - 1 - j for draw j), which is how an enumeration fills all
+2^n codes from the 2^(n-1) codes below 2^(n-1). A pass holds at most
+``CHUNK`` fits, twins counted. A call allocates one workspace
+(:class:`_Workspace`) for its outputs and its largest pass, and every
+grid-sized array of every pass is a view of it.
 The mean needs only 1'Y and Y'Y; by Frisch-Waugh-Lovell partialling-out,
 R1 needs no solve either, and R2 and its superpopulation correction need
 only the Schur complement of the v*d columns after m is projected out,
@@ -50,13 +57,16 @@ from .ols_core import RANK_RTOL, whiten
 # observed response of an experiment (``PairedExperiment``), whose single
 # fits square it as the kernel does.
 RESPONSE_LIMIT = 2.0**400
-# The kernel's grid budget: the draws one pass of sign_stats takes in
-# all, over at least one table, and the widest product of one table's
-# columns with its signs. A table whose draws are cut into chunks may
-# get other last bits than uncut, as BLAS may round a product
-# differently by its width, so every mode cuts a table's draws at the
-# same multiples of it. Readers outside this module read it as
-# ``kernel.CHUNK``, so this is its one binding.
+# The kernel's grid budget: the fits one pass of sign_stats makes in
+# all, over at least one table, so the draws it takes, and the widest
+# product of one table's columns with its signs. A pass that fits each
+# draw's twin too takes half as many draws. A table whose draws are cut
+# into chunks may get other last bits than uncut, as BLAS may round a
+# product differently by its width, so every mode without twins cuts a
+# table's draws at the same multiples of it; the one mode with twins,
+# enumeration, sums half tables, whose products do not depend on the
+# width. Readers outside this module read it as ``kernel.CHUNK``, so
+# this is its one binding.
 CHUNK = 4096
 
 
@@ -124,11 +134,19 @@ class _Workspace:
     heap, which keeps its pages between calls while what else an
     operation allocates stays smaller than the block. The many
     pass-sized arrays this replaces were given back to the system after
-    a pass and faulted in again on the next.
+    a pass and faulted in again on the next. The buffer starts on a
+    64-byte cache line, where malloc promises 16 bytes, so every array
+    whose offset is a multiple of eight floats, as every grid of an
+    enumeration pass is, starts on one too. No vector load is then split
+    across two lines: an n = 16 enumeration took 16-18 ms, against
+    20-21 ms from a buffer 48 bytes past a line, on one core of a
+    2-vCPU AVX-512 host.
     """
 
     def __init__(self, size: int) -> None:
-        self._buf = np.empty(size)
+        raw = np.empty(size + 7)
+        skip = -raw.ctypes.data % 64 // 8
+        self._buf = raw[skip : skip + size]
         self.mark = 0
 
     def release(self, mark: int) -> None:
@@ -180,15 +198,19 @@ def _eliminate(g: np.ndarray, k: int, floor: np.ndarray, ok: np.ndarray, ws: _Wo
     ws.release(mark)
 
 
-def _dot(a: np.ndarray, b: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _dot(
+    a: np.ndarray, b: np.ndarray, ws: _Workspace, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Sum of a[i] * b[i] over the leading axis, term by term in order, in ``ws``.
 
     numpy's own reductions may group the terms differently when the
     grid has one point, so a fixed order keeps every fit's value
-    independent of the grid it is computed in. The sum stays taken from
-    ``ws``; its term array is given back.
+    independent of the grid it is computed in. The sum is written into
+    ``out`` or, when None, into an array that stays taken from ``ws``;
+    its term array is given back.
     """
-    out = ws.take(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    if out is None:
+        out = ws.take(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
     mark = ws.mark
     term = ws.take(out.shape)
     out.fill(0.0)
@@ -280,13 +302,20 @@ class _SignProducts:
     :class:`_TableColumns` and in the coordinates of its ``blocks``:
     ``s`` = dw'v and ``t`` = dw'(v*y), the sums ``ysum`` and squared
     norms ``yty`` of y and, when the m block is needed, ``proj`` holding
-    the products of v*dw (K_D rows), the ones vector and y with w. All
-    come from one product of the table's fixed columns with the signs
-    (see :data:`Times`), and all are views of the pass's workspace
-    ``ws``, as is every array the fits compute from them. Component
-    axes come first and the grid axes (T, B) last: ``s`` and ``t`` are
-    (K_D, T, B) and ``proj`` is (K_D + 2, K_M, T, B). ``mean`` (T, 1)
-    is added back to every intercept.
+    the products of v*dw (K_D rows), the ones vector and each response
+    with w. All come from one product of the table's fixed columns with
+    the signs (see :data:`Times`), and all are views of the pass's
+    workspace ``ws``, as is every array the fits compute from them.
+    There are R = 1 or 2 responses. The second is the twin: the fit at
+    -v, whose design [1 | v*d | m] is the same and whose response is
+    Dc - v*g, so its pieces are those of v with the products of v
+    negated. Its v*dw columns are taken with their sign flipped, so
+    that ``s`` and the v*dw rows of ``proj`` serve both; that moves no
+    intercept and negates every product of one such column exactly.
+    Component axes come first and the grid axes (T, B) last: ``s`` is
+    (K_D, T, B), ``t`` (K_D, R, T, B), ``ysum`` and ``yty`` (R, T, B)
+    and ``proj`` (K_D + 1 + R, K_M, T, B). ``mean`` (T, 1) is added
+    back to every intercept.
     """
 
     blocks: Whitened
@@ -300,43 +329,52 @@ class _SignProducts:
     ws: _Workspace
 
     @staticmethod
-    def planes(kd: int, km: int, want: Sequence[str]) -> int:
+    def planes(kd: int, km: int, want: Sequence[str], responses: int = 1) -> int:
         """The most (T, B) grids of values a pass holds at once: its workspace, in grids.
 
-        For K_D = ``kd`` and K_M = ``km`` columns and the estimators
-        ``want``: the fields of :meth:`of`, then the largest of the
-        products and the fits' own arrays, which each gives back before
-        the next. A bool grid is counted as a whole grid, though it
-        takes an eighth of one.
+        For K_D = ``kd`` and K_M = ``km`` columns, the estimators
+        ``want`` and R = ``responses``: the fields of :meth:`of`, then
+        the largest of the products and the fits' own arrays, which each
+        gives back before the next. A bool grid is counted as a whole
+        grid, though it takes an eighth of one.
         """
+        r = responses
         with_m = "R2" in want or "R2P" in want
         km = km if with_m else 0
-        held = 2 * kd + 2 + (kd + 2) * km
-        fits = [(kd + 1) * (2 + km), 1 if "C" in want else 0, 7 if "R1" in want else 0]
+        size = kd + 1 + r  # the bordered Gram of [v*dw | 1 | each response]
+        held = kd + r * kd + 2 * r + size * km
+        fits = [(kd + 1) * (2 + km), r if "C" in want else 0, 2 + 4 * r if "R1" in want else 0]
         if with_m:
             # The bordered Gram, ok and bad, then the largest of: the
             # products subtracted for each w column, the elimination
             # (good, the pivots and the Schur update) and what follows
-            # it (with R2P, the coefficients, the SSE and the sums).
-            after = kd + 2 + max(2, 2 * km, km + 2) if "R2P" in want else 2
-            fits.append((kd + 2) ** 2 + 2 + max(kd * (kd + 2), 4, 2 + (kd + 1) ** 2, after))
+            # it (the intercepts and SSEs and, with R2P, the
+            # corrections, the coefficients and the sums).
+            sums = max(2, 2 * km, km + 1)
+            after = r * (3 + kd + 1 + sums) if "R2P" in want else 2 * r
+            scratch = max(kd * size, (1 + r) ** 2)
+            fits.append(size**2 + 2 + max(scratch, 2 + (size - 1) ** 2, after))
         return held + max(fits)
 
     @classmethod
     def of(cls, table: _TableColumns, times: Times, rows: slice, part: slice,
-           ws: _Workspace) -> "_SignProducts":
+           ws: _Workspace, responses: int = 1) -> "_SignProducts":
         """The fits' pieces from the products of the table's columns with the signs ``part``.
 
         The pieces are taken from ``ws`` first, then the (T, P, B)
         products, which ``times`` writes for the tables ``rows``; the
-        products are given back once the pieces are read off them.
+        products are given back once the pieces are read off them. With
+        two ``responses`` the twin's pieces come from the same products
+        x by exact negation: t = x - dw'g, 1'y = 1'Dc - x,
+        y'y = Dc'Dc + g'g - 2x and w'y = w'Dc - x, each for its x.
         """
         t, p, n = table.columns.shape
         b = part.stop - part.start
         kd = table.blocks.dw.shape[1]
-        s, tt = ws.take((kd, t, b)), ws.take((kd, t, b))
-        ysum, yty = ws.take((t, b)), ws.take((t, b))
-        proj = ws.take((kd + 2, p // (kd + 1) - 2, t, b)) if table.with_m else None
+        r = responses
+        s, tt = ws.take((kd, t, b)), ws.take((kd, r, t, b))
+        ysum, yty = ws.take((r, t, b)), ws.take((r, t, b))
+        proj = ws.take((kd + 1 + r, p // (kd + 1) - 2, t, b)) if table.with_m else None
         mark = ws.mark
         products = ws.take((t, p, b))
         times(table.columns, rows, part, products)
@@ -347,16 +385,24 @@ class _SignProducts:
             proj[kd] = table.w_sum
             np.add(table.w_centered, x[kd, 2:], out=proj[kd + 1])
         np.copyto(s, x[:kd, 0])
-        np.add(x[:kd, 1], table.dw_gaps, out=tt)
-        np.add(table.dc_sum, x[kd, 0], out=ysum)
-        np.multiply(2.0, x[kd, 1], out=yty)
-        np.add(table.squares, yty, out=yty)
+        np.add(x[:kd, 1], table.dw_gaps, out=tt[:, 0])
+        np.add(table.dc_sum, x[kd, 0], out=ysum[0])
+        np.multiply(2.0, x[kd, 1], out=yty[0])
+        np.add(table.squares, yty[0], out=yty[0])
+        if r == 2:
+            if proj is not None:
+                np.subtract(table.w_centered, x[kd, 2:], out=proj[kd + 2])
+            np.subtract(x[:kd, 1], table.dw_gaps, out=tt[:, 1])
+            np.subtract(table.dc_sum, x[kd, 0], out=ysum[1])
+            np.multiply(2.0, x[kd, 1], out=yty[1])
+            np.subtract(table.squares, yty[1], out=yty[1])
         ws.release(mark)
         return cls(table.blocks, n, table.mean, s, tt, ysum, yty, proj, ws)
 
-    def classical(self, tau: np.ndarray, s2: np.ndarray) -> None:
-        """tau_hat and S^2 of the plain mean, in closed form, written into ``tau`` and ``s2``.
+    def classical(self, outs: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+        """tau_hat and S^2 of the plain mean, in closed form, written into ``outs``.
 
+        ``outs`` holds one (tau, s2) pair of (T, B) arrays per response.
         tau_hat is ``mean`` + 1'y / n, and S^2 n (n-1) is
         y'y - (1'y)^2 / n, clamped at 0 like the SSE. The centering
         leaves y'y of the size of the spread of Y, not of its mean, so
@@ -367,77 +413,93 @@ class _SignProducts:
         spread /= n
         np.subtract(self.yty, spread, out=spread)
         np.maximum(spread, 0.0, out=spread)
-        np.divide(spread, n * (n - 1), out=s2)
-        np.divide(self.ysum, n, out=tau)
-        np.add(self.mean, tau, out=tau)
+        for part, ysum, (tau, s2) in zip(spread, self.ysum, outs):
+            np.divide(part, n * (n - 1), out=s2)
+            np.divide(ysum, n, out=tau)
+            np.add(self.mean, tau, out=tau)
         self.ws.release(mark)
 
-    def r1(self, tau: np.ndarray, s2: np.ndarray) -> None:
-        """Intercept and classical variance of y on [1 | v*d], written into ``tau`` and ``s2``.
+    def r1(self, outs: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Intercept and classical variance of y on [1 | v*d], written into ``outs``.
 
+        ``outs`` holds one (tau, s2) pair of (T, B) arrays per response.
         With v*dw orthonormal, partialling it out leaves
-        e'(I-H)e = n - s's and e'(I-H)y = 1'y - s't, so no solve is
-        needed. Rows whose denominator is at most RANK_RTOL * n, or
-        whose table failed the pivot test on d, are left as they are.
+        e'(I-H)e = n - s's, which the responses share, and
+        e'(I-H)y = 1'y - s't, so no solve is needed. Rows whose
+        denominator is at most RANK_RTOL * n, or whose table failed the
+        pivot test on d, are left as they are.
         """
         ws, n, k1 = self.ws, self.n, 1 + self.s.shape[0]
         mark = ws.mark
         denom = _dot(self.s, self.s, ws)
         np.subtract(n, denom, out=denom)
-        num = _dot(self.s, self.t, ws)
-        np.subtract(self.ysum, num, out=num)
         ok = np.greater(denom, RANK_RTOL * n, out=ws.take(denom.shape, bool))
         np.logical_and(self.blocks.ok_d[:, None], ok, out=ok)
+        bad = ws.mark
         np.copyto(denom, 1.0, where=np.logical_not(ok, out=ws.take(ok.shape, bool)))
-        beta = np.divide(num, denom, out=ws.take(denom.shape))
+        ws.release(bad)
+        num = _dot(self.s[:, None], self.t, ws)
+        np.subtract(self.ysum, num, out=num)
+        beta = np.divide(num, denom, out=ws.take(num.shape))
         sse = _dot(self.t, self.t, ws)
         np.subtract(self.yty, sse, out=sse)
         sse -= np.multiply(beta, num, out=num)
         np.maximum(sse, 0.0, out=sse)
-        np.add(self.mean, beta, out=tau, where=ok)
         sse /= n - k1
-        np.divide(sse, denom, out=s2, where=ok)
+        for b, e, (tau, s2) in zip(beta, sse, outs):
+            np.add(self.mean, b, out=tau, where=ok)
+            np.divide(e, denom, out=s2, where=ok)
         ws.release(mark)
 
     def r2(
         self, corrected: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Intercept fits of y on [1 | v*d | m] through the Schur complement.
+        """Intercept fits of each response on [1 | v*d | m] through the Schur complement.
 
         Partialling out the orthonormal w leaves the Gram of
-        [v*dw | 1 | y] minus its products with w. Each w column's
-        products are subtracted in turn, in place, from the v*dw rows and
-        from the [1 | y] corner, and the v*dw rows' corner columns are
-        then mirrored below, so the largest temporary is K_D by K_D + 2
-        per grid point, not a whole Gram; every block stays exactly
-        symmetric, since a_i a_j = a_j a_i. Eliminating the v*dw columns
-        of that bordered matrix leaves, for the ones vector and y,
-        [[e'(I-H)e, e'(I-H)y], [., y'(I-H)y]] with H the projection onto
-        [v*d | m] (FWL): its first pivot is the denominator e'(I-H)e,
-        the intercept is the ratio along its first row, and what is left
-        of y'(I-H)y after that pivot is the SSE. Each pivot must exceed
-        RANK_RTOL times its column's squared norm before partialling out
-        (one for a whitened column, n for the ones vector). Returns
-        ``ok``, whether a row passed every pivot test and its table the
-        pivot tests on d and m, then the intercept less ``mean``, the
-        SSE, the denominator (1 where not ``ok``) and, if ``corrected``,
-        beta_m' (m'm) beta_m, which is the squared norm of the w
-        coefficients (else None). All are views of ``ws``, which the
-        caller gives back; rows not ``ok`` hold values that mean nothing.
+        [v*dw | 1 | y_1 .. y_R] minus its products with w. Each w
+        column's products are subtracted in turn, in place, from the
+        v*dw rows and from the [1 | y] corner, and the v*dw rows' corner
+        columns are then mirrored below, so the largest temporary is
+        K_D by K_D + 1 + R per grid point, not a whole Gram; every block
+        stays exactly symmetric, since a_i a_j = a_j a_i. Eliminating
+        the v*dw columns of that bordered matrix, once for every
+        response, leaves for the ones vector and response i
+        [[e'(I-H)e, e'(I-H)y_i], [., y_i'(I-H)y_i]] with H the
+        projection onto [v*d | m] (FWL): its first pivot is the
+        denominator e'(I-H)e, the intercept is the ratio along its first
+        row, and what is left of y_i'(I-H)y_i after that pivot is the
+        SSE. Each entry is computed from its own row and column only, so
+        the responses' products with each other, which start at zero,
+        change nothing. Each pivot must exceed RANK_RTOL times its
+        column's squared norm before partialling out (one for a whitened
+        column, n for the ones vector). Returns ``ok``, whether a row
+        passed every pivot test and its table the pivot tests on d and
+        m, then per response (R, T, B) the intercept less ``mean`` and
+        the SSE, the denominator (1 where not ``ok``) and, if
+        ``corrected``, per response beta_m' (m'm) beta_m, which is the
+        squared norm of the w coefficients (else None). All are views of
+        ``ws``, which the caller gives back; rows not ``ok`` hold values
+        that mean nothing.
         """
-        ws, kd, grid = self.ws, self.s.shape[0], self.ysum.shape
-        g = ws.take((kd + 2, kd + 2) + grid)
+        ws, kd, grid = self.ws, self.s.shape[0], self.ysum.shape[1:]
+        r = len(self.ysum)
+        g = ws.take((kd + 1 + r, kd + 1 + r) + grid)
+        # The responses' diagonal of g, (R, T, B).
+        yy = np.moveaxis(np.diagonal(g[kd + 1 :, kd + 1 :]), -1, 0)
         g[:kd, :kd] = np.eye(kd)[:, :, None, None]
         g[kd, kd] = self.n
-        g[kd + 1, kd + 1] = self.yty
+        g[kd + 1 :, kd + 1 :] = 0.0
+        for i in range(r):
+            g[kd + 1 + i, kd + 1 + i] = self.yty[i]
         g[:kd, kd] = self.s
-        g[:kd, kd + 1] = self.t
-        g[kd, kd + 1] = g[kd + 1, kd] = self.ysum
+        g[:kd, kd + 1 :] = self.t
+        g[kd, kd + 1 :] = g[kd + 1 :, kd] = self.ysum
         ok, bad = ws.take(grid, bool), ws.take(grid, bool)
         mark = ws.mark
-        scratch = ws.take((max(kd * (kd + 2), 4),) + grid)
-        rows = scratch[: kd * (kd + 2)].reshape((kd, kd + 2) + grid)
-        corner = scratch[:4].reshape((2, 2) + grid)
+        scratch = ws.take((max(kd * (kd + 1 + r), (1 + r) ** 2),) + grid)
+        rows = scratch[: kd * (kd + 1 + r)].reshape((kd, kd + 1 + r) + grid)
+        corner = scratch[: (1 + r) ** 2].reshape((1 + r, 1 + r) + grid)
         for k in range(self.proj.shape[1]):
             a = self.proj[:, k]
             g[:kd] -= np.multiply(a[:kd, None], a[None], out=rows)
@@ -450,10 +512,9 @@ class _SignProducts:
         ok &= np.greater(denom, floor[kd], out=bad)
         ok &= (self.blocks.ok_d & self.blocks.ok_m)[:, None]
         np.copyto(denom, 1.0, where=np.logical_not(ok, out=bad))
-        beta = ws.take((kd + 1,) + grid) if corrected else None
-        beta0 = np.divide(g[kd, kd + 1], denom, out=beta[kd] if corrected else ws.take(grid))
-        sse = np.multiply(beta0, g[kd, kd + 1], out=ws.take(grid))
-        np.subtract(g[kd + 1, kd + 1], sse, out=sse)
+        beta0 = np.divide(g[kd, kd + 1 :], denom, out=ws.take((r,) + grid))
+        sse = np.multiply(beta0, g[kd, kd + 1 :], out=ws.take((r,) + grid))
+        np.subtract(yy, sse, out=sse)
         np.maximum(sse, 0.0, out=sse)
         corr = None
         if corrected:
@@ -461,40 +522,52 @@ class _SignProducts:
             # comes last) through the multipliers below g's diagonal;
             # the w coefficients are then w'y minus the part of it the
             # other columns fit.
+            corr = ws.take((r,) + grid)
+            mark = ws.mark
+            beta = ws.take((kd + 1, r) + grid)
+            beta[kd] = beta0
             for j in reversed(range(kd)):
-                mark = ws.mark
-                np.subtract(g[kd + 1, j], _dot(g[j + 1 : kd + 1, j], beta[j + 1 :], ws), out=beta[j])
-                ws.release(mark)
-            gamma = _dot(beta[:, None], self.proj[: kd + 1], ws)
-            np.subtract(self.proj[kd + 1], gamma, out=gamma)
-            corr = _dot(gamma, gamma, ws)
+                inner = ws.mark
+                np.subtract(g[kd + 1 :, j], _dot(g[j + 1 : kd + 1, j, None], beta[j + 1 :], ws),
+                            out=beta[j])
+                ws.release(inner)
+            gamma = _dot(beta[:, None], self.proj[: kd + 1, :, None], ws)
+            np.subtract(self.proj[kd + 1 :].swapaxes(0, 1), gamma, out=gamma)
+            _dot(gamma, gamma, ws, out=corr)
+            ws.release(mark)
         return ok, beta0, sse, denom, corr
 
-    def stats(self, want: Sequence[str], out: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> None:
+    def stats(
+        self, want: Sequence[str], out: Mapping[str, Sequence[tuple[np.ndarray, np.ndarray]]]
+    ) -> None:
         """Write (tau_hat, s2) of the estimators ``want`` into ``out``'s (T, B) arrays.
 
-        The classical variance of a regression is SSE/dof times the
-        intercept entry 1 / e'(I-H)e of the inverse Gram; R2P adds
-        beta_m' (m'm) beta_m / ((n-1) n) to the R2 variance, and its
-        estimate is R2's. A singular fit leaves its entries of ``out``
-        untouched, so the caller fills them with NaN beforehand.
+        ``out`` holds, per estimator, one (tau_hat, s2) pair per
+        response. The classical variance of a regression is SSE/dof
+        times the intercept entry 1 / e'(I-H)e of the inverse Gram; R2P
+        adds beta_m' (m'm) beta_m / ((n-1) n) to the R2 variance, and
+        its estimate is R2's. A singular fit leaves its entries of
+        ``out`` untouched, so the caller fills them with NaN beforehand.
         """
         n = self.n
         if "C" in want:
-            self.classical(*out["C"])
+            self.classical(out["C"])
         if "R1" in want:
-            self.r1(*out["R1"])
+            self.r1(out["R1"])
         if "R2" in want or "R2P" in want:
             mark = self.ws.mark
             k2 = 1 + self.s.shape[0] + self.blocks.w.shape[1]
             ok, beta0, sse, denom, corr = self.r2("R2P" in want)
-            tau, s2 = out["R2"] if "R2" in want else (out["R2P"][0], self.ws.take(sse.shape))
-            np.add(self.mean, beta0, out=tau, where=ok)
             sse /= n - k2
-            np.divide(sse, denom, out=s2, where=ok)
             if "R2P" in want:
                 corr /= (n - 1) * n
-                np.add(s2, corr, out=out["R2P"][1], where=ok)
+            spare = None if "R2" in want else self.ws.take(denom.shape)
+            for i in range(len(beta0)):
+                tau, s2 = out["R2"][i] if spare is None else (out["R2P"][i][0], spare)
+                np.add(self.mean, beta0[i], out=tau, where=ok)
+                np.divide(sse[i], denom, out=s2, where=ok)
+                if "R2P" in want:
+                    np.add(s2, corr[i], out=out["R2P"][i][1], where=ok)
             self.ws.release(mark)
 
 
@@ -525,51 +598,85 @@ def sign_stats(
     times: Times,
     b: int,
     want: Sequence[str],
+    *,
+    twins: bool = False,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-assignment (tau_hat, s2) of the estimators ``want`` for T tables: the kernel's entry.
 
     ``blocks`` are the tables' whitened d and m blocks, of zero columns
     when only "C" is wanted; ``effects`` and ``gaps`` (T, n) come from
     :func:`effects_and_gaps`, and ``times`` gives the products of the
-    tables' columns with their ``b`` signs each. Each table's fixed
-    columns are built once (:class:`_TableColumns`). The grid is then
-    cut into passes of whole tables in order: the fewest passes of at
-    most ``CHUNK`` draws in all (at least one table), all but the last
-    of ceil(T / ceil(T / max(1, CHUNK // b))) tables, the smallest size
-    that count of passes can have. A pass takes one product per part of
-    its draws, cut at multiples of ``CHUNK``, so only a lone table whose
-    b exceeds ``CHUNK`` has more than one; each part goes through
-    :class:`_SignProducts`, and Y itself is never formed. The call
-    allocates one workspace (:class:`_Workspace`), sized for its
+    tables' columns with their ``b`` signs each. With ``twins``, each
+    sign vector v_j is also fitted at -v_j, as a second response on the
+    same design (:class:`_SignProducts`), so a call fits 2b assignments
+    from b products; column j of the (T, 2b) outputs holds v_j and
+    column 2b - 1 - j holds -v_j. An enumeration asks this for the codes
+    below 2^(n-1): code 2^n - 1 - c has the signs of code c negated, so
+    column j holds code j. Each table's fixed columns are built once
+    (:class:`_TableColumns`). The grid is then cut into passes of whole
+    tables in order: the fewest passes of at most ``CHUNK`` fits in all
+    (at least one table), all but the last of
+    ceil(T / ceil(T / max(1, D // b))) tables, the smallest size that
+    count of passes can have, where D = ``CHUNK`` draws, or
+    ``CHUNK // 2`` with their twins (at least one). A pass takes one
+    product per part of its draws, cut at multiples of D, so only a
+    lone table whose b exceeds D has more than one; each part goes
+    through :class:`_SignProducts`, and Y itself is never formed. The
+    call allocates one workspace (:class:`_Workspace`), sized for its
     outputs and its first and largest part; the outputs are its first
     arrays, and every part writes its products, its pieces and every
     temporary of its fits into views of it, and its results straight
-    into the outputs. Returns (T, b) arrays, each table's values bit for
-    bit those it gets alone; singular fits are NaN. R2 and R2P share
-    their estimate array, and every array keeps the workspace alive.
+    into the outputs. Returns (T, b) arrays, or (T, 2b) with ``twins``,
+    each table's values bit for bit those it gets alone; singular fits
+    are NaN. R2 and R2P share their estimate array, and every array
+    keeps the workspace alive.
     """
     table = _TableColumns.of(blocks, effects, gaps, "R2" in want or "R2P" in want)
     t, kd, km = len(effects), blocks.dw.shape[1], blocks.w.shape[1]
+    responses = 2 if twins else 1
+    draws = max(1, CHUNK // responses)
     regression = [est for est in want if est in ("R2", "R2P")]
     arrays = 2 * len(want) - max(0, len(regression) - 1)
-    passes = -(-t // max(1, CHUNK // b))
+    passes = -(-t // max(1, draws // b))
     per_pass = -(-t // passes)
-    grid = per_pass * min(b, CHUNK)
-    ws = _Workspace(arrays * t * b + _SignProducts.planes(kd, km, want) * grid)
-    shared = ws.take((t, b)) if regression else None
-    out = {est: (shared if est in regression else ws.take((t, b)), ws.take((t, b))) for est in want}
+    grid = per_pass * min(b, draws)
+    planes = _SignProducts.planes(kd, km, want, responses)
+    ws = _Workspace(arrays * t * responses * b + planes * grid)
+    shared = ws.take((t, responses * b)) if regression else None
+    out = {
+        est: (shared if est in regression else ws.take((t, responses * b)),
+              ws.take((t, responses * b)))
+        for est in want
+    }
     for arrays in out.values():
         for array in arrays:
             array.fill(np.nan)
+    # Each estimator's (tau, s2) per response; column 2b - 1 - j of an
+    # output is column j of its reversed view.
+    fits = {est: [(tau, s2)] + ([(tau[:, ::-1], s2[:, ::-1])] if twins else [])
+            for est, (tau, s2) in out.items()}
     outputs = ws.mark
-    for lo in range(0, t, per_pass):
-        rows = slice(lo, min(lo + per_pass, t))
-        tables = table[rows]
-        for start in range(0, b, CHUNK):
-            part = slice(start, min(start + CHUNK, b))
-            ws.release(outputs)
-            chunk = {est: (tau[rows, part], s2[rows, part]) for est, (tau, s2) in out.items()}
-            _SignProducts.of(tables, times, rows, part, ws).stats(want, chunk)
+    with np.errstate():
+        if per_pass == 1:
+            # A grid array of a one-table pass is one row of its part's
+            # draws. numpy copies the operands of a broadcasting ufunc
+            # into buffers when their rows are at most a third of its
+            # buffer (8192 values by default), which took about three
+            # times as long per value as reading the rows in place at
+            # 2048 draws, so the buffer is cut to the row. Every step of
+            # a pass is elementwise or a BLAS product, so no value
+            # changes. Every enumeration pass is such a pass.
+            width = min(b, draws)
+            np.setbufsize(min(np.getbufsize(), max(16, width - width % 16)))
+        for lo in range(0, t, per_pass):
+            rows = slice(lo, min(lo + per_pass, t))
+            tables = table[rows]
+            for start in range(0, b, draws):
+                part = slice(start, min(start + draws, b))
+                ws.release(outputs)
+                chunk = {est: [(tau[rows, part], s2[rows, part]) for tau, s2 in pairs]
+                         for est, pairs in fits.items()}
+                _SignProducts.of(tables, times, rows, part, ws, responses).stats(want, chunk)
     return out
 
 

@@ -7,7 +7,8 @@ estimators under that randomness three ways:
 * :func:`enumerate_exact` walks all 2^n assignments (small n), giving
   exact means, variances and coverage - the ground truth the sampling
   routines are checked against. Its sign products are sums of two half
-  tables (:class:`_HalfTables`).
+  tables (:class:`_HalfTables`), and it fits each code below 2^(n-1)
+  together with its twin, the code of the negated signs.
 * :func:`run_monte_carlo` samples B assignments for one table.
 * :func:`run_study` repeats that over S fresh tables and aggregates
   either per-sample summaries (in-sample target) or one draw per table
@@ -206,19 +207,21 @@ def _table_stats(
     g: Optional[TransformSpec],
     want: Sequence[str],
     draws: str = "draw",
+    twins: bool = False,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """:func:`sign_stats` for one table and its ``b`` sign vectors, as (b,) arrays.
 
     ``times`` gives the products of the table's columns with its signs
-    (``kernel.Times``). The table is a stack of one, built by
-    :func:`_kernel_inputs` as a study slab is; its covariates are left
-    out when only the mean is wanted. A singular draw, named as
-    ``draws``, raises (:func:`_refuse_singular`).
+    (``kernel.Times``). With ``twins`` each sign vector's negation is
+    fitted too, and the arrays are (2b,), in ``sign_stats``'s order. The
+    table is a stack of one, built by :func:`_kernel_inputs` as a study
+    slab is; its covariates are left out when only the mean is wanted. A
+    singular draw, named as ``draws``, raises (:func:`_refuse_singular`).
     """
     ident = TransformSpec.identity()
     x = sample.x[None] if any(est != "C" for est in want) else None
     tables = _kernel_inputs(sample.r_t[None], sample.r_c[None], x, f or ident, g or ident)
-    stats = sign_stats(*tables, times, b, want)
+    stats = sign_stats(*tables, times, b, want, twins=twins)
     _refuse_singular(stats, draws)
     return {est: (tau[0], s2[0]) for est, (tau, s2) in stats.items()}
 
@@ -248,17 +251,19 @@ def _refuse_singular(
 
 
 class _HalfTables:
-    """The sign products of one table under every assignment code, as ``kernel.Times``.
+    """The sign products of one table under the codes below ``codes``, as ``kernel.Times``.
 
     Code c gives the first h = n // 2 pairs the signs of its low half
     code c & (2^h - 1) and the others those of its high half code
     c >> h, so the product of a fixed column with its signs is the sum
     of the products of the column's two halves with their signs. At
     the first part of a call this takes those products for every half
-    code: A_lo = C_lo S_lo' (T, P, 2^h) and A_hi = C_hi S_hi'
-    (T, P, 2^(n-h)), with C_lo and C_hi the columns' first h and last
-    n - h entries and S_lo and S_hi the half codes' signs
-    (:func:`assignment_signs`). The products of code c are then
+    code that is read: A_lo = C_lo S_lo' (T, P, 2^h) and
+    A_hi = C_hi S_hi' (T, P, ceil(``codes`` / 2^h)), with C_lo and C_hi
+    the columns' first h and last n - h entries and S_lo and S_hi the
+    half codes' signs (:func:`assignment_signs`). An enumeration reads
+    the codes below 2^(n-1), whose twins are the rest, so it takes half
+    of the 2^(n-h) high half codes. The products of code c are then
     A_hi[..., c >> h] + A_lo[..., c & (2^h - 1)], one rounding each, so
     they depend neither on the part a code falls in nor on its width.
     A part is written in at most three sums: its codes before its first
@@ -267,8 +272,9 @@ class _HalfTables:
     signs is formed.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, codes: int) -> None:
         self._low = n // 2
+        self._codes = codes
         self._lo = self._hi = np.empty((0, 0, 0))
 
     def __call__(self, columns: np.ndarray, rows: slice, part: slice, out: np.ndarray) -> None:
@@ -277,7 +283,8 @@ class _HalfTables:
         if part.start == 0:
             high = columns.shape[-1] - low
             self._lo = columns[..., :low] @ assignment_signs(np.arange(size), low).T
-            self._hi = columns[..., low:] @ assignment_signs(np.arange(1 << high), high).T
+            read = np.arange(-(-self._codes // size))  # the high half codes read
+            self._hi = columns[..., low:] @ assignment_signs(read, high).T
         at = part.start
         while at < part.stop:
             hi, lo = divmod(at, size)
@@ -411,13 +418,23 @@ def enumerate_exact(
     """Evaluate the estimators under all 2^n assignments.
 
     The estimators are those :func:`design_estimators` allows, the mean
-    alone when no transform is given. Every sign product comes from two
-    half tables (:class:`_HalfTables`), so no (2^n, n) sign array is
-    made and no product of columns with a chunk of signs is taken; the
-    values differ from those of such products by roundoff only (worst
-    relative drift 5.8e-16 over the n = 16 summaries of
-    ``tools/report_drift.py``) and do not depend on the kernel's grid
-    budget. Raises TooLarge beyond the cap (default 16 pairs, 65536
+    alone when no transform is given. Code 2^n - 1 - c has the signs of
+    code c negated, so the same design, and its response is Delta minus
+    the signs times the level gaps: the kernel fits the codes below
+    2^(n-1) each with its twin as a second response, from one product
+    of the fixed columns with its signs and one factorization of its
+    design (``sign_stats`` with ``twins``), and each lands in its own
+    code's column. Round-to-nearest is symmetric, so where BLAS sums
+    every column of a half table in the same order, the half-table
+    products of a code and of its twin are exact negations, and the
+    values are bit for bit those of fitting all 2^n codes one response
+    each from the same products (the tests check this). Every sign
+    product comes from two half tables (:class:`_HalfTables`), so no
+    (2^n, n) sign array is made and no product of columns with a chunk
+    of signs is taken; the values differ from those of such products by
+    roundoff only (worst relative drift 5.8e-16 over the n = 16
+    summaries of ``tools/report_drift.py``) and do not depend on the
+    kernel's grid budget. Raises TooLarge beyond the cap (default 16 pairs, 65536
     assignments), then what the rule raises, and RankDeficient when any
     assignment gives a singular design.
     """
@@ -425,7 +442,9 @@ def enumerate_exact(
     if n > cap:
         raise TooLarge(f"2^{n} assignments exceed the cap of 2^{cap}")
     want = design_estimators(n, sample.p, f, g)
-    stats = _table_stats(sample, _HalfTables(n), 2**n, f, g, want, "assignment code")
+    half = 2 ** (n - 1)
+    stats = _table_stats(sample, _HalfTables(n, half), half, f, g, want, "assignment code",
+                         twins=True)
     return ExactDistribution(
         n=n,
         target=sample.sate,
@@ -692,7 +711,9 @@ def _pate_columns(
     """
     grids = sign_stats(blocks, effects, gaps, times, 1, ("C", "R1", "R2", "R2P"))
     _refuse_singular(grids, "draw", idxs)
-    stats = {est: (tau[:, 0], s2[:, 0]) for est, (tau, s2) in grids.items()}
+    # The estimates are copied out of the kernel's workspace, which they
+    # would otherwise keep alive until the study joins its slabs.
+    stats = {est: (tau[:, 0].copy(), s2[:, 0]) for est, (tau, s2) in grids.items()}
     return {
         "tau_C": stats["C"][0],
         "se_C": np.sqrt(stats["C"][1]),

@@ -53,6 +53,8 @@ def _three_digits(value: float) -> str:
 # to the same bits, and each reads a finite value back as finite.
 _FORMS = (repr, "{:.25e}".format, _three_digits, "{:+.17E}".format)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Values within the kernel's limit of 2^400, with zeros and ones.
+_WITHIN_LIMIT = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(-(2.0**400), 2.0**400))
 # Zeros and ones among values whose squares overflow, as in a table whose
 # one huge outcome once made enumerate warn and report NaN.
 _NEAR_RANGE = st.one_of(
@@ -289,13 +291,24 @@ def _fitted_share(codes):
     return sum(code in (0, 3) for code in codes) / len(codes)
 
 
+# Most experiment responses are drawn within the kernel's limit and the
+# rest from the whole float range, so that the files test analyze's fits
+# and not only its refusal of a response beyond 2^400.
+_RESPONSES = st.one_of(_WITHIN_LIMIT, _FINITE)
+
+
 @pytest.mark.parametrize("kind", ["experiment", "science"])
 def test_commands_keep_the_exit_contract_on_any_csv(kind):
-    codes = _exit_codes(kind)
-    if kind == "experiment":
-        # Most responses drawn from the whole float range exceed 2^400;
-        # 3 of the 60 files reach the fits.
-        assert _fitted_share(codes) >= 1 / 30
+    if kind == "science":
+        _exit_codes(kind)
+        return
+    codes = _exit_codes(kind, _FINITE, _RESPONSES)
+    # 12 of the 60 files reach the fits, where 3 did with every response
+    # drawn from the whole float range. hypothesis seeds its draws with
+    # literals it finds in the package's modules, so the share moves when
+    # they change (by 3 -> 1 of 60 files for one added float literal with
+    # the old responses); the bound sits below the measured share.
+    assert _fitted_share(codes) >= 1 / 10
 
 
 def test_enumerate_keeps_the_exit_contract_near_the_float_range():
@@ -308,7 +321,6 @@ def test_enumerate_keeps_the_exit_contract_near_the_float_range():
 _NEAR_RANGE_COVARIATES = st.one_of(
     st.sampled_from((0.0, 1.0)), st.floats(1e150, 1e307), st.floats(-1e307, -1e150)
 )
-_WITHIN_LIMIT = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(-(2.0**400), 2.0**400))
 
 
 def test_analyze_keeps_the_exit_contract_near_the_float_range():

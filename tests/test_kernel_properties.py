@@ -8,10 +8,11 @@ the two units of some pairs trade places (which flips the sign of v, of
 d and of the level gap for those pairs and leaves Y and m alone), or
 when the covariate columns are given other units, up to the edges of
 the float range. A constant added to every effect moves every estimate
-by that constant and no variance. Exact enumeration matches the
-one-assignment-at-a-time oracle on every code, and the study columns of
-both modes do not change under pair order, unit swap or covariate
-units. The observed
+by that constant and no variance. Negated signs fit as negated level
+gaps, and as the twins the kernel fits beside each draw, bit for bit.
+Exact enumeration matches the one-assignment-at-a-time oracle on every
+code, and the study columns of both modes do not change under pair
+order, unit swap or covariate units. The observed
 responses that ``reveal`` builds give the Y of the level/effect identity
 that the kernel takes in their place.
 """
@@ -126,6 +127,28 @@ def test_invariant_to_swapping_units_within_pairs(table):
         kernel(d, m, signs, effects, gaps),
         responses(signs, effects, gaps),
     )
+
+
+@PROPERTY
+@given(tables())
+def test_negated_signs_fit_as_negated_gaps_and_as_twins(table):
+    # Signs -v give the design of v and the response Delta - v*g, and
+    # every sign product at -v is the one at v negated, so the fits at
+    # -v are those at v with the gaps negated, bit for bit. A call that
+    # fits each draw's twin -v as a second response gives the same bits:
+    # draw j in column j and its twin in column 2B - 1 - j.
+    d, m, signs, effects, gaps, _ = table
+    b = len(signs)
+    at_plus = kernel(d, m, signs, effects, gaps)
+    at_minus = kernel(d, m, -signs, effects, gaps)
+    negated_gaps = kernel(d, m, signs, effects, -gaps)
+    stats = sign_stats(Whitened.of(d[None], m[None]), effects[None], gaps[None],
+                       times_of(signs[None]), b, WANT, twins=True)
+    for est in WANT:
+        for plus, minus, negated, both in zip(at_plus[est], at_minus[est], negated_gaps[est],
+                                              stats[est]):
+            assert plus.tobytes() == both[0, :b].tobytes(), est
+            assert minus.tobytes() == negated.tobytes() == both[0, ::-1][:b].tobytes(), est
 
 
 @PROPERTY

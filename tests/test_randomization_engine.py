@@ -106,6 +106,28 @@ class TestReveal:
             reveal(s, np.ones(5))
 
 
+def _unpaired_enumeration(sample, f, g, want):
+    """The kernel's (tau, s2) of ``want`` at every one of the 2^n codes, one response each.
+
+    Each code's sign products are the sum of the products of the fixed
+    columns' low and high halves with that code's half signs, as an
+    enumeration's half tables give them, here taken by ``times_of`` for
+    all 2^n codes with no twin fitted.
+    """
+    n, low = sample.n, sample.n // 2
+    codes = np.arange(2**n)
+    times_lo = kernel.times_of(assignment_signs(codes & ((1 << low) - 1), low)[None])
+    times_hi = kernel.times_of(assignment_signs(codes >> low, n - low)[None])
+
+    def times(columns, rows, part, out):
+        high = np.empty_like(out)
+        times_hi(columns[..., low:], rows, part, high)
+        times_lo(columns[..., :low], rows, part, out)
+        np.add(high, out, out=out)
+
+    return engine._table_stats(sample, times, 2**n, f, g, want, "assignment code")
+
+
 class TestEnumerateExact:
     def test_two_pair_toy_distribution(self):
         # levels differ by (1, 0), effects are zero
@@ -213,6 +235,50 @@ class TestEnumerateExact:
                 npt.assert_allclose(dist.s2[est], ref[est][1], rtol=0, atol=1e-15 * scale**2)
                 assert dist.tau_hat[est].tobytes() == runs[0].tau_hat[est].tobytes()
                 assert dist.s2[est].tobytes() == runs[0].s2[est].tobytes()
+
+    @pytest.mark.parametrize("n,transforms", [
+        (9, (None, None)),
+        (9, (TransformSpec.select([1]), TransformSpec.select([2]))),
+        (9, (TransformSpec.select([1, 2]), TransformSpec.log())),
+        (12, (None, None)),
+        (12, (IDENT, IDENT)),
+        (12, (TransformSpec.exp(), TransformSpec.log())),
+    ])
+    def test_twins_give_the_unpaired_fits_bit_for_bit(self, n, transforms):
+        # enumerate_exact fits the codes below 2^(n-1), each with its
+        # twin 2^n - 1 - c as a second response on the same design; the
+        # kernel over all 2^n codes, one response each, from the same
+        # half-table sign products, is the reference.
+        s = generate_sample(n, "nonparallel", seed=n)
+        dist = enumerate_exact(s, *transforms)
+        ref = _unpaired_enumeration(s, *transforms, dist.estimators)
+        assert dist.estimators == (("C",) if transforms[0] is None else ("C", "R1", "R2", "R2P"))
+        for est in dist.estimators:
+            assert dist.tau_hat[est].tobytes() == ref[est][0].tobytes(), est
+            assert dist.s2[est].tobytes() == ref[est][1].tobytes(), est
+
+    def test_singular_twins_are_refused_as_unpaired(self):
+        # m is v0*d for the signs v0 of code 135, so v*d lies in the
+        # design's m block exactly at code 135 and at its twin, code 120,
+        # the first singular code; |d| is not constant, so no code puts
+        # v*d along the ones vector.
+        d = np.array([1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0])
+        v0 = assignment_signs(np.array([135]), 8)[0]
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((8, 2, 4))
+        x[:, 0, 0] = x[:, 1, 0] + d
+        x[:, :, 1] = (v0 * d)[:, None]
+        table = PotentialOutcomeSample(r_t=rng.standard_normal((8, 2)),
+                                       r_c=rng.standard_normal((8, 2)), x=x)
+        f, g = TransformSpec.select([1]), TransformSpec.select([2])
+        with pytest.raises(RankDeficient) as paired:
+            enumerate_exact(table, f, g)
+        with pytest.raises(RankDeficient) as unpaired:
+            _unpaired_enumeration(table, f, g, ("C", "R1", "R2", "R2P"))
+        assert str(paired.value) == str(unpaired.value) == (
+            "assignment code 120: the regression design is rank deficient "
+            "(singular under 2 of 256 assignment codes)"
+        )
 
     def test_summary_shape(self, rng):
         s = make_sample(rng, 6)

@@ -245,7 +245,9 @@ _WANTS = [("C",), ("R1",), ("R2",), ("R2P",), ("C", "R1"), ("R2P", "R2"), ("C", 
 def test_workspace_is_sized_for_the_largest_pass(want):
     # The one buffer of a kernel call holds its outputs and its largest
     # pass, and no more than that but for a bool array's unused
-    # seven-eighths (at most three bool grids live at once).
+    # seven-eighths (at most three bool grids live at once). A call that
+    # fits each draw's twin too holds two responses per grid point, and
+    # its passes hold half the draws.
     peaks = []
 
     class Recording(kernel._Workspace):
@@ -266,12 +268,15 @@ def test_workspace_is_sized_for_the_largest_pass(want):
             d, m = rng.standard_normal((t, n, kd)), rng.standard_normal((t, n, km))
             signs = 2.0 * rng.integers(0, 2, size=(t, b, n)) - 1.0
             effects, gaps = rng.standard_normal((2, t, n))
-            with mock.patch.object(kernel, "_Workspace", Recording), \
-                    mock.patch.object(kernel, "CHUNK", 70):
-                sign_stats(Whitened.of(d, m), effects, gaps, times_of(signs), b, want)
-            ws = peaks.pop()
-            grid = 2 * b  # the first pass holds two tables
-            assert 0 <= len(ws._buf) - ws.peak <= 3 * grid * 7 // 8, (kd, km)
+            for twins in (False, True):
+                with mock.patch.object(kernel, "_Workspace", Recording), \
+                        mock.patch.object(kernel, "CHUNK", 70):
+                    sign_stats(Whitened.of(d, m), effects, gaps, times_of(signs), b, want,
+                               twins=twins)
+                ws = peaks.pop()
+                # The first pass holds two tables, or one with twins.
+                grid = (1 if twins else 2) * b
+                assert 0 <= len(ws._buf) - ws.peak <= 3 * grid * 7 // 8, (kd, km, twins)
 
 
 # At --n 25 under exp/exp, seed 23 gives RankDeficient for samples 0-3;

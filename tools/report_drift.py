@@ -19,7 +19,8 @@ and quoted fields, which the input contract accepts; the
 between two digits of one response, which it refuses, and the
 ``analyze_huge_response`` run reads it with one response 1e200 times
 larger. The 6-pair table is too small for identity transforms on its
-four covariates (they need n > 9). In the new tree every ``analyze`` and
+four covariates (they need n > 9); the 15-pair table is enumerated
+under two other transforms. In the new tree every ``analyze`` and
 ``enumerate`` run is run again with ``PAIRED_ADJUST_SEED=12345`` set,
 and its exit code and report must equal the first run's, byte for byte:
 those commands draw nothing, so no seed may reach them. A change of
@@ -48,6 +49,7 @@ from typing import Optional
 TABLES = {
     "table": ["--n", "16", "--setting", "nonparallel", "--seed", "11"],
     "small_table": ["--n", "6", "--setting", "nonparallel", "--seed", "11"],
+    "odd_table": ["--n", "15", "--setting", "nonparallel", "--seed", "11"],
 }
 RUNS = {
     "pate_n25": ["simulate", "--mode", "pate-study", "--setting", "nonparallel",
@@ -91,6 +93,10 @@ RUNS = {
                        "--n", "12", "--S", "4", "--B", "5000", "--seed", "19"],
     "enumerate_identity": ["enumerate", "--input", "{table}"],
     "enumerate_pow2_log": ["enumerate", "--input", "{table}", "--f", "power:2", "--g", "log"],
+    # An odd n: the half tables split the 15 pairs 7/8, and only half of
+    # the high half codes are read.
+    "enumerate_n15_exp_pow2": ["enumerate", "--input", "{odd_table}", "--f", "exp",
+                               "--g", "power:2"],
     "analyze_hc2_pate": ["analyze", "--input", "{experiment}", "--variance", "HC2",
                          "--target", "pate"],
     "analyze_select_x1e9": ["analyze", "--input", "{experiment_x1e9}", "--g", "select:"],
