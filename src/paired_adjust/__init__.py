@@ -21,6 +21,7 @@ from .dgp import (
 )
 from .errors import (
     BadAlpha,
+    BadArgument,
     ConfigError,
     DataError,
     DegenerateDenominator,
@@ -148,6 +149,7 @@ __all__ = [
     "DegenerateDenominator",
     "LeverageOne",
     "ConfigError",
+    "BadArgument",
     "BadAlpha",
     "WrongEstimator",
     "TooLarge",

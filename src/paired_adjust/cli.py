@@ -11,8 +11,9 @@ Only ``simulate`` and ``generate`` draw random numbers, so only they
 take a seed, which falls back to the PAIRED_ADJUST_SEED environment
 variable when neither source provides one. Each option is declared
 once, in ``_OPTION_TABLES``, which builds the flags and casts every
-value by the same rules whatever its source: integers integral and not
-boolean, seed >= 0, counts (n, S, B, workers, cap) >= 1, alpha in (0, 1).
+value whatever its source with the library's own casts (``errors``):
+integers integral and not boolean, seed >= 0, counts (n, S, B, workers,
+cap) >= 1, alpha in (0, 1).
 Reports are JSON on stdout unless ``--out`` is given, and every report
 embeds the package version and the fully resolved configuration, so a
 report is reproducible from its own header. Output paths are checked
@@ -41,7 +42,17 @@ import numpy as np
 
 from . import __version__
 from .dgp import SETTINGS, generate_sample, load_science_table, write_science_table
-from .errors import ConfigError, DataError, DimensionMismatch, PairedAdjustError, TooFewPairs
+from .errors import (
+    BadArgument,
+    ConfigError,
+    DataError,
+    DimensionMismatch,
+    PairedAdjustError,
+    TooFewPairs,
+    as_alpha,
+    int_at_least,
+    one_of,
+)
 from .estimators import (
     FLAVORS,
     estimate_classical,
@@ -54,7 +65,6 @@ from .experiment_model import (
     build_design,
     design_estimators,
     load_experiment_csv,
-    strict_int,
     validate_design,
 )
 from .randomization_engine import (
@@ -87,19 +97,18 @@ def parse_transform(value: Any) -> TransformSpec:
     """
     if isinstance(value, TransformSpec):
         return value
-    try:
-        if isinstance(value, Mapping):
-            return TransformSpec.from_dict(dict(value))
+    if isinstance(value, Mapping):
+        spec = dict(value)
+    else:
         kind, _, arg = str(value).strip().partition(":")
-        spec: dict[str, Any] = {"kind": kind}
-        if kind == "power":
-            spec["degree"] = arg
-        elif kind == "select":
+        spec = {"kind": kind}
+        if kind == "select":
             spec["columns"] = [c for c in arg.split(",") if c.strip()]
-        elif arg:
-            raise ValueError(f"{kind} takes no argument")
+        elif arg or kind == "power":
+            spec["degree"] = arg
+    try:
         return TransformSpec.from_dict(spec)
-    except (ValueError, KeyError, TypeError) as exc:
+    except BadArgument as exc:
         raise ConfigError(f"bad transform spec {value!r}: {exc}") from None
 
 
@@ -127,31 +136,6 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _int_from(low: int) -> Callable[[Any], int]:
-    """A strict integer cast that refuses values below ``low``."""
-
-    def cast(v: Any) -> int:
-        value = strict_int(v)
-        if value < low:
-            raise ValueError(f"must be >= {low}, got {value}")
-        return value
-
-    return cast
-
-
-_as_seed, _as_count = _int_from(0), _int_from(1)
-
-
-def _as_alpha(v: Any) -> float:
-    try:
-        alpha = float(v)
-    except (TypeError, ValueError):
-        raise ValueError(f"expected a number, got {v!r}") from None
-    if not 0 < alpha < 1:
-        raise ValueError(f"must be in (0, 1), got {alpha}")
-    return alpha
-
-
 class _Option(NamedTuple):
     """One option of a subcommand: its cast, help text, default and need."""
 
@@ -162,13 +146,9 @@ class _Option(NamedTuple):
 
 
 def _choice(choices: tuple[str, ...], what: str, default: Optional[str] = None) -> _Option:
-    def cast(v: Any) -> str:
-        if str(v) not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}, got {v!r}")
-        return str(v)
-
     shown = f" (default {default})" if default is not None else ""
     listed = f"{what}: one of {', '.join(choices)}{shown}"
+    cast = functools.partial(one_of, choices=choices)
     return _Option(cast, listed, default, required=default is None)
 
 
@@ -177,10 +157,13 @@ def _transform(what: str, default: Optional[TransformSpec], shown: str) -> _Opti
     return _Option(parse_transform, f"transform for {what}: {kinds} (default {shown})", default)
 
 
-_ALPHA = _Option(_as_alpha, "two-sided miscoverage level in (0, 1) (default 0.05)", 0.05)
+_COUNT = functools.partial(int_at_least, low=1)
+_ALPHA = _Option(as_alpha, "two-sided miscoverage level in (0, 1) (default 0.05)", 0.05)
 _OUT = _Option(str, "write the JSON report here instead of stdout")
 _SEED = _Option(
-    _as_seed, "master seed, an integer >= 0 (env PAIRED_ADJUST_SEED as fallback) (default 0)", 0
+    functools.partial(int_at_least, low=0),
+    "master seed, an integer >= 0 (env PAIRED_ADJUST_SEED as fallback) (default 0)",
+    0,
 )
 _DIFFS, _AVGS = "within-pair differences", "pair averages"
 _ENUMERATE_DEFAULT = "identity; none if neither is given and identity does not fit the table"
@@ -198,15 +181,15 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
     },
     "simulate": {
         "setting": _choice(SETTINGS, "data-generating setting"),
-        "n": _Option(_as_count, "pairs per sample", required=True),
-        "S": _Option(_as_count, "number of samples", required=True),
-        "B": _Option(_as_count, "randomizations per sample (sate mode; default 1)", 1),
+        "n": _Option(_COUNT, "pairs per sample", required=True),
+        "S": _Option(_COUNT, "number of samples", required=True),
+        "B": _Option(_COUNT, "randomizations per sample (sate mode; default 1)", 1),
         "mode": _choice(_MODES, "study protocol", "sate-study"),
         "f": _transform(_DIFFS, TransformSpec.identity(), "identity"),
         "g": _transform(_AVGS, TransformSpec.identity(), "identity"),
         "alpha": _ALPHA,
         "seed": _SEED,
-        "workers": _Option(_as_count, "worker thread count (default: CPUs this process may run on)"),
+        "workers": _Option(_COUNT, "worker thread count (default: CPUs this process may run on)"),
         "out": _OUT,
         "csv": _Option(str, "also write the metric table as CSV here"),
     },
@@ -214,7 +197,7 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
         "input": _Option(str, "science-table CSV (pair,unit[,w..][,x..],r_t,r_c)", required=True),
         "meta": _Option(str, "sidecar JSON to cross-check against the table"),
         "cap": _Option(
-            _as_count, f"refuse above this many pairs (default {ENUMERATION_CAP})", ENUMERATION_CAP
+            _COUNT, f"refuse above this many pairs (default {ENUMERATION_CAP})", ENUMERATION_CAP
         ),
         "f": _transform(_DIFFS, None, _ENUMERATE_DEFAULT),
         "g": _transform(_AVGS, None, _ENUMERATE_DEFAULT),
@@ -223,7 +206,7 @@ _OPTION_TABLES: dict[str, dict[str, _Option]] = {
         "histogram": _Option(str, "write binned point-estimate draws as CSV here"),
     },
     "generate": {
-        "n": _Option(_as_count, "number of pairs", required=True),
+        "n": _Option(_COUNT, "number of pairs", required=True),
         "setting": _choice(SETTINGS, "data-generating setting"),
         "seed": _SEED,
         "out": _Option(str, "science-table CSV (sidecar JSON written next to it)", required=True),
@@ -257,7 +240,7 @@ def _resolve_options(args: argparse.Namespace, file_conf: dict) -> dict:
             raise ConfigError(f"missing required option --{name}")
         try:
             resolved[name] = opt.cast(value) if value is not None else None
-        except (TypeError, ValueError, ConfigError) as exc:
+        except ConfigError as exc:
             raise ConfigError(f"--{name}: {exc}") from None
     return resolved
 
@@ -296,6 +279,7 @@ def _read_input(loader: Callable[..., Any], *paths: Optional[str]) -> Any:
         try:
             with open(path, "r", encoding="utf-8-sig", newline="") as fh:
                 texts.append(io.StringIO(fh.read(), newline=""))
+            texts[-1].name = path  # so that a loader can name the file
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedRow
+from .errors import DimensionMismatch, MalformedRow, int_at_least, one_of, strict_int
 from .experiment_model import read_pairs, readonly
 from .rng import ROLE_SAMPLE, substream
 
@@ -110,8 +111,7 @@ def draw_pair_covariates(n: int, rng: np.random.Generator) -> np.ndarray:
     coordinates. Draw order (all first units, then all second units) is
     fixed so a given stream always produces the same table.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = int_at_least(n, 1, "n")
     return _pair_latents(rng.standard_normal(8 * n), n)
 
 
@@ -165,8 +165,7 @@ def observe_covariates(w: np.ndarray) -> np.ndarray:
 
 def response_surfaces(w: np.ndarray, setting: str) -> tuple[np.ndarray, np.ndarray]:
     """Treated and control mean surfaces evaluated at the latents."""
-    if setting not in SETTINGS:
-        raise ValueError(f"setting must be one of {SETTINGS}, got {setting!r}")
+    setting = one_of(setting, SETTINGS, "setting")
     w = np.asarray(w, dtype=float)
     w1, w2, w3, w4 = (w[..., j] for j in range(4))
     mu_t = 27.4 * w1 + 13.7 * (w2 + w3 + w4)
@@ -191,10 +190,9 @@ def generate_sample(
     latents first, then one noise value per unit, shared between the
     treated and control outcomes (see :func:`stacked_tables`).
     """
-    if setting not in SETTINGS:
-        raise ValueError(f"setting must be one of {SETTINGS}, got {setting!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    setting = one_of(setting, SETTINGS, "setting")
+    n = int_at_least(n, 1, "n")
+    seed = None if seed is None else int_at_least(seed, 0, "seed")
     if rng is None:
         if seed is None:
             rng = np.random.default_rng()
@@ -224,23 +222,14 @@ def write_science_table(
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_science_table(sample, fh, sidecar)
         return
+    groups = [(cols, a) for cols, a in ((_W_COLS, sample.w), (_X_COLS, sample.x)) if a is not None]
+    groups.append((("r_t", "r_c"), np.stack([sample.r_t, sample.r_c], axis=-1)))
+    values = np.concatenate([a for _, a in groups], axis=-1)
     writer = csv.writer(dest, lineterminator="\n")
-    header = ["pair", "unit"]
-    if sample.w is not None:
-        header += list(_W_COLS)
-    if sample.x is not None:
-        header += list(_X_COLS)
-    header += ["r_t", "r_c"]
-    writer.writerow(header)
+    writer.writerow(["pair", "unit", *(name for cols, _ in groups for name in cols)])
     for i in range(sample.n):
         for j in range(2):
-            row: list = [i + 1, j + 1]
-            if sample.w is not None:
-                row += [repr(float(v)) for v in sample.w[i, j]]
-            if sample.x is not None:
-                row += [repr(float(v)) for v in sample.x[i, j]]
-            row += [repr(float(sample.r_t[i, j])), repr(float(sample.r_c[i, j]))]
-            writer.writerow(row)
+            writer.writerow([i + 1, j + 1, *(repr(float(v)) for v in values[i, j])])
     if sidecar is None:
         return
     meta = {
@@ -249,13 +238,34 @@ def write_science_table(
         "seed": sample.seed,
         "sate": sample.sate,
     }
+    text = json.dumps(meta, sort_keys=True) + "\n"
     if isinstance(sidecar, (str, Path)):
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True)
-            fh.write("\n")
+        Path(sidecar).write_text(text, encoding="utf-8")
     else:
-        json.dump(meta, sidecar, sort_keys=True)
-        sidecar.write("\n")
+        sidecar.write(text)
+
+
+def _read_sidecar(sidecar: TextIO) -> dict:
+    """A sidecar's JSON object, with ``n`` through strict_int and ``sate`` a finite float.
+
+    Anything else raises MalformedRow naming the sidecar by the stream's
+    ``name``, when it has one: a file's is its path.
+    """
+    name = getattr(sidecar, "name", "")
+    where = f"sidecar {name}" if name else "sidecar"
+    try:
+        meta = json.load(sidecar)
+        if not isinstance(meta, dict):
+            raise MalformedRow(f"{where}: expected a JSON object, got {type(meta).__name__}")
+        if meta.get("n") is not None:
+            meta["n"] = strict_int(meta["n"], "n")
+        if meta.get("sate") is not None:
+            meta["sate"] = float(meta["sate"])
+            if not math.isfinite(meta["sate"]):
+                raise MalformedRow(f"{where}: sate must be finite, got {meta['sate']}")
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise MalformedRow(f"{where}: {exc}") from None
+    return meta
 
 
 def load_science_table(
@@ -268,27 +278,26 @@ def load_science_table(
     optional but must be complete and in order when present. The data
     rows are read as :func:`load_experiment_csv` reads them, by one
     ``np.loadtxt`` call in ``read_pairs``. When a sidecar is
-    supplied, its stored average effect is checked against the table.
+    supplied, it must be a JSON object whose ``n`` and average effect, if
+    stored, match the table (MalformedRow otherwise).
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return load_science_table(fh, sidecar)
+    if isinstance(sidecar, (str, Path)):
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            return load_science_table(source, fh)
 
     lines = iter(source)
     try:
         header = [h.strip() for h in next(csv.reader(lines))]
     except StopIteration:
         raise MalformedRow("empty file") from None
-    expect = ["pair", "unit"]
-    pos = 2
-    has_w = header[pos : pos + N_COVARIATES] == list(_W_COLS)
-    if has_w:
-        expect += list(_W_COLS)
-        pos += N_COVARIATES
-    has_x = header[pos : pos + N_COVARIATES] == list(_X_COLS)
-    if has_x:
-        expect += list(_X_COLS)
-        pos += N_COVARIATES
+    expect, blocks = ["pair", "unit"], {}
+    for name, cols in (("w", _W_COLS), ("x", _X_COLS)):
+        if header[len(expect) : len(expect) + N_COVARIATES] == list(cols):
+            blocks[name] = slice(len(expect) - 2, len(expect) - 2 + N_COVARIATES)
+            expect += cols
     expect += ["r_t", "r_c"]
     if header != expect:
         raise MalformedRow(
@@ -297,29 +306,17 @@ def load_science_table(
 
     _, _, values = read_pairs(lines, len(expect))
     n = values.shape[0]
-    k = N_COVARIATES if has_w else 0
-    w = values[:, :, :k] if has_w else None
-    x = values[:, :, k : k + N_COVARIATES] if has_x else None
+    w, x = (values[:, :, blocks[name]] if name in blocks else None for name in ("w", "x"))
     r_t = values[:, :, -2]
     r_c = values[:, :, -1]
 
-    setting = "custom"
-    seed = None
-    expected_sate = None
-    if sidecar is not None:
-        if isinstance(sidecar, (str, Path)):
-            with open(sidecar, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-        else:
-            meta = json.load(sidecar)
-        setting = meta.get("setting", "custom")
-        seed = meta.get("seed")
-        expected_sate = meta.get("sate")
-        if meta.get("n") is not None and int(meta["n"]) != n:
-            raise MalformedRow(f"sidecar says n={meta['n']} but table has {n} pairs")
+    meta = {} if sidecar is None else _read_sidecar(sidecar)
+    if meta.get("n") is not None and meta["n"] != n:
+        raise MalformedRow(f"sidecar says n={meta['n']} but table has {n} pairs")
     sample = PotentialOutcomeSample(
-        r_t=r_t, r_c=r_c, w=w, x=x, setting=setting, seed=seed
+        r_t=r_t, r_c=r_c, w=w, x=x, setting=meta.get("setting", "custom"), seed=meta.get("seed")
     )
+    expected_sate = meta.get("sate")
     if expected_sate is not None and abs(sample.sate - expected_sate) > 1e-9 * max(
         1.0, abs(expected_sate)
     ):

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadAlpha, WrongEstimator
+from .errors import DataError, DimensionMismatch, WrongEstimator, as_alpha, one_of
 from .experiment_model import DesignMatrices, design_estimators
 from .ols_core import (
     FitResult,
@@ -78,11 +78,16 @@ def estimate_classical(y: np.ndarray) -> EstimateReport:
     """Mean of the pair differences with its classical variance.
 
     S^2 = sum (y_i - mean)^2 / (n (n-1)), which never underestimates
-    the assignment variance of the mean in expectation.
+    the assignment variance of the mean in expectation. ``y`` holds one
+    finite value per pair (DimensionMismatch, DataError).
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise DimensionMismatch(f"y must hold one value per pair, got shape {y.shape}")
     n = y.shape[0]
     design_estimators(n, None, None, None)
+    if not np.isfinite(y).all():
+        raise DataError("y holds a non-finite value")
     tau = float(y.mean())
     s2 = float(((y - tau) ** 2).sum()) / (n * (n - 1))
     return EstimateReport(
@@ -96,17 +101,11 @@ def _variance(fit: FitResult, flavor: str) -> float:
     return intercept_variance_hc(fit, flavor)
 
 
-def _check_flavor(flavor: str) -> None:
-    if flavor not in FLAVORS:
-        raise ValueError(f"variance flavor must be one of {FLAVORS}, got {flavor!r}")
-
-
 def _intercept_reports(
     estimator: str, dm: DesignMatrices, x: np.ndarray, flavors: Sequence[str]
 ) -> tuple[EstimateReport, ...]:
     """One fit of y on [1 | x], reported under each variance flavor in turn."""
-    for flavor in flavors:
-        _check_flavor(flavor)
+    flavors = [one_of(flavor, FLAVORS, "variance flavor") for flavor in flavors]
     fit = least_squares(x, dm.y)
     slopes = tuple(float(b) for b in fit.coefficients[1:])
     return tuple(
@@ -174,14 +173,11 @@ def confidence_interval(report: EstimateReport, alpha: float) -> tuple[float, fl
     the degenerate interval at the point estimate, as does a zero
     variance.
     """
-    if not isinstance(alpha, (int, float)) or math.isnan(alpha) or not 0 < alpha <= 1:
-        raise BadAlpha(f"alpha must be in (0, 1], got {alpha!r}")
+    alpha = as_alpha(alpha, "alpha", upto_one=True)
     half = normal_quantile(1.0 - alpha / 2.0) * report.se
     return (report.tau_hat - half, report.tau_hat + half)
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise BadAlpha(f"quantile level must be in (0, 1), got {p!r}")
-    return _STANDARD_NORMAL.inv_cdf(p)
+    """Inverse standard normal CDF for p in (0, 1) (BadAlpha elsewhere)."""
+    return _STANDARD_NORMAL.inv_cdf(as_alpha(p, "quantile level", two_sided=False))

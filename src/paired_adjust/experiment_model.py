@@ -28,13 +28,19 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from .errors import (
+    BadArgument,
     DataError,
     DimensionMismatch,
+    LengthMismatch,
     MalformedRow,
     NonFiniteTransform,
     PairViolation,
     RankDeficient,
     TooFewPairs,
+    distinct_ints,
+    int_at_least,
+    one_of,
+    strict_int,  # noqa: F401  (callers import the integer cast from here too)
 )
 from .kernel import RESPONSE_LIMIT
 from .ols_core import RANK_RTOL, whiten
@@ -48,14 +54,14 @@ _ROUNDING_RTOL = 1024 * np.finfo(float).eps
 _TRANSFORM_KINDS = ("identity", "power", "log", "exp", "select")
 
 
-def strict_int(value: object) -> int:
-    """``value`` as an int; booleans, non-integral numbers and other text raise ValueError."""
-    if not isinstance(value, bool) and (not isinstance(value, float) or value.is_integer()):
-        try:
-            return int(value)  # type: ignore[call-overload]
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"expected an integer, got {value!r}")
+def pair_signs(v: object, n: int) -> np.ndarray:
+    """``v`` as n float signs; LengthMismatch for another shape, PairViolation for an entry not +/-1."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise LengthMismatch(f"signs have shape {v.shape}, need ({n},)")
+    if not np.isin(v, (-1.0, 1.0)).all():
+        raise PairViolation("signs must be +1 or -1")
+    return v
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -78,6 +84,10 @@ class TransformSpec:
     * ``select`` (columns)  - keep a subset of columns, 1-based indices.
       An empty subset is allowed and yields a zero-width block, which is
       how a design omits the corresponding regressor group entirely.
+
+    The constructor casts its fields, so a degree or columns that are
+    not integers >= 1, repeated columns, or either for another kind raise
+    BadArgument.
     """
 
     kind: str
@@ -85,22 +95,17 @@ class TransformSpec:
     columns: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _TRANSFORM_KINDS:
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "power":
-            if self.degree is None or self.degree < 1:
-                raise ValueError("power transform needs degree >= 1")
-        elif self.degree is not None:
-            raise ValueError(f"degree is only valid for kind='power', not {self.kind!r}")
-        if self.kind == "select":
-            if self.columns is None:
-                raise ValueError("select transform needs a column tuple")
-            if len(set(self.columns)) != len(self.columns):
-                raise ValueError("select columns must be distinct")
-            if any(c < 1 for c in self.columns):
-                raise ValueError("select columns are 1-based and must be >= 1")
-        elif self.columns is not None:
-            raise ValueError(f"columns is only valid for kind='select', not {self.kind!r}")
+        kind = one_of(self.kind, _TRANSFORM_KINDS, "transform kind")
+        if kind == "power":
+            degree = int_at_least(self.degree, 1, "power degree")
+        else:
+            degree = one_of(self.degree, (None,), f"{kind} degree")
+        if kind == "select":
+            columns = distinct_ints(self.columns, 1, "select columns")
+        else:
+            columns = one_of(self.columns, (None,), f"{kind} columns")
+        for name, value in (("kind", kind), ("degree", degree), ("columns", columns)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def identity(cls) -> "TransformSpec":
@@ -120,37 +125,29 @@ class TransformSpec:
 
     @classmethod
     def select(cls, columns: Sequence[int]) -> "TransformSpec":
-        return cls("select", columns=tuple(int(c) for c in columns))
+        return cls("select", columns=columns)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformSpec":
-        """Inverse of :meth:`to_dict`; degree and columns go through strict_int."""
-        kind = d.get("kind")
-        if kind == "power":
-            return cls.power(strict_int(d["degree"]))
-        if kind == "select":
-            return cls.select([strict_int(c) for c in d["columns"]])
-        if kind in ("identity", "log", "exp"):
-            return cls(kind)
-        raise ValueError(f"unknown transform spec {d!r}")
+        """Inverse of :meth:`to_dict`; the constructor casts kind, degree and columns."""
+        return cls(d.get("kind"), degree=d.get("degree"), columns=d.get("columns"))
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.kind == "power":
             out["degree"] = self.degree
         if self.kind == "select":
-            out["columns"] = list(self.columns or ())
+            out["columns"] = list(self.columns)
         return out
 
     def output_dim(self, p: int) -> int:
         """Width of the transformed block for ``p`` input covariates."""
         if self.kind == "power":
-            return p * int(self.degree or 0)
+            return p * self.degree
         if self.kind == "select":
-            cols = self.columns or ()
-            if any(c > p for c in cols):
-                raise ValueError(f"select columns {cols} exceed covariate count {p}")
-            return len(cols)
+            if self.columns:
+                int_at_least(max(self.columns), 1, "select columns", high=p)
+            return len(self.columns)
         return p
 
     def labels(self, p: int) -> tuple[str, ...]:
@@ -158,16 +155,13 @@ class TransformSpec:
         names = [f"x{j}" for j in range(1, p + 1)]
         if self.kind == "identity":
             return tuple(names)
-        if self.kind == "log":
-            return tuple(f"log({nm})" for nm in names)
-        if self.kind == "exp":
-            return tuple(f"exp({nm})" for nm in names)
+        if self.kind in ("log", "exp"):
+            return tuple(f"{self.kind}({nm})" for nm in names)
         if self.kind == "power":
-            deg = int(self.degree or 1)
             return tuple(
-                nm if k == 1 else f"{nm}^{k}" for k in range(1, deg + 1) for nm in names
+                nm if k == 1 else f"{nm}^{k}" for k in range(1, self.degree + 1) for nm in names
             )
-        return tuple(names[c - 1] for c in (self.columns or ()))
+        return tuple(names[c - 1] for c in self.columns)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Transform the last axis of ``x`` (width P) into width K.
@@ -176,23 +170,17 @@ class TransformSpec:
         log of a non-positive value or overflow in exp/power.
         """
         x = np.asarray(x, dtype=float)
-        p = x.shape[-1]
-        self.output_dim(p)  # validates select bounds
+        self.output_dim(x.shape[-1])  # validates select bounds
         if self.kind == "identity":
             out = x.copy()
-        elif self.kind == "log":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.log(x)
-        elif self.kind == "exp":
-            with np.errstate(over="ignore"):
-                out = np.exp(x)
-        elif self.kind == "power":
-            deg = int(self.degree or 1)
-            with np.errstate(over="ignore"):
-                out = np.concatenate([x**k for k in range(1, deg + 1)], axis=-1)
-        else:
-            idx = [c - 1 for c in (self.columns or ())]
-            out = x[..., idx]
+        elif self.kind == "select":
+            out = x[..., [c - 1 for c in self.columns]]
+        else:  # a non-finite result is refused below, so numpy need not warn of it
+            with np.errstate(all="ignore"):
+                if self.kind == "power":
+                    out = np.concatenate([x**k for k in range(1, self.degree + 1)], axis=-1)
+                else:
+                    out = getattr(np, self.kind)(x)
         if out.size and not np.isfinite(out).all():
             raise NonFiniteTransform(
                 f"transform {self.kind!r} produced non-finite values"
@@ -284,8 +272,7 @@ class DesignMatrices:
         for name, block in (("d", d), ("m", m), ("y", y)):
             if not np.isfinite(block).all():
                 raise DataError(f"{name} holds a non-finite value")
-        if not np.isin(v, (-1.0, 1.0)).all():
-            raise PairViolation("signs must be +1 or -1")
+        pair_signs(v, n)
         _require_pairs(n, d.shape[1], m.shape[1])
         if not columns_centered(m):
             raise DimensionMismatch("m columns must sum to zero across pairs")
@@ -390,7 +377,7 @@ def block_widths(f: TransformSpec, g: TransformSpec, p: int) -> tuple[int, int]:
     """
     try:
         return f.output_dim(p), g.output_dim(p)
-    except ValueError as exc:
+    except BadArgument as exc:
         raise DimensionMismatch(str(exc)) from None
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, LeverageOne, RankDeficient
+from .errors import DegenerateDenominator, DimensionMismatch, LeverageOne, RankDeficient, one_of
 
 # A column fails the pivot test when what is left of it, after the
 # columns before it are projected out, has a squared norm of at most
@@ -99,6 +99,7 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
     ``x`` may have zero columns, in which case the fit is just the mean
     of y. The columns are factored as [x | 1], ones column last, so the
     pivot test on it is e'(I - H)e > RANK_RTOL * n. Raises
+    DimensionMismatch unless y is one value per row of x, and
     RankDeficient, naming the first column that fails the pivot test,
     when any column does.
     """
@@ -106,9 +107,9 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
     if x.ndim == 1:
         x = x[:, None]
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if x.shape[0] != n:
-        raise ValueError(f"design has {x.shape[0]} rows but y has {n}")
+    n = x.shape[0]
+    if y.shape != (n,):
+        raise DimensionMismatch(f"design has {n} rows but y has shape {y.shape}")
     cols = x.shape[1] + 1
     if n < cols:
         raise RankDeficient(f"{cols} columns but only {n} rows")
@@ -164,8 +165,7 @@ def intercept_variance_hc(fit: FitResult, variant: str) -> float:
     and e_i^2/(1-h_i)^2 for HC3. With u the intercept row of
     (X'X)^{-1} X', that entry is sum_i u_i^2 w_i.
     """
-    if variant not in _HC_VARIANTS:
-        raise ValueError(f"variant must be one of {_HC_VARIANTS}, got {variant!r}")
+    variant = one_of(variant, _HC_VARIANTS, "variant")
     h = fit.leverages
     if np.any(h >= 1.0 - 1e-12):
         worst = int(np.argmax(h))

@@ -43,7 +43,7 @@ that fails them raises RankDeficient (:func:`_refuse_singular`).
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial, reduce
 from itertools import islice
 from typing import Iterable, Mapping, Optional, Sequence
@@ -55,17 +55,20 @@ from .dgp import N_COVARIATES, SETTINGS, PotentialOutcomeSample, stacked_tables
 from .errors import (
     ConfigError,
     DimensionMismatch,
-    LengthMismatch,
     NonFiniteTransform,
     RankDeficient,
     TooLarge,
     WrongEstimator,
+    as_alpha,
+    int_at_least,
+    one_of,
 )
 from .estimators import normal_quantile
 from .experiment_model import (
     PairedExperiment,
     TransformSpec,
     design_estimators,
+    pair_signs,
     transformed_blocks,
 )
 from .kernel import Times, Whitened, effects_and_gaps, intercept_denominators, sign_stats, times_of
@@ -84,6 +87,8 @@ ENUMERATION_CAP = 16
 _STUDY_PAIRS = 6400
 
 ESTIMATOR_IDS = ("C", "R1", "R2", "R2P")
+# numpy's bit generators whose raw words are 64 bits wide; MT19937's are 32.
+_BIT_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
 
 
 def randomize(
@@ -94,14 +99,14 @@ def randomize(
     Shape (n,), or (b, n) for b assignments drawn row by row from the
     same stream: ceil(b*n/2) raw words of ``rng``'s bit generator (b = 1
     when not given), decoded by :func:`_signs_of_words` as a study's
-    are. MT19937, whose raw words are 32 bits, raises ValueError.
+    are. Takes n >= 0 and b >= 1; a bit generator other than numpy's
+    four with 64-bit raw words (MT19937's are 32 bits) raises BadArgument.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    bits = rng.bit_generator
-    if isinstance(bits, np.random.MT19937):
-        raise ValueError("randomize needs a 64-bit bit generator; MT19937 gives 32-bit words")
-    out = np.empty((1, 1 if b is None else b, n))
+    n = int_at_least(n, 0, "n")
+    rows = 1 if b is None else int_at_least(b, 1, "b")
+    bits = getattr(rng, "bit_generator", None)
+    one_of(type(bits).__name__, _BIT_GENERATORS, "bit generator")
+    out = np.empty((1, rows, n))
     _signs_of_words(bits.random_raw((out.shape[1] * n + 1) // 2)[None], out)
     return out[0, 0] if b is None else out[0]
 
@@ -113,8 +118,9 @@ def assignment_signs(codes: np.ndarray, n: int) -> np.ndarray:
     bit means the first-listed unit is treated (sign +1). The bits are
     unpacked from the codes' little-endian bytes into uint8 and turned
     into signs in the float result, so nothing as large as it is made
-    on the way. Takes n <= 64.
+    on the way. Takes 0 <= n <= 64.
     """
+    n = int_at_least(n, 0, "n", high=64)
     codes = np.ascontiguousarray(codes, dtype="<i8").reshape(-1)
     bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=-1, count=n, bitorder="little")
     out = np.multiply(bits, 2.0, dtype=float)
@@ -146,18 +152,14 @@ def reveal(
     """Apply an assignment to a science table.
 
     Returns the observed experiment and the treated-minus-control
-    differences Y. Internally cross-checks the observed-response
-    construction against the level/effect identity
-    Y_i = Delta_i + v_i (l_i1 - l_i2), whose Delta and l_i1 - l_i2 come
-    from :func:`effects_and_gaps`, to 1e-12 of the response scale.
+    differences Y. Signs of another shape raise LengthMismatch, an entry
+    that is not +/-1 PairViolation (``pair_signs``). Internally
+    cross-checks the observed-response construction against the
+    level/effect identity Y_i = Delta_i + v_i (l_i1 - l_i2), whose Delta
+    and l_i1 - l_i2 come from :func:`effects_and_gaps`, to 1e-12 of the
+    response scale.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (sample.n,):
-        raise LengthMismatch(
-            f"assignment has shape {v.shape}, table has {sample.n} pairs"
-        )
-    if not np.isin(v, (-1.0, 1.0)).all():
-        raise ValueError("assignment entries must be +1 or -1")
+    v = pair_signs(v, sample.n)
     if sample.x is None:
         raise DimensionMismatch(
             "science table has no observed covariates; cannot build an experiment"
@@ -438,6 +440,7 @@ def enumerate_exact(
     assignments), then what the rule raises, and RankDeficient when any
     assignment gives a singular design.
     """
+    alpha, cap = as_alpha(alpha, "alpha"), int_at_least(cap, 1, "cap")
     n = sample.n
     if n > cap:
         raise TooLarge(f"2^{n} assignments exceed the cap of 2^{cap}")
@@ -476,17 +479,15 @@ def run_monte_carlo(
     """Estimate randomization behavior from B sampled assignments.
 
     Coverage and RMSE are measured against the table's own average
-    effect, recorded as ``target``. Raises what :func:`design_estimators`
-    raises, ConfigError for a regression estimator without transforms,
-    WrongEstimator for one the rule does not allow, and RankDeficient
-    when any drawn assignment gives a singular design.
+    effect, recorded as ``target``. Raises BadArgument for b < 1, alpha
+    outside (0, 1) or an unknown estimator name before any draw, what
+    :func:`design_estimators` raises, ConfigError for a regression
+    estimator without transforms, WrongEstimator for one the rule does
+    not allow, and RankDeficient when any drawn assignment gives a
+    singular design.
     """
-    if b < 1:
-        raise ConfigError(f"need b >= 1, got {b}")
-    est_ids = tuple(estimators)
-    for est in est_ids:
-        if est not in ESTIMATOR_IDS:
-            raise WrongEstimator(f"unknown estimator {est!r}")
+    b, alpha = int_at_least(b, 1, "b"), as_alpha(alpha, "alpha")
+    est_ids = tuple(one_of(est, ESTIMATOR_IDS, "estimator") for est in estimators)
     if rng is None:
         rng = np.random.default_rng()
     allowed = design_estimators(sample.n, sample.p, f, g)
@@ -525,20 +526,17 @@ class StudyConfig:
 
 
 def _validate_config(config: StudyConfig) -> StudyConfig:
-    if config.mode not in ("sate", "pate"):
-        raise ConfigError(f"mode must be 'sate' or 'pate', got {config.mode!r}")
-    if config.setting not in SETTINGS:
-        raise ConfigError(f"setting must be one of {SETTINGS}, got {config.setting!r}")
-    if config.samples < 1:
-        raise ConfigError(f"need samples >= 1, got {config.samples}")
-    if config.randomizations < 1:
-        raise ConfigError(f"need randomizations >= 1, got {config.randomizations}")
-    if not 0 < config.alpha < 1:
-        raise ConfigError(f"alpha must be in (0, 1), got {config.alpha}")
-    if config.workers < 1:
-        raise ConfigError(f"need workers >= 1, got {config.workers}")
-    if config.seed < 0:
-        raise ConfigError(f"need seed >= 0, got {config.seed}")
+    """``config`` with each field through its cast (``errors``), then the study-wide rules."""
+    counts = {name: int_at_least(getattr(config, name), 1, name)
+              for name in ("n", "samples", "randomizations", "workers")}
+    config = replace(
+        config,
+        mode=one_of(config.mode, ("sate", "pate"), "mode"),
+        setting=one_of(config.setting, SETTINGS, "setting"),
+        alpha=as_alpha(config.alpha, "alpha"),
+        seed=int_at_least(config.seed, 0, "seed"),
+        **counts,
+    )
     try:
         want = design_estimators(config.n, N_COVARIATES, config.f, config.g)
     except DimensionMismatch as exc:
@@ -741,20 +739,9 @@ class StudyReport:
 
     def to_json_dict(self) -> dict:
         c = self.config
-        return {
-            "config": {
-                "mode": c.mode,
-                "setting": c.setting,
-                "n": c.n,
-                "samples": c.samples,
-                "randomizations": c.randomizations,
-                "alpha": c.alpha,
-                "seed": c.seed,
-                "f": c.f.to_dict(),
-                "g": c.g.to_dict(),
-            },
-            "metrics": {k: v for k, v in self.metrics.items()},
-        }
+        config = {f.name: getattr(c, f.name) for f in fields(c) if f.name != "workers"}
+        config.update(f=c.f.to_dict(), g=c.g.to_dict())
+        return {"config": config, "metrics": dict(self.metrics)}
 
     def to_csv(self) -> str:
         lines = []
@@ -811,13 +798,12 @@ def _aggregate_pate(columns: Mapping[str, np.ndarray], alpha: float) -> dict[str
     tau = {e: columns[f"tau_{e}"] for e in ("C", "R1", "R2")}
     se = {e: columns[f"se_{e}"] for e in ("C", "R1", "R2", "R2P")}
     tau["R2P"] = tau["R2"]
-    sd = {e: float(tau[e].std(ddof=1)) for e in ("C", "R1", "R2")}
+    sd = {e: float(tau[e].std(ddof=1)) for e in tau}
     out: dict[str, object] = {}
     for e in ("C", "R1", "R2", "R2P"):
         out[f"coverage_{e}"] = float((np.abs(tau[e]) <= z * se[e]).mean())
-    for e in ("C", "R1", "R2"):
+    for e in ("C", "R1", "R2", "R2P"):
         out[f"se_sd_ratio_{e}"] = float(se[e].mean()) / sd[e]
-    out["se_sd_ratio_R2P"] = float(se["R2P"].mean()) / sd["R2"]
     out["sd_ratio_R2_R1"] = sd["R2"] / sd["R1"]
     out["sd_ratio_R1_C"] = sd["R1"] / sd["C"]
     out["sd_ratio_R2_C"] = sd["R2"] / sd["C"]
@@ -876,8 +862,7 @@ def lemma_diagnostics(
     RankDeficient when [1 | signs*d | m] is rank deficient, as
     when the ones vector lies in the span of [signs*d | m].
     """
-    if reps < 1:
-        raise ValueError(f"need reps >= 1, got {reps}")
+    reps = int_at_least(reps, 1, "reps")
     design_estimators(sample.n, sample.p, f, g)
     if signs is None and rng is None:
         rng = np.random.default_rng()
@@ -886,10 +871,7 @@ def lemma_diagnostics(
     if signs is None:
         v = randomize(n, rng, reps)
     else:
-        v = np.asarray(signs, dtype=float)
-        if v.shape != (n,):
-            raise LengthMismatch(f"signs have shape {v.shape}, need ({n},)")
-        v = np.broadcast_to(v, (reps, n))
+        v = np.broadcast_to(pair_signs(signs, n), (reps, n))
     if d.shape[1] and m.shape[1]:
         # (v*d)'m = sum_i v_i d_i m_i', one row of sign products per repetition.
         cross = (d[:, :, None] * m[:, None, :]).reshape(n, -1)

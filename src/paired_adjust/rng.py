@@ -24,11 +24,12 @@ fixed, and on no ``Generator`` method.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator, Sequence
 from typing import Union
 
 import numpy as np
+
+from .errors import int_at_least
 
 # Stream roles. Fixed small integers, never reused for another purpose.
 ROLE_SAMPLE = 1   # science-table generation, one stream per sample index
@@ -51,18 +52,18 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Return the generator at ``path`` under ``master_seed``.
 
     Distinct paths give statistically independent streams; the same
-    path always gives the same stream. ``path`` is a tuple of
-    non-negative integers, conventionally ``(role, index)``.
+    path always gives the same stream. ``master_seed`` and ``path`` are
+    non-negative integers, ``path`` conventionally ``(role, index)``.
     """
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(path))
+    seed = int_at_least(master_seed, 0, "seed")
+    path = tuple(int_at_least(key, 0, "stream path") for key in path)
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=path)
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _words(value: int) -> list[int]:
+def _words(value: int, name: str) -> list[int]:
     """``value``'s little-endian uint32 words, as ``SeedSequence`` coerces an int."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value}")
+    value = int_at_least(value, 0, name)
     words = [value & _MASK32]
     while value := value >> 32:
         words.append(value & _MASK32)
@@ -97,21 +98,17 @@ def stream_keys(master_seed: int, role: int, idxs: Sequence[int]) -> np.ndarray:
     idxs[t])).generate_state(2, np.uint64)``, the key ``Philox`` takes
     from that sequence. The entropy is the seed's words padded with
     zeros to the pool size, then the role's words, then the index, which
-    must be one word: an index outside [0, 2^32) raises ``ValueError``.
+    must be one word: an index outside [0, 2^32) raises ``BadArgument``.
     Every word but the index is the same for all indices, so those words
     are hashed into the pool once. The index, always past the pool, is
     then mixed into each pool word and the state read out for every
     index at once, as (pool, T) arrays.
     """
-    try:
-        idx = np.asarray(idxs, dtype=np.int64).reshape(-1)
-        wide = idx.size > 0 and not (0 <= idx.min() and idx.max() <= _MASK32)
-    except OverflowError:
-        wide = True
-    if wide:
-        raise ValueError("stream indices must lie in [0, 2^32)")
-    seed = _words(master_seed)
-    shared = [*seed, *[0] * (_POOL - len(seed)), *_words(role)]
+    for end in (min(idxs, default=0), max(idxs, default=0)):
+        int_at_least(end, 0, "stream indices", high=_MASK32)
+    idx = np.asarray(idxs, dtype=np.int64).reshape(-1)
+    seed = _words(master_seed, "seed")
+    shared = [*seed, *[0] * (_POOL - len(seed)), *_words(role, "role")]
 
     a = _hashes(_INIT_A, _MULT_A)
     pool = [_hash(word, *next(a)) for word in shared[:_POOL]]

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paired_adjust import (
     PotentialOutcomeSample,
@@ -29,7 +31,7 @@ from paired_adjust import (
 )
 from paired_adjust.cli import _MODES, _OPTION_TABLES, _TARGETS, main, parse_transform
 from paired_adjust.dgp import SETTINGS
-from paired_adjust.errors import ConfigError, NonFiniteTransform
+from paired_adjust.errors import ConfigError, NonFiniteTransform, as_alpha, int_at_least, one_of
 from paired_adjust.estimators import FLAVORS
 from paired_adjust.experiment_model import strict_int, transformed_blocks
 from paired_adjust.rng import ROLE_ASSIGN
@@ -404,3 +406,83 @@ def test_one_pair_table_exits_2(capsys, dirs):
     captured = capsys.readouterr()
     assert captured.err == "paired-adjust: error: need at least 2 pairs, got 1\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "contents", ["not json", "[1, 2]", '{"n": "abc"}', '{"sate": "x"}', '{"n": 6.5}']
+)
+def test_malformed_sidecar_exits_2_naming_it(capsys, tmp_path, contents):
+    table, sidecar = tmp_path / "t.csv", tmp_path / "t.json"
+    write_science_table(generate_sample(6, "nonparallel", seed=11), table)
+    sidecar.write_text(contents, encoding="utf-8")
+    assert main(["enumerate", "--input", str(table), "--meta", str(sidecar)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"paired-adjust: error: sidecar {sidecar}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def _drawn_values(command, name, opt, inp, out):
+    """(in range, out of range) values of one option, read off its cast in the option table."""
+    cast = getattr(opt.cast, "func", opt.cast)
+    if cast is int_at_least:
+        low = opt.cast.keywords["low"]
+        return [low, low + 1, 10], [low - 1, 2.5, True, "x"]
+    if cast is as_alpha:
+        return [0.05, 0.5], [0, 1, 1.5, -0.1, 1e-20, float("nan"), True, "x"]
+    if cast is one_of:
+        return list(opt.cast.keywords["choices"]), ["bogus", 3]
+    if cast is parse_transform:
+        return (["identity", "log", "exp", "power:2", "select:1", "select:", "select:9"],
+                ["power:0", "power:1.5", "log:3", "cubic", {"kind": "select", "columns": [1, 1]}])
+    assert cast is str, f"no values for the cast of {command} --{name}"
+    if name in ("out", "csv", "histogram"):
+        return [str(out / f"{name}.out")], [str(out / "missing" / f"{name}.out")]
+    valid = {("analyze", "input"): "exp.csv", ("enumerate", "input"): "t.csv",
+             ("enumerate", "meta"): "t.json"}
+    return [str(inp / valid.get((command, name), "exp.csv"))], [str(inp / "junk.txt"),
+                                                               str(inp / "missing.csv")]
+
+
+@st.composite
+def _invocations(draw, inp, out):
+    """A subcommand and a value for each option it draws, as a flag or as a config-file key.
+
+    An option is left out half the time (a required one a tenth), and a
+    value given is out of range one time in five.
+    """
+    command = draw(st.sampled_from(sorted(_OPTION_TABLES)))
+    flags, conf = [], {}
+    for name, opt in _OPTION_TABLES[command].items():
+        if draw(st.integers(0, 9)) < (1 if opt.required else 5):
+            continue
+        good, bad = _drawn_values(command, name, opt, inp, out)
+        value = draw(st.sampled_from(bad if draw(st.integers(0, 4)) == 0 else good))
+        if isinstance(value, dict) or draw(st.booleans()):
+            conf[name] = value
+        else:
+            flags += [f"--{name}", str(value)]
+    return command, flags, conf
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_option_keeps_the_exit_code_contract(capsys, dirs, monkeypatch, data):
+    tmp, inp, out = dirs
+    (inp / "junk.txt").write_text("pair,unit\n1,2,3\n", encoding="utf-8")
+    monkeypatch.delenv("PAIRED_ADJUST_SEED", raising=False)
+    command, flags, conf = data.draw(_invocations(inp, out))
+    argv = [command, *flags]
+    if conf:
+        (tmp / "conf.json").write_text(json.dumps(conf), encoding="utf-8")
+        argv += ["--config", str(tmp / "conf.json")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    shutil.rmtree(out)
+    out.mkdir()
+    assert code in (0, 2, 3, 4, 5), argv
+    assert "Traceback" not in err

@@ -559,7 +559,7 @@ class TestRunStudy:
     def test_negative_seed_refused_before_any_draw(self, workers):
         cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=4,
                           seed=-1, workers=workers)
-        with pytest.raises(ConfigError, match="need seed >= 0, got -1"):
+        with pytest.raises(ConfigError, match="^seed: must be >= 0, got -1$"):
             run_study(cfg)
 
 
