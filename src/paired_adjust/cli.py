@@ -47,6 +47,7 @@ from .errors import (
     ConfigError,
     DataError,
     DimensionMismatch,
+    NumericalError,
     PairedAdjustError,
     TooFewPairs,
     as_alpha,
@@ -297,7 +298,12 @@ def _writing(path: str) -> Iterator[Path]:
 
 
 def _emit_json(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write ``doc`` as strict JSON; a NaN or an infinity in it is a numerical error."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalError("the report holds a NaN or an infinity, which JSON "
+                             "cannot encode") from None
     if out is None:
         sys.stdout.write(text)
     else:

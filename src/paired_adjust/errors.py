@@ -106,6 +106,8 @@ def _named(name: str, text: str) -> str:
 
 def strict_int(value: object, name: str = "") -> int:
     """``value`` as an int: an integer, an integral real number or integer text, not a boolean."""
+    if type(value) is int:  # a plain int needs no check; per-id casts of 2000 pairs took 3 ms
+        return value
     with contextlib.suppress(ValueError, OverflowError):
         if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
             if float(value).is_integer():
@@ -159,3 +161,10 @@ def one_of(value: object, choices: tuple, name: str = "") -> Any:
         if isinstance(value, type(choice)) and value == choice:
             return choice
     raise BadArgument(_named(name, f"expected one of {', '.join(map(str, choices))}, got {value!r}"))
+
+
+def optional(value: object, kind: type, name: str = "") -> Any:
+    """``value`` when it is None or an instance of ``kind``."""
+    if value is None or isinstance(value, kind):
+        return value
+    raise BadArgument(_named(name, f"expected a {kind.__name__}, got {value!r}"))

@@ -40,7 +40,8 @@ from .errors import (
     distinct_ints,
     int_at_least,
     one_of,
-    strict_int,  # noqa: F401  (callers import the integer cast from here too)
+    optional,
+    strict_int,
 )
 from .kernel import RESPONSE_LIMIT
 from .ols_core import RANK_RTOL, whiten
@@ -196,7 +197,9 @@ class PairedExperiment:
     input; exactly one unit per pair is treated. Covariates and
     responses must be finite, and no response may exceed the kernel's
     ``RESPONSE_LIMIT`` (2^400) in magnitude (DataError), so no fit
-    overflows. All arrays are made read-only, so instances can be
+    overflows. A flag that is not 0 or 1, NaN included, raises
+    PairViolation, and a pair id that is not an integer BadArgument
+    (``strict_int``). All arrays are made read-only, so instances can be
     shared freely across workers.
     """
 
@@ -207,7 +210,7 @@ class PairedExperiment:
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
-        z = np.asarray(self.z, dtype=int)
+        z = np.asarray(self.z, dtype=float)  # cast to int only once checked
         y = np.asarray(self.y, dtype=float)
         if x.ndim != 3 or x.shape[1] != 2:
             raise DimensionMismatch(f"covariates must be (n, 2, P), got {x.shape}")
@@ -227,9 +230,9 @@ class PairedExperiment:
         if len(ids) != n:
             raise DimensionMismatch(f"{len(ids)} pair ids for {n} pairs")
         object.__setattr__(self, "x", readonly(x))
-        object.__setattr__(self, "z", readonly(z))
+        object.__setattr__(self, "z", readonly(z.astype(int)))
         object.__setattr__(self, "y", readonly(y))
-        object.__setattr__(self, "pair_ids", tuple(map(int, ids)))
+        object.__setattr__(self, "pair_ids", tuple(strict_int(i, "pair_ids") for i in ids))
 
     @property
     def n(self) -> int:
@@ -396,10 +399,12 @@ def design_estimators(
     With neither transform given, only the mean "C" is asked for; a lone
     missing transform is identity. R1 and R2 divide by n - K_D - 1 and
     n - K_D - K_M - 1, so they need n > K_D + K_M + 1, and "R2P" needs
-    K_M >= 1. Raises TooFewPairs below 2 pairs and, when transforms are
+    K_M >= 1. Raises BadArgument when f or g is neither None nor a
+    TransformSpec, TooFewPairs below 2 pairs and, when transforms are
     given, for n <= K_D + K_M + 1; DimensionMismatch when transforms meet
     a table without covariates or a select transform a missing column.
     """
+    f, g = optional(f, TransformSpec, "f"), optional(g, TransformSpec, "g")
     if n < 2:
         raise TooFewPairs(f"need at least 2 pairs, got {n}")
     if f is None and g is None:

@@ -26,15 +26,22 @@ factorization, and writes it to the mirrored column of its outputs
 ``CHUNK`` fits, twins counted. A call allocates one workspace
 (:class:`_Workspace`) for its outputs and its largest pass, and every
 grid-sized array of every pass is a view of it.
-The mean needs only 1'Y and Y'Y; by Frisch-Waugh-Lovell partialling-out,
-R1 needs no solve either, and R2 and its superpopulation correction need
-only the Schur complement of the v*d columns after m is projected out,
-eliminated for every assignment at once. A fit whose table or Schur
-pivots fall to RANK_RTOL times their columns' squared norms is singular
-and comes back NaN. The estimates agree with the single fits of
-``ols_core`` to solver precision and are tested against them.
-:func:`intercept_denominators` gives R2's e'(I-H)e alone. This module
-imports only numpy, ``errors`` and ``ols_core``, so any module may use it.
+The three estimators are nested intercept fits: C on nothing, R1 on
+v*d, R2 on v*d and m. So by Frisch-Waugh-Lovell partialling-out each is
+the [1 | y] corner of one bordered Gram, read off by one function after
+its columns are projected out, for every assignment at once: C from the
+Gram as built, R1 once the orthonormal v*d columns are subtracted out
+(no pivot), R2 and its superpopulation correction once the m columns
+are eliminated too. The rank rule takes the columns in that order, v*d,
+then m, then the ones vector, the order ``ols_core.least_squares``
+factors [v*d | m | 1] in: a fit whose table pivots, m pivots or
+intercept denominator fall to RANK_RTOL times their columns' squared
+norms is singular and comes back NaN. R2 with no m columns reads R1's
+corner, so the two agree bit for bit. The estimates agree with the
+single fits of ``ols_core`` to solver precision and are tested against
+them. :func:`intercept_denominators` gives R2's e'(I-H)e alone. This
+module imports only numpy, ``errors`` and ``ols_core``, so any module
+may use it.
 """
 
 from __future__ import annotations
@@ -296,36 +303,38 @@ class _TableColumns:
 
 @dataclass(frozen=True)
 class _SignProducts:
-    """The assignment-dependent pieces of the intercept fits on a grid.
+    """The bordered Gram of the intercept fits on a grid, and its one read-off.
 
     For T tables by B sign vectors v, with y the centered response of
-    :class:`_TableColumns` and in the coordinates of its ``blocks``:
-    ``s`` = dw'v and ``t`` = dw'(v*y), the sums ``ysum`` and squared
-    norms ``yty`` of y and, when the m block is needed, ``proj`` holding
-    the products of v*dw (K_D rows), the ones vector and each response
-    with w. All come from one product of the table's fixed columns with
-    the signs (see :data:`Times`), and all are views of the pass's
-    workspace ``ws``, as is every array the fits compute from them.
-    There are R = 1 or 2 responses. The second is the twin: the fit at
-    -v, whose design [1 | v*d | m] is the same and whose response is
-    Dc - v*g, so its pieces are those of v with the products of v
-    negated. Its v*dw columns are taken with their sign flipped, so
-    that ``s`` and the v*dw rows of ``proj`` serve both; that moves no
-    intercept and negates every product of one such column exactly.
-    Component axes come first and the grid axes (T, B) last: ``s`` is
-    (K_D, T, B), ``t`` (K_D, R, T, B), ``ysum`` and ``yty`` (R, T, B)
-    and ``proj`` (K_D + 1 + R, K_M, T, B). ``mean`` (T, 1) is added
+    :class:`_TableColumns` and in the coordinates of its ``blocks``,
+    ``gram`` holds the Gram of [w | 1 | y_1 .. y_R] and ``cross``, A,
+    the products of the v*dw columns with those columns. Both come from
+    one product of the table's fixed columns with the signs (see
+    :data:`Times`), and both are views of the pass's workspace ``ws``,
+    as is every array the fits compute from them. Each estimator is
+    read off the Gram's [1 | y] corner (:meth:`read_off`) once its
+    columns are projected out (:meth:`stats`). There are R =
+    ``responses`` = 1 or 2 responses. The second is the twin: the fit
+    at -v, whose design [1 | v*d | m] is the same and whose response is
+    Dc - v*g, so its products are those of v with the products of v
+    negated. Its v*dw columns are taken with their sign flipped, so that
+    A's v*dw rows serve both; that moves no intercept and negates every
+    product of one such column exactly. The two responses' product with
+    each other is never read, and holds zero. Component axes come first
+    and the grid axes (T, B) last: ``gram`` is (Q, Q, T, B) and
+    ``cross`` (K_D, Q, T, B), Q = K_M + 1 + R, with K_M = 0 when the
+    fits need no m block. Below its diagonal ``gram`` is built only
+    among the w columns and among the responses; the elimination fills
+    in the rest first (:meth:`partial_out_m`). ``mean`` (T, 1) is added
     back to every intercept.
     """
 
     blocks: Whitened
     n: int
     mean: np.ndarray
-    s: np.ndarray
-    t: np.ndarray
-    ysum: np.ndarray
-    yty: np.ndarray
-    proj: Optional[np.ndarray]
+    gram: np.ndarray
+    cross: np.ndarray
+    responses: int
     ws: _Workspace
 
     @staticmethod
@@ -333,209 +342,66 @@ class _SignProducts:
         """The most (T, B) grids of values a pass holds at once: its workspace, in grids.
 
         For K_D = ``kd`` and K_M = ``km`` columns, the estimators
-        ``want`` and R = ``responses``: the fields of :meth:`of`, then
-        the largest of the products and the fits' own arrays, which each
-        gives back before the next. A bool grid is counted as a whole
-        grid, though it takes an eighth of one.
+        ``want`` and R = ``responses``: ``cross`` and ``gram``, then the
+        larger of the products they are read from and what :meth:`stats`
+        takes, each step giving back its own arrays before the next. A
+        bool grid is counted as a whole grid, though it takes an eighth
+        of one.
         """
         r = responses
         with_m = "R2" in want or "R2P" in want
         km = km if with_m else 0
-        size = kd + 1 + r  # the bordered Gram of [v*dw | 1 | each response]
-        held = kd + r * kd + 2 * r + size * km
-        fits = [(kd + 1) * (2 + km), r if "C" in want else 0, 2 + 4 * r if "R1" in want else 0]
+        q = km + 1 + r
+        # ok, then the largest of: the rank-one updates of the w rows,
+        # the ones row of A'A with its terms (more than a read-off takes:
+        # its test, intercepts and SSEs) and, with m, the elimination
+        # (good, the pivots and the Schur update) and R2's read-off, with
+        # R2 variances of its own when only R2P is wanted and, for R2P,
+        # the corrections, the coefficients and a term.
+        steps = [km * q, 2 + 2 * r]
         if with_m:
-            # The bordered Gram, ok and bad, then the largest of: the
-            # products subtracted for each w column, the elimination
-            # (good, the pivots and the Schur update) and what follows
-            # it (the intercepts and SSEs and, with R2P, the
-            # corrections, the coefficients and the sums).
-            sums = max(2, 2 * km, km + 1)
-            after = r * (3 + kd + 1 + sums) if "R2P" in want else 2 * r
-            scratch = max(kd * size, (1 + r) ** 2)
-            fits.append(size**2 + 2 + max(scratch, 2 + (size - 1) ** 2, after))
-        return held + max(fits)
+            steps.append(2 + (q - 1) ** 2)
+            steps.append(r * ("R2" not in want) + 1 + 2 * r + r * (km + 3) * ("R2P" in want))
+        return kd * q + q * q + max((kd + 1) * (km + 2), 1 + max(steps))
 
     @classmethod
     def of(cls, table: _TableColumns, times: Times, rows: slice, part: slice,
            ws: _Workspace, responses: int = 1) -> "_SignProducts":
-        """The fits' pieces from the products of the table's columns with the signs ``part``.
+        """The Gram from the products of the table's columns with the signs ``part``.
 
-        The pieces are taken from ``ws`` first, then the (T, P, B)
-        products, which ``times`` writes for the tables ``rows``; the
-        products are given back once the pieces are read off them. With
-        two ``responses`` the twin's pieces come from the same products
-        x by exact negation: t = x - dw'g, 1'y = 1'Dc - x,
-        y'y = Dc'Dc + g'g - 2x and w'y = w'Dc - x, each for its x.
+        ``cross`` and ``gram`` are taken from ``ws`` first, then the
+        (T, P, B) products, which ``times`` writes for the tables
+        ``rows``; the products are given back once they are read. Each
+        product x goes straight into its entries: (v*dw)'y = x + dw'g,
+        w'y = w'Dc + x, 1'y = 1'Dc + x and y'y = Dc'Dc + g'g + 2x. The
+        twin's entries come from the same x by exact negation.
         """
         t, p, n = table.columns.shape
         b = part.stop - part.start
         kd = table.blocks.dw.shape[1]
-        r = responses
-        s, tt = ws.take((kd, t, b)), ws.take((kd, r, t, b))
-        ysum, yty = ws.take((r, t, b)), ws.take((r, t, b))
-        proj = ws.take((kd + 1 + r, p // (kd + 1) - 2, t, b)) if table.with_m else None
+        km, r = p // (kd + 1) - 2, responses
+        q = km + 1 + r
+        cross, gram = ws.take((kd, q, t, b)), ws.take((q, q, t, b))
         mark = ws.mark
         products = ws.take((t, p, b))
         times(table.columns, rows, part, products)
-        # (T, P, B) -> (K_D + 1, R, T, B): row l of L by row r of R.
+        # (T, P, B) -> (K_D + 1, 2 + K_M, T, B): row l of L by row r of R.
         x = products.reshape(t, kd + 1, -1, b).transpose(1, 2, 0, 3)
-        if proj is not None:
-            proj[:kd] = x[:kd, 2:]
-            proj[kd] = table.w_sum
-            np.add(table.w_centered, x[kd, 2:], out=proj[kd + 1])
-        np.copyto(s, x[:kd, 0])
-        np.add(x[:kd, 1], table.dw_gaps, out=tt[:, 0])
-        np.add(table.dc_sum, x[kd, 0], out=ysum[0])
-        np.multiply(2.0, x[kd, 1], out=yty[0])
-        np.add(table.squares, yty[0], out=yty[0])
-        if r == 2:
-            if proj is not None:
-                np.subtract(table.w_centered, x[kd, 2:], out=proj[kd + 2])
-            np.subtract(x[:kd, 1], table.dw_gaps, out=tt[:, 1])
-            np.subtract(table.dc_sum, x[kd, 0], out=ysum[1])
-            np.multiply(2.0, x[kd, 1], out=yty[1])
-            np.subtract(table.squares, yty[1], out=yty[1])
+        cross[:, :km] = x[:kd, 2:]
+        np.copyto(cross[:, km], x[:kd, 0])
+        gram[:km, :km] = np.eye(km)[:, :, None, None]
+        gram[:km, km] = table.w_sum
+        gram[km, km] = n
+        gram[km + 1 :, km + 1 :] = 0.0
+        # Response y = km + 1 adds each x, its twin y = km + 2 subtracts it.
+        for y, add in zip(range(km + 1, q), (np.add, np.subtract)):
+            add(x[:kd, 1], table.dw_gaps, out=cross[:, y])
+            add(table.w_centered, x[kd, 2:], out=gram[:km, y])
+            add(table.dc_sum, x[kd, 0], out=gram[km, y])
+            np.multiply(2.0, x[kd, 1], out=gram[y, y])
+            add(table.squares, gram[y, y], out=gram[y, y])
         ws.release(mark)
-        return cls(table.blocks, n, table.mean, s, tt, ysum, yty, proj, ws)
-
-    def classical(self, outs: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
-        """tau_hat and S^2 of the plain mean, in closed form, written into ``outs``.
-
-        ``outs`` holds one (tau, s2) pair of (T, B) arrays per response.
-        tau_hat is ``mean`` + 1'y / n, and S^2 n (n-1) is
-        y'y - (1'y)^2 / n, clamped at 0 like the SSE. The centering
-        leaves y'y of the size of the spread of Y, not of its mean, so
-        the difference does not cancel away the digits of S^2.
-        """
-        n, mark = self.n, self.ws.mark
-        spread = np.multiply(self.ysum, self.ysum, out=self.ws.take(self.ysum.shape))
-        spread /= n
-        np.subtract(self.yty, spread, out=spread)
-        np.maximum(spread, 0.0, out=spread)
-        for part, ysum, (tau, s2) in zip(spread, self.ysum, outs):
-            np.divide(part, n * (n - 1), out=s2)
-            np.divide(ysum, n, out=tau)
-            np.add(self.mean, tau, out=tau)
-        self.ws.release(mark)
-
-    def r1(self, outs: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Intercept and classical variance of y on [1 | v*d], written into ``outs``.
-
-        ``outs`` holds one (tau, s2) pair of (T, B) arrays per response.
-        With v*dw orthonormal, partialling it out leaves
-        e'(I-H)e = n - s's, which the responses share, and
-        e'(I-H)y = 1'y - s't, so no solve is needed. Rows whose
-        denominator is at most RANK_RTOL * n, or whose table failed the
-        pivot test on d, are left as they are.
-        """
-        ws, n, k1 = self.ws, self.n, 1 + self.s.shape[0]
-        mark = ws.mark
-        denom = _dot(self.s, self.s, ws)
-        np.subtract(n, denom, out=denom)
-        ok = np.greater(denom, RANK_RTOL * n, out=ws.take(denom.shape, bool))
-        np.logical_and(self.blocks.ok_d[:, None], ok, out=ok)
-        bad = ws.mark
-        np.copyto(denom, 1.0, where=np.logical_not(ok, out=ws.take(ok.shape, bool)))
-        ws.release(bad)
-        num = _dot(self.s[:, None], self.t, ws)
-        np.subtract(self.ysum, num, out=num)
-        beta = np.divide(num, denom, out=ws.take(num.shape))
-        sse = _dot(self.t, self.t, ws)
-        np.subtract(self.yty, sse, out=sse)
-        sse -= np.multiply(beta, num, out=num)
-        np.maximum(sse, 0.0, out=sse)
-        sse /= n - k1
-        for b, e, (tau, s2) in zip(beta, sse, outs):
-            np.add(self.mean, b, out=tau, where=ok)
-            np.divide(e, denom, out=s2, where=ok)
-        ws.release(mark)
-
-    def r2(
-        self, corrected: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Intercept fits of each response on [1 | v*d | m] through the Schur complement.
-
-        Partialling out the orthonormal w leaves the Gram of
-        [v*dw | 1 | y_1 .. y_R] minus its products with w. Each w
-        column's products are subtracted in turn, in place, from the
-        v*dw rows and from the [1 | y] corner, and the v*dw rows' corner
-        columns are then mirrored below, so the largest temporary is
-        K_D by K_D + 1 + R per grid point, not a whole Gram; every block
-        stays exactly symmetric, since a_i a_j = a_j a_i. Eliminating
-        the v*dw columns of that bordered matrix, once for every
-        response, leaves for the ones vector and response i
-        [[e'(I-H)e, e'(I-H)y_i], [., y_i'(I-H)y_i]] with H the
-        projection onto [v*d | m] (FWL): its first pivot is the
-        denominator e'(I-H)e, the intercept is the ratio along its first
-        row, and what is left of y_i'(I-H)y_i after that pivot is the
-        SSE. Each entry is computed from its own row and column only, so
-        the responses' products with each other, which start at zero,
-        change nothing. Each pivot must exceed RANK_RTOL times its
-        column's squared norm before partialling out (one for a whitened
-        column, n for the ones vector). Returns ``ok``, whether a row
-        passed every pivot test and its table the pivot tests on d and
-        m, then per response (R, T, B) the intercept less ``mean`` and
-        the SSE, the denominator (1 where not ``ok``) and, if
-        ``corrected``, per response beta_m' (m'm) beta_m, which is the
-        squared norm of the w coefficients (else None). All are views of
-        ``ws``, which the caller gives back; rows not ``ok`` hold values
-        that mean nothing.
-        """
-        ws, kd, grid = self.ws, self.s.shape[0], self.ysum.shape[1:]
-        r = len(self.ysum)
-        g = ws.take((kd + 1 + r, kd + 1 + r) + grid)
-        # The responses' diagonal of g, (R, T, B).
-        yy = np.moveaxis(np.diagonal(g[kd + 1 :, kd + 1 :]), -1, 0)
-        g[:kd, :kd] = np.eye(kd)[:, :, None, None]
-        g[kd, kd] = self.n
-        g[kd + 1 :, kd + 1 :] = 0.0
-        for i in range(r):
-            g[kd + 1 + i, kd + 1 + i] = self.yty[i]
-        g[:kd, kd] = self.s
-        g[:kd, kd + 1 :] = self.t
-        g[kd, kd + 1 :] = g[kd + 1 :, kd] = self.ysum
-        ok, bad = ws.take(grid, bool), ws.take(grid, bool)
-        mark = ws.mark
-        scratch = ws.take((max(kd * (kd + 1 + r), (1 + r) ** 2),) + grid)
-        rows = scratch[: kd * (kd + 1 + r)].reshape((kd, kd + 1 + r) + grid)
-        corner = scratch[: (1 + r) ** 2].reshape((1 + r, 1 + r) + grid)
-        for k in range(self.proj.shape[1]):
-            a = self.proj[:, k]
-            g[:kd] -= np.multiply(a[:kd, None], a[None], out=rows)
-            g[kd:, kd:] -= np.multiply(a[kd:, None], a[None, kd:], out=corner)
-        ws.release(mark)
-        g[kd:, :kd] = g[:kd, kd:].swapaxes(0, 1)
-        floor = RANK_RTOL * np.append(np.ones(kd), self.n)
-        _eliminate(g, kd, floor, ok, ws)
-        denom = g[kd, kd]
-        ok &= np.greater(denom, floor[kd], out=bad)
-        ok &= (self.blocks.ok_d & self.blocks.ok_m)[:, None]
-        np.copyto(denom, 1.0, where=np.logical_not(ok, out=bad))
-        beta0 = np.divide(g[kd, kd + 1 :], denom, out=ws.take((r,) + grid))
-        sse = np.multiply(beta0, g[kd, kd + 1 :], out=ws.take((r,) + grid))
-        np.subtract(yy, sse, out=sse)
-        np.maximum(sse, 0.0, out=sse)
-        corr = None
-        if corrected:
-            # Back-substitute for the v*dw coefficients (the intercept
-            # comes last) through the multipliers below g's diagonal;
-            # the w coefficients are then w'y minus the part of it the
-            # other columns fit.
-            corr = ws.take((r,) + grid)
-            mark = ws.mark
-            beta = ws.take((kd + 1, r) + grid)
-            beta[kd] = beta0
-            for j in reversed(range(kd)):
-                inner = ws.mark
-                np.subtract(g[kd + 1 :, j], _dot(g[j + 1 : kd + 1, j, None], beta[j + 1 :], ws),
-                            out=beta[j])
-                ws.release(inner)
-            gamma = _dot(beta[:, None], self.proj[: kd + 1, :, None], ws)
-            np.subtract(self.proj[kd + 1 :].swapaxes(0, 1), gamma, out=gamma)
-            _dot(gamma, gamma, ws, out=corr)
-            ws.release(mark)
-        return ok, beta0, sse, denom, corr
+        return cls(table.blocks, n, table.mean, gram, cross, r, ws)
 
     def stats(
         self, want: Sequence[str], out: Mapping[str, Sequence[tuple[np.ndarray, np.ndarray]]]
@@ -543,32 +409,130 @@ class _SignProducts:
         """Write (tau_hat, s2) of the estimators ``want`` into ``out``'s (T, B) arrays.
 
         ``out`` holds, per estimator, one (tau_hat, s2) pair per
-        response. The classical variance of a regression is SSE/dof
-        times the intercept entry 1 / e'(I-H)e of the inverse Gram; R2P
-        adds beta_m' (m'm) beta_m / ((n-1) n) to the R2 variance, and
-        its estimate is R2's. A singular fit leaves its entries of
-        ``out`` untouched, so the caller fills them with NaN beforehand.
+        response. C is read off the Gram as built, R1 once the v*dw
+        columns are projected out (:meth:`partial_out_dw`), and R2 and
+        R2P once the w columns are too (:meth:`partial_out_m`). So an R2
+        with no m columns reads R1's corner, and R2P's estimate is R2's.
+        A singular fit leaves its entries of ``out`` untouched, so the
+        caller fills them with NaN beforehand.
         """
-        n = self.n
+        ws, kd, km = self.ws, len(self.cross), len(self.gram) - 1 - self.responses
+        mark = ws.mark
+        ok = ws.take(self.gram.shape[2:], bool)
         if "C" in want:
-            self.classical(out["C"])
+            ok.fill(True)
+            self.read_off(0, ok, out["C"])
+        self.partial_out_dw()
         if "R1" in want:
-            self.r1(out["R1"])
+            np.copyto(ok, self.blocks.ok_d[:, None])
+            self.read_off(kd, ok, out["R1"])
         if "R2" in want or "R2P" in want:
-            mark = self.ws.mark
-            k2 = 1 + self.s.shape[0] + self.blocks.w.shape[1]
-            ok, beta0, sse, denom, corr = self.r2("R2P" in want)
-            sse /= n - k2
-            if "R2P" in want:
-                corr /= (n - 1) * n
-            spare = None if "R2" in want else self.ws.take(denom.shape)
-            for i in range(len(beta0)):
-                tau, s2 = out["R2"][i] if spare is None else (out["R2P"][i][0], spare)
-                np.add(self.mean, beta0[i], out=tau, where=ok)
-                np.divide(sse[i], denom, out=s2, where=ok)
-                if "R2P" in want:
-                    np.add(s2, corr[i], out=out["R2P"][i][1], where=ok)
-            self.ws.release(mark)
+            self.partial_out_m(ok)
+            if "R2" in want:
+                fits = out["R2"]
+            else:  # R2P alone: its estimate, with S^2 of R2 in arrays of the pass
+                fits = [(tau, ws.take(tau.shape)) for tau, _ in out["R2P"]]
+            corrected = [s2 for _, s2 in out["R2P"]] if "R2P" in want else ()
+            self.read_off(kd + km, ok, fits, corrected)
+        ws.release(mark)
+
+    def partial_out_dw(self) -> None:
+        """Project the v*dw columns out of the Gram by subtracting A'A, A = ``cross``.
+
+        v*dw is orthonormal, so eliminating it from the Gram of
+        [v*dw | w | 1 | y] takes no pivot and leaves the Gram of the
+        other columns less A'A. The w rows take it one v*dw column at a
+        time, as rank-one updates of whole rows, which keep the w block
+        exactly symmetric. The [1 | y] corner's entries are each summed
+        first, by :func:`_dot` in the order of the v*dw columns, and
+        then subtracted; the responses' product with each other is left
+        at zero.
+        """
+        ws, g, a = self.ws, self.gram, self.cross
+        km = len(g) - 1 - self.responses
+        mark = ws.mark
+        rows = ws.take(g[:km].shape)
+        for ak in a:
+            g[:km] -= np.multiply(ak[:km, None], ak[None], out=rows)
+        ws.release(mark)
+        g[km, km:] -= _dot(a[:, km, None], a[:, km:], ws)
+        ws.release(mark)
+        squares = _dot(a[:, km + 1 :], a[:, km + 1 :], ws)
+        for y, square in zip(range(km + 1, len(g)), squares):
+            g[y, y] -= square
+        ws.release(mark)
+
+    def partial_out_m(self, ok: np.ndarray) -> None:
+        """Eliminate the w columns from the Gram, writing into ``ok`` which rows are regular.
+
+        The [1 | y] rows are first filled below the diagonal from the
+        columns above it. Each w column is a whitened column of squared
+        norm one, so its pivot must exceed RANK_RTOL
+        (:func:`_eliminate`); a row is regular when each does and its
+        table passed the pivot tests on d and m. The corner is then that
+        of [1 | y] with [v*d | m] projected out, and the multipliers
+        below the diagonal give the w coefficients.
+        """
+        g, km = self.gram, len(self.gram) - 1 - self.responses
+        g[km + 1 :, : km + 1] = g[: km + 1, km + 1 :].swapaxes(0, 1)
+        g[km, :km] = g[:km, km]
+        _eliminate(g, km, np.full(km, RANK_RTOL), ok, self.ws)
+        ok &= (self.blocks.ok_d & self.blocks.ok_m)[:, None]
+
+    def read_off(
+        self,
+        k: int,
+        ok: np.ndarray,
+        fits: Sequence[tuple[np.ndarray, np.ndarray]],
+        corrected: Sequence[np.ndarray] = (),
+    ) -> None:
+        """Write each response's intercept fit on ``k`` columns, read off the [1 | y] corner.
+
+        With H the projection onto the columns projected out so far,
+        the corner holds [[e'(I-H)e, e'(I-H)y_i], [., y_i'(I-H)y_i]]
+        for each response i, so the intercept is the ratio along its
+        first row and the SSE is y_i'(I-H)y_i less the intercept times
+        e'(I-H)y_i, clamped at 0; S^2 is SSE / (n - 1 - k) / e'(I-H)e,
+        the intercept entry of the classical covariance. A row is
+        singular unless it is ``ok`` and e'(I-H)e exceeds RANK_RTOL * n,
+        the squared norm of the ones vector; ``ok`` is narrowed to the
+        rows that pass. tau_hat (``mean`` plus the intercept) and S^2
+        go into ``fits``, one (tau, s2) pair per response, on the
+        regular rows only. With ``corrected``, one array per response,
+        S^2 plus ||gamma||^2 / ((n-1) n) goes there too: gamma are the
+        coefficients of the eliminated w columns (:meth:`partial_out_m`),
+        back-substituted through their multipliers from the intercept,
+        and ||gamma||^2 is beta_m' (m'm) beta_m, R2P's correction.
+        """
+        ws, n, r = self.ws, self.n, self.responses
+        corner = self.gram[-1 - r :, -1 - r :]
+        den, num = corner[0, 0], corner[0, 1:]
+        mark = ws.mark
+        ok &= np.greater(den, RANK_RTOL * n, out=ws.take(den.shape, bool))
+        beta = ws.take(num.shape)
+        beta.fill(0.0)
+        np.divide(num, den, out=beta, where=ok)
+        sse = np.multiply(beta, num, out=ws.take(num.shape))
+        np.subtract(np.moveaxis(np.diagonal(corner[1:, 1:]), -1, 0), sse, out=sse)
+        np.maximum(sse, 0.0, out=sse)
+        sse /= n - 1 - k
+        if corrected:
+            # Back-substitute for the w coefficients, the intercept last.
+            km = len(self.gram) - 1 - r
+            corr = ws.take(num.shape)
+            coef = ws.take((km + 1,) + num.shape)
+            coef[km] = beta
+            for j in reversed(range(km)):
+                _dot(self.gram[j + 1 : km + 1, j, None], coef[j + 1 :], ws, out=coef[j])
+                np.subtract(self.gram[km + 1 :, j], coef[j], out=coef[j])
+            _dot(coef[:km], coef[:km], ws, out=corr)
+            corr /= (n - 1) * n
+        for i, (tau, s2) in enumerate(fits):
+            np.add(self.mean, beta[i], out=tau, where=ok)
+            np.divide(sse[i], den, out=s2, where=ok)
+            if corrected:
+                np.add(s2, corr[i], out=corrected[i], where=ok)
+        ws.release(mark)
 
 
 # The sign products of T tables: given the fixed columns (T', P, n)
@@ -687,11 +651,15 @@ def intercept_denominators(d: np.ndarray, m: np.ndarray, signs: np.ndarray) -> n
     table's (n, K) blocks. The denominator does not depend on the
     outcomes, so the table takes zero effects and gaps. A design that
     fails a pivot test gives NaN, as its R2 fit does. The signs are
-    taken in one part, through a workspace as in :func:`sign_stats`.
+    taken in one part, through a workspace as in :func:`sign_stats`,
+    and the denominator is the corner R2 reads (:class:`_SignProducts`).
     """
     zeros = np.zeros((1, d.shape[0]))
     table = _TableColumns.of(Whitened.of(d[None], m[None]), zeros, zeros, True)
     ws = _Workspace(_SignProducts.planes(d.shape[1], m.shape[1], ("R2",)) * len(signs))
-    products = _SignProducts.of(table, times_of(signs[None]), slice(0, 1), slice(0, len(signs)), ws)
-    ok, _, _, denom, _ = products.r2(corrected=False)
-    return np.where(ok, denom, np.nan)[0]
+    fit = _SignProducts.of(table, times_of(signs[None]), slice(0, 1), slice(0, len(signs)), ws)
+    ok = ws.take((1, len(signs)), bool)
+    fit.partial_out_dw()
+    fit.partial_out_m(ok)
+    denom = fit.gram[-2, -2]
+    return np.where(ok & (denom > RANK_RTOL * d.shape[0]), denom, np.nan)[0]

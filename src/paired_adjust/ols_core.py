@@ -27,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, DimensionMismatch, LeverageOne, RankDeficient, one_of
+from .errors import (
+    DataError, DegenerateDenominator, DimensionMismatch, LeverageOne, RankDeficient, one_of,
+)
 
 # A column fails the pivot test when what is left of it, after the
 # columns before it are projected out, has a squared norm of at most
@@ -99,9 +101,9 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
     ``x`` may have zero columns, in which case the fit is just the mean
     of y. The columns are factored as [x | 1], ones column last, so the
     pivot test on it is e'(I - H)e > RANK_RTOL * n. Raises
-    DimensionMismatch unless y is one value per row of x, and
-    RankDeficient, naming the first column that fails the pivot test,
-    when any column does.
+    DimensionMismatch unless y is one value per row of x, DataError when
+    x or y holds a non-finite value, and RankDeficient, naming the first
+    column that fails the pivot test, when any column does.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -110,6 +112,9 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
     n = x.shape[0]
     if y.shape != (n,):
         raise DimensionMismatch(f"design has {n} rows but y has shape {y.shape}")
+    for name, a in (("x", x), ("y", y)):
+        if not np.isfinite(a).all():
+            raise DataError(f"{name} holds a non-finite value")
     cols = x.shape[1] + 1
     if n < cols:
         raise RankDeficient(f"{cols} columns but only {n} rows")

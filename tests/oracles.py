@@ -110,20 +110,24 @@ def _residual_share(a: np.ndarray, col: np.ndarray) -> float:
 def singular_oracle(d: np.ndarray, m: np.ndarray, v: np.ndarray, rtol: float = 1e-10) -> bool:
     """Whether the pivot rule calls the intercept design [1 | v*d | m] singular, column by column.
 
-    Each column of d, then of m, must keep more than ``rtol`` of its
-    squared norm once the earlier columns of its block are projected
-    out; each v*d_j must keep more than ``rtol`` times what d_j kept,
-    once m and v*d_1..v*d_{j-1} are projected out; and e'(I - H)e must
-    exceed ``rtol`` * n, with H the projection onto [v*d | m]. R1's
-    design is the one with m of zero columns.
+    The columns are taken in the order v*d, then m, then the ones
+    vector. Each column of d, then of m, must keep more than ``rtol`` of
+    its squared norm once the earlier columns of its block are projected
+    out; v*d_j then keeps what d_j kept, since v*v = 1. Each m_j must
+    keep more than ``rtol`` times what it kept there once v*d and
+    m_1..m_{j-1} are projected out, and e'(I - H)e must exceed
+    ``rtol`` * n, with H the projection onto [v*d | m]. R1's design is
+    the one with m of zero columns.
     """
-    shares = [
+    within = [
         _residual_share(block[:, :j], block[:, j]) for block in (d, m) for j in range(block.shape[1])
     ]
+    if min(within, default=1.0) <= rtol:
+        return True
     vd = v[:, None] * d
-    shares += [
-        _residual_share(np.hstack([m, vd[:, :j]]), vd[:, j]) / _residual_share(d[:, :j], d[:, j])
-        for j in range(d.shape[1])
+    shares = [
+        _residual_share(np.hstack([vd, m[:, :j]]), m[:, j]) / _residual_share(m[:, :j], m[:, j])
+        for j in range(m.shape[1])
     ]
     shares.append(_residual_share(np.hstack([vd, m]), np.ones(len(v))))
     return min(shares) <= rtol

@@ -28,10 +28,12 @@ from paired_adjust import (
     DataError,
     DimensionMismatch,
     PairedAdjustError,
+    PairedExperiment,
     PairViolation,
     StudyConfig,
     TransformSpec,
     assignment_signs,
+    build_design,
     confidence_interval,
     draw_pair_covariates,
     enumerate_exact,
@@ -60,7 +62,7 @@ from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE
 from conftest import make_design, make_sample
 
 PACKAGE = Path(paired_adjust.__file__).resolve().parent
-CASTS = ("strict_int", "int_at_least", "distinct_ints", "as_alpha", "one_of")
+CASTS = ("strict_int", "int_at_least", "distinct_ints", "as_alpha", "one_of", "optional")
 
 
 def _module(path: Path) -> ast.Module:
@@ -298,6 +300,34 @@ def test_estimate_classical_refuses_what_is_not_one_finite_value_per_pair():
         estimate_classical(np.array([1.0, math.nan, 2.0]))
     with pytest.raises(DimensionMismatch):
         estimate_classical(np.ones((3, 3)))
+
+
+_EXPERIMENT, _ = reveal(_SAMPLE, np.where(np.arange(_SAMPLE.n) % 3, 1.0, -1.0))
+
+
+def _with_nan_flag():
+    z = _EXPERIMENT.z.astype(float)
+    z[4, 0] = math.nan
+    return PairedExperiment(_EXPERIMENT.x, z, _EXPERIMENT.y)
+
+
+_ARRAY_PROBES = {
+    "text pair ids": (lambda: PairedExperiment(_EXPERIMENT.x, _EXPERIMENT.z, _EXPERIMENT.y,
+                                               pair_ids=tuple("abcdefghijkl")), BadArgument),
+    "NaN flag": (_with_nan_flag, PairViolation),
+    "transform named by text": (lambda: build_design(_EXPERIMENT, "identity", "identity"),
+                                BadArgument),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_ARRAY_PROBES))
+def test_array_and_transform_arguments_raise_the_library_classes(probe):
+    # Each used to escape the contract: a plain ValueError from int('a'),
+    # a RuntimeWarning from casting NaN to int, an AttributeError on a str.
+    call, raised = _ARRAY_PROBES[probe]
+    with warnings.catch_warnings(), pytest.raises(raised):
+        warnings.simplefilter("error")
+        call()
 
 
 def test_signs_and_shapes_raise_the_data_classes():

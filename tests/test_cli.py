@@ -250,6 +250,22 @@ class TestSimulate:
         assert run_cli(capsys, *argv)[0] == 0
         assert seen == [want]
 
+    def test_report_holding_nan_is_3_before_any_file(self, capsys, monkeypatch, tmp_path):
+        run_study = cli.run_study
+
+        def with_nan(config):
+            report = run_study(config)
+            name, cell = next(iter(report.metrics.items()))
+            return replace(report, metrics={**report.metrics, name: {**cell, "median": np.nan}})
+
+        monkeypatch.setattr(cli, "run_study", with_nan)
+        out, table = tmp_path / "study.json", tmp_path / "study.csv"
+        code, stdout, err = run_cli(capsys, *self.ARGS, "--out", str(out), "--csv", str(table))
+        assert code == 3 and stdout == ""
+        assert err == ("paired-adjust: error: the report holds a NaN or an infinity, "
+                       "which JSON cannot encode\n")
+        assert not out.exists() and not table.exists()
+
     def test_pate_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--setting", "nonparallel", "--n", "12",

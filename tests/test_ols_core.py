@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from paired_adjust import (
+    DataError,
     DegenerateDenominator,
     LeverageOne,
     RankDeficient,
@@ -65,6 +66,17 @@ class TestLeastSquares:
         x = rng.standard_normal((20, 1))
         with pytest.raises(RankDeficient):
             least_squares(np.hstack([x, x]), rng.standard_normal(20))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("where", ["y", "x"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_a_data_error(self, rng, where, bad):
+        # A NaN response used to come back as NaN coefficients, and a NaN
+        # column as RankDeficient; both are bad data, not a rank problem.
+        x, y = rng.standard_normal((6, 2)), np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        (y if where == "y" else x[:, 1])[2] = bad
+        with pytest.raises(DataError, match=f"{where} holds a non-finite value"):
+            least_squares(x, y)
 
     def test_more_columns_than_rows_rejected(self, rng):
         with pytest.raises(RankDeficient):

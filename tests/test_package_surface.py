@@ -245,3 +245,21 @@ def test_engine_answers_a_singular_draw_in_one_place():
                 refusers.add(name)
     assert raisers == finite == {"_refuse_singular"}
     assert refusers == {"_pate_columns", "_sate_columns", "_table_stats", "lemma_diagnostics"}
+
+
+def test_kernel_reads_every_estimator_off_one_corner():
+    # C, R1 and R2 are nested intercept fits, so one read-off, called once
+    # for each, writes every estimator's (tau, s2) arrays.
+    functions = _functions(_module(PACKAGE / "kernel.py"))
+    writers = set()
+    for name, fn in functions.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.keyword) and node.arg == "out" and (
+                ast.unparse(node.value) in ("tau", "s2") or "out[" in ast.unparse(node.value)
+            ):
+                writers.add(name)
+    assert writers == {"_SignProducts.read_off"}
+    assert not {"_SignProducts.classical", "_SignProducts.r1", "_SignProducts.r2"} & set(functions)
+    calls = [node for node in ast.walk(functions["_SignProducts.stats"])
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "read_off"]
+    assert len(calls) == 3

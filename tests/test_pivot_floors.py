@@ -3,16 +3,19 @@
 A fit is singular when a pivot falls to RANK_RTOL times its column's
 squared norm before partialling out: N for the ones vector, whose pivot
 is the intercept denominator e'(I-H)e of R1 and of R2, and one for a
-whitened v*d column in R2's Schur elimination. Each design below puts
-one pivot, under its signs v0, at half and at twice its floor; through
-the kernel's entry at B = 1 the fit must then be NaN and finite.
+whitened m column in R2's elimination, which takes v*d, then m, then
+the ones vector, the order ``ols_core.least_squares`` factors
+[v*d | m | 1] in. Each design below puts one pivot, under its signs v0,
+below and at twice its floor; through the kernel's entry at B = 1 the
+fit must then be NaN and finite.
 """
 
 import numpy as np
 import pytest
 
 from paired_adjust.kernel import Whitened, intercept_denominators, sign_stats, times_of
-from paired_adjust.ols_core import RANK_RTOL
+from paired_adjust.errors import RankDeficient
+from paired_adjust.ols_core import RANK_RTOL, least_squares
 
 N = 40
 SCALES = [(0.5, False), (2.0, True)]
@@ -58,6 +61,7 @@ def _schur_design(scale):
 
     v0*d is a + eps*r, a a column of m and r orthogonal to m; both are
     orthogonal to the ones vector, so the intercept is far from its floor.
+    The two are unit columns, so a has the same share outside v0*d.
     """
     rng = np.random.default_rng(12)
     cols = _centered_orthonormal(rng, 3)
@@ -106,9 +110,33 @@ def test_r2_intercept_floor(scale, finite, est):
 def test_r2_schur_pivot_floor(scale, finite):
     d, m, v0 = _schur_design(scale)
     assert _residual_share(v0 * d[:, 0], m) == pytest.approx(scale * RANK_RTOL, rel=1e-6)
+    assert _residual_share(m[:, 0], v0[:, None] * d) == pytest.approx(scale * RANK_RTOL, rel=1e-6)
     _check(_fit(d, m, v0, "R2"), finite)
     # The same v*d column, alone with the ones vector, leaves R1 well posed.
     _check(_fit(d, m[:, :0], v0, "R1"), True)
+
+
+@pytest.mark.parametrize("scale,finite", [(0.75, False), (2.0, True)])
+@pytest.mark.parametrize("est", ["R2", "R2P"])
+def test_m_pivot_floor_after_two_vd_columns(scale, finite, est):
+    # m = (a + b) / sqrt(2) + eps*r for orthonormal v0*d = [a, b]: m keeps
+    # ``scale`` times RANK_RTOL of its squared norm outside v0*d, while
+    # either v*d column keeps about half of its own outside m, and the
+    # last one 2 * scale * RANK_RTOL outside m and the other. So the fit
+    # is singular below the floor only in the order v*d, then m.
+    rng = np.random.default_rng(15)
+    a, b, r = _centered_orthonormal(rng, 3).T
+    v0 = _signs(rng)
+    m = ((a + b) / np.sqrt(2.0) + _eps(scale * RANK_RTOL) * r)[:, None]
+    d = v0[:, None] * np.column_stack([a, b])
+    assert _residual_share(m[:, 0], v0[:, None] * d) == pytest.approx(scale * RANK_RTOL, rel=1e-6)
+    _check(_fit(d, m, v0, est), finite)
+    y = rng.standard_normal(N)
+    if finite:
+        least_squares(np.column_stack([v0[:, None] * d, m]), y)
+    else:
+        with pytest.raises(RankDeficient, match="column 3 of x"):
+            least_squares(np.column_stack([v0[:, None] * d, m]), y)
 
 
 @pytest.mark.filterwarnings("error")

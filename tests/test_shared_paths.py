@@ -19,6 +19,7 @@ from paired_adjust import (
     TooFewPairs,
     TransformSpec,
     enumerate_exact,
+    generate_sample,
     lemma_diagnostics,
     randomize,
     run_monte_carlo,
@@ -234,3 +235,19 @@ class TestColumnsCentered:
         except NonFiniteTransform:
             reject()
         assert columns_centered(m).all()
+
+
+def test_r2_with_no_m_columns_is_r1_bit_for_bit():
+    # With an empty m block R2's design is R1's, so both must come from
+    # the same read-off of the same Gram, in enumeration and in a study.
+    sample = generate_sample(12, "nonparallel", seed=11)
+    dist = enumerate_exact(sample, T.identity(), T.select([]))
+    assert dist.estimators == ("C", "R1", "R2")
+    for got in (dist.tau_hat, dist.s2):
+        assert got["R2"].tobytes() == got["R1"].tobytes()
+    report = run_study(StudyConfig(mode="sate", setting="nonparallel", n=30, samples=50,
+                                   randomizations=50, g=T.select([]), seed=5, workers=1))
+    metrics = report.metrics
+    assert metrics["se_ratio_R2_R1"] == {"median": 1.0, "q025": 1.0, "q975": 1.0}
+    for name in ("coverage_R{}", "se_ratio_R{}_C", "rmse_ratio_R{}_C"):
+        assert metrics[name.format(2)] == metrics[name.format(1)], name

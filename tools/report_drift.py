@@ -26,8 +26,9 @@ and its exit code and report must equal the first run's, byte for byte:
 those commands draw nothing, so no seed may reach them. A change of
 exit code is a failure unless ``EXPECTED_EXITS`` lists it, and so is a
 worst relative drift above ``DRIFT_TOL`` (1e-12) unless
-``EXPECTED_DRIFT`` lists the run with a larger bound. The exit status
-is 1 on any failure.
+``EXPECTED_DRIFT`` lists the run with a larger bound. When both trees
+exit with the same nonzero code, their stderr must be the same too. The
+exit status is 1 on any failure.
 
     python tools/report_drift.py OLD NEW [--work DIR]
 """
@@ -75,6 +76,9 @@ RUNS = {
     "sate_n25_exp_exp": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
                          "--n", "25", "--S", "50", "--B", "20", "--f", "exp", "--g", "exp",
                          "--seed", "3"],
+    # No m columns: R2 is R1, so its R2-to-R1 ratios read exactly 1.
+    "sate_n30_empty_m": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
+                         "--n", "30", "--S", "50", "--B", "50", "--g", "select:", "--seed", "5"],
     "sate_n40_seed_wide": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
                            "--n", "40", "--S", "60", "--B", "50", "--seed", "1099511627779"],
     # Three slabs of 200 tables at one or three workers; four slabs of 150
@@ -170,13 +174,15 @@ WORKERS = {name: ("2", "1", "3") if name == "sate_n100" else ("1", "2", "3")
 SEED_ENV = {"PAIRED_ADJUST_SEED": "12345"}
 
 
-def _cli(src: Path, argv: list[str], extra_env: Optional[dict[str, str]] = None) -> int:
+def _cli(src: Path, argv: list[str], extra_env: Optional[dict[str, str]] = None
+         ) -> tuple[int, bytes]:
+    """The exit code and stderr of one command run on the package under ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env.pop("PAIRED_ADJUST_SEED", None)
     env.update(extra_env or {})
     code = "import sys; from paired_adjust.cli import main; sys.exit(main(sys.argv[1:]))"
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True).returncode
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True)
+    return done.returncode, done.stderr
 
 
 def write_experiment(table: Path, dest: Path, x1_scale: float = 1.0,
@@ -234,8 +240,11 @@ def write_digit_separator(src: Path, dest: Path) -> None:
 
 
 def run_tree(root: Path, work: Path, seed_env: bool = False
-             ) -> tuple[dict[str, tuple[int, Path]], list[str]]:
-    """Every command's exit code and report path for the tree at ``root``.
+             ) -> tuple[dict[str, tuple[int, Path, bytes]], list[str]]:
+    """Every command's exit code, report path and stderr for the tree at ``root``.
+
+    Each occurrence of ``work`` in a stderr reads ``WORK``, so that the
+    two trees' messages compare equal when only the path differs.
 
     Also returns the studies whose exit codes or reports differ across
     worker counts and, with ``seed_env``, the ``analyze`` and
@@ -268,16 +277,16 @@ def run_tree(root: Path, work: Path, seed_env: bool = False
         for workers in WORKERS.get(name, (None,)):
             path = work / f"{name}_w{workers}.json"
             extra = ["--workers", workers] if workers else []
-            code = _cli(src, argv + extra + ["--out", str(path)])
-            reports.append((code, path))
-        c1, p1 = reports[0]
+            code, err = _cli(src, argv + extra + ["--out", str(path)])
+            reports.append((code, path, err.replace(bytes(work), b"WORK")))
+        c1, p1, _ = reports[0]
         if any(c != c1 or (c1 == 0 and p.read_bytes() != p1.read_bytes())
-               for c, p in reports[1:]):
+               for c, p, _ in reports[1:]):
             print(f"{root}: {name} differs across worker counts")
             differ.append(name)
         if seed_env and argv[0] in ("analyze", "enumerate"):
             path = work / f"{name}_seed_env.json"
-            code = _cli(src, argv + ["--out", str(path)], SEED_ENV)
+            code, _ = _cli(src, argv + ["--out", str(path)], SEED_ENV)
             if code != c1 or (c1 == 0 and path.read_bytes() != p1.read_bytes()):
                 print(f"{root}: {name} differs with PAIRED_ADJUST_SEED set")
                 differ.append(name)
@@ -320,10 +329,13 @@ def main() -> int:
     new, differ = run_tree(args.new, work / "new", seed_env=True)
     worst_ok = not differ
     for name in RUNS:
-        (c_old, p_old), (c_new, p_new) = old[name], new[name]
+        (c_old, p_old, e_old), (c_new, p_new, e_new) = old[name], new[name]
         expected = c_old != c_new and EXPECTED_EXITS.get(name) == (c_old, c_new)
         worst_ok &= c_old == c_new or expected
         note = " (expected)" if expected else ""
+        if c_old == c_new != 0 and e_old != e_new:
+            worst_ok = False
+            note = ", stderr differs"
         d, drift_note = "n/a", ""
         if c_old == c_new == 0:
             worst = drift(p_old, p_new)
