@@ -380,9 +380,11 @@ def cmd_simulate(conf: dict) -> int:
 
 
 def _write_histogram(dist, path: str, bins: int = 64) -> None:
-    lines = ["estimator,bin_left,bin_right,count"]
-    for est in dist.estimators:
-        counts, edges = np.histogram(dist.tau_hat[est], bins=bins)
+    lines, binned = ["estimator,bin_left,bin_right,count"], {}
+    for est, tau in dist.tau_hat.items():
+        if id(tau) not in binned:  # R2 and R2P share one array, binned once
+            binned[id(tau)] = np.histogram(tau, bins=bins)
+        counts, edges = binned[id(tau)]
         for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
             lines.append(f"{est},{lo!r},{hi!r},{int(c)}")
     with _writing(path) as out:

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedRow, int_at_least, one_of, strict_int
+from .errors import DimensionMismatch, MalformedRow, float_array, int_at_least, one_of, strict_int
 from .experiment_model import read_pairs, readonly
 from .rng import ROLE_SAMPLE, substream
 
@@ -53,8 +53,8 @@ class PotentialOutcomeSample:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        r_t = np.asarray(self.r_t, dtype=float)
-        r_c = np.asarray(self.r_c, dtype=float)
+        r_t = float_array(self.r_t, "r_t")
+        r_c = float_array(self.r_c, "r_c")
         if r_t.ndim != 2 or r_t.shape[1] != 2 or r_c.shape != r_t.shape:
             raise DimensionMismatch(
                 f"potential outcomes must both be (n, 2), got {r_t.shape} and {r_c.shape}"
@@ -68,7 +68,7 @@ class PotentialOutcomeSample:
             arr = getattr(self, name)
             if arr is None:
                 continue
-            arr = np.asarray(arr, dtype=float)
+            arr = float_array(arr, name)
             if arr.shape != (n, 2, N_COVARIATES):
                 raise DimensionMismatch(
                     f"{name} must be ({n}, 2, {N_COVARIATES}), got {arr.shape}"
@@ -124,7 +124,7 @@ def _pair_latents(normals: np.ndarray, n: int) -> np.ndarray:
     lead = normals.shape[:-1]
     w1 = normals[..., : 4 * n].reshape(lead + (n, N_COVARIATES))
     w2 = w1 + 0.5 * normals[..., 4 * n : 8 * n].reshape(lead + (n, N_COVARIATES))
-    return np.stack([w1, w2], axis=-2)
+    return np.concatenate([w1, w2], axis=-1).reshape(lead + (n, 2, N_COVARIATES))
 
 
 def stacked_tables(
@@ -137,7 +137,8 @@ def stacked_tables(
     per unit and shared by both potential outcomes. Returns ``w`` and
     ``x`` of shape (T, n, 2, 4) and ``r_t``, ``r_c`` of shape (T, n, 2);
     table t is bit for bit what :func:`generate_sample` makes from the
-    same normals.
+    same normals. Every step is elementwise, none sums over pairs, and
+    the arrays keep the memory order of ``normals``.
     """
     t, size = normals.shape
     n = size // 10
@@ -156,11 +157,12 @@ def observe_covariates(w: np.ndarray) -> np.ndarray:
     if w.shape[-1] != 4:
         raise DimensionMismatch(f"latents must have 4 columns, got {w.shape}")
     w1, w2, w3, w4 = (w[..., j] for j in range(4))
-    x1 = np.exp(w1 / 2.0)
-    x2 = w2 / (1.0 + np.exp(w1)) + 10.0
-    x3 = ((w1 * w3) / 25.0 + 0.6) ** 3
-    x4 = (w2 + w4 + 20.0) ** 2
-    return np.stack([x1, x2, x3, x4], axis=-1)
+    x = np.empty_like(w)
+    x[..., 0] = np.exp(w1 / 2.0)
+    x[..., 1] = w2 / (1.0 + np.exp(w1)) + 10.0
+    x[..., 2] = ((w1 * w3) / 25.0 + 0.6) ** 3
+    x[..., 3] = (w2 + w4 + 20.0) ** 2
+    return x
 
 
 def response_surfaces(w: np.ndarray, setting: str) -> tuple[np.ndarray, np.ndarray]:

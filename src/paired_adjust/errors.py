@@ -21,6 +21,8 @@ import numbers
 from collections.abc import Iterable
 from typing import Any, Optional
 
+import numpy as np
+
 
 class PairedAdjustError(Exception):
     """Base class for all library errors."""
@@ -115,6 +117,14 @@ def strict_int(value: object, name: str = "") -> int:
         elif isinstance(value, (str, numbers.Integral)) and not isinstance(value, bool):
             return int(value)
     raise BadArgument(_named(name, f"expected an integer, got {value!r}"))
+
+
+def float_array(value: object, name: str) -> np.ndarray:
+    """``value`` as a float array; DataError naming ``name`` for text, objects or complex numbers."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "biuf":
+        raise DataError(f"{name} must hold real numbers, got an array of {a.dtype}")
+    return a.astype(float, copy=False)
 
 
 def int_at_least(value: object, low: int, name: str = "", high: Optional[int] = None) -> int:

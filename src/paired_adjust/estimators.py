@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatch, WrongEstimator, as_alpha, one_of
+from .errors import DataError, DimensionMismatch, WrongEstimator, as_alpha, float_array, one_of
 from .experiment_model import DesignMatrices, design_estimators
 from .ols_core import (
     FitResult,
@@ -81,7 +81,7 @@ def estimate_classical(y: np.ndarray) -> EstimateReport:
     the assignment variance of the mean in expectation. ``y`` holds one
     finite value per pair (DimensionMismatch, DataError).
     """
-    y = np.asarray(y, dtype=float)
+    y = float_array(y, "y")
     if y.ndim != 1:
         raise DimensionMismatch(f"y must hold one value per pair, got shape {y.shape}")
     n = y.shape[0]

@@ -38,6 +38,7 @@ from .errors import (
     RankDeficient,
     TooFewPairs,
     distinct_ints,
+    float_array,
     int_at_least,
     one_of,
     optional,
@@ -57,7 +58,7 @@ _TRANSFORM_KINDS = ("identity", "power", "log", "exp", "select")
 
 def pair_signs(v: object, n: int) -> np.ndarray:
     """``v`` as n float signs; LengthMismatch for another shape, PairViolation for an entry not +/-1."""
-    v = np.asarray(v, dtype=float)
+    v = float_array(v, "signs")
     if v.shape != (n,):
         raise LengthMismatch(f"signs have shape {v.shape}, need ({n},)")
     if not np.isin(v, (-1.0, 1.0)).all():
@@ -173,9 +174,11 @@ class TransformSpec:
         x = np.asarray(x, dtype=float)
         self.output_dim(x.shape[-1])  # validates select bounds
         if self.kind == "identity":
-            out = x.copy()
+            out = x.copy(order="K")
         elif self.kind == "select":
-            out = x[..., [c - 1 for c in self.columns]]
+            out = np.empty_like(x[..., : len(self.columns)])
+            for j, c in enumerate(self.columns):
+                out[..., j] = x[..., c - 1]
         else:  # a non-finite result is refused below, so numpy need not warn of it
             with np.errstate(all="ignore"):
                 if self.kind == "power":
@@ -209,9 +212,9 @@ class PairedExperiment:
     pair_ids: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        z = np.asarray(self.z, dtype=float)  # cast to int only once checked
-        y = np.asarray(self.y, dtype=float)
+        x = float_array(self.x, "x")
+        z = float_array(self.z, "z")  # cast to int only once checked
+        y = float_array(self.y, "y")
         if x.ndim != 3 or x.shape[1] != 2:
             raise DimensionMismatch(f"covariates must be (n, 2, P), got {x.shape}")
         n = x.shape[0]
@@ -226,7 +229,7 @@ class PairedExperiment:
                             f"estimators take, 2^400 (about {RESPONSE_LIMIT:.2g})")
         if not np.isin(z, (0, 1)).all() or not (z.sum(axis=1) == 1).all():
             raise PairViolation("each pair needs exactly one treated unit")
-        ids = self.pair_ids or tuple(range(1, n + 1))
+        ids = tuple(() if self.pair_ids is None else self.pair_ids) or tuple(range(1, n + 1))
         if len(ids) != n:
             raise DimensionMismatch(f"{len(ids)} pair ids for {n} pairs")
         object.__setattr__(self, "x", readonly(x))
@@ -265,10 +268,10 @@ class DesignMatrices:
     m_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        d = np.atleast_2d(np.asarray(self.d, dtype=float))
-        m = np.asarray(self.m, dtype=float).reshape(d.shape[0], -1)
-        v = np.asarray(self.v, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        d = np.atleast_2d(float_array(self.d, "d"))
+        m = float_array(self.m, "m").reshape(d.shape[0], -1)
+        v = float_array(self.v, "v")
+        y = float_array(self.y, "y")
         n = d.shape[0]
         if v.shape != (n,) or y.shape != (n,) or m.shape[0] != n:
             raise DimensionMismatch("d, m, v, y must agree on the number of pairs")
@@ -334,8 +337,15 @@ def _center_columns(a: np.ndarray) -> np.ndarray:
     # Two passes push the residual column sums down to the roundoff of
     # the centered values rather than of the raw scale. Columns run along
     # the second-to-last axis, so a stack of tables centers table by table.
-    out = a - a.mean(axis=-2, keepdims=True)
-    return out - out.mean(axis=-2, keepdims=True)
+    # Each pass adds the pairs in order whatever the layout: numpy adds
+    # pairwise along an innermost pair axis (a lone one-column table's) but
+    # never regroups a fold of subtraction, and a - (-b) rounds as a + b.
+    out = a
+    for _ in range(2):
+        terms = np.negative(out)
+        terms[..., 0, :] = out[..., 0, :]
+        out = out - np.subtract.reduce(terms, axis=-2, keepdims=True) / a.shape[-2]
+    return out
 
 
 def _zero_rounding_columns(m: np.ndarray, gx: np.ndarray) -> np.ndarray:
@@ -428,6 +438,8 @@ def transformed_blocks(
     what it gives on its own. An m column that is constant up to the
     rounding of the values it averages comes back exactly zero. Raises
     NonFiniteTransform when a transform or either block is not finite.
+    The blocks keep the memory order of ``x``; m's centering, the one sum
+    over pairs here, adds them in pair order whatever that order.
     """
     fx = f.apply(x)
     gx = g.apply(x)

@@ -82,10 +82,12 @@ def effects_and_gaps(r_t: np.ndarray, r_c: np.ndarray) -> tuple[np.ndarray, np.n
 
     With these, signs v give Y_i = Delta_i + v_i (l_i1 - l_i2), the
     level/effect identity; the level l of a unit is the average of its
-    two potential outcomes. Each is (..., n). Every mode's kernel starts
-    here, so this is where a table whose outcomes the kernel cannot take
-    is refused: DataError when one exceeds ``RESPONSE_LIMIT`` in
-    magnitude, raised before anything can overflow or warn.
+    two potential outcomes. Each is (..., n) and C-ordered whatever the
+    memory order of the outcomes, so the kernel's sums over a table's
+    pairs run along one contiguous row. Every mode's kernel starts here,
+    so this is where a table whose outcomes the kernel cannot take is
+    refused: DataError when one exceeds ``RESPONSE_LIMIT`` in magnitude,
+    raised before anything can overflow or warn.
     """
     top = max(np.abs(r_t).max(initial=0.0), np.abs(r_c).max(initial=0.0))
     if top > RESPONSE_LIMIT:
@@ -93,9 +95,9 @@ def effects_and_gaps(r_t: np.ndarray, r_c: np.ndarray) -> tuple[np.ndarray, np.n
             f"a potential outcome of magnitude {top:.6g} exceeds the largest the "
             f"randomization kernel takes, 2^400 (about {RESPONSE_LIMIT:.2g})"
         )
-    ell = (r_t + r_c) / 2.0
-    tau = r_t - r_c
-    return (tau[..., 0] + tau[..., 1]) / 2.0, ell[..., 0] - ell[..., 1]
+    ell, tau = (r_t + r_c) / 2.0, r_t - r_c
+    effects = (tau[..., 0] + tau[..., 1]) / 2.0
+    return np.ascontiguousarray(effects), np.ascontiguousarray(ell[..., 0] - ell[..., 1])
 
 
 @dataclass(frozen=True)

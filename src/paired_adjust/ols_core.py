@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DataError, DegenerateDenominator, DimensionMismatch, LeverageOne, RankDeficient, one_of,
-)
+from .errors import DataError, DegenerateDenominator, DimensionMismatch, LeverageOne, RankDeficient
+from .errors import float_array, one_of
 
 # A column fails the pivot test when what is left of it, after the
 # columns before it are projected out, has a squared norm of at most
@@ -58,11 +57,12 @@ def whiten(
     ``q``, ``passed`` (..., K), ``ratios`` (..., K), the share R_kk^2
     over the squared norm of each column (zero for a zero column), R
     (..., K, K) and ``exp`` (..., 1, K). A failing table still gives
-    finite coordinates.
+    finite coordinates. The column maxima, which do not round, come from
+    a Fortran-ordered copy: contiguous along the pairs of one C-ordered
+    table, along the tables of a stack with the table axis innermost.
+    LAPACK factors a copy of each table, so no value depends on the order.
     """
-    # Column maxima of a C-ordered transposed copy, a contiguous reduction
-    # rather than one strided by K; a maximum does not round.
-    _, exp = np.frexp(np.abs(a.swapaxes(-1, -2), order="C").max(axis=-1)[..., None, :])
+    _, exp = np.frexp(np.abs(a, order="F").max(axis=-2, keepdims=True))
     q, r = np.linalg.qr(np.ldexp(a, -exp))
     r2 = r * r
     # A zero column has a zero diagonal entry too, so its ratio reads 0.
@@ -105,10 +105,10 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
     x or y holds a non-finite value, and RankDeficient, naming the first
     column that fails the pivot test, when any column does.
     """
-    x = np.asarray(x, dtype=float)
+    x = float_array(x, "x")
     if x.ndim == 1:
         x = x[:, None]
-    y = np.asarray(y, dtype=float)
+    y = float_array(y, "y")
     n = x.shape[0]
     if y.shape != (n,):
         raise DimensionMismatch(f"design has {n} rows but y has shape {y.shape}")

@@ -79,11 +79,11 @@ ENUMERATION_CAP = 16
 # one kernel call per slab. A slab builds the sign-independent part of
 # its tables once: their normals, covariates and blocks, the whitened
 # bases and the effects and gaps. _STUDY_PAIRS bounds the pairs it holds
-# (at least one table), so it bounds the memory of that build, about
-# 45 KB per table at n = 100 (64 tables), and the per-slab cost is paid
-# once for that many pairs. The kernel cuts the slab's signs into passes
-# by its own grid budget. A table's values depend neither on the slab
-# nor on the pass it is in.
+# (at least one table), so it bounds that build's traced peak, about 380
+# bytes per pair (9.6 KB per table at n = 25, 38 KB at n = 100, 2.5 MB a
+# slab), and the per-slab cost is paid once for that many pairs. The
+# kernel cuts the slab's signs into passes by its own grid budget. A
+# table's values depend neither on the slab nor on the pass it is in.
 _STUDY_PAIRS = 6400
 
 ESTIMATOR_IDS = ("C", "R1", "R2", "R2P")
@@ -225,7 +225,8 @@ def _table_stats(
     tables = _kernel_inputs(sample.r_t[None], sample.r_c[None], x, f or ident, g or ident)
     stats = sign_stats(*tables, times, b, want, twins=twins)
     _refuse_singular(stats, draws)
-    return {est: (tau[0], s2[0]) for est, (tau, s2) in stats.items()}
+    rows = {id(a): a[0] for pair in stats.values() for a in pair}  # one view per shared array
+    return {est: (rows[id(tau)], rows[id(s2)]) for est, (tau, s2) in stats.items()}
 
 
 def _refuse_singular(
@@ -653,7 +654,8 @@ def _study_block(config: StudyConfig, idxs: Sequence[int]) -> dict[str, np.ndarr
     """
     streams = _StudyStreams(config, idxs)
     step = _sate_columns if config.mode == "sate" else _pate_columns
-    r_t, r_c, x = stacked_tables(streams.normals(len(idxs)), config.setting)[1:]
+    # Fortran order puts the table axis innermost; every step of the build keeps it.
+    r_t, r_c, x = stacked_tables(np.asfortranarray(streams.normals(len(idxs))), config.setting)[1:]
     try:
         tables = _kernel_inputs(r_t, r_c, x, config.f, config.g)
     except NonFiniteTransform:

@@ -26,6 +26,7 @@ from paired_adjust import (
     BadArgument,
     ConfigError,
     DataError,
+    DesignMatrices,
     DimensionMismatch,
     PairedAdjustError,
     PairedExperiment,
@@ -328,6 +329,42 @@ def test_array_and_transform_arguments_raise_the_library_classes(probe):
     with warnings.catch_warnings(), pytest.raises(raised):
         warnings.simplefilter("error")
         call()
+
+
+_DESIGN = build_design(_EXPERIMENT, _SELECT, _SELECT)
+
+
+def _text(a):
+    return np.asarray(a).astype(str)
+
+
+def _with(array, **changes):
+    """The experiment or the design with the arrays ``changes`` swapped in."""
+    source = _EXPERIMENT if array is PairedExperiment else _DESIGN
+    fields = ("x", "z", "y") if array is PairedExperiment else ("d", "m", "v", "y")
+    return array(**{**{name: getattr(source, name) for name in fields}, **changes})
+
+
+# Numeric text used to be read as numbers, other text to raise numpy's
+# ValueError from its conversion to float.
+_TEXT_ARRAYS = {
+    "x": lambda: _with(PairedExperiment, x=_text(_EXPERIMENT.x)),
+    "z": lambda: _with(PairedExperiment, z=np.where(_EXPERIMENT.z == 1, "a", "b")),
+    "y": lambda: _with(PairedExperiment, y=_EXPERIMENT.y.astype(object)),
+    "d": lambda: _with(DesignMatrices, d=_text(_DESIGN.d)),
+    "m": lambda: _with(DesignMatrices, m=np.full(_DESIGN.m.shape, "nan")),
+    "v": lambda: _with(DesignMatrices, v=_text(_DESIGN.v)),
+    "least_squares x": lambda: least_squares(_text(_DESIGN.d), _DESIGN.y),
+    "least_squares y": lambda: least_squares(_DESIGN.d, _DESIGN.y.astype(complex)),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_TEXT_ARRAYS))
+def test_text_and_object_arrays_are_data_errors_naming_the_argument(probe):
+    name = probe.split()[-1]
+    with warnings.catch_warnings(), pytest.raises(DataError, match=f"^{name} must hold real numbers"):
+        warnings.simplefilter("error")
+        _TEXT_ARRAYS[probe]()
 
 
 def test_signs_and_shapes_raise_the_data_classes():

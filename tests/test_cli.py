@@ -333,9 +333,11 @@ class TestEnumerate:
         want = json.loads(run_cli(capsys, "enumerate", "--input", str(path), *paired)[1])
         assert doc == want  # the report echoes identity for the missing transform
 
-    def test_histogram_file(self, capsys, tmp_path, science_csv):
+    def test_histogram_file(self, capsys, tmp_path, science_csv, monkeypatch):
         path, _ = science_csv
         hist = tmp_path / "hist.csv"
+        binned, histogram = [], np.histogram
+        monkeypatch.setattr(np, "histogram", lambda a, **kw: binned.append(a) or histogram(a, **kw))
         code, _, _ = run_cli(
             capsys, "enumerate", "--input", str(path),
             "--f", "select:1", "--g", "select:2", "--histogram", str(hist),
@@ -347,6 +349,11 @@ class TestEnumerate:
         assert len(lines) == 1 + 4 * 64
         counts = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
         assert sum(counts) == 4 * 256
+        # R2 and R2P share one estimate array, binned once
+        assert len(binned) == 3
+        rows = {est: [line.split(",", 1)[1] for line in lines[1:] if line.startswith(est + ",")]
+                for est in ("R2", "R2P")}
+        assert rows["R2"] == rows["R2P"]
 
     @pytest.mark.filterwarnings("error")
     def test_covariate_units_near_the_float_range(self, capsys, tmp_path):

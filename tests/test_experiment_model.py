@@ -24,7 +24,7 @@ from paired_adjust import (
     validate_design,
     write_experiment_csv,
 )
-from paired_adjust.errors import DataError, DimensionMismatch
+from paired_adjust.errors import BadArgument, DataError, DimensionMismatch
 from paired_adjust.kernel import RESPONSE_LIMIT
 
 from conftest import first_appearance, shuffled_pairs
@@ -441,6 +441,16 @@ def test_instances_freeze_copies_not_the_callers_arrays(rng, kind):
         before = held.copy()
         given[...] = 0 if given.dtype == int else 7.0
         assert np.array_equal(held, before), name
+
+
+@pytest.mark.parametrize("ids", [np.array([4, 5, 6]), np.array([4.0, 5.0, 6.0]), [4, 5, 6],
+                                 range(4, 7)], ids=["int array", "float array", "list", "range"])
+def test_pair_ids_are_any_one_dimensional_sequence_of_integers(rng, ids):
+    exp = random_experiment(rng, n=3)
+    got = PairedExperiment(exp.x, exp.z, exp.y, pair_ids=ids).pair_ids
+    assert got == (4, 5, 6) and all(type(i) is int for i in got)
+    with pytest.raises(BadArgument, match="pair_ids"):
+        PairedExperiment(exp.x, exp.z, exp.y, pair_ids=np.asarray(ids)[:, None])
 
 
 @st.composite

@@ -14,11 +14,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from paired_adjust import kernel
 from paired_adjust import randomization_engine as engine
 from paired_adjust.cli import main
-from paired_adjust.dgp import PotentialOutcomeSample, generate_sample
+from paired_adjust.dgp import SETTINGS, PotentialOutcomeSample, generate_sample
 from paired_adjust.errors import NonFiniteTransform, RankDeficient
 from paired_adjust.estimators import (
     estimate_classical,
@@ -144,6 +146,71 @@ def test_kernel_rows_match_single_fit(f, g):
         for key, col in kernel.items():
             assert col[j] == pytest.approx(ref[key], rel=1e-9, abs=0.0), (j, key)
     assert _bits(_study_block(cfg, range(120))) == _bits(kernel)
+
+
+class _Built(Exception):
+    """Raised in place of the kernel inputs' build, once its arguments are recorded."""
+
+
+def _slab(cfg, count):
+    """The (r_t, r_c, x) stacks that :func:`_study_block` builds for indices 0..count-1.
+
+    They are recorded as it hands them to ``_kernel_inputs``, in the
+    memory layout it gives them, and nothing of them is computed.
+    """
+    built = []
+
+    def record(*args):
+        built.append(args[:3])
+        raise _Built
+
+    with mock.patch.object(engine, "_kernel_inputs", record), pytest.raises(_Built):
+        _study_block(cfg, range(count))
+    return built[0]
+
+
+@st.composite
+def _transforms(draw):
+    kind = draw(st.sampled_from(("identity", "select", "power", "log", "exp")))
+    if kind == "select":  # zero to four columns, one-column blocks included
+        return T.select(draw(st.lists(st.integers(1, 4), unique=True, max_size=4)))
+    if kind == "power":
+        return T.power(draw(st.integers(1, 3)))
+    return T(kind)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from((1, 2, 7)), st.integers(12, 40), _transforms(), _transforms(),
+       st.sampled_from(SETTINGS), st.integers(0, 2**32 - 1))
+def test_slab_builds_each_table_bit_for_bit_as_alone(count, n, f, g, setting, seed):
+    # The slab's stacks keep the study's memory layout; each table alone
+    # is generate_sample's, C-ordered, as enumerate and Monte Carlo build it.
+    cfg = StudyConfig(mode="pate", setting=setting, n=n, samples=count, seed=seed, f=f, g=g)
+    try:
+        blocks, effects, gaps = engine._kernel_inputs(*_slab(cfg, count), f, g)
+    except NonFiniteTransform:
+        reject()
+    for j in range(count):
+        sample = generate_sample(n, setting, rng=substream(seed, ROLE_SAMPLE, j))
+        alone = engine._kernel_inputs(sample.r_t[None], sample.r_c[None], sample.x[None], f, g)
+        slab = (blocks.dw[j], blocks.ok_d[j], blocks.w[j], blocks.ok_m[j], effects[j], gaps[j])
+        one = (alone[0].dw[0], alone[0].ok_d[0], alone[0].w[0], alone[0].ok_m[0],
+               alone[1][0], alone[2][0])
+        assert [a.tobytes() for a in slab] == [a.tobytes() for a in one], (j, f, g)
+
+
+def test_study_slab_keeps_the_table_axis_innermost():
+    # Every elementwise step and every mean over pairs of the build runs
+    # along all the slab's tables at once; the kernel reduces the effects
+    # and gaps over C-ordered rows.
+    ident = T.identity()
+    cfg = StudyConfig(mode="pate", setting="nonparallel", n=25, samples=7, seed=3)
+    r_t, r_c, x = _slab(cfg, 7)
+    d, m = transformed_blocks(x, ident, ident)
+    for name, a in (("r_t", r_t), ("r_c", r_c), ("x", x), ("d", d), ("m", m)):
+        assert a.strides[0] == a.itemsize, (name, a.strides)
+    tables = engine._kernel_inputs(r_t, r_c, x, ident, ident)
+    assert all(a.flags.c_contiguous for a in tables[1:])
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,14 @@ RUNS = {
                        "--seed", "3"],
     "analyze_x1e6": ["analyze", "--input", "{experiment_x1e6}"],
     "analyze_x1e200": ["analyze", "--input", "{experiment_x1e200}"],
+    # One-column blocks: numpy sums the pairs of a one-column block pairwise
+    # when they lie contiguous, so these are where a pair sum's order can move.
+    "pate_n25_one_column_m": ["simulate", "--mode", "pate-study", "--setting", "nonparallel",
+                              "--n", "25", "--S", "500", "--f", "select:1,2", "--g", "select:3",
+                              "--seed", "7"],
+    "sate_n30_one_column_blocks": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
+                                   "--n", "30", "--S", "50", "--B", "50", "--f", "select:2",
+                                   "--g", "select:3", "--seed", "5"],
 }
 # (old, new) exit codes that differ for a known reason.
 EXPECTED_EXITS: dict[str, tuple[int, int]] = {
