@@ -31,12 +31,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .dgp import SETTINGS, generate_sample, load_science_table, write_science_ta
 from .errors import (
     BadArgument,
     ConfigError,
-    DataError,
     DimensionMismatch,
     NumericalError,
     PairedAdjustError,
@@ -67,6 +65,7 @@ from .experiment_model import (
     design_estimators,
     load_experiment_csv,
     validate_design,
+    writing,
 )
 from .randomization_engine import (
     ENUMERATION_CAP,
@@ -115,19 +114,19 @@ def parse_transform(value: Any) -> TransformSpec:
 
 def _load_config_file(path: str) -> dict:
     p = Path(path)
+    toml = p.suffix.lower() == ".toml"
     try:
-        if p.suffix.lower() == ".toml":
+        if toml:
             try:
                 import tomllib
             except ModuleNotFoundError:
                 raise ConfigError(
                     "TOML config files need Python 3.11+; use a JSON config instead"
                 ) from None
-            with open(p, "rb") as fh:
-                data = tomllib.load(fh)
-        else:
-            with open(p, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+        # A leading byte-order mark is dropped; TOML keeps its line endings, as tomllib.load does.
+        with open(p, "r", encoding="utf-8-sig", newline="" if toml else None) as fh:
+            text = fh.read()
+        data = tomllib.loads(text) if toml else json.loads(text)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except ValueError as exc:
@@ -266,49 +265,15 @@ def _check_outputs(command: str, conf: dict) -> None:
             raise ConfigError(f"--{name}: directory {str(path.parent)!r} does not exist")
 
 
-def _read_input(loader: Callable[..., Any], *paths: Optional[str]) -> Any:
-    """``loader`` on the text of each path (None passes through).
-
-    A file that cannot be opened or is not UTF-8 is reported as a data
-    error naming it.
-    """
-    texts: list[Optional[io.StringIO]] = []
-    for path in paths:
-        if path is None:
-            texts.append(None)
-            continue
-        try:
-            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-                texts.append(io.StringIO(fh.read(), newline=""))
-            texts[-1].name = path  # so that a loader can name the file
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc.strerror}") from None
-        except UnicodeDecodeError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from None
-    return loader(*texts)
-
-
-@contextlib.contextmanager
-def _writing(path: str) -> Iterator[Path]:
-    """Yield ``path``; a failed write to it is a configuration error."""
-    try:
-        yield Path(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _emit_json(doc: dict, out: Optional[str]) -> None:
+def _emit_json(doc: dict, out: Union[str, Path, None]) -> None:
     """Write ``doc`` as strict JSON; a NaN or an infinity in it is a numerical error."""
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise NumericalError("the report holds a NaN or an infinity, which JSON "
                              "cannot encode") from None
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with _writing(out) as path:
-            path.write_text(text, encoding="utf-8")
+    with writing(sys.stdout if out is None else out) as fh:
+        fh.write(text)
 
 
 def _config_echo(conf: dict) -> dict:
@@ -322,7 +287,7 @@ def _config_echo(conf: dict) -> dict:
 
 def cmd_analyze(conf: dict) -> int:
     """estimate effects from an experiment CSV"""
-    exp = _read_input(load_experiment_csv, conf["input"])
+    exp = load_experiment_csv(conf["input"])
     dm = build_design(exp, conf["f"], conf["g"])
     validate_design(dm)
     alpha = conf["alpha"]
@@ -374,8 +339,8 @@ def cmd_simulate(conf: dict) -> int:
     doc.update(report.to_json_dict())
     _emit_json(doc, conf["out"])
     if conf["csv"] is not None:
-        with _writing(conf["csv"]) as path:
-            path.write_text(report.to_csv(), encoding="utf-8")
+        with writing(conf["csv"]) as fh:
+            fh.write(report.to_csv())
     return 0
 
 
@@ -387,13 +352,13 @@ def _write_histogram(dist, path: str, bins: int = 64) -> None:
         counts, edges = binned[id(tau)]
         for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
             lines.append(f"{est},{lo!r},{hi!r},{int(c)}")
-    with _writing(path) as out:
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with writing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_enumerate(conf: dict) -> int:
     """exact randomization distribution of a science table"""
-    sample = _read_input(load_science_table, conf["input"], conf["meta"])
+    sample = load_science_table(conf["input"], conf["meta"])
     ident = TransformSpec.identity()
     if conf["f"] is not None or conf["g"] is not None:
         conf = dict(conf, f=conf["f"] or ident, g=conf["g"] or ident)
@@ -423,8 +388,7 @@ def _sidecar_path(out: Path) -> Path:
 def cmd_generate(conf: dict) -> int:
     """synthesize a science table"""
     sample = generate_sample(conf["n"], conf["setting"], seed=conf["seed"])
-    with _writing(conf["out"]) as out:
-        write_science_table(sample, out)
+    write_science_table(sample, conf["out"])
     meta = {
         "version": __version__,
         "config": _config_echo(conf),
@@ -433,7 +397,7 @@ def cmd_generate(conf: dict) -> int:
         "seed": sample.seed,
         "sate": sample.sate,
     }
-    _emit_json(meta, str(_sidecar_path(out)))
+    _emit_json(meta, _sidecar_path(Path(conf["out"])))
     _emit_json(meta, None)
     return 0
 

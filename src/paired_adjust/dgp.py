@@ -17,7 +17,6 @@ potential outcomes, so treated-minus-control contrasts are noise-free.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from typing import Iterable, Optional, TextIO, Union
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedRow, float_array, int_at_least, one_of, strict_int
-from .experiment_model import read_pairs, readonly
+from .experiment_model import read_header, read_pairs, read_source, readonly, write_pairs
 from .rng import ROLE_SAMPLE, substream
 
 SETTINGS = ("parallel", "nonparallel")
@@ -210,41 +209,18 @@ _W_COLS = tuple(f"w{j}" for j in range(1, N_COVARIATES + 1))
 _X_COLS = tuple(f"x{j}" for j in range(1, N_COVARIATES + 1))
 
 
-def write_science_table(
-    sample: PotentialOutcomeSample,
-    dest: Union[str, Path, TextIO],
-    sidecar: Union[str, Path, TextIO, None] = None,
-) -> None:
-    """Write a science table as CSV, optionally with a JSON sidecar.
+def write_science_table(sample: PotentialOutcomeSample, dest: Union[str, Path, TextIO]) -> None:
+    """Write a science table as CSV, through ``experiment_model.write_pairs``.
 
     Columns: pair, unit, w1..w4 (if present), x1..x4 (if present),
-    r_t, r_c. The sidecar records {n, setting, seed, sate}.
+    r_t, r_c. No sidecar is written: ``generate``'s report is the one
+    sidecar format, and :func:`load_science_table` its reader.
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_science_table(sample, fh, sidecar)
-        return
     groups = [(cols, a) for cols, a in ((_W_COLS, sample.w), (_X_COLS, sample.x)) if a is not None]
     groups.append((("r_t", "r_c"), np.stack([sample.r_t, sample.r_c], axis=-1)))
     values = np.concatenate([a for _, a in groups], axis=-1)
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["pair", "unit", *(name for cols, _ in groups for name in cols)])
-    for i in range(sample.n):
-        for j in range(2):
-            writer.writerow([i + 1, j + 1, *(repr(float(v)) for v in values[i, j])])
-    if sidecar is None:
-        return
-    meta = {
-        "n": sample.n,
-        "setting": sample.setting,
-        "seed": sample.seed,
-        "sate": sample.sate,
-    }
-    text = json.dumps(meta, sort_keys=True) + "\n"
-    if isinstance(sidecar, (str, Path)):
-        Path(sidecar).write_text(text, encoding="utf-8")
-    else:
-        sidecar.write(text)
+    header = ["pair", "unit", *(name for cols, _ in groups for name in cols)]
+    write_pairs(dest, header, range(1, sample.n + 1), np.empty((sample.n, 2, 0), int), values)
 
 
 def _read_sidecar(sidecar: TextIO) -> dict:
@@ -274,27 +250,21 @@ def load_science_table(
     source: Union[str, Path, TextIO, Iterable[str]],
     sidecar: Union[str, Path, TextIO, None] = None,
 ) -> PotentialOutcomeSample:
-    """Read a science table written by :func:`write_science_table`.
+    """Read a science table written by :func:`write_science_table`, and its sidecar.
 
+    Each is a path, read by ``experiment_model.read_source``, or text.
     pair, unit, r_t, r_c are required; the w and x column groups are
     optional but must be complete and in order when present. The data
     rows are read as :func:`load_experiment_csv` reads them, by one
     ``np.loadtxt`` call in ``read_pairs``. When a sidecar is
     supplied, it must be a JSON object whose ``n`` and average effect, if
-    stored, match the table (MalformedRow otherwise).
+    stored, match the table (MalformedRow otherwise); ``generate``'s
+    report is one.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return load_science_table(fh, sidecar)
-    if isinstance(sidecar, (str, Path)):
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            return load_science_table(source, fh)
-
-    lines = iter(source)
-    try:
-        header = [h.strip() for h in next(csv.reader(lines))]
-    except StopIteration:
-        raise MalformedRow("empty file") from None
+    # Both files are opened before either is parsed, so an unreadable
+    # sidecar is named before a malformed table.
+    source, sidecar = read_source(source), read_source(sidecar)
+    header, lines = read_header(source)
     expect, blocks = ["pair", "unit"], {}
     for name, cols in (("w", _W_COLS), ("x", _X_COLS)):
         if header[len(expect) : len(expect) + N_COVARIATES] == list(cols):

@@ -4,6 +4,10 @@ Every error raised by the library derives from :class:`PairedAdjustError`
 so callers (notably the CLI) can map failures onto a stable exit-code
 contract: 2 for parse/validation problems, 3 for rank or degeneracy
 failures, 4 for configuration mistakes, 5 for oversized enumerations.
+Files are part of the contract: through ``experiment_model.read_source``
+and ``writing``, an input that cannot be opened or read as UTF-8 raises
+DataError and an output that cannot be written ConfigError, never an
+OSError or UnicodeDecodeError.
 
 The argument contract: every public entry point and every CLI option
 passes its scalar arguments through the casts below before any work,

@@ -20,15 +20,18 @@ that do not change across randomizations.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 from .errors import (
     BadArgument,
+    ConfigError,
     DataError,
     DimensionMismatch,
     LengthMismatch,
@@ -510,6 +513,51 @@ _BASE_COLUMNS = ("pair", "unit", "z", "y")
 _LOADTXT = dict(delimiter=",", comments=None, ndmin=1)
 
 
+def read_source(source: Union[str, Path, Iterable[str], None]) -> Optional[Iterable[str]]:
+    """The one way a file comes in: a path's whole text as a stream named by the path.
+
+    Read as UTF-8 with a leading byte-order mark dropped and line endings
+    kept (``newline=""``); a file that cannot be opened or decoded raises
+    DataError "cannot read PATH: REASON". Streams, lines and None pass through.
+    """
+    if not isinstance(source, (str, Path)):
+        return source
+    try:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            text = io.StringIO(fh.read(), newline="")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise DataError(f"cannot read {source}: {getattr(exc, 'strerror', None) or exc}") from None
+    text.name = str(source)  # so that a reader can name the file
+    return text
+
+
+@contextlib.contextmanager
+def writing(dest: Union[str, Path, TextIO]) -> Iterator[TextIO]:
+    """The one way a file goes out: ``dest`` open for UTF-8 text, written as given.
+
+    A stream passes through. A path is opened with ``newline=""``, so
+    every line ends as the writer ends it, and a failed open or write
+    raises ConfigError "cannot write PATH: REASON".
+    """
+    if not isinstance(dest, (str, Path)):
+        yield dest
+        return
+    try:
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(f"cannot write {dest}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def read_header(text: Iterable[str]) -> tuple[list[str], Iterator[str]]:
+    """The stripped fields of the first CSV line of ``text`` and the lines after it."""
+    lines = iter(text)
+    try:
+        return [h.strip() for h in next(csv.reader(lines))], lines
+    except StopIteration:
+        raise MalformedRow("empty file") from None
+
+
 def _line(text: Sequence[str], r: int) -> int:
     """File line of data row ``r`` of the lines after the header; blank lines count."""
     return [i for i, line in enumerate(text, 2) if line.strip()][r]
@@ -677,29 +725,35 @@ def read_pairs(
     return ids, flag_values.reshape(n, 2, len(flags)), numbers.reshape(n, 2, width - n_int)
 
 
+def write_pairs(dest: Union[str, Path, TextIO], header: Sequence[str], ids: Sequence[int],
+                flags: np.ndarray, numbers: np.ndarray) -> None:
+    """Write the CSV that :func:`read_pairs` reads back, through :func:`writing`.
+
+    ``header``, then per pair in order and per unit 1 and 2 one row:
+    the pair id, the unit, the unit's integer ``flags`` (n, 2, F) and its
+    ``numbers`` (n, 2, F') in round-trip precision, each line ending in LF.
+    """
+    with writing(dest) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for pair, pair_flags, pair_numbers in zip(ids, flags.tolist(), numbers.tolist()):
+            for unit in range(2):
+                writer.writerow([pair, unit + 1, *pair_flags[unit], *map(repr, pair_numbers[unit])])
+
+
 def load_experiment_csv(source: Union[str, Path, TextIO, Iterable[str]]) -> PairedExperiment:
-    """Read a paired experiment from CSV.
+    """Read a paired experiment from CSV, a path (see :func:`read_source`) or text.
 
     Expected header: ``pair,unit,z,y,x1..xP`` with two rows per pair id
     (units 1 and 2), in any order; blank and whitespace-only lines are
-    skipped and a path may start with a UTF-8 byte-order mark. The
-    header is read with :mod:`csv` and the data rows by
+    skipped. The header is read with :mod:`csv` and the data rows by
     :func:`read_pairs`, whose one ``np.loadtxt`` call takes pair, unit
     and z as int64 and every other field as an ASCII decimal float64.
     Pairs keep their first-appearance order; inside a pair, rows are
     ordered by the unit column. Missing values are rejected, not
     imputed.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return load_experiment_csv(fh)
-
-    lines = iter(source)
-    try:
-        header = next(csv.reader(lines))
-    except StopIteration:
-        raise MalformedRow("empty file") from None
-    header = [h.strip() for h in header]
+    header, lines = read_header(read_source(source))
     if tuple(header[:4]) != _BASE_COLUMNS:
         raise MalformedRow(
             f"header must start with {','.join(_BASE_COLUMNS)}, got {header[:4]}"
@@ -722,17 +776,9 @@ def write_experiment_csv(exp: PairedExperiment, dest: Union[str, Path, TextIO]) 
     """Write an experiment in the same CSV schema load_experiment_csv reads.
 
     Floats are written with round-trip precision, so write-then-load
-    reproduces the experiment exactly.
+    reproduces the experiment exactly. A path is written through
+    :func:`writing`.
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_experiment_csv(exp, fh)
-        return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(list(_BASE_COLUMNS) + [f"x{j}" for j in range(1, exp.p + 1)])
-    for i in range(exp.n):
-        for j in range(2):
-            writer.writerow(
-                [exp.pair_ids[i], j + 1, int(exp.z[i, j]), repr(float(exp.y[i, j]))]
-                + [repr(float(v)) for v in exp.x[i, j]]
-            )
+    header = [*_BASE_COLUMNS, *(f"x{j}" for j in range(1, exp.p + 1))]
+    numbers = np.concatenate([exp.y[:, :, None], exp.x], axis=-1)
+    write_pairs(dest, header, exp.pair_ids, exp.z[:, :, None], numbers)

@@ -39,9 +39,8 @@ intercept denominator fall to RANK_RTOL times their columns' squared
 norms is singular and comes back NaN. R2 with no m columns reads R1's
 corner, so the two agree bit for bit. The estimates agree with the
 single fits of ``ols_core`` to solver precision and are tested against
-them. :func:`intercept_denominators` gives R2's e'(I-H)e alone. This
-module imports only numpy, ``errors`` and ``ols_core``, so any module
-may use it.
+them. This module imports only numpy, ``errors`` and ``ols_core``, so
+any module may use it.
 """
 
 from __future__ import annotations
@@ -64,16 +63,20 @@ from .ols_core import RANK_RTOL, whiten
 # observed response of an experiment (``PairedExperiment``), whose single
 # fits square it as the kernel does.
 RESPONSE_LIMIT = 2.0**400
-# The kernel's grid budget: the fits one pass of sign_stats makes in
-# all, over at least one table, so the draws it takes, and the widest
-# product of one table's columns with its signs. A pass that fits each
-# draw's twin too takes half as many draws. A table whose draws are cut
-# into chunks may get other last bits than uncut, as BLAS may round a
-# product differently by its width, so every mode without twins cuts a
-# table's draws at the same multiples of it; the one mode with twins,
-# enumeration, sums half tables, whose products do not depend on the
-# width. Readers outside this module read it as ``kernel.CHUNK``, so
-# this is its one binding.
+# The kernel's grid budget, and so its memory bound: the fits one pass
+# of sign_stats makes in all, over at least one table, so the draws it
+# takes, and the widest product of one table's columns with its signs. A
+# pass that fits each draw's twin too takes half as many draws. A pass's
+# workspace is _SignProducts.planes grids of CHUNK / R draws (R
+# responses), 8 bytes a value: 2.8 MiB at K_D = K_M = 4 (90 planes), 1.8
+# MiB for an enumeration pass with twins there (116 planes of 2048) and
+# 10.9 MiB at K_D = 12, K_M = 8 (350 planes); a call adds its outputs. A
+# table whose draws are cut into chunks may get other last bits than
+# uncut, as BLAS may round a product differently by its width, so every
+# mode without twins cuts a table's draws at the same multiples of it;
+# the one mode with twins, enumeration, sums half tables, whose products
+# do not depend on the width. Readers outside this module read it as
+# ``kernel.CHUNK``, so this is its one binding.
 CHUNK = 4096
 
 
@@ -645,23 +648,3 @@ def sign_stats(
                 _SignProducts.of(tables, times, rows, part, ws, responses).stats(want, chunk)
     return out
 
-
-def intercept_denominators(d: np.ndarray, m: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """R2's intercept denominators e'(I-H)e of one table under each of its (B, n) ``signs``.
-
-    H projects onto [v*d | m] for signs v, and ``d`` and ``m`` are the
-    table's (n, K) blocks. The denominator does not depend on the
-    outcomes, so the table takes zero effects and gaps. A design that
-    fails a pivot test gives NaN, as its R2 fit does. The signs are
-    taken in one part, through a workspace as in :func:`sign_stats`,
-    and the denominator is the corner R2 reads (:class:`_SignProducts`).
-    """
-    zeros = np.zeros((1, d.shape[0]))
-    table = _TableColumns.of(Whitened.of(d[None], m[None]), zeros, zeros, True)
-    ws = _Workspace(_SignProducts.planes(d.shape[1], m.shape[1], ("R2",)) * len(signs))
-    fit = _SignProducts.of(table, times_of(signs[None]), slice(0, 1), slice(0, len(signs)), ws)
-    ok = ws.take((1, len(signs)), bool)
-    fit.partial_out_dw()
-    fit.partial_out_m(ok)
-    denom = fit.gram[-2, -2]
-    return np.where(ok & (denom > RANK_RTOL * d.shape[0]), denom, np.nan)[0]

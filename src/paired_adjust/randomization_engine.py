@@ -71,7 +71,8 @@ from .experiment_model import (
     pair_signs,
     transformed_blocks,
 )
-from .kernel import Times, Whitened, effects_and_gaps, intercept_denominators, sign_stats, times_of
+from .kernel import Times, Whitened, effects_and_gaps, sign_stats, times_of
+from .ols_core import whiten
 from .rng import ROLE_ASSIGN, ROLE_SAMPLE, substreams
 
 ENUMERATION_CAP = 16
@@ -860,9 +861,11 @@ def lemma_diagnostics(
 
     Draws ``reps`` assignments (or reuses fixed ``signs``) and records
     the off-block magnitude and the ones-projection residual for each.
-    Raises what :func:`design_estimators` raises for the design, and
-    RankDeficient when [1 | signs*d | m] is rank deficient, as
-    when the ones vector lies in the span of [signs*d | m].
+    Each repetition's design [signs*d | m | 1] is factored once, by
+    ``ols_core.whiten``, whose pivot share of the ones column is the
+    residual's e'(I - H)e / n. Raises what :func:`design_estimators`
+    raises for the design, and RankDeficient when a column fails the
+    pivot test, as when the ones vector lies in the span of [signs*d | m].
     """
     reps = int_at_least(reps, 1, "reps")
     design_estimators(sample.n, sample.p, f, g)
@@ -874,13 +877,12 @@ def lemma_diagnostics(
         v = randomize(n, rng, reps)
     else:
         v = np.broadcast_to(pair_signs(signs, n), (reps, n))
-    if d.shape[1] and m.shape[1]:
-        # (v*d)'m = sum_i v_i d_i m_i', one row of sign products per repetition.
-        cross = (d[:, :, None] * m[:, None, :]).reshape(n, -1)
-        off = np.abs(v @ cross).max(axis=-1) / n
-    else:
-        off = np.zeros(reps)
-    denom = intercept_denominators(d, m, v)
-    _refuse_singular({"R2": (denom[None],)}, "repetition")
-    resid = np.abs(denom / n - 1.0)
+    # (v*d)'m = sum_i v_i d_i m_i', one row of sign products per repetition.
+    cross = (d[:, :, None] * m[:, None, :]).reshape(n, -1)
+    off = np.abs(v @ cross).max(axis=-1, initial=0.0) / n
+    columns = (v[:, :, None] * d, np.broadcast_to(m, (reps, *m.shape)), np.ones((reps, n, 1)))
+    _, passed, ratios, _, _ = whiten(np.concatenate(columns, axis=-1))
+    share = np.where(passed.all(axis=-1), ratios[:, -1], np.nan)
+    _refuse_singular({"R2": (share[None],)}, "repetition")
+    resid = np.abs(share - 1.0)
     return LemmaDiagnostics(n=n, reps=reps, off_block=off, ones_residual=resid)

@@ -1,8 +1,12 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from paired_adjust import DesignMatrices, PotentialOutcomeSample
+from paired_adjust.cli import main
 from paired_adjust import randomization_engine as engine
 from paired_adjust.randomization_engine import _StudyStreams
 
@@ -34,6 +38,14 @@ def make_sample(rng, n, effect="hetero", with_x=True):
     return PotentialOutcomeSample(
         r_t=levels + tau / 2.0, r_c=levels - tau / 2.0, x=x
     )
+
+
+def generate_table(out, n, setting="nonparallel", seed=11):
+    """A science table at ``out`` and its sidecar, written by ``generate``: (table, sidecar)."""
+    argv = ["generate", "--n", str(n), "--setting", setting, "--seed", str(seed), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return out, out.with_suffix(".json")
 
 
 @pytest.fixture

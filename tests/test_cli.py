@@ -25,7 +25,7 @@ from paired_adjust.cli import build_parser, main, parse_transform
 from paired_adjust.errors import ConfigError
 from paired_adjust.rng import ROLE_ASSIGN
 
-from conftest import make_sample
+from conftest import generate_table, make_sample
 
 IDENT = TransformSpec.identity()
 
@@ -48,11 +48,7 @@ def experiment_csv(tmp_path, rng):
 
 @pytest.fixture()
 def science_csv(tmp_path):
-    s = generate_sample(8, "nonparallel", seed=11)
-    path = tmp_path / "table.csv"
-    sidecar = tmp_path / "table.json"
-    write_science_table(s, path, sidecar)
-    return path, sidecar
+    return generate_table(tmp_path / "table.csv", 8)
 
 
 class TestParseTransform:
@@ -478,6 +474,30 @@ class TestConfigResolution:
         )
         assert code == 0
         assert json.loads(stdout)["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("conf.json", '{"n": 6, "setting": "parallel", "seed": 3}\r\n'),
+            pytest.param("conf.toml", 'n = 6\r\nsetting = "parallel"\r\nseed = 3\r\n',
+                         marks=pytest.mark.skipif(sys.version_info < (3, 11),
+                                                  reason="needs tomllib")),
+        ],
+        ids=["json", "toml"],
+    )
+    def test_config_with_a_byte_order_mark(self, capsys, tmp_path, name, text):
+        # Every data file and sidecar may start with one, so a config file may too.
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir(), marked.mkdir()
+        (plain / name).write_bytes(text.encode())
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + text.encode())
+        runs = [
+            run_cli(capsys, "generate", "--config", str(d / name), "--out", str(d / "t.csv"))
+            for d in (plain, marked)
+        ]
+        assert runs[1][0] == 0 and runs[1][2] == ""
+        assert json.loads(runs[1][1])["config"] == json.loads(runs[0][1])["config"]
+        assert (marked / "t.csv").read_bytes() == (plain / "t.csv").read_bytes()
 
 
 class TestExitCodes:

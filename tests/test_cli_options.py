@@ -36,7 +36,7 @@ from paired_adjust.estimators import FLAVORS
 from paired_adjust.experiment_model import strict_int, transformed_blocks
 from paired_adjust.rng import ROLE_ASSIGN
 
-from conftest import make_sample
+from conftest import generate_table, make_sample
 
 KINDS = ("identity", "log", "exp", "power", "select")
 
@@ -49,7 +49,7 @@ def dirs(tmp_path):
     s = make_sample(np.random.default_rng(5), 12)
     exp, _ = reveal(s, randomize(12, substream(40, ROLE_ASSIGN)))
     write_experiment_csv(exp, inp / "exp.csv")
-    write_science_table(generate_sample(8, "nonparallel", seed=11), inp / "t.csv", inp / "t.json")
+    generate_table(inp / "t.csv", 8)
     return tmp_path, inp, out
 
 

@@ -24,7 +24,7 @@ from paired_adjust import (
 from paired_adjust.dgp import stacked_tables
 from paired_adjust.errors import DimensionMismatch
 
-from conftest import first_appearance, shuffled_pairs
+from conftest import first_appearance, generate_table, shuffled_pairs
 
 
 SCIENCE_HEADER = "pair,unit,x1,x2,x3,x4,r_t,r_c\n"
@@ -182,10 +182,9 @@ class TestStackedTables:
 
 class TestScienceTableIO:
     def test_round_trip_with_sidecar(self, tmp_path):
+        # generate's report is the sidecar; write_science_table writes none.
         s = generate_sample(12, "nonparallel", seed=33)
-        csv_path = tmp_path / "sci.csv"
-        meta_path = tmp_path / "sci.json"
-        write_science_table(s, csv_path, meta_path)
+        csv_path, meta_path = generate_table(tmp_path / "sci.csv", 12, seed=33)
         back = load_science_table(csv_path, meta_path)
         npt.assert_array_equal(back.r_t, s.r_t)
         npt.assert_array_equal(back.r_c, s.r_c)

@@ -13,9 +13,10 @@ fit must then be NaN and finite.
 import numpy as np
 import pytest
 
-from paired_adjust.kernel import Whitened, intercept_denominators, sign_stats, times_of
+from paired_adjust import PotentialOutcomeSample, TransformSpec, lemma_diagnostics
+from paired_adjust.kernel import Whitened, sign_stats, times_of
 from paired_adjust.errors import RankDeficient
-from paired_adjust.ols_core import RANK_RTOL, least_squares
+from paired_adjust.ols_core import RANK_RTOL, least_squares, whiten
 
 N = 40
 SCALES = [(0.5, False), (2.0, True)]
@@ -99,11 +100,23 @@ def test_r2_intercept_floor(scale, finite, est):
     share = _residual_share(np.ones(N), np.column_stack([v0[:, None] * d, m]))
     assert N * share == pytest.approx(scale * RANK_RTOL * N, rel=1e-6)
     _check(_fit(d, m, v0, est), finite)
-    denom = intercept_denominators(d, m, v0[None])
-    assert denom.shape == (1,)
-    _check(denom, finite)
+    # whiten's pivot share of the ones column last in [v0*d | m | 1] is e'(I-H)e / N.
+    _, passed, ratios, _, _ = whiten(np.column_stack([v0[:, None] * d, m, np.ones(N)]))
+    assert passed.tolist() == [True, True, True, finite]
+    assert ratios[-1] == pytest.approx(scale * RANK_RTOL, rel=1e-4)
+    # lemma_diagnostics refuses the design below the floor and reads the share above it:
+    # unit 1 minus unit 2 of x1 is d, and both units of x2 and x3 hold m.
+    x = np.zeros((N, 2, 4))
+    x[:, 0, 0], x[:, 1, 0] = d[:, 0] / 2.0, -d[:, 0] / 2.0
+    x[:, :, 1:3] = m[:, None, :]
+    sample = PotentialOutcomeSample(r_t=np.zeros((N, 2)), r_c=np.zeros((N, 2)), x=x)
+    f, g = TransformSpec.select([1]), TransformSpec.select([2, 3])
     if finite:
-        assert denom[0] == pytest.approx(scale * RANK_RTOL * N, rel=1e-4)
+        diag = lemma_diagnostics(sample, f, g, reps=1, signs=v0)
+        assert 1.0 - diag.ones_residual[0] == pytest.approx(scale * RANK_RTOL, rel=1e-4)
+    else:
+        with pytest.raises(RankDeficient, match="repetition 0"):
+            lemma_diagnostics(sample, f, g, reps=1, signs=v0)
 
 
 @pytest.mark.parametrize("scale,finite", SCALES)

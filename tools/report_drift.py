@@ -20,7 +20,10 @@ between two digits of one response, which it refuses, and the
 ``analyze_huge_response`` run reads it with one response 1e200 times
 larger. The 6-pair table is too small for identity transforms on its
 four covariates (they need n > 9); the 15-pair table is enumerated
-under two other transforms. In the new tree every ``analyze`` and
+under two other transforms. Two ``enumerate --meta`` runs read the
+16-pair table's sidecar as ``generate`` wrote it, and rewritten with a
+byte-order mark and CRLF endings. Every table and sidecar ``generate``
+writes must be byte-identical across the trees. In the new tree every ``analyze`` and
 ``enumerate`` run is run again with ``PAIRED_ADJUST_SEED=12345`` set,
 and its exit code and report must equal the first run's, byte for byte:
 those commands draw nothing, so no seed may reach them. A change of
@@ -132,6 +135,10 @@ RUNS = {
     "sate_n30_one_column_blocks": ["simulate", "--mode", "sate-study", "--setting", "nonparallel",
                                    "--n", "30", "--S", "50", "--B", "50", "--f", "select:2",
                                    "--g", "select:3", "--seed", "5"],
+    # The sidecar as generate wrote it, then with a byte-order mark and CRLF endings.
+    "enumerate_meta": ["enumerate", "--input", "{table}", "--meta", "{table_meta}"],
+    "enumerate_meta_edge": ["enumerate", "--input", "{table}", "--meta", "{table_meta_edge}",
+                            "--f", "select:1,2", "--g", "select:3"],
 }
 # (old, new) exit codes that differ for a known reason.
 EXPECTED_EXITS: dict[str, tuple[int, int]] = {
@@ -229,6 +236,11 @@ def write_edge_format(src: Path, dest: Path) -> None:
     dest.write_bytes("\r\n".join(lines).encode() + b"\r\n")
 
 
+def write_bom_crlf(src: Path, dest: Path) -> None:
+    """``src`` with a byte-order mark and CRLF endings."""
+    dest.write_bytes(b"\xef\xbb\xbf" + src.read_bytes().replace(b"\n", b"\r\n"))
+
+
 def write_huge_response(src: Path, dest: Path) -> None:
     """``src`` with its first response multiplied by 1e200."""
     header, first, *rows = src.read_text().splitlines()
@@ -268,6 +280,9 @@ def run_tree(root: Path, work: Path, seed_env: bool = False
     for name, argv in TABLES.items():
         _cli(src, ["generate", *argv, "--out", str(inputs[name])])
     table = inputs["table"]
+    inputs["table_meta"] = table.with_suffix(".json")
+    inputs["table_meta_edge"] = work / "table_meta_edge.json"
+    write_bom_crlf(inputs["table_meta"], inputs["table_meta_edge"])
     write_experiment(table, inputs["experiment"])
     write_experiment(table, inputs["experiment_x1e9"], x1_scale=1e9)
     write_experiment(table, inputs["experiment_shuffled"], shuffle=True)
@@ -336,6 +351,13 @@ def main() -> int:
     old, _ = run_tree(args.old, work / "old")
     new, differ = run_tree(args.new, work / "new", seed_env=True)
     worst_ok = not differ
+    for name in TABLES:
+        for suffix in (".csv", ".json"):
+            old_bytes, new_bytes = ((work / tree / name).with_suffix(suffix).read_bytes()
+                                    for tree in ("old", "new"))
+            worst_ok &= old_bytes == new_bytes
+            print(f"generate {name}{suffix}: "
+                  f"{'byte-identical' if old_bytes == new_bytes else 'DIFFERS'}")
     for name in RUNS:
         (c_old, p_old, e_old), (c_new, p_new, e_new) = old[name], new[name]
         expected = c_old != c_new and EXPECTED_EXITS.get(name) == (c_old, c_new)
