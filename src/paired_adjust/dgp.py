@@ -25,8 +25,9 @@ from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedRow, float_array, int_at_least, one_of, strict_int
-from .experiment_model import read_header, read_pairs, read_source, readonly, write_pairs
+from .errors import DimensionMismatch, MalformedRow, finite_array, float_array, int_at_least
+from .errors import one_of, strict_int
+from .experiment_model import freeze, read_header, read_pairs, read_source, write_pairs
 from .rng import ROLE_SAMPLE, substream
 
 SETTINGS = ("parallel", "nonparallel")
@@ -41,7 +42,8 @@ class PotentialOutcomeSample:
 
     ``w`` (latents) and ``x`` (observed covariates) may be absent when
     a table was assembled by hand or loaded from a file that lacked
-    them; everything that only involves outcomes still works.
+    them; everything that only involves outcomes still works. Every
+    array goes through ``errors.finite_array``.
     """
 
     r_t: np.ndarray  # (n, 2) outcomes under treatment
@@ -52,29 +54,11 @@ class PotentialOutcomeSample:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        r_t = float_array(self.r_t, "r_t")
-        r_c = float_array(self.r_c, "r_c")
-        if r_t.ndim != 2 or r_t.shape[1] != 2 or r_c.shape != r_t.shape:
-            raise DimensionMismatch(
-                f"potential outcomes must both be (n, 2), got {r_t.shape} and {r_c.shape}"
-            )
-        if not (np.isfinite(r_t).all() and np.isfinite(r_c).all()):
-            raise MalformedRow("potential outcomes must be finite")
-        object.__setattr__(self, "r_t", readonly(r_t))
-        object.__setattr__(self, "r_c", readonly(r_c))
+        r_t = finite_array(self.r_t, "r_t", (None, 2))
         n = r_t.shape[0]
-        for name in ("w", "x"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = float_array(arr, name)
-            if arr.shape != (n, 2, N_COVARIATES):
-                raise DimensionMismatch(
-                    f"{name} must be ({n}, 2, {N_COVARIATES}), got {arr.shape}"
-                )
-            if not np.isfinite(arr).all():
-                raise MalformedRow(f"{name} must be finite")
-            object.__setattr__(self, name, readonly(arr))
+        covariates = {name: finite_array(getattr(self, name), name, (n, 2, N_COVARIATES))
+                      for name in ("w", "x") if getattr(self, name) is not None}
+        freeze(self, r_t=r_t, r_c=finite_array(self.r_c, "r_c", (n, 2)), **covariates)
 
     @property
     def n(self) -> int:
@@ -147,14 +131,20 @@ def stacked_tables(
     return w, mu_t + eps, mu_c + eps, observe_covariates(w)
 
 
+def _latents(w: np.ndarray) -> np.ndarray:
+    """``w`` through ``float_array``, which neither copies nor reorders floats; last axis 4."""
+    w = float_array(w, "w")
+    if w.shape[-1:] != (N_COVARIATES,):
+        raise DimensionMismatch(f"w has shape {w.shape}, need (..., {N_COVARIATES})")
+    return w
+
+
 def observe_covariates(w: np.ndarray) -> np.ndarray:
     """Map latent 4-vectors to the observed, distorted covariates.
 
-    Works on any array whose last axis has length 4.
+    Works on any array whose last axis has length 4, and keeps its memory order.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1] != 4:
-        raise DimensionMismatch(f"latents must have 4 columns, got {w.shape}")
+    w = _latents(w)
     w1, w2, w3, w4 = (w[..., j] for j in range(4))
     x = np.empty_like(w)
     x[..., 0] = np.exp(w1 / 2.0)
@@ -167,7 +157,7 @@ def observe_covariates(w: np.ndarray) -> np.ndarray:
 def response_surfaces(w: np.ndarray, setting: str) -> tuple[np.ndarray, np.ndarray]:
     """Treated and control mean surfaces evaluated at the latents."""
     setting = one_of(setting, SETTINGS, "setting")
-    w = np.asarray(w, dtype=float)
+    w = _latents(w)
     w1, w2, w3, w4 = (w[..., j] for j in range(4))
     mu_t = 27.4 * w1 + 13.7 * (w2 + w3 + w4)
     if setting == "parallel":

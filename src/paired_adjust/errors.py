@@ -15,7 +15,9 @@ so each range rule is written once. A bad argument raises BadArgument,
 a ConfigError (exit 4) that is also a ValueError; a bad level raises
 its subclass BadAlpha. Bad data raises a DataError instead: a
 non-finite value, DimensionMismatch for a shape, PairViolation for a
-sign that is not +/-1.
+sign that is not +/-1. Each array rule is a cast too: an array a data
+class or fit takes is real, of its shape, finite and, for a response,
+within RESPONSE_LIMIT (:func:`finite_array`); codes are :func:`int_array`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,13 @@ from collections.abc import Iterable
 from typing import Any, Optional
 
 import numpy as np
+
+# The largest potential outcome or observed response, in magnitude, that
+# the package takes: 2^400, about 2.6e120. Sums of squares of such values
+# stay below 2^806 times n, and the fits and summaries multiply them by at
+# most B / RANK_RTOL, so no step nears the float range (2^1024) for any
+# grid that fits in memory. Larger values are refused before any arithmetic.
+RESPONSE_LIMIT = 2.0**400
 
 
 class PairedAdjustError(Exception):
@@ -129,6 +138,39 @@ def float_array(value: object, name: str) -> np.ndarray:
     if a.dtype.kind not in "biuf":
         raise DataError(f"{name} must hold real numbers, got an array of {a.dtype}")
     return a.astype(float, copy=False)
+
+
+def finite_array(value: object, name: str, shape: tuple,
+                 limit: Optional[float] = None) -> np.ndarray:
+    """``value`` through :func:`float_array`, of ``shape`` (None: any length) and finite.
+
+    A NaN or infinite value raises DataError naming ``name``, and so does a
+    magnitude above ``limit`` when given; another shape, DimensionMismatch.
+    """
+    a = float_array(value, name)
+    if a.ndim != len(shape) or any(k not in (None, s) for k, s in zip(shape, a.shape)):
+        raise DimensionMismatch(f"{name} has shape {a.shape}, need {shape}".replace("None", "any"))
+    if not np.isfinite(a).all():
+        raise DataError(f"{name} holds a non-finite value")
+    if limit is not None and (top := np.abs(a).max(initial=0.0)) > limit:
+        raise DataError(f"a response of magnitude {top:.6g} exceeds the largest the estimators "
+                        f"take, 2^{np.log2(limit):.0f} (about {limit:.2g})")
+    return a
+
+
+def int_array(value: object, name: str) -> np.ndarray:
+    """``value`` as int64: integers by their 64 bits (a uint64 wraps), reals only when integral.
+
+    DataError for text, objects or complex values, as :func:`float_array`;
+    BadArgument for a real that is not an integer of magnitude below 2^63.
+    """
+    a = np.asarray(value)
+    if a.dtype.kind not in "biu":
+        a = float_array(a, name)
+        ok = (a == np.trunc(a)) & (np.abs(a) < 2.0**63)
+        if not ok.all():
+            raise BadArgument(_named(name, f"expected integers, got {float(a[~ok][0])!r}"))
+    return a.astype(np.int64, copy=False)
 
 
 def int_at_least(value: object, low: int, name: str = "", high: Optional[int] = None) -> int:

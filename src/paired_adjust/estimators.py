@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatch, WrongEstimator, as_alpha, float_array, one_of
+from .errors import RESPONSE_LIMIT, WrongEstimator, as_alpha, finite_array, one_of
 from .experiment_model import DesignMatrices, design_estimators
 from .ols_core import (
     FitResult,
@@ -79,15 +79,11 @@ def estimate_classical(y: np.ndarray) -> EstimateReport:
 
     S^2 = sum (y_i - mean)^2 / (n (n-1)), which never underestimates
     the assignment variance of the mean in expectation. ``y`` holds one
-    finite value per pair (DimensionMismatch, DataError).
+    finite response difference per pair, within 2^401 (``finite_array``).
     """
-    y = float_array(y, "y")
-    if y.ndim != 1:
-        raise DimensionMismatch(f"y must hold one value per pair, got shape {y.shape}")
+    y = finite_array(y, "y", (None,), 2 * RESPONSE_LIMIT)
     n = y.shape[0]
     design_estimators(n, None, None, None)
-    if not np.isfinite(y).all():
-        raise DataError("y holds a non-finite value")
     tau = float(y.mean())
     s2 = float(((y - tau) ** 2).sum()) / (n * (n - 1))
     return EstimateReport(

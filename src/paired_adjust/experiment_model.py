@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from .errors import (
+    RESPONSE_LIMIT,
     BadArgument,
     ConfigError,
     DataError,
@@ -41,13 +42,13 @@ from .errors import (
     RankDeficient,
     TooFewPairs,
     distinct_ints,
+    finite_array,
     float_array,
     int_at_least,
     one_of,
     optional,
     strict_int,
 )
-from .kernel import RESPONSE_LIMIT
 from .ols_core import RANK_RTOL, whiten
 
 # A centered pair-average column whose values are all at most this
@@ -69,11 +70,13 @@ def pair_signs(v: object, n: int) -> np.ndarray:
     return v
 
 
-def readonly(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``a`` that cannot be written; ``a`` itself stays as it was."""
-    out = np.array(a, order="C")
-    out.setflags(write=False)
-    return out
+def freeze(obj: object, **fields: object) -> None:
+    """Set fields of the frozen dataclass ``obj``, an array as a read-only C-ordered copy."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = np.array(value, order="C")
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,7 @@ class TransformSpec:
             columns = distinct_ints(self.columns, 1, "select columns")
         else:
             columns = one_of(self.columns, (None,), f"{kind} columns")
-        for name, value in (("kind", kind), ("degree", degree), ("columns", columns)):
-            object.__setattr__(self, name, value)
+        freeze(self, kind=kind, degree=degree, columns=columns)
 
     @classmethod
     def identity(cls) -> "TransformSpec":
@@ -174,7 +176,7 @@ class TransformSpec:
         Raises NonFiniteTransform when the result is not finite, e.g.
         log of a non-positive value or overflow in exp/power.
         """
-        x = np.asarray(x, dtype=float)
+        x = float_array(x, "x")
         self.output_dim(x.shape[-1])  # validates select bounds
         if self.kind == "identity":
             out = x.copy(order="K")
@@ -201,12 +203,12 @@ class PairedExperiment:
 
     Arrays are indexed ``[pair, unit]`` with unit order taken from the
     input; exactly one unit per pair is treated. Covariates and
-    responses must be finite, and no response may exceed the kernel's
-    ``RESPONSE_LIMIT`` (2^400) in magnitude (DataError), so no fit
-    overflows. A flag that is not 0 or 1, NaN included, raises
-    PairViolation, and a pair id that is not an integer BadArgument
-    (``strict_int``). All arrays are made read-only, so instances can be
-    shared freely across workers.
+    responses go through ``errors.finite_array``: they must be finite,
+    and no response may exceed ``RESPONSE_LIMIT`` (2^400) in magnitude
+    (DataError), so no fit overflows. A flag that is not 0 or 1, NaN
+    included, raises PairViolation, and a pair id that is not an integer
+    BadArgument (``strict_int``). All arrays are made read-only, so
+    instances can be shared freely across workers.
     """
 
     x: np.ndarray  # (n, 2, P) covariates
@@ -215,30 +217,19 @@ class PairedExperiment:
     pair_ids: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        x = float_array(self.x, "x")
-        z = float_array(self.z, "z")  # cast to int only once checked
-        y = float_array(self.y, "y")
-        if x.ndim != 3 or x.shape[1] != 2:
-            raise DimensionMismatch(f"covariates must be (n, 2, P), got {x.shape}")
+        x = finite_array(self.x, "x", (None, 2, None))
         n = x.shape[0]
-        if z.shape != (n, 2) or y.shape != (n, 2):
-            raise DimensionMismatch(
-                f"z {z.shape} and y {y.shape} must both be ({n}, 2)"
-            )
-        if not np.isfinite(x).all() or not np.isfinite(y).all():
-            raise MalformedRow("covariates and responses must be finite")
-        if (top := np.abs(y).max(initial=0.0)) > RESPONSE_LIMIT:
-            raise DataError(f"a response of magnitude {top:.6g} exceeds the largest the "
-                            f"estimators take, 2^400 (about {RESPONSE_LIMIT:.2g})")
+        z = float_array(self.z, "z")  # cast to int only once checked
+        if z.shape != (n, 2):
+            raise DimensionMismatch(f"z has shape {z.shape}, need ({n}, 2)")
+        y = finite_array(self.y, "y", (n, 2), RESPONSE_LIMIT)
         if not np.isin(z, (0, 1)).all() or not (z.sum(axis=1) == 1).all():
             raise PairViolation("each pair needs exactly one treated unit")
         ids = tuple(() if self.pair_ids is None else self.pair_ids) or tuple(range(1, n + 1))
         if len(ids) != n:
             raise DimensionMismatch(f"{len(ids)} pair ids for {n} pairs")
-        object.__setattr__(self, "x", readonly(x))
-        object.__setattr__(self, "z", readonly(z.astype(int)))
-        object.__setattr__(self, "y", readonly(y))
-        object.__setattr__(self, "pair_ids", tuple(strict_int(i, "pair_ids") for i in ids))
+        freeze(self, x=x, z=z.astype(int), y=y,
+               pair_ids=tuple(strict_int(i, "pair_ids") for i in ids))
 
     @property
     def n(self) -> int:
@@ -253,14 +244,13 @@ class PairedExperiment:
 class DesignMatrices:
     """Regression inputs derived from a paired experiment.
 
-    ``d``, ``m`` and ``y`` are finite, and ``m`` columns each sum to
-    zero (to 1e-10 * n times the larger of 1 and the column's largest
-    magnitude, :func:`columns_centered`); both are checked here, in that
-    order, since the arrays may come from a caller, and a non-finite
-    value raises DataError naming its array. ``v`` entries are +/-1;
-    ``vd`` holds rows ``v[i] * d[i]``. Requires n > K_D + K_M + 1,
-    the size test of :func:`design_estimators`, so the intercept
-    regressions have at least one residual degree of freedom.
+    Every array goes through ``errors.finite_array``: ``d`` is (n, K_D),
+    ``m`` (n, K_M), a 1-D ``m`` of n values one column and an empty one
+    none; all are finite and ``y`` within 2^401, twice ``RESPONSE_LIMIT``.
+    ``m`` columns each sum to zero (:func:`columns_centered`, a rule free
+    of units). ``v`` entries are +/-1; ``vd`` holds rows ``v[i] * d[i]``.
+    Requires n > K_D + K_M + 1 (:func:`design_estimators`), so the
+    intercept regressions have at least one residual degree of freedom.
     """
 
     d: np.ndarray   # (n, K_D)
@@ -271,26 +261,20 @@ class DesignMatrices:
     m_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        d = np.atleast_2d(float_array(self.d, "d"))
-        m = float_array(self.m, "m").reshape(d.shape[0], -1)
-        v = float_array(self.v, "v")
-        y = float_array(self.y, "y")
+        d = finite_array(self.d, "d", (None, None))
         n = d.shape[0]
-        if v.shape != (n,) or y.shape != (n,) or m.shape[0] != n:
-            raise DimensionMismatch("d, m, v, y must agree on the number of pairs")
-        for name, block in (("d", d), ("m", m), ("y", y)):
-            if not np.isfinite(block).all():
-                raise DataError(f"{name} holds a non-finite value")
-        pair_signs(v, n)
+        m = float_array(self.m, "m")
+        if m.size == 0 or m.shape == (n,):  # no column, or one
+            m = m.reshape(n, int(m.size > 0))
+        m = finite_array(m, "m", (n, None))
+        y = finite_array(self.y, "y", (n,), 2 * RESPONSE_LIMIT)
+        v = pair_signs(finite_array(self.v, "v", (n,)), n)
         _require_pairs(n, d.shape[1], m.shape[1])
         if not columns_centered(m):
             raise DimensionMismatch("m columns must sum to zero across pairs")
-        object.__setattr__(self, "d", readonly(d))
-        object.__setattr__(self, "m", readonly(m))
-        object.__setattr__(self, "v", readonly(v))
-        object.__setattr__(self, "y", readonly(y))
-        object.__setattr__(self, "d_labels", tuple(self.d_labels) or _default_labels("d", d.shape[1]))
-        object.__setattr__(self, "m_labels", tuple(self.m_labels) or _default_labels("m", m.shape[1]))
+        freeze(self, d=d, m=m, v=v, y=y,
+               d_labels=tuple(self.d_labels) or _default_labels("d", d.shape[1]),
+               m_labels=tuple(self.m_labels) or _default_labels("m", m.shape[1]))
 
     @property
     def n(self) -> int:
@@ -372,16 +356,16 @@ def _zero_rounding_columns(m: np.ndarray, gx: np.ndarray) -> np.ndarray:
 def columns_centered(m: np.ndarray) -> np.ndarray:
     """Whether the m columns sum to zero, table by table: the package's one centering rule.
 
-    Column k passes when |sum_i m_ik| <= 1e-10 * n * max(1, max_i |m_ik|),
-    so rescaling a column of scale above 1 rescales both sides and the
-    test does not depend on covariate units. ``m`` has shape (n, K_M),
-    or (..., n, K_M) for a stack of tables; the result has the leading
-    shape. A zero-width block is centered. An infinite column sum fails,
-    whatever the scale; a NaN one is not flagged here.
+    Column k passes when |sum_i m_ik| <= 1e-10 * n * max(tiny, max_i |m_ik|),
+    tiny the smallest normal float, so rescaling a column rescales both
+    sides and the test does not depend on units at any scale. ``m`` has
+    shape (n, K_M), or (..., n, K_M) for a stack of tables; the result
+    has the leading shape. A zero-width block is centered. An infinite
+    column sum fails, whatever the scale; a NaN one is not flagged here.
     """
     n = m.shape[-2]
     total = np.abs(m.sum(axis=-2))
-    scale = np.maximum(np.abs(m).max(axis=-2, initial=0.0), 1.0)
+    scale = np.maximum(np.abs(m).max(axis=-2, initial=0.0), np.finfo(float).tiny)
     return ~((total > 1e-10 * n * scale) | np.isinf(total)).any(axis=-1)
 
 

@@ -51,18 +51,9 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import RESPONSE_LIMIT, DataError
 from .ols_core import RANK_RTOL, whiten
 
-# The largest potential outcome, in magnitude, that the kernel takes:
-# 2^400, about 2.6e120. The sums of squares of its effects and gaps then
-# stay below 2^806 times n, and the fits and summaries multiply them by
-# at most B / RANK_RTOL, so no step comes near the float range (2^1024)
-# for any grid that fits in memory. A larger outcome is refused before
-# any arithmetic on it (see effects_and_gaps), and so is a larger
-# observed response of an experiment (``PairedExperiment``), whose single
-# fits square it as the kernel does.
-RESPONSE_LIMIT = 2.0**400
 # The kernel's grid budget, and so its memory bound: the fits one pass
 # of sign_stats makes in all, over at least one table, so the draws it
 # takes, and the widest product of one table's columns with its signs. A

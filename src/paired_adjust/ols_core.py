@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateDenominator, DimensionMismatch, LeverageOne, RankDeficient
-from .errors import float_array, one_of
+from .errors import RESPONSE_LIMIT, DegenerateDenominator, LeverageOne, RankDeficient
+from .errors import finite_array, float_array, one_of
 
 # A column fails the pivot test when what is left of it, after the
 # columns before it are projected out, has a squared norm of at most
@@ -100,21 +100,15 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
 
     ``x`` may have zero columns, in which case the fit is just the mean
     of y. The columns are factored as [x | 1], ones column last, so the
-    pivot test on it is e'(I - H)e > RANK_RTOL * n. Raises
-    DimensionMismatch unless y is one value per row of x, DataError when
-    x or y holds a non-finite value, and RankDeficient, naming the first
-    column that fails the pivot test, when any column does.
+    pivot test on it is e'(I - H)e > RANK_RTOL * n. A 1-D x is one
+    column. Raises what ``errors.finite_array`` raises for x (n, K) and y
+    (n,), a response difference within 2^401, and RankDeficient, naming
+    the first column that fails the pivot test, when any column does.
     """
     x = float_array(x, "x")
-    if x.ndim == 1:
-        x = x[:, None]
-    y = float_array(y, "y")
+    x = finite_array(x[:, None] if x.ndim == 1 else x, "x", (None, None))
     n = x.shape[0]
-    if y.shape != (n,):
-        raise DimensionMismatch(f"design has {n} rows but y has shape {y.shape}")
-    for name, a in (("x", x), ("y", y)):
-        if not np.isfinite(a).all():
-            raise DataError(f"{name} holds a non-finite value")
+    y = finite_array(y, "y", (n,), 2 * RESPONSE_LIMIT)
     cols = x.shape[1] + 1
     if n < cols:
         raise RankDeficient(f"{cols} columns but only {n} rows")

@@ -61,6 +61,7 @@ from .errors import (
     WrongEstimator,
     as_alpha,
     int_at_least,
+    int_array,
     one_of,
 )
 from .estimators import normal_quantile
@@ -119,10 +120,11 @@ def assignment_signs(codes: np.ndarray, n: int) -> np.ndarray:
     bit means the first-listed unit is treated (sign +1). The bits are
     unpacked from the codes' little-endian bytes into uint8 and turned
     into signs in the float result, so nothing as large as it is made
-    on the way. Takes 0 <= n <= 64.
+    on the way. Takes 0 <= n <= 64, and codes by ``errors.int_array``:
+    an integer's 64 bits (-1 sets all), an integral real's value.
     """
     n = int_at_least(n, 0, "n", high=64)
-    codes = np.ascontiguousarray(codes, dtype="<i8").reshape(-1)
+    codes = np.ascontiguousarray(int_array(codes, "codes"), dtype="<i8").reshape(-1)
     bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=-1, count=n, bitorder="little")
     out = np.multiply(bits, 2.0, dtype=float)
     return np.subtract(out, 1.0, out=out)

@@ -11,6 +11,7 @@ a ConfigError (exit 4) and a ValueError, before a design is factored
 import ast
 import contextlib
 import math
+import re
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -31,6 +32,7 @@ from paired_adjust import (
     PairedAdjustError,
     PairedExperiment,
     PairViolation,
+    PotentialOutcomeSample,
     StudyConfig,
     TransformSpec,
     assignment_signs,
@@ -46,6 +48,7 @@ from paired_adjust import (
     least_squares,
     lemma_diagnostics,
     normal_quantile,
+    observe_covariates,
     randomize,
     response_surfaces,
     reveal,
@@ -63,7 +66,8 @@ from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE
 from conftest import make_design, make_sample
 
 PACKAGE = Path(paired_adjust.__file__).resolve().parent
-CASTS = ("strict_int", "int_at_least", "distinct_ints", "as_alpha", "one_of", "optional")
+CASTS = ("strict_int", "int_at_least", "distinct_ints", "as_alpha", "one_of", "optional",
+         "int_array")
 
 
 def _module(path: Path) -> ast.Module:
@@ -93,6 +97,38 @@ def test_every_range_rule_is_a_cast_in_errors():
                 outside.append(f"{path.name}: {owner} raises {name}")
     assert value_errors == []
     assert outside == []
+
+
+# The owners outside ``errors`` that test finiteness to refuse something
+# other than an argument: a transform's result (NonFiniteTransform), a CSV
+# line (MalformedRow) and the kernel's grids of singular draws.
+FINITE_OWNERS = {
+    "experiment_model.py: TransformSpec.apply",
+    "experiment_model.py: transformed_blocks",
+    "experiment_model.py: read_pairs",
+    "randomization_engine.py: _refuse_singular",
+}
+
+
+def test_every_array_rule_is_a_cast_in_errors():
+    owners, limits = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _module(path)
+        limits += [path.name for node in tree.body if isinstance(node, ast.Assign)
+                   for target in node.targets if getattr(target, "id", "") == "RESPONSE_LIMIT"]
+        if path.name == "errors.py":
+            continue
+        for top in tree.body:
+            for part in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if any(ast.unparse(node) == "np.isfinite" for node in ast.walk(part)
+                       if isinstance(node, ast.Attribute)):
+                    owners.add(f"{path.name}: " + ".".join(
+                        dict.fromkeys(getattr(node, "name", "?") for node in (top, part))))
+    assert sorted(owners - FINITE_OWNERS) == []
+    assert limits == ["errors.py"]
+    imports = [node.module for node in ast.walk(_module(PACKAGE / "experiment_model.py"))
+               if isinstance(node, ast.ImportFrom)]
+    assert "kernel" not in imports
 
 
 def test_the_option_table_casts_only_with_the_library_casts():
@@ -275,6 +311,10 @@ _PROBES = {
     "randomize b -1": lambda: randomize(3, substream(1, ROLE_ASSIGN), -1),
     "randomize MT19937": lambda: randomize(3, np.random.Generator(np.random.MT19937(1))),
     "assignment_signs n 65": lambda: assignment_signs(np.arange(4), 65),
+    # Used to be truncated to code 1 in silence.
+    "assignment_signs code 1.7": lambda: assignment_signs(np.array([0.0, 1.7]), 3),
+    "assignment_signs code NaN": lambda: assignment_signs(np.array([math.nan]), 3),
+    "assignment_signs code 2^63": lambda: assignment_signs(np.array([2.0**63]), 3),
     "assignment_signs n -1": lambda: assignment_signs(np.arange(4), -1),
 }
 
@@ -318,6 +358,15 @@ _ARRAY_PROBES = {
     "NaN flag": (_with_nan_flag, PairViolation),
     "transform named by text": (lambda: build_design(_EXPERIMENT, "identity", "identity"),
                                 BadArgument),
+    # Used to escape as numpy's ValueError "cannot reshape array of size 26".
+    "m with a row too many": (lambda: _with(DesignMatrices, m=np.vstack([_DESIGN.m, _DESIGN.m[:1]])),
+                              DimensionMismatch),
+    # A transposed (K, n) m used to be read as (n, K) in silence; the
+    # transpose of [a, -a] reads as a centered block, so it was taken.
+    "transposed m": (lambda: _with(DesignMatrices, m=np.stack([_DESIGN.m[:, 0], -_DESIGN.m[:, 0]])),
+                     DimensionMismatch),
+    "response_surfaces w of 3 columns": (lambda: response_surfaces(np.zeros((5, 3)), "parallel"),
+                                         DimensionMismatch),
 }
 
 
@@ -332,6 +381,7 @@ def test_array_and_transform_arguments_raise_the_library_classes(probe):
 
 
 _DESIGN = build_design(_EXPERIMENT, _SELECT, _SELECT)
+_GENERATED = generate_sample(12, "nonparallel", seed=7)
 
 
 def _text(a):
@@ -356,6 +406,10 @@ _TEXT_ARRAYS = {
     "v": lambda: _with(DesignMatrices, v=_text(_DESIGN.v)),
     "least_squares x": lambda: least_squares(_text(_DESIGN.d), _DESIGN.y),
     "least_squares y": lambda: least_squares(_DESIGN.d, _DESIGN.y.astype(complex)),
+    "TransformSpec.apply x": lambda: TransformSpec.identity().apply(_text(_EXPERIMENT.x)),
+    "observe_covariates w": lambda: observe_covariates(_text(_GENERATED.w)),
+    "response_surfaces w": lambda: response_surfaces(_text(_GENERATED.w), "parallel"),
+    "assignment_signs codes": lambda: assignment_signs(np.array(["1", "2"]), 3),
 }
 
 
@@ -374,3 +428,80 @@ def test_signs_and_shapes_raise_the_data_classes():
         lemma_diagnostics(_SAMPLE, _SELECT, _SELECT, 2, signs=np.full(_SAMPLE.n, 0.5))
     with pytest.raises(DimensionMismatch):
         least_squares(np.ones((5, 1)), np.ones(4))
+
+
+def test_assignment_codes_are_read_by_value_or_by_bits():
+    want = assignment_signs(np.array([0, 5, -1]), 4)
+    for codes in (np.array([0.0, 5.0, -1.0]), np.array([0, 5, 2**64 - 1], np.uint64), np.array([0, 5, -1], np.int8)):
+        assert assignment_signs(codes, 4).tolist() == want.tolist()
+
+
+def test_design_takes_m_as_a_block_one_column_or_none():
+    block = _with(DesignMatrices, m=_DESIGN.m[:, :1])
+    assert _with(DesignMatrices, m=_DESIGN.m[:, 0]).m.tobytes() == block.m.tobytes()
+    for empty in (np.zeros((_DESIGN.n, 0)), [], np.zeros((0, 3))):
+        assert _with(DesignMatrices, m=empty).m.shape == (_DESIGN.n, 0)
+
+
+def _sample(**changes):
+    fields = ("r_t", "r_c", "w", "x")
+    return PotentialOutcomeSample(**{**{name: getattr(_GENERATED, name) for name in fields},
+                                     **changes})
+
+
+# Every public array argument that ``errors.finite_array`` casts: (the call
+# with the argument swapped in, its valid value, the response limit or None).
+_FINITE_ARGS = {
+    "PotentialOutcomeSample r_t": (lambda a: _sample(r_t=a), _GENERATED.r_t, None),
+    "PotentialOutcomeSample r_c": (lambda a: _sample(r_c=a), _GENERATED.r_c, None),
+    "PotentialOutcomeSample w": (lambda a: _sample(w=a), _GENERATED.w, None),
+    "PotentialOutcomeSample x": (lambda a: _sample(x=a), _GENERATED.x, None),
+    "PairedExperiment x": (lambda a: _with(PairedExperiment, x=a), _EXPERIMENT.x, None),
+    "PairedExperiment y": (lambda a: _with(PairedExperiment, y=a), _EXPERIMENT.y,
+                           errors.RESPONSE_LIMIT),
+    "DesignMatrices d": (lambda a: _with(DesignMatrices, d=a), _DESIGN.d, None),
+    "DesignMatrices m": (lambda a: _with(DesignMatrices, m=a), _DESIGN.m, None),
+    "DesignMatrices v": (lambda a: _with(DesignMatrices, v=a), _DESIGN.v, None),
+    "DesignMatrices y": (lambda a: _with(DesignMatrices, y=a), _DESIGN.y,
+                         2 * errors.RESPONSE_LIMIT),
+    "least_squares x": (lambda a: least_squares(a, _DESIGN.y), _DESIGN.vd, None),
+    "least_squares y": (lambda a: least_squares(_DESIGN.vd, a), _DESIGN.y,
+                        2 * errors.RESPONSE_LIMIT),
+    "estimate_classical y": (estimate_classical, _DESIGN.y, 2 * errors.RESPONSE_LIMIT),
+}
+
+
+def _set_one(a, value):
+    out = np.array(a, dtype=float)
+    out.flat[out.size // 2] = value
+    return out
+
+
+@pytest.mark.parametrize("spoil", ["nan", "-inf", "extra axis"])
+@pytest.mark.parametrize("arg", sorted(_FINITE_ARGS))
+def test_every_array_argument_is_refused_by_name(arg, spoil):
+    call, good, _ = _FINITE_ARGS[arg]
+    name = arg.split()[-1]
+    if spoil == "extra axis":
+        bad, raised, message = good[..., None], DimensionMismatch, f"{name} has shape"
+    else:
+        bad, raised, message = _set_one(good, float(spoil)), DataError, f"{name} holds a non-finite"
+    with warnings.catch_warnings(), pytest.raises(raised, match=f"^{message}"):
+        warnings.simplefilter("error")
+        call(bad)
+
+
+@pytest.mark.parametrize("arg", sorted(a for a, (_, _, limit) in _FINITE_ARGS.items() if limit))
+def test_every_response_is_refused_above_its_limit(arg):
+    # A single fit's y, a difference of two responses, may reach twice the
+    # limit; above it the fits used to square y into inf with an overflow
+    # warning. The message is the command line's, which names no argument.
+    call, good, limit = _FINITE_ARGS[arg]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(_set_one(good, -limit))
+        for top in (np.nextafter(limit, math.inf), 1e200):
+            message = (f"a response of magnitude {top:.6g} exceeds the largest the estimators "
+                       f"take, 2^{math.log2(limit):.0f} (about {limit:.2g})")
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                call(_set_one(good, top))

@@ -198,7 +198,9 @@ class TestColumnsCentered:
         assert [bool(columns_centered(t)) for t in m] == [True, False, True]
 
     def test_tolerance_scales_with_n(self):
+        # A column of scale 1: the allowance is 1e-10 * n = 1e-8.
         m = np.zeros((100, 1))
+        m[1, 0], m[2, 0] = 1.0, -1.0
         m[0, 0] = 0.9e-8
         assert columns_centered(m)
         m[0, 0] = 1.1e-8
@@ -217,6 +219,24 @@ class TestColumnsCentered:
         assert columns_centered(m[:, :1]) and not columns_centered(m[:, 1:])
         m[0] = np.inf  # an infinite sum is not within an infinite allowance
         assert not columns_centered(m).any()
+
+    # Scaling by 2^k changes no rounding while the values stay normal, so
+    # the rule must read the same at every scale. Each column's largest
+    # magnitude is put in [2^11, 2^12), which keeps every allowance
+    # 1e-10 n max|m_k| 2^k a normal float down to k = -1000; offsets near
+    # 1e-10 n of the column's scale straddle the allowance.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 12),
+        st.sampled_from([0.0, 1e-13, 1e-11, 3e-10, 1e-9, 1e-3]),
+        st.integers(-1000, 1000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_the_rule_does_not_depend_on_units(self, n, offset, k, seed):
+        m = center_oracle(np.random.default_rng(seed).standard_normal((n, 3)))
+        m[0] += offset * np.array([0.0, 1.0, -1.0])
+        m = np.ldexp(m, 12 - np.frexp(np.abs(m).max(axis=0))[1])
+        assert columns_centered(np.ldexp(m, k)) == columns_centered(m)
 
     # Every g transform the CLI takes, on the generated covariates in
     # units 10^-9 to 10^12 times their own; exp overflows on large units.

@@ -140,38 +140,9 @@ RUNS = {
     "enumerate_meta_edge": ["enumerate", "--input", "{table}", "--meta", "{table_meta_edge}",
                             "--f", "select:1,2", "--g", "select:3"],
 }
-# (old, new) exit codes that differ for a known reason.
-EXPECTED_EXITS: dict[str, tuple[int, int]] = {
-    # Too few pairs for the transforms is a data error (TooFewPairs, 2) in
-    # every command under the one feasibility rule; simulate used to call
-    # it a configuration error.
-    "simulate_n6": (4, 2),
-    # Transforms given explicitly are refused when they do not fit, not
-    # dropped in silence; the default run still computes C alone.
-    "enumerate_small_identity": (0, 2),
-    # Numbers follow numpy's reader, which refuses the digit separators
-    # float() read.
-    "analyze_digit_separator": (0, 2),
-    # An observed response beyond 2^400, the kernel's limit, is a data
-    # error; it used to overflow into Infinity in the report, with exit 0.
-    "analyze_huge_response": (0, 2),
-    # The m block is centered by construction, and its one check is
-    # scale-free (|sum m| <= 1e-10 n max(1, max|m|) per column), so a pate
-    # study no longer stops on an m block it has just centered. It stops
-    # on its first singular design, sample 1.
-    "pate_n25_exp_exp": (2, 3),
-    # Every mode refuses a singular draw: the estimators are not defined
-    # there. This sate study used to leave its 716 singular
-    # estimator-draws out of its summaries; it now stops on the first,
-    # sample 0, draw 2.
-    "sate_n25_exp_exp": (0, 3),
-    # The same, with no singular design: pate computes what sate does.
-    "pate_n200_pow3": (2, 0),
-    # analyze is unit-free with an m block too: every covariate x1e6 or
-    # x1e200 fits, where an absolute centering tolerance refused it.
-    "analyze_x1e6": (2, 0),
-    "analyze_x1e200": (2, 0),
-}
+# (old, new) exit codes that differ for a known reason, each with its
+# reason in a comment; none at present.
+EXPECTED_EXITS: dict[str, tuple[int, int]] = {}
 # Worst relative drift a run's report may show when both trees exit 0.
 DRIFT_TOL = 1e-12
 # Runs allowed a larger drift for a known reason, with their bound; none
