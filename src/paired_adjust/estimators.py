@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import RESPONSE_LIMIT, WrongEstimator, as_alpha, finite_array, one_
 from .experiment_model import DesignMatrices, design_estimators
 from .ols_core import (
     FitResult,
+    fit_whitened,
     intercept_variance_classical,
     intercept_variance_hc,
     least_squares,
@@ -98,16 +99,17 @@ def _variance(fit: FitResult, flavor: str) -> float:
 
 
 def _intercept_reports(
-    estimator: str, dm: DesignMatrices, x: np.ndarray, flavors: Sequence[str]
+    estimator: str, dm: DesignMatrices, fit: Callable[[], FitResult], flavors: Sequence[str]
 ) -> tuple[EstimateReport, ...]:
-    """One fit of y on [1 | x], reported under each variance flavor in turn."""
+    """One fit of y by ``fit``, made once the flavors are cast, reported under each in turn."""
     flavors = [one_of(flavor, FLAVORS, "variance flavor") for flavor in flavors]
-    fit = least_squares(x, dm.y)
-    slopes = tuple(float(b) for b in fit.coefficients[1:])
+    result = fit()
+    slopes = tuple(float(b) for b in result.coefficients[1:])
     return tuple(
         EstimateReport(
-            estimator=estimator, tau_hat=float(fit.coefficients[0]), s2=_variance(fit, flavor),
-            flavor=flavor, dof=fit.dof, n=dm.n, beta_d=slopes[: dm.k_d], beta_m=slopes[dm.k_d :],
+            estimator=estimator, tau_hat=float(result.coefficients[0]),
+            s2=_variance(result, flavor), flavor=flavor, dof=result.dof, n=dm.n,
+            beta_d=slopes[: dm.k_d], beta_m=slopes[dm.k_d :],
         )
         for flavor in flavors
     )
@@ -115,7 +117,7 @@ def _intercept_reports(
 
 def estimate_r1(dm: DesignMatrices, flavor: str = "classical") -> EstimateReport:
     """Intercept of the regression of y on vd."""
-    return _intercept_reports("R1", dm, dm.vd, (flavor,))[0]
+    return _intercept_reports("R1", dm, lambda: least_squares(dm.vd, dm.y), (flavor,))[0]
 
 
 def estimate_r2(dm: DesignMatrices, flavor: str = "classical") -> EstimateReport:
@@ -127,8 +129,12 @@ def estimate_r2(dm: DesignMatrices, flavor: str = "classical") -> EstimateReport
 
 
 def estimate_r2_flavors(dm: DesignMatrices, flavors: Sequence[str]) -> tuple[EstimateReport, ...]:
-    """:func:`estimate_r2` under each variance flavor, all read off one fit."""
-    return _intercept_reports("R2", dm, np.hstack([dm.vd, dm.m]), flavors)
+    """:func:`estimate_r2` under each variance flavor, all read off one fit.
+
+    The fit reads the design's own factorization, ``dm.whitened``, so it
+    factors nothing that ``experiment_model.validate_design`` factored.
+    """
+    return _intercept_reports("R2", dm, lambda: fit_whitened(dm.whitened, dm.y), flavors)
 
 
 def superpop_correct(r2: EstimateReport, dm: DesignMatrices) -> EstimateReport:

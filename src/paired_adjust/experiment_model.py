@@ -23,7 +23,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
@@ -177,6 +179,8 @@ class TransformSpec:
         log of a non-positive value or overflow in exp/power.
         """
         x = float_array(x, "x")
+        if x.ndim == 0:
+            raise DimensionMismatch("x has shape (), need a last axis of covariates")
         self.output_dim(x.shape[-1])  # validates select bounds
         if self.kind == "identity":
             out = x.copy(order="K")
@@ -251,6 +255,8 @@ class DesignMatrices:
     of units). ``v`` entries are +/-1; ``vd`` holds rows ``v[i] * d[i]``.
     Requires n > K_D + K_M + 1 (:func:`design_estimators`), so the
     intercept regressions have at least one residual degree of freedom.
+    The full design [vd | m | 1] is factored once, on first use
+    (:attr:`whitened`).
     """
 
     d: np.ndarray   # (n, K_D)
@@ -292,6 +298,19 @@ class DesignMatrices:
     def vd(self) -> np.ndarray:
         """Treated-minus-control transformed covariate differences."""
         return self.v[:, None] * self.d
+
+    @cached_property
+    def whitened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``ols_core.whiten`` of [vd | m | 1], made on first use and kept, read-only.
+
+        :func:`validate_design` reads its pivots and the R2 fit
+        (``estimators.estimate_r2_flavors``) its basis and triangular
+        factor, so the design check and the fit share one factorization.
+        """
+        out = whiten(np.column_stack([self.vd, self.m, np.ones(self.n)]))
+        for a in out:
+            a.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -461,20 +480,19 @@ def build_design(
 def validate_design(dm: DesignMatrices) -> DesignDiagnostics:
     """Check the full design [vd | m | 1] for numerical rank.
 
-    The design is factored by ``ols_core.whiten``, the matrix and the
-    column order the R2 fit of ``estimate_r2`` factors, so the two make
-    the same rank decision, and neither depends on covariate units.
+    The pivots are those of ``dm.whitened``, the one factorization of
+    the design that the R2 fit of ``estimate_r2`` also reads, so the two
+    make the same rank decision, and neither depends on covariate units.
     Raises RankDeficient, naming the first column that fails the pivot
     test, when the rank falls short of K_D + K_M + 1; otherwise returns
     the diagnostics.
     """
-    full = np.column_stack([dm.vd, dm.m, np.ones(dm.n)])
     labels = tuple(f"vd:{l}" for l in dm.d_labels) + tuple(
         f"m:{l}" for l in dm.m_labels
     ) + ("intercept",)
-    _, passed, ratios, _, _ = whiten(full)
+    _, passed, ratios, _, _ = dm.whitened
     diag = DesignDiagnostics(
-        expected_rank=full.shape[1],
+        expected_rank=passed.shape[0],
         rank=int(passed.sum()),
         column_labels=labels,
         pivot_ratios=ratios,
@@ -497,6 +515,35 @@ _BASE_COLUMNS = ("pair", "unit", "z", "y")
 _LOADTXT = dict(delimiter=",", comments=None, ndmin=1)
 
 
+class _FileText:
+    """A file's whole text as a stream named by its path, so that a reader can name the file.
+
+    Iterating yields its lines as ``io.StringIO(text, newline="")`` does;
+    ``read`` then gives the rest as one slice of the text, where a
+    StringIO would first copy the text in and then copy it out again.
+    """
+
+    _END = re.compile(r"\r\n?|\n")
+
+    def __init__(self, text: str, name: str) -> None:
+        self._text, self._at, self.name = text, 0, name
+
+    def __iter__(self) -> "_FileText":
+        return self
+
+    def __next__(self) -> str:
+        start = self._at
+        if start >= len(self._text):
+            raise StopIteration
+        end = self._END.search(self._text, start)
+        self._at = end.end() if end else len(self._text)
+        return self._text[start : self._at]
+
+    def read(self) -> str:
+        rest, self._at = self._text[self._at :], len(self._text)
+        return rest
+
+
 def read_source(source: Union[str, Path, Iterable[str], None]) -> Optional[Iterable[str]]:
     """The one way a file comes in: a path's whole text as a stream named by the path.
 
@@ -508,11 +555,9 @@ def read_source(source: Union[str, Path, Iterable[str], None]) -> Optional[Itera
         return source
     try:
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            text = io.StringIO(fh.read(), newline="")
+            return _FileText(fh.read(), str(source))
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise DataError(f"cannot read {source}: {getattr(exc, 'strerror', None) or exc}") from None
-    text.name = str(source)  # so that a reader can name the file
-    return text
 
 
 @contextlib.contextmanager
@@ -533,13 +578,39 @@ def writing(dest: Union[str, Path, TextIO]) -> Iterator[TextIO]:
         raise ConfigError(f"cannot write {dest}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def read_header(text: Iterable[str]) -> tuple[list[str], Iterator[str]]:
-    """The stripped fields of the first CSV line of ``text`` and the lines after it."""
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text`` as ``io.StringIO(text, newline="")`` yields them, in one split.
+
+    A line ends at LF, CRLF or a lone CR, and nowhere else: the other
+    breaks of ``str.splitlines`` (VT, FF, 0x1C-0x1E, NEL, U+2028, U+2029)
+    stay inside their line. Without a quote no ending can be part of a
+    field, so the lines come without their endings, from one ``split``
+    after the two CR endings are made LF; a text with a quote is split
+    by ``io.StringIO`` itself, endings kept.
+    """
+    if '"' in text:
+        return list(io.StringIO(text, newline=""))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:  # a last line ending in LF leaves an empty part, no line
+        lines.pop()
+    return lines
+
+
+def read_header(text: Iterable[str]) -> tuple[list[str], list[str]]:
+    """The stripped fields of the first CSV record of ``text`` and the lines after it.
+
+    The rest of a stream (anything with ``read``) is read at once and
+    cut by :func:`split_lines`; other iterables give their lines as they are.
+    """
     lines = iter(text)
     try:
-        return [h.strip() for h in next(csv.reader(lines))], lines
+        header = [h.strip() for h in next(csv.reader(lines))]
     except StopIteration:
         raise MalformedRow("empty file") from None
+    read = getattr(lines, "read", None)
+    return header, split_lines(read()) if read else list(lines)
 
 
 def _line(text: Sequence[str], r: int) -> int:
@@ -659,10 +730,11 @@ def read_pairs(
     first failing line, or pair, in file order: field count, integer
     parse, unit and flag range, number parse, finiteness (MalformedRow),
     then a repeated unit and a pair lacking one (PairViolation). When
-    numpy refuses the file, the first three and the number parse are
-    re-run on the tokens to name the line; a refusal none of them
-    explains raises MalformedRow with numpy's message. A file with no
-    data rows raises MalformedRow.
+    numpy refuses the file, or reads fewer rows than there are lines
+    because a quoted field spans lines, the first three and the number
+    parse are re-run on the tokens to name the line; a refusal none of
+    them explains raises MalformedRow with numpy's message, or "a quoted
+    field spans lines". A file with no data rows raises MalformedRow.
     """
     text = list(lines)
     rows = list(filter(str.strip, text))
@@ -676,6 +748,9 @@ def read_pairs(
     except ValueError as exc:
         _name_refusal(rows, text, width, flags)
         raise MalformedRow(str(exc)) from None
+    if len(table) != m:  # a quoted field joined lines into one row
+        _name_refusal(rows, text, width, flags)
+        raise MalformedRow("a quoted field spans lines")
     # Every field is 8 bytes wide, so the records view as (m, width) of either type.
     ints = table.view(np.int64).reshape(m, width)[:, :n_int]
     values = table.view(np.float64).reshape(m, width)[:, n_int:]

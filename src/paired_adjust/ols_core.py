@@ -6,11 +6,12 @@ thin, unpivoted Householder QR factors the result (column equilibration
 before QR, Golub & Van Loan ch. 5). Its pivot test, R_kk^2 >
 RANK_RTOL * ||column k||^2, is the only rank rule. The randomization
 kernel applies both to its fixed design blocks, :func:`least_squares`
-to [x | 1] and ``experiment_model.validate_design`` to [vd | m | 1].
-With the ones column last, its pivot R_kk^2 is e'(I - H)e with H the
-projection onto the columns of x, so a fit passes only when
-e'(I - H)e > RANK_RTOL * n, the intercept test of the kernel. Neither
-the factorization nor the test depends on the scale of any column.
+to [x | 1] and ``experiment_model.DesignMatrices`` to [vd | m | 1],
+once for both the design check and the R2 fit. With the ones column
+last, its pivot R_kk^2 is e'(I - H)e with H the projection onto the
+columns of x, so a fit passes only when e'(I - H)e > RANK_RTOL * n, the
+intercept test of the kernel. Neither the factorization nor the test
+depends on the scale of any column.
 
 One factorization gives the coefficients, the fitted values, the
 leverages (column norms of Q') and the intercept row u of
@@ -112,8 +113,20 @@ def least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
     cols = x.shape[1] + 1
     if n < cols:
         raise RankDeficient(f"{cols} columns but only {n} rows")
+    return fit_whitened(whiten(np.column_stack([x, np.ones(n)])), y)
 
-    q, passed, _, r, exp = whiten(np.column_stack([x, np.ones(n)]))
+
+def fit_whitened(whitened: tuple, y: np.ndarray) -> FitResult:
+    """The fit of :func:`least_squares`, read off :func:`whiten`'s output for [x | 1].
+
+    These are the steps :func:`least_squares` takes once it has factored,
+    so a caller that holds the factorization (``DesignMatrices.whitened``)
+    fits without factoring again. ``y`` must be cast as
+    :func:`least_squares` casts it, and [x | 1] have at least as many rows
+    as columns. Raises RankDeficient as :func:`least_squares` does.
+    """
+    q, passed, _, r, exp = whitened
+    cols, n = q.shape
     if not passed.all():
         k = int(np.argmin(passed))
         which = "the intercept" if k == cols - 1 else f"column {k + 1} of x"

@@ -160,7 +160,8 @@ def reveal(
     cross-checks the observed-response construction against the
     level/effect identity Y_i = Delta_i + v_i (l_i1 - l_i2), whose Delta
     and l_i1 - l_i2 come from :func:`effects_and_gaps`, to 1e-12 of the
-    response scale.
+    largest observed magnitude, floored only at the smallest normal
+    float, so the check is as strict at any scale of the responses.
     """
     v = pair_signs(v, sample.n)
     if sample.x is None:
@@ -173,7 +174,7 @@ def reveal(
     z[:, 1] = 1 - z[:, 0]
     observed = np.where(z == 1, sample.r_t, sample.r_c)
     y = v * (observed[:, 0] - observed[:, 1])
-    scale = max(1.0, np.abs(observed).max(initial=0.0))
+    scale = max(np.finfo(float).tiny, np.abs(observed).max(initial=0.0))
     if np.abs(y - (effects + v * gaps)).max(initial=0.0) > 1e-12 * scale:
         raise AssertionError("observed-response and level/effect Y constructions disagree")
 

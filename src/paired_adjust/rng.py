@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import int_at_least
+from .errors import int_array, int_at_least
 
 # Stream roles. Fixed small integers, never reused for another purpose.
 ROLE_SAMPLE = 1   # science-table generation, one stream per sample index
@@ -98,7 +98,9 @@ def stream_keys(master_seed: int, role: int, idxs: Sequence[int]) -> np.ndarray:
     idxs[t])).generate_state(2, np.uint64)``, the key ``Philox`` takes
     from that sequence. The entropy is the seed's words padded with
     zeros to the pool size, then the role's words, then the index, which
-    must be one word: an index outside [0, 2^32) raises ``BadArgument``.
+    must be one word: an index that is not an integer
+    (``errors.int_array``), or lies outside [0, 2^32), raises
+    ``BadArgument``.
     Every word but the index is the same for all indices, so those words
     are hashed into the pool once. The index, always past the pool, is
     then mixed into each pool word and the state read out for every
@@ -106,7 +108,7 @@ def stream_keys(master_seed: int, role: int, idxs: Sequence[int]) -> np.ndarray:
     """
     for end in (min(idxs, default=0), max(idxs, default=0)):
         int_at_least(end, 0, "stream indices", high=_MASK32)
-    idx = np.asarray(idxs, dtype=np.int64).reshape(-1)
+    idx = int_array(idxs, "stream indices").reshape(-1)
     seed = _words(master_seed, "seed")
     shared = [*seed, *[0] * (_POOL - len(seed)), *_words(role, "role")]
 

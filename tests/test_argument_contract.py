@@ -61,7 +61,7 @@ from paired_adjust import randomization_engine as engine
 from paired_adjust.cli import _OPTION_TABLES, parse_transform
 from paired_adjust.dgp import SETTINGS
 from paired_adjust.estimators import FLAVORS
-from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE
+from paired_adjust.rng import ROLE_ASSIGN, ROLE_SAMPLE, stream_keys
 
 from conftest import make_design, make_sample
 
@@ -316,6 +316,8 @@ _PROBES = {
     "assignment_signs code NaN": lambda: assignment_signs(np.array([math.nan]), 3),
     "assignment_signs code 2^63": lambda: assignment_signs(np.array([2.0**63]), 3),
     "assignment_signs n -1": lambda: assignment_signs(np.arange(4), -1),
+    # Used to take the key of index 1 in silence: only the ends were cast.
+    "stream_keys index 1.7": lambda: stream_keys(1, ROLE_SAMPLE, [0, 1.7, 3]),
 }
 
 
@@ -367,6 +369,9 @@ _ARRAY_PROBES = {
                      DimensionMismatch),
     "response_surfaces w of 3 columns": (lambda: response_surfaces(np.zeros((5, 3)), "parallel"),
                                          DimensionMismatch),
+    # Used to escape as a builtin IndexError from x.shape[-1].
+    "TransformSpec.apply of a 0-d x": (lambda: TransformSpec.identity().apply(5.0),
+                                       DimensionMismatch),
 }
 
 
@@ -419,6 +424,12 @@ def test_text_and_object_arrays_are_data_errors_naming_the_argument(probe):
     with warnings.catch_warnings(), pytest.raises(DataError, match=f"^{name} must hold real numbers"):
         warnings.simplefilter("error")
         _TEXT_ARRAYS[probe]()
+
+
+def test_a_0d_covariate_value_is_refused_by_name():
+    for spec in (TransformSpec.identity(), TransformSpec.power(2), TransformSpec.select([1])):
+        with pytest.raises(DimensionMismatch, match=r"^x has shape \(\)"):
+            spec.apply(np.float64(5.0))
 
 
 def test_signs_and_shapes_raise_the_data_classes():

@@ -11,7 +11,6 @@ from paired_adjust import (
     build_design,
     estimate_r2,
     generate_sample,
-    least_squares,
     load_experiment_csv,
     randomize,
     reveal,
@@ -20,9 +19,10 @@ from paired_adjust import (
     write_experiment_csv,
     write_science_table,
 )
-from paired_adjust import cli, estimators
+from paired_adjust import cli, experiment_model, ols_core
 from paired_adjust.cli import build_parser, main, parse_transform
 from paired_adjust.errors import ConfigError
+from paired_adjust.ols_core import whiten
 from paired_adjust.rng import ROLE_ASSIGN
 
 from conftest import generate_table, make_sample
@@ -107,20 +107,23 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("variance", ["HC2", "HC3"])
     def test_one_r2_fit_serves_both_variances(self, capsys, experiment_csv, monkeypatch, variance):
-        fits = []
+        widths = []
 
-        def counted(x, y):
-            fits.append(x.shape[1])
-            return least_squares(x, y)
+        def counted(a):
+            widths.append(a.shape[-1])
+            return whiten(a)
 
-        monkeypatch.setattr(estimators, "least_squares", counted)
+        monkeypatch.setattr(ols_core, "whiten", counted)
+        monkeypatch.setattr(experiment_model, "whiten", counted)
         code, out, _ = run_cli(
             capsys, "analyze", "--input", str(experiment_csv), "--variance", variance,
             "--target", "pate",
         )
         assert code == 0
-        assert fits == [4, 8]  # R1, then R2 for its flavored and its classical variance
         dm = build_design(load_experiment_csv(experiment_csv), IDENT, IDENT)
+        # [vd | m | 1] once, for the design check and for R2 under its flavored
+        # and its classical variance, then [vd | 1] for R1.
+        assert widths == [dm.k_d + dm.k_m + 1, dm.k_d + 1]
         pate = superpop_correct(estimate_r2(dm), dm).to_report_dict("pate", 0.05)
         assert json.loads(out)["estimates"][3] == pate
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -8,15 +9,24 @@ from paired_adjust import (
     BadAlpha,
     DesignMatrices,
     EstimateReport,
+    RankDeficient,
     TooFewPairs,
     WrongEstimator,
     confidence_interval,
     estimate_classical,
     estimate_r1,
     estimate_r2,
+    experiment_model,
+    intercept_variance_classical,
+    intercept_variance_hc,
+    least_squares,
     normal_quantile,
+    ols_core,
     superpop_correct,
+    validate_design,
 )
+from paired_adjust.estimators import FLAVORS, estimate_r2_flavors
+from paired_adjust.ols_core import whiten
 
 from conftest import make_design
 from oracles import ppf_oracle, r1_oracle, r2_oracle, superpop_oracle
@@ -219,3 +229,55 @@ class TestDofContract:
         assert hc3.flavor == "HC3"
         assert hc3.tau_hat == classical.tau_hat
         assert hc3.s2 != classical.s2
+
+
+class TestOneFactorization:
+    """``validate_design`` and the R2 fit read the one factorization a design holds."""
+
+    @staticmethod
+    def _count_whitening(monkeypatch):
+        widths = []
+
+        def counted(a):
+            widths.append(a.shape[-1])
+            return whiten(a)
+
+        monkeypatch.setattr(ols_core, "whiten", counted)
+        monkeypatch.setattr(experiment_model, "whiten", counted)
+        return widths
+
+    def test_design_check_then_r2_factor_once_to_the_values_of_two_factorizations(
+        self, rng, monkeypatch
+    ):
+        dm = make_design(rng, n=30, kd=3, km=2)
+        x = np.hstack([dm.vd, dm.m])
+        fit = least_squares(x, dm.y)
+        ratios = whiten(np.column_stack([x, np.ones(dm.n)]))[2]
+        widths = self._count_whitening(monkeypatch)
+        diag = validate_design(dm)
+        reports = estimate_r2_flavors(dm, FLAVORS)
+        assert widths == [6]
+        assert diag.pivot_ratios.tobytes() == ratios.tobytes()
+        for report in reports:
+            s2 = (intercept_variance_classical(fit) if report.flavor == "classical"
+                  else intercept_variance_hc(fit, report.flavor))
+            assert (report.tau_hat, report.s2, report.dof) == (fit.coefficients[0], s2, fit.dof)
+            assert report.beta_d + report.beta_m == tuple(fit.coefficients[1:])
+
+    def test_a_deficient_design_is_refused_by_both_in_their_own_words(self, rng, monkeypatch):
+        base = make_design(rng, n=30, kd=2, km=2)
+        dm = DesignMatrices(d=np.column_stack([base.d, 2.0 * base.d[:, 0]]), m=base.m,
+                            v=base.v, y=base.y)
+        x = np.hstack([dm.vd, dm.m])
+        with pytest.raises(RankDeficient) as alone:
+            least_squares(x, dm.y)
+        ratio = whiten(np.column_stack([x, np.ones(dm.n)]))[2][2]
+        widths = self._count_whitening(monkeypatch)
+        message = (f"design rank 5 < 6: column vd:d3 is numerically in the span of the "
+                   f"columns before it (pivot ratio {ratio:.3g}, tolerance 1e-10)")
+        with pytest.raises(RankDeficient, match=f"^{re.escape(message)}$"):
+            validate_design(dm)
+        with pytest.raises(RankDeficient) as shared:
+            estimate_r2(dm)
+        assert str(shared.value) == str(alone.value)
+        assert widths == [6]

@@ -105,6 +105,21 @@ class TestReveal:
         with pytest.raises(LengthMismatch):
             reveal(s, np.ones(5))
 
+    @pytest.mark.parametrize("scale", [2.0**-70, 1.0, 2.0**70])
+    def test_level_effect_cross_check_is_as_strict_at_every_scale(self, rng, monkeypatch, scale):
+        tables = [make_sample(rng, 12) for _ in range(3)]
+        tables = [PotentialOutcomeSample(r_t=scale * s.r_t, r_c=scale * s.r_c, x=s.x)
+                  for s in tables]
+        v = randomize(12, substream(8, ROLE_ASSIGN))
+        for s in tables:
+            reveal(s, v)
+        effects_and_gaps = engine.effects_and_gaps
+        monkeypatch.setattr(engine, "effects_and_gaps",
+                            lambda r_t, r_c: [2.0 * a for a in effects_and_gaps(r_t, r_c)])
+        for s in tables:
+            with pytest.raises(AssertionError, match="constructions disagree"):
+                reveal(s, v)
+
 
 def _unpaired_enumeration(sample, f, g, want):
     """The kernel's (tau, s2) of ``want`` at every one of the 2^n codes, one response each.

@@ -22,7 +22,11 @@ larger. The 6-pair table is too small for identity transforms on its
 four covariates (they need n > 9); the 15-pair table is enumerated
 under two other transforms. Two ``enumerate --meta`` runs read the
 16-pair table's sidecar as ``generate`` wrote it, and rewritten with a
-byte-order mark and CRLF endings. Every table and sidecar ``generate``
+byte-order mark and CRLF endings. The ``*_crlf`` and ``*_cr_blank``
+runs read the experiment rewritten with CRLF endings, and the
+experiment and the 16-pair table rewritten with lone-CR endings and a
+blank and a whitespace-only line among the rows: the reader cuts lines
+at all three endings in one split. Every table and sidecar ``generate``
 writes must be byte-identical across the trees. In the new tree every ``analyze`` and
 ``enumerate`` run is run again with ``PAIRED_ADJUST_SEED=12345`` set,
 and its exit code and report must equal the first run's, byte for byte:
@@ -139,6 +143,11 @@ RUNS = {
     "enumerate_meta": ["enumerate", "--input", "{table}", "--meta", "{table_meta}"],
     "enumerate_meta_edge": ["enumerate", "--input", "{table}", "--meta", "{table_meta_edge}",
                             "--f", "select:1,2", "--g", "select:3"],
+    "analyze_crlf": ["analyze", "--input", "{experiment_crlf}", "--variance", "HC2",
+                     "--target", "pate"],
+    "analyze_cr_blank": ["analyze", "--input", "{experiment_cr_blank}", "--variance", "HC3"],
+    "enumerate_cr_blank": ["enumerate", "--input", "{table_cr_blank}", "--f", "power:2",
+                           "--g", "log"],
 }
 # (old, new) exit codes that differ for a known reason, each with its
 # reason in a comment; none at present.
@@ -212,6 +221,18 @@ def write_bom_crlf(src: Path, dest: Path) -> None:
     dest.write_bytes(b"\xef\xbb\xbf" + src.read_bytes().replace(b"\n", b"\r\n"))
 
 
+def write_endings(src: Path, dest: Path, ending: str, blanks: bool = False) -> None:
+    """``src`` with each line ending in ``ending``.
+
+    With ``blanks``, a blank and a whitespace-only line go among the rows.
+    """
+    header, *rows = src.read_text().splitlines()
+    if blanks:
+        k = len(rows) // 3
+        rows = [*rows[:k], "", *rows[k : 2 * k], " \t ", *rows[2 * k :]]
+    dest.write_bytes("".join(line + ending for line in [header, *rows]).encode())
+
+
 def write_huge_response(src: Path, dest: Path) -> None:
     """``src`` with its first response multiplied by 1e200."""
     header, first, *rows = src.read_text().splitlines()
@@ -247,7 +268,8 @@ def run_tree(root: Path, work: Path, seed_env: bool = False
     inputs = {name: work / f"{name}.csv" for name in (
         *TABLES, "experiment", "experiment_x1e9", "experiment_shuffled", "small_experiment",
         "experiment_edge", "table_edge", "experiment_separator", "experiment_huge",
-        "experiment_x1e6", "experiment_x1e200")}
+        "experiment_x1e6", "experiment_x1e200", "experiment_crlf", "experiment_cr_blank",
+        "table_cr_blank")}
     for name, argv in TABLES.items():
         _cli(src, ["generate", *argv, "--out", str(inputs[name])])
     table = inputs["table"]
@@ -264,6 +286,9 @@ def run_tree(root: Path, work: Path, seed_env: bool = False
     write_edge_format(table, inputs["table_edge"])
     write_digit_separator(inputs["experiment"], inputs["experiment_separator"])
     write_huge_response(inputs["experiment"], inputs["experiment_huge"])
+    write_endings(inputs["experiment"], inputs["experiment_crlf"], "\r\n")
+    write_endings(inputs["experiment"], inputs["experiment_cr_blank"], "\r", blanks=True)
+    write_endings(table, inputs["table_cr_blank"], "\r", blanks=True)
     out, differ = {}, []
     for name, argv in RUNS.items():
         argv = [a.format(**inputs) for a in argv]
